@@ -22,10 +22,17 @@ import numpy as np
 from . import __version__
 from .cells import HillMap, fixed_point, load_model, model_to_dict
 from .errors import BadBundle, BadLatticeSize, BadOptions, PatternQError
-from .existence import CERTIFIED, certify, lift, solve_reduced
+from .existence import (
+    CERTIFIED,
+    ExistenceCertificate,
+    PatternSolution,
+    certify,
+    lift,
+    solve_reduced,
+)
 from .graphs import WeightedGraph, generate, is_connected, scaled_adjacency
 from .partitions import (
-    Partition,
+    QuotientModel,
     bipartition_partition,
     coarsest_equitable_refinement,
     is_equitable,
@@ -102,13 +109,12 @@ def _load_graph_arg(args) -> tuple[WeightedGraph, str]:
     return _run_stage("load", load_graph, args.graph), args.graph
 
 
-def _quotient_report(g: WeightedGraph, pi: Partition) -> dict:
-    qm = quotient(g, pi)
+def _quotient_report(qm: QuotientModel) -> dict:
     spec = eigen_reversible(qm.matrix, qm.class_degrees, vectors=False)
     return {
         "matrix": qm.matrix,
         "class_degrees": qm.class_degrees,
-        "class_sizes": [len(cls) for cls in pi.classes],
+        "class_sizes": [len(cls) for cls in qm.partition.classes],
         "eigenvalues": spec.eigenvalues,
         "reduced_edges": [list(e) for e in qm.reduced_edges],
         "reduced_bipartite": qm.reduced_coloring is not None,
@@ -151,7 +157,8 @@ def _cmd_partition(args) -> int:
     out["equitable"] = check.ok
     out["witness"] = list(check.witness) if check.witness else None
     if check.ok:
-        out.update(_run_stage("quotient", _quotient_report, g, pi))
+        qm = _run_stage("quotient", quotient, g, pi)
+        out.update(_run_stage("quotient", _quotient_report, qm))
     _write_json(out, args.out)
     return 0
 
@@ -159,19 +166,19 @@ def _cmd_partition(args) -> int:
 def _cmd_quotient(args) -> int:
     g, _ = _load_graph_arg(args)
     pi = _run_stage("load", load_partition, args.partition, g.n)
-    out = _run_stage("quotient", _quotient_report, g, pi)
+    qm = _run_stage("quotient", quotient, g, pi)
+    out = _run_stage("quotient", _quotient_report, qm)
     out["classes"] = [list(cls) for cls in pi.classes]
     _write_json(out, args.out)
     return 0
 
 
-def _exist_payload(g: WeightedGraph, pi: Partition, model: HillMap,
-                   strategy: str) -> dict:
-    qm = _run_stage("quotient", quotient, g, pi)
+def _exist_payload(g: WeightedGraph, qm: QuotientModel, model: HillMap, strategy: str,
+                   ) -> tuple[dict, ExistenceCertificate, PatternSolution]:
     cert = _run_stage("certify", certify, qm, model)
     red = _run_stage("solve", solve_reduced, qm, model, strategy)
     pattern = _run_stage("lift", lift, qm, red.class_values, model, scaled_adjacency(g))
-    return {
+    payload = {
         "verdict": cert.verdict,
         "lambda_r": cert.min_eigenvalue,
         "lambda_r_multiplicity": cert.min_multiplicity,
@@ -188,13 +195,16 @@ def _exist_payload(g: WeightedGraph, pi: Partition, model: HillMap,
         "warning": red.warning,
         "alternate_z": red.alternate_class_values,
     }
+    return payload, cert, pattern
 
 
 def _cmd_exist(args) -> int:
     g, _ = _load_graph_arg(args)
     pi = _run_stage("load", load_partition, args.partition, g.n)
     model = _run_stage("load", load_model, args.model)
-    _write_json(_exist_payload(g, pi, model, args.strategy), args.out)
+    qm = _run_stage("quotient", quotient, g, pi)
+    payload, _, _ = _exist_payload(g, qm, model, args.strategy)
+    _write_json(payload, args.out)
     return 0
 
 
@@ -405,11 +415,12 @@ def _cmd_analyze(args) -> int:
     part_sec = _seal({"mode": mode, "data": partition_to_dict(pi),
                       "upstream": {"graph": graph_sec["sha256"]}})
 
-    quot = _run_stage("quotient", _quotient_report, g, pi)
+    qm = _run_stage("quotient", quotient, g, pi)
+    quot = _run_stage("quotient", _quotient_report, qm)
     quot_sec = _seal({"data": quot, "upstream": {
         "graph": graph_sec["sha256"], "partition": part_sec["sha256"]}})
 
-    payload = _exist_payload(g, pi, model, args.strategy)
+    payload, cert, pattern = _exist_payload(g, qm, model, args.strategy)
     cert_keys = ("verdict", "lambda_r", "lambda_r_multiplicity", "u_star",
                  "slope_at_u_star", "condition_value", "reduced_bipartite")
     cert_sec = _seal({"data": {k: payload[k] for k in cert_keys},
@@ -419,16 +430,14 @@ def _cmd_analyze(args) -> int:
     pattern_sec = _seal({"data": {k: payload[k] for k in pattern_keys},
                          "upstream": {"certificate": cert_sec["sha256"]}})
 
-    z = np.asarray(payload["z"], dtype=float)
-    stab = _stability_payload(g, pi, model, z, ("full", "block", "smallgain"))
+    stab = _stability_payload(g, pi, model, pattern.class_values,
+                              ("full", "block", "smallgain"))
     stab_sec = _seal({"data": stab, "upstream": {"pattern": pattern_sec["sha256"]}})
 
     sim_sec = None
     if args.simulate:
-        qm = quotient(g, pi)
-        pattern = lift(qm, z, model, scaled_adjacency(g))
         chk = _run_stage("simulate", verify_certificate, g, pi, model, pattern,
-                         None, args.eps)
+                         cert, args.eps)
         sim_sec = _seal({"data": {
             "match": chk.match,
             "exploratory": chk.exploratory,

@@ -44,7 +44,6 @@ __all__ = [
     "torus_checkerboard_generators",
     "torus_domino_generators",
     "cycle_rotation_perm",
-    "hex_shift_perm",
     "hex_transpose_perm",
     "hex_diagonal_generators",
     "buckyball_rotation_generators",
@@ -352,11 +351,6 @@ def cycle_rotation_perm(n: int) -> list[int]:
     return [(i + 1) % n for i in range(n)]
 
 
-def hex_shift_perm(rows: int, cols: int, dr: int, dc: int) -> list[int]:
-    return [((i + dr) % rows) * cols + (j + dc) % cols
-            for i in range(rows) for j in range(cols)]
-
-
 def hex_transpose_perm(rows: int, cols: int) -> list[int]:
     """(i,j) -> (j,i); an automorphism of the axial hex torus when square."""
     if rows != cols:
@@ -370,8 +364,8 @@ def hex_diagonal_generators(rows: int, cols: int) -> list[list[int]]:
     if rows != cols or rows % 3:
         raise BadLatticeSize("diagonal orbits need a square side divisible by 3")
     return [
-        hex_shift_perm(rows, cols, 1, 1),
-        hex_shift_perm(rows, cols, 3, 0),
+        torus_shift_perm(rows, cols, 1, 1),
+        torus_shift_perm(rows, cols, 3, 0),
         hex_transpose_perm(rows, cols),
     ]
 

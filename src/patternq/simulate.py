@@ -199,8 +199,7 @@ def verify_certificate(g: WeightedGraph, pi: Partition, model: HillMap,
     A failure to match is reported, never raised: nothing guarantees the
     chosen start lies in the predicted pattern's basin.
     """
-    qm = quotient(g, pi)
-    cert = certificate or certify(qm, model)
+    cert = certificate or certify(quotient(g, pi), model)
     exploratory = cert.verdict != CERTIFIED
     direction = pi.expand(cert.min_eigenvector)
     # orient the unstable direction toward the predicted pattern, otherwise

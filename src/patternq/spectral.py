@@ -4,8 +4,8 @@ Every matrix this package needs a spectrum for is similar to a symmetric
 one: the averaging matrix and its quotients through detailed balance, the
 gain-weighted products through a degree/gain diagonal similarity, and the
 one-state network Jacobian through a degree/slope similarity.  The only
-solvers here are cyclic Jacobi rotations and a two-step power iteration;
-no unsymmetric QR is ever used.
+solvers here are LAPACK's symmetric eigensolver (through np.linalg.eigh)
+and power iteration; no unsymmetric QR is ever used.
 """
 from __future__ import annotations
 
@@ -21,11 +21,9 @@ __all__ = [
     "eigen_reversible",
     "spectral_radius_nonneg",
     "jacobian_spectrum",
-    "spectral_abscissa",
     "multiset_extract",
 ]
 
-_MAX_SWEEPS = 100
 _POWER_MAX_ITERS = 100_000
 
 
@@ -65,13 +63,16 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def sym_eigen(a: np.ndarray, vectors: bool = True) -> Spectrum:
-    """Full spectrum of a symmetric matrix by cyclic Jacobi rotations.
+    """Full spectrum of a symmetric matrix by the LAPACK symmetric solver.
 
-    Sweeps rotate every off-diagonal pair above a small relative threshold
-    until the off-diagonal Frobenius norm falls below 1e-13 of the matrix
-    norm (safely under the 1e-12 contract).  Raises NotSymmetric when the
-    input deviates from its transpose by more than 1e-10, NoConvergence
-    after 100 sweeps.
+    Calls np.linalg.eigh (eigvalsh when vectors=False), LAPACK's
+    divide-and-conquer driver for symmetric matrices, on the symmetric part
+    of the input.  Eigenvalues come back sorted descending and each
+    eigenvector has its largest-magnitude entry positive.  Raises
+    NotSymmetric when the input is not square or deviates from its
+    transpose by more than 1e-10.  Raises NoConvergence when a matrix of
+    order two or more has a non-finite entry, or when LAPACK reports that
+    its eigenvalue iteration failed to converge.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -79,63 +80,22 @@ def sym_eigen(a: np.ndarray, vectors: bool = True) -> Spectrum:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
     if n == 0:
         return Spectrum(np.empty(0), np.empty((0, 0)) if vectors else None)
-    if np.abs(a - a.T).max() > 1e-10:
-        raise NotSymmetric(
-            f"matrix is not symmetric (max deviation {np.abs(a - a.T).max():.2e})")
+    deviation = np.abs(a - a.T).max()
+    if deviation > 1e-10:
+        raise NotSymmetric(f"matrix is not symmetric (max deviation {deviation:.2e})")
+    if n == 1:
+        return Spectrum(a[0].copy(), np.ones((1, 1)) if vectors else None)
+    if not np.isfinite(a).all():
+        # LAPACK may return finite garbage for NaN input instead of failing
+        raise NoConvergence("matrix has non-finite entries")
     m = (a + a.T) / 2.0
-    v = np.eye(n) if vectors else None
-    scale = np.linalg.norm(m)
-    if scale == 0.0 or n == 1:
-        vals = np.diag(m).copy()
-        order = np.argsort(-vals)
-        vecs = v[:, order] if vectors else None
-        return Spectrum(vals[order], vecs)
-
-    skip = 1e-14 * scale / n
-    for _sweep in range(_MAX_SWEEPS):
-        # summing the off-diagonal entries directly avoids the cancellation
-        # of ||M||^2 - ||diag||^2, which reads as zero long before the
-        # off-diagonal part actually is
-        off = np.linalg.norm(m - np.diag(np.diag(m)))
-        if off <= 1e-13 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = m[p, q]
-                if abs(apq) <= skip:
-                    continue
-                # rotation angle zeroing m[p,q]
-                theta = (m[q, q] - m[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = np.sign(theta) if theta != 0 else 1.0
-                    t /= abs(theta) + np.sqrt(theta * theta + 1.0)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = m[:, p].copy()
-                col_q = m[:, q].copy()
-                m[:, p] = c * col_p - s * col_q
-                m[:, q] = s * col_p + c * col_q
-                row_p = m[p, :].copy()
-                row_q = m[q, :].copy()
-                m[p, :] = c * row_p - s * row_q
-                m[q, :] = s * row_p + c * row_q
-                m[p, q] = 0.0
-                m[q, p] = 0.0
-                if vectors:
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - s * vq
-                    v[:, q] = s * vp + c * vq
-    else:
-        raise NoConvergence(f"Jacobi sweeps did not converge in {_MAX_SWEEPS} sweeps")
-
-    vals = np.diag(m).copy()
-    order = np.argsort(-vals)
-    vals = vals[order]
-    vecs = _fix_signs(v[:, order]) if vectors else None
-    return Spectrum(vals, vecs)
+    try:
+        if not vectors:
+            return Spectrum(np.linalg.eigvalsh(m)[::-1])
+        vals, vecs = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
+    return Spectrum(vals[::-1], _fix_signs(vecs[:, ::-1]))
 
 
 def eigen_reversible(p: np.ndarray, d: np.ndarray, vectors: bool = True) -> Spectrum:
@@ -285,11 +245,6 @@ def jacobian_spectrum(p: np.ndarray, d: np.ndarray, slopes: np.ndarray,
         approximate=True,
         abscissa_bound=bound,
     )
-
-
-def spectral_abscissa(spec: Spectrum) -> float:
-    """Largest eigenvalue of a real spectrum (eigenvalues are sorted descending)."""
-    return float(spec.eigenvalues[0])
 
 
 def multiset_extract(full, part) -> tuple[np.ndarray, float]:

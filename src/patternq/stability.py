@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import HillMap, dc_gain, t_eval, t_prime
-from .errors import DimensionMismatch, NotSteadyState, OrderingMismatch
+from .errors import BadOptions, DimensionMismatch, NotSteadyState, OrderingMismatch
 from .graphs import WeightedGraph, scaled_adjacency
 from .partitions import BlockDecomposition, Partition, block_decompose, quotient
 from .spectral import (
@@ -204,18 +204,30 @@ def small_gain(g: WeightedGraph, pi: Partition, model: HillMap, z) -> SmallGainR
 
 
 def m_matrix_diagnostic(g: WeightedGraph, cell_gains) -> bool:
-    """Check that I - Gamma P is a nonsingular M-matrix via leading minors.
+    """Check that I - Gamma P is a nonsingular M-matrix by one Cholesky.
 
     I - Gamma P has nonpositive off-diagonals, so positive leading principal
-    minors are equivalent to the M-matrix property.  Only meaningful when
-    the gain radius sits below one.
+    minors are equivalent to the M-matrix property.  With P = D^-1 W those
+    minors equal the ones of the symmetric
+    I - Gamma^1/2 D^-1/2 W D^-1/2 Gamma^1/2 (a diagonal similarity for
+    positive gains, Sylvester's determinant identity for zero ones), whose
+    minors are all positive exactly when it is positive definite, that is,
+    when its Cholesky factorization exists.  Only meaningful when the gain
+    radius sits below one.
     """
     gains = np.asarray(cell_gains, dtype=float)
-    p = scaled_adjacency(g).matrix
-    a = np.eye(g.n) - gains[:, None] * p
-    for k in range(1, g.n + 1):
-        if np.linalg.det(a[:k, :k]) <= 0:
-            return False
+    if np.any(gains < 0):
+        # the symmetrization takes square roots of the gains
+        raise BadOptions("cell gains must be nonnegative")
+    sa = scaled_adjacency(g)
+    root_d = np.sqrt(sa.degrees)
+    scale = np.sqrt(gains)
+    sym = (root_d[:, None] * sa.matrix) / root_d[None, :]
+    sym = scale[:, None] * ((sym + sym.T) / 2.0) * scale[None, :]
+    try:
+        np.linalg.cholesky(np.eye(g.n) - sym)
+    except np.linalg.LinAlgError:
+        return False
     return True
 
 

@@ -1,9 +1,10 @@
 """Independent oracles shared across the test modules.
 
 Everything here deliberately avoids the library's own solution paths:
-eigenvalues come from characteristic-polynomial companion roots, reduced
-roots from 1-D bisection on composed maps, and coarsest refinements from
-full partition enumeration.
+eigenvalues come from characteristic-polynomial companion roots, the
+M-matrix property from leading principal minors, reduced roots from 1-D
+bisection on composed maps, and coarsest refinements from full partition
+enumeration.
 """
 from __future__ import annotations
 
@@ -14,8 +15,9 @@ from patternq.graphs import WeightedGraph
 from patternq.partitions import Partition, is_equitable, make_partition, refines
 
 
-def char_poly_eigs(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues via Faddeev-LeVerrier coefficients and companion roots."""
+def char_poly_coeffs(a: np.ndarray) -> np.ndarray:
+    """Characteristic polynomial coefficients (leading 1 first) by
+    Faddeev-LeVerrier."""
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     coeffs = [1.0]
@@ -23,8 +25,26 @@ def char_poly_eigs(a: np.ndarray) -> np.ndarray:
     for k in range(1, n + 1):
         m = a @ m + coeffs[-1] * np.eye(n)
         coeffs.append(-np.trace(a @ m) / k)
-    roots = np.roots(coeffs)
+    return np.array(coeffs)
+
+
+def char_poly_eigs(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues via Faddeev-LeVerrier coefficients and companion roots.
+
+    A root of multiplicity k is only accurate to about eps^(1/k); compare
+    repeated eigenvalues through char_poly_coeffs instead.
+    """
+    roots = np.roots(char_poly_coeffs(a))
     return np.sort(roots.real)[::-1]
+
+
+def m_matrix_by_leading_minors(g: WeightedGraph, cell_gains) -> bool:
+    """I - Gamma P is a nonsingular M-matrix: every leading principal minor
+    of the unsymmetrized matrix is positive (one determinant per order)."""
+    gains = np.asarray(cell_gains, dtype=float)
+    w = g.weight_matrix()
+    a = np.eye(g.n) - gains[:, None] * (w / w.sum(axis=1)[:, None])
+    return all(np.linalg.det(a[:k, :k]) > 0 for k in range(1, g.n + 1))
 
 
 def set_partitions(n: int):

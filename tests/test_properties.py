@@ -1,0 +1,98 @@
+"""Property tests of the spectral and M-matrix routines against independent
+oracles: characteristic-polynomial roots and coefficients, dense
+unsymmetric eigvals, and leading principal minors."""
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from patternq.graphs import scaled_adjacency
+from patternq.spectral import jacobian_spectrum, sym_eigen
+from patternq.stability import m_matrix_diagnostic
+
+from helpers import (
+    char_poly_coeffs,
+    char_poly_eigs,
+    m_matrix_by_leading_minors,
+    random_connected_graph,
+)
+
+# derandomized so the suite gives the same verdict on every run
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
+
+seeds = st.integers(0, 2**32 - 1)
+# few distinct levels, so drawn spectra repeat eigenvalues often
+levels = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0])
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """(A, spectrum) with A symmetric of order 1 to 12.
+
+    Half the draws are uniform entries in [-1, 1] (spectrum None, distinct
+    eigenvalues almost surely); the other half are Q diag(spectrum) Q^T
+    with Q a random orthogonal matrix and a spectrum drawn from `levels`.
+    """
+    rng = np.random.default_rng(draw(seeds))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 12))
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        return (a + a.T) / 2.0, None
+    spectrum = np.array(draw(st.lists(levels, min_size=1, max_size=12)))
+    q, _ = np.linalg.qr(rng.standard_normal((spectrum.size, spectrum.size)))
+    a = (q * spectrum) @ q.T
+    return (a + a.T) / 2.0, np.sort(spectrum)[::-1]
+
+
+@PROPERTY
+@given(symmetric_matrices())
+def test_sym_eigen_eigenvalues_match_char_poly(case):
+    a, spectrum = case
+    vals = sym_eigen(a).eigenvalues
+    assert np.all(np.diff(vals) <= 0)
+    if spectrum is None:
+        assert np.abs(vals - char_poly_eigs(a)).max() < 1e-8
+    else:
+        # companion roots lose accuracy at a multiple root; compare the
+        # polynomial the eigenvalues generate instead
+        assert np.abs(vals - spectrum).max() < 1e-8
+        assert np.abs(np.poly(vals) - char_poly_coeffs(a)).max() < 1e-8
+
+
+@PROPERTY
+@given(symmetric_matrices())
+def test_sym_eigen_eigenvectors_orthonormal_and_oriented(case):
+    a, _ = case
+    spec = sym_eigen(a)
+    vals, v = spec.eigenvalues, spec.eigenvectors
+    n = a.shape[0]
+    assert np.abs(v.T @ v - np.eye(n)).max() < 1e-12
+    assert np.abs(a @ v - v * vals[None, :]).max() < 1e-12
+    lead = np.abs(v).argmax(axis=0)
+    assert np.all(v[lead, np.arange(n)] > 0)
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(2, 10), weighted=st.booleans(),
+       tau=st.floats(0.5, 2.0))
+def test_jacobian_spectrum_matches_dense_eigvals(seed, n, weighted, tau):
+    rng = np.random.default_rng(seed)
+    sa = scaled_adjacency(random_connected_graph(rng, n, weighted=weighted))
+    slopes = -rng.uniform(0.1, 3.0, n)
+    spec = jacobian_spectrum(sa.matrix, sa.degrees, slopes, tau=tau)
+    dense = np.linalg.eigvals((-np.eye(n) + slopes[:, None] * sa.matrix) / tau)
+    assert np.abs(dense.imag).max() < 1e-10
+    assert np.abs(np.sort(dense.real)[::-1] - spec.eigenvalues).max() < 1e-10
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(2, 10), weighted=st.booleans(),
+       top=st.floats(0.1, 2.0))
+def test_m_matrix_cholesky_matches_leading_minors(seed, n, weighted, top):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, weighted=weighted)
+    gains = rng.uniform(0.0, top, n)
+    # rho(Gamma P) = 1 is the boundary of the property; keep clear of it
+    rho = np.abs(np.linalg.eigvals(gains[:, None] * scaled_adjacency(g).matrix)).max()
+    assume(abs(rho - 1.0) > 1e-6)
+    assert m_matrix_diagnostic(g, gains) == m_matrix_by_leading_minors(g, gains)
+    assert m_matrix_diagnostic(g, gains) == (rho < 1.0)

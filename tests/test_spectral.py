@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from patternq.errors import DetailedBalanceViolated, NotSymmetric, Reducible
+from patternq.errors import DetailedBalanceViolated, NoConvergence, NotSymmetric, Reducible
 from patternq.graphs import (
     buckyball,
     cycle_graph,
@@ -62,6 +62,11 @@ def test_sym_eigen_rejects_asymmetric():
 def test_sym_eigen_small_sizes():
     assert sym_eigen(np.array([[4.0]])).eigenvalues[0] == 4.0
     assert sym_eigen(np.empty((0, 0))).eigenvalues.size == 0
+
+
+def test_sym_eigen_rejects_non_finite():
+    with pytest.raises(NoConvergence):
+        sym_eigen(np.array([[np.nan, 0.0], [0.0, 1.0]]), vectors=False)
 
 
 # ---- reversible spectra ----

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from patternq.cells import HillMap, dc_gain, fixed_point, t_prime
-from patternq.errors import NotSteadyState, OrderingMismatch
+from patternq.errors import BadOptions, NotSteadyState, OrderingMismatch
 from patternq.existence import solve_reduced
 from patternq.graphs import (
     build_graph,
@@ -227,6 +227,12 @@ def test_m_matrix_diagnostic():
     gains = np.full(g.n, dc_gain(m, 1.0))  # 0.75 < 1
     assert m_matrix_diagnostic(g, gains)
     assert not m_matrix_diagnostic(g, np.full(g.n, 1.25))
+
+
+def test_m_matrix_diagnostic_rejects_negative_gains():
+    g = torus_mesh(4, 4)
+    with pytest.raises(BadOptions):
+        m_matrix_diagnostic(g, np.full(g.n, -0.5))
 
 
 # ---- combined report ----
