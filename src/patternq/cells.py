@@ -17,7 +17,7 @@ from .errors import BadOptions, NegativeInput, NonpositiveOperatingPoint
 
 __all__ = ["HillMap", "FixedPoint", "t_eval", "t_prime", "fixed_point",
            "cell_rhs", "dc_gain", "model_from_dict", "model_to_dict",
-           "load_model", "save_model"]
+           "load_model"]
 
 
 @dataclass(frozen=True)
@@ -122,9 +122,3 @@ def model_to_dict(m: HillMap) -> dict:
 def load_model(path) -> HillMap:
     with open(path) as fh:
         return model_from_dict(json.load(fh))
-
-
-def save_model(m: HillMap, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(m), fh, indent=2)
-        fh.write("\n")

@@ -61,10 +61,6 @@ class SingularTransform(PatternQError):
     pass
 
 
-class OrderingMismatch(PatternQError):
-    pass
-
-
 # ---- spectral machinery ----
 
 class NotSymmetric(PatternQError):

@@ -4,8 +4,9 @@ A partition of the vertex set is equitable when the summed scaled weights
 from any vertex of class i into class j depend only on the pair (i, j);
 those sums form the row-stochastic quotient matrix.  This module verifies
 equitability, refines partitions to the coarsest equitable one, builds orbit
-partitions from automorphism generators, and performs the [Q R] similarity
-that splits the averaging matrix into its quotient and transverse blocks.
+partitions from automorphism generators, and conjugates the symmetrized
+averaging matrix by an orthonormal class basis, which splits it exactly into
+a symmetric quotient block and a symmetric transverse block.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from .errors import (
     SingularTransform,
 )
 from .graphs import WeightedGraph, bipartition, scaled_adjacency
+from .spectral import _symmetrize
 
 __all__ = [
     "Partition",
@@ -341,23 +343,26 @@ def orbits_from_generators(g: WeightedGraph, perms) -> Partition:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Similarity T = [Q R] splitting the averaging matrix into blocks.
+    """Orthonormal class basis splitting the averaging matrix into two blocks.
 
-    q stacks class indicator columns; r_basis holds standard basis columns
-    for the non-representative vertices in class-major order.  Conjugating
-    by T yields [[quotient, coupling], [0, transverse]]; the spectrum of the
-    transverse block is the full spectrum minus the quotient's.
+    With S = D^1/2 P D^-1/2 (symmetric by detailed balance), the first r
+    basis columns are the unit vectors sqrt(d) restricted to each class and
+    the remaining n - r columns span, class by class, their orthogonal
+    complement.  Equitability makes both spans invariant under S, so
+    basis^T S basis is block-diagonal: the symmetric quotient_block (similar
+    to the quotient matrix) and the symmetric transverse_block.  t =
+    D^-1/2 basis conjugates P itself to that form, q stacks the class
+    indicator columns, transverse_class gives the class of each transverse
+    column and coupling is the largest off-block entry (rounding only).
     """
 
     partition: Partition
-    representatives: tuple[int, ...]
-    transverse_vertices: tuple[int, ...]
     q: np.ndarray
-    r_basis: np.ndarray
     t: np.ndarray
     quotient_block: np.ndarray
-    coupling_block: np.ndarray
     transverse_block: np.ndarray
+    transverse_class: np.ndarray
+    coupling: float
     p: np.ndarray
 
     @property
@@ -370,38 +375,43 @@ class BlockDecomposition:
 
 
 def block_decompose(g: WeightedGraph, pi: Partition) -> BlockDecomposition:
-    """Build Q, R and the conjugated block-triangular form of the averaging matrix."""
+    """Conjugate the symmetrized averaging matrix by the orthonormal class basis.
+
+    The complement of each class vector comes from one Householder
+    reflector (a complete QR of that vector).  Raises SingularTransform if
+    the off-block coupling exceeds 1e-10, which equitability rules out.
+    """
     check = is_equitable(g, pi)
     if not check.ok:
         raise NotEquitable(f"partition is not equitable: witness {check.witness}")
-    p = scaled_adjacency(g).matrix
+    sa = scaled_adjacency(g)
     n, r = g.n, pi.r
-    q = pi.indicator_matrix()
-    reps = tuple(cls[0] for cls in pi.classes)
-    trans = tuple(v for cls in pi.classes for v in cls[1:])
-    r_basis = np.zeros((n, n - r))
-    for col, v in enumerate(trans):
-        r_basis[v, col] = 1.0
-    t = np.hstack([q, r_basis])
-    try:
-        ptilde = np.linalg.solve(t, p @ t)
-    except np.linalg.LinAlgError as exc:  # defensive; t is unimodular
-        raise SingularTransform(str(exc)) from exc
-    lower_left = ptilde[r:, :r]
-    if lower_left.size and np.abs(lower_left).max() > 1e-10:
+    root_d = np.sqrt(sa.degrees)
+    basis = np.zeros((n, n))
+    col = r
+    for k, cls in enumerate(pi.classes):
+        rows = list(cls)
+        a = root_d[rows]
+        basis[rows, k] = a / np.linalg.norm(a)
+        basis[rows, col:col + len(rows) - 1] = np.linalg.qr(
+            a[:, None], mode="complete")[0][:, 1:]
+        col += len(rows) - 1
+    m = basis.T @ _symmetrize(sa.matrix, sa.degrees) @ basis
+    m = (m + m.T) / 2.0
+    coupling = float(np.abs(m[:r, r:]).max(initial=0.0))
+    if coupling > 1e-10:
         raise SingularTransform(
-            f"conjugated matrix not block-triangular (max {np.abs(lower_left).max():.2e})")
+            f"conjugated matrix not block-diagonal (max {coupling:.2e})")
     return BlockDecomposition(
         partition=pi,
-        representatives=reps,
-        transverse_vertices=trans,
-        q=q,
-        r_basis=r_basis,
-        t=t,
-        quotient_block=ptilde[:r, :r],
-        coupling_block=ptilde[:r, r:],
-        transverse_block=ptilde[r:, r:],
-        p=p,
+        q=pi.indicator_matrix(),
+        t=basis / root_d[:, None],
+        quotient_block=m[:r, :r],
+        transverse_block=m[r:, r:],
+        transverse_class=np.repeat(np.arange(r),
+                                   [len(cls) - 1 for cls in pi.classes]),
+        coupling=coupling,
+        p=sa.matrix,
     )
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "eigen_reversible",
     "spectral_radius_nonneg",
     "jacobian_spectrum",
-    "multiset_extract",
 ]
 
 _POWER_MAX_ITERS = 100_000
@@ -29,17 +28,10 @@ _POWER_MAX_ITERS = 100_000
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Real eigenvalues sorted descending, optional matching unit eigenvectors.
-
-    approximate marks the Gershgorin/power-iteration fallback used when a
-    matrix is not symmetric-similar; abscissa_bound then carries the
-    Gershgorin upper bound on the real parts.
-    """
+    """Real eigenvalues sorted descending, optional matching unit eigenvectors."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None = None
-    approximate: bool = False
-    abscissa_bound: float | None = None
 
     @property
     def min_eigenvalue(self) -> float:
@@ -60,6 +52,20 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
         if col[lead] < 0:
             out[:, k] = -col
     return out
+
+
+def _symmetrize(p: np.ndarray, d: np.ndarray, gains=None) -> np.ndarray:
+    """G sym(D^1/2 P D^-1/2) G with G = diag(gains) (the identity when None).
+
+    For P in detailed balance with d, D^1/2 P D^-1/2 is symmetric up to
+    rounding; its symmetric part removes that rounding.
+    """
+    root = np.sqrt(np.asarray(d, dtype=float))
+    sym = (root[:, None] * p) / root[None, :]
+    sym = (sym + sym.T) / 2.0
+    if gains is None:
+        return sym
+    return gains[:, None] * sym * gains[None, :]
 
 
 def sym_eigen(a: np.ndarray, vectors: bool = True) -> Spectrum:
@@ -115,13 +121,10 @@ def eigen_reversible(p: np.ndarray, d: np.ndarray, vectors: bool = True) -> Spec
     if err > 1e-10 * max(1.0, np.abs(flux).max()):
         raise DetailedBalanceViolated(
             f"detailed balance violated (max flux asymmetry {err:.2e})")
-    root = np.sqrt(d)
-    sym = (root[:, None] * p) / root[None, :]
-    sym = (sym + sym.T) / 2.0
-    spec = sym_eigen(sym, vectors=vectors)
+    spec = sym_eigen(_symmetrize(p, d), vectors=vectors)
     if not vectors:
         return spec
-    back = spec.eigenvectors / root[:, None]
+    back = spec.eigenvectors / np.sqrt(d)[:, None]
     norms = np.linalg.norm(back, axis=0)
     back = _fix_signs(back / norms)
     return Spectrum(spec.eigenvalues, back)
@@ -188,89 +191,24 @@ def spectral_radius_nonneg(m: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def jacobian_spectrum(p: np.ndarray, d: np.ndarray, slopes: np.ndarray,
-                      tau: float = 1.0, vectors: bool = True) -> Spectrum:
-    """Spectrum of the one-state network Jacobian (-I + diag(slopes) P) / tau.
+                      tau: float = 1.0) -> Spectrum:
+    """Eigenvalues of the one-state network Jacobian (-I + diag(slopes) P) / tau.
 
-    With all slopes negative, diag(slopes) P is similar to the symmetric
-    matrix with entries -w_ij sqrt(|t_i||t_j| / (d_i d_j)) via the diagonal
-    sqrt(d_i/|t_i|), so the spectrum is real and computed by sym_eigen.
-    When some slope is nonnegative that similarity fails; the fallback
-    returns a Gershgorin bound plus a power-iteration estimate of the
-    spectral abscissa, flagged approximate.
+    With gains g = |slopes|^1/2 and S the symmetrization of P through d,
+    diag(slopes) P is similar to -diag(g^2) S, whose spectrum equals that of
+    the symmetric -diag(g) S diag(g) (AB and BA share eigenvalues, also for
+    a singular diag(g)).  So the spectrum is real and computed exactly for
+    every nonpositive slope; a zero slope gives exactly -1/tau.  Raises
+    DetailedBalanceViolated on a positive slope, where that similarity
+    fails.
     """
     p = np.asarray(p, dtype=float)
-    d = np.asarray(d, dtype=float)
     t = np.asarray(slopes, dtype=float)
     n = p.shape[0]
     if t.shape != (n,):
         raise DetailedBalanceViolated(f"expected {n} slopes, got {t.shape}")
-    if np.all(t < 0):
-        gamma = -t
-        scale = np.sqrt(d / gamma)
-        b = t[:, None] * p
-        sym = (scale[:, None] * b) / scale[None, :]
-        sym = (sym + sym.T) / 2.0
-        inner = sym_eigen(sym, vectors=vectors)
-        vals = (-1.0 + inner.eigenvalues) / tau
-        if not vectors:
-            return Spectrum(vals)
-        back = inner.eigenvectors / scale[:, None]
-        norms = np.linalg.norm(back, axis=0)
-        return Spectrum(vals, _fix_signs(back / norms))
-
-    # approximate fallback: some slopes are nonnegative
-    j = (-np.eye(n) + t[:, None] * p) / tau
-    centers = np.diag(j)
-    radii = np.abs(j).sum(axis=1) - np.abs(centers)
-    bound = float((centers + radii).max())
-    c = (1.0 + float(np.abs(t).max())) / tau
-    shifted = j + c * np.eye(n)
-    x = np.ones(n) / np.sqrt(n)
-    estimate = -c
-    for _ in range(10_000):
-        y = shifted @ x
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            break
-        x_new = y / norm
-        rayleigh = float(x_new @ (shifted @ x_new))
-        if abs(rayleigh - (estimate + c)) <= 1e-12 * max(1.0, abs(rayleigh)):
-            estimate = rayleigh - c
-            break
-        estimate = rayleigh - c
-        x = x_new
-    return Spectrum(
-        eigenvalues=np.array([min(estimate, bound)]),
-        eigenvectors=None,
-        approximate=True,
-        abscissa_bound=bound,
-    )
-
-
-def multiset_extract(full, part) -> tuple[np.ndarray, float]:
-    """Remove `part` from `full` by nearest matching; return remainder and
-    the worst matched distance.
-
-    Used to recover the transverse-block spectrum as full-minus-quotient;
-    callers compare the returned distance against their tolerance.  Raises
-    ValueError when `part` has more elements than `full`.
-    """
-    pool = sorted(float(x) for x in full)
-    want = sorted(float(x) for x in part)
-    if len(want) > len(pool):
-        raise ValueError("cannot extract a larger multiset")
-    used = [False] * len(pool)
-    worst = 0.0
-    for x in want:
-        best, best_d = -1, np.inf
-        for i, y in enumerate(pool):
-            if used[i]:
-                continue
-            dist = abs(y - x)
-            if dist < best_d:
-                best, best_d = i, dist
-        used[best] = True
-        worst = max(worst, best_d)
-    remainder = np.array(sorted((y for i, y in enumerate(pool) if not used[i]),
-                                reverse=True))
-    return remainder, worst
+    if np.any(t > 0):
+        raise DetailedBalanceViolated(
+            f"slopes must be nonpositive (max {t.max():.2e})")
+    inner = sym_eigen(-_symmetrize(p, d, np.sqrt(-t)), vectors=False)
+    return Spectrum((-1.0 + inner.eigenvalues) / tau)

@@ -1,11 +1,12 @@
 """Stability certification of lifted patterns by three routes.
 
 Direct route: spectral abscissa of the full network Jacobian.  Block route:
-the [Q R] similarity splits the Jacobian into a representative subsystem
-driven by the quotient matrix and a transverse subsystem driven by the
-upper-triangular remainder block; the union of their spectra must equal the
-full spectrum.  Small-gain route: rho(P Gamma) < 1 with per-class dc-gains,
-evaluated on the quotient where it is provably equal.
+the orthonormal class basis of the partition splits the Jacobian exactly
+into a representative block driven by the symmetrized quotient matrix and a
+transverse block on the complement; each is symmetric-similar and solved on
+its own, and together they carry the full spectrum.  Small-gain route:
+rho(P Gamma) < 1 with per-class dc-gains, evaluated on the quotient where it
+is provably equal.
 """
 from __future__ import annotations
 
@@ -14,15 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import HillMap, dc_gain, t_eval, t_prime
-from .errors import BadOptions, DimensionMismatch, NotSteadyState, OrderingMismatch
+from .errors import BadOptions, DimensionMismatch, NotSteadyState
 from .graphs import WeightedGraph, scaled_adjacency
 from .partitions import BlockDecomposition, Partition, block_decompose, quotient
-from .spectral import (
-    Spectrum,
-    jacobian_spectrum,
-    multiset_extract,
-    spectral_radius_nonneg,
-)
+from .spectral import Spectrum, _symmetrize, jacobian_spectrum, spectral_radius_nonneg
 
 __all__ = [
     "STABLE",
@@ -118,60 +114,36 @@ def full_jacobian_stability(g: WeightedGraph, model: HillMap, u) -> FullStabilit
                          spectrum=spec)
 
 
-def _validate_ordering(decomp: BlockDecomposition) -> None:
-    expected = tuple(v for cls in decomp.partition.classes for v in cls[1:])
-    if decomp.transverse_vertices != expected:
-        raise OrderingMismatch("transverse columns are not in class-major order")
-    n = decomp.p.shape[0]
-    for col, v in enumerate(expected):
-        col_vec = decomp.r_basis[:, col]
-        if col_vec[v] != 1.0 or np.count_nonzero(col_vec) != 1 or len(col_vec) != n:
-            raise OrderingMismatch(f"column {col} is not the basis vector of vertex {v}")
-
-
 def block_stability(g: WeightedGraph, decomp: BlockDecomposition, model: HillMap,
                     z) -> BlockStability:
     """Spectra of the representative and transverse stability blocks.
 
-    The representative block (-I + diag(T'(z)) Pbar) / tau is symmetric-
-    similar through the class degrees and solved directly; the transverse
-    spectrum is recovered by removing the representative eigenvalues from
-    the full Jacobian spectrum, and `consistency` reports the worst matching
-    distance of that extraction.
+    Slopes are constant on each class and every basis column of decomp lies
+    in one class, so the conjugated Jacobian splits into
+    (-I + diag(class slopes) quotient_block) / tau on the class vectors and
+    (-I + diag(slopes of transverse_class) transverse_block) / tau on their
+    complement.  Both blocks are symmetric, so jacobian_spectrum solves each
+    with unit degrees, at orders r and n - r.  `consistency` is the
+    decomposition's off-block coupling.
     """
-    _validate_ordering(decomp)
     pi = decomp.partition
     z = np.asarray(z, dtype=float)
     if z.shape != (pi.r,):
         raise DimensionMismatch(f"expected {pi.r} class values, got {z.shape}")
-    sa = scaled_adjacency(g)
-    dbar = np.array([sa.degrees[list(cls)].sum() for cls in pi.classes])
-    slopes_r = np.asarray(t_prime(model, z), dtype=float)
-    if pi.r == pi.n:
-        # every class a singleton: no transverse space, the representative
-        # block is the full Jacobian
-        full = jacobian_spectrum(sa.matrix, sa.degrees, slopes_r, tau=model.tau)
-        return BlockStability(
-            representative_spectrum=full.eigenvalues,
-            transverse_spectrum=np.empty(0),
-            consistency=0.0,
-            transverse_matrix=np.empty((0, 0)),
-        )
-    rep = jacobian_spectrum(decomp.quotient_block, dbar, slopes_r, tau=model.tau,
-                            vectors=False)
-    u = pi.expand(z)
-    slopes_full = np.asarray(t_prime(model, u), dtype=float)
-    full = jacobian_spectrum(sa.matrix, sa.degrees, slopes_full, tau=model.tau,
-                             vectors=False)
-    transverse, worst = multiset_extract(full.eigenvalues, rep.eigenvalues)
-    slopes_trans = slopes_full[list(decomp.transverse_vertices)]
-    n_t = len(decomp.transverse_vertices)
+    if g.n != decomp.n:
+        raise DimensionMismatch(f"graph has {g.n} cells, decomposition {decomp.n}")
+    slopes = np.asarray(t_prime(model, z), dtype=float)
+    slopes_trans = slopes[decomp.transverse_class]
+    n_t = slopes_trans.size
+    rep = jacobian_spectrum(decomp.quotient_block, np.ones(pi.r), slopes, tau=model.tau)
+    trans = jacobian_spectrum(decomp.transverse_block, np.ones(n_t), slopes_trans,
+                              tau=model.tau)
     trans_matrix = (-np.eye(n_t)
                     + slopes_trans[:, None] * decomp.transverse_block) / model.tau
     return BlockStability(
         representative_spectrum=rep.eigenvalues,
-        transverse_spectrum=transverse,
-        consistency=worst,
+        transverse_spectrum=trans.eigenvalues,
+        consistency=decomp.coupling,
         transverse_matrix=trans_matrix,
     )
 
@@ -220,10 +192,7 @@ def m_matrix_diagnostic(g: WeightedGraph, cell_gains) -> bool:
         # the symmetrization takes square roots of the gains
         raise BadOptions("cell gains must be nonnegative")
     sa = scaled_adjacency(g)
-    root_d = np.sqrt(sa.degrees)
-    scale = np.sqrt(gains)
-    sym = (root_d[:, None] * sa.matrix) / root_d[None, :]
-    sym = scale[:, None] * ((sym + sym.T) / 2.0) * scale[None, :]
+    sym = _symmetrize(sa.matrix, sa.degrees, np.sqrt(gains))
     try:
         np.linalg.cholesky(np.eye(g.n) - sym)
     except np.linalg.LinAlgError:

@@ -273,8 +273,7 @@ def test_criterion_07_block_decomposition_suite():
         u = pi.expand(z)
         sa = scaled_adjacency(g)
         full_j = jacobian_spectrum(sa.matrix, sa.degrees,
-                                   np.asarray(t_prime(m, u)), tau=m.tau,
-                                   vectors=False)
+                                   np.asarray(t_prime(m, u)), tau=m.tau)
         union = np.sort(np.concatenate([blk.representative_spectrum,
                                         blk.transverse_spectrum]))
         assert np.abs(union - np.sort(full_j.eigenvalues)).max() < 1e-8, name

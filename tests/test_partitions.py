@@ -346,10 +346,20 @@ def test_block_decompose_transverse_dimensions():
     g = torus_mesh(4, 4)
     dec = block_decompose(g, bipartition_partition(g))
     assert dec.transverse_block.shape == (14, 14)
-    assert dec.representatives == (0, 1)
-    # class-major ordering of the non-representatives
-    expected = tuple(v for cls in dec.partition.classes for v in cls[1:])
-    assert dec.transverse_vertices == expected
+
+
+def test_block_decompose_class_with_unequal_degrees():
+    # a weighted star is equitable for {center} | leaves although the leaves'
+    # degrees differ, so each class vector must follow sqrt(d), not ones
+    g = build_graph(5, [(0, 1, 1.0), (0, 2, 2.0), (0, 3, 3.0), (0, 4, 4.0)])
+    dec = block_decompose(g, make_partition([[0], [1, 2, 3, 4]], 5))
+    assert dec.coupling < 1e-12
+    d = scaled_adjacency(g).degrees
+    assert np.abs(dec.t.T @ (d[:, None] * dec.t) - np.eye(5)).max() < 1e-12
+    assert list(dec.transverse_class) == [1, 1, 1]
+    parts = np.concatenate([np.linalg.eigvalsh(dec.quotient_block),
+                            np.linalg.eigvalsh(dec.transverse_block)])
+    assert np.abs(np.sort(parts) - np.sort(np.linalg.eigvals(dec.p).real)).max() < 1e-12
 
 
 def test_block_decompose_rejects_inequitable():

@@ -1,13 +1,15 @@
-"""Property tests of the spectral and M-matrix routines against independent
-oracles: characteristic-polynomial roots and coefficients, dense
+"""Property tests of the spectral, block and M-matrix routines against
+independent oracles: characteristic-polynomial roots and coefficients, dense
 unsymmetric eigvals, and leading principal minors."""
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from patternq.graphs import scaled_adjacency
+from patternq.cells import HillMap, t_prime
+from patternq.graphs import build_graph, scaled_adjacency
+from patternq.partitions import block_decompose, orbits_from_generators
 from patternq.spectral import jacobian_spectrum, sym_eigen
-from patternq.stability import m_matrix_diagnostic
+from patternq.stability import block_stability, m_matrix_diagnostic
 
 from helpers import (
     char_poly_coeffs,
@@ -96,3 +98,46 @@ def test_m_matrix_cholesky_matches_leading_minors(seed, n, weighted, top):
     assume(abs(rho - 1.0) > 1e-6)
     assert m_matrix_diagnostic(g, gains) == m_matrix_by_leading_minors(g, gains)
     assert m_matrix_diagnostic(g, gains) == (rho < 1.0)
+
+
+@st.composite
+def rotation_partitioned_circulants(draw):
+    """(graph, partition): a weighted circulant on n vertices, split into the
+    orbits of the rotation by k for a divisor k of n (k classes of n/k)."""
+    n = draw(st.integers(2, 16))
+    offsets = draw(st.lists(st.integers(1, n // 2), min_size=1, max_size=4,
+                            unique=True))
+    weights = draw(st.lists(st.floats(0.5, 2.0), min_size=len(offsets),
+                            max_size=len(offsets)))
+    edges = {}
+    for s, w in zip(offsets, weights):
+        for i in range(n):
+            j = (i + s) % n
+            edges[(min(i, j), max(i, j))] = w
+    g = build_graph(n, [(i, j, w) for (i, j), w in edges.items()])
+    k = draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0]))
+    return g, orbits_from_generators(g, [[(i + k) % n for i in range(n)]])
+
+
+@PROPERTY
+@given(case=rotation_partitioned_circulants(), data=st.data())
+def test_block_spectra_join_to_dense_jacobian(case, data):
+    g, pi = case
+    m = HillMap(exponent=6)
+    # |T'| rises monotonically from 0 to above 3 on [0, 0.94]; invert it to
+    # place each class at a drawn slope in {0} | [-3, -0.1]
+    grid = np.linspace(0.0, 0.94, 4001)
+    slopes = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(-3.0, -0.1)),
+                                min_size=pi.r, max_size=pi.r))
+    z = np.interp(-np.array(slopes), -t_prime(m, grid), grid)
+    dec = block_decompose(g, pi)
+    assert dec.coupling < 1e-12
+    sa = scaled_adjacency(g)
+    assert np.abs(dec.t.T @ (sa.degrees[:, None] * dec.t) - np.eye(g.n)).max() < 1e-12
+    blk = block_stability(g, dec, m, z)
+    union = np.sort(np.concatenate([blk.representative_spectrum,
+                                    blk.transverse_spectrum]))
+    cell_slopes = t_prime(m, pi.expand(z))
+    dense = np.linalg.eigvals(-np.eye(g.n) + cell_slopes[:, None] * sa.matrix)
+    assert np.abs(dense.imag).max() < 1e-10
+    assert np.abs(union - np.sort(dense.real)).max() < 1e-10

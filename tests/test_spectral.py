@@ -14,7 +14,6 @@ from patternq.partitions import bipartition_partition
 from patternq.spectral import (
     eigen_reversible,
     jacobian_spectrum,
-    multiset_extract,
     spectral_radius_nonneg,
     sym_eigen,
 )
@@ -183,18 +182,17 @@ def test_jacobian_matches_dense_oracle_on_mixed_slopes():
     assert np.abs(np.sort(dense.real) - np.sort(spec.eigenvalues)).max() < 1e-9
 
 
-def test_jacobian_nonnegative_slope_falls_back_to_estimate():
+def test_jacobian_zero_slopes_are_exact():
     sa = scaled_adjacency(path_graph(3))
-    spec = jacobian_spectrum(sa.matrix, sa.degrees, np.zeros(3))
-    assert spec.approximate
-    # with zero slopes the Jacobian is -I exactly
-    assert abs(spec.eigenvalues[0] + 1.0) < 1e-9
-    assert spec.abscissa_bound >= spec.eigenvalues[0] - 1e-12
+    # a zero slope row is -e_i / tau; the middle cell drives only the two
+    # zero-slope cells, so the whole spectrum is -1/tau exactly
+    for slopes in (np.zeros(3), np.array([0.0, -2.0, 0.0])):
+        for tau in (1.0, 0.5):
+            spec = jacobian_spectrum(sa.matrix, sa.degrees, slopes, tau=tau)
+            assert np.array_equal(spec.eigenvalues, np.full(3, -1.0 / tau))
 
 
-def test_multiset_extract():
-    remainder, worst = multiset_extract([3.0, 2.0, 1.0, 1.0], [1.0 + 1e-10, 3.0])
-    assert np.array_equal(remainder, [2.0, 1.0])
-    assert worst <= 2e-10
-    with pytest.raises(ValueError):
-        multiset_extract([1.0], [1.0, 2.0])
+def test_jacobian_rejects_positive_slope():
+    sa = scaled_adjacency(path_graph(3))
+    with pytest.raises(DetailedBalanceViolated):
+        jacobian_spectrum(sa.matrix, sa.degrees, np.array([-1.0, 0.5, -1.0]))

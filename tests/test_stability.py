@@ -1,10 +1,8 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from patternq.cells import HillMap, dc_gain, fixed_point, t_prime
-from patternq.errors import BadOptions, NotSteadyState, OrderingMismatch
+from patternq.errors import BadOptions, NotSteadyState
 from patternq.existence import solve_reduced
 from patternq.graphs import (
     build_graph,
@@ -143,14 +141,20 @@ def test_block_union_matches_full_spectrum(g, pi, h):
     assert np.abs(np.sort(dense.real) - np.sort(blk.transverse_spectrum)).max() < 1e-8
 
 
-def test_block_ordering_mismatch_detected():
+def test_block_exact_when_slopes_underflow():
+    # at h = 40 the checkerboard's low class sits near 1e-12, where the slope
+    # underflows to zero and the high class's slope is about -4e-11: every
+    # Jacobian eigenvalue is -1, and both routes must say so exactly
     g = torus_mesh(4, 4)
     pi = bipartition_partition(g)
-    dec = block_decompose(g, pi)
-    tampered = dataclasses.replace(
-        dec, transverse_vertices=tuple(reversed(dec.transverse_vertices)))
-    with pytest.raises(OrderingMismatch):
-        block_stability(g, tampered, HillMap(), np.ones(2))
+    m = HillMap(exponent=40)
+    z = solve_reduced(quotient(g, pi), m).class_values
+    assert 0.0 in t_prime(m, z)
+    blk = block_stability(g, block_decompose(g, pi), m, z)
+    assert np.array_equal(blk.representative_spectrum, np.full(2, -1.0))
+    assert np.array_equal(blk.transverse_spectrum, np.full(14, -1.0))
+    full = full_jacobian_stability(g, m, pi.expand(z))
+    assert full.abscissa == -1.0 and full.verdict == STABLE
 
 
 # ---- small-gain route ----
