@@ -48,7 +48,14 @@ from .serialize import (
     partition_to_dict,
     sha256_of,
 )
-from .simulate import SimOptions, classify, integrate, perturbed_start, verify_certificate
+from .simulate import (
+    SimOptions,
+    classify,
+    cluster_values,
+    integrate,
+    perturbed_start,
+    verify_certificate,
+)
 from .spectral import eigen_reversible
 from .stability import STABLE, stability_report
 
@@ -302,19 +309,6 @@ def _read_final_row(trace_path: str) -> np.ndarray:
     return np.array([float(x) for x in rows[-1].split(",")[1:]])
 
 
-def _group_indices(values: np.ndarray, cluster_tol: float) -> list[int]:
-    order = np.argsort(-values)
-    group_of = np.zeros(len(values), dtype=int)
-    gid = 0
-    prev = values[order[0]]
-    for idx in order:
-        if prev - values[idx] > cluster_tol:
-            gid += 1
-        group_of[idx] = gid
-        prev = values[idx]
-    return group_of.tolist()
-
-
 def _ascii_grid(group_of: list[int], rows: int, cols: int, hex_offset: bool) -> str:
     lines = []
     for i in range(rows):
@@ -360,7 +354,7 @@ def _svg_rings(group_of: list[int]) -> str:
 
 def _cmd_render(args) -> int:
     final = _run_stage("load", _read_final_row, args.trace)
-    group_of = _group_indices(final, args.cluster_tol)
+    group_of = cluster_values(final, args.cluster_tol).tolist()
     if args.layout in ("torus", "hex"):
         if not args.rows or not args.cols:
             raise _StageFailure("render", BadOptions("torus/hex layouts need --rows and --cols"))
@@ -548,7 +542,7 @@ def _cmd_report(args) -> int:
     if args.svg:
         source = bundle["graph"].get("source", "")
         u = np.asarray(pattern["u"], dtype=float)
-        group_of = _group_indices(u, 1e-6 * (abs(u).max() + 1.0))
+        group_of = cluster_values(u, 1e-6 * (abs(u).max() + 1.0)).tolist()
         if source.startswith("torus_mesh:") or source.startswith("hex_torus:"):
             rows, cols = (int(x) for x in source.split(":")[1].split(","))
             svg = _svg_grid(group_of, rows, cols, source.startswith("hex"))

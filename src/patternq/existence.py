@@ -276,7 +276,7 @@ def lift(qm: QuotientModel, z, model: HillMap, sa: ScaledAdjacency) -> PatternSo
 
     Because the partition is equitable, a reduced root lifts to a root of
     the full steady-state equation; residual_full verifies that mechanically
-    against the full averaging matrix.
+    against the full averaging operator.
     """
     z = np.asarray(z, dtype=float)
     pi = qm.partition
@@ -286,7 +286,7 @@ def lift(qm: QuotientModel, z, model: HillMap, sa: ScaledAdjacency) -> PatternSo
         raise DimensionMismatch(f"graph has {sa.n} cells, partition covers {pi.n}")
     u = pi.expand(z)
     x = t_eval(model, u)
-    residual_full = float(np.abs(u - sa.matrix @ t_eval(model, u)).max())
+    residual_full = float(np.abs(u - sa.matvec(t_eval(model, u))).max())
     u_star = fixed_point(model).value
     return PatternSolution(
         class_values=z,

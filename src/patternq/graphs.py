@@ -1,16 +1,19 @@
-"""Weighted contact graphs, built-in lattices and the row-stochastic averaging matrix.
+"""Weighted contact graphs, built-in lattices and the row-stochastic averaging operator.
 
 Vertices are 0-based integers.  Edges are undirected with strictly positive
 weights; an absent edge means weight zero.  The averaging (scaled adjacency)
-matrix divides each row of the weight matrix by the node degree, so every row
-sums to one and the network input u = P y is a weighted average of neighbor
-outputs.
+operator P divides each row of the weight matrix by the node degree, so every
+row sums to one and the network input u = P y is a weighted average of
+neighbor outputs.  P is stored as edge arrays: its products with a vector and
+with a class indicator cost O(m), and the dense n x n matrix is built only
+for the spectral routes that read it.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,14 +84,40 @@ class WeightedGraph:
 
 @dataclass(frozen=True)
 class ScaledAdjacency:
-    """Row-stochastic neighbor-averaging matrix and the degree vector behind it."""
+    """Row-stochastic neighbor-averaging operator P = D^-1 W as edge arrays.
 
-    matrix: np.ndarray
+    rows, cols and weights list both directions of every edge, sorted by
+    (row, col), with weights[k] = w_ij / d_i for i = rows[k], j = cols[k];
+    degrees holds d.  matvec and class_sums cost O(m).  matrix is the dense
+    n x n view, built on first read, element-for-element equal to
+    weight_matrix() / d.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
     degrees: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.degrees.shape[0]
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """P x."""
+        return np.bincount(self.rows, weights=self.weights * x[self.cols],
+                           minlength=self.n)
+
+    def class_sums(self, class_of: np.ndarray, r: int) -> np.ndarray:
+        """n x r matrix whose entry (i, k) sums P_ij over the vertices j of class k."""
+        flat = np.bincount(self.rows * r + class_of[self.cols], weights=self.weights,
+                           minlength=self.n * r)
+        return flat.reshape(self.n, r)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        p = np.zeros((self.n, self.n))
+        p[self.rows, self.cols] = self.weights
+        return p
 
 
 def build_graph(n: int, edges) -> WeightedGraph:
@@ -121,15 +150,23 @@ def build_graph(n: int, edges) -> WeightedGraph:
 def scaled_adjacency(g: WeightedGraph) -> ScaledAdjacency:
     """Divide each weight-matrix row by the node degree d_i = sum_j w_ij.
 
-    Every vertex must have positive degree, otherwise the scaling is
-    undefined and IsolatedVertex is raised.
+    Built from the edge list in O(m) without the dense weight matrix.  Every
+    vertex must have positive degree, otherwise the scaling is undefined and
+    IsolatedVertex is raised.
     """
-    d = g.degrees()
+    edges = np.array(g.edges, dtype=float).reshape(-1, 3)
+    i, j, w = edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp), edges[:, 2]
+    # each edge adds its weight to both ends in edge order, as degrees() does
+    d = np.bincount(np.column_stack([i, j]).ravel(), weights=np.repeat(w, 2),
+                    minlength=g.n)
     isolated = np.where(d == 0)[0]
     if isolated.size:
         raise IsolatedVertex(f"vertices with zero degree: {isolated.tolist()}")
-    p = g.weight_matrix() / d[:, None]
-    return ScaledAdjacency(matrix=p, degrees=d)
+    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    return ScaledAdjacency(rows=rows, cols=cols,
+                           weights=np.concatenate([w, w])[order] / d[rows], degrees=d)
 
 
 def is_connected(g: WeightedGraph) -> bool:

@@ -141,28 +141,22 @@ class EquitabilityCheck:
         return self.ok
 
 
-def _class_sums(p: np.ndarray, pi: Partition) -> np.ndarray:
-    """n x r matrix of row sums of p into each class."""
-    return p @ pi.indicator_matrix()
-
-
 def is_equitable(g: WeightedGraph, pi: Partition,
                  tol: float = _EQ_TOL) -> EquitabilityCheck:
     """Check that within each class, all vertices share the same class-sum row."""
     if pi.n != g.n:
         raise PartitionMismatch(f"partition covers {pi.n} vertices, graph has {g.n}")
-    p = scaled_adjacency(g).matrix
-    sums = _class_sums(p, pi)
+    sums = scaled_adjacency(g).class_sums(pi.class_of(), pi.r)
     for i, cls in enumerate(pi.classes):
-        ref = cls[0]
-        for u in cls[1:]:
-            diff = np.abs(sums[u] - sums[ref])
-            j = int(np.argmax(diff))
-            if diff[j] > tol:
-                return EquitabilityCheck(
-                    ok=False,
-                    witness=(i, j, ref, u, float(sums[ref, j]), float(sums[u, j])),
-                )
+        diff = np.abs(sums[list(cls)] - sums[cls[0]])
+        bad = np.flatnonzero(diff.max(axis=1) > tol)
+        if bad.size:
+            ref, u = cls[0], cls[bad[0]]
+            j = int(np.argmax(diff[bad[0]]))
+            return EquitabilityCheck(
+                ok=False,
+                witness=(i, j, ref, u, float(sums[ref, j]), float(sums[u, j])),
+            )
     return EquitabilityCheck(ok=True)
 
 
@@ -223,7 +217,7 @@ def quotient(g: WeightedGraph, pi: Partition) -> QuotientModel:
     if not check.ok:
         raise NotEquitable(f"partition is not equitable: witness {check.witness}")
     sa = scaled_adjacency(g)
-    sums = _class_sums(sa.matrix, pi)
+    sums = sa.class_sums(pi.class_of(), pi.r)
     reps = [cls[0] for cls in pi.classes]
     pbar = sums[reps, :]
     dbar = np.array([sa.degrees[list(cls)].sum() for cls in pi.classes])
@@ -275,11 +269,11 @@ def coarsest_equitable_refinement(g: WeightedGraph,
         seed = trivial_partition(g.n)
     if seed.n != g.n:
         raise PartitionMismatch(f"seed covers {seed.n} vertices, graph has {g.n}")
-    p = scaled_adjacency(g).matrix
+    sa = scaled_adjacency(g)
     pi = seed
     while True:
-        sums = _class_sums(p, pi)
-        keys = [tuple(round(x, 12) for x in row) for row in sums]
+        sums = sa.class_sums(pi.class_of(), pi.r)
+        keys = list(map(tuple, np.round(sums, 12).tolist()))
         new_classes: list[list[int]] = []
         for cls in pi.classes:
             groups: dict[tuple, list[int]] = {}

@@ -3,10 +3,14 @@
 The network state obeys x' = (-x + T(P x)) / tau: every cell relaxes toward
 the inhibitory response to the weighted average of its neighbors' outputs.
 Fixed-step fourth-order integration is enough because the right-hand side
-is smooth and trajectories stay inside the box [0, A]^N.
+is smooth and trajectories stay inside the box [0, A]^N.  P x is the O(m)
+edge-array product of the averaging operator; no n x n matrix is built.
+Each run logs its step count, model time, final derivative norm and
+convergence at INFO level on the "patternq.simulate" logger.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -26,9 +30,12 @@ __all__ = [
     "integrate",
     "perturbed_start",
     "classify",
+    "cluster_values",
     "verify_certificate",
     "max_within_class_spread",
 ]
+
+LOG = logging.getLogger(__name__)
 
 _MAX_SAMPLES = 10_000
 _BOX_SLOP_REL = 1e-7
@@ -54,12 +61,15 @@ class SimOptions:
 
 @dataclass(frozen=True)
 class SimulationTrace:
+    """Sampled trajectory; steps counts the RK4 steps taken."""
+
     times: np.ndarray
     states: np.ndarray
     final_state: np.ndarray
     final_time: float
     converged: bool
     final_derivative_norm: float
+    steps: int
 
 
 def integrate(g: WeightedGraph, model: HillMap, x0,
@@ -74,7 +84,6 @@ def integrate(g: WeightedGraph, model: HillMap, x0,
     opts = opts or SimOptions()
     step, max_time, conv_tol = opts.resolved(model.tau)
     sa = scaled_adjacency(g)
-    p = sa.matrix
     amp = model.amplitude
     x = np.array(x0, dtype=float)
     if x.shape != (g.n,):
@@ -85,7 +94,7 @@ def integrate(g: WeightedGraph, model: HillMap, x0,
     def rhs(state: np.ndarray) -> np.ndarray:
         # intermediate stage states may poke below zero with large steps;
         # the neighbor average of nonnegative outputs never does
-        return (-state + t_eval(model, np.maximum(p @ state, 0.0))) / model.tau
+        return (-state + t_eval(model, np.maximum(sa.matvec(state), 0.0))) / model.tau
 
     n_steps = int(math.ceil(max_time / step))
     stride = max(1, int(math.ceil((n_steps + 1) / (_MAX_SAMPLES - 1))))
@@ -94,6 +103,7 @@ def integrate(g: WeightedGraph, model: HillMap, x0,
     times = [0.0]
     states = [x.copy()]
     t = 0.0
+    steps = 0
     converged = False
     deriv = rhs(x)
     deriv_norm = float(np.abs(deriv).max())
@@ -107,6 +117,7 @@ def integrate(g: WeightedGraph, model: HillMap, x0,
         k4 = rhs(x + step * k3)
         x = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = k * step
+        steps = k
         if x.min() < -slop or x.max() > amp + slop:
             raise StateOutOfBox(
                 f"state left [0, {amp}] at t={t:.3f}; reduce the step size")
@@ -121,6 +132,8 @@ def integrate(g: WeightedGraph, model: HillMap, x0,
     if times[-1] != t:
         times.append(t)
         states.append(x.copy())
+    LOG.info("%d RK4 steps, model time %.6g, final derivative norm %.3e, "
+             "converged %s", steps, t, deriv_norm, converged)
     return SimulationTrace(
         times=np.array(times),
         states=np.array(states),
@@ -128,6 +141,7 @@ def integrate(g: WeightedGraph, model: HillMap, x0,
         final_time=t,
         converged=converged,
         final_derivative_norm=deriv_norm,
+        steps=steps,
     )
 
 
@@ -149,19 +163,29 @@ class EmpiricalPattern:
     values: tuple[float, ...]
 
 
+def cluster_values(values: np.ndarray, cluster_tol: float) -> np.ndarray:
+    """Single-linkage clustering of values with a gap threshold.
+
+    Walks the values in descending order and starts a new group wherever
+    two neighbors differ by more than cluster_tol; returns each entry's
+    group id, so ids ascend as values descend.
+    """
+    order = np.argsort(-values)
+    gaps = -np.diff(values[order]) > cluster_tol
+    group_of = np.empty(len(values), dtype=int)
+    group_of[order] = np.concatenate([[0], np.cumsum(gaps)])
+    return group_of
+
+
 def classify(trace: SimulationTrace, cluster_tol: float) -> EmpiricalPattern:
     """Single-linkage clustering of final values with a gap threshold."""
     if not trace.converged:
         raise NotConverged("simulation did not converge; nothing to classify")
     final = trace.final_state
-    order = np.argsort(-final)
-    groups: list[list[int]] = [[int(order[0])]]
-    for idx in order[1:]:
-        prev = groups[-1][-1]
-        if final[prev] - final[idx] > cluster_tol:
-            groups.append([int(idx)])
-        else:
-            groups[-1].append(int(idx))
+    group_of = cluster_values(final, cluster_tol)
+    groups: list[list[int]] = [[] for _ in range(group_of.max() + 1)]
+    for idx in np.argsort(-final):
+        groups[group_of[idx]].append(int(idx))
     values = tuple(float(np.mean(final[grp])) for grp in groups)
     return EmpiricalPattern(groups=tuple(tuple(sorted(grp)) for grp in groups),
                             values=values)

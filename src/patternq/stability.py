@@ -6,7 +6,8 @@ into a representative block driven by the symmetrized quotient matrix and a
 transverse block on the complement; each is symmetric-similar and solved on
 its own, and together they carry the full spectrum.  Small-gain route:
 rho(P Gamma) < 1 with per-class dc-gains, evaluated on the quotient where it
-is provably equal.
+is provably equal; both radii come from the symmetric similarity
+Gamma^1/2 D^-1/2 W D^-1/2 Gamma^1/2, which also holds for zero gains.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from .cells import HillMap, dc_gain, t_eval, t_prime
 from .errors import BadOptions, DimensionMismatch, NotSteadyState
 from .graphs import WeightedGraph, scaled_adjacency
 from .partitions import BlockDecomposition, Partition, block_decompose, quotient
-from .spectral import Spectrum, _symmetrize, jacobian_spectrum, spectral_radius_nonneg
+from .spectral import Spectrum, _symmetrize, jacobian_spectrum, sym_eigen
 
 __all__ = [
     "STABLE",
@@ -104,7 +105,7 @@ def full_jacobian_stability(g: WeightedGraph, model: HillMap, u) -> FullStabilit
     u = np.asarray(u, dtype=float)
     if u.shape != (g.n,):
         raise DimensionMismatch(f"expected {g.n} inputs, got {u.shape}")
-    residual = float(np.abs(u - sa.matrix @ t_eval(model, u)).max())
+    residual = float(np.abs(u - sa.matvec(t_eval(model, u))).max())
     if residual > _STEADY_TOL:
         raise NotSteadyState(f"pattern residual {residual:.2e} exceeds {_STEADY_TOL}")
     slopes = np.asarray(t_prime(model, u), dtype=float)
@@ -148,12 +149,40 @@ def block_stability(g: WeightedGraph, decomp: BlockDecomposition, model: HillMap
     )
 
 
+def _gain_radius(p: np.ndarray, d: np.ndarray, gains: np.ndarray,
+                 vectors: bool = False) -> tuple[float, np.ndarray | None]:
+    """Spectral radius of P Gamma and, with vectors, its eigenvector in max-norm.
+
+    P Gamma = D^-1/2 S D^1/2 Gamma with S = D^1/2 P D^-1/2 symmetric, and AB
+    and BA share eigenvalues, so eig(P Gamma) = eig(Gamma^1/2 S Gamma^1/2),
+    also for zero gains and reducible supports.  For a nonnegative matrix
+    the largest eigenvalue is the spectral radius.  With y its eigenvector
+    of the symmetric matrix, P Gamma^1/2 D^-1/2 y is one of P Gamma.  When
+    the radius is 0, P Gamma is nilpotent and the vector is all zeros.
+    """
+    root = np.sqrt(gains)
+    spec = sym_eigen(_symmetrize(p, d, root), vectors=vectors)
+    rho = max(float(spec.eigenvalues[0]), 0.0)
+    if not vectors:
+        return rho, None
+    if rho == 0.0:
+        return rho, np.zeros(len(gains))
+    v = p @ (root / np.sqrt(d) * spec.eigenvectors[:, 0])
+    return rho, v / np.abs(v).max()
+
+
 def small_gain(g: WeightedGraph, pi: Partition, model: HillMap, z) -> SmallGainResult:
     """Evaluate rho(P Gamma) and its quotient twin rho(Pbar Gammabar).
 
     Gains are the per-class dc-gains |T'(z_i)|, expanded so cells in a class
-    share one gain.  The certificate fires exactly when the quotient radius
-    sits below 1 by more than the marginal band.
+    share one gain.  Both radii are largest eigenvalues of symmetric
+    similarities (class degrees for the quotient), exact for zero gains.
+    perron_reduced is the quotient's eigenvector for rho_reduced in
+    max-norm, nonnegative when that radius is simple, and all zeros when
+    the radius is 0; perron_full is its lift, which equitability makes an
+    eigenvector of P Gamma for the same radius.  The certificate fires
+    exactly when the quotient radius sits below 1 by more than the marginal
+    band.
     """
     z = np.asarray(z, dtype=float)
     qm = quotient(g, pi)
@@ -162,15 +191,16 @@ def small_gain(g: WeightedGraph, pi: Partition, model: HillMap, z) -> SmallGainR
     class_gains = np.array([dc_gain(model, float(val)) for val in z])
     cell_gains = pi.expand(class_gains)
     sa = scaled_adjacency(g)
-    rho_full, v_full = spectral_radius_nonneg(sa.matrix * cell_gains[None, :])
-    rho_reduced, v_red = spectral_radius_nonneg(qm.matrix * class_gains[None, :])
+    rho_full, _ = _gain_radius(sa.matrix, sa.degrees, cell_gains)
+    rho_reduced, v_red = _gain_radius(qm.matrix, qm.class_degrees, class_gains,
+                                      vectors=True)
     verdict = CERTIFIED_STABLE if rho_reduced < 1.0 - _MARGIN else NOT_CERTIFIED
     return SmallGainResult(
         rho_full=rho_full,
         rho_reduced=rho_reduced,
         verdict=verdict,
         gains=GainProfile(class_gains=class_gains, cell_gains=cell_gains),
-        perron_full=v_full,
+        perron_full=pi.expand(v_red),
         perron_reduced=v_red,
     )
 

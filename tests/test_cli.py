@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -231,3 +232,30 @@ def test_missing_pattern_stage_tag(tmp_path, torus_graph, model_h6, capsys):
     assert main(["exist", "--graph", torus_graph, "--partition", str(bad),
                  "--model", model_h6]) == 1
     assert "error [quotient]" in capsys.readouterr().err
+
+
+def test_analyze_zero_class_gain_certifies(tmp_path):
+    # h = 40: the checkerboard's low class has dc-gain exactly 0
+    model = tmp_path / "h40.json"
+    model.write_text('{"A": 2.0, "K": 1.0, "h": 40.0, "tau": 1.0}\n')
+    bundle = tmp_path / "b.json"
+    assert main(["analyze", "--gen", "torus_mesh:4,4", "--auto-bipartite",
+                 "--model", str(model), "-o", str(bundle)]) == 0
+    sg = json.loads(bundle.read_text())["stability"]["data"]["small_gain"]
+    assert sg["rho_reduced"] == 0 and sg["verdict"] == "CERTIFIED_STABLE"
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--gen", "torus_mesh:4,4", "--perturb", "random:3"],
+    ["analyze", "--gen", "torus_mesh:4,4", "--auto-bipartite", "--simulate"],
+])
+def test_simulation_logs_one_info_line(tmp_path, model_h6, caplog, command):
+    out = tmp_path / "out.json"
+    with caplog.at_level(logging.INFO, logger="patternq"):
+        assert main(command + ["--model", model_h6, "-o", str(out)]) == 0
+    records = [r for r in caplog.records if r.levelno == logging.INFO]
+    assert len(records) == 1 and records[0].name == "patternq.simulate"
+    line = records[0].getMessage()
+    assert line.endswith("converged True")
+    steps = int(line.split()[0])
+    assert steps > 0 and f"RK4 steps, model time {steps * 0.01:.6g}," in line

@@ -1,19 +1,35 @@
-"""Property tests of the spectral, block and M-matrix routines against
-independent oracles: characteristic-polynomial roots and coefficients, dense
-unsymmetric eigvals, and leading principal minors."""
+"""Property tests of the averaging operator, the simulation and the
+spectral, block and M-matrix routines against independent oracles: the
+dense averaging matrix, dense-matrix RK4, characteristic-polynomial roots
+and coefficients, dense unsymmetric eigvals, and leading principal minors."""
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from patternq.cells import HillMap, t_prime
-from patternq.graphs import build_graph, scaled_adjacency
-from patternq.partitions import block_decompose, orbits_from_generators
+from patternq.cells import HillMap, fixed_point, t_prime
+from patternq.existence import lift, solve_reduced
+from patternq.graphs import (
+    ScaledAdjacency,
+    WeightedGraph,
+    build_graph,
+    scaled_adjacency,
+    torus_mesh,
+)
+from patternq.partitions import (
+    bipartition_partition,
+    block_decompose,
+    orbits_from_generators,
+    quotient,
+)
+from patternq.simulate import SimOptions, integrate
 from patternq.spectral import jacobian_spectrum, sym_eigen
 from patternq.stability import block_stability, m_matrix_diagnostic
 
 from helpers import (
     char_poly_coeffs,
     char_poly_eigs,
+    integrate_dense,
     m_matrix_by_leading_minors,
     random_connected_graph,
 )
@@ -24,6 +40,60 @@ PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
 seeds = st.integers(0, 2**32 - 1)
 # few distinct levels, so drawn spectra repeat eigenvalues often
 levels = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0])
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(2, 40), r=st.integers(1, 40))
+def test_scaled_adjacency_edge_arrays_match_dense(seed, n, r):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, weight_range=(0.1, 3.0))
+    sa = scaled_adjacency(g)
+    d = g.degrees()
+    assert np.array_equal(sa.degrees, d)
+    assert np.array_equal(sa.matrix, g.weight_matrix() / d[:, None])
+    x = rng.uniform(-1.0, 1.0, n)
+    assert np.abs(sa.matvec(x) - sa.matrix @ x).max() < 1e-14
+    r = min(r, n)
+    class_of = rng.integers(0, r, n)
+    indicator = (class_of[:, None] == np.arange(r)[None, :]).astype(float)
+    sums = sa.class_sums(class_of, r)
+    assert sums.shape == (n, r)
+    assert np.abs(sums - sa.matrix @ indicator).max() < 1e-14
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=seeds, n=st.integers(2, 10), h=st.floats(1.5, 8.0),
+       step=st.sampled_from([0.02, 0.05]))
+def test_integrate_matches_dense_rk4(seed, n, h, step):
+    # 60 tau lets most draws converge, so the stopping rule is compared too
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, weight_range=(0.1, 3.0))
+    m = HillMap(exponent=h)
+    x0 = rng.uniform(0.0, m.amplitude, n)
+    opts = SimOptions(step=step, max_time=60.0, conv_tol=1e-6)
+    trace = integrate(g, m, x0, opts)
+    steps, converged, final = integrate_dense(g, m, x0, step, 60.0, 1e-6)
+    assert trace.steps == steps
+    assert trace.converged == converged
+    assert np.abs(trace.final_state - final).max() < 1e-12
+
+
+def test_simulation_path_builds_no_dense_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense n x n matrix built")
+
+    monkeypatch.setattr(ScaledAdjacency, "matrix", property(refuse))
+    monkeypatch.setattr(WeightedGraph, "weight_matrix", refuse)
+    g = torus_mesh(8, 8)
+    pi = bipartition_partition(g)
+    m = HillMap(exponent=6)
+    qm = quotient(g, pi)
+    pat = lift(qm, solve_reduced(qm, m).class_values, m, scaled_adjacency(g))
+    assert pat.residual_full < 1e-10
+    x0 = np.clip(fixed_point(m).value + 0.01 * pi.expand([1.0, -1.0]), 0.0, 2.0)
+    assert integrate(g, m, x0).converged
+    with pytest.raises(AssertionError, match="dense"):
+        scaled_adjacency(g).matrix
 
 
 @st.composite

@@ -15,6 +15,7 @@ from patternq.graphs import hex_torus
 from patternq.simulate import (
     SimOptions,
     classify,
+    cluster_values,
     integrate,
     max_within_class_spread,
     perturbed_start,
@@ -131,6 +132,14 @@ def test_classify_checkerboard_groups_match_bipartition():
     emp = classify(trace, cluster_tol=1e-4 * m.amplitude)
     assert {frozenset(grp) for grp in emp.groups} == {frozenset(c) for c in pi.classes}
     assert emp.values[0] > emp.values[1]
+
+
+def test_cluster_values_single_linkage_in_descending_order():
+    values = np.array([0.5, 2.0, 1.0, 0.52, 1.99, 0.48])
+    # 2.0 and 1.99 chain; 0.52, 0.5 and 0.48 chain by steps of 0.02
+    assert cluster_values(values, 0.025).tolist() == [2, 0, 1, 2, 0, 2]
+    assert cluster_values(values, 0.015).tolist() == [3, 0, 1, 2, 0, 4]
+    assert cluster_values(np.array([1.0]), 0.1).tolist() == [0]
 
 
 def test_classify_requires_convergence():

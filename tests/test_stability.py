@@ -212,6 +212,36 @@ def test_small_gain_reduction_equality_and_soundness(g, pi, h):
         assert full_jacobian_stability(g, m, u).verdict == STABLE
 
 
+@pytest.mark.parametrize("g,pi,h", _pattern_cases())
+def test_small_gain_radii_match_dense_eigvals(g, pi, h):
+    m = HillMap(exponent=h)
+    qm = quotient(g, pi)
+    sg = small_gain(g, pi, m, solve_reduced(qm, m).class_values)
+    p = g.weight_matrix() / g.degrees()[:, None]
+    p_gamma = p * sg.gains.cell_gains[None, :]
+    dense_full = np.linalg.eigvals(p_gamma).real.max()
+    dense_red = np.linalg.eigvals(qm.matrix * sg.gains.class_gains[None, :]).real.max()
+    assert abs(sg.rho_full - dense_full) < 1e-12
+    assert abs(sg.rho_reduced - dense_red) < 1e-12
+    # the lifted Perron vector is a nonnegative eigenvector of P Gamma
+    v = sg.perron_full
+    assert v.min() >= 0 and abs(v.max() - 1.0) < 1e-15
+    assert np.abs(p_gamma @ v - sg.rho_reduced * v).max() < 1e-12
+
+
+def test_small_gain_zero_class_gain():
+    # at h = 40 the checkerboard's low class has a dc-gain of exactly zero,
+    # so P Gamma has a reducible support and is nilpotent: both radii are 0
+    g = torus_mesh(4, 4)
+    pi = bipartition_partition(g)
+    m = HillMap(exponent=40)
+    sg = small_gain(g, pi, m, solve_reduced(quotient(g, pi), m).class_values)
+    assert 0.0 in sg.gains.class_gains
+    assert sg.rho_reduced == 0.0 and sg.rho_full == 0.0
+    assert sg.verdict == CERTIFIED_STABLE
+    assert not sg.perron_full.any() and not sg.perron_reduced.any()
+
+
 def test_small_gain_certificate_threshold_matches_homogeneous_slope():
     # for the homogeneous pattern the certificate fires exactly when the
     # fixed-point gain sits below one
