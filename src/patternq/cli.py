@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .cells import HillMap, fixed_point, load_model, model_to_dict
-from .errors import BadBundle, BadLatticeSize, BadOptions, PatternQError
+from .errors import BadBundle, BadOptions, PatternQError
 from .existence import (
     CERTIFIED,
     ExistenceCertificate,
@@ -30,7 +30,7 @@ from .existence import (
     lift,
     solve_reduced,
 )
-from .graphs import WeightedGraph, generate, is_connected, scaled_adjacency
+from .graphs import GENERATOR_KINDS, WeightedGraph, generate, is_connected, scaled_adjacency
 from .partitions import (
     QuotientModel,
     bipartition_partition,
@@ -92,27 +92,10 @@ def _write_json(obj, path: str | None) -> None:
 # shared loading helpers
 # ---------------------------------------------------------------------------
 
-def _parse_gen_spec(spec: str) -> WeightedGraph:
-    kind, _, rest = spec.partition(":")
-    params = [int(x) for x in rest.split(",") if x] if rest else []
-    if kind in ("path", "cycle"):
-        if len(params) != 1:
-            raise BadLatticeSize(f"{kind} takes one size, e.g. {kind}:8")
-        return generate(kind, n=params[0])
-    if kind in ("torus_mesh", "hex_torus"):
-        if len(params) != 2:
-            raise BadLatticeSize(f"{kind} takes rows,cols, e.g. {kind}:4,4")
-        return generate(kind, rows=params[0], cols=params[1])
-    if kind in ("buckyball", "triangle_bridge"):
-        if params:
-            raise BadLatticeSize(f"{kind} takes no parameters")
-        return generate(kind)
-    raise BadLatticeSize(f"unknown lattice kind {kind!r}")
-
-
 def _load_graph_arg(args) -> tuple[WeightedGraph, str]:
     if getattr(args, "gen", None):
-        return _run_stage("gen", _parse_gen_spec, args.gen), args.gen
+        kind, _, sizes = args.gen.partition(":")
+        return _run_stage("gen", generate, kind, *filter(None, sizes.split(","))), args.gen
     return _run_stage("load", load_graph, args.graph), args.graph
 
 
@@ -180,11 +163,11 @@ def _cmd_quotient(args) -> int:
     return 0
 
 
-def _exist_payload(g: WeightedGraph, qm: QuotientModel, model: HillMap, strategy: str,
+def _exist_payload(qm: QuotientModel, model: HillMap, strategy: str,
                    ) -> tuple[dict, ExistenceCertificate, PatternSolution]:
-    cert = _run_stage("certify", certify, qm, model)
     red = _run_stage("solve", solve_reduced, qm, model, strategy)
-    pattern = _run_stage("lift", lift, qm, red.class_values, model, scaled_adjacency(g))
+    cert = red.certificate
+    pattern = _run_stage("lift", lift, qm, red.class_values, model)
     payload = {
         "verdict": cert.verdict,
         "lambda_r": cert.min_eigenvalue,
@@ -210,13 +193,13 @@ def _cmd_exist(args) -> int:
     pi = _run_stage("load", load_partition, args.partition, g.n)
     model = _run_stage("load", load_model, args.model)
     qm = _run_stage("quotient", quotient, g, pi)
-    payload, _, _ = _exist_payload(g, qm, model, args.strategy)
+    payload, _, _ = _exist_payload(qm, model, args.strategy)
     _write_json(payload, args.out)
     return 0
 
 
-def _stability_payload(g, pi, model, z, methods) -> dict:
-    rep = _run_stage("stability", stability_report, g, pi, model, z, methods)
+def _stability_payload(qm, model, z, methods) -> dict:
+    rep = _run_stage("stability", stability_report, qm, model, z, methods)
     out = {
         "full_spectral_abscissa": rep.full_spectral_abscissa,
         "full_verdict": rep.full_verdict,
@@ -240,7 +223,10 @@ def _stability_payload(g, pi, model, z, methods) -> dict:
 
 def _load_pattern_values(path: str) -> np.ndarray:
     with open(path) as fh:
-        return np.asarray(json.load(fh)["z"], dtype=float)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise BadOptions(f"{path} must hold a JSON object with a 'z' field")
+    return np.asarray(data["z"], dtype=float)
 
 
 def _cmd_stability(args) -> int:
@@ -248,41 +234,54 @@ def _cmd_stability(args) -> int:
     pi = _run_stage("load", load_partition, args.partition, g.n)
     model = _run_stage("load", load_model, args.model)
     z = _run_stage("load", _load_pattern_values, args.pattern)
+    qm = _run_stage("quotient", quotient, g, pi)
     methods = (("full", "block", "smallgain") if args.method == "all"
                else (args.method,))
-    _write_json(_stability_payload(g, pi, model, z, methods), args.out)
+    _write_json(_stability_payload(qm, model, z, methods), args.out)
     return 0
+
+
+def _load_x0(path: str) -> np.ndarray:
+    with open(path) as fh:
+        return np.asarray(json.load(fh), dtype=float)
+
+
+def _perturb_direction(spec: str, n: int) -> np.ndarray:
+    """The direction of --perturb cell:<k> or random:<seed> on n cells."""
+    kind, _, arg = spec.partition(":")
+    if kind == "cell":
+        k = int(arg)
+        if not 0 <= k < n:
+            raise BadOptions(f"--perturb cell:{k} outside [0,{n})")
+        direction = np.zeros(n)
+        direction[k] = 1.0
+        return direction
+    if kind == "random":
+        return np.random.default_rng(int(arg)).standard_normal(n)
+    raise BadOptions(f"bad --perturb spec {spec!r}")
 
 
 def _cmd_simulate(args) -> int:
     g, _ = _load_graph_arg(args)
     model = _run_stage("load", load_model, args.model)
     opts = SimOptions(step=args.step, max_time=args.max_time, conv_tol=args.conv_tol)
-    if args.x0:
-        def _load_x0(path: str) -> np.ndarray:
-            with open(path) as fh:
-                return np.asarray(json.load(fh), dtype=float)
-
-        x0 = _run_stage("load", _load_x0, args.x0)
+    if args.perturb == "vr" and not args.x0:
+        if not args.partition:
+            raise _StageFailure("simulate", BadOptions("--perturb vr needs --partition"))
+        pi = _run_stage("load", load_partition, args.partition, g.n)
+        qm = _run_stage("quotient", quotient, g, pi)
+        cert = _run_stage("certify", certify, qm, model)
+        sa = qm.operator
+        x0 = perturbed_start(model, cert.fixed_point_value,
+                             pi.expand(cert.min_eigenvector), args.eps)
     else:
-        u_star = fixed_point(model).value
-        spec = args.perturb
-        if spec == "vr":
-            if not args.partition:
-                raise _StageFailure("simulate", BadOptions("--perturb vr needs --partition"))
-            pi = _run_stage("load", load_partition, args.partition, g.n)
-            cert = _run_stage("certify", certify, _run_stage("quotient", quotient, g, pi), model)
-            direction = pi.expand(cert.min_eigenvector)
-        elif spec.startswith("cell:"):
-            direction = np.zeros(g.n)
-            direction[int(spec.split(":", 1)[1])] = 1.0
-        elif spec.startswith("random:"):
-            rng = np.random.default_rng(int(spec.split(":", 1)[1]))
-            direction = rng.standard_normal(g.n)
+        sa = _run_stage("simulate", scaled_adjacency, g)
+        if args.x0:
+            x0 = _run_stage("load", _load_x0, args.x0)
         else:
-            raise _StageFailure("simulate", BadOptions(f"bad --perturb spec {spec!r}"))
-        x0 = perturbed_start(model, u_star, direction, args.eps)
-    trace = _run_stage("simulate", integrate, g, model, x0, opts)
+            direction = _run_stage("simulate", _perturb_direction, args.perturb, g.n)
+            x0 = perturbed_start(model, fixed_point(model).value, direction, args.eps)
+    trace = _run_stage("simulate", integrate, sa, model, x0, opts)
     if args.trace:
         with open(args.trace, "w") as fh:
             fh.write("t," + ",".join(f"x_{i}" for i in range(g.n)) + "\n")
@@ -306,6 +305,8 @@ def _cmd_simulate(args) -> int:
 def _read_final_row(trace_path: str) -> np.ndarray:
     with open(trace_path) as fh:
         rows = [line.strip() for line in fh if line.strip()]
+    if len(rows) < 2:
+        raise BadOptions(f"trace {trace_path} has no samples")
     return np.array([float(x) for x in rows[-1].split(",")[1:]])
 
 
@@ -414,7 +415,7 @@ def _cmd_analyze(args) -> int:
     quot_sec = _seal({"data": quot, "upstream": {
         "graph": graph_sec["sha256"], "partition": part_sec["sha256"]}})
 
-    payload, cert, pattern = _exist_payload(g, qm, model, args.strategy)
+    payload, cert, pattern = _exist_payload(qm, model, args.strategy)
     cert_keys = ("verdict", "lambda_r", "lambda_r_multiplicity", "u_star",
                  "slope_at_u_star", "condition_value", "reduced_bipartite")
     cert_sec = _seal({"data": {k: payload[k] for k in cert_keys},
@@ -424,13 +425,13 @@ def _cmd_analyze(args) -> int:
     pattern_sec = _seal({"data": {k: payload[k] for k in pattern_keys},
                          "upstream": {"certificate": cert_sec["sha256"]}})
 
-    stab = _stability_payload(g, pi, model, pattern.class_values,
+    stab = _stability_payload(qm, model, pattern.class_values,
                               ("full", "block", "smallgain"))
     stab_sec = _seal({"data": stab, "upstream": {"pattern": pattern_sec["sha256"]}})
 
     sim_sec = None
     if args.simulate:
-        chk = _run_stage("simulate", verify_certificate, g, pi, model, pattern,
+        chk = _run_stage("simulate", verify_certificate, qm, model, pattern,
                          cert, args.eps)
         sim_sec = _seal({"data": {
             "match": chk.match,
@@ -546,8 +547,6 @@ def _cmd_report(args) -> int:
         if source.startswith("torus_mesh:") or source.startswith("hex_torus:"):
             rows, cols = (int(x) for x in source.split(":")[1].split(","))
             svg = _svg_grid(group_of, rows, cols, source.startswith("hex"))
-        elif source.startswith("buckyball"):
-            svg = _svg_rings(group_of)
         else:
             svg = _svg_rings(group_of) if len(u) == 32 else _svg_grid(
                 group_of, 1, len(u), False)
@@ -574,9 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit a built-in lattice as graph JSON")
-    p.add_argument("--kind", required=True,
-                   choices=["path", "cycle", "torus_mesh", "hex_torus",
-                            "buckyball", "triangle_bridge"])
+    p.add_argument("--kind", required=True, choices=GENERATOR_KINDS)
     p.add_argument("--n", type=int)
     p.add_argument("--rows", type=int)
     p.add_argument("--cols", type=int)

@@ -21,7 +21,6 @@ from .errors import (
     OnlyHomogeneousFound,
     PatternQError,
 )
-from .graphs import ScaledAdjacency
 from .partitions import QuotientModel
 from .spectral import eigen_reversible
 
@@ -100,11 +99,12 @@ def certify(qm: QuotientModel, model: HillMap) -> ExistenceCertificate:
 
 @dataclass(frozen=True)
 class ReducedSolution:
-    """A root of the reduced equation z = Pbar T(z) with bookkeeping."""
+    """A root of the reduced equation z = Pbar T(z), the certificate it was decided on."""
 
     class_values: np.ndarray
     residual: float
     homogeneous: bool
+    certificate: ExistenceCertificate
     warning: str | None = None
     alternate_class_values: np.ndarray | None = None
 
@@ -221,6 +221,7 @@ def solve_reduced(qm: QuotientModel, model: HillMap,
             class_values=hom,
             residual=_reduced_residual(pbar, model, hom),
             homogeneous=True,
+            certificate=cert,
             warning=f"verdict {cert.verdict}: returning the homogeneous state",
         )
 
@@ -267,26 +268,25 @@ def solve_reduced(qm: QuotientModel, model: HillMap,
         class_values=best,
         residual=_reduced_residual(pbar, model, best),
         homogeneous=False,
+        certificate=cert,
         alternate_class_values=alternate,
     )
 
 
-def lift(qm: QuotientModel, z, model: HillMap, sa: ScaledAdjacency) -> PatternSolution:
+def lift(qm: QuotientModel, z, model: HillMap) -> PatternSolution:
     """Expand class values to all cells and measure both residuals.
 
     Because the partition is equitable, a reduced root lifts to a root of
     the full steady-state equation; residual_full verifies that mechanically
-    against the full averaging operator.
+    against the full averaging operator qm.operator.
     """
     z = np.asarray(z, dtype=float)
     pi = qm.partition
     if z.shape != (pi.r,):
         raise DimensionMismatch(f"expected {pi.r} class values, got {z.shape}")
-    if sa.n != pi.n:
-        raise DimensionMismatch(f"graph has {sa.n} cells, partition covers {pi.n}")
     u = pi.expand(z)
     x = t_eval(model, u)
-    residual_full = float(np.abs(u - sa.matvec(t_eval(model, u))).max())
+    residual_full = float(np.abs(u - qm.operator.matvec(x)).max())
     u_star = fixed_point(model).value
     return PatternSolution(
         class_values=z,

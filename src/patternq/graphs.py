@@ -10,6 +10,7 @@ for the spectral routes that read it.
 """
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -328,26 +329,26 @@ def triangle_bridge() -> WeightedGraph:
     return build_graph(8, [(i, j, 1.0) for i, j in edges])
 
 
-def generate(kind: str, **params) -> WeightedGraph:
+def generate(kind: str, *sizes, **params) -> WeightedGraph:
     """Dispatch to a built-in lattice by kind name.
 
-    kind in {"path", "cycle", "torus_mesh", "hex_torus", "buckyball",
-    "triangle_bridge"}; path/cycle take n, torus_mesh/hex_torus take
-    rows and cols.
+    kind in GENERATOR_KINDS; path/cycle take n, torus_mesh/hex_torus take
+    rows and cols, given by name or in that order, and buckyball and
+    triangle_bridge take nothing.  Missing or extra parameters raise
+    BadLatticeSize.
     """
-    if kind == "path":
-        return path_graph(int(params["n"]))
-    if kind == "cycle":
-        return cycle_graph(int(params["n"]))
-    if kind == "torus_mesh":
-        return torus_mesh(int(params["rows"]), int(params["cols"]))
-    if kind == "hex_torus":
-        return hex_torus(int(params["rows"]), int(params["cols"]))
-    if kind == "buckyball":
-        return buckyball()
-    if kind == "triangle_bridge":
-        return triangle_bridge()
-    raise BadLatticeSize(f"unknown lattice kind {kind!r}")
+    build = {"path": path_graph, "cycle": cycle_graph, "torus_mesh": torus_mesh,
+             "hex_torus": hex_torus, "buckyball": buckyball,
+             "triangle_bridge": triangle_bridge}.get(kind)
+    if build is None:
+        raise BadLatticeSize(f"unknown lattice kind {kind!r}")
+    signature = inspect.signature(build)
+    try:
+        bound = signature.bind(*sizes, **params)
+    except TypeError as exc:
+        names = ", ".join(signature.parameters) or "no parameters"
+        raise BadLatticeSize(f"{kind} takes {names}: {exc}") from None
+    return build(*(int(v) for v in bound.args))
 
 
 # ---------------------------------------------------------------------------

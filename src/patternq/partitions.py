@@ -6,7 +6,10 @@ those sums form the row-stochastic quotient matrix.  This module verifies
 equitability, refines partitions to the coarsest equitable one, builds orbit
 partitions from automorphism generators, and conjugates the symmetrized
 averaging matrix by an orthonormal class basis, which splits it exactly into
-a symmetric quotient block and a symmetric transverse block.
+a symmetric quotient block and a symmetric transverse block.  quotient() is
+the only constructor of a QuotientModel and refuses inequitable partitions;
+the model carries the partition and the graph's averaging operator, and is
+what every later stage, block_decompose(qm) included, takes.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from .errors import (
     PartitionMismatch,
     SingularTransform,
 )
-from .graphs import WeightedGraph, bipartition, scaled_adjacency
+from .graphs import ScaledAdjacency, WeightedGraph, bipartition, scaled_adjacency
 from .spectral import _symmetrize
 
 __all__ = [
@@ -144,36 +147,44 @@ class EquitabilityCheck:
 def is_equitable(g: WeightedGraph, pi: Partition,
                  tol: float = _EQ_TOL) -> EquitabilityCheck:
     """Check that within each class, all vertices share the same class-sum row."""
-    if pi.n != g.n:
-        raise PartitionMismatch(f"partition covers {pi.n} vertices, graph has {g.n}")
-    sums = scaled_adjacency(g).class_sums(pi.class_of(), pi.r)
+    return _class_sums_checked(scaled_adjacency(g), pi, tol)[1]
+
+
+def _class_sums_checked(sa: ScaledAdjacency, pi: Partition,
+                        tol: float) -> tuple[np.ndarray, EquitabilityCheck]:
+    """The n x r class sums of sa and whether each class shares one row."""
+    if pi.n != sa.n:
+        raise PartitionMismatch(f"partition covers {pi.n} vertices, graph has {sa.n}")
+    sums = sa.class_sums(pi.class_of(), pi.r)
     for i, cls in enumerate(pi.classes):
         diff = np.abs(sums[list(cls)] - sums[cls[0]])
         bad = np.flatnonzero(diff.max(axis=1) > tol)
         if bad.size:
             ref, u = cls[0], cls[bad[0]]
             j = int(np.argmax(diff[bad[0]]))
-            return EquitabilityCheck(
+            return sums, EquitabilityCheck(
                 ok=False,
                 witness=(i, j, ref, u, float(sums[ref, j]), float(sums[u, j])),
             )
-    return EquitabilityCheck(ok=True)
+    return sums, EquitabilityCheck(ok=True)
 
 
 def _two_coloring(r: int, edges: list[tuple[int, int]]):
-    """2-color a simple graph on r vertices; None if an odd cycle exists.
+    """2-color a simple graph on r vertices and tell whether it is connected.
 
-    Isolated vertices land on side 0, so a single class is trivially
-    2-colorable.
+    The coloring is None if an odd cycle exists.  Isolated vertices land on
+    side 0, so a single class is trivially 2-colorable.
     """
     nbrs: list[list[int]] = [[] for _ in range(r)]
     for a, b in edges:
         nbrs[a].append(b)
         nbrs[b].append(a)
     color = [-1] * r
+    bipartite, components = True, 0
     for start in range(r):
         if color[start] != -1:
             continue
+        components += 1
         color[start] = 0
         stack = [start]
         while stack:
@@ -183,20 +194,21 @@ def _two_coloring(r: int, edges: list[tuple[int, int]]):
                     color[v] = 1 - color[u]
                     stack.append(v)
                 elif color[v] == color[u]:
-                    return None
-    side0 = tuple(k for k in range(r) if color[k] == 0)
-    side1 = tuple(k for k in range(r) if color[k] == 1)
-    return side0, side1
+                    bipartite = False
+    sides = tuple(tuple(k for k in range(r) if color[k] == side) for side in (0, 1))
+    return (sides if bipartite else None), components == 1
 
 
 @dataclass(frozen=True)
 class QuotientModel:
     """Quotient matrix of an equitable partition plus its reduced graph.
 
-    matrix is row-stochastic and satisfies detailed balance against the
-    class-aggregated degrees; reduced_edges lists unordered class pairs with
-    a nonzero quotient entry in either direction (self-loops omitted);
-    reduced_coloring is the 2-coloring of that reduced graph when bipartite.
+    operator is the graph's averaging operator, for which quotient() has
+    checked that partition is equitable.  matrix is row-stochastic and
+    satisfies detailed balance against the class-aggregated degrees;
+    reduced_edges lists unordered class pairs with a nonzero quotient entry
+    in either direction (self-loops omitted); reduced_coloring is the
+    2-coloring of that reduced graph when bipartite.
     """
 
     matrix: np.ndarray
@@ -205,6 +217,7 @@ class QuotientModel:
     reduced_coloring: tuple[tuple[int, ...], tuple[int, ...]] | None
     reduced_connected: bool
     partition: Partition
+    operator: ScaledAdjacency
 
     @property
     def r(self) -> int:
@@ -212,12 +225,15 @@ class QuotientModel:
 
 
 def quotient(g: WeightedGraph, pi: Partition) -> QuotientModel:
-    """Build the quotient matrix from representative rows of each class."""
-    check = is_equitable(g, pi)
+    """Build the quotient matrix from representative rows of each class.
+
+    The class sums that fill the matrix are the ones the equitability check
+    reads; NotEquitable carries the check's witness.
+    """
+    sa = scaled_adjacency(g)
+    sums, check = _class_sums_checked(sa, pi, _EQ_TOL)
     if not check.ok:
         raise NotEquitable(f"partition is not equitable: witness {check.witness}")
-    sa = scaled_adjacency(g)
-    sums = sa.class_sums(pi.class_of(), pi.r)
     reps = [cls[0] for cls in pi.classes]
     pbar = sums[reps, :]
     dbar = np.array([sa.degrees[list(cls)].sum() for cls in pi.classes])
@@ -228,27 +244,15 @@ def quotient(g: WeightedGraph, pi: Partition) -> QuotientModel:
         for j in range(i + 1, r)
         if pbar[i, j] != 0.0 or pbar[j, i] != 0.0
     ]
-    coloring = _two_coloring(r, redges)
-    # connectivity of the reduced graph (ignoring self-loops)
-    seen = {0}
-    stack = [0]
-    nbrs: list[list[int]] = [[] for _ in range(r)]
-    for a, b in redges:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    while stack:
-        u = stack.pop()
-        for v in nbrs[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
+    coloring, connected = _two_coloring(r, redges)
     return QuotientModel(
         matrix=pbar,
         class_degrees=dbar,
         reduced_edges=tuple(redges),
         reduced_coloring=coloring,
-        reduced_connected=(len(seen) == r),
+        reduced_connected=connected,
         partition=pi,
+        operator=sa,
     )
 
 
@@ -368,18 +372,16 @@ class BlockDecomposition:
         return self.quotient_block.shape[0]
 
 
-def block_decompose(g: WeightedGraph, pi: Partition) -> BlockDecomposition:
+def block_decompose(qm: QuotientModel) -> BlockDecomposition:
     """Conjugate the symmetrized averaging matrix by the orthonormal class basis.
 
     The complement of each class vector comes from one Householder
     reflector (a complete QR of that vector).  Raises SingularTransform if
-    the off-block coupling exceeds 1e-10, which equitability rules out.
+    the off-block coupling exceeds 1e-10, which the equitability that qm
+    carries rules out.
     """
-    check = is_equitable(g, pi)
-    if not check.ok:
-        raise NotEquitable(f"partition is not equitable: witness {check.witness}")
-    sa = scaled_adjacency(g)
-    n, r = g.n, pi.r
+    sa, pi = qm.operator, qm.partition
+    n, r = sa.n, pi.r
     root_d = np.sqrt(sa.degrees)
     basis = np.zeros((n, n))
     col = r

@@ -3,8 +3,10 @@
 The network state obeys x' = (-x + T(P x)) / tau: every cell relaxes toward
 the inhibitory response to the weighted average of its neighbors' outputs.
 Fixed-step fourth-order integration is enough because the right-hand side
-is smooth and trajectories stay inside the box [0, A]^N.  P x is the O(m)
-edge-array product of the averaging operator; no n x n matrix is built.
+is smooth and trajectories stay inside the box [0, A]^N.  integrate takes
+the averaging operator (a ScaledAdjacency, such as QuotientModel.operator)
+and computes P x as its O(m) edge-array product; no n x n matrix is built.
+verify_certificate takes the QuotientModel the certificate was made on.
 Each run logs its step count, model time, final derivative norm and
 convergence at INFO level on the "patternq.simulate" logger.
 """
@@ -19,8 +21,8 @@ import numpy as np
 from .cells import HillMap, t_eval
 from .errors import BadOptions, NotConverged, StateOutOfBox
 from .existence import CERTIFIED, ExistenceCertificate, PatternSolution, certify
-from .graphs import WeightedGraph, scaled_adjacency
-from .partitions import Partition, quotient
+from .graphs import ScaledAdjacency
+from .partitions import Partition, QuotientModel
 
 __all__ = [
     "SimOptions",
@@ -72,7 +74,7 @@ class SimulationTrace:
     steps: int
 
 
-def integrate(g: WeightedGraph, model: HillMap, x0,
+def integrate(sa: ScaledAdjacency, model: HillMap, x0,
               opts: SimOptions | None = None) -> SimulationTrace:
     """Integrate from x0 until the derivative norm drops below conv_tol.
 
@@ -83,11 +85,10 @@ def integrate(g: WeightedGraph, model: HillMap, x0,
     """
     opts = opts or SimOptions()
     step, max_time, conv_tol = opts.resolved(model.tau)
-    sa = scaled_adjacency(g)
     amp = model.amplitude
     x = np.array(x0, dtype=float)
-    if x.shape != (g.n,):
-        raise BadOptions(f"x0 must have {g.n} entries, got shape {x.shape}")
+    if x.shape != (sa.n,):
+        raise BadOptions(f"x0 must have {sa.n} entries, got shape {x.shape}")
     if x.min() < 0 or x.max() > amp:
         raise BadOptions(f"x0 must lie in [0, {amp}]")
 
@@ -212,7 +213,7 @@ class CertificateCheck:
     note: str
 
 
-def verify_certificate(g: WeightedGraph, pi: Partition, model: HillMap,
+def verify_certificate(qm: QuotientModel, model: HillMap,
                        pattern: PatternSolution,
                        certificate: ExistenceCertificate | None = None,
                        eps: float = 0.01,
@@ -223,9 +224,9 @@ def verify_certificate(g: WeightedGraph, pi: Partition, model: HillMap,
     A failure to match is reported, never raised: nothing guarantees the
     chosen start lies in the predicted pattern's basin.
     """
-    cert = certificate or certify(quotient(g, pi), model)
+    cert = certificate or certify(qm, model)
     exploratory = cert.verdict != CERTIFIED
-    direction = pi.expand(cert.min_eigenvector)
+    direction = qm.partition.expand(cert.min_eigenvector)
     # orient the unstable direction toward the predicted pattern, otherwise
     # the run lands on the class-swapped twin
     if not pattern.homogeneous:
@@ -233,7 +234,7 @@ def verify_certificate(g: WeightedGraph, pi: Partition, model: HillMap,
         if toward < 0:
             direction = -direction
     x0 = perturbed_start(model, cert.fixed_point_value, direction, eps)
-    trace = integrate(g, model, x0, opts)
+    trace = integrate(qm.operator, model, x0, opts)
     if not trace.converged:
         return CertificateCheck(
             match=False, exploratory=exploratory, converged=False,
@@ -241,7 +242,7 @@ def verify_certificate(g: WeightedGraph, pi: Partition, model: HillMap,
             note="simulation hit max_time before converging")
     empirical = classify(trace, cluster_tol=1e-4 * model.amplitude)
     same_grouping = (frozenset(map(frozenset, empirical.groups))
-                     == frozenset(map(frozenset, pi.classes)))
+                     == frozenset(map(frozenset, qm.partition.classes)))
     deviation = float(np.abs(trace.final_state - pattern.cell_states).max())
     if exploratory:
         note = "no certificate; simulation exploratory only"

@@ -8,6 +8,9 @@ its own, and together they carry the full spectrum.  Small-gain route:
 rho(P Gamma) < 1 with per-class dc-gains, evaluated on the quotient where it
 is provably equal; both radii come from the symmetric similarity
 Gamma^1/2 D^-1/2 W D^-1/2 Gamma^1/2, which also holds for zero gains.
+Routes start from the QuotientModel of the pattern (block_decompose(qm),
+small_gain(qm, ...), stability_report(qm, ...)) or from its operator
+(full_jacobian_stability, m_matrix_diagnostic); none rebuilds either.
 """
 from __future__ import annotations
 
@@ -17,8 +20,8 @@ import numpy as np
 
 from .cells import HillMap, dc_gain, t_eval, t_prime
 from .errors import BadOptions, DimensionMismatch, NotSteadyState
-from .graphs import WeightedGraph, scaled_adjacency
-from .partitions import BlockDecomposition, Partition, block_decompose, quotient
+from .graphs import ScaledAdjacency
+from .partitions import BlockDecomposition, QuotientModel, block_decompose
 from .spectral import Spectrum, _symmetrize, jacobian_spectrum, sym_eigen
 
 __all__ = [
@@ -99,12 +102,11 @@ def _verdict_from_abscissa(abscissa: float) -> str:
     return MARGINAL
 
 
-def full_jacobian_stability(g: WeightedGraph, model: HillMap, u) -> FullStability:
+def full_jacobian_stability(sa: ScaledAdjacency, model: HillMap, u) -> FullStability:
     """Spectral abscissa of (-I + diag(T'(u)) P) / tau at a steady pattern u."""
-    sa = scaled_adjacency(g)
     u = np.asarray(u, dtype=float)
-    if u.shape != (g.n,):
-        raise DimensionMismatch(f"expected {g.n} inputs, got {u.shape}")
+    if u.shape != (sa.n,):
+        raise DimensionMismatch(f"expected {sa.n} inputs, got {u.shape}")
     residual = float(np.abs(u - sa.matvec(t_eval(model, u))).max())
     if residual > _STEADY_TOL:
         raise NotSteadyState(f"pattern residual {residual:.2e} exceeds {_STEADY_TOL}")
@@ -115,8 +117,7 @@ def full_jacobian_stability(g: WeightedGraph, model: HillMap, u) -> FullStabilit
                          spectrum=spec)
 
 
-def block_stability(g: WeightedGraph, decomp: BlockDecomposition, model: HillMap,
-                    z) -> BlockStability:
+def block_stability(decomp: BlockDecomposition, model: HillMap, z) -> BlockStability:
     """Spectra of the representative and transverse stability blocks.
 
     Slopes are constant on each class and every basis column of decomp lies
@@ -131,8 +132,6 @@ def block_stability(g: WeightedGraph, decomp: BlockDecomposition, model: HillMap
     z = np.asarray(z, dtype=float)
     if z.shape != (pi.r,):
         raise DimensionMismatch(f"expected {pi.r} class values, got {z.shape}")
-    if g.n != decomp.n:
-        raise DimensionMismatch(f"graph has {g.n} cells, decomposition {decomp.n}")
     slopes = np.asarray(t_prime(model, z), dtype=float)
     slopes_trans = slopes[decomp.transverse_class]
     n_t = slopes_trans.size
@@ -171,7 +170,7 @@ def _gain_radius(p: np.ndarray, d: np.ndarray, gains: np.ndarray,
     return rho, v / np.abs(v).max()
 
 
-def small_gain(g: WeightedGraph, pi: Partition, model: HillMap, z) -> SmallGainResult:
+def small_gain(qm: QuotientModel, model: HillMap, z) -> SmallGainResult:
     """Evaluate rho(P Gamma) and its quotient twin rho(Pbar Gammabar).
 
     Gains are the per-class dc-gains |T'(z_i)|, expanded so cells in a class
@@ -185,13 +184,12 @@ def small_gain(g: WeightedGraph, pi: Partition, model: HillMap, z) -> SmallGainR
     band.
     """
     z = np.asarray(z, dtype=float)
-    qm = quotient(g, pi)
+    pi = qm.partition
     if z.shape != (pi.r,):
         raise DimensionMismatch(f"expected {pi.r} class values, got {z.shape}")
     class_gains = np.array([dc_gain(model, float(val)) for val in z])
     cell_gains = pi.expand(class_gains)
-    sa = scaled_adjacency(g)
-    rho_full, _ = _gain_radius(sa.matrix, sa.degrees, cell_gains)
+    rho_full, _ = _gain_radius(qm.operator.matrix, qm.operator.degrees, cell_gains)
     rho_reduced, v_red = _gain_radius(qm.matrix, qm.class_degrees, class_gains,
                                       vectors=True)
     verdict = CERTIFIED_STABLE if rho_reduced < 1.0 - _MARGIN else NOT_CERTIFIED
@@ -205,7 +203,7 @@ def small_gain(g: WeightedGraph, pi: Partition, model: HillMap, z) -> SmallGainR
     )
 
 
-def m_matrix_diagnostic(g: WeightedGraph, cell_gains) -> bool:
+def m_matrix_diagnostic(sa: ScaledAdjacency, cell_gains) -> bool:
     """Check that I - Gamma P is a nonsingular M-matrix by one Cholesky.
 
     I - Gamma P has nonpositive off-diagonals, so positive leading principal
@@ -221,31 +219,30 @@ def m_matrix_diagnostic(g: WeightedGraph, cell_gains) -> bool:
     if np.any(gains < 0):
         # the symmetrization takes square roots of the gains
         raise BadOptions("cell gains must be nonnegative")
-    sa = scaled_adjacency(g)
     sym = _symmetrize(sa.matrix, sa.degrees, np.sqrt(gains))
     try:
-        np.linalg.cholesky(np.eye(g.n) - sym)
+        np.linalg.cholesky(np.eye(sa.n) - sym)
     except np.linalg.LinAlgError:
         return False
     return True
 
 
-def stability_report(g: WeightedGraph, pi: Partition, model: HillMap, z,
+def stability_report(qm: QuotientModel, model: HillMap, z,
                      methods: tuple[str, ...] = ("full", "block", "smallgain"),
                      ) -> StabilityReport:
     """Run the requested certification routes on the lifted pattern of z."""
     z = np.asarray(z, dtype=float)
-    u = pi.expand(z)
-    full = full_jacobian_stability(g, model, u)
+    u = qm.partition.expand(z)
+    full = full_jacobian_stability(qm.operator, model, u)
     block = None
     if "block" in methods:
-        block = block_stability(g, block_decompose(g, pi), model, z)
+        block = block_stability(block_decompose(qm), model, z)
     sg = None
     m_ok = None
     if "smallgain" in methods:
-        sg = small_gain(g, pi, model, z)
+        sg = small_gain(qm, model, z)
         if sg.rho_full < 1.0:
-            m_ok = m_matrix_diagnostic(g, sg.gains.cell_gains)
+            m_ok = m_matrix_diagnostic(qm.operator, sg.gains.cell_gains)
     return StabilityReport(
         full_spectral_abscissa=full.abscissa,
         full_verdict=full.verdict,

@@ -180,8 +180,8 @@ def test_criterion_04_checkerboard_end_to_end():
     z_hi, z_lo = two_cycle_oracle(m)
     assert abs(red.class_values[0] - z_hi) < 1e-9
     assert abs(red.class_values[1] - z_lo) < 1e-9
-    pat = lift(qm, red.class_values, m, scaled_adjacency(g))
-    chk = verify_certificate(g, pi, m, pat)
+    pat = lift(qm, red.class_values, m)
+    chk = verify_certificate(qm, m, pat)
     assert chk.converged and chk.match
     assert chk.max_deviation < 1e-6
     assert {frozenset(grp) for grp in chk.empirical.groups} \
@@ -202,8 +202,8 @@ def test_criterion_05_soccer_ball_pattern():
     assert cert.verdict == CERTIFIED
     red = solve_reduced(qm, m)
     assert red.residual < 1e-10
-    pat = lift(qm, red.class_values, m, scaled_adjacency(g))
-    chk = verify_certificate(g, pi, m, pat)
+    pat = lift(qm, red.class_values, m)
+    chk = verify_certificate(qm, m, pat)
     assert chk.converged
     assert sorted(len(grp) for grp in chk.empirical.groups) == [12, 20]
     # the pentagon/hexagon orbit route reaches the same partition
@@ -244,8 +244,8 @@ def test_criterion_06_radius_lifting_suite():
 
 def test_criterion_07_block_decomposition_suite():
     for name, g, pi in _resolved_builtins():
-        dec = block_decompose(g, pi)
         qm = quotient(g, pi)
+        dec = block_decompose(qm)
         # conjugation is block triangular
         ptilde = np.linalg.solve(dec.t, dec.p @ dec.t)
         lower_left = ptilde[dec.r:, :dec.r]
@@ -268,7 +268,7 @@ def test_criterion_07_block_decomposition_suite():
             z = solve_reduced(qm, m).class_values
         else:
             z = np.full(pi.r, cert.fixed_point_value)
-        blk = block_stability(g, dec, m, z)
+        blk = block_stability(dec, m, z)
         assert blk.consistency < 1e-8, name
         u = pi.expand(z)
         sa = scaled_adjacency(g)
@@ -296,9 +296,9 @@ def test_criterion_08_small_gain_soundness():
             if cert.verdict == CERTIFIED:
                 zs.append(solve_reduced(qm, m).class_values)
             for z in zs:
-                sg = small_gain(g, pi, m, z)
+                sg = small_gain(qm, m, z)
                 if sg.rho_reduced < 1.0 - 1e-6:
-                    res = full_jacobian_stability(g, m, pi.expand(z))
+                    res = full_jacobian_stability(qm.operator, m, pi.expand(z))
                     assert res.abscissa < 0, (name, h)
                     assert sg.verdict == CERTIFIED_STABLE
 
@@ -310,7 +310,7 @@ def test_criterion_08_small_gain_soundness():
         for h in (4.0, 6.0, 8.0):
             m = _hill(h)
             red = solve_reduced(qm, m)
-            sg = small_gain(g, pi, m, red.class_values)
+            sg = small_gain(qm, m, red.class_values)
             g1, g2 = sg.gains.class_gains
             assert abs(sg.rho_reduced - np.sqrt(g1 * g2)) < 1e-10
             product = float(t_prime(m, red.class_values[0])
@@ -440,7 +440,7 @@ def test_criterion_10_invariant_subspace():
     for name, g, pi in _resolved_builtins():
         m = _hill(1.5 if name in weak else 6)
         x0 = pi.expand(rng.uniform(0.2, 1.8, size=pi.r))
-        trace = integrate(g, m, x0, SimOptions(max_time=200.0))
+        trace = integrate(scaled_adjacency(g), m, x0, SimOptions(max_time=200.0))
         assert trace.converged, name
         assert max_within_class_spread(trace.states, pi) < 1e-9, name
     _report(10, "invariant subspace")

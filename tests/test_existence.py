@@ -16,7 +16,6 @@ from patternq.graphs import (
     buckyball,
     cycle_graph,
     hex_torus,
-    scaled_adjacency,
     torus_mesh,
     triangle_bridge,
 )
@@ -197,7 +196,7 @@ def test_lift_homogeneous_residual():
     qm = quotient(g, pi)
     m = HillMap(exponent=6)
     u_star = fixed_point(m).value
-    pat = lift(qm, np.full(2, u_star), m, scaled_adjacency(g))
+    pat = lift(qm, np.full(2, u_star), m)
     assert pat.residual_full < 1e-12
     assert pat.homogeneous
 
@@ -208,7 +207,7 @@ def test_lift_checkerboard():
     qm = quotient(g, pi)
     m = HillMap(exponent=6)
     red = solve_reduced(qm, m)
-    pat = lift(qm, red.class_values, m, scaled_adjacency(g))
+    pat = lift(qm, red.class_values, m)
     assert pat.residual_full < 1e-10
     # alternating by parity class
     side0 = set(pi.classes[0])
@@ -226,7 +225,7 @@ def test_lift_triangle_bridge_constant_on_classes():
     qm = quotient(g, pi)
     m = HillMap(exponent=6)
     red = solve_reduced(qm, m)
-    pat = lift(qm, red.class_values, m, scaled_adjacency(g))
+    pat = lift(qm, red.class_values, m)
     assert pat.residual_full < 1e-10
     assert len({pat.cell_inputs[v] for v in (2, 5)}) == 1
     assert len({pat.cell_inputs[v] for v in (0, 1, 3, 4, 6, 7)}) == 1
@@ -237,10 +236,7 @@ def test_lift_dimension_checks():
     qm = quotient(g, bipartition_partition(g))
     m = HillMap()
     with pytest.raises(DimensionMismatch):
-        lift(qm, np.ones(3), m, scaled_adjacency(g))
-    other = scaled_adjacency(cycle_graph(4))
-    with pytest.raises(DimensionMismatch):
-        lift(qm, np.ones(2), m, other)
+        lift(qm, np.ones(3), m)
 
 
 def test_solver_progress_callback():

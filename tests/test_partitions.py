@@ -317,16 +317,16 @@ def test_orbits_checks_weights():
 
 def test_block_decompose_two_vertices_has_no_transverse_space():
     g = build_graph(2, [(0, 1, 1.0)])
-    dec = block_decompose(g, bipartition_partition(g))
+    dec = block_decompose(quotient(g, bipartition_partition(g)))
     assert np.array_equal(dec.quotient_block, [[0, 1], [1, 0]])
     assert dec.transverse_block.shape == (0, 0)
 
 
 @pytest.mark.parametrize("g,pi", _builtin_cases())
 def test_block_decompose_identities(g, pi):
-    dec = block_decompose(g, pi)
-    p = dec.p
     qm = quotient(g, pi)
+    dec = block_decompose(qm)
+    p = dec.p
     # P Q = Q Pbar
     assert np.abs(p @ dec.q - dec.q @ qm.matrix).max() < 1e-12
     # conjugated matrix is block triangular
@@ -344,7 +344,7 @@ def test_block_decompose_identities(g, pi):
 
 def test_block_decompose_transverse_dimensions():
     g = torus_mesh(4, 4)
-    dec = block_decompose(g, bipartition_partition(g))
+    dec = block_decompose(quotient(g, bipartition_partition(g)))
     assert dec.transverse_block.shape == (14, 14)
 
 
@@ -352,7 +352,7 @@ def test_block_decompose_class_with_unequal_degrees():
     # a weighted star is equitable for {center} | leaves although the leaves'
     # degrees differ, so each class vector must follow sqrt(d), not ones
     g = build_graph(5, [(0, 1, 1.0), (0, 2, 2.0), (0, 3, 3.0), (0, 4, 4.0)])
-    dec = block_decompose(g, make_partition([[0], [1, 2, 3, 4]], 5))
+    dec = block_decompose(quotient(g, make_partition([[0], [1, 2, 3, 4]], 5)))
     assert dec.coupling < 1e-12
     d = scaled_adjacency(g).degrees
     assert np.abs(dec.t.T @ (d[:, None] * dec.t) - np.eye(5)).max() < 1e-12
@@ -364,4 +364,4 @@ def test_block_decompose_class_with_unequal_degrees():
 
 def test_block_decompose_rejects_inequitable():
     with pytest.raises(NotEquitable):
-        block_decompose(path_graph(3), make_partition([[0, 1], [2]], 3))
+        quotient(path_graph(3), make_partition([[0, 1], [2]], 3))

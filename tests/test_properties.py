@@ -71,7 +71,7 @@ def test_integrate_matches_dense_rk4(seed, n, h, step):
     m = HillMap(exponent=h)
     x0 = rng.uniform(0.0, m.amplitude, n)
     opts = SimOptions(step=step, max_time=60.0, conv_tol=1e-6)
-    trace = integrate(g, m, x0, opts)
+    trace = integrate(scaled_adjacency(g), m, x0, opts)
     steps, converged, final = integrate_dense(g, m, x0, step, 60.0, 1e-6)
     assert trace.steps == steps
     assert trace.converged == converged
@@ -88,10 +88,10 @@ def test_simulation_path_builds_no_dense_matrix(monkeypatch):
     pi = bipartition_partition(g)
     m = HillMap(exponent=6)
     qm = quotient(g, pi)
-    pat = lift(qm, solve_reduced(qm, m).class_values, m, scaled_adjacency(g))
+    pat = lift(qm, solve_reduced(qm, m).class_values, m)
     assert pat.residual_full < 1e-10
     x0 = np.clip(fixed_point(m).value + 0.01 * pi.expand([1.0, -1.0]), 0.0, 2.0)
-    assert integrate(g, m, x0).converged
+    assert integrate(scaled_adjacency(g), m, x0).converged
     with pytest.raises(AssertionError, match="dense"):
         scaled_adjacency(g).matrix
 
@@ -164,10 +164,11 @@ def test_m_matrix_cholesky_matches_leading_minors(seed, n, weighted, top):
     g = random_connected_graph(rng, n, weighted=weighted)
     gains = rng.uniform(0.0, top, n)
     # rho(Gamma P) = 1 is the boundary of the property; keep clear of it
-    rho = np.abs(np.linalg.eigvals(gains[:, None] * scaled_adjacency(g).matrix)).max()
+    sa = scaled_adjacency(g)
+    rho = np.abs(np.linalg.eigvals(gains[:, None] * sa.matrix)).max()
     assume(abs(rho - 1.0) > 1e-6)
-    assert m_matrix_diagnostic(g, gains) == m_matrix_by_leading_minors(g, gains)
-    assert m_matrix_diagnostic(g, gains) == (rho < 1.0)
+    assert m_matrix_diagnostic(sa, gains) == m_matrix_by_leading_minors(g, gains)
+    assert m_matrix_diagnostic(sa, gains) == (rho < 1.0)
 
 
 @st.composite
@@ -200,11 +201,11 @@ def test_block_spectra_join_to_dense_jacobian(case, data):
     slopes = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(-3.0, -0.1)),
                                 min_size=pi.r, max_size=pi.r))
     z = np.interp(-np.array(slopes), -t_prime(m, grid), grid)
-    dec = block_decompose(g, pi)
+    dec = block_decompose(quotient(g, pi))
     assert dec.coupling < 1e-12
     sa = scaled_adjacency(g)
     assert np.abs(dec.t.T @ (sa.degrees[:, None] * dec.t) - np.eye(g.n)).max() < 1e-12
-    blk = block_stability(g, dec, m, z)
+    blk = block_stability(dec, m, z)
     union = np.sort(np.concatenate([blk.representative_spectrum,
                                     blk.transverse_spectrum]))
     cell_slopes = t_prime(m, pi.expand(z))

@@ -29,7 +29,7 @@ def test_equilibrium_start_stays_put():
     g = torus_mesh(4, 4)
     m = HillMap(exponent=6)
     u_star = fixed_point(m).value
-    trace = integrate(g, m, np.full(g.n, u_star))
+    trace = integrate(scaled_adjacency(g), m, np.full(g.n, u_star))
     assert trace.converged
     assert trace.final_time == 0.0
     assert np.abs(trace.final_state - u_star).max() < 1e-12
@@ -41,8 +41,8 @@ def test_lifted_pattern_is_an_equilibrium():
     m = HillMap(exponent=6)
     qm = quotient(g, pi)
     red = solve_reduced(qm, m)
-    pat = lift(qm, red.class_values, m, scaled_adjacency(g))
-    trace = integrate(g, m, pat.cell_states, SimOptions(max_time=50.0))
+    pat = lift(qm, red.class_values, m)
+    trace = integrate(scaled_adjacency(g), m, pat.cell_states, SimOptions(max_time=50.0))
     assert np.abs(trace.final_state - pat.cell_states).max() < 1e-8
 
 
@@ -50,7 +50,7 @@ def test_two_cells_settle_on_the_two_cycle():
     g = build_graph(2, [(0, 1, 1.0)])
     m = HillMap(exponent=6)
     u_star = fixed_point(m).value
-    trace = integrate(g, m, np.array([u_star + 0.01, u_star - 0.01]))
+    trace = integrate(scaled_adjacency(g), m, np.array([u_star + 0.01, u_star - 0.01]))
     assert trace.converged
     z_hi, z_lo = two_cycle_oracle(m)
     # cell 0 started high and wins the inhibition race
@@ -62,7 +62,7 @@ def test_trajectories_stay_in_the_box():
     g = torus_mesh(4, 4)
     m = HillMap(exponent=6)
     rng = np.random.default_rng(2)
-    trace = integrate(g, m, rng.uniform(0.0, m.amplitude, size=g.n))
+    trace = integrate(scaled_adjacency(g), m, rng.uniform(0.0, m.amplitude, size=g.n))
     assert trace.states.min() >= 0.0
     assert trace.states.max() <= m.amplitude
 
@@ -73,26 +73,26 @@ def test_blowup_raises_state_out_of_box():
     rng = np.random.default_rng(3)
     x0 = rng.uniform(0.2, 1.8, size=g.n)
     with pytest.raises(StateOutOfBox):
-        integrate(g, m, x0, SimOptions(step=40.0, max_time=400.0))
+        integrate(scaled_adjacency(g), m, x0, SimOptions(step=40.0, max_time=400.0))
 
 
 def test_integrate_validates_inputs():
     g = torus_mesh(4, 4)
     m = HillMap()
     with pytest.raises(BadOptions):
-        integrate(g, m, np.zeros(3))
+        integrate(scaled_adjacency(g), m, np.zeros(3))
     with pytest.raises(BadOptions):
-        integrate(g, m, np.full(g.n, -0.1))
+        integrate(scaled_adjacency(g), m, np.full(g.n, -0.1))
     with pytest.raises(BadOptions):
-        integrate(g, m, np.ones(g.n), SimOptions(step=-1.0))
+        integrate(scaled_adjacency(g), m, np.ones(g.n), SimOptions(step=-1.0))
     with pytest.raises(BadOptions):
-        integrate(g, m, np.ones(g.n), SimOptions(step=2.0, max_time=1.0))
+        integrate(scaled_adjacency(g), m, np.ones(g.n), SimOptions(step=2.0, max_time=1.0))
 
 
 def test_sample_thinning_caps_rows():
     g = build_graph(2, [(0, 1, 1.0)])
     m = HillMap(exponent=1.5)
-    trace = integrate(g, m, np.array([0.2, 1.4]),
+    trace = integrate(scaled_adjacency(g), m, np.array([0.2, 1.4]),
                       SimOptions(step=0.001, max_time=30.0, conv_tol=1e-13))
     assert len(trace.times) <= 10_000
     assert trace.times[0] == 0.0
@@ -114,7 +114,7 @@ def test_classify_single_group_for_homogeneous_final():
     g = torus_mesh(4, 4)
     m = HillMap(exponent=1.5)
     rng = np.random.default_rng(4)
-    trace = integrate(g, m, perturbed_start(m, fixed_point(m).value,
+    trace = integrate(scaled_adjacency(g), m, perturbed_start(m, fixed_point(m).value,
                                             rng.standard_normal(g.n), 0.01))
     assert trace.converged
     emp = classify(trace, cluster_tol=1e-4 * m.amplitude)
@@ -128,7 +128,7 @@ def test_classify_checkerboard_groups_match_bipartition():
     m = HillMap(exponent=6)
     cert = certify(quotient(g, pi), m)
     x0 = perturbed_start(m, cert.fixed_point_value, pi.expand(cert.min_eigenvector), 0.01)
-    trace = integrate(g, m, x0)
+    trace = integrate(scaled_adjacency(g), m, x0)
     emp = classify(trace, cluster_tol=1e-4 * m.amplitude)
     assert {frozenset(grp) for grp in emp.groups} == {frozenset(c) for c in pi.classes}
     assert emp.values[0] > emp.values[1]
@@ -145,7 +145,7 @@ def test_cluster_values_single_linkage_in_descending_order():
 def test_classify_requires_convergence():
     g = torus_mesh(4, 4)
     m = HillMap(exponent=6)
-    trace = integrate(g, m, np.full(g.n, 0.5), SimOptions(max_time=0.05))
+    trace = integrate(scaled_adjacency(g), m, np.full(g.n, 0.5), SimOptions(max_time=0.05))
     assert not trace.converged
     with pytest.raises(NotConverged):
         classify(trace, 1e-4)
@@ -162,7 +162,7 @@ def test_class_constant_states_stay_class_constant(g, pi):
     m = HillMap(exponent=6)
     rng = np.random.default_rng(8)
     x0 = pi.expand(rng.uniform(0.2, 1.8, size=pi.r))
-    trace = integrate(g, m, x0, SimOptions(max_time=200.0))
+    trace = integrate(scaled_adjacency(g), m, x0, SimOptions(max_time=200.0))
     assert max_within_class_spread(trace.states, pi) < 1e-9
 
 
@@ -172,8 +172,8 @@ def test_step_halving_changes_little():
     m = HillMap(exponent=6)
     cert = certify(quotient(g, pi), m)
     x0 = perturbed_start(m, cert.fixed_point_value, pi.expand(cert.min_eigenvector), 0.01)
-    t1 = integrate(g, m, x0, SimOptions(step=0.01))
-    t2 = integrate(g, m, x0, SimOptions(step=0.005))
+    t1 = integrate(scaled_adjacency(g), m, x0, SimOptions(step=0.01))
+    t2 = integrate(scaled_adjacency(g), m, x0, SimOptions(step=0.005))
     assert np.abs(t1.final_state - t2.final_state).max() < 1e-8
 
 
@@ -183,11 +183,11 @@ def test_stable_pattern_recovers_from_small_kick():
     m = HillMap(exponent=6)
     qm = quotient(g, pi)
     red = solve_reduced(qm, m)
-    pat = lift(qm, red.class_values, m, scaled_adjacency(g))
+    pat = lift(qm, red.class_values, m)
     rng = np.random.default_rng(5)
     kick = 1e-3 * rng.standard_normal(g.n)
     x0 = np.clip(pat.cell_states + kick, 0.0, m.amplitude)
-    trace = integrate(g, m, x0)
+    trace = integrate(scaled_adjacency(g), m, x0)
     assert np.abs(trace.final_state - pat.cell_states).max() < 1e-6
 
 
@@ -197,7 +197,7 @@ def test_unstable_homogeneous_state_departs():
     u_star = fixed_point(m).value
     rng = np.random.default_rng(6)
     x0 = perturbed_start(m, u_star, rng.standard_normal(g.n), 1e-3)
-    trace = integrate(g, m, x0)
+    trace = integrate(scaled_adjacency(g), m, x0)
     assert trace.converged
     assert np.abs(trace.final_state - u_star).max() > 1e-1
 
@@ -208,8 +208,8 @@ def test_verify_certificate_checkerboard():
     m = HillMap(exponent=6)
     qm = quotient(g, pi)
     red = solve_reduced(qm, m)
-    pat = lift(qm, red.class_values, m, scaled_adjacency(g))
-    chk = verify_certificate(g, pi, m, pat)
+    pat = lift(qm, red.class_values, m)
+    chk = verify_certificate(qm, m, pat)
     assert chk.match and chk.converged and not chk.exploratory
     assert chk.max_deviation < 1e-6
 
@@ -220,8 +220,8 @@ def test_verify_certificate_inconclusive_is_exploratory():
     m = HillMap(exponent=6)
     qm = quotient(g, pi)
     red = solve_reduced(qm, m)  # homogeneous, warned
-    pat = lift(qm, red.class_values, m, scaled_adjacency(g))
-    chk = verify_certificate(g, pi, m, pat)
+    pat = lift(qm, red.class_values, m)
+    chk = verify_certificate(qm, m, pat)
     assert chk.exploratory
     assert "exploratory" in chk.note
 
@@ -232,8 +232,8 @@ def test_verify_certificate_stable_homogeneous_single_group():
     m = HillMap(exponent=1.5)
     qm = quotient(g, pi)
     red = solve_reduced(qm, m)
-    pat = lift(qm, red.class_values, m, scaled_adjacency(g))
-    chk = verify_certificate(g, pi, m, pat)
+    pat = lift(qm, red.class_values, m)
+    chk = verify_certificate(qm, m, pat)
     assert chk.exploratory and chk.converged
     assert len(chk.empirical.groups) == 1
     assert abs(chk.empirical.values[0] - fixed_point(m).value) < 1e-6

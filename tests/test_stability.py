@@ -8,6 +8,7 @@ from patternq.graphs import (
     build_graph,
     buckyball,
     hex_torus,
+    scaled_adjacency,
     torus_mesh,
     triangle_bridge,
 )
@@ -44,7 +45,7 @@ def _hom(g, m):
 def test_homogeneous_state_unstable_at_strong_inhibition():
     g = torus_mesh(4, 4)
     m = HillMap(exponent=6)  # slope magnitude 3
-    res = full_jacobian_stability(g, m, _hom(g, m))
+    res = full_jacobian_stability(scaled_adjacency(g), m, _hom(g, m))
     assert res.verdict == UNSTABLE
     # the most negative averaging eigenvalue is -1 on a bipartite graph,
     # so the abscissa is -1 + 3 = 2
@@ -54,7 +55,7 @@ def test_homogeneous_state_unstable_at_strong_inhibition():
 def test_homogeneous_state_stable_at_weak_inhibition():
     g = torus_mesh(4, 4)
     m = HillMap(exponent=1.5)  # slope magnitude 0.75
-    res = full_jacobian_stability(g, m, _hom(g, m))
+    res = full_jacobian_stability(scaled_adjacency(g), m, _hom(g, m))
     assert res.verdict == STABLE
     assert abs(res.abscissa - (-1.0 + 0.75)) < 1e-9
 
@@ -62,7 +63,7 @@ def test_homogeneous_state_stable_at_weak_inhibition():
 def test_homogeneous_state_marginal_at_unit_slope():
     g = torus_mesh(4, 4)
     m = HillMap(exponent=2)
-    res = full_jacobian_stability(g, m, _hom(g, m))
+    res = full_jacobian_stability(scaled_adjacency(g), m, _hom(g, m))
     assert res.verdict == MARGINAL
 
 
@@ -74,7 +75,7 @@ def test_checkerboard_verdict_tracks_slope_product():
         qm = quotient(g, pi)
         red = solve_reduced(qm, m)
         u = pi.expand(red.class_values)
-        res = full_jacobian_stability(g, m, u)
+        res = full_jacobian_stability(scaled_adjacency(g), m, u)
         product = float(t_prime(m, red.class_values[0])
                         * t_prime(m, red.class_values[1]))
         assert (res.verdict == STABLE) == (product < 1.0)
@@ -86,7 +87,7 @@ def test_full_stability_rejects_non_steady_pattern():
     g = torus_mesh(4, 4)
     m = HillMap(exponent=6)
     with pytest.raises(NotSteadyState):
-        full_jacobian_stability(g, m, np.linspace(0.1, 1.9, g.n))
+        full_jacobian_stability(scaled_adjacency(g), m, np.linspace(0.1, 1.9, g.n))
 
 
 # ---- block route ----
@@ -94,9 +95,9 @@ def test_full_stability_rejects_non_steady_pattern():
 def test_block_singleton_partition_is_degenerate():
     g = build_graph(2, [(0, 1, 1.0)])
     m = HillMap(exponent=6)
-    dec = block_decompose(g, singleton_partition(2))
-    blk = block_stability(g, dec, m, np.full(2, 1.0))
-    full = full_jacobian_stability(g, m, _hom(g, m))
+    dec = block_decompose(quotient(g, singleton_partition(2)))
+    blk = block_stability(dec, m, np.full(2, 1.0))
+    full = full_jacobian_stability(scaled_adjacency(g), m, _hom(g, m))
     assert blk.transverse_spectrum.size == 0
     assert np.abs(np.sort(blk.representative_spectrum)
                   - np.sort(full.spectrum.eigenvalues)).max() < 1e-12
@@ -106,9 +107,9 @@ def test_block_homogeneous_representative_spectrum_closed_form():
     g = torus_mesh(4, 4)
     m = HillMap(exponent=6)
     pi = bipartition_partition(g)
-    dec = block_decompose(g, pi)
+    dec = block_decompose(quotient(g, pi))
     z = np.full(2, fixed_point(m).value)
-    blk = block_stability(g, dec, m, z)
+    blk = block_stability(dec, m, z)
     t = t_prime(m, 1.0)
     assert np.abs(np.sort(blk.representative_spectrum)
                   - np.sort([-1.0 + t, -1.0 - t])).max() < 1e-9
@@ -131,8 +132,8 @@ def test_block_union_matches_full_spectrum(g, pi, h):
     m = HillMap(exponent=h)
     qm = quotient(g, pi)
     red = solve_reduced(qm, m)
-    dec = block_decompose(g, pi)
-    blk = block_stability(g, dec, m, red.class_values)
+    dec = block_decompose(qm)
+    blk = block_stability(dec, m, red.class_values)
     assert blk.consistency < 1e-8
     # and the extracted transverse spectrum matches a dense solve of the
     # transverse stability matrix itself
@@ -148,12 +149,13 @@ def test_block_exact_when_slopes_underflow():
     g = torus_mesh(4, 4)
     pi = bipartition_partition(g)
     m = HillMap(exponent=40)
-    z = solve_reduced(quotient(g, pi), m).class_values
+    qm = quotient(g, pi)
+    z = solve_reduced(qm, m).class_values
     assert 0.0 in t_prime(m, z)
-    blk = block_stability(g, block_decompose(g, pi), m, z)
+    blk = block_stability(block_decompose(qm), m, z)
     assert np.array_equal(blk.representative_spectrum, np.full(2, -1.0))
     assert np.array_equal(blk.transverse_spectrum, np.full(14, -1.0))
-    full = full_jacobian_stability(g, m, pi.expand(z))
+    full = full_jacobian_stability(scaled_adjacency(g), m, pi.expand(z))
     assert full.abscissa == -1.0 and full.verdict == STABLE
 
 
@@ -163,8 +165,9 @@ def test_small_gain_bipartite_is_geometric_mean():
     g = torus_mesh(4, 4)
     pi = bipartition_partition(g)
     m = HillMap(exponent=6)
-    red = solve_reduced(quotient(g, pi), m)
-    sg = small_gain(g, pi, m, red.class_values)
+    qm = quotient(g, pi)
+    red = solve_reduced(qm, m)
+    sg = small_gain(qm, m, red.class_values)
     g1, g2 = sg.gains.class_gains
     assert abs(sg.rho_reduced - np.sqrt(g1 * g2)) < 1e-10
     assert abs(sg.rho_full - sg.rho_reduced) < 1e-9
@@ -177,7 +180,7 @@ def test_small_gain_homogeneous_unit_slope_is_marginal():
     pi = bipartition_partition(g)
     m = HillMap(exponent=2)  # dc-gain exactly 1 at the fixed point
     z = np.full(2, fixed_point(m).value)
-    sg = small_gain(g, pi, m, z)
+    sg = small_gain(quotient(g, pi), m, z)
     assert abs(sg.rho_reduced - 1.0) < 1e-10
     assert sg.verdict == NOT_CERTIFIED
 
@@ -186,13 +189,14 @@ def test_small_gain_buckyball_pattern_is_not_certified():
     g = buckyball()
     pi = buckyball_face_partition()
     m = HillMap(exponent=6)
-    red = solve_reduced(quotient(g, pi), m)
-    sg = small_gain(g, pi, m, red.class_values)
+    qm = quotient(g, pi)
+    red = solve_reduced(qm, m)
+    sg = small_gain(qm, m, red.class_values)
     assert sg.rho_reduced > 1.0
     assert sg.verdict == NOT_CERTIFIED
     # and indeed the full Jacobian confirms the instability
     u = pi.expand(red.class_values)
-    assert full_jacobian_stability(g, m, u).verdict == UNSTABLE
+    assert full_jacobian_stability(scaled_adjacency(g), m, u).verdict == UNSTABLE
 
 
 @pytest.mark.parametrize("g,pi,h", _pattern_cases())
@@ -200,7 +204,7 @@ def test_small_gain_reduction_equality_and_soundness(g, pi, h):
     m = HillMap(exponent=h)
     qm = quotient(g, pi)
     red = solve_reduced(qm, m)
-    sg = small_gain(g, pi, m, red.class_values)
+    sg = small_gain(qm, m, red.class_values)
     assert abs(sg.rho_full - sg.rho_reduced) < 1e-9
     # Perron vector of the full product is constant on classes
     v = sg.perron_full / np.abs(sg.perron_full).max()
@@ -209,14 +213,14 @@ def test_small_gain_reduction_equality_and_soundness(g, pi, h):
         assert vals.max() - vals.min() < 1e-8
     if sg.verdict == CERTIFIED_STABLE:
         u = pi.expand(red.class_values)
-        assert full_jacobian_stability(g, m, u).verdict == STABLE
+        assert full_jacobian_stability(scaled_adjacency(g), m, u).verdict == STABLE
 
 
 @pytest.mark.parametrize("g,pi,h", _pattern_cases())
 def test_small_gain_radii_match_dense_eigvals(g, pi, h):
     m = HillMap(exponent=h)
     qm = quotient(g, pi)
-    sg = small_gain(g, pi, m, solve_reduced(qm, m).class_values)
+    sg = small_gain(qm, m, solve_reduced(qm, m).class_values)
     p = g.weight_matrix() / g.degrees()[:, None]
     p_gamma = p * sg.gains.cell_gains[None, :]
     dense_full = np.linalg.eigvals(p_gamma).real.max()
@@ -235,7 +239,8 @@ def test_small_gain_zero_class_gain():
     g = torus_mesh(4, 4)
     pi = bipartition_partition(g)
     m = HillMap(exponent=40)
-    sg = small_gain(g, pi, m, solve_reduced(quotient(g, pi), m).class_values)
+    qm = quotient(g, pi)
+    sg = small_gain(qm, m, solve_reduced(qm, m).class_values)
     assert 0.0 in sg.gains.class_gains
     assert sg.rho_reduced == 0.0 and sg.rho_full == 0.0
     assert sg.verdict == CERTIFIED_STABLE
@@ -250,7 +255,7 @@ def test_small_gain_certificate_threshold_matches_homogeneous_slope():
     for h, expected in [(1.5, CERTIFIED_STABLE), (4, NOT_CERTIFIED)]:
         m = HillMap(exponent=h)
         z = np.full(2, fixed_point(m).value)
-        sg = small_gain(g, pi, m, z)
+        sg = small_gain(quotient(g, pi), m, z)
         assert sg.verdict == expected
         assert abs(sg.rho_reduced - dc_gain(m, fixed_point(m).value)) < 1e-9
 
@@ -259,14 +264,14 @@ def test_m_matrix_diagnostic():
     g = torus_mesh(4, 4)
     m = HillMap(exponent=1.5)
     gains = np.full(g.n, dc_gain(m, 1.0))  # 0.75 < 1
-    assert m_matrix_diagnostic(g, gains)
-    assert not m_matrix_diagnostic(g, np.full(g.n, 1.25))
+    assert m_matrix_diagnostic(scaled_adjacency(g), gains)
+    assert not m_matrix_diagnostic(scaled_adjacency(g), np.full(g.n, 1.25))
 
 
 def test_m_matrix_diagnostic_rejects_negative_gains():
     g = torus_mesh(4, 4)
     with pytest.raises(BadOptions):
-        m_matrix_diagnostic(g, np.full(g.n, -0.5))
+        m_matrix_diagnostic(scaled_adjacency(g), np.full(g.n, -0.5))
 
 
 # ---- combined report ----
@@ -275,8 +280,9 @@ def test_stability_report_full_pipeline():
     g = torus_mesh(4, 4)
     pi = bipartition_partition(g)
     m = HillMap(exponent=6)
-    red = solve_reduced(quotient(g, pi), m)
-    rep = stability_report(g, pi, m, red.class_values)
+    qm = quotient(g, pi)
+    red = solve_reduced(qm, m)
+    rep = stability_report(qm, m, red.class_values)
     assert rep.full_verdict == STABLE
     assert rep.block is not None and rep.block.consistency < 1e-8
     assert rep.small_gain.verdict == CERTIFIED_STABLE
@@ -287,6 +293,7 @@ def test_stability_report_selected_methods():
     g = triangle_bridge()
     pi = make_partition([[2, 5], [0, 1, 3, 4, 6, 7]], 8)
     m = HillMap(exponent=6)
-    red = solve_reduced(quotient(g, pi), m)
-    rep = stability_report(g, pi, m, red.class_values, methods=("full",))
+    qm = quotient(g, pi)
+    red = solve_reduced(qm, m)
+    rep = stability_report(qm, m, red.class_values, methods=("full",))
     assert rep.block is None and rep.small_gain is None
