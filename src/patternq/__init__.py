@@ -52,7 +52,7 @@ from .simulate import (
     perturbed_start,
     verify_certificate,
 )
-from .spectral import Spectrum, eigen_reversible, jacobian_spectrum, spectral_radius_nonneg, sym_eigen
+from .spectral import Spectrum, eigen_reversible, jacobian_spectrum, sym_eigen
 from .stability import (
     CERTIFIED_STABLE,
     MARGINAL,
@@ -77,8 +77,7 @@ __all__ = [
     "is_equitable", "quotient", "coarsest_equitable_refinement",
     "orbits_from_generators", "block_decompose",
     # spectral
-    "Spectrum", "sym_eigen", "eigen_reversible", "spectral_radius_nonneg",
-    "jacobian_spectrum",
+    "Spectrum", "sym_eigen", "eigen_reversible", "jacobian_spectrum",
     # cells
     "HillMap", "FixedPoint", "t_eval", "t_prime", "fixed_point", "cell_rhs",
     "dc_gain",

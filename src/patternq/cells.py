@@ -121,4 +121,7 @@ def model_to_dict(m: HillMap) -> dict:
 
 def load_model(path) -> HillMap:
     with open(path) as fh:
-        return model_from_dict(json.load(fh))
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise BadOptions(f"{path} must hold a JSON object of model parameters")
+    return model_from_dict(data)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .cells import HillMap, fixed_point, load_model, model_to_dict
-from .errors import BadBundle, BadOptions, PatternQError
+from .errors import BadBundle, BadOptions, NotEquitable, PatternQError
 from .existence import (
     CERTIFIED,
     ExistenceCertificate,
@@ -40,6 +40,7 @@ from .partitions import (
     quotient,
 )
 from .serialize import (
+    _load_json,
     dumps_canonical,
     graph_to_dict,
     load_graph,
@@ -79,13 +80,17 @@ def _run_stage(stage: str, fn, *args, **kwargs):
         raise _StageFailure(stage, exc) from exc
 
 
-def _write_json(obj, path: str | None) -> None:
-    text = dumps_canonical(obj)
+def _write_text(path: str | None, text: str) -> None:
+    """Write text and a newline to path, or to stdout when path is None."""
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
+
+
+def _write_json(obj, path: str | None) -> None:
+    _run_stage("write", _write_text, path, dumps_canonical(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +147,17 @@ def _cmd_partition(args) -> int:
             pi = seed
         else:
             pi = _run_stage("partition", coarsest_equitable_refinement, g, seed)
-    check = _run_stage("partition", is_equitable, g, pi)
     out = dict(partition_to_dict(pi))
-    out["equitable"] = check.ok
-    out["witness"] = list(check.witness) if check.witness else None
-    if check.ok:
+    try:
         qm = _run_stage("quotient", quotient, g, pi)
+    except _StageFailure as exc:
+        if not isinstance(exc.cause, NotEquitable):
+            raise
+        # NotEquitable carries the witness only as text; the check returns it
+        check = _run_stage("partition", is_equitable, g, pi)
+        out.update(equitable=False, witness=list(check.witness))
+    else:
+        out.update(equitable=True, witness=None)
         out.update(_run_stage("quotient", _quotient_report, qm))
     _write_json(out, args.out)
     return 0
@@ -222,10 +232,7 @@ def _stability_payload(qm, model, z, methods) -> dict:
 
 
 def _load_pattern_values(path: str) -> np.ndarray:
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise BadOptions(f"{path} must hold a JSON object with a 'z' field")
+    data = _load_json(path, dict, "a JSON object with a 'z' field")
     return np.asarray(data["z"], dtype=float)
 
 
@@ -242,8 +249,8 @@ def _cmd_stability(args) -> int:
 
 
 def _load_x0(path: str) -> np.ndarray:
-    with open(path) as fh:
-        return np.asarray(json.load(fh), dtype=float)
+    return np.asarray(_load_json(path, list, "a JSON list with the initial state"),
+                      dtype=float)
 
 
 def _perturb_direction(spec: str, n: int) -> np.ndarray:
@@ -259,6 +266,14 @@ def _perturb_direction(spec: str, n: int) -> np.ndarray:
     if kind == "random":
         return np.random.default_rng(int(arg)).standard_normal(n)
     raise BadOptions(f"bad --perturb spec {spec!r}")
+
+
+def _write_trace(path: str, trace, n: int) -> None:
+    with open(path, "w") as fh:
+        fh.write("t," + ",".join(f"x_{i}" for i in range(n)) + "\n")
+        for t, row in zip(trace.times, trace.states):
+            fh.write(format(t, ".17g") + ","
+                     + ",".join(format(v, ".17g") for v in row) + "\n")
 
 
 def _cmd_simulate(args) -> int:
@@ -283,11 +298,7 @@ def _cmd_simulate(args) -> int:
             x0 = perturbed_start(model, fixed_point(model).value, direction, args.eps)
     trace = _run_stage("simulate", integrate, sa, model, x0, opts)
     if args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write("t," + ",".join(f"x_{i}" for i in range(g.n)) + "\n")
-            for t, row in zip(trace.times, trace.states):
-                fh.write(format(t, ".17g") + ","
-                         + ",".join(format(v, ".17g") for v in row) + "\n")
+        _run_stage("write", _write_trace, args.trace, trace, g.n)
     summary = {
         "converged": trace.converged,
         "final_time": trace.final_time,
@@ -374,8 +385,7 @@ def _cmd_render(args) -> int:
         raise _StageFailure("render", BadOptions(f"unknown layout {args.layout!r}"))
     print(text)
     if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(svg + "\n")
+        _run_stage("write", _write_text, args.svg, svg)
     return 0
 
 
@@ -490,11 +500,7 @@ def _fmt_matrix(rows) -> str:
 
 
 def _cmd_report(args) -> int:
-    try:
-        with open(args.bundle) as fh:
-            bundle = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _StageFailure("load", exc) from exc
+    bundle = _run_stage("load", _load_json, args.bundle, dict, "a JSON object")
     _run_stage("report", _verify_bundle, bundle)
 
     gdata = bundle["graph"]["data"]
@@ -550,8 +556,7 @@ def _cmd_report(args) -> int:
         else:
             svg = _svg_rings(group_of) if len(u) == 32 else _svg_grid(
                 group_of, 1, len(u), False)
-        with open(args.svg, "w") as fh:
-            fh.write(svg + "\n")
+        _run_stage("write", _write_text, args.svg, svg)
     return 0
 
 
@@ -672,9 +677,6 @@ def main(argv=None) -> int:
         return 1
     except PatternQError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error [load]: {exc}", file=sys.stderr)
         return 1
 
 

@@ -75,10 +75,6 @@ class DetailedBalanceViolated(PatternQError):
     pass
 
 
-class Reducible(PatternQError):
-    pass
-
-
 # ---- cell model ----
 
 class NegativeInput(PatternQError):

@@ -16,7 +16,7 @@ from dataclasses import is_dataclass, asdict
 
 import numpy as np
 
-from .errors import BadBundle
+from .errors import BadBundle, BadOptions
 from .graphs import WeightedGraph, build_graph
 from .partitions import Partition, make_partition
 
@@ -101,6 +101,15 @@ def sha256_of(obj) -> str:
     return hashlib.sha256(dumps_canonical(obj).encode("ascii")).hexdigest()
 
 
+def _load_json(path, kind: type, what: str):
+    """The JSON value in path; BadOptions unless it is of the given kind."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, kind):
+        raise BadOptions(f"{path} must hold {what}")
+    return data
+
+
 # ---- graphs ----
 
 def graph_to_dict(g: WeightedGraph) -> dict:
@@ -112,8 +121,7 @@ def graph_from_dict(data: dict) -> WeightedGraph:
 
 
 def load_graph(path) -> WeightedGraph:
-    with open(path) as fh:
-        return graph_from_dict(json.load(fh))
+    return graph_from_dict(_load_json(path, dict, "a JSON object with 'n' and 'edges'"))
 
 
 def save_graph(g: WeightedGraph, path) -> None:
@@ -133,8 +141,7 @@ def partition_from_dict(data: dict, n: int) -> Partition:
 
 
 def load_partition(path, n: int) -> Partition:
-    with open(path) as fh:
-        return partition_from_dict(json.load(fh), n)
+    return partition_from_dict(_load_json(path, dict, "a JSON object with 'classes'"), n)
 
 
 def save_partition(pi: Partition, path) -> None:
@@ -144,6 +151,5 @@ def save_partition(pi: Partition, path) -> None:
 
 
 def load_perms(path) -> list[list[int]]:
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _load_json(path, dict, "a JSON object with 'perms'")
     return [[int(x) for x in perm] for perm in data["perms"]]

@@ -4,8 +4,8 @@ Every matrix this package needs a spectrum for is similar to a symmetric
 one: the averaging matrix and its quotients through detailed balance, the
 gain-weighted products through a degree/gain diagonal similarity, and the
 one-state network Jacobian through a degree/slope similarity.  The only
-solvers here are LAPACK's symmetric eigensolver (through np.linalg.eigh)
-and power iteration; no unsymmetric QR is ever used.
+solver here is LAPACK's symmetric eigensolver (through np.linalg.eigh and
+eigvalsh); no unsymmetric QR and no iteration of its own is ever used.
 """
 from __future__ import annotations
 
@@ -13,17 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DetailedBalanceViolated, NoConvergence, NotSymmetric, Reducible
+from .errors import DetailedBalanceViolated, NoConvergence, NotSymmetric
 
 __all__ = [
     "Spectrum",
     "sym_eigen",
     "eigen_reversible",
-    "spectral_radius_nonneg",
     "jacobian_spectrum",
 ]
-
-_POWER_MAX_ITERS = 100_000
 
 
 @dataclass(frozen=True)
@@ -128,66 +125,6 @@ def eigen_reversible(p: np.ndarray, d: np.ndarray, vectors: bool = True) -> Spec
     norms = np.linalg.norm(back, axis=0)
     back = _fix_signs(back / norms)
     return Spectrum(spec.eigenvalues, back)
-
-
-def _strongly_connected(support: np.ndarray) -> bool:
-    n = support.shape[0]
-
-    def reach(adj: np.ndarray) -> int:
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in np.where(adj[u])[0]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(int(w))
-        return int(seen.sum())
-
-    return reach(support) == n and reach(support.T) == n
-
-
-def spectral_radius_nonneg(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """Perron root and positive eigenvector of a nonnegative irreducible matrix.
-
-    Power iteration is applied two steps at a time (in effect powering M^2)
-    so that the +-rho peripheral pair of a bipartite support becomes a
-    single dominant eigenvalue rho^2; no shift is needed and the spectral
-    gap is untouched.  The Perron direction is recovered as x + Mx/rho,
-    which cancels the alternating component exactly.  Starts from the
-    all-ones vector, normalizes in max-norm, and accepts once the residual
-    ||Mv - rho v|| drops below 1e-10 rho (floored at machine noise relative
-    to ||M|| for degenerate, vanishingly small radii).
-    """
-    m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    if m.min() < 0:
-        raise Reducible(f"matrix has negative entries (min {m.min():.2e})")
-    if n == 1:
-        return float(m[0, 0]), np.array([1.0])
-    if not _strongly_connected(m > 0):
-        raise Reducible("support is not strongly connected")
-    scale = float(np.abs(m).sum(axis=1).max())
-    x = np.ones(n)
-    for _ in range(_POWER_MAX_ITERS // 2):
-        z = m @ (m @ x)
-        lam2 = float(np.abs(z).max())
-        if lam2 == 0.0:
-            raise NoConvergence("iterate vanished; radius below machine precision")
-        x = z / lam2
-        rho = np.sqrt(lam2)
-        v = x + (m @ x) / rho
-        vmax = float(np.abs(v).max())
-        if vmax > 0:
-            v = v / vmax
-            residual = float(np.abs(m @ v - rho * v).max())
-            if residual <= 1e-10 * rho + 1e-14 * scale:
-                if v.min() <= 0:
-                    raise NoConvergence("power iteration lost positivity")
-                return rho, v
-    raise NoConvergence(
-        f"power iteration did not converge in {_POWER_MAX_ITERS // 2} doubled steps")
 
 
 def jacobian_spectrum(p: np.ndarray, d: np.ndarray, slopes: np.ndarray,

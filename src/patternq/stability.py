@@ -5,12 +5,13 @@ the orthonormal class basis of the partition splits the Jacobian exactly
 into a representative block driven by the symmetrized quotient matrix and a
 transverse block on the complement; each is symmetric-similar and solved on
 its own, and together they carry the full spectrum.  Small-gain route:
-rho(P Gamma) < 1 with per-class dc-gains, evaluated on the quotient where it
-is provably equal; both radii come from the symmetric similarity
-Gamma^1/2 D^-1/2 W D^-1/2 Gamma^1/2, which also holds for zero gains.
-Routes start from the QuotientModel of the pattern (block_decompose(qm),
-small_gain(qm, ...), stability_report(qm, ...)) or from its operator
-(full_jacobian_stability, m_matrix_diagnostic); none rebuilds either.
+rho(P Gamma) < 1 with per-class dc-gains.  Equitability gives
+P Gamma Q = Q Pbar Gammabar for the class indicator Q, so the radius is
+computed on the quotient alone, where it is exactly equal; the same radius
+decides whether I - Gamma P is a nonsingular M-matrix.  Routes start from
+the QuotientModel of the pattern (block_decompose(qm), small_gain(qm, ...),
+stability_report(qm, ...)) or from its operator (full_jacobian_stability);
+none rebuilds either.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import HillMap, dc_gain, t_eval, t_prime
-from .errors import BadOptions, DimensionMismatch, NotSteadyState
+from .errors import DimensionMismatch, NotSteadyState
 from .graphs import ScaledAdjacency
 from .partitions import BlockDecomposition, QuotientModel, block_decompose
 from .spectral import Spectrum, _symmetrize, jacobian_spectrum, sym_eigen
@@ -38,7 +39,6 @@ __all__ = [
     "full_jacobian_stability",
     "block_stability",
     "small_gain",
-    "m_matrix_diagnostic",
     "stability_report",
 ]
 
@@ -77,6 +77,16 @@ class BlockStability:
 
 @dataclass(frozen=True)
 class SmallGainResult:
+    """The small-gain radius and its certificate.
+
+    rho_full is rho(P Gamma) and equals rho_reduced = rho(Pbar Gammabar)
+    bit for bit.  Both matrices are nonnegative and, with Q the n x r class
+    indicator, equitability gives P Gamma Q = Q Pbar Gammabar and
+    Q 1_r = 1_n; so the row sums of (P Gamma)^k are those of
+    (Pbar Gammabar)^k lifted, their infinity norms agree for every k, and
+    Gelfand's formula makes the radii equal, zero gains included.
+    """
+
     rho_full: float
     rho_reduced: float
     verdict: str
@@ -87,6 +97,16 @@ class SmallGainResult:
 
 @dataclass(frozen=True)
 class StabilityReport:
+    """The verdicts of the routes that ran.
+
+    m_matrix_ok is True when the small-gain route ran and rho(P Gamma) < 1,
+    and None otherwise.  With Gamma P >= 0, I - Gamma P is a Z-matrix, and a
+    Z-matrix I - B with B >= 0 is a nonsingular M-matrix exactly when
+    rho(B) < 1 (Berman & Plemmons, Nonnegative Matrices in the Mathematical
+    Sciences, ch. 6); rho(Gamma P) = rho(P Gamma) because AB and BA share
+    eigenvalues.
+    """
+
     full_spectral_abscissa: float
     full_verdict: str
     block: BlockStability | None
@@ -148,9 +168,9 @@ def block_stability(decomp: BlockDecomposition, model: HillMap, z) -> BlockStabi
     )
 
 
-def _gain_radius(p: np.ndarray, d: np.ndarray, gains: np.ndarray,
-                 vectors: bool = False) -> tuple[float, np.ndarray | None]:
-    """Spectral radius of P Gamma and, with vectors, its eigenvector in max-norm.
+def _gain_radius(p: np.ndarray, d: np.ndarray,
+                 gains: np.ndarray) -> tuple[float, np.ndarray]:
+    """Spectral radius of P Gamma and its eigenvector in max-norm.
 
     P Gamma = D^-1/2 S D^1/2 Gamma with S = D^1/2 P D^-1/2 symmetric, and AB
     and BA share eigenvalues, so eig(P Gamma) = eig(Gamma^1/2 S Gamma^1/2),
@@ -160,10 +180,8 @@ def _gain_radius(p: np.ndarray, d: np.ndarray, gains: np.ndarray,
     the radius is 0, P Gamma is nilpotent and the vector is all zeros.
     """
     root = np.sqrt(gains)
-    spec = sym_eigen(_symmetrize(p, d, root), vectors=vectors)
+    spec = sym_eigen(_symmetrize(p, d, root))
     rho = max(float(spec.eigenvalues[0]), 0.0)
-    if not vectors:
-        return rho, None
     if rho == 0.0:
         return rho, np.zeros(len(gains))
     v = p @ (root / np.sqrt(d) * spec.eigenvectors[:, 0])
@@ -171,60 +189,33 @@ def _gain_radius(p: np.ndarray, d: np.ndarray, gains: np.ndarray,
 
 
 def small_gain(qm: QuotientModel, model: HillMap, z) -> SmallGainResult:
-    """Evaluate rho(P Gamma) and its quotient twin rho(Pbar Gammabar).
+    """Evaluate rho(Pbar Gammabar), which equals rho(P Gamma).
 
     Gains are the per-class dc-gains |T'(z_i)|, expanded so cells in a class
-    share one gain.  Both radii are largest eigenvalues of symmetric
-    similarities (class degrees for the quotient), exact for zero gains.
-    perron_reduced is the quotient's eigenvector for rho_reduced in
-    max-norm, nonnegative when that radius is simple, and all zeros when
-    the radius is 0; perron_full is its lift, which equitability makes an
+    share one gain.  The radius is the largest eigenvalue of a symmetric
+    similarity of the quotient product (class degrees), exact for zero
+    gains; rho_full is the same number (see SmallGainResult), so no n x n
+    matrix is formed.  perron_reduced is the quotient's eigenvector for the
+    radius in max-norm, nonnegative when the radius is simple, and all zeros
+    when it is 0; perron_full is its lift, which equitability makes an
     eigenvector of P Gamma for the same radius.  The certificate fires
-    exactly when the quotient radius sits below 1 by more than the marginal
-    band.
+    exactly when the radius sits below 1 by more than the marginal band.
     """
     z = np.asarray(z, dtype=float)
     pi = qm.partition
     if z.shape != (pi.r,):
         raise DimensionMismatch(f"expected {pi.r} class values, got {z.shape}")
     class_gains = np.array([dc_gain(model, float(val)) for val in z])
-    cell_gains = pi.expand(class_gains)
-    rho_full, _ = _gain_radius(qm.operator.matrix, qm.operator.degrees, cell_gains)
-    rho_reduced, v_red = _gain_radius(qm.matrix, qm.class_degrees, class_gains,
-                                      vectors=True)
-    verdict = CERTIFIED_STABLE if rho_reduced < 1.0 - _MARGIN else NOT_CERTIFIED
+    rho, v_red = _gain_radius(qm.matrix, qm.class_degrees, class_gains)
+    verdict = CERTIFIED_STABLE if rho < 1.0 - _MARGIN else NOT_CERTIFIED
     return SmallGainResult(
-        rho_full=rho_full,
-        rho_reduced=rho_reduced,
+        rho_full=rho,
+        rho_reduced=rho,
         verdict=verdict,
-        gains=GainProfile(class_gains=class_gains, cell_gains=cell_gains),
+        gains=GainProfile(class_gains=class_gains, cell_gains=pi.expand(class_gains)),
         perron_full=pi.expand(v_red),
         perron_reduced=v_red,
     )
-
-
-def m_matrix_diagnostic(sa: ScaledAdjacency, cell_gains) -> bool:
-    """Check that I - Gamma P is a nonsingular M-matrix by one Cholesky.
-
-    I - Gamma P has nonpositive off-diagonals, so positive leading principal
-    minors are equivalent to the M-matrix property.  With P = D^-1 W those
-    minors equal the ones of the symmetric
-    I - Gamma^1/2 D^-1/2 W D^-1/2 Gamma^1/2 (a diagonal similarity for
-    positive gains, Sylvester's determinant identity for zero ones), whose
-    minors are all positive exactly when it is positive definite, that is,
-    when its Cholesky factorization exists.  Only meaningful when the gain
-    radius sits below one.
-    """
-    gains = np.asarray(cell_gains, dtype=float)
-    if np.any(gains < 0):
-        # the symmetrization takes square roots of the gains
-        raise BadOptions("cell gains must be nonnegative")
-    sym = _symmetrize(sa.matrix, sa.degrees, np.sqrt(gains))
-    try:
-        np.linalg.cholesky(np.eye(sa.n) - sym)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def stability_report(qm: QuotientModel, model: HillMap, z,
@@ -241,8 +232,7 @@ def stability_report(qm: QuotientModel, model: HillMap, z,
     m_ok = None
     if "smallgain" in methods:
         sg = small_gain(qm, model, z)
-        if sg.rho_full < 1.0:
-            m_ok = m_matrix_diagnostic(qm.operator, sg.gains.cell_gains)
+        m_ok = True if sg.rho_full < 1.0 else None
     return StabilityReport(
         full_spectral_abscissa=full.abscissa,
         full_verdict=full.verdict,

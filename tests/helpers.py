@@ -1,8 +1,9 @@
 """Independent oracles shared across the test modules.
 
 Everything here deliberately avoids the library's own solution paths:
-eigenvalues come from characteristic-polynomial companion roots, the
-M-matrix property from leading principal minors, reduced roots from 1-D
+eigenvalues come from characteristic-polynomial companion roots, Perron
+roots from power iteration, the M-matrix property from leading principal
+minors, reduced roots from 1-D
 bisection on composed maps, coarsest refinements from full partition
 enumeration, and network trajectories from RK4 on the dense averaging
 matrix.
@@ -14,6 +15,7 @@ import math
 import numpy as np
 
 from patternq.cells import HillMap, fixed_point, t_eval
+from patternq.errors import NoConvergence
 from patternq.graphs import WeightedGraph
 from patternq.partitions import Partition, is_equitable, make_partition, refines
 
@@ -39,6 +41,70 @@ def char_poly_eigs(a: np.ndarray) -> np.ndarray:
     """
     roots = np.roots(char_poly_coeffs(a))
     return np.sort(roots.real)[::-1]
+
+
+_POWER_MAX_ITERS = 100_000
+
+
+def _strongly_connected(support: np.ndarray) -> bool:
+    n = support.shape[0]
+
+    def reach(adj: np.ndarray) -> int:
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            for w in np.where(adj[u])[0]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(int(w))
+        return int(seen.sum())
+
+    return reach(support) == n and reach(support.T) == n
+
+
+def spectral_radius_nonneg(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """Perron root and positive eigenvector of a nonnegative irreducible matrix.
+
+    Power iteration is applied two steps at a time (in effect powering M^2)
+    so that the +-rho peripheral pair of a bipartite support becomes a
+    single dominant eigenvalue rho^2; no shift is needed and the spectral
+    gap is untouched.  The Perron direction is recovered as x + Mx/rho,
+    which cancels the alternating component exactly.  Starts from the
+    all-ones vector, normalizes in max-norm, and accepts once the residual
+    ||Mv - rho v|| drops below 1e-10 rho (floored at machine noise relative
+    to ||M|| for degenerate, vanishingly small radii).  Raises ValueError on
+    a negative entry or a support that is not strongly connected.
+    """
+    m = np.asarray(m, dtype=float)
+    n = m.shape[0]
+    if m.min() < 0:
+        raise ValueError(f"matrix has negative entries (min {m.min():.2e})")
+    if n == 1:
+        return float(m[0, 0]), np.array([1.0])
+    if not _strongly_connected(m > 0):
+        raise ValueError("support is not strongly connected")
+    scale = float(np.abs(m).sum(axis=1).max())
+    x = np.ones(n)
+    for _ in range(_POWER_MAX_ITERS // 2):
+        z = m @ (m @ x)
+        lam2 = float(np.abs(z).max())
+        if lam2 == 0.0:
+            raise NoConvergence("iterate vanished; radius below machine precision")
+        x = z / lam2
+        rho = np.sqrt(lam2)
+        v = x + (m @ x) / rho
+        vmax = float(np.abs(v).max())
+        if vmax > 0:
+            v = v / vmax
+            residual = float(np.abs(m @ v - rho * v).max())
+            if residual <= 1e-10 * rho + 1e-14 * scale:
+                if v.min() <= 0:
+                    raise NoConvergence("power iteration lost positivity")
+                return rho, v
+    raise NoConvergence(
+        f"power iteration did not converge in {_POWER_MAX_ITERS // 2} doubled steps")
 
 
 def m_matrix_by_leading_minors(g: WeightedGraph, cell_gains) -> bool:

@@ -39,10 +39,15 @@ from patternq.simulate import (
     max_within_class_spread,
     verify_certificate,
 )
-from patternq.spectral import eigen_reversible, jacobian_spectrum, spectral_radius_nonneg
+from patternq.spectral import eigen_reversible, jacobian_spectrum
 from patternq.stability import CERTIFIED_STABLE, block_stability, full_jacobian_stability, small_gain
 
-from helpers import brute_force_coarsest, random_connected_graph, two_cycle_oracle
+from helpers import (
+    brute_force_coarsest,
+    random_connected_graph,
+    spectral_radius_nonneg,
+    two_cycle_oracle,
+)
 
 
 def _report(num: int, name: str) -> None:

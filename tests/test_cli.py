@@ -226,6 +226,13 @@ def test_gen_missing_params_is_tagged_error(capsys):
     ["render", "--trace", "{empty}", "--layout", "torus", "--rows", "4", "--cols", "4"],
     ["stability", "--gen", "torus_mesh:4,4", "--partition", "{partition}",
      "--model", "{model}", "--pattern", "{z_list}"],
+    ["simulate", "--gen", "torus_mesh:4,4", "--model", "{z_list}"],
+    ["quotient", "--gen", "torus_mesh:4,4", "--partition", "{z_list}"],
+    ["quotient", "--graph", "{z_list}", "--partition", "{partition}"],
+    ["partition", "--gen", "torus_mesh:4,4", "--mode", "check", "--seed", "{string}"],
+    ["partition", "--gen", "torus_mesh:4,4", "--mode", "orbits", "--perms", "{string}"],
+    ["simulate", "--gen", "torus_mesh:4,4", "--model", "{model}", "--x0", "{z_object}"],
+    ["report", "--bundle", "{z_list}"],
 ])
 def test_malformed_input_is_tagged_error(tmp_path, model_h6, torus_bipartition, capsys,
                                          argv):
@@ -233,10 +240,30 @@ def test_malformed_input_is_tagged_error(tmp_path, model_h6, torus_bipartition, 
     empty.write_text("")
     z_list = tmp_path / "z.json"
     z_list.write_text("[1.5, 0.5]\n")
+    string = tmp_path / "string.json"
+    string.write_text('"abc"\n')
+    z_object = tmp_path / "z_object.json"
+    z_object.write_text('{"z": [1]}\n')
     files = {"model": model_h6, "partition": torus_bipartition,
-             "empty": str(empty), "z_list": str(z_list)}
+             "empty": str(empty), "z_list": str(z_list), "string": str(string),
+             "z_object": str(z_object)}
     assert main([arg.format(**files) for arg in argv]) == 1
     assert "error [" in capsys.readouterr().err
+
+
+def test_write_errors_are_tagged_write(tmp_path, model_h6, capsys):
+    missing = tmp_path / "missing" / "out"
+    assert main(["gen", "--kind", "path", "--n", "4", "-o", str(missing)]) == 1
+    assert "error [write]" in capsys.readouterr().err
+    trace = tmp_path / "trace.csv"
+    assert main(["simulate", "--gen", "path:4", "--model", model_h6,
+                 "--trace", str(missing)]) == 1
+    assert "error [write]" in capsys.readouterr().err
+    assert main(["simulate", "--gen", "path:4", "--model", model_h6,
+                 "--trace", str(trace)]) == 0
+    assert main(["render", "--trace", str(trace), "--layout", "torus", "--rows", "1",
+                 "--cols", "4", "--svg", str(missing)]) == 1
+    assert "error [write]" in capsys.readouterr().err
 
 
 def test_analyze_builds_each_intermediate_once(tmp_path, monkeypatch, model_h6):
@@ -269,6 +296,44 @@ def test_analyze_builds_each_intermediate_once(tmp_path, monkeypatch, model_h6):
     # from, so the public is_equitable has no caller here
     assert counts == {"scaled_adjacency": 1, "is_equitable": 0, "_class_sums_checked": 1,
                       "quotient": 1, "certify": 1}
+
+
+@pytest.mark.parametrize("argv,builds,equitable", [
+    (["--gen", "hex_torus:6,6", "--mode", "refine"], 2, True),
+    (["--gen", "torus_mesh:4,4", "--mode", "check", "--seed", "{partition}"], 1, True),
+    (["--gen", "torus_mesh:4,4", "--mode", "orbits", "--perms", "{perms}"], 1, True),
+    # is_equitable builds it once more, only to report the witness
+    (["--gen", "torus_mesh:4,4", "--mode", "check", "--seed", "{rows}"], 2, False),
+])
+def test_partition_builds_operator_once_per_check(tmp_path, monkeypatch, torus_bipartition,
+                                                  argv, builds, equitable):
+    from patternq import cli, partitions
+    from patternq.graphs import torus_domino_generators
+
+    perms = tmp_path / "perms.json"
+    perms.write_text(json.dumps({"perms": torus_domino_generators(4, 4)}))
+    rows = tmp_path / "rows.json"
+    rows.write_text(json.dumps({"classes": [list(range(4)), list(range(4, 16))]}))
+    counts = dict.fromkeys(["scaled_adjacency", "is_equitable"], 0)
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    # partitions binds every scaled_adjacency call the partition command makes
+    count(partitions, "scaled_adjacency")
+    count(cli, "is_equitable")
+    out = tmp_path / "out.json"
+    files = {"partition": torus_bipartition, "perms": str(perms), "rows": str(rows)}
+    assert main(["partition"] + [a.format(**files) for a in argv] + ["-o", str(out)]) == 0
+    assert counts == {"scaled_adjacency": builds, "is_equitable": int(not equitable)}
+    data = json.loads(out.read_text())
+    assert data["equitable"] is equitable
+    assert (data["witness"] is None) is equitable
 
 
 def test_analyze_auto_bipartite_on_odd_cycles(tmp_path, model_h6, capsys):

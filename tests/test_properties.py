@@ -1,5 +1,5 @@
 """Property tests of the averaging operator, the simulation and the
-spectral, block and M-matrix routines against independent oracles: the
+spectral, block and small-gain routines against independent oracles: the
 dense averaging matrix, dense-matrix RK4, characteristic-polynomial roots
 and coefficients, dense unsymmetric eigvals, and leading principal minors."""
 import numpy as np
@@ -24,7 +24,7 @@ from patternq.partitions import (
 )
 from patternq.simulate import SimOptions, integrate
 from patternq.spectral import jacobian_spectrum, sym_eigen
-from patternq.stability import block_stability, m_matrix_diagnostic
+from patternq.stability import block_stability, small_gain
 
 from helpers import (
     char_poly_coeffs,
@@ -167,8 +167,9 @@ def test_m_matrix_cholesky_matches_leading_minors(seed, n, weighted, top):
     sa = scaled_adjacency(g)
     rho = np.abs(np.linalg.eigvals(gains[:, None] * sa.matrix)).max()
     assume(abs(rho - 1.0) > 1e-6)
-    assert m_matrix_diagnostic(sa, gains) == m_matrix_by_leading_minors(g, gains)
-    assert m_matrix_diagnostic(sa, gains) == (rho < 1.0)
+    # I - Gamma P is a Z-matrix, so it is a nonsingular M-matrix exactly
+    # when rho(Gamma P) < 1; stability_report relies on that theorem
+    assert m_matrix_by_leading_minors(g, gains) == (rho < 1.0)
 
 
 @st.composite
@@ -212,3 +213,19 @@ def test_block_spectra_join_to_dense_jacobian(case, data):
     dense = np.linalg.eigvals(-np.eye(g.n) + cell_slopes[:, None] * sa.matrix)
     assert np.abs(dense.imag).max() < 1e-10
     assert np.abs(union - np.sort(dense.real)).max() < 1e-10
+
+
+@PROPERTY
+@given(case=rotation_partitioned_circulants(), data=st.data())
+def test_small_gain_radius_matches_dense_eigvals(case, data):
+    # at h >= 30 a class value below 1e-12 has a dc-gain that underflows to
+    # exactly 0, so P Gamma can have zero columns and a nilpotent part
+    g, pi = case
+    m = HillMap(exponent=data.draw(st.floats(30.0, 60.0)))
+    z = np.array(data.draw(st.lists(st.one_of(st.floats(0.5, 1.5),
+                                              st.floats(1e-14, 1e-12)),
+                                    min_size=pi.r, max_size=pi.r)))
+    sg = small_gain(quotient(g, pi), m, z)
+    sa = scaled_adjacency(g)
+    dense = np.abs(np.linalg.eigvals(sa.matrix * sg.gains.cell_gains[None, :])).max()
+    assert abs(sg.rho_full - dense) < 1e-10

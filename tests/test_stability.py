@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from patternq.cells import HillMap, dc_gain, fixed_point, t_prime
-from patternq.errors import BadOptions, NotSteadyState
+from patternq.errors import NotSteadyState
 from patternq.existence import solve_reduced
 from patternq.graphs import (
+    ScaledAdjacency,
     build_graph,
     buckyball,
     hex_torus,
@@ -30,10 +31,11 @@ from patternq.stability import (
     UNSTABLE,
     block_stability,
     full_jacobian_stability,
-    m_matrix_diagnostic,
     small_gain,
     stability_report,
 )
+
+from helpers import m_matrix_by_leading_minors
 
 
 def _hom(g, m):
@@ -260,18 +262,28 @@ def test_small_gain_certificate_threshold_matches_homogeneous_slope():
         assert abs(sg.rho_reduced - dc_gain(m, fixed_point(m).value)) < 1e-9
 
 
-def test_m_matrix_diagnostic():
-    g = torus_mesh(4, 4)
-    m = HillMap(exponent=1.5)
-    gains = np.full(g.n, dc_gain(m, 1.0))  # 0.75 < 1
-    assert m_matrix_diagnostic(scaled_adjacency(g), gains)
-    assert not m_matrix_diagnostic(scaled_adjacency(g), np.full(g.n, 1.25))
+def test_small_gain_builds_no_dense_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense n x n matrix built")
+
+    monkeypatch.setattr(ScaledAdjacency, "matrix", property(refuse))
+    g = hex_torus(6, 6)
+    qm = quotient(g, hex_two_level_partition(6, 6, "diag3"))
+    m = HillMap(exponent=6)
+    sg = small_gain(qm, m, solve_reduced(qm, m).class_values)
+    assert sg.rho_full == sg.rho_reduced > 0
 
 
-def test_m_matrix_diagnostic_rejects_negative_gains():
-    g = torus_mesh(4, 4)
-    with pytest.raises(BadOptions):
-        m_matrix_diagnostic(scaled_adjacency(g), np.full(g.n, -0.5))
+@pytest.mark.parametrize("g,pi,h", _pattern_cases())
+def test_m_matrix_ok_matches_leading_minors(g, pi, h):
+    m = HillMap(exponent=h)
+    qm = quotient(g, pi)
+    rep = stability_report(qm, m, solve_reduced(qm, m).class_values)
+    if rep.small_gain.rho_full < 1.0:
+        assert rep.m_matrix_ok == m_matrix_by_leading_minors(
+            g, rep.small_gain.gains.cell_gains)
+    else:
+        assert rep.m_matrix_ok is None
 
 
 # ---- combined report ----
