@@ -9,6 +9,7 @@ sits at zero frequency: the L2-gain equals the dc-gain |T'(z)| exactly.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,12 +107,19 @@ def dc_gain(m: HillMap, z: float) -> float:
 
 # ---- model file format: {"A": ..., "K": ..., "h": ..., "tau": ...} ----
 
+def _number_field(data: dict, key: str, default: float) -> float:
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise BadOptions(f"model field {key!r} must be a number")
+    return float(value)
+
+
 def model_from_dict(data: dict) -> HillMap:
     return HillMap(
-        amplitude=float(data.get("A", 2.0)),
-        threshold=float(data.get("K", 1.0)),
-        exponent=float(data.get("h", 6.0)),
-        tau=float(data.get("tau", 1.0)),
+        amplitude=_number_field(data, "A", 2.0),
+        threshold=_number_field(data, "K", 1.0),
+        exponent=_number_field(data, "h", 6.0),
+        tau=_number_field(data, "tau", 1.0),
     )
 
 

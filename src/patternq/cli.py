@@ -40,6 +40,9 @@ from .partitions import (
     quotient,
 )
 from .serialize import (
+    _field,
+    _is_real,
+    _list_of,
     _load_json,
     dumps_canonical,
     graph_to_dict,
@@ -233,7 +236,7 @@ def _stability_payload(qm, model, z, methods) -> dict:
 
 def _load_pattern_values(path: str) -> np.ndarray:
     data = _load_json(path, dict, "a JSON object with a 'z' field")
-    return np.asarray(data["z"], dtype=float)
+    return np.asarray(_field(data, "z", _list_of(_is_real), "a list of numbers"), dtype=float)
 
 
 def _cmd_stability(args) -> int:
@@ -249,8 +252,10 @@ def _cmd_stability(args) -> int:
 
 
 def _load_x0(path: str) -> np.ndarray:
-    return np.asarray(_load_json(path, list, "a JSON list with the initial state"),
-                      dtype=float)
+    x0 = _load_json(path, list, "a JSON list with the initial state")
+    if not _list_of(_is_real)(x0):
+        raise BadOptions(f"{path} must hold a JSON list of numbers")
+    return np.asarray(x0, dtype=float)
 
 
 def _perturb_direction(spec: str, n: int) -> np.ndarray:

@@ -2,10 +2,21 @@
 
 A two-sided test: the quotient's minimum eigenvalue must be negative enough
 that |T'(u*)| * lambda_min < -1 while the reduced graph is bipartite.  When
-certified, a nonhomogeneous root of z = Pbar T(z) is located by damped
-Newton iteration (with a monotone-flow integration fallback) from starts
-perturbed off the homogeneous state along the minimum eigenvector, and the
-class values are lifted to the full network.
+certified, nonhomogeneous roots of z = Pbar T(z) are located by damped
+Newton iteration from the two corners of [0, A]^r that the reduced
+2-coloring picks out (A on one side, 0 on the other), and the class values
+are lifted to the full network.
+
+Why the corners: flipping the sign of one side of the coloring makes the
+reduced flow z' = (-z + Pbar T(z)) / tau cooperative.  Every equilibrium
+lies in [0, A]^r (Pbar is row-stochastic and 0 < T <= A), and the two
+corners are the least and the greatest points of that box in the flipped
+order, so the flow from them converges to the least and the greatest
+equilibrium (H. L. Smith, Monotone Dynamical Systems, 1995).  Newton from
+the corners is accepted only when it returns two distinct nonhomogeneous
+roots that pass the residual test; otherwise the solver falls back to
+starts perturbed off the homogeneous state along the minimum eigenvector,
+riding the unstable flow off the saddle before polishing.
 """
 from __future__ import annotations
 
@@ -42,6 +53,8 @@ ASSUMPTION_FAILED = "ASSUMPTION_FAILED"
 
 _RESIDUAL_ACCEPT = 1e-10
 _NONHOM_REL = 1e-6
+# roots closer than this in max-norm count as one
+_DISTINCT = 1e-8
 # strict thresholds get a small guard band so boundary cases (condition
 # exactly -1 up to float noise) never certify
 _CONDITION_MARGIN = 1e-9
@@ -202,10 +215,22 @@ def solve_reduced(qm: QuotientModel, model: HillMap,
                   strategy: str = "newton", progress=None) -> ReducedSolution:
     """Find a nonhomogeneous root of the reduced equation.
 
-    Starts from u* 1 +- 0.1 u* v_min (both signs).  Under a CERTIFIED
-    verdict at least one start must land on a nonhomogeneous root; if both
-    collapse to the homogeneous state even after the flow fallback, the
-    contradiction is raised as OnlyHomogeneousFound rather than returned.
+    Strategy "newton" first runs Newton from the two coloring corners
+    (model.amplitude on one side of qm.reduced_coloring, 0 on the other),
+    the extremes of the cooperative order from which the reduced flow runs
+    to the extremal roots (see the module docstring).  When both corners
+    give nonhomogeneous roots that pass the residual test and differ by
+    more than 1e-8, those two are the candidates.  Otherwise, and always
+    for strategy "ode", the starts are u* 1 +- 0.1 u* v_min (both signs):
+    Newton from each, riding the reduced flow off the saddle when Newton
+    collapses to the homogeneous root ("newton"), or the flow alone
+    ("ode").  Under a CERTIFIED verdict at least one start must land on a
+    nonhomogeneous root; if both collapse to the homogeneous state even
+    after the flow fallback, the contradiction is raised as
+    OnlyHomogeneousFound rather than returned.  The pick is the candidate
+    that comes first in descending lexicographic order of its class
+    values; a second candidate more than 1e-8 away is returned as
+    alternate_class_values.
     Without certification the homogeneous solution is returned with a
     warning instead of an error.  `progress`, when given, is called as
     progress(phase, iteration) during long solves.
@@ -225,32 +250,44 @@ def solve_reduced(qm: QuotientModel, model: HillMap,
             warning=f"verdict {cert.verdict}: returning the homogeneous state",
         )
 
-    direction = cert.min_eigenvector.copy()
-    direction /= np.abs(direction).max()
-    starts = [np.clip(hom + sign * 0.1 * u_star * direction, 0.0, None)
-              for sign in (1.0, -1.0)]
-
     def is_nonhomogeneous(z: np.ndarray) -> bool:
         return float(z.max() - z.min()) > _NONHOM_REL * u_star
 
+    def accepted(root: np.ndarray | None) -> bool:
+        return (root is not None and is_nonhomogeneous(root)
+                and _reduced_residual(pbar, model, root) < _RESIDUAL_ACCEPT)
+
     found: list[np.ndarray] = []
-    for z0 in starts:
-        if strategy == "newton":
-            root = _newton_root(pbar, model, z0, progress=progress)
-            if root is None or not is_nonhomogeneous(root):
-                # the homogeneous root attracts Newton from small starts;
-                # ride the unstable flow off the saddle, then polish
+    if strategy == "newton":
+        # the extremes of the cooperative order; see the module docstring
+        corners = [np.zeros(qm.r), np.zeros(qm.r)]
+        for corner, side in zip(corners, qm.reduced_coloring):
+            corner[list(side)] = model.amplitude
+        roots = [_newton_root(pbar, model, z0, progress=progress) for z0 in corners]
+        if all(map(accepted, roots)) and np.abs(roots[0] - roots[1]).max() > _DISTINCT:
+            found = roots
+
+    if not found:
+        direction = cert.min_eigenvector.copy()
+        direction /= np.abs(direction).max()
+        starts = [np.clip(hom + sign * 0.1 * u_star * direction, 0.0, None)
+                  for sign in (1.0, -1.0)]
+        for z0 in starts:
+            if strategy == "newton":
+                root = _newton_root(pbar, model, z0, progress=progress)
+                if root is None or not is_nonhomogeneous(root):
+                    # the homogeneous root attracts Newton from small starts;
+                    # ride the unstable flow off the saddle, then polish
+                    _check_cooperative(pbar, model, u_star, qm.reduced_coloring)
+                    staged = _ode_root(pbar, model, z0, tol=1e-6, progress=progress)
+                    if staged is not None:
+                        polished = _newton_root(pbar, model, staged, progress=progress)
+                        root = polished if polished is not None else staged
+            else:
                 _check_cooperative(pbar, model, u_star, qm.reduced_coloring)
-                staged = _ode_root(pbar, model, z0, tol=1e-6, progress=progress)
-                if staged is not None:
-                    polished = _newton_root(pbar, model, staged, progress=progress)
-                    root = polished if polished is not None else staged
-        else:
-            _check_cooperative(pbar, model, u_star, qm.reduced_coloring)
-            root = _ode_root(pbar, model, z0, tol=1e-11, progress=progress)
-        if (root is not None and is_nonhomogeneous(root)
-                and _reduced_residual(pbar, model, root) < _RESIDUAL_ACCEPT):
-            found.append(root)
+                root = _ode_root(pbar, model, z0, tol=1e-11, progress=progress)
+            if accepted(root):
+                found.append(root)
     if not found:
         raise OnlyHomogeneousFound(
             "both solver starts converged to the homogeneous state despite a "
@@ -261,7 +298,7 @@ def solve_reduced(qm: QuotientModel, model: HillMap,
     best = found[0]
     alternate = None
     for z in found[1:]:
-        if np.abs(z - best).max() > 1e-8:
+        if np.abs(z - best).max() > _DISTINCT:
             alternate = z
             break
     return ReducedSolution(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import is_dataclass, asdict
 
 import numpy as np
@@ -110,6 +111,33 @@ def _load_json(path, kind: type, what: str):
     return data
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _list_of(ok):
+    """A check accepting a list whose items all pass ok."""
+    return lambda x: isinstance(x, (list, tuple)) and all(map(ok, x))
+
+
+def _is_edge(e) -> bool:
+    return (isinstance(e, (list, tuple)) and len(e) == 3
+            and _is_int(e[0]) and _is_int(e[1]) and _is_real(e[2]))
+
+
+def _field(data: dict, key: str, ok, what: str):
+    """data[key]; BadOptions unless ok accepts it, so a wrong field type is
+    a tagged input error rather than a TypeError deep in a constructor."""
+    value = data[key]
+    if not ok(value):
+        raise BadOptions(f"field {key!r} must be {what}")
+    return value
+
+
 # ---- graphs ----
 
 def graph_to_dict(g: WeightedGraph) -> dict:
@@ -117,7 +145,8 @@ def graph_to_dict(g: WeightedGraph) -> dict:
 
 
 def graph_from_dict(data: dict) -> WeightedGraph:
-    return build_graph(int(data["n"]), data["edges"])
+    return build_graph(int(_field(data, "n", _is_int, "an integer")),
+                       _field(data, "edges", _list_of(_is_edge), "a list of [i, j, w] triples"))
 
 
 def load_graph(path) -> WeightedGraph:
@@ -137,7 +166,8 @@ def partition_to_dict(pi: Partition) -> dict:
 
 
 def partition_from_dict(data: dict, n: int) -> Partition:
-    return make_partition(data["classes"], n)
+    return make_partition(_field(data, "classes", _list_of(_list_of(_is_int)),
+                                 "a list of vertex lists"), n)
 
 
 def load_partition(path, n: int) -> Partition:
@@ -152,4 +182,5 @@ def save_partition(pi: Partition, path) -> None:
 
 def load_perms(path) -> list[list[int]]:
     data = _load_json(path, dict, "a JSON object with 'perms'")
-    return [[int(x) for x in perm] for perm in data["perms"]]
+    perms = _field(data, "perms", _list_of(_list_of(_is_int)), "a list of vertex lists")
+    return [[int(x) for x in perm] for perm in perms]

@@ -233,6 +233,14 @@ def test_gen_missing_params_is_tagged_error(capsys):
     ["partition", "--gen", "torus_mesh:4,4", "--mode", "orbits", "--perms", "{string}"],
     ["simulate", "--gen", "torus_mesh:4,4", "--model", "{model}", "--x0", "{z_object}"],
     ["report", "--bundle", "{z_list}"],
+    ["simulate", "--gen", "torus_mesh:4,4", "--model", "{bad_model}"],
+    ["quotient", "--gen", "torus_mesh:4,4", "--partition", "{bad_classes}"],
+    ["stability", "--gen", "torus_mesh:4,4", "--partition", "{partition}",
+     "--model", "{model}", "--pattern", "{bad_z}"],
+    ["partition", "--gen", "torus_mesh:4,4", "--mode", "orbits", "--perms", "{bad_perms}"],
+    ["quotient", "--graph", "{bad_edges}", "--partition", "{partition}"],
+    ["quotient", "--graph", "{bad_n}", "--partition", "{partition}"],
+    ["simulate", "--gen", "torus_mesh:4,4", "--model", "{model}", "--x0", "{bad_x0}"],
 ])
 def test_malformed_input_is_tagged_error(tmp_path, model_h6, torus_bipartition, capsys,
                                          argv):
@@ -247,6 +255,14 @@ def test_malformed_input_is_tagged_error(tmp_path, model_h6, torus_bipartition, 
     files = {"model": model_h6, "partition": torus_bipartition,
              "empty": str(empty), "z_list": str(z_list), "string": str(string),
              "z_object": str(z_object)}
+    # right top-level type, wrong field type
+    for name, text in [("bad_model", '{"A": [1]}'), ("bad_classes", '{"classes": 5}'),
+                       ("bad_z", '{"z": {"a": 1}}'), ("bad_perms", '{"perms": 5}'),
+                       ("bad_edges", '{"n": 4, "edges": 3}'),
+                       ("bad_n", '{"n": [4], "edges": []}'), ("bad_x0", '[{"a": 1}]')]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(text + "\n")
+        files[name] = str(path)
     assert main([arg.format(**files) for arg in argv]) == 1
     assert "error [" in capsys.readouterr().err
 

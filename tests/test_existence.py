@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from patternq.cells import HillMap, dc_gain, fixed_point, t_prime
-from patternq.errors import DimensionMismatch, NotConnected
+from patternq import existence
+from patternq.errors import DimensionMismatch, NotConnected, OnlyHomogeneousFound
 from patternq.existence import (
     ASSUMPTION_FAILED,
     CERTIFIED,
@@ -246,6 +247,53 @@ def test_solver_progress_callback():
                         progress=lambda phase, k: phases.append(phase))
     assert not red.homogeneous
     assert "newton" in phases
+
+
+def _sweep_quotients():
+    g_t = torus_mesh(4, 4)
+    return [
+        quotient(buckyball(), buckyball_face_partition()),
+        quotient(hex_torus(6, 6), hex_two_level_partition(6, 6, "diag3")),
+        quotient(g_t, bipartition_partition(g_t)),
+        quotient(triangle_bridge(), make_partition([[2, 5], [0, 1, 3, 4, 6, 7]], 8)),
+    ]
+
+
+@pytest.mark.parametrize("factor", [1.05, 2.0])
+@pytest.mark.parametrize("case", range(4))
+def test_coloring_corners_need_no_flow(case, factor):
+    qm = _sweep_quotients()[case]
+    h_star = 2.0 / abs(certify(qm, HillMap()).min_eigenvalue)   # u* = 1, |T'(u*)| = h/2
+    phases = []
+    red = solve_reduced(qm, HillMap(exponent=factor * h_star),
+                        progress=lambda phase, k: phases.append(phase))
+    assert red.certificate.verdict == CERTIFIED
+    assert red.alternate_class_values is not None
+    assert "newton" in phases and "flow" not in phases
+
+
+def test_flow_fallback_when_corner_newton_fails(monkeypatch):
+    qm = _sweep_quotients()[0]
+    m = HillMap(exponent=6)
+    fast = solve_reduced(qm, m)
+    newton = existence._newton_root
+    calls = []
+
+    def corners_fail(*args, **kwargs):
+        calls.append(None)
+        return None if len(calls) <= 2 else newton(*args, **kwargs)
+
+    monkeypatch.setattr(existence, "_newton_root", corners_fail)
+    phases = []
+    slow = solve_reduced(qm, m, progress=lambda phase, k: phases.append(phase))
+    assert "flow" in phases
+    assert np.abs(slow.class_values - fast.class_values).max() < 1e-9
+    assert np.abs(slow.alternate_class_values - fast.alternate_class_values).max() < 1e-9
+
+    monkeypatch.setattr(existence, "_newton_root", lambda *args, **kwargs: None)
+    monkeypatch.setattr(existence, "_ode_root", lambda *args, **kwargs: None)
+    with pytest.raises(OnlyHomogeneousFound):
+        solve_reduced(qm, m)
 
 
 def test_dc_gain_consistent_with_solved_pattern():

@@ -1,20 +1,25 @@
-"""Property tests of the averaging operator, the simulation and the
-spectral, block and small-gain routines against independent oracles: the
-dense averaging matrix, dense-matrix RK4, characteristic-polynomial roots
-and coefficients, dense unsymmetric eigvals, and leading principal minors."""
+"""Property tests of the averaging operator, the simulation, the reduced
+solve and the spectral, block and small-gain routines against independent
+oracles: the dense averaging matrix, dense-matrix RK4, scipy's ODE
+integrator and root finder, characteristic-polynomial roots and
+coefficients, dense unsymmetric eigvals, and leading principal minors."""
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
+from scipy.optimize import fsolve
 
 from patternq.cells import HillMap, fixed_point, t_prime
-from patternq.existence import lift, solve_reduced
+from patternq.existence import CERTIFIED, lift, solve_reduced
 from patternq.graphs import (
     ScaledAdjacency,
     WeightedGraph,
     build_graph,
+    cycle_graph,
     scaled_adjacency,
     torus_mesh,
+    torus_shift_perm,
 )
 from patternq.partitions import (
     bipartition_partition,
@@ -229,3 +234,65 @@ def test_small_gain_radius_matches_dense_eigvals(case, data):
     sa = scaled_adjacency(g)
     dense = np.abs(np.linalg.eigvals(sa.matrix * sg.gains.cell_gains[None, :])).max()
     assert abs(sg.rho_full - dense) < 1e-10
+
+
+@st.composite
+def bipartite_rotation_quotients(draw):
+    """(graph, partition) with a bipartite reduced graph: an even cycle split
+    into the orbits of the rotation by an even divisor k (a reduced k-cycle),
+    or a torus split into the orbits of the translations by (a, 0) and
+    (0, b) for even divisors a, b (a reduced a x b torus)."""
+    def even_divisor(n):
+        return draw(st.sampled_from([k for k in range(2, n + 1, 2) if n % k == 0]))
+
+    if draw(st.booleans()):
+        n = draw(st.sampled_from(range(4, 25, 2)))
+        g = cycle_graph(n)
+        k = even_divisor(n)
+        return g, orbits_from_generators(g, [[(i + k) % n for i in range(n)]])
+    rows, cols = draw(st.sampled_from([2, 4, 6, 8])), draw(st.sampled_from([2, 4, 6, 8]))
+    g = torus_mesh(rows, cols)
+    a, b = even_divisor(rows), even_divisor(cols)
+    return g, orbits_from_generators(g, [torus_shift_perm(rows, cols, a, 0),
+                                         torus_shift_perm(rows, cols, 0, b)])
+
+
+def _flow_roots_oracle(pbar: np.ndarray, m: HillMap) -> list[np.ndarray]:
+    """Roots of z = Pbar T(z) reached by the reduced flow from
+    u* 1 +- 0.1 u* v_min, integrated to steady state by scipy and polished
+    by fsolve, with T written out here rather than taken from the library."""
+    def hill(z):
+        return m.amplitude / (1.0 + (np.maximum(z, 0.0) / m.threshold) ** m.exponent)
+
+    vals, vecs = np.linalg.eig(pbar)
+    v = vecs[:, np.argmin(vals.real)].real
+    v /= np.abs(v).max()
+    u_star = fixed_point(m).value
+    roots = []
+    for sign in (1.0, -1.0):
+        z0 = u_star * (1.0 + sign * 0.1 * v)
+        flow = solve_ivp(lambda t, z: (-z + pbar @ hill(z)) / m.tau, (0.0, 4000.0 * m.tau),
+                         z0, method="LSODA", rtol=1e-10, atol=1e-12)
+        roots.append(fsolve(lambda z: z - pbar @ hill(z), flow.y[:, -1], xtol=1e-14))
+    return roots
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=bipartite_rotation_quotients(), factor=st.floats(1.1, 3.0))
+def test_reduced_roots_match_flow_oracle(case, factor):
+    # the coloring corners and the flow off the saddle reach the same pair
+    # of extremal roots
+    g, pi = case
+    qm = quotient(g, pi)
+    assert qm.reduced_coloring is not None
+    lam = np.linalg.eigvals(qm.matrix).real.min()
+    m = HillMap(exponent=factor * 2.0 / abs(lam))       # u* = 1, |T'(u*)| = h/2
+    red = solve_reduced(qm, m)
+    assert red.certificate.verdict == CERTIFIED
+    ours = [red.class_values, red.alternate_class_values]
+    assert ours[1] is not None
+    oracle = _flow_roots_oracle(qm.matrix, m)
+    for a in ours:
+        assert min(np.abs(a - b).max() for b in oracle) < 1e-8
+    for b in oracle:
+        assert min(np.abs(a - b).max() for a in ours) < 1e-8
