@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import BadOptions, NegativeInput, NonpositiveOperatingPoint
 
-__all__ = ["HillMap", "FixedPoint", "t_eval", "t_prime", "fixed_point",
-           "cell_rhs", "dc_gain", "model_from_dict", "model_to_dict",
-           "load_model"]
+__all__ = ["HillMap", "FixedPoint", "t_eval", "t_prime", "max_slope",
+           "fixed_point", "cell_rhs", "dc_gain", "model_from_dict",
+           "model_to_dict", "load_model"]
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,16 @@ def t_prime(m: HillMap, u) -> float | np.ndarray:
     lead = (u / m.threshold) ** (m.exponent - 1.0)
     val = -(m.amplitude * m.exponent / m.threshold) * lead / (1.0 + s) ** 2
     return float(val) if val.ndim == 0 else val
+
+
+def max_slope(m: HillMap) -> float:
+    """L = max over u >= 0 of |T'(u)|.
+
+    With s = (u/K)^h, |T'| = (A h / K) s^((h-1)/h) / (1 + s)^2, which peaks
+    at s = (h-1)/(h+1); at h = 1 that is u = 0, where |T'| = A/K.
+    """
+    h = m.exponent
+    return float(-t_prime(m, m.threshold * ((h - 1.0) / (h + 1.0)) ** (1.0 / h)))
 
 
 @dataclass(frozen=True)

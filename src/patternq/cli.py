@@ -630,7 +630,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="vr | cell:<k> | random:<seed>")
     p.add_argument("--partition", help="needed for --perturb vr")
     p.add_argument("--eps", type=float, default=0.01)
-    p.add_argument("--step", type=float)
+    p.add_argument("--step", type=float,
+                   help="largest step of the adaptive integrator "
+                        "(default: the stability cap of the model)")
     p.add_argument("--max-time", type=float, dest="max_time")
     p.add_argument("--conv-tol", type=float, default=1e-9, dest="conv_tol")
     p.add_argument("--trace", help="write CSV trace here")

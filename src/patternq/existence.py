@@ -32,6 +32,7 @@ from .errors import (
     OnlyHomogeneousFound,
     PatternQError,
 )
+from .ode import settle
 from .partitions import QuotientModel
 from .spectral import eigen_reversible
 
@@ -58,6 +59,8 @@ _DISTINCT = 1e-8
 # strict thresholds get a small guard band so boundary cases (condition
 # exactly -1 up to float noise) never certify
 _CONDITION_MARGIN = 1e-9
+# model time, in units of tau, after which the reduced flow counts as stuck
+_FLOW_HORIZON = 1e5
 
 
 @dataclass(frozen=True)
@@ -188,27 +191,22 @@ def _check_cooperative(pbar: np.ndarray, model: HillMap, u_star: float,
 
 
 def _ode_root(pbar: np.ndarray, model: HillMap, z0: np.ndarray,
-              tol: float = 1e-11, max_steps: int = 10_000_000,
-              progress=None) -> np.ndarray | None:
+              tol: float = 1e-11, progress=None) -> np.ndarray | None:
     """Integrate the reduced flow z' = (-z + Pbar T(z)) / tau until the
-    derivative norm drops below tol; the limit is an equilibrium."""
-    h = 0.01 * model.tau
-    z = np.maximum(z0, 0.0)
+    derivative norm drops below tol; the limit is an equilibrium.  None when
+    1e5 tau of model time pass first."""
 
     def f(state: np.ndarray) -> np.ndarray:
-        return (-state + pbar @ t_eval(model, state)) / model.tau
+        return (-state + pbar @ t_eval(model, np.maximum(state, 0.0))) / model.tau
 
-    for step in range(max_steps):
-        if progress is not None and step % 5000 == 0:
-            progress("flow", step)
-        k1 = f(z)
-        if np.abs(k1).max() < tol:
-            return z
-        k2 = f(np.maximum(z + 0.5 * h * k1, 0.0))
-        k3 = f(np.maximum(z + 0.5 * h * k2, 0.0))
-        k4 = f(np.maximum(z + h * k3, 0.0))
-        z = np.maximum(z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), 0.0)
-    return None
+    def tick(k: int, t: float, z: np.ndarray) -> None:
+        if k % 5000 == 0:
+            progress("flow", k)
+
+    rest = settle(f, np.maximum(z0, 0.0), model, tol, _FLOW_HORIZON * model.tau,
+                  lambda t, z: np.maximum(z, 0.0),
+                  on_step=None if progress is None else tick)
+    return rest.state if rest.converged else None
 
 
 def solve_reduced(qm: QuotientModel, model: HillMap,

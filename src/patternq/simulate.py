@@ -2,13 +2,16 @@
 
 The network state obeys x' = (-x + T(P x)) / tau: every cell relaxes toward
 the inhibitory response to the weighted average of its neighbors' outputs.
-Fixed-step fourth-order integration is enough because the right-hand side
-is smooth and trajectories stay inside the box [0, A]^N.  integrate takes
-the averaging operator (a ScaledAdjacency, such as QuotientModel.operator)
-and computes P x as its O(m) edge-array product; no n x n matrix is built.
-verify_certificate takes the QuotientModel the certificate was made on.
-Each run logs its step count, model time, final derivative norm and
-convergence at INFO level on the "patternq.simulate" logger.
+integrate runs the adaptive Dormand-Prince 5(4) stepper of patternq.ode,
+whose step is capped below the stability limit that the bound L = max |T'|
+puts on the Jacobian's spectrum, so runs settle onto the equilibrium
+instead of hovering at the edge of stability; trajectories stay inside the
+box [0, A]^N.  integrate takes the averaging operator (a ScaledAdjacency,
+such as QuotientModel.operator) and computes P x as its O(m) edge-array
+product; no n x n matrix is built.  verify_certificate takes the
+QuotientModel the certificate was made on.  Each run logs its accepted and
+rejected step counts, model time, final derivative norm and convergence at
+INFO level on the "patternq.simulate" logger.
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ from .cells import HillMap, t_eval
 from .errors import BadOptions, NotConverged, StateOutOfBox
 from .existence import CERTIFIED, ExistenceCertificate, PatternSolution, certify
 from .graphs import ScaledAdjacency
+from .ode import settle, stable_step
 from .partitions import Partition, QuotientModel
 
 __all__ = [
@@ -45,25 +49,28 @@ _BOX_SLOP_REL = 1e-7
 
 @dataclass(frozen=True)
 class SimOptions:
-    """step and max_time default to 0.01 tau and 1e4 tau when left None."""
+    """step is the largest step the integrator may take (the stability cap
+    ode.stable_step(model) when None); max_time defaults to 1e4 tau."""
 
     step: float | None = None
     max_time: float | None = None
     conv_tol: float = 1e-9
 
-    def resolved(self, tau: float) -> tuple[float, float, float]:
-        step = 0.01 * tau if self.step is None else self.step
-        max_time = 1e4 * tau if self.max_time is None else self.max_time
-        if step <= 0 or max_time <= 0 or self.conv_tol <= 0:
-            raise BadOptions("step, max_time and conv_tol must be positive")
-        if step > max_time:
+    def resolved(self, model: HillMap) -> tuple[float, float, float]:
+        """(largest step, max_time, conv_tol), each finite and positive."""
+        step = stable_step(model) if self.step is None else self.step
+        max_time = 1e4 * model.tau if self.max_time is None else self.max_time
+        if not all(math.isfinite(v) and v > 0 for v in (step, max_time, self.conv_tol)):
+            raise BadOptions("step, max_time and conv_tol must be finite and positive")
+        if self.step is not None and step > max_time:
             raise BadOptions("step exceeds max_time")
         return step, max_time, self.conv_tol
 
 
 @dataclass(frozen=True)
 class SimulationTrace:
-    """Sampled trajectory; steps counts the RK4 steps taken."""
+    """Sampled trajectory; steps and rejected count the accepted and the
+    rejected Dormand-Prince steps."""
 
     times: np.ndarray
     states: np.ndarray
@@ -72,77 +79,73 @@ class SimulationTrace:
     converged: bool
     final_derivative_norm: float
     steps: int
+    rejected: int
 
 
 def integrate(sa: ScaledAdjacency, model: HillMap, x0,
               opts: SimOptions | None = None) -> SimulationTrace:
     """Integrate from x0 until the derivative norm drops below conv_tol.
 
-    Samples are thinned to at most 10^4 rows.  States leaving [0, A] by more
-    than float dust abort with StateOutOfBox (the exact flow never leaves
-    the box, so an escape means the step is too large); dust-level
-    excursions are clipped back.
+    Samples are thinned to at most 10^4 rows: whenever the buffer fills,
+    every other row is dropped and the sampling stride doubles.  States
+    leaving [0, A] by more than float dust abort with StateOutOfBox (the
+    exact flow never leaves the box, so an escape means the step is too
+    large); dust-level excursions are clipped back.
     """
     opts = opts or SimOptions()
-    step, max_time, conv_tol = opts.resolved(model.tau)
+    step, max_time, conv_tol = opts.resolved(model)
     amp = model.amplitude
     x = np.array(x0, dtype=float)
     if x.shape != (sa.n,):
         raise BadOptions(f"x0 must have {sa.n} entries, got shape {x.shape}")
-    if x.min() < 0 or x.max() > amp:
-        raise BadOptions(f"x0 must lie in [0, {amp}]")
+    if not np.all((x >= 0) & (x <= amp)):
+        raise BadOptions(f"x0 must be finite and lie in [0, {amp}]")
 
     def rhs(state: np.ndarray) -> np.ndarray:
         # intermediate stage states may poke below zero with large steps;
         # the neighbor average of nonnegative outputs never does
         return (-state + t_eval(model, np.maximum(sa.matvec(state), 0.0))) / model.tau
 
-    n_steps = int(math.ceil(max_time / step))
-    stride = max(1, int(math.ceil((n_steps + 1) / (_MAX_SAMPLES - 1))))
     slop = _BOX_SLOP_REL * amp
 
-    times = [0.0]
-    states = [x.copy()]
-    t = 0.0
-    steps = 0
-    converged = False
-    deriv = rhs(x)
-    deriv_norm = float(np.abs(deriv).max())
-    for k in range(1, n_steps + 1):
-        if deriv_norm < conv_tol:
-            converged = True
-            break
-        k1 = deriv
-        k2 = rhs(x + 0.5 * step * k1)
-        k3 = rhs(x + 0.5 * step * k2)
-        k4 = rhs(x + step * k3)
-        x = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = k * step
-        steps = k
-        if x.min() < -slop or x.max() > amp + slop:
+    def into_box(t: float, state: np.ndarray) -> np.ndarray:
+        if state.min() < -slop or state.max() > amp + slop:
             raise StateOutOfBox(
                 f"state left [0, {amp}] at t={t:.3f}; reduce the step size")
-        np.clip(x, 0.0, amp, out=x)
-        deriv = rhs(x)
-        deriv_norm = float(np.abs(deriv).max())
-        if k % stride == 0:
-            times.append(t)
-            states.append(x.copy())
-    else:
-        converged = deriv_norm < conv_tol
-    if times[-1] != t:
+        return np.clip(state, 0.0, amp)
+
+    times: list[float] = []
+    states: list[np.ndarray] = []
+    stride = 1
+
+    def sample(k: int, t: float, state: np.ndarray) -> None:
+        nonlocal times, states, stride
+        if k % stride:
+            return
+        if len(times) == _MAX_SAMPLES - 1:
+            # keep room for the final state
+            times, states, stride = times[::2], states[::2], 2 * stride
+            if k % stride:
+                return
         times.append(t)
-        states.append(x.copy())
-    LOG.info("%d RK4 steps, model time %.6g, final derivative norm %.3e, "
-             "converged %s", steps, t, deriv_norm, converged)
+        states.append(state)
+
+    rest = settle(rhs, x, model, conv_tol, max_time, into_box, step, sample)
+    if times[-1] != rest.time:
+        times.append(rest.time)
+        states.append(rest.state)
+    LOG.info("%d steps, %d rejected, model time %.6g, final derivative norm "
+             "%.3e, converged %s", rest.steps, rest.rejected, rest.time,
+             rest.derivative_norm, rest.converged)
     return SimulationTrace(
         times=np.array(times),
         states=np.array(states),
-        final_state=x.copy(),
-        final_time=t,
-        converged=converged,
-        final_derivative_norm=deriv_norm,
-        steps=steps,
+        final_state=rest.state.copy(),
+        final_time=rest.time,
+        converged=rest.converged,
+        final_derivative_norm=rest.derivative_norm,
+        steps=rest.steps,
+        rejected=rest.rejected,
     )
 
 

@@ -4,13 +4,11 @@ Everything here deliberately avoids the library's own solution paths:
 eigenvalues come from characteristic-polynomial companion roots, Perron
 roots from power iteration, the M-matrix property from leading principal
 minors, reduced roots from 1-D
-bisection on composed maps, coarsest refinements from full partition
-enumeration, and network trajectories from RK4 on the dense averaging
-matrix.
+bisection on composed maps, and coarsest refinements from full partition
+enumeration.  Network trajectories are checked against scipy's DOP853 on
+the dense averaging matrix in test_properties.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -231,35 +229,3 @@ def random_connected_graph(rng: np.random.Generator, n: int,
     if weighted:
         edges = {k: float(np.round(rng.uniform(*weight_range), 3)) for k in edges}
     return build_graph(n, [(i, j, w) for (i, j), w in edges.items()])
-
-
-def integrate_dense(g: WeightedGraph, model: HillMap, x0, step: float,
-                    max_time: float, conv_tol: float,
-                    ) -> tuple[int, bool, np.ndarray]:
-    """(steps, converged, final state) of fixed-step RK4 on the dense
-    averaging matrix weight_matrix() / d, with the stopping rule, box check
-    and clipping of simulate.integrate."""
-    w = g.weight_matrix()
-    p = w / w.sum(axis=1)[:, None]
-    amp = model.amplitude
-    slop = 1e-7 * amp
-
-    def rhs(state: np.ndarray) -> np.ndarray:
-        return (-state + t_eval(model, np.maximum(p @ state, 0.0))) / model.tau
-
-    x = np.array(x0, dtype=float)
-    deriv = rhs(x)
-    steps = 0
-    for k in range(1, int(math.ceil(max_time / step)) + 1):
-        if np.abs(deriv).max() < conv_tol:
-            break
-        k1 = deriv
-        k2 = rhs(x + 0.5 * step * k1)
-        k3 = rhs(x + 0.5 * step * k2)
-        k4 = rhs(x + step * k3)
-        x = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        assert -slop <= x.min() and x.max() <= amp + slop, "state left the box"
-        np.clip(x, 0.0, amp, out=x)
-        deriv = rhs(x)
-        steps = k
-    return steps, bool(np.abs(deriv).max() < conv_tol), x

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -136,6 +137,20 @@ def test_simulate_single_cell_perturbation(tmp_path, torus_graph, model_h6):
     assert main(["simulate", "--graph", torus_graph, "--model", model_h6,
                  "--perturb", "cell:3", "--eps", "0.02", "-o", str(out)]) == 0
     assert json.loads(out.read_text())["converged"] is True
+
+
+def test_simulate_vr_settles_on_the_128x128_checkerboard(tmp_path, model_h6):
+    side = 128
+    classes = [[v for v in range(side * side) if (v // side + v % side) % 2 == parity]
+               for parity in (0, 1)]
+    part = tmp_path / "p.json"
+    part.write_text(json.dumps({"classes": classes}))
+    out = tmp_path / "sim.json"
+    assert main(["simulate", "--gen", f"torus_mesh:{side},{side}", "--model", model_h6,
+                 "--partition", str(part), "--perturb", "vr", "-o", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["converged"] is True
+    assert sorted(data["groups"]) == classes
 
 
 def test_analyze_exit_codes(tmp_path, model_h6, model_h4):
@@ -386,6 +401,21 @@ def test_analyze_zero_class_gain_certifies(tmp_path):
     assert sg["rho_reduced"] == 0 and sg["verdict"] == "CERTIFIED_STABLE"
 
 
+@pytest.mark.parametrize("extra", [
+    ["--x0", "{nan_x0}"],
+    ["--conv-tol", "nan"],
+    ["--step", "nan"],
+    ["--max-time", "nan"],
+])
+def test_non_finite_simulation_input_is_tagged_error(tmp_path, model_h6, capsys, extra):
+    nan_x0 = tmp_path / "x0.json"
+    nan_x0.write_text("[NaN" + ", 1.0" * 15 + "]")
+    argv = ["simulate", "--gen", "torus_mesh:4,4", "--model", model_h6]
+    assert main(argv + [a.format(nan_x0=nan_x0) for a in extra]) == 1
+    err = capsys.readouterr().err
+    assert "error [simulate]" in err and "finite" in err
+
+
 @pytest.mark.parametrize("command", [
     ["simulate", "--gen", "torus_mesh:4,4", "--perturb", "random:3"],
     ["analyze", "--gen", "torus_mesh:4,4", "--auto-bipartite", "--simulate"],
@@ -397,6 +427,11 @@ def test_simulation_logs_one_info_line(tmp_path, model_h6, caplog, command):
     records = [r for r in caplog.records if r.levelno == logging.INFO]
     assert len(records) == 1 and records[0].name == "patternq.simulate"
     line = records[0].getMessage()
-    assert line.endswith("converged True")
-    steps = int(line.split()[0])
-    assert steps > 0 and f"RK4 steps, model time {steps * 0.01:.6g}," in line
+    fields = re.fullmatch(r"(\d+) steps, (\d+) rejected, model time (\S+), "
+                          r"final derivative norm (\S+), converged True", line)
+    assert fields is not None, line
+    assert int(fields[1]) > 0
+    if command[0] == "simulate":
+        summary = json.loads(out.read_text())
+        assert fields[3] == f"{summary['final_time']:.6g}"
+        assert fields[4] == f"{summary['final_derivative_norm']:.3e}"

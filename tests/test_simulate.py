@@ -12,6 +12,7 @@ from patternq.partitions import (
     quotient,
 )
 from patternq.graphs import hex_torus
+from patternq import simulate
 from patternq.simulate import (
     SimOptions,
     classify,
@@ -67,13 +68,23 @@ def test_trajectories_stay_in_the_box():
     assert trace.states.max() <= m.amplitude
 
 
-def test_blowup_raises_state_out_of_box():
+def test_blowup_raises_state_out_of_box(monkeypatch):
+    # a response far above A drives the state out of the box within a step
     g = torus_mesh(4, 4)
     m = HillMap(exponent=6)
-    rng = np.random.default_rng(3)
-    x0 = rng.uniform(0.2, 1.8, size=g.n)
+    monkeypatch.setattr(simulate, "t_eval", lambda model, u: np.full(len(u), 10.0))
+    x0 = np.random.default_rng(3).uniform(0.2, 1.8, size=g.n)
     with pytest.raises(StateOutOfBox):
-        integrate(scaled_adjacency(g), m, x0, SimOptions(step=40.0, max_time=400.0))
+        integrate(scaled_adjacency(g), m, x0)
+
+
+def test_large_step_cap_still_converges_in_the_box():
+    g = torus_mesh(4, 4)
+    m = HillMap(exponent=6)
+    x0 = np.random.default_rng(3).uniform(0.2, 1.8, size=g.n)
+    trace = integrate(scaled_adjacency(g), m, x0, SimOptions(step=40.0, max_time=400.0))
+    assert trace.converged
+    assert trace.states.min() >= 0.0 and trace.states.max() <= m.amplitude
 
 
 def test_integrate_validates_inputs():
@@ -87,6 +98,19 @@ def test_integrate_validates_inputs():
         integrate(scaled_adjacency(g), m, np.ones(g.n), SimOptions(step=-1.0))
     with pytest.raises(BadOptions):
         integrate(scaled_adjacency(g), m, np.ones(g.n), SimOptions(step=2.0, max_time=1.0))
+
+
+@pytest.mark.parametrize("x0,opts", [
+    ([np.nan] + [1.0] * 15, SimOptions()),
+    ([1.0] * 16, SimOptions(conv_tol=float("nan"))),
+    ([1.0] * 16, SimOptions(step=float("nan"))),
+    ([1.0] * 16, SimOptions(max_time=float("nan"))),
+    ([1.0] * 16, SimOptions(max_time=float("inf"))),
+])
+def test_integrate_rejects_non_finite_inputs(x0, opts):
+    g = torus_mesh(4, 4)
+    with pytest.raises(BadOptions, match="finite"):
+        integrate(scaled_adjacency(g), HillMap(), np.array(x0), opts)
 
 
 def test_sample_thinning_caps_rows():
