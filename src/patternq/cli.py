@@ -35,7 +35,6 @@ from .partitions import (
     QuotientModel,
     bipartition_partition,
     coarsest_equitable_refinement,
-    is_equitable,
     orbits_from_generators,
     quotient,
 )
@@ -156,9 +155,7 @@ def _cmd_partition(args) -> int:
     except _StageFailure as exc:
         if not isinstance(exc.cause, NotEquitable):
             raise
-        # NotEquitable carries the witness only as text; the check returns it
-        check = _run_stage("partition", is_equitable, g, pi)
-        out.update(equitable=False, witness=list(check.witness))
+        out.update(equitable=False, witness=list(exc.cause.witness))
     else:
         out.update(equitable=True, witness=None)
         out.update(_run_stage("quotient", _quotient_report, qm))
@@ -176,9 +173,9 @@ def _cmd_quotient(args) -> int:
     return 0
 
 
-def _exist_payload(qm: QuotientModel, model: HillMap, strategy: str,
+def _exist_payload(qm: QuotientModel, model: HillMap
                    ) -> tuple[dict, ExistenceCertificate, PatternSolution]:
-    red = _run_stage("solve", solve_reduced, qm, model, strategy)
+    red = _run_stage("solve", solve_reduced, qm, model)
     cert = red.certificate
     pattern = _run_stage("lift", lift, qm, red.class_values, model)
     payload = {
@@ -206,7 +203,7 @@ def _cmd_exist(args) -> int:
     pi = _run_stage("load", load_partition, args.partition, g.n)
     model = _run_stage("load", load_model, args.model)
     qm = _run_stage("quotient", quotient, g, pi)
-    payload, _, _ = _exist_payload(qm, model, args.strategy)
+    payload, _, _ = _exist_payload(qm, model)
     _write_json(payload, args.out)
     return 0
 
@@ -430,7 +427,7 @@ def _cmd_analyze(args) -> int:
     quot_sec = _seal({"data": quot, "upstream": {
         "graph": graph_sec["sha256"], "partition": part_sec["sha256"]}})
 
-    payload, cert, pattern = _exist_payload(qm, model, args.strategy)
+    payload, cert, pattern = _exist_payload(qm, model)
     cert_keys = ("verdict", "lambda_r", "lambda_r_multiplicity", "u_star",
                  "slope_at_u_star", "condition_value", "reduced_bipartite")
     cert_sec = _seal({"data": {k: payload[k] for k in cert_keys},
@@ -608,7 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p)
     p.add_argument("--partition", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--strategy", default="newton", choices=["newton", "ode"])
     p.add_argument("--out", "-o")
     p.set_defaults(func=_cmd_exist)
 
@@ -656,7 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
     part.add_argument("--auto-refine", action="store_true", dest="auto_refine")
     part.add_argument("--orbit-perms", dest="orbit_perms")
     p.add_argument("--model", required=True)
-    p.add_argument("--strategy", default="newton", choices=["newton", "ode"])
     p.add_argument("--simulate", action="store_true")
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--out", "-o")

@@ -46,7 +46,12 @@ class PartitionMismatch(PatternQError):
 
 
 class NotEquitable(PatternQError):
-    pass
+    """An inequitable partition, with the failed check's witness
+    (class_i, class_j, vertex_u, vertex_v, sum_u, sum_v)."""
+
+    def __init__(self, message: str, witness: tuple):
+        super().__init__(message)
+        self.witness = witness
 
 
 class NotPermutation(PatternQError):

@@ -2,21 +2,28 @@
 
 A two-sided test: the quotient's minimum eigenvalue must be negative enough
 that |T'(u*)| * lambda_min < -1 while the reduced graph is bipartite.  When
-certified, nonhomogeneous roots of z = Pbar T(z) are located by damped
-Newton iteration from the two corners of [0, A]^r that the reduced
-2-coloring picks out (A on one side, 0 on the other), and the class values
-are lifted to the full network.
+certified, nonhomogeneous roots of z = Pbar T(z) are located from the two
+corners of [0, A]^r that the reduced 2-coloring picks out (A on one side, 0
+on the other), and the class values are lifted to the full network.
 
-Why the corners: flipping the sign of one side of the coloring makes the
-reduced flow z' = (-z + Pbar T(z)) / tau cooperative.  Every equilibrium
-lies in [0, A]^r (Pbar is row-stochastic and 0 < T <= A), and the two
-corners are the least and the greatest points of that box in the flipped
-order, so the flow from them converges to the least and the greatest
-equilibrium (H. L. Smith, Monotone Dynamical Systems, 1995).  Newton from
-the corners is accepted only when it returns two distinct nonhomogeneous
-roots that pass the residual test; otherwise the solver falls back to
-starts perturbed off the homogeneous state along the minimum eigenvector,
-riding the unstable flow off the saddle before polishing.
+Why the corners: flip the sign of one side of the coloring.  quotient()
+2-colors every class pair with a nonzero Pbar entry and T' <= 0 on
+[0, inf), so every off-diagonal entry of the flipped Jacobian
+S (-I + Pbar diag T'(z)) S is >= 0 at every z in the box: the reduced flow
+z' = (-z + Pbar T(z)) / tau is cooperative.  Every equilibrium lies in
+[0, A]^r (Pbar is row-stochastic and 0 < T <= A), and the two corners are
+the least and the greatest points of that box in the flipped order, so the
+flow from them converges to the least and the greatest equilibrium
+(H. L. Smith, Monotone Dynamical Systems, 1995).
+
+Why those limits are patterns: under CERTIFIED the reduced graph is
+connected (certify raises NotConnected otherwise) and T'(u*) < 0, so the
+flipped Jacobian at u* 1 is an irreducible Metzler matrix.  Its Perron
+eigenvalue -1 + |T'(u*)| |lambda_min| is positive and has a positive
+eigenvector, so the homogeneous state is unstable along a direction that
+points into each corner's side of u* 1, and the flow from each corner ends
+strictly on its own side: the two limits are nonhomogeneous and distinct.
+OnlyHomogeneousFound is the loud failure for when the numerics disagree.
 """
 from __future__ import annotations
 
@@ -25,13 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import HillMap, fixed_point, t_eval, t_prime
-from .errors import (
-    BadOptions,
-    DimensionMismatch,
-    NotConnected,
-    OnlyHomogeneousFound,
-    PatternQError,
-)
+from .errors import DimensionMismatch, NotConnected, OnlyHomogeneousFound
 from .ode import settle
 from .partitions import QuotientModel
 from .spectral import eigen_reversible
@@ -135,7 +136,6 @@ class PatternSolution:
     residual_reduced: float
     residual_full: float
     homogeneous: bool
-    warning: str | None = None
 
 
 def _reduced_residual(pbar: np.ndarray, model: HillMap, z: np.ndarray) -> float:
@@ -174,24 +174,8 @@ def _newton_root(pbar: np.ndarray, model: HillMap, z0: np.ndarray,
     return z if res < tol * 100 else None
 
 
-def _check_cooperative(pbar: np.ndarray, model: HillMap, u_star: float,
-                       coloring) -> None:
-    """The sign-flipped linearization must have nonnegative off-diagonals
-    before the monotone-flow route may be trusted."""
-    r = pbar.shape[0]
-    signs = np.ones(r)
-    for k in coloring[1]:
-        signs[k] = -1.0
-    jac = -np.eye(r) + float(t_prime(model, u_star)) * pbar
-    flipped = signs[:, None] * jac * signs[None, :]
-    off = flipped - np.diag(np.diag(flipped))
-    if off.min() < -1e-12:
-        raise PatternQError(
-            f"flow is not cooperative after the sign flip (min off-diag {off.min():.2e})")
-
-
-def _ode_root(pbar: np.ndarray, model: HillMap, z0: np.ndarray,
-              tol: float = 1e-11, progress=None) -> np.ndarray | None:
+def _ode_root(pbar: np.ndarray, model: HillMap, z0: np.ndarray, tol: float,
+              progress=None) -> np.ndarray | None:
     """Integrate the reduced flow z' = (-z + Pbar T(z)) / tau until the
     derivative norm drops below tol; the limit is an equilibrium.  None when
     1e5 tau of model time pass first."""
@@ -209,32 +193,27 @@ def _ode_root(pbar: np.ndarray, model: HillMap, z0: np.ndarray,
     return rest.state if rest.converged else None
 
 
-def solve_reduced(qm: QuotientModel, model: HillMap,
-                  strategy: str = "newton", progress=None) -> ReducedSolution:
+def solve_reduced(qm: QuotientModel, model: HillMap, *, progress=None) -> ReducedSolution:
     """Find a nonhomogeneous root of the reduced equation.
 
-    Strategy "newton" first runs Newton from the two coloring corners
-    (model.amplitude on one side of qm.reduced_coloring, 0 on the other),
-    the extremes of the cooperative order from which the reduced flow runs
-    to the extremal roots (see the module docstring).  When both corners
-    give nonhomogeneous roots that pass the residual test and differ by
-    more than 1e-8, those two are the candidates.  Otherwise, and always
-    for strategy "ode", the starts are u* 1 +- 0.1 u* v_min (both signs):
-    Newton from each, riding the reduced flow off the saddle when Newton
-    collapses to the homogeneous root ("newton"), or the flow alone
-    ("ode").  Under a CERTIFIED verdict at least one start must land on a
-    nonhomogeneous root; if both collapse to the homogeneous state even
-    after the flow fallback, the contradiction is raised as
+    Both solves start from the two coloring corners (model.amplitude on one
+    side of qm.reduced_coloring, 0 on the other), the extremes of the
+    cooperative order from which the reduced flow runs to the extremal
+    roots (see the module docstring).  Newton from the corners is accepted
+    when both roots are nonhomogeneous, pass the residual test and differ
+    by more than 1e-8.  Otherwise the reduced flow is integrated from each
+    corner and its limit polished by Newton; the polished roots that pass
+    the same tests are the candidates.  Under a CERTIFIED verdict at least
+    one must survive; if none does, the contradiction is raised as
     OnlyHomogeneousFound rather than returned.  The pick is the candidate
     that comes first in descending lexicographic order of its class
     values; a second candidate more than 1e-8 away is returned as
     alternate_class_values.
     Without certification the homogeneous solution is returned with a
     warning instead of an error.  `progress`, when given, is called as
-    progress(phase, iteration) during long solves.
+    progress(phase, iteration) with phase "newton" per Newton iteration and
+    "flow" every 5000 flow steps.
     """
-    if strategy not in ("newton", "ode"):
-        raise BadOptions(f"unknown strategy {strategy!r}")
     cert = certify(qm, model)
     pbar = qm.matrix
     u_star = cert.fixed_point_value
@@ -255,41 +234,25 @@ def solve_reduced(qm: QuotientModel, model: HillMap,
         return (root is not None and is_nonhomogeneous(root)
                 and _reduced_residual(pbar, model, root) < _RESIDUAL_ACCEPT)
 
-    found: list[np.ndarray] = []
-    if strategy == "newton":
-        # the extremes of the cooperative order; see the module docstring
-        corners = [np.zeros(qm.r), np.zeros(qm.r)]
-        for corner, side in zip(corners, qm.reduced_coloring):
-            corner[list(side)] = model.amplitude
-        roots = [_newton_root(pbar, model, z0, progress=progress) for z0 in corners]
-        if all(map(accepted, roots)) and np.abs(roots[0] - roots[1]).max() > _DISTINCT:
-            found = roots
-
-    if not found:
-        direction = cert.min_eigenvector.copy()
-        direction /= np.abs(direction).max()
-        starts = [np.clip(hom + sign * 0.1 * u_star * direction, 0.0, None)
-                  for sign in (1.0, -1.0)]
-        for z0 in starts:
-            if strategy == "newton":
-                root = _newton_root(pbar, model, z0, progress=progress)
-                if root is None or not is_nonhomogeneous(root):
-                    # the homogeneous root attracts Newton from small starts;
-                    # ride the unstable flow off the saddle, then polish
-                    _check_cooperative(pbar, model, u_star, qm.reduced_coloring)
-                    staged = _ode_root(pbar, model, z0, tol=1e-6, progress=progress)
-                    if staged is not None:
-                        polished = _newton_root(pbar, model, staged, progress=progress)
-                        root = polished if polished is not None else staged
-            else:
-                _check_cooperative(pbar, model, u_star, qm.reduced_coloring)
-                root = _ode_root(pbar, model, z0, tol=1e-11, progress=progress)
+    # the extremes of the cooperative order; see the module docstring
+    corners = [np.zeros(qm.r), np.zeros(qm.r)]
+    for corner, side in zip(corners, qm.reduced_coloring):
+        corner[list(side)] = model.amplitude
+    found = [_newton_root(pbar, model, z0, progress=progress) for z0 in corners]
+    if not (all(map(accepted, found)) and np.abs(found[0] - found[1]).max() > _DISTINCT):
+        # Newton strayed from a corner; the flow from each corner runs to
+        # its extremal root, so polish the flow's limit instead
+        found = []
+        for z0 in corners:
+            staged = _ode_root(pbar, model, z0, tol=1e-6, progress=progress)
+            root = None if staged is None else _newton_root(pbar, model, staged,
+                                                            progress=progress)
             if accepted(root):
                 found.append(root)
     if not found:
         raise OnlyHomogeneousFound(
-            "both solver starts converged to the homogeneous state despite a "
-            "CERTIFIED eigenvalue condition")
+            "the flow from both coloring corners reached no accepted "
+            "nonhomogeneous root despite a CERTIFIED eigenvalue condition")
 
     # deterministic pick: largest first entry under the partition's class order
     found.sort(key=lambda z: tuple(-z))

@@ -75,13 +75,6 @@ class WeightedGraph:
             d[j] += wt
         return d
 
-    def neighbor_lists(self) -> list[list[int]]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j, _ in self.edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        return nbrs
-
 
 @dataclass(frozen=True)
 class ScaledAdjacency:
@@ -170,21 +163,40 @@ def scaled_adjacency(g: WeightedGraph) -> ScaledAdjacency:
                            weights=np.concatenate([w, w])[order] / d[rows], degrees=d)
 
 
+def _two_coloring(n: int, edges):
+    """2-color the graph on n vertices with (i, j, ...) edges and tell
+    whether it is connected.
+
+    The coloring is None if an odd cycle exists.  The lowest vertex of each
+    component lands on side 0, so a single vertex is trivially 2-colorable.
+    """
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for a, b, *_ in edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    color = [-1] * n
+    bipartite, components = True, 0
+    for start in range(n):
+        if color[start] != -1:
+            continue
+        components += 1
+        color[start] = 0
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in nbrs[u]:
+                if color[v] == -1:
+                    color[v] = 1 - color[u]
+                    stack.append(v)
+                elif color[v] == color[u]:
+                    bipartite = False
+    sides = tuple(tuple(k for k in range(n) if color[k] == side) for side in (0, 1))
+    return (sides if bipartite else None), components == 1
+
+
 def is_connected(g: WeightedGraph) -> bool:
-    """True iff a breadth-first search from vertex 0 reaches every vertex."""
-    nbrs = g.neighbor_lists()
-    seen = [False] * g.n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in nbrs[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count == g.n
+    """True iff the graph has a single connected component."""
+    return _two_coloring(g.n, g.edges)[1]
 
 
 def bipartition(g: WeightedGraph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -193,23 +205,10 @@ def bipartition(g: WeightedGraph) -> tuple[tuple[int, ...], tuple[int, ...]] | N
     The first returned class contains vertex 0.  Raises NotConnected on
     disconnected input.
     """
-    if not is_connected(g):
+    sides, connected = _two_coloring(g.n, g.edges)
+    if not connected:
         raise NotConnected("bipartition requires a connected graph")
-    color = [-1] * g.n
-    nbrs = g.neighbor_lists()
-    color[0] = 0
-    queue = [0]
-    while queue:
-        u = queue.pop()
-        for v in nbrs[u]:
-            if color[v] == -1:
-                color[v] = 1 - color[u]
-                queue.append(v)
-            elif color[v] == color[u]:
-                return None
-    side0 = tuple(v for v in range(g.n) if color[v] == 0)
-    side1 = tuple(v for v in range(g.n) if color[v] == 1)
-    return side0, side1
+    return sides
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .errors import (
     PartitionMismatch,
     SingularTransform,
 )
-from .graphs import ScaledAdjacency, WeightedGraph, bipartition, scaled_adjacency
+from .graphs import ScaledAdjacency, WeightedGraph, _two_coloring, bipartition, scaled_adjacency
 from .spectral import _symmetrize
 
 __all__ = [
@@ -169,36 +169,6 @@ def _class_sums_checked(sa: ScaledAdjacency, pi: Partition,
     return sums, EquitabilityCheck(ok=True)
 
 
-def _two_coloring(r: int, edges: list[tuple[int, int]]):
-    """2-color a simple graph on r vertices and tell whether it is connected.
-
-    The coloring is None if an odd cycle exists.  Isolated vertices land on
-    side 0, so a single class is trivially 2-colorable.
-    """
-    nbrs: list[list[int]] = [[] for _ in range(r)]
-    for a, b in edges:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    color = [-1] * r
-    bipartite, components = True, 0
-    for start in range(r):
-        if color[start] != -1:
-            continue
-        components += 1
-        color[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in nbrs[u]:
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    stack.append(v)
-                elif color[v] == color[u]:
-                    bipartite = False
-    sides = tuple(tuple(k for k in range(r) if color[k] == side) for side in (0, 1))
-    return (sides if bipartite else None), components == 1
-
-
 @dataclass(frozen=True)
 class QuotientModel:
     """Quotient matrix of an equitable partition plus its reduced graph.
@@ -233,7 +203,8 @@ def quotient(g: WeightedGraph, pi: Partition) -> QuotientModel:
     sa = scaled_adjacency(g)
     sums, check = _class_sums_checked(sa, pi, _EQ_TOL)
     if not check.ok:
-        raise NotEquitable(f"partition is not equitable: witness {check.witness}")
+        raise NotEquitable(f"partition is not equitable: witness {check.witness}",
+                           check.witness)
     reps = [cls[0] for cls in pi.classes]
     pbar = sums[reps, :]
     dbar = np.array([sa.degrees[list(cls)].sum() for cls in pi.classes])

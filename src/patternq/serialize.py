@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
-from dataclasses import is_dataclass, asdict
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .graphs import WeightedGraph, build_graph
 from .partitions import Partition, make_partition
 
 __all__ = [
-    "to_jsonable",
     "dumps_canonical",
     "sha256_of",
     "graph_to_dict",
@@ -37,26 +35,13 @@ __all__ = [
 ]
 
 
-def to_jsonable(obj):
-    """Convert numpy containers and dataclasses into plain JSON types."""
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return to_jsonable(asdict(obj))
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(x) for x in obj]
-    return obj
-
-
 def _emit(obj, parts: list[str]) -> None:
+    """Append the canonical JSON of obj; numpy arrays and scalars become
+    their plain Python values and dict keys are written as str(key)."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    elif isinstance(obj, np.generic):
+        obj = obj.item()
     if obj is None:
         parts.append("null")
     elif obj is True:
@@ -73,7 +58,7 @@ def _emit(obj, parts: list[str]) -> None:
         parts.append(json.dumps(obj, ensure_ascii=True))
     elif isinstance(obj, dict):
         parts.append("{")
-        for i, key in enumerate(sorted(obj)):
+        for i, key in enumerate(sorted(obj, key=str)):
             if i:
                 parts.append(",")
             parts.append(json.dumps(str(key), ensure_ascii=True))
@@ -94,7 +79,7 @@ def _emit(obj, parts: list[str]) -> None:
 def dumps_canonical(obj) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits."""
     parts: list[str] = []
-    _emit(to_jsonable(obj), parts)
+    _emit(obj, parts)
     return "".join(parts)
 
 

@@ -226,6 +226,12 @@ def verify_certificate(qm: QuotientModel, model: HillMap,
 
     A failure to match is reported, never raised: nothing guarantees the
     chosen start lies in the predicted pattern's basin.
+
+    The start is constant on each class, and equitability keeps the flow in
+    that class-constant subspace, so the check cannot see a transverse
+    instability: on the buckyball faces at h = 6 it reports a match for a
+    pattern whose full Jacobian is unstable.  Stability is decided by the
+    stability routes, not here.
     """
     cert = certificate or certify(qm, model)
     exploratory = cert.verdict != CERTIFIED

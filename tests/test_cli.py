@@ -192,6 +192,20 @@ def test_bundle_determinism_modulo_timestamp(tmp_path, model_h6):
     assert dumps_canonical(d1) == dumps_canonical(d2)
 
 
+def test_bundle_input_sections_keep_their_hashes(tmp_path, model_h6):
+    # the graph, model and partition sections hold no computed floats, so
+    # their hashes pin the canonical encoder byte for byte
+    bundle = tmp_path / "b.json"
+    assert main(["analyze", "--gen", "torus_mesh:4,4", "--auto-bipartite",
+                 "--model", model_h6, "-o", str(bundle)]) == 0
+    data = json.loads(bundle.read_text())
+    assert {k: data[k]["sha256"] for k in ("graph", "model", "partition")} == {
+        "graph": "c18f3c3bca5600f890be05b2be4151bae1d0af4a393bb6cba4062cb2c363ac49",
+        "model": "bac1254704efc57d805fa7d96bef4257e9596cdafab2bd213ec2f1ca6a564546",
+        "partition": "e824394c97b7a8a13157c72cd3fac5b93573634123c7de0508b5a8c597aa46cb",
+    }
+
+
 def test_report_verifies_and_prints(tmp_path, model_h6, capsys):
     from patternq.graphs import torus_domino_generators
 
@@ -333,13 +347,13 @@ def test_analyze_builds_each_intermediate_once(tmp_path, monkeypatch, model_h6):
     (["--gen", "hex_torus:6,6", "--mode", "refine"], 2, True),
     (["--gen", "torus_mesh:4,4", "--mode", "check", "--seed", "{partition}"], 1, True),
     (["--gen", "torus_mesh:4,4", "--mode", "orbits", "--perms", "{perms}"], 1, True),
-    # is_equitable builds it once more, only to report the witness
-    (["--gen", "torus_mesh:4,4", "--mode", "check", "--seed", "{rows}"], 2, False),
+    # NotEquitable carries the witness, so no second check rebuilds it
+    (["--gen", "torus_mesh:4,4", "--mode", "check", "--seed", "{rows}"], 1, False),
 ])
 def test_partition_builds_operator_once_per_check(tmp_path, monkeypatch, torus_bipartition,
                                                   argv, builds, equitable):
-    from patternq import cli, partitions
-    from patternq.graphs import torus_domino_generators
+    from patternq import partitions
+    from patternq.graphs import torus_domino_generators, torus_mesh
 
     perms = tmp_path / "perms.json"
     perms.write_text(json.dumps({"perms": torus_domino_generators(4, 4)}))
@@ -357,14 +371,17 @@ def test_partition_builds_operator_once_per_check(tmp_path, monkeypatch, torus_b
 
     # partitions binds every scaled_adjacency call the partition command makes
     count(partitions, "scaled_adjacency")
-    count(cli, "is_equitable")
+    count(partitions, "is_equitable")
     out = tmp_path / "out.json"
     files = {"partition": torus_bipartition, "perms": str(perms), "rows": str(rows)}
     assert main(["partition"] + [a.format(**files) for a in argv] + ["-o", str(out)]) == 0
-    assert counts == {"scaled_adjacency": builds, "is_equitable": int(not equitable)}
+    assert counts == {"scaled_adjacency": builds, "is_equitable": 0}
     data = json.loads(out.read_text())
     assert data["equitable"] is equitable
     assert (data["witness"] is None) is equitable
+    if not equitable:
+        pi = partitions.make_partition(data["classes"], 16)
+        assert data["witness"] == list(partitions.is_equitable(torus_mesh(4, 4), pi).witness)
 
 
 def test_analyze_auto_bipartite_on_odd_cycles(tmp_path, model_h6, capsys):

@@ -153,12 +153,44 @@ def _certified_cases():
 
 
 @pytest.mark.parametrize("g,pi,h", _certified_cases())
-def test_newton_and_flow_strategies_agree(g, pi, h):
+def test_newton_and_flow_strategies_agree(g, pi, h, monkeypatch):
+    # Newton from the corners, and the flow from the corners that runs when
+    # both corner Newton calls fail, reach the same pick and alternate
     qm = quotient(g, pi)
     m = HillMap(exponent=h)
-    zn = solve_reduced(qm, m, "newton").class_values
-    zo = solve_reduced(qm, m, "ode").class_values
-    assert np.abs(zn - zo).max() < 1e-8
+    fast = solve_reduced(qm, m)
+    newton = existence._newton_root
+    calls = []
+
+    def corners_fail(*args, **kwargs):
+        calls.append(None)
+        return None if len(calls) <= 2 else newton(*args, **kwargs)
+
+    monkeypatch.setattr(existence, "_newton_root", corners_fail)
+    phases = []
+    slow = solve_reduced(qm, m, progress=lambda phase, k: phases.append(phase))
+    assert "flow" in phases
+    assert np.abs(slow.class_values - fast.class_values).max() < 1e-9
+    assert np.abs(slow.alternate_class_values - fast.alternate_class_values).max() < 1e-9
+
+
+@pytest.mark.parametrize("g,pi,h", _certified_cases())
+def test_flow_starts_at_the_coloring_corners(g, pi, h, monkeypatch):
+    qm = quotient(g, pi)
+    m = HillMap(exponent=h)
+    starts = []
+
+    def record(pbar, model, z0, tol, progress=None):
+        starts.append(z0.copy())
+
+    monkeypatch.setattr(existence, "_newton_root", lambda *args, **kwargs: None)
+    monkeypatch.setattr(existence, "_ode_root", record)
+    with pytest.raises(OnlyHomogeneousFound):
+        solve_reduced(qm, m)
+    side0 = np.isin(np.arange(qm.r), qm.reduced_coloring[0])
+    want = [np.where(side0, m.amplitude, 0.0), np.where(side0, 0.0, m.amplitude)]
+    assert len(starts) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(starts, want))
 
 
 @pytest.mark.parametrize("g,pi,h", _certified_cases())

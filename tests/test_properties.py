@@ -269,6 +269,26 @@ def bipartite_rotation_quotients(draw):
                                          torus_shift_perm(rows, cols, 0, b)])
 
 
+@PROPERTY
+@given(case=st.one_of(bipartite_rotation_quotients(), rotation_partitioned_circulants()),
+       h=st.floats(1.0, 40.0), data=st.data())
+def test_sign_flipped_reduced_jacobian_is_cooperative_on_the_box(case, h, data):
+    # the invariant behind the corner starts: flipping one side of the
+    # reduced 2-coloring makes the reduced flow cooperative at every z in
+    # [0, A]^r, not only at u*
+    g, pi = case
+    qm = quotient(g, pi)
+    assume(qm.reduced_coloring is not None)
+    m = HillMap(exponent=h)
+    z = np.array(data.draw(st.lists(st.floats(0.0, m.amplitude),
+                                    min_size=qm.r, max_size=qm.r)))
+    signs = np.ones(qm.r)
+    signs[list(qm.reduced_coloring[1])] = -1.0
+    jac = -np.eye(qm.r) + qm.matrix * t_prime(m, z)[None, :]
+    flipped = signs[:, None] * jac * signs[None, :]
+    assert (flipped - np.diag(np.diag(flipped))).min() >= 0.0
+
+
 def _flow_roots_oracle(pbar: np.ndarray, m: HillMap) -> list[np.ndarray]:
     """Roots of z = Pbar T(z) reached by the reduced flow from
     u* 1 +- 0.1 u* v_min, integrated to steady state by scipy and polished
