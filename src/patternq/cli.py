@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cells import HillMap, fixed_point, load_model, model_to_dict
+from .cells import HillMap, fixed_point, load_model, model_from_dict, model_to_dict
 from .errors import BadBundle, BadOptions, NotEquitable, PatternQError
 from .existence import (
     CERTIFIED,
@@ -55,6 +55,7 @@ from .simulate import (
     SimOptions,
     classify,
     cluster_values,
+    grouping_tol,
     integrate,
     perturbed_start,
     verify_certificate,
@@ -308,7 +309,7 @@ def _cmd_simulate(args) -> int:
         "final_state": trace.final_state,
     }
     if trace.converged:
-        emp = classify(trace, cluster_tol=1e-4 * model.amplitude)
+        emp = classify(trace, cluster_tol=grouping_tol(model))
         summary["groups"] = [list(grp) for grp in emp.groups]
         summary["values"] = list(emp.values)
     _write_json(summary, args.out)
@@ -551,7 +552,8 @@ def _cmd_report(args) -> int:
     if args.svg:
         source = bundle["graph"].get("source", "")
         u = np.asarray(pattern["u"], dtype=float)
-        group_of = cluster_values(u, 1e-6 * (abs(u).max() + 1.0)).tolist()
+        model = _run_stage("report", model_from_dict, bundle["model"]["data"])
+        group_of = cluster_values(u, grouping_tol(model)).tolist()
         if source.startswith("torus_mesh:") or source.startswith("hex_torus:"):
             rows, cols = (int(x) for x in source.split(":")[1].split(","))
             svg = _svg_grid(group_of, rows, cols, source.startswith("hex"))
@@ -640,7 +642,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layout", required=True, choices=["torus", "hex", "bucky"])
     p.add_argument("--rows", type=int)
     p.add_argument("--cols", type=int)
-    p.add_argument("--cluster-tol", type=float, default=1e-4, dest="cluster_tol")
+    p.add_argument("--cluster-tol", type=float, default=1e-4, dest="cluster_tol",
+                   help="absolute gap between value groups; a trace CSV carries "
+                        "no model, so simulate's 1e-4 A gap cannot apply")
     p.add_argument("--svg")
     p.set_defaults(func=_cmd_render)
 

@@ -5,8 +5,9 @@ weights; an absent edge means weight zero.  The averaging (scaled adjacency)
 operator P divides each row of the weight matrix by the node degree, so every
 row sums to one and the network input u = P y is a weighted average of
 neighbor outputs.  P is stored as edge arrays: its products with a vector and
-with a class indicator cost O(m), and the dense n x n matrix is built only
-for the spectral routes that read it.
+with a class indicator cost O(m).  The only dense n x n form is the
+symmetric S = D^1/2 P D^-1/2, built on first read and only for the spectral
+routes that read it.
 """
 from __future__ import annotations
 
@@ -61,13 +62,6 @@ class WeightedGraph:
     n: int
     edges: tuple[tuple[int, int, float], ...]
 
-    def weight_matrix(self) -> np.ndarray:
-        w = np.zeros((self.n, self.n))
-        for i, j, wt in self.edges:
-            w[i, j] = wt
-            w[j, i] = wt
-        return w
-
     def degrees(self) -> np.ndarray:
         d = np.zeros(self.n)
         for i, j, wt in self.edges:
@@ -80,15 +74,17 @@ class WeightedGraph:
 class ScaledAdjacency:
     """Row-stochastic neighbor-averaging operator P = D^-1 W as edge arrays.
 
-    rows, cols and weights list both directions of every edge, sorted by
-    (row, col), with weights[k] = w_ij / d_i for i = rows[k], j = cols[k];
-    degrees holds d.  matvec and class_sums cost O(m).  matrix is the dense
-    n x n view, built on first read, element-for-element equal to
-    weight_matrix() / d.
+    rows, cols, edge_weights and weights list both directions of every
+    edge, sorted by (row, col), with edge_weights[k] = w_ij and weights[k] =
+    w_ij / d_i for i = rows[k], j = cols[k]; degrees holds d.  matvec and
+    class_sums cost O(m).  symmetric is the dense n x n similarity
+    S = D^1/2 P D^-1/2, with entries w_ij / sqrt(d_i d_j), built on first
+    read; callers must not write to it.
     """
 
     rows: np.ndarray
     cols: np.ndarray
+    edge_weights: np.ndarray
     weights: np.ndarray
     degrees: np.ndarray
 
@@ -108,10 +104,12 @@ class ScaledAdjacency:
         return flat.reshape(self.n, r)
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        p = np.zeros((self.n, self.n))
-        p[self.rows, self.cols] = self.weights
-        return p
+    def symmetric(self) -> np.ndarray:
+        # (i, j) and (j, i) get the same w_ij and d_i d_j, so S == S.T exactly
+        d = self.degrees
+        s = np.zeros((self.n, self.n))
+        s[self.rows, self.cols] = self.edge_weights / np.sqrt(d[self.rows] * d[self.cols])
+        return s
 
 
 def build_graph(n: int, edges) -> WeightedGraph:
@@ -158,9 +156,9 @@ def scaled_adjacency(g: WeightedGraph) -> ScaledAdjacency:
         raise IsolatedVertex(f"vertices with zero degree: {isolated.tolist()}")
     rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
     order = np.lexsort((cols, rows))
-    rows, cols = rows[order], cols[order]
-    return ScaledAdjacency(rows=rows, cols=cols,
-                           weights=np.concatenate([w, w])[order] / d[rows], degrees=d)
+    rows, cols, w = rows[order], cols[order], np.concatenate([w, w])[order]
+    return ScaledAdjacency(rows=rows, cols=cols, edge_weights=w, weights=w / d[rows],
+                           degrees=d)
 
 
 def _two_coloring(n: int, edges):

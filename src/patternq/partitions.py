@@ -5,11 +5,12 @@ from any vertex of class i into class j depend only on the pair (i, j);
 those sums form the row-stochastic quotient matrix.  This module verifies
 equitability, refines partitions to the coarsest equitable one, builds orbit
 partitions from automorphism generators, and conjugates the symmetrized
-averaging matrix by an orthonormal class basis, which splits it exactly into
-a symmetric quotient block and a symmetric transverse block.  quotient() is
-the only constructor of a QuotientModel and refuses inequitable partitions;
-the model carries the partition and the graph's averaging operator, and is
-what every later stage, block_decompose(qm) included, takes.
+averaging matrix by one Householder reflector per class, which splits it
+exactly into a symmetric quotient block and a symmetric transverse block.
+quotient() is the only constructor of a QuotientModel and refuses
+inequitable partitions; the model carries the partition and the graph's
+averaging operator, and is what every later stage, block_decompose(qm)
+included, takes.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ from .errors import (
     SingularTransform,
 )
 from .graphs import ScaledAdjacency, WeightedGraph, _two_coloring, bipartition, scaled_adjacency
-from .spectral import _symmetrize
 
 __all__ = [
     "Partition",
@@ -77,14 +77,6 @@ class Partition:
             for v in cls:
                 out[v] = k
         return out
-
-    def indicator_matrix(self) -> np.ndarray:
-        """n x r matrix with a 1 where vertex i belongs to class j."""
-        q = np.zeros((self.n, self.r))
-        for k, cls in enumerate(self.classes):
-            for v in cls:
-                q[v, k] = 1.0
-        return q
 
     def expand(self, class_values) -> np.ndarray:
         """Lift per-class values to a per-vertex vector."""
@@ -312,73 +304,63 @@ def orbits_from_generators(g: WeightedGraph, perms) -> Partition:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Orthonormal class basis splitting the averaging matrix into two blocks.
+    """The symmetrized averaging matrix split into a quotient and a transverse block.
 
-    With S = D^1/2 P D^-1/2 (symmetric by detailed balance), the first r
-    basis columns are the unit vectors sqrt(d) restricted to each class and
-    the remaining n - r columns span, class by class, their orthogonal
-    complement.  Equitability makes both spans invariant under S, so
-    basis^T S basis is block-diagonal: the symmetric quotient_block (similar
-    to the quotient matrix) and the symmetric transverse_block.  t =
-    D^-1/2 basis conjugates P itself to that form, q stacks the class
-    indicator columns, transverse_class gives the class of each transverse
-    column and coupling is the largest off-block entry (rounding only).
+    S = D^1/2 P D^-1/2 is symmetric, and equitability makes the span of the
+    class vectors a_k = sqrt(d) restricted to class k (unit norm) invariant
+    under it.  One Householder reflector per class maps a_k onto -e_f, f the
+    class's first vertex; the reflectors have disjoint supports, so their
+    product H is one symmetric orthogonal matrix and HSH is block-diagonal.
+    quotient_block is HSH on the first vertices of the r classes (a_k^T S a_l,
+    similar to the quotient matrix) and transverse_block is HSH on the other n - r
+    vertices in vertex order; both are symmetric.  transverse_class gives
+    the class of each of those vertices and coupling is the largest entry
+    between the two vertex sets (rounding only).
     """
 
     partition: Partition
-    q: np.ndarray
-    t: np.ndarray
     quotient_block: np.ndarray
     transverse_block: np.ndarray
     transverse_class: np.ndarray
     coupling: float
-    p: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.p.shape[0]
-
-    @property
-    def r(self) -> int:
-        return self.quotient_block.shape[0]
 
 
 def block_decompose(qm: QuotientModel) -> BlockDecomposition:
-    """Conjugate the symmetrized averaging matrix by the orthonormal class basis.
+    """Conjugate the symmetrized averaging matrix by the class reflectors.
 
-    The complement of each class vector comes from one Householder
-    reflector (a complete QR of that vector).  Raises SingularTransform if
-    the off-block coupling exceeds 1e-10, which the equitability that qm
-    carries rules out.
+    With V the n x r matrix of unit reflector vectors (a_k + e_f) / norm,
+    H = I - 2 V V^T and HSH = S - 2 V (SV)^T - 2 (SV - 2 V V^T S V) V^T, a
+    rank-2r update of S that costs O(r n^2) and forms no basis.  Raises
+    SingularTransform if the coupling exceeds 1e-10, which the equitability
+    that qm carries rules out.
     """
     sa, pi = qm.operator, qm.partition
     n, r = sa.n, pi.r
-    root_d = np.sqrt(sa.degrees)
-    basis = np.zeros((n, n))
-    col = r
-    for k, cls in enumerate(pi.classes):
-        rows = list(cls)
-        a = root_d[rows]
-        basis[rows, k] = a / np.linalg.norm(a)
-        basis[rows, col:col + len(rows) - 1] = np.linalg.qr(
-            a[:, None], mode="complete")[0][:, 1:]
-        col += len(rows) - 1
-    m = basis.T @ _symmetrize(sa.matrix, sa.degrees) @ basis
-    m = (m + m.T) / 2.0
-    coupling = float(np.abs(m[:r, r:]).max(initial=0.0))
+    class_of = pi.class_of()
+    firsts = np.array([cls[0] for cls in pi.classes])
+    rest = np.delete(np.arange(n), firsts)
+    v = np.zeros((n, r))
+    v[np.arange(n), class_of] = np.sqrt(sa.degrees / qm.class_degrees[class_of])
+    v[firsts, np.arange(r)] += 1.0
+    v /= np.linalg.norm(v, axis=0)
+    s = sa.symmetric
+    sv = s @ v
+    # HSH = S - 2 [V, W] [SV, V]^T with W = SV - 2 V (V^T S V)
+    m = np.hstack([v, sv - 2.0 * v @ (v.T @ sv)]) @ np.hstack([sv, v]).T
+    m *= -2.0
+    m += s
+    coupling = float(np.abs(m[np.ix_(firsts, rest)]).max(initial=0.0))
     if coupling > 1e-10:
         raise SingularTransform(
             f"conjugated matrix not block-diagonal (max {coupling:.2e})")
+    quo, trans = m[np.ix_(firsts, firsts)], m[np.ix_(rest, rest)]
+    del m  # free the n x n product before the symmetric parts are formed
     return BlockDecomposition(
         partition=pi,
-        q=pi.indicator_matrix(),
-        t=basis / root_d[:, None],
-        quotient_block=m[:r, :r],
-        transverse_block=m[r:, r:],
-        transverse_class=np.repeat(np.arange(r),
-                                   [len(cls) - 1 for cls in pi.classes]),
+        quotient_block=(quo + quo.T) / 2.0,
+        transverse_block=(trans + trans.T) / 2.0,
+        transverse_class=class_of[rest],
         coupling=coupling,
-        p=sa.matrix,
     )
 
 
@@ -415,11 +397,13 @@ HEX_PATTERNS = {
 
 
 def hex_two_level_partition(rows: int, cols: int, pattern: str) -> Partition:
-    """One of the five two-class equitable splits of the hex torus.
+    """One of five of the two-class equitable splits of the hex torus.
 
     diag3 groups cells by (i - j) mod 3 == 0 (quotient [[0,1],[1/2,1/2]]);
     row2/col2 are alternating stripes ([[1/3,2/3],[2/3,1/3]]); row3/col3
-    keep every third stripe ([[1/3,2/3],[1/3,2/3]]).
+    keep every third stripe ([[1/3,2/3],[1/3,2/3]]).  On the 6x6 torus these
+    cover 3 of the 9 splits up to symmetry and colour swap; missing is, for
+    one, the "isolated spots" split of 27 | 9 cells ([[2/3,1/3],[1,0]]).
     """
     if pattern not in HEX_PATTERNS:
         raise BadLatticeSize(f"unknown hex pattern {pattern!r}; "

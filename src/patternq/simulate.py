@@ -37,6 +37,7 @@ __all__ = [
     "perturbed_start",
     "classify",
     "cluster_values",
+    "grouping_tol",
     "verify_certificate",
     "max_within_class_spread",
 ]
@@ -167,6 +168,12 @@ class EmpiricalPattern:
     values: tuple[float, ...]
 
 
+def grouping_tol(model: HillMap) -> float:
+    """Gap between groups of settled states, 1e-4 A; simulate,
+    verify_certificate and report --svg all group by it."""
+    return 1e-4 * model.amplitude
+
+
 def cluster_values(values: np.ndarray, cluster_tol: float) -> np.ndarray:
     """Single-linkage clustering of values with a gap threshold.
 
@@ -249,7 +256,7 @@ def verify_certificate(qm: QuotientModel, model: HillMap,
             match=False, exploratory=exploratory, converged=False,
             max_deviation=float("nan"), empirical=None,
             note="simulation hit max_time before converging")
-    empirical = classify(trace, cluster_tol=1e-4 * model.amplitude)
+    empirical = classify(trace, cluster_tol=grouping_tol(model))
     same_grouping = (frozenset(map(frozenset, empirical.groups))
                      == frozenset(map(frozenset, qm.partition.classes)))
     deviation = float(np.abs(trace.final_state - pattern.cell_states).max())

@@ -3,7 +3,8 @@
 Every matrix this package needs a spectrum for is similar to a symmetric
 one: the averaging matrix and its quotients through detailed balance, the
 gain-weighted products through a degree/gain diagonal similarity, and the
-one-state network Jacobian through a degree/slope similarity.  The only
+one-state network Jacobian through a slope similarity of the symmetric
+S = D^1/2 P D^-1/2 that the graph's operator builds.  The only
 solver here is LAPACK's symmetric eigensolver (through np.linalg.eigh and
 eigvalsh); no unsymmetric QR and no iteration of its own is ever used.
 """
@@ -83,7 +84,9 @@ def sym_eigen(a: np.ndarray, vectors: bool = True) -> Spectrum:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
     if n == 0:
         return Spectrum(np.empty(0), np.empty((0, 0)) if vectors else None)
-    deviation = np.abs(a - a.T).max()
+    # one n x n scratch array holds |A - A^T| and then the symmetric part
+    m = np.subtract(a, a.T)
+    deviation = np.abs(m, out=m).max()
     if deviation > 1e-10:
         raise NotSymmetric(f"matrix is not symmetric (max deviation {deviation:.2e})")
     if n == 1:
@@ -91,7 +94,8 @@ def sym_eigen(a: np.ndarray, vectors: bool = True) -> Spectrum:
     if not np.isfinite(a).all():
         # LAPACK may return finite garbage for NaN input instead of failing
         raise NoConvergence("matrix has non-finite entries")
-    m = (a + a.T) / 2.0
+    m = np.add(a, a.T, out=m)
+    m *= 0.5
     try:
         if not vectors:
             return Spectrum(np.linalg.eigvalsh(m)[::-1])
@@ -127,25 +131,28 @@ def eigen_reversible(p: np.ndarray, d: np.ndarray, vectors: bool = True) -> Spec
     return Spectrum(spec.eigenvalues, back)
 
 
-def jacobian_spectrum(p: np.ndarray, d: np.ndarray, slopes: np.ndarray,
-                      tau: float = 1.0) -> Spectrum:
-    """Eigenvalues of the one-state network Jacobian (-I + diag(slopes) P) / tau.
+def jacobian_spectrum(s: np.ndarray, slopes: np.ndarray, tau: float = 1.0) -> Spectrum:
+    """Eigenvalues of the one-state network Jacobian (-I + diag(slopes) P) / tau,
+    given the symmetric S = D^1/2 P D^-1/2.
 
-    With gains g = |slopes|^1/2 and S the symmetrization of P through d,
-    diag(slopes) P is similar to -diag(g^2) S, whose spectrum equals that of
-    the symmetric -diag(g) S diag(g) (AB and BA share eigenvalues, also for
-    a singular diag(g)).  So the spectrum is real and computed exactly for
-    every nonpositive slope; a zero slope gives exactly -1/tau.  Raises
-    DetailedBalanceViolated on a positive slope, where that similarity
-    fails.
+    With gains g = |slopes|^1/2, diag(slopes) P is similar to -diag(g^2) S,
+    whose spectrum equals that of the symmetric -diag(g) S diag(g) (AB and
+    BA share eigenvalues, also for a singular diag(g)).  So the spectrum is
+    real and computed exactly for every nonpositive slope; a zero slope
+    gives exactly -1/tau.  Raises DetailedBalanceViolated on a positive
+    slope, where that similarity fails, and NotSymmetric when S is not
+    symmetric.
     """
-    p = np.asarray(p, dtype=float)
+    s = np.asarray(s, dtype=float)
     t = np.asarray(slopes, dtype=float)
-    n = p.shape[0]
+    n = s.shape[0]
     if t.shape != (n,):
         raise DetailedBalanceViolated(f"expected {n} slopes, got {t.shape}")
     if np.any(t > 0):
         raise DetailedBalanceViolated(
             f"slopes must be nonpositive (max {t.max():.2e})")
-    inner = sym_eigen(-_symmetrize(p, d, np.sqrt(-t)), vectors=False)
+    g = np.sqrt(-t)
+    m = g[:, None] * s
+    m *= -g[None, :]  # -diag(g) S diag(g) in one new array; S stays untouched
+    inner = sym_eigen(m, vectors=False)
     return Spectrum((-1.0 + inner.eigenvalues) / tau)

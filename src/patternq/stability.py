@@ -1,10 +1,11 @@
 """Stability certification of lifted patterns by three routes.
 
-Direct route: spectral abscissa of the full network Jacobian.  Block route:
-the orthonormal class basis of the partition splits the Jacobian exactly
-into a representative block driven by the symmetrized quotient matrix and a
-transverse block on the complement; each is symmetric-similar and solved on
-its own, and together they carry the full spectrum.  Small-gain route:
+Direct route: spectral abscissa of the full network Jacobian, through the
+operator's symmetric S = D^1/2 P D^-1/2.  Block route: one Householder
+reflector per class (block_decompose) splits the Jacobian exactly into a
+representative block driven by the symmetrized quotient matrix and a
+transverse block on the complement; each is symmetric and solved on its
+own, and together they carry the full spectrum.  Small-gain route:
 rho(P Gamma) < 1 with per-class dc-gains.  Equitability gives
 P Gamma Q = Q Pbar Gammabar for the class indicator Q, so the radius is
 computed on the quotient alone, where it is exactly equal; the same radius
@@ -72,7 +73,6 @@ class BlockStability:
     representative_spectrum: np.ndarray
     transverse_spectrum: np.ndarray
     consistency: float
-    transverse_matrix: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def full_jacobian_stability(sa: ScaledAdjacency, model: HillMap, u) -> FullStabi
     if residual > _STEADY_TOL:
         raise NotSteadyState(f"pattern residual {residual:.2e} exceeds {_STEADY_TOL}")
     slopes = np.asarray(t_prime(model, u), dtype=float)
-    spec = jacobian_spectrum(sa.matrix, sa.degrees, slopes, tau=model.tau)
+    spec = jacobian_spectrum(sa.symmetric, slopes, tau=model.tau)
     abscissa = float(spec.eigenvalues[0])
     return FullStability(abscissa=abscissa, verdict=_verdict_from_abscissa(abscissa),
                          spectrum=spec)
@@ -140,31 +140,26 @@ def full_jacobian_stability(sa: ScaledAdjacency, model: HillMap, u) -> FullStabi
 def block_stability(decomp: BlockDecomposition, model: HillMap, z) -> BlockStability:
     """Spectra of the representative and transverse stability blocks.
 
-    Slopes are constant on each class and every basis column of decomp lies
-    in one class, so the conjugated Jacobian splits into
-    (-I + diag(class slopes) quotient_block) / tau on the class vectors and
-    (-I + diag(slopes of transverse_class) transverse_block) / tau on their
-    complement.  Both blocks are symmetric, so jacobian_spectrum solves each
-    with unit degrees, at orders r and n - r.  `consistency` is the
-    decomposition's off-block coupling.
+    Slopes are constant on each class and each class reflector of decomp
+    acts inside one class, so it commutes with diag(slopes) and the
+    conjugated Jacobian splits into (-I + diag(class slopes) quotient_block)
+    / tau on the class vectors and (-I + diag(slopes of transverse_class)
+    transverse_block) / tau on their complement.  Both blocks are
+    symmetric, so jacobian_spectrum solves each directly, at orders r and
+    n - r.  `consistency` is the decomposition's off-block coupling.
     """
     pi = decomp.partition
     z = np.asarray(z, dtype=float)
     if z.shape != (pi.r,):
         raise DimensionMismatch(f"expected {pi.r} class values, got {z.shape}")
     slopes = np.asarray(t_prime(model, z), dtype=float)
-    slopes_trans = slopes[decomp.transverse_class]
-    n_t = slopes_trans.size
-    rep = jacobian_spectrum(decomp.quotient_block, np.ones(pi.r), slopes, tau=model.tau)
-    trans = jacobian_spectrum(decomp.transverse_block, np.ones(n_t), slopes_trans,
+    rep = jacobian_spectrum(decomp.quotient_block, slopes, tau=model.tau)
+    trans = jacobian_spectrum(decomp.transverse_block, slopes[decomp.transverse_class],
                               tau=model.tau)
-    trans_matrix = (-np.eye(n_t)
-                    + slopes_trans[:, None] * decomp.transverse_block) / model.tau
     return BlockStability(
         representative_spectrum=rep.eigenvalues,
         transverse_spectrum=trans.eigenvalues,
         consistency=decomp.coupling,
-        transverse_matrix=trans_matrix,
     )
 
 

@@ -5,8 +5,10 @@ eigenvalues come from characteristic-polynomial companion roots, Perron
 roots from power iteration, the M-matrix property from leading principal
 minors, reduced roots from 1-D
 bisection on composed maps, and coarsest refinements from full partition
-enumeration.  Network trajectories are checked against scipy's DOP853 on
-the dense averaging matrix in test_properties.
+enumeration.  The dense averaging matrix and the class indicator are
+rebuilt here from the graph and the partition, not read off the library.
+Network trajectories are checked against scipy's DOP853 on the dense
+averaging matrix in test_properties.
 """
 from __future__ import annotations
 
@@ -39,6 +41,27 @@ def char_poly_eigs(a: np.ndarray) -> np.ndarray:
     """
     roots = np.roots(char_poly_coeffs(a))
     return np.sort(roots.real)[::-1]
+
+
+def weight_matrix(g: WeightedGraph) -> np.ndarray:
+    """The dense symmetric weight matrix W, one edge at a time."""
+    w = np.zeros((g.n, g.n))
+    for i, j, wt in g.edges:
+        w[i, j] = w[j, i] = wt
+    return w
+
+
+def dense_averaging(g: WeightedGraph) -> np.ndarray:
+    """The averaging matrix P = D^-1 W, rebuilt from the graph's weight matrix."""
+    return weight_matrix(g) / g.degrees()[:, None]
+
+
+def class_indicator(pi: Partition) -> np.ndarray:
+    """n x r matrix Q with Q[v, k] = 1 exactly when vertex v lies in class k."""
+    q = np.zeros((pi.n, pi.r))
+    for k, cls in enumerate(pi.classes):
+        q[list(cls), k] = 1.0
+    return q
 
 
 _POWER_MAX_ITERS = 100_000
@@ -109,7 +132,7 @@ def m_matrix_by_leading_minors(g: WeightedGraph, cell_gains) -> bool:
     """I - Gamma P is a nonsingular M-matrix: every leading principal minor
     of the unsymmetrized matrix is positive (one determinant per order)."""
     gains = np.asarray(cell_gains, dtype=float)
-    w = g.weight_matrix()
+    w = weight_matrix(g)
     a = np.eye(g.n) - gains[:, None] * (w / w.sum(axis=1)[:, None])
     return all(np.linalg.det(a[:k, :k]) > 0 for k in range(1, g.n + 1))
 
@@ -140,7 +163,7 @@ def brute_force_coarsest(g: WeightedGraph, seed: Partition) -> Partition:
 
 def connected_by_closure(g: WeightedGraph) -> bool:
     """Connectivity through boolean matrix closure (no BFS)."""
-    w = g.weight_matrix() > 0
+    w = weight_matrix(g) > 0
     reach = np.eye(g.n, dtype=bool) | w
     for _ in range(g.n):
         reach = reach | (reach.astype(int) @ w.astype(int) > 0)

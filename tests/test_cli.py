@@ -224,6 +224,28 @@ def test_report_verifies_and_prints(tmp_path, model_h6, capsys):
     assert "CERTIFIED" in out
 
 
+def test_report_svg_groups_cells_with_the_model_gap(tmp_path, model_h6, monkeypatch):
+    import patternq.cli as cli
+
+    seen = []
+
+    def spy(model):
+        seen.append(model.amplitude)
+        return 1e-4 * model.amplitude
+
+    monkeypatch.setattr(cli, "grouping_tol", spy)
+    bundle, svg = tmp_path / "b.json", tmp_path / "b.svg"
+    assert main(["analyze", "--gen", "torus_mesh:4,4", "--auto-bipartite",
+                 "--model", model_h6, "-o", str(bundle)]) == 0
+    assert main(["report", "--bundle", str(bundle), "--svg", str(svg)]) == 0
+    assert seen == [2.0]
+    fills = re.findall(r'fill="(#[0-9a-f]+)"', svg.read_text())
+    assert len(fills) == 16
+    # the two colours of the checkerboard follow the parity of i + j
+    assert {(fills[v], (v // 4 + v % 4) % 2) for v in range(16)} == {
+        (fills[0], 0), (fills[1], 1)} and fills[0] != fills[1]
+
+
 def test_report_rejects_tampered_bundle(tmp_path, model_h6, capsys):
     bundle = tmp_path / "b.json"
     main(["analyze", "--gen", "torus_mesh:4,4", "--auto-bipartite",

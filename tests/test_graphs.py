@@ -57,22 +57,30 @@ def test_build_rejects_bad_edges(edges, exc):
         build_graph(3, edges)
 
 
+def _operator_columns(sa):
+    """P read column by column through matvec, so no dense field is needed."""
+    return np.column_stack([sa.matvec(e) for e in np.eye(sa.n)])
+
+
 def test_scaled_adjacency_path_of_three():
     sa = scaled_adjacency(path_graph(3))
     expected = np.array([[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]])
-    assert np.array_equal(sa.matrix, expected)
+    assert np.array_equal(_operator_columns(sa), expected)
     assert np.array_equal(sa.degrees, [1, 2, 1])
+    c = 1.0 / np.sqrt(2.0)
+    assert np.array_equal(sa.symmetric, [[0, c, 0], [c, 0, c], [0, c, 0]])
 
 
 def test_scaled_adjacency_two_vertices():
     sa = scaled_adjacency(build_graph(2, [(0, 1, 3.0)]))
-    assert np.array_equal(sa.matrix, [[0, 1], [1, 0]])
+    assert np.array_equal(_operator_columns(sa), [[0, 1], [1, 0]])
+    assert np.array_equal(sa.symmetric, [[0, 1], [1, 0]])
 
 
 def test_scaled_adjacency_torus_rows():
     sa = scaled_adjacency(torus_mesh(4, 4))
-    # brute-force row check: four entries of 1/4 in every row
-    for row in sa.matrix:
+    # brute-force row check: four entries of 1/4 in every row, in P and in S
+    for row in np.vstack([_operator_columns(sa), sa.symmetric]):
         nz = row[row > 0]
         assert len(nz) == 4
         assert np.all(nz == 0.25)
@@ -93,9 +101,12 @@ def test_scaled_adjacency_rejects_isolated_vertex():
 ])
 def test_rows_sum_to_one_and_support_symmetric(g):
     sa = scaled_adjacency(g)
-    assert np.abs(sa.matrix.sum(axis=1) - 1.0).max() < 1e-12
-    assert np.array_equal(sa.matrix > 0, sa.matrix.T > 0)
-    assert sa.matrix.min() >= 0
+    p = _operator_columns(sa)
+    assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-12
+    assert np.array_equal(p > 0, p.T > 0)
+    assert p.min() >= 0
+    assert np.array_equal(sa.symmetric, sa.symmetric.T)
+    assert np.array_equal(sa.symmetric > 0, p > 0)
 
 
 def test_is_connected_basics():

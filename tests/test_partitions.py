@@ -40,7 +40,7 @@ from patternq.partitions import (
     trivial_partition,
 )
 
-from helpers import brute_force_coarsest, random_connected_graph
+from helpers import brute_force_coarsest, class_indicator, dense_averaging, random_connected_graph
 
 
 # ---- partition container ----
@@ -88,7 +88,7 @@ def test_path3_unbalanced_partition_witness():
     assert abs(su - sv) > 1e-12
     # the reported sums match a direct recomputation (vertices 0 and 1 see
     # class sums 1 vs 1/2 on class 0, and 0 vs 1/2 on class 1)
-    p_mat = scaled_adjacency(g).matrix
+    p_mat = dense_averaging(g)
     cls_j = [[0, 1], [2]][cj]
     assert su == p_mat[u, cls_j].sum()
     assert sv == p_mat[v, cls_j].sum()
@@ -168,7 +168,7 @@ def test_quotient_row_stochastic_and_detailed_balance(g, pi):
 @pytest.mark.parametrize("g,pi", _builtin_cases())
 def test_quotient_spectrum_subset_of_full(g, pi):
     qm = quotient(g, pi)
-    full = np.linalg.eigvals(scaled_adjacency(g).matrix).real
+    full = np.linalg.eigvals(dense_averaging(g)).real
     for lam in np.linalg.eigvals(qm.matrix).real:
         assert np.abs(full - lam).min() < 1e-8
 
@@ -326,12 +326,9 @@ def test_block_decompose_two_vertices_has_no_transverse_space():
 def test_block_decompose_identities(g, pi):
     qm = quotient(g, pi)
     dec = block_decompose(qm)
-    p = dec.p
+    p, q = dense_averaging(g), class_indicator(pi)
     # P Q = Q Pbar
-    assert np.abs(p @ dec.q - dec.q @ qm.matrix).max() < 1e-12
-    # conjugated matrix is block triangular
-    ptilde = np.linalg.solve(dec.t, p @ dec.t)
-    assert np.abs(ptilde[dec.r:, :dec.r]).max() < 1e-10
+    assert np.abs(p @ q - q @ qm.matrix).max() < 1e-12
     # spectrum splits into quotient plus transverse parts
     full = np.sort(np.linalg.eigvals(p).real)
     parts = np.sort(np.concatenate([
@@ -354,12 +351,11 @@ def test_block_decompose_class_with_unequal_degrees():
     g = build_graph(5, [(0, 1, 1.0), (0, 2, 2.0), (0, 3, 3.0), (0, 4, 4.0)])
     dec = block_decompose(quotient(g, make_partition([[0], [1, 2, 3, 4]], 5)))
     assert dec.coupling < 1e-12
-    d = scaled_adjacency(g).degrees
-    assert np.abs(dec.t.T @ (d[:, None] * dec.t) - np.eye(5)).max() < 1e-12
     assert list(dec.transverse_class) == [1, 1, 1]
     parts = np.concatenate([np.linalg.eigvalsh(dec.quotient_block),
                             np.linalg.eigvalsh(dec.transverse_block)])
-    assert np.abs(np.sort(parts) - np.sort(np.linalg.eigvals(dec.p).real)).max() < 1e-12
+    full = np.linalg.eigvals(dense_averaging(g)).real
+    assert np.abs(np.sort(parts) - np.sort(full)).max() < 1e-12
 
 
 def test_block_decompose_rejects_inequitable():

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import null_space
 from scipy.optimize import fsolve
 
 from patternq.cells import HillMap, fixed_point, t_prime
 from patternq.existence import CERTIFIED, lift, solve_reduced
 from patternq.graphs import (
     ScaledAdjacency,
-    WeightedGraph,
     build_graph,
     cycle_graph,
     scaled_adjacency,
@@ -25,6 +25,7 @@ from patternq.graphs import (
 from patternq.partitions import (
     bipartition_partition,
     block_decompose,
+    make_partition,
     orbits_from_generators,
     quotient,
 )
@@ -35,8 +36,11 @@ from patternq.stability import block_stability, small_gain
 from helpers import (
     char_poly_coeffs,
     char_poly_eigs,
+    class_indicator,
+    dense_averaging,
     m_matrix_by_leading_minors,
     random_connected_graph,
+    weight_matrix,
 )
 
 # derandomized so the suite gives the same verdict on every run
@@ -55,15 +59,16 @@ def test_scaled_adjacency_edge_arrays_match_dense(seed, n, r):
     sa = scaled_adjacency(g)
     d = g.degrees()
     assert np.array_equal(sa.degrees, d)
-    assert np.array_equal(sa.matrix, g.weight_matrix() / d[:, None])
+    assert np.array_equal(sa.symmetric, weight_matrix(g) / np.sqrt(np.outer(d, d)))
+    p = dense_averaging(g)
     x = rng.uniform(-1.0, 1.0, n)
-    assert np.abs(sa.matvec(x) - sa.matrix @ x).max() < 1e-14
+    assert np.abs(sa.matvec(x) - p @ x).max() < 1e-14
     r = min(r, n)
     class_of = rng.integers(0, r, n)
     indicator = (class_of[:, None] == np.arange(r)[None, :]).astype(float)
     sums = sa.class_sums(class_of, r)
     assert sums.shape == (n, r)
-    assert np.abs(sums - sa.matrix @ indicator).max() < 1e-14
+    assert np.abs(sums - p @ indicator).max() < 1e-14
 
 
 # 300 seeded draws of this setup gave a worst gap of 1.0e-8
@@ -81,7 +86,7 @@ def test_integrate_matches_scipy_dop853(seed, n, h, step):
     x0 = rng.uniform(0.0, m.amplitude, n)
     trace = integrate(scaled_adjacency(g), m, x0,
                       SimOptions(step=step, max_time=60.0, conv_tol=1e-6))
-    w = g.weight_matrix()
+    w = weight_matrix(g)
     p = w / w.sum(axis=1)[:, None]
 
     def rhs(t, x):
@@ -99,8 +104,7 @@ def test_simulation_path_builds_no_dense_matrix(monkeypatch):
     def refuse(self):
         raise AssertionError("dense n x n matrix built")
 
-    monkeypatch.setattr(ScaledAdjacency, "matrix", property(refuse))
-    monkeypatch.setattr(WeightedGraph, "weight_matrix", refuse)
+    monkeypatch.setattr(ScaledAdjacency, "symmetric", property(refuse))
     g = torus_mesh(8, 8)
     pi = bipartition_partition(g)
     m = HillMap(exponent=6)
@@ -110,7 +114,7 @@ def test_simulation_path_builds_no_dense_matrix(monkeypatch):
     x0 = np.clip(fixed_point(m).value + 0.01 * pi.expand([1.0, -1.0]), 0.0, 2.0)
     assert integrate(scaled_adjacency(g), m, x0).converged
     with pytest.raises(AssertionError, match="dense"):
-        scaled_adjacency(g).matrix
+        scaled_adjacency(g).symmetric
 
 
 @st.composite
@@ -165,10 +169,10 @@ def test_sym_eigen_eigenvectors_orthonormal_and_oriented(case):
        tau=st.floats(0.5, 2.0))
 def test_jacobian_spectrum_matches_dense_eigvals(seed, n, weighted, tau):
     rng = np.random.default_rng(seed)
-    sa = scaled_adjacency(random_connected_graph(rng, n, weighted=weighted))
+    g = random_connected_graph(rng, n, weighted=weighted)
     slopes = -rng.uniform(0.1, 3.0, n)
-    spec = jacobian_spectrum(sa.matrix, sa.degrees, slopes, tau=tau)
-    dense = np.linalg.eigvals((-np.eye(n) + slopes[:, None] * sa.matrix) / tau)
+    spec = jacobian_spectrum(scaled_adjacency(g).symmetric, slopes, tau=tau)
+    dense = np.linalg.eigvals((-np.eye(n) + slopes[:, None] * dense_averaging(g)) / tau)
     assert np.abs(dense.imag).max() < 1e-10
     assert np.abs(np.sort(dense.real)[::-1] - spec.eigenvalues).max() < 1e-10
 
@@ -181,8 +185,7 @@ def test_m_matrix_cholesky_matches_leading_minors(seed, n, weighted, top):
     g = random_connected_graph(rng, n, weighted=weighted)
     gains = rng.uniform(0.0, top, n)
     # rho(Gamma P) = 1 is the boundary of the property; keep clear of it
-    sa = scaled_adjacency(g)
-    rho = np.abs(np.linalg.eigvals(gains[:, None] * sa.matrix)).max()
+    rho = np.abs(np.linalg.eigvals(gains[:, None] * dense_averaging(g))).max()
     assume(abs(rho - 1.0) > 1e-6)
     # I - Gamma P is a Z-matrix, so it is a nonsingular M-matrix exactly
     # when rho(Gamma P) < 1; stability_report relies on that theorem
@@ -221,15 +224,58 @@ def test_block_spectra_join_to_dense_jacobian(case, data):
     z = np.interp(-np.array(slopes), -t_prime(m, grid), grid)
     dec = block_decompose(quotient(g, pi))
     assert dec.coupling < 1e-12
-    sa = scaled_adjacency(g)
-    assert np.abs(dec.t.T @ (sa.degrees[:, None] * dec.t) - np.eye(g.n)).max() < 1e-12
     blk = block_stability(dec, m, z)
     union = np.sort(np.concatenate([blk.representative_spectrum,
                                     blk.transverse_spectrum]))
     cell_slopes = t_prime(m, pi.expand(z))
-    dense = np.linalg.eigvals(-np.eye(g.n) + cell_slopes[:, None] * sa.matrix)
+    dense = np.linalg.eigvals(-np.eye(g.n) + cell_slopes[:, None] * dense_averaging(g))
     assert np.abs(dense.imag).max() < 1e-10
     assert np.abs(union - np.sort(dense.real)).max() < 1e-10
+
+
+@st.composite
+def weighted_multipartite_splits(draw):
+    """(graph, partition): a complete multipartite graph on r classes of 1 to
+    5 vertices with w_ij = a_i a_j c_kl for i in class k, j in class l != k.
+
+    The class sums of P from vertex i are c_kl A_l / sum_m c_km A_m (A_l the
+    sum of a over class l), so the split is equitable although the degrees
+    d_i = a_i sum_m c_km A_m differ inside every class of two or more."""
+    r = draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=r, max_size=r))
+    n = sum(sizes)
+    a = draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+    c = {(k, l): draw(st.floats(0.5, 2.0)) for k in range(r) for l in range(k + 1, r)}
+    class_of = np.repeat(np.arange(r), sizes)
+    edges = [(i, j, a[i] * a[j] * c[class_of[i], class_of[j]])
+             for i in range(n) for j in range(i + 1, n) if class_of[i] != class_of[j]]
+    g = build_graph(n, edges)
+    return g, make_partition([np.flatnonzero(class_of == k) for k in range(r)], n)
+
+
+@PROPERTY
+@given(case=st.one_of(rotation_partitioned_circulants(), weighted_multipartite_splits()))
+def test_block_split_matches_an_independent_complement(case):
+    # the reflector split against an orthonormal complement that scipy
+    # computes on its own: S = D^1/2 P D^-1/2 restricted to the null space N
+    # of the class vectors sqrt(d) on each class has the transverse spectrum
+    g, pi = case
+    qm = quotient(g, pi)
+    dec = block_decompose(qm)
+    d = g.degrees()
+    sym_quotient = np.sqrt(np.outer(qm.class_degrees, 1.0 / qm.class_degrees)) * qm.matrix
+    assert np.abs(dec.quotient_block - (sym_quotient + sym_quotient.T) / 2.0).max() < 1e-12
+    root = np.sqrt(d)
+    s = root[:, None] * dense_averaging(g) / root[None, :]
+    n_perp = null_space((class_indicator(pi) * root[:, None]).T)
+    assert n_perp.shape == (g.n, g.n - pi.r)
+    oracle = np.linalg.eigvalsh(n_perp.T @ s @ n_perp)
+    assert np.abs(np.linalg.eigvalsh(dec.transverse_block) - oracle).max(initial=0.0) < 1e-10
+    assert np.array_equal(dec.transverse_block, dec.transverse_block.T)
+    firsts = [cls[0] for cls in pi.classes]
+    rest = [v for v in range(g.n) if v not in firsts]
+    assert np.array_equal(dec.transverse_class, pi.class_of()[rest])
+    assert dec.coupling < 1e-12
 
 
 @PROPERTY
@@ -243,8 +289,7 @@ def test_small_gain_radius_matches_dense_eigvals(case, data):
                                               st.floats(1e-14, 1e-12)),
                                     min_size=pi.r, max_size=pi.r)))
     sg = small_gain(quotient(g, pi), m, z)
-    sa = scaled_adjacency(g)
-    dense = np.abs(np.linalg.eigvals(sa.matrix * sg.gains.cell_gains[None, :])).max()
+    dense = np.abs(np.linalg.eigvals(dense_averaging(g) * sg.gains.cell_gains[None, :])).max()
     assert abs(sg.rho_full - dense) < 1e-10
 
 

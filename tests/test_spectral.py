@@ -17,7 +17,7 @@ from patternq.spectral import (
     sym_eigen,
 )
 
-from helpers import char_poly_eigs, spectral_radius_nonneg
+from helpers import char_poly_eigs, dense_averaging, spectral_radius_nonneg
 
 
 # ---- symmetric eigensolver ----
@@ -96,22 +96,21 @@ def test_eigen_reversible_rejects_imbalance():
 @pytest.mark.parametrize("g", [path_graph(5), cycle_graph(6), torus_mesh(4, 4),
                                hex_torus(6, 6), buckyball()])
 def test_averaging_spectrum_in_unit_interval(g):
-    sa = scaled_adjacency(g)
-    spec = eigen_reversible(sa.matrix, sa.degrees)
+    p = dense_averaging(g)
+    spec = eigen_reversible(p, g.degrees())
     assert spec.eigenvalues.max() <= 1.0 + 1e-10
     assert spec.eigenvalues.min() >= -1.0 - 1e-10
     assert abs(spec.eigenvalues[0] - 1.0) < 1e-10
     # eigenvector residuals against the original (unsymmetrized) matrix
     for k, lam in enumerate(spec.eigenvalues):
         v = spec.eigenvectors[:, k]
-        assert np.abs(sa.matrix @ v - lam * v).max() < 1e-9
+        assert np.abs(p @ v - lam * v).max() < 1e-9
 
 
 # ---- power iteration (the test oracle) ----
 
 def test_power_iteration_on_stochastic_matrix():
-    sa = scaled_adjacency(torus_mesh(4, 4))
-    rho, v = spectral_radius_nonneg(sa.matrix)
+    rho, v = spectral_radius_nonneg(dense_averaging(torus_mesh(4, 4)))
     assert abs(rho - 1.0) < 1e-10
     assert np.abs(v - v[0]).max() < 1e-8  # all-ones direction
 
@@ -132,21 +131,21 @@ def test_power_iteration_rejects_reducible():
 
 def test_power_iteration_matches_symmetrized_eigenvalue():
     g = torus_mesh(4, 4)
-    sa = scaled_adjacency(g)
+    p, d = dense_averaging(g), g.degrees()
     pi = bipartition_partition(g)
     rng = np.random.default_rng(11)
     for _ in range(5):
         gamma_cls = rng.uniform(0.2, 2.0, size=2)
         gamma = pi.expand(gamma_cls)
-        m = gamma[:, None] * sa.matrix  # Gamma P
-        scale = np.sqrt(sa.degrees / gamma)
+        m = gamma[:, None] * p  # Gamma P
+        scale = np.sqrt(d / gamma)
         sym = (scale[:, None] * m) / scale[None, :]
         assert np.abs(sym - sym.T).max() < 1e-10
         rho, _ = spectral_radius_nonneg(m)
         top = sym_eigen(sym, vectors=False).eigenvalues
         assert abs(rho - np.abs(top).max()) < 1e-9
         # same radius for P Gamma (spectra agree under cyclic permutation)
-        rho2, _ = spectral_radius_nonneg(sa.matrix * gamma[None, :])
+        rho2, _ = spectral_radius_nonneg(p * gamma[None, :])
         assert abs(rho - rho2) < 1e-9
 
 
@@ -156,8 +155,8 @@ def test_jacobian_constant_slope_closed_form():
     g = hex_torus(6, 6)
     sa = scaled_adjacency(g)
     t = -1.7
-    spec = jacobian_spectrum(sa.matrix, sa.degrees, np.full(g.n, t))
-    mus = eigen_reversible(sa.matrix, sa.degrees, vectors=False).eigenvalues
+    spec = jacobian_spectrum(sa.symmetric, np.full(g.n, t))
+    mus = eigen_reversible(dense_averaging(g), sa.degrees, vectors=False).eigenvalues
     expected = np.sort(-1.0 + t * mus)[::-1]
     assert np.abs(spec.eigenvalues - expected).max() < 1e-9
 
@@ -165,7 +164,7 @@ def test_jacobian_constant_slope_closed_form():
 def test_jacobian_two_cell_stability_boundary():
     sa = scaled_adjacency(path_graph(2))
     for t1, t2 in [(-0.5, -0.5), (-2.0, -0.4), (-2.0, -0.6), (-3.0, -3.0)]:
-        spec = jacobian_spectrum(sa.matrix, sa.degrees, np.array([t1, t2]))
+        spec = jacobian_spectrum(sa.symmetric, np.array([t1, t2]))
         abscissa = spec.eigenvalues[0]
         assert (abscissa < 0) == (t1 * t2 < 1.0)
 
@@ -175,8 +174,8 @@ def test_jacobian_matches_dense_oracle_on_mixed_slopes():
     sa = scaled_adjacency(g)
     rng = np.random.default_rng(5)
     t = -rng.uniform(0.5, 3.0, size=g.n)
-    spec = jacobian_spectrum(sa.matrix, sa.degrees, t, tau=0.7)
-    dense = np.linalg.eigvals((-np.eye(g.n) + t[:, None] * sa.matrix) / 0.7)
+    spec = jacobian_spectrum(sa.symmetric, t, tau=0.7)
+    dense = np.linalg.eigvals((-np.eye(g.n) + t[:, None] * dense_averaging(g)) / 0.7)
     assert np.abs(dense.imag).max() < 1e-9
     assert np.abs(np.sort(dense.real) - np.sort(spec.eigenvalues)).max() < 1e-9
 
@@ -187,11 +186,19 @@ def test_jacobian_zero_slopes_are_exact():
     # zero-slope cells, so the whole spectrum is -1/tau exactly
     for slopes in (np.zeros(3), np.array([0.0, -2.0, 0.0])):
         for tau in (1.0, 0.5):
-            spec = jacobian_spectrum(sa.matrix, sa.degrees, slopes, tau=tau)
+            spec = jacobian_spectrum(sa.symmetric, slopes, tau=tau)
             assert np.array_equal(spec.eigenvalues, np.full(3, -1.0 / tau))
+
+
+def test_jacobian_rejects_unsymmetric_matrix():
+    # the Jacobian route takes S = D^1/2 P D^-1/2, never the averaging matrix P
+    g = path_graph(3)
+    with pytest.raises(NotSymmetric):
+        jacobian_spectrum(dense_averaging(g), np.full(3, -1.0))
+    assert jacobian_spectrum(scaled_adjacency(g).symmetric, np.full(3, -1.0)).eigenvalues.size == 3
 
 
 def test_jacobian_rejects_positive_slope():
     sa = scaled_adjacency(path_graph(3))
     with pytest.raises(DetailedBalanceViolated):
-        jacobian_spectrum(sa.matrix, sa.degrees, np.array([-1.0, 0.5, -1.0]))
+        jacobian_spectrum(sa.symmetric, np.array([-1.0, 0.5, -1.0]))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,7 @@ from patternq.stability import (
     stability_report,
 )
 
-from helpers import m_matrix_by_leading_minors
+from helpers import dense_averaging, m_matrix_by_leading_minors
 
 
 def _hom(g, m):
@@ -137,11 +139,12 @@ def test_block_union_matches_full_spectrum(g, pi, h):
     dec = block_decompose(qm)
     blk = block_stability(dec, m, red.class_values)
     assert blk.consistency < 1e-8
-    # and the extracted transverse spectrum matches a dense solve of the
-    # transverse stability matrix itself
-    dense = np.linalg.eigvals(blk.transverse_matrix)
+    # the two block spectra together are a dense solve of the full Jacobian
+    slopes = t_prime(m, pi.expand(red.class_values))
+    dense = np.linalg.eigvals(-np.eye(g.n) + slopes[:, None] * dense_averaging(g))
+    union = np.concatenate([blk.representative_spectrum, blk.transverse_spectrum])
     assert np.abs(dense.imag).max() < 1e-8
-    assert np.abs(np.sort(dense.real) - np.sort(blk.transverse_spectrum)).max() < 1e-8
+    assert np.abs(np.sort(dense.real) - np.sort(union)).max() < 1e-8
 
 
 def test_block_exact_when_slopes_underflow():
@@ -223,7 +226,7 @@ def test_small_gain_radii_match_dense_eigvals(g, pi, h):
     m = HillMap(exponent=h)
     qm = quotient(g, pi)
     sg = small_gain(qm, m, solve_reduced(qm, m).class_values)
-    p = g.weight_matrix() / g.degrees()[:, None]
+    p = dense_averaging(g)
     p_gamma = p * sg.gains.cell_gains[None, :]
     dense_full = np.linalg.eigvals(p_gamma).real.max()
     dense_red = np.linalg.eigvals(qm.matrix * sg.gains.class_gains[None, :]).real.max()
@@ -266,7 +269,7 @@ def test_small_gain_builds_no_dense_matrix(monkeypatch):
     def refuse(self):
         raise AssertionError("dense n x n matrix built")
 
-    monkeypatch.setattr(ScaledAdjacency, "matrix", property(refuse))
+    monkeypatch.setattr(ScaledAdjacency, "symmetric", property(refuse))
     g = hex_torus(6, 6)
     qm = quotient(g, hex_two_level_partition(6, 6, "diag3"))
     m = HillMap(exponent=6)
@@ -299,6 +302,23 @@ def test_stability_report_full_pipeline():
     assert rep.block is not None and rep.block.consistency < 1e-8
     assert rep.small_gain.verdict == CERTIFIED_STABLE
     assert rep.m_matrix_ok is True
+
+
+def test_stability_report_peak_memory_on_the_32x32_torus():
+    # the full and block routes hold the operator's S and at most a few
+    # n x n working arrays at once: no n x n basis and no dense P
+    g = torus_mesh(32, 32)
+    m = HillMap(exponent=6)
+    qm = quotient(g, bipartition_partition(g))
+    z = solve_reduced(qm, m).class_values
+    tracemalloc.start()
+    try:
+        rep = stability_report(qm, m, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.full_verdict == STABLE and rep.block.transverse_spectrum.size == g.n - 2
+    assert peak < 5.5 * 8 * g.n ** 2
 
 
 def test_stability_report_selected_methods():
