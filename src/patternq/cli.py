@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import logging
 import os
@@ -557,9 +558,10 @@ def _cmd_report(args) -> int:
         if source.startswith("torus_mesh:") or source.startswith("hex_torus:"):
             rows, cols = (int(x) for x in source.split(":")[1].split(","))
             svg = _svg_grid(group_of, rows, cols, source.startswith("hex"))
+        elif source == "buckyball":
+            svg = _svg_rings(group_of)
         else:
-            svg = _svg_rings(group_of) if len(u) == 32 else _svg_grid(
-                group_of, 1, len(u), False)
+            svg = _svg_grid(group_of, 1, len(u), False)
         _run_stage("write", _write_text, args.svg, svg)
     return 0
 
@@ -574,7 +576,9 @@ def _add_graph_source(p: argparse.ArgumentParser, required: bool = True) -> None
     grp.add_argument("--gen", help="built-in lattice spec, e.g. torus_mesh:4,4")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="patternq",
         description="Certify steady-state patterns of lateral-inhibition cell networks.")

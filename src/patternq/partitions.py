@@ -59,8 +59,9 @@ class Partition:
 
     Elements ascend within a class.  Class order is preserved from the
     caller (it fixes the row order of quotient matrices); partitions the
-    library derives itself (refinement, orbits, 2-colorings) order classes
-    by their minimum element so repeated runs agree byte for byte.
+    library derives itself order classes by their minimum element (orbits,
+    2-colorings) or keep each split at its parent's position, siblings by
+    minimum element (refinement), so repeated runs agree byte for byte.
     """
 
     classes: tuple[tuple[int, ...], ...]
@@ -219,39 +220,81 @@ def quotient(g: WeightedGraph, pi: Partition) -> QuotientModel:
     )
 
 
+def _integer_weights(sa: ScaledAdjacency) -> np.ndarray:
+    """sa.edge_weights times one power of two, as exact integers.
+
+    Every float is odd * 2**low; scaling by 2**-min(low) makes each weight,
+    and so each sum of weights, an integer.  The result is int64 when the
+    largest degree fits, else an object array of Python ints.
+    """
+    mant, exp = np.frexp(sa.edge_weights)
+    m = np.ldexp(mant, 53).astype(np.int64)          # w = m * 2**(exp - 53)
+    tz = np.frexp((m & -m).astype(float))[1] - 1     # trailing zero bits of m
+    odd, low = m >> tz, exp - 53 + tz                # w = odd * 2**low
+    shift = low - low.min()
+    if np.ldexp(sa.degrees.max(), -low.min()) < 2.0 ** 62:
+        return odd << shift
+    return odd.astype(object) << shift.astype(object)
+
+
 def coarsest_equitable_refinement(g: WeightedGraph,
                                   seed: Partition | None = None) -> Partition:
-    """Iteratively split seed classes by their class-sum signatures.
+    """Iteratively split seed classes by exact class-sum signatures.
 
-    Within each class, vertices are grouped by the vector of scaled-weight
-    sums into every current class (quantized at 1e-12 to keep float grouping
-    stable); splitting repeats until no class changes, keeping every split
-    at its parent's position.  The fixed point is the coarsest equitable
+    Each round sums the integer-scaled edge weights from every vertex into
+    every current class over the edge arrays; a vertex's key is its class
+    plus its (class, sum) pairs divided by their gcd, so two vertices share
+    a key exactly when their rows of the averaging matrix have equal class
+    sums, with no float rounding.  Splits stay at their parent's position,
+    siblings ordered by minimum vertex, and rounds repeat until the class
+    count stops changing.  The fixed point is the coarsest equitable
     partition refining the seed; an already equitable seed comes back
     unchanged.  Note the single all-vertex class is equitable for every
     graph (each row of the averaging matrix sums to one), so the default
     seed returns unchanged.
     """
-    if seed is None:
-        seed = trivial_partition(g.n)
-    if seed.n != g.n:
-        raise PartitionMismatch(f"seed covers {seed.n} vertices, graph has {g.n}")
+    n = g.n
+    if seed is not None and seed.n != n:
+        raise PartitionMismatch(f"seed covers {seed.n} vertices, graph has {n}")
     sa = scaled_adjacency(g)
-    pi = seed
+    label = np.zeros(n, dtype=np.int64) if seed is None else seed.class_of()
+    r = 1 if seed is None else seed.r
+    weights = _integer_weights(sa)
     while True:
-        sums = sa.class_sums(pi.class_of(), pi.r)
-        keys = list(map(tuple, np.round(sums, 12).tolist()))
-        new_classes: list[list[int]] = []
-        for cls in pi.classes:
-            groups: dict[tuple, list[int]] = {}
-            for v in cls:
-                groups.setdefault(keys[v], []).append(v)
-            # splits stay where their parent class was; siblings order by
-            # minimum element so reruns agree
-            new_classes.extend(sorted(groups.values(), key=lambda grp: grp[0]))
-        if len(new_classes) == pi.r:
-            return pi
-        pi = make_partition(new_classes, g.n)
+        # one run of edges per (vertex, neighbour class), in that order;
+        # every vertex has an edge, so run_vertex counts 0..n-1 up
+        key = sa.rows * r + label[sa.cols]
+        order = np.argsort(key)
+        key = key[order]
+        run = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        sums = np.add.reduceat(weights[order], run)
+        run_vertex, run_class = np.divmod(key[run], r)
+        first = np.flatnonzero(np.concatenate(([True], run_vertex[1:] != run_vertex[:-1])))
+        counts = np.diff(np.append(first, run.size))
+        sums = sums // np.repeat(np.gcd.reduceat(sums, first), counts)
+        # number the distinct (class, reduced sum) pairs, then fold them
+        # into each vertex's key one position at a time
+        sum_id = np.unique(sums, return_inverse=True)[1]
+        pair = np.unique(run_class * (sum_id.max() + 1) + sum_id, return_inverse=True)[1]
+        npair = int(pair.max()) + 1
+        group, fresh = label.copy(), r
+        for p in range(int(counts.max())):
+            act = np.flatnonzero(counts > p)
+            ids, inv = np.unique(group[act] * npair + pair[first[act] + p],
+                                 return_inverse=True)
+            group[act] = fresh + inv
+            fresh += ids.size
+        _, lead, inv = np.unique(group, return_index=True, return_inverse=True)
+        if lead.size == r:
+            break
+        # a split keeps its parent's position; siblings order by minimum vertex
+        rank = np.empty(lead.size, dtype=np.int64)
+        rank[np.lexsort((lead, label[lead]))] = np.arange(lead.size)
+        label, r = rank[inv], lead.size
+    members = np.argsort(label, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(label, minlength=r)).tolist()
+    return Partition(classes=tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends)),
+                     n=n)
 
 
 def _check_permutation(perm, n: int) -> list[int]:
@@ -382,7 +425,8 @@ def torus_domino_partition(rows: int, cols: int) -> Partition:
         raise BadLatticeSize("domino partition needs rows % 4 == 0 and even cols")
     c0 = [i * cols + j for i in range(rows) for j in range(cols)
           if j % 2 == (i // 2) % 2]
-    c1 = [v for v in range(rows * cols) if v not in set(c0)]
+    chosen = set(c0)
+    c1 = [v for v in range(rows * cols) if v not in chosen]
     return make_partition([c0, c1], rows * cols)
 
 
@@ -413,7 +457,8 @@ def hex_two_level_partition(rows: int, cols: int, pattern: str) -> Partition:
         raise BadLatticeSize(
             f"hex pattern {pattern} needs rows % {rdiv} == 0 and cols % {cdiv} == 0")
     c0 = [i * cols + j for i in range(rows) for j in range(cols) if pred(i, j)]
-    c1 = [v for v in range(rows * cols) if v not in set(c0)]
+    chosen = set(c0)
+    c1 = [v for v in range(rows * cols) if v not in chosen]
     return make_partition([c0, c1], rows * cols)
 
 

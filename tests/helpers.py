@@ -5,8 +5,9 @@ eigenvalues come from characteristic-polynomial companion roots, Perron
 roots from power iteration, the M-matrix property from leading principal
 minors, reduced roots from 1-D
 bisection on composed maps, and coarsest refinements from full partition
-enumeration.  The dense averaging matrix and the class indicator are
-rebuilt here from the graph and the partition, not read off the library.
+enumeration and from rounded float class-sum signatures.  The dense
+averaging matrix and the class indicator are rebuilt here from the graph
+and the partition, not read off the library.
 Network trajectories are checked against scipy's DOP853 on the dense
 averaging matrix in test_properties.
 """
@@ -16,8 +17,14 @@ import numpy as np
 
 from patternq.cells import HillMap, fixed_point, t_eval
 from patternq.errors import NoConvergence
-from patternq.graphs import WeightedGraph
-from patternq.partitions import Partition, is_equitable, make_partition, refines
+from patternq.graphs import WeightedGraph, scaled_adjacency
+from patternq.partitions import (
+    Partition,
+    is_equitable,
+    make_partition,
+    refines,
+    trivial_partition,
+)
 
 
 def char_poly_coeffs(a: np.ndarray) -> np.ndarray:
@@ -159,6 +166,31 @@ def brute_force_coarsest(g: WeightedGraph, seed: Partition) -> Partition:
     best = min(candidates, key=lambda p: p.r)
     assert all(refines(p, best) for p in candidates), "no unique coarsest element"
     return best
+
+
+def rounded_signature_refinement(g: WeightedGraph, seed: Partition | None = None) -> Partition:
+    """Coarsest equitable refinement by float class-sum signatures.
+
+    Each round groups the vertices of every class by their row of n x r
+    class sums of the averaging matrix rounded to 12 decimals; splits stay
+    at their parent's position with siblings ordered by minimum vertex.
+    Rounded keys of sums taken in different orders can split classes an
+    exact comparison keeps together.
+    """
+    pi = trivial_partition(g.n) if seed is None else seed
+    sa = scaled_adjacency(g)
+    while True:
+        sums = sa.class_sums(pi.class_of(), pi.r)
+        keys = list(map(tuple, np.round(sums, 12).tolist()))
+        new_classes: list[list[int]] = []
+        for cls in pi.classes:
+            groups: dict[tuple, list[int]] = {}
+            for v in cls:
+                groups.setdefault(keys[v], []).append(v)
+            new_classes.extend(sorted(groups.values(), key=lambda grp: grp[0]))
+        if len(new_classes) == pi.r:
+            return pi
+        pi = make_partition(new_classes, g.n)
 
 
 def connected_by_closure(g: WeightedGraph) -> bool:

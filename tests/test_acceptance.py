@@ -47,6 +47,7 @@ from helpers import (
     class_indicator,
     dense_averaging,
     random_connected_graph,
+    rounded_signature_refinement,
     spectral_radius_nonneg,
     two_cycle_oracle,
 )
@@ -425,6 +426,7 @@ def test_criterion_09_refinement_matches_enumeration_oracle():
         assert refines(got, seed)
         want = brute_force_coarsest(g, seed)
         assert frozenset(got.classes) == frozenset(want.classes)
+        assert got == rounded_signature_refinement(g, seed)
     _report(9, "refinement vs enumeration oracle")
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import re
@@ -474,3 +475,61 @@ def test_simulation_logs_one_info_line(tmp_path, model_h6, caplog, command):
         summary = json.loads(out.read_text())
         assert fields[3] == f"{summary['final_time']:.6g}"
         assert fields[4] == f"{summary['final_derivative_norm']:.3e}"
+
+
+def test_back_to_back_main_calls_share_no_state(tmp_path, model_h6, monkeypatch):
+    import patternq.cli as cli
+
+    eps_seen = []
+    verify = cli.verify_certificate
+
+    def spy(qm, model, pattern, cert, eps):
+        eps_seen.append(eps)
+        return verify(qm, model, pattern, cert, eps)
+
+    monkeypatch.setattr(cli, "verify_certificate", spy)
+    one_class = tmp_path / "p.json"
+    one_class.write_text(json.dumps({"classes": [list(range(16))]}))
+    runs = [["--auto-bipartite", "--simulate", "--eps", "0.05"],
+            ["--auto-bipartite", "--simulate"],
+            ["--auto-bipartite"],
+            ["--partition", str(one_class)]]
+    bundles = []
+    for k, extra in enumerate(runs):
+        out = tmp_path / f"b{k}.json"
+        assert main(["analyze", "--gen", "torus_mesh:4,4", "--model", model_h6, *extra,
+                     "-o", str(out)]) in (0, 2)
+        bundles.append(json.loads(out.read_text()))
+        # another subcommand in between leaves none of its options behind
+        assert main(["gen", "--kind", "path", "--n", "3", "-o", str(tmp_path / "g.json")]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    # --eps falls back to its default once the flag is dropped
+    assert eps_seen == [0.05, 0.01]
+    assert [b["simulation"] is None for b in bundles] == [False, False, True, True]
+    assert [b["partition"]["mode"] for b in bundles] == [
+        "auto-bipartite", "auto-bipartite", "auto-bipartite", f"file:{one_class}"]
+
+
+# the pentagon | hexagon rings of the certified-but-unstable buckyball split
+BUCKYBALL_RINGS_SHA256 = "7b3669020610ecfb684b8f8ea7bd1efedea1d0e3b816fbde3a25adf6f0c93611"
+
+
+def test_report_svg_draws_rings_only_for_the_buckyball(tmp_path, model_h6):
+    bundle, svg = tmp_path / "b.json", tmp_path / "b.svg"
+    # cycle:32 has the buckyball's vertex count but is drawn as one row
+    assert main(["analyze", "--gen", "cycle:32", "--auto-bipartite",
+                 "--model", model_h6, "-o", str(bundle)]) == 0
+    assert main(["report", "--bundle", str(bundle), "--svg", str(svg)]) == 0
+    text = svg.read_text()
+    assert "<circle" not in text
+    ys = re.findall(r'<rect x="\d+" y="(\d+)"', text)
+    assert len(ys) == 32 and set(ys) == {"2"}
+
+    pent_hex = tmp_path / "ph.json"
+    pent_hex.write_text(json.dumps({"classes": [list(range(12)), list(range(12, 32))]}))
+    assert main(["analyze", "--gen", "buckyball", "--partition", str(pent_hex),
+                 "--model", model_h6, "-o", str(bundle)]) == 3
+    assert main(["report", "--bundle", str(bundle), "--svg", str(svg)]) == 0
+    text = svg.read_text()
+    assert text.count("<circle") == 32 and "<rect" not in text
+    assert hashlib.sha256(text.encode()).hexdigest() == BUCKYBALL_RINGS_SHA256

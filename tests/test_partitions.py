@@ -13,6 +13,7 @@ from patternq.graphs import (
     buckyball_rotation_generators,
     cycle_graph,
     cycle_rotation_perm,
+    generate,
     hex_diagonal_generators,
     hex_torus,
     path_graph,
@@ -40,7 +41,13 @@ from patternq.partitions import (
     trivial_partition,
 )
 
-from helpers import brute_force_coarsest, class_indicator, dense_averaging, random_connected_graph
+from helpers import (
+    brute_force_coarsest,
+    class_indicator,
+    dense_averaging,
+    random_connected_graph,
+    rounded_signature_refinement,
+)
 
 
 # ---- partition container ----
@@ -241,6 +248,81 @@ def test_refinement_matches_oracle_on_random_seeds():
         assert is_equitable(g, got).ok
         want = brute_force_coarsest(g, seed)
         assert frozenset(got.classes) == frozenset(want.classes)
+
+
+def _point_seed(n: int, v: int):
+    return make_partition([[v], [u for u in range(n) if u != v]], n)
+
+
+@pytest.mark.parametrize("kind,sizes,v", [
+    ("hex_torus", (12, 12), 0), ("hex_torus", (12, 12), 29), ("hex_torus", (12, 12), 143),
+    ("hex_torus", (30, 30), 0), ("hex_torus", (30, 30), 17), ("hex_torus", (30, 30), 450),
+    ("hex_torus", (30, 30), 899), ("buckyball", (), 0),
+    ("torus_mesh", (8, 8), None),  # the checkerboard seed
+])
+def test_refinement_matches_rounded_signatures(kind, sizes, v):
+    g = generate(kind, *sizes)
+    seed = bipartition_partition(g) if v is None else _point_seed(g.n, v)
+    # same classes in the same order: splits at the parent's position,
+    # siblings by minimum vertex
+    assert coarsest_equitable_refinement(g, seed) == rounded_signature_refinement(g, seed)
+
+
+C13_WEIGHTS = [0.9524665424747193, 2.734681399537526, 0.22126567293362276]
+
+
+@pytest.mark.parametrize("weights,exact_type", [
+    (C13_WEIGHTS, np.int64),
+    # 100 * 2**59 overflows int64, so the keys are Python ints
+    ([0.01, 100.0, 0.3], object),
+])
+def test_refinement_keeps_the_mirror_classes_of_a_weighted_c13(weights, exact_type):
+    from fractions import Fraction
+
+    from patternq.partitions import _integer_weights
+
+    # 12-digit keys of float sums split C13_WEIGHTS's mirror classes into singletons
+    g = build_graph(13, [(k, (k + s) % 13, w)
+                         for k in range(13) for s, w in zip((1, 2, 3), weights)])
+    seed = _point_seed(13, 0)
+    ints = _integer_weights(scaled_adjacency(g))
+    assert ints.dtype == exact_type
+    # one power of two scales every weight to its integer exactly
+    assert len({Fraction(w) / int(k)
+                for w, k in zip(scaled_adjacency(g).edge_weights, ints)}) == 1
+    got = coarsest_equitable_refinement(g, seed)
+    assert got.classes == ((0,),) + tuple((k, 13 - k) for k in range(1, 7))
+    assert is_equitable(g, got).ok
+
+
+def test_refinement_runs_on_the_edge_arrays(monkeypatch):
+    from patternq import partitions
+    from patternq.graphs import ScaledAdjacency
+
+    g = hex_torus(12, 12)
+    seed = _point_seed(g.n, 5)
+    want = rounded_signature_refinement(g, seed)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("refinement reached the n x r class sums or make_partition")
+
+    monkeypatch.setattr(ScaledAdjacency, "class_sums", forbidden)
+    monkeypatch.setattr(partitions, "make_partition", forbidden)
+    assert coarsest_equitable_refinement(g, seed) == want
+
+
+# ---- two-class constructors ----
+
+def test_two_class_constructors_match_modular_oracles_at_48x48():
+    side = 48
+    i, j = np.divmod(np.arange(side * side), side)
+    assert np.array_equal(torus_domino_partition(side, side).class_of(),
+                          (j + i // 2) % 2)
+    others = {"diag3": (i - j) % 3 != 0, "row2": i % 2 != 0, "col3": j % 3 != 0,
+              "row3": i % 3 != 0, "col2": j % 2 != 0}
+    for pattern, in_class_1 in others.items():
+        assert np.array_equal(hex_two_level_partition(side, side, pattern).class_of(),
+                              in_class_1.astype(int)), pattern
 
 
 # ---- orbit partitions ----

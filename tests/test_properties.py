@@ -25,9 +25,12 @@ from patternq.graphs import (
 from patternq.partitions import (
     bipartition_partition,
     block_decompose,
+    coarsest_equitable_refinement,
+    is_equitable,
     make_partition,
     orbits_from_generators,
     quotient,
+    refines,
 )
 from patternq.simulate import SimOptions, integrate
 from patternq.spectral import jacobian_spectrum, sym_eigen
@@ -231,6 +234,41 @@ def test_block_spectra_join_to_dense_jacobian(case, data):
     dense = np.linalg.eigvals(-np.eye(g.n) + cell_slopes[:, None] * dense_averaging(g))
     assert np.abs(dense.imag).max() < 1e-10
     assert np.abs(union - np.sort(dense.real)).max() < 1e-10
+
+
+@st.composite
+def mirror_seeded_circulants(draw):
+    """(graph, seed, mirror): a circulant on n vertices with weights over four
+    decades, the orbits of the reflection k -> -k, and a seed that joins
+    mirror orbits into at most three classes."""
+    n = draw(st.integers(3, 24))
+    offsets = draw(st.lists(st.integers(1, n // 2), min_size=1, max_size=4,
+                            unique=True))
+    weights = draw(st.lists(st.floats(0.01, 100.0), min_size=len(offsets),
+                            max_size=len(offsets)))
+    edges = {}
+    for s, w in zip(offsets, weights):
+        for i in range(n):
+            j = (i + s) % n
+            edges[(min(i, j), max(i, j))] = w
+    g = build_graph(n, [(i, j, w) for (i, j), w in edges.items()])
+    mirror = orbits_from_generators(g, [[(-i) % n for i in range(n)]])
+    labels = draw(st.lists(st.integers(0, 2), min_size=mirror.r, max_size=mirror.r))
+    seed = make_partition([[v for cls, lab in zip(mirror.classes, labels) if lab == k
+                            for v in cls] for k in range(3)], n)
+    return g, seed, mirror
+
+
+@PROPERTY
+@given(case=mirror_seeded_circulants())
+def test_refinement_is_never_finer_than_the_mirror_orbits(case):
+    # an orbit partition that refines the seed is equitable, so the coarsest
+    # equitable refinement of the seed must keep every orbit in one class
+    g, seed, mirror = case
+    got = coarsest_equitable_refinement(g, seed)
+    assert refines(got, seed)
+    assert refines(mirror, got)
+    assert is_equitable(g, got).ok
 
 
 @st.composite
