@@ -9,8 +9,10 @@ sits at zero frequency: the L2-gain equals the dc-gain |T'(z)| exactly.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,10 +38,28 @@ class HillMap:
     tau: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.amplitude, self.threshold,
+                                       self.exponent, self.tau))):
+            raise BadOptions("amplitude, threshold, exponent and tau must be finite")
         if self.amplitude <= 0 or self.threshold <= 0 or self.tau <= 0:
             raise BadOptions("amplitude, threshold and tau must be positive")
         if self.exponent < 1:
             raise BadOptions("exponent must be at least 1")
+
+    @cached_property
+    def _fixed_point(self) -> FixedPoint:
+        # bisected on first read and kept on the instance (see fixed_point)
+        lo, hi = 0.0, self.amplitude
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if t_eval(self, mid) - mid > 0:
+                lo = mid
+            else:
+                hi = mid
+        u = 0.5 * (lo + hi)
+        return FixedPoint(value=u, residual=abs(t_eval(self, u) - u))
 
 
 def t_eval(m: HillMap, u) -> float | np.ndarray:
@@ -84,19 +104,10 @@ def fixed_point(m: HillMap) -> FixedPoint:
 
     T(0) = A > 0 and T(A) < A bracket the root; T(u) - u is strictly
     decreasing so the root is unique.  The bracket is collapsed to machine
-    precision, leaving a residual below 1e-12.
+    precision, leaving a residual below 1e-12.  The bisection runs once per
+    HillMap instance, which keeps its root.
     """
-    lo, hi = 0.0, m.amplitude
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if t_eval(m, mid) - mid > 0:
-            lo = mid
-        else:
-            hi = mid
-    u = 0.5 * (lo + hi)
-    return FixedPoint(value=u, residual=abs(t_eval(m, u) - u))
+    return m._fixed_point
 
 
 def cell_rhs(m: HillMap, x, u):

@@ -40,6 +40,7 @@ from .partitions import (
     quotient,
 )
 from .serialize import (
+    Canonical,
     _field,
     _is_real,
     _list_of,
@@ -394,8 +395,10 @@ def _cmd_render(args) -> int:
 
 
 def _seal(section: dict) -> dict:
-    section = dict(section)
-    section["sha256"] = sha256_of({k: v for k, v in section.items() if k != "sha256"})
+    """section with each value emitted once as Canonical text, and the
+    sha256 of that text; the bundle is later written from the same text."""
+    section = {k: Canonical(dumps_canonical(v)) for k, v in section.items()}
+    section["sha256"] = sha256_of(section)
     return section
 
 

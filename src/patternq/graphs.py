@@ -1,6 +1,6 @@
 """Weighted contact graphs, built-in lattices and the row-stochastic averaging operator.
 
-Vertices are 0-based integers.  Edges are undirected with strictly positive
+Vertices are 0-based integers.  Edges are undirected with finite positive
 weights; an absent edge means weight zero.  The averaging (scaled adjacency)
 operator P divides each row of the weight matrix by the node degree, so every
 row sums to one and the network input u = P y is a weighted average of
@@ -115,8 +115,9 @@ class ScaledAdjacency:
 def build_graph(n: int, edges) -> WeightedGraph:
     """Validate and canonicalize an edge list into a WeightedGraph.
 
-    Raises BadIndex, SelfLoop, NonpositiveWeight or DuplicateEdge on invalid
-    input.  Edges are stored with i < j and sorted lexicographically.
+    Raises BadIndex, SelfLoop, NonpositiveWeight (for a weight that is not
+    finite and positive) or DuplicateEdge on invalid input.  Edges are
+    stored with i < j and sorted lexicographically.
     """
     if n <= 0:
         raise BadIndex(f"vertex count must be positive, got {n}")
@@ -128,8 +129,9 @@ def build_graph(n: int, edges) -> WeightedGraph:
             raise BadIndex(f"edge ({i},{j}) outside [0,{n})")
         if i == j:
             raise SelfLoop(f"self-loop at vertex {i}")
-        if w <= 0:
-            raise NonpositiveWeight(f"edge ({i},{j}) has weight {w}")
+        if not 0 < w < math.inf:
+            raise NonpositiveWeight(
+                f"edge ({i},{j}) has weight {w}; weights must be finite and positive")
         a, b = (i, j) if i < j else (j, i)
         if (a, b) in seen:
             raise DuplicateEdge(f"duplicate edge ({a},{b})")

@@ -201,18 +201,13 @@ def quotient(g: WeightedGraph, pi: Partition) -> QuotientModel:
     reps = [cls[0] for cls in pi.classes]
     pbar = sums[reps, :]
     dbar = np.array([sa.degrees[list(cls)].sum() for cls in pi.classes])
-    r = pi.r
-    redges = [
-        (i, j)
-        for i in range(r)
-        for j in range(i + 1, r)
-        if pbar[i, j] != 0.0 or pbar[j, i] != 0.0
-    ]
-    coloring, connected = _two_coloring(r, redges)
+    # class pairs i < j with a nonzero entry either way, in row-major order
+    redges = tuple(map(tuple, np.argwhere(np.triu((pbar != 0) | (pbar.T != 0), 1)).tolist()))
+    coloring, connected = _two_coloring(pi.r, redges)
     return QuotientModel(
         matrix=pbar,
         class_degrees=dbar,
-        reduced_edges=tuple(redges),
+        reduced_edges=redges,
         reduced_coloring=coloring,
         reduced_connected=connected,
         partition=pi,

@@ -6,13 +6,17 @@ Permutations:    {"perms": [[image of 0, image of 1, ...], ...]}
 Model files:     {"A": 2.0, "K": 1.0, "h": 6.0, "tau": 1.0}
 
 Canonical dumps sort object keys and print floats with 17 significant
-digits, so identical inputs always produce byte-identical reports.
+digits, so identical inputs always produce byte-identical reports.  Text
+wrapped in Canonical is copied as it stands: a sealed bundle section is
+emitted once, hashed over that canonical text and written from the same
+text.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import numbers
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -21,6 +25,7 @@ from .graphs import WeightedGraph, build_graph
 from .partitions import Partition, make_partition
 
 __all__ = [
+    "Canonical",
     "dumps_canonical",
     "sha256_of",
     "graph_to_dict",
@@ -35,14 +40,37 @@ __all__ = [
 ]
 
 
+class Canonical(str):
+    """Text that already is canonical JSON; the emitter copies it verbatim."""
+
+    __slots__ = ()
+
+
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _finite(text: str) -> str:
+    """text, which holds formatted ints and floats, unless one was nan or
+    inf: a finite float at 17 digits or an int never contains "n", while
+    nan and inf always do."""
+    if "n" in text:
+        raise BadBundle("cannot serialize non-finite numbers")
+    return text
+
+
 def _emit(obj, parts: list[str]) -> None:
     """Append the canonical JSON of obj; numpy arrays and scalars become
-    their plain Python values and dict keys are written as str(key)."""
+    their plain Python values and dict keys are written as str(key).  A
+    list or tuple whose items are all exactly int or float is written in
+    one join, and Canonical text is copied as it stands.
+    """
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     elif isinstance(obj, np.generic):
         obj = obj.item()
-    if obj is None:
+    if type(obj) is Canonical:
+        parts.append(obj)
+    elif obj is None:
         parts.append("null")
     elif obj is True:
         parts.append("true")
@@ -51,27 +79,29 @@ def _emit(obj, parts: list[str]) -> None:
     elif isinstance(obj, int):
         parts.append(str(obj))
     elif isinstance(obj, float):
-        if obj != obj or obj in (float("inf"), float("-inf")):
-            raise BadBundle("cannot serialize non-finite numbers")
-        parts.append(format(obj, ".17g"))
+        parts.append(_finite(format(obj, ".17g")))
     elif isinstance(obj, str):
-        parts.append(json.dumps(obj, ensure_ascii=True))
+        parts.append(encode_basestring_ascii(obj))
     elif isinstance(obj, dict):
         parts.append("{")
         for i, key in enumerate(sorted(obj, key=str)):
             if i:
                 parts.append(",")
-            parts.append(json.dumps(str(key), ensure_ascii=True))
+            parts.append(encode_basestring_ascii(str(key)))
             parts.append(":")
             _emit(obj[key], parts)
         parts.append("}")
     elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                parts.append(",")
-            _emit(item, parts)
-        parts.append("]")
+        if set(map(type, obj)) <= _NUMBER_TYPES:
+            parts.append("[" + _finite(",".join(
+                [str(x) if type(x) is int else format(x, ".17g") for x in obj])) + "]")
+        else:
+            parts.append("[")
+            for i, item in enumerate(obj):
+                if i:
+                    parts.append(",")
+                _emit(item, parts)
+            parts.append("]")
     else:
         raise BadBundle(f"cannot serialize object of type {type(obj).__name__}")
 

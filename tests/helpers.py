@@ -9,14 +9,17 @@ enumeration and from rounded float class-sum signatures.  The dense
 averaging matrix and the class indicator are rebuilt here from the graph
 and the partition, not read off the library.
 Network trajectories are checked against scipy's DOP853 on the dense
-averaging matrix in test_properties.
+averaging matrix in test_properties.  Canonical JSON is checked against the
+item-by-item recursive writer the bulk emitter replaced.
 """
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
 from patternq.cells import HillMap, fixed_point, t_eval
-from patternq.errors import NoConvergence
+from patternq.errors import BadBundle, NoConvergence
 from patternq.graphs import WeightedGraph, scaled_adjacency
 from patternq.partitions import (
     Partition,
@@ -284,3 +287,52 @@ def random_connected_graph(rng: np.random.Generator, n: int,
     if weighted:
         edges = {k: float(np.round(rng.uniform(*weight_range), 3)) for k in edges}
     return build_graph(n, [(i, j, w) for (i, j), w in edges.items()])
+
+
+def _oracle_emit(obj, parts: list[str]) -> None:
+    """Append the canonical JSON of obj; numpy arrays and scalars become
+    their plain Python values and dict keys are written as str(key)."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    elif isinstance(obj, np.generic):
+        obj = obj.item()
+    if obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, int):
+        parts.append(str(obj))
+    elif isinstance(obj, float):
+        if obj != obj or obj in (float("inf"), float("-inf")):
+            raise BadBundle("cannot serialize non-finite numbers")
+        parts.append(format(obj, ".17g"))
+    elif isinstance(obj, str):
+        parts.append(json.dumps(obj, ensure_ascii=True))
+    elif isinstance(obj, dict):
+        parts.append("{")
+        for i, key in enumerate(sorted(obj, key=str)):
+            if i:
+                parts.append(",")
+            parts.append(json.dumps(str(key), ensure_ascii=True))
+            parts.append(":")
+            _oracle_emit(obj[key], parts)
+        parts.append("}")
+    elif isinstance(obj, (list, tuple)):
+        parts.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                parts.append(",")
+            _oracle_emit(item, parts)
+        parts.append("]")
+    else:
+        raise BadBundle(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def canonical_oracle(obj) -> str:
+    """The item-by-item canonical JSON writer, kept as the oracle of
+    serialize.dumps_canonical."""
+    parts: list[str] = []
+    _oracle_emit(obj, parts)
+    return "".join(parts)

@@ -207,6 +207,23 @@ def test_bundle_input_sections_keep_their_hashes(tmp_path, model_h6):
     }
 
 
+def test_reparsed_bundle_keeps_its_section_hashes(tmp_path, model_h6):
+    # hashes are taken over the sections' canonical text: parsing the bundle
+    # and emitting each section again must give the same digests
+    bundle = tmp_path / "b.json"
+    assert main(["analyze", "--gen", "torus_mesh:4,4", "--auto-bipartite", "--simulate",
+                 "--model", model_h6, "-o", str(bundle)]) == 0
+    data = json.loads(bundle.read_text())
+    for name in ("graph", "model", "partition", "quotient", "certificate", "pattern",
+                 "stability", "simulation"):
+        body = {k: v for k, v in data[name].items() if k != "sha256"}
+        assert hashlib.sha256(dumps_canonical(body).encode()).hexdigest() == data[name]["sha256"]
+    again = tmp_path / "again.json"
+    again.write_text(dumps_canonical(data))
+    assert again.read_text() + "\n" == bundle.read_text()
+    assert main(["report", "--bundle", str(again)]) == 0
+
+
 def test_report_verifies_and_prints(tmp_path, model_h6, capsys):
     from patternq.graphs import torus_domino_generators
 
@@ -454,6 +471,46 @@ def test_non_finite_simulation_input_is_tagged_error(tmp_path, model_h6, capsys,
     assert main(argv + [a.format(nan_x0=nan_x0) for a in extra]) == 1
     err = capsys.readouterr().err
     assert "error [simulate]" in err and "finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["partition", "--graph", "{graph}", "--mode", "refine"],
+    ["simulate", "--graph", "{graph}", "--model", "{good_model}"],
+    ["analyze", "--graph", "{graph}", "--auto-refine", "--model", "{good_model}"],
+    ["simulate", "--gen", "torus_mesh:4,4", "--model", "{model}"],
+    ["analyze", "--gen", "torus_mesh:4,4", "--auto-bipartite", "--model", "{model}"],
+])
+@pytest.mark.parametrize("bad,field", [("NaN", "A"), ("Infinity", "h"), ("-Infinity", "tau"),
+                                       ("NaN", "K")])
+def test_non_finite_graph_or_model_fails_at_load(tmp_path, model_h6, capsys, argv, bad,
+                                                 field):
+    graph = tmp_path / "g.json"
+    graph.write_text('{"n": 4, "edges": [[0, 1, %s], [1, 2, 1.0], [2, 3, 1.0], [0, 3, 1.0]]}'
+                     % bad)
+    model = tmp_path / "m.json"
+    model.write_text('{"%s": %s}' % (field, bad))
+    files = {"graph": graph, "model": model, "good_model": model_h6}
+    assert main([a.format(**files) for a in argv] + ["-o", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert "error [load]" in err and "finite" in err
+    if "{graph}" in argv:
+        assert "edge (0,1)" in err
+
+
+def test_analyze_bisects_the_fixed_point_once(tmp_path, monkeypatch, model_h6):
+    # certify and lift both read u*; the model keeps the one bisection
+    from patternq import cells
+
+    made, original = [], cells.FixedPoint
+
+    def counted(**kwargs):
+        made.append(kwargs)
+        return original(**kwargs)
+
+    monkeypatch.setattr(cells, "FixedPoint", counted)
+    assert main(["analyze", "--gen", "torus_mesh:4,4", "--auto-bipartite",
+                 "--model", model_h6, "--simulate", "-o", str(tmp_path / "b.json")]) == 0
+    assert len(made) == 1
 
 
 @pytest.mark.parametrize("command", [

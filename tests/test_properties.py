@@ -1,18 +1,22 @@
 """Property tests of the averaging operator, the simulation, the reduced
-solve and the spectral, block and small-gain routines against independent
-oracles: the dense averaging matrix, scipy's ODE integrators (DOP853 on the
-dense network, LSODA on the reduced flow) and root finder,
+solve, the quotient's reduced graph, the spectral, block and small-gain
+routines and the canonical JSON writer against independent oracles: the
+dense averaging matrix, scipy's ODE integrators (DOP853 on the dense
+network, LSODA on the reduced flow) and root finder,
 characteristic-polynomial roots and coefficients, dense unsymmetric
-eigvals, and leading principal minors."""
+eigvals, leading principal minors, a loop over class pairs and the
+item-by-item JSON writer."""
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_ivp
 from scipy.linalg import null_space
 from scipy.optimize import fsolve
 
 from patternq.cells import HillMap, fixed_point, t_prime
+from patternq.errors import BadBundle
 from patternq.existence import CERTIFIED, lift, solve_reduced
 from patternq.graphs import (
     ScaledAdjacency,
@@ -32,11 +36,13 @@ from patternq.partitions import (
     quotient,
     refines,
 )
+from patternq.serialize import dumps_canonical
 from patternq.simulate import SimOptions, integrate
 from patternq.spectral import jacobian_spectrum, sym_eigen
 from patternq.stability import block_stability, small_gain
 
 from helpers import (
+    canonical_oracle,
     char_poly_coeffs,
     char_poly_eigs,
     class_indicator,
@@ -411,3 +417,57 @@ def test_reduced_roots_match_flow_oracle(case, factor):
         assert min(np.abs(a - b).max() for b in oracle) < 1e-8
     for b in oracle:
         assert min(np.abs(a - b).max() for a in ours) < 1e-8
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(2, 24), r=st.integers(1, 6))
+def test_reduced_edges_match_class_pair_loop(seed, n, r):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, weighted=bool(rng.integers(2)))
+    labels = rng.integers(0, min(r, n), size=n)
+    seed_pi = make_partition([np.flatnonzero(labels == k).tolist() for k in range(r)], n)
+    qm = quotient(g, coarsest_equitable_refinement(g, seed_pi))
+    pbar = qm.matrix
+    loop = tuple((i, j) for i in range(qm.r) for j in range(i + 1, qm.r)
+                 if pbar[i, j] != 0.0 or pbar[j, i] != 0.0)
+    assert qm.reduced_edges == loop
+    assert all(type(k) is int for e in qm.reduced_edges for k in e)
+
+
+def _json_values():
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    floats = st.one_of(finite, st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308,
+                                                 float("nan"), float("inf"), float("-inf")]))
+    ints = st.integers(-2**70, 2**70)
+    numpy_scalars = st.one_of(finite.map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64),
+                              st.booleans().map(np.bool_),
+                              st.floats(width=32, allow_nan=False,
+                                        allow_infinity=False).map(np.float32))
+    arrays = st.one_of(
+        hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4),
+                   elements=floats),
+        hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)))
+    # homogeneous rows take the bulk path; mixed rows the recursive one
+    rows = st.one_of(st.lists(ints), st.lists(floats), st.lists(st.one_of(ints, floats)),
+                     st.lists(st.one_of(ints, floats, st.booleans(), numpy_scalars)).map(tuple))
+    scalars = st.one_of(st.none(), st.booleans(), ints, floats, st.text(), numpy_scalars)
+    return st.recursive(
+        st.one_of(scalars, arrays, rows),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(st.one_of(st.text(max_size=5), st.integers(-5, 5)), inner,
+                            max_size=4)),
+        max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(obj=_json_values())
+def test_canonical_json_matches_item_by_item_writer(obj):
+    try:
+        expected = canonical_oracle(obj)
+    except BadBundle:
+        with pytest.raises(BadBundle):
+            dumps_canonical(obj)
+    else:
+        assert dumps_canonical(obj) == expected

@@ -7,6 +7,7 @@ from patternq.errors import BadBundle, DuplicateEdge
 from patternq.graphs import torus_mesh
 from patternq.partitions import make_partition
 from patternq.serialize import (
+    Canonical,
     dumps_canonical,
     graph_from_dict,
     graph_to_dict,
@@ -40,6 +41,21 @@ def test_canonical_json_handles_numpy_types():
 def test_canonical_json_rejects_non_finite():
     with pytest.raises(BadBundle):
         dumps_canonical({"v": float("nan")})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_canonical_json_rejects_non_finite_in_bulk_rows(bad):
+    # rows of plain ints and floats are formatted in one join
+    for obj in ([1.0, bad, 2.0], (3, bad), np.array([0.5, bad]),
+                np.array([[0.0, 1.0], [bad, 1.0]]), {"edges": [[0, 1, 1.0], [1, 2, bad]]}):
+        with pytest.raises(BadBundle):
+            dumps_canonical(obj)
+
+
+def test_canonical_text_is_copied_verbatim():
+    inner = Canonical(dumps_canonical({"b": [1, 2.5], "a": "x"}))
+    assert dumps_canonical({"s": inner, "t": "plain"}) == (
+        '{"s":{"a":"x","b":[1,2.5]},"t":"plain"}')
 
 
 def test_sha256_is_stable():
