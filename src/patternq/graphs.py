@@ -1,7 +1,10 @@
 """Weighted contact graphs, built-in lattices and the row-stochastic averaging operator.
 
 Vertices are 0-based integers.  Edges are undirected with finite positive
-weights; an absent edge means weight zero.  The averaging (scaled adjacency)
+weights; an absent edge means weight zero.  The two periodic lattices,
+torus_mesh and hex_torus, come from one builder over their neighbour
+offsets, numbered row-major (v = i*cols + j) like the motifs that
+partitions.tile_partition repeats over them.  The averaging (scaled adjacency)
 operator P divides each row of the weight matrix by the node degree, so every
 row sums to one and the network input u = P y is a weighted average of
 neighbor outputs.  P is stored as edge arrays: its products with a vector and
@@ -44,14 +47,6 @@ __all__ = [
     "hex_torus",
     "buckyball",
     "triangle_bridge",
-    "torus_shift_perm",
-    "torus_flip_shift_perm",
-    "torus_checkerboard_generators",
-    "torus_domino_generators",
-    "cycle_rotation_perm",
-    "hex_transpose_perm",
-    "hex_diagonal_generators",
-    "buckyball_rotation_generators",
 ]
 
 
@@ -68,6 +63,11 @@ class WeightedGraph:
             d[i] += wt
             d[j] += wt
         return d
+
+    @cached_property
+    def _coloring(self):
+        # (sides, connected), colored on first read and kept on the instance
+        return _two_coloring(self.n, self.edges)
 
 
 @dataclass(frozen=True)
@@ -195,8 +195,11 @@ def _two_coloring(n: int, edges):
 
 
 def is_connected(g: WeightedGraph) -> bool:
-    """True iff the graph has a single connected component."""
-    return _two_coloring(g.n, g.edges)[1]
+    """True iff the graph has a single connected component.
+
+    The graph is 2-colored once; bipartition reuses that coloring.
+    """
+    return g._coloring[1]
 
 
 def bipartition(g: WeightedGraph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -205,7 +208,7 @@ def bipartition(g: WeightedGraph) -> tuple[tuple[int, ...], tuple[int, ...]] | N
     The first returned class contains vertex 0.  Raises NotConnected on
     disconnected input.
     """
-    sides, connected = _two_coloring(g.n, g.edges)
+    sides, connected = g._coloring
     if not connected:
         raise NotConnected("bipartition requires a connected graph")
     return sides
@@ -231,43 +234,34 @@ def cycle_graph(n: int) -> WeightedGraph:
     return build_graph(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
 
 
-def _accumulate(n: int, pairs) -> WeightedGraph:
-    # wraparound lattices on a 2-wide dimension hit the same neighbor twice;
-    # coincident contacts accumulate weight so the weighted degree stays fixed
-    acc: dict[tuple[int, int], float] = {}
-    for i, j in pairs:
-        a, b = (i, j) if i < j else (j, i)
-        acc[(a, b)] = acc.get((a, b), 0.0) + 1.0
-    return build_graph(n, [(a, b, w) for (a, b), w in sorted(acc.items())])
+def _periodic(rows: int, cols: int, offsets) -> WeightedGraph:
+    """Wraparound lattice: cell (i, j), v = i*cols + j, touches (i+di, j+dj)
+    for each (di, dj) in offsets.
+
+    On a 2-wide dimension two offsets reach the same neighbour; such
+    contacts add up, so every cell keeps weighted degree 2 * len(offsets).
+    """
+    n = rows * cols
+    i, j = np.divmod(np.arange(n), cols)
+    u = np.tile(np.arange(n), len(offsets))
+    v = np.concatenate([((i + di) % rows) * cols + (j + dj) % cols for di, dj in offsets])
+    pairs, counts = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_counts=True)
+    a, b = np.divmod(pairs, n)
+    return build_graph(n, zip(a.tolist(), b.tolist(), counts.astype(float).tolist()))
 
 
 def torus_mesh(rows: int, cols: int) -> WeightedGraph:
     """Square lattice with wraparound; row-major numbering v = i*cols + j."""
     if rows < 2 or cols < 2 or rows % 2 or cols % 2:
         raise BadLatticeSize("torus_mesh needs even rows and cols >= 2")
-    pairs = []
-    for i in range(rows):
-        for j in range(cols):
-            u = i * cols + j
-            pairs.append((u, i * cols + (j + 1) % cols))
-            pairs.append((u, ((i + 1) % rows) * cols + j))
-    return _accumulate(rows * cols, pairs)
-
-
-_HEX_OFFSETS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
+    return _periodic(rows, cols, ((0, 1), (1, 0)))
 
 
 def hex_torus(rows: int, cols: int) -> WeightedGraph:
     """Hexagonal lattice with wraparound in axial coordinates (6 neighbors)."""
     if rows < 2 or cols < 2 or rows % 2 or cols % 2:
         raise BadLatticeSize("hex_torus needs even rows and cols >= 2")
-    pairs = []
-    for i in range(rows):
-        for j in range(cols):
-            u = i * cols + j
-            for di, dj in ((1, 0), (0, 1), (1, -1)):
-                pairs.append((u, ((i + di) % rows) * cols + (j + dj) % cols))
-    return _accumulate(rows * cols, pairs)
+    return _periodic(rows, cols, ((1, 0), (0, 1), (1, -1)))
 
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -348,97 +342,3 @@ def generate(kind: str, *sizes, **params) -> WeightedGraph:
         names = ", ".join(signature.parameters) or "no parameters"
         raise BadLatticeSize(f"{kind} takes {names}: {exc}") from None
     return build(*(int(v) for v in bound.args))
-
-
-# ---------------------------------------------------------------------------
-# Known automorphism generators for the built-in lattices.  These feed the
-# orbit-partition machinery; users may supply their own permutations instead.
-# ---------------------------------------------------------------------------
-
-def torus_shift_perm(rows: int, cols: int, dr: int, dc: int) -> list[int]:
-    """Translation (i,j) -> (i+dr, j+dc) on the wraparound mesh."""
-    return [((i + dr) % rows) * cols + (j + dc) % cols
-            for i in range(rows) for j in range(cols)]
-
-
-def torus_flip_shift_perm(rows: int, cols: int) -> list[int]:
-    """Glide symmetry (i,j) -> (1-i, -j): a row reflection about row 1/2
-    combined with a column reflection."""
-    return [((1 - i) % rows) * cols + (-j) % cols
-            for i in range(rows) for j in range(cols)]
-
-
-def torus_checkerboard_generators(rows: int, cols: int) -> list[list[int]]:
-    """Translations whose orbits are the two parity classes of the mesh."""
-    return [torus_shift_perm(rows, cols, 1, 1), torus_shift_perm(rows, cols, 0, 2)]
-
-
-def torus_domino_generators(rows: int, cols: int) -> list[list[int]]:
-    """Generators whose orbits pair rows into staggered two-cell stripes.
-
-    On the 4x4 mesh the two orbits are {0,2,4,6,9,11,13,15} and its
-    complement, with quotient [[1/4,3/4],[3/4,1/4]].  Needs rows % 4 == 0.
-    """
-    if rows % 4 or cols % 2:
-        raise BadLatticeSize("domino orbits need rows % 4 == 0 and even cols")
-    return [torus_shift_perm(rows, cols, 2, 1), torus_flip_shift_perm(rows, cols)]
-
-
-def cycle_rotation_perm(n: int) -> list[int]:
-    return [(i + 1) % n for i in range(n)]
-
-
-def hex_transpose_perm(rows: int, cols: int) -> list[int]:
-    """(i,j) -> (j,i); an automorphism of the axial hex torus when square."""
-    if rows != cols:
-        raise BadLatticeSize("transpose needs a square hex torus")
-    return [j * cols + i for i in range(rows) for j in range(cols)]
-
-
-def hex_diagonal_generators(rows: int, cols: int) -> list[list[int]]:
-    """Generators whose orbits split the hex torus by (i-j) mod 3 into the
-    12/24 two-level classes (quotient [[0,1],[1/2,1/2]] on the 6x6)."""
-    if rows != cols or rows % 3:
-        raise BadLatticeSize("diagonal orbits need a square side divisible by 3")
-    return [
-        torus_shift_perm(rows, cols, 1, 1),
-        torus_shift_perm(rows, cols, 3, 0),
-        hex_transpose_perm(rows, cols),
-    ]
-
-
-def _rotation_vertex_perm(coords: np.ndarray, rot: np.ndarray) -> list[int]:
-    image = coords @ rot.T
-    perm = []
-    for row in image:
-        hits = np.where(((coords - row) ** 2).sum(1) < 1e-6)[0]
-        if hits.size != 1:
-            raise BadLatticeSize("rotation does not permute the vertex set")
-        perm.append(int(hits[0]))
-    return perm
-
-
-def buckyball_rotation_generators() -> list[list[int]]:
-    """Two rotations of the solid, as permutations of the 32 face-cells.
-
-    A coordinate 3-cycle (order 3) and a fifth-turn about a pentagon axis
-    (order 5) generate the full rotation group; the orbits are the 12
-    pentagons and the 20 hexagons.
-    """
-    coords, faces = _icosahedron()
-    r3 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    axis = coords[0] / np.linalg.norm(coords[0])
-    th = 2.0 * math.pi / 5.0
-    k = np.array([
-        [0.0, -axis[2], axis[1]],
-        [axis[2], 0.0, -axis[0]],
-        [-axis[1], axis[0], 0.0],
-    ])
-    r5 = np.eye(3) + math.sin(th) * k + (1.0 - math.cos(th)) * (k @ k)
-    face_index = {f: i for i, f in enumerate(faces)}
-    perms = []
-    for rot in (r3, r5):
-        vp = _rotation_vertex_perm(coords, rot)
-        fp = [face_index[tuple(sorted(vp[v] for v in faces[i]))] for i in range(20)]
-        perms.append(vp + [12 + x for x in fp])
-    return perms

@@ -3,7 +3,8 @@
 A partition of the vertex set is equitable when the summed scaled weights
 from any vertex of class i into class j depend only on the pair (i, j);
 those sums form the row-stochastic quotient matrix.  This module verifies
-equitability, refines partitions to the coarsest equitable one, builds orbit
+equitability, refines partitions to the coarsest equitable one, tiles
+periodic motifs of class labels (MOTIFS) over the lattices, builds orbit
 partitions from automorphism generators, and conjugates the symmetrized
 averaging matrix by one Householder reflector per class, which splits it
 exactly into a symmetric quotient block and a symmetric transverse block.
@@ -44,9 +45,8 @@ __all__ = [
     "orbits_from_generators",
     "block_decompose",
     "bipartition_partition",
-    "torus_domino_partition",
-    "hex_two_level_partition",
-    "HEX_PATTERNS",
+    "MOTIFS",
+    "tile_partition",
     "buckyball_face_partition",
 ]
 
@@ -148,17 +148,20 @@ def _class_sums_checked(sa: ScaledAdjacency, pi: Partition,
     """The n x r class sums of sa and whether each class shares one row."""
     if pi.n != sa.n:
         raise PartitionMismatch(f"partition covers {pi.n} vertices, graph has {sa.n}")
-    sums = sa.class_sums(pi.class_of(), pi.r)
-    for i, cls in enumerate(pi.classes):
-        diff = np.abs(sums[list(cls)] - sums[cls[0]])
-        bad = np.flatnonzero(diff.max(axis=1) > tol)
-        if bad.size:
-            ref, u = cls[0], cls[bad[0]]
-            j = int(np.argmax(diff[bad[0]]))
-            return sums, EquitabilityCheck(
-                ok=False,
-                witness=(i, j, ref, u, float(sums[ref, j]), float(sums[u, j])),
-            )
+    class_of = pi.class_of()
+    sums = sa.class_sums(class_of, pi.r)
+    reps = np.array([cls[0] for cls in pi.classes])
+    diff = np.abs(sums - sums[reps[class_of]])
+    bad = np.flatnonzero(diff.max(axis=1) > tol)
+    if bad.size:
+        # the witness is the first bad vertex by (class index, vertex)
+        u = int(bad[np.lexsort((bad, class_of[bad]))[0]])
+        i = int(class_of[u])
+        ref, j = int(reps[i]), int(np.argmax(diff[u]))
+        return sums, EquitabilityCheck(
+            ok=False,
+            witness=(i, j, ref, u, float(sums[ref, j]), float(sums[u, j])),
+        )
     return sums, EquitabilityCheck(ok=True)
 
 
@@ -286,10 +289,15 @@ def coarsest_equitable_refinement(g: WeightedGraph,
         rank = np.empty(lead.size, dtype=np.int64)
         rank[np.lexsort((lead, label[lead]))] = np.arange(lead.size)
         label, r = rank[inv], lead.size
+    return _from_labels(label, r)
+
+
+def _from_labels(label: np.ndarray, r: int) -> Partition:
+    """The partition whose class k holds the vertices labelled k, ascending."""
     members = np.argsort(label, kind="stable").tolist()
     ends = np.cumsum(np.bincount(label, minlength=r)).tolist()
     return Partition(classes=tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends)),
-                     n=n)
+                     n=label.size)
 
 
 def _check_permutation(perm, n: int) -> list[int]:
@@ -414,47 +422,44 @@ def bipartition_partition(g: WeightedGraph) -> Partition:
     return make_partition(sides, g.n)
 
 
-def torus_domino_partition(rows: int, cols: int) -> Partition:
-    """Staggered two-cell stripes: class 0 holds (i,j) with j = floor(i/2) mod 2."""
-    if rows % 4 or cols % 2:
-        raise BadLatticeSize("domino partition needs rows % 4 == 0 and even cols")
-    c0 = [i * cols + j for i in range(rows) for j in range(cols)
-          if j % 2 == (i // 2) % 2]
-    chosen = set(c0)
-    c1 = [v for v in range(rows * cols) if v not in chosen]
-    return make_partition([c0, c1], rows * cols)
-
-
-# name -> (membership predicate, (row divisor, col divisor) validity)
-HEX_PATTERNS = {
-    "diag3": (lambda i, j: (i - j) % 3 == 0, (3, 3)),
-    "row2": (lambda i, j: i % 2 == 0, (2, 1)),
-    "col3": (lambda i, j: j % 3 == 0, (1, 3)),
-    "row3": (lambda i, j: i % 3 == 0, (3, 1)),
-    "col2": (lambda i, j: j % 2 == 0, (1, 2)),
+# Two-class motifs of the periodic lattices, as class labels over one
+# period (row i, column j).  On torus_mesh the checkerboard has quotient
+# [[0,1],[1,0]] and the domino [[1/4,3/4],[3/4,1/4]].  On hex_torus diag3
+# groups the cells with (i - j) mod 3 == 0 ([[0,1],[1/2,1/2]]), row2/col2
+# are alternating stripes ([[1/3,2/3],[2/3,1/3]]), row3/col3 keep every
+# third stripe ([[1/3,2/3],[1/3,2/3]]) and spots isolates the cells with
+# odd i and odd j ([[2/3,1/3],[1,0]]); spots is the one that is not
+# equitable on torus_mesh.
+MOTIFS = {
+    "checkerboard": ((0, 1), (1, 0)),
+    "domino": ((0, 1), (0, 1), (1, 0), (1, 0)),
+    "diag3": ((0, 1, 1), (1, 0, 1), (1, 1, 0)),
+    "row2": ((0,), (1,)),
+    "col3": ((0, 1, 1),),
+    "row3": ((0,), (1,), (1,)),
+    "col2": ((0, 1),),
+    "spots": ((0, 0), (0, 1)),
 }
 
 
-def hex_two_level_partition(rows: int, cols: int, pattern: str) -> Partition:
-    """One of five of the two-class equitable splits of the hex torus.
+def tile_partition(rows: int, cols: int, motif) -> Partition:
+    """Repeat a 2-D array of class labels over a rows x cols torus.
 
-    diag3 groups cells by (i - j) mod 3 == 0 (quotient [[0,1],[1/2,1/2]]);
-    row2/col2 are alternating stripes ([[1/3,2/3],[2/3,1/3]]); row3/col3
-    keep every third stripe ([[1/3,2/3],[1/3,2/3]]).  On the 6x6 torus these
-    cover 3 of the 9 splits up to symmetry and colour swap; missing is, for
-    one, the "isolated spots" split of 27 | 9 cells ([[2/3,1/3],[1,0]]).
+    Cell (i, j), vertex i*cols + j, gets label motif[i % p][j % q] for a
+    p x q motif, and class k holds the cells labelled k.  Raises
+    BadLatticeSize unless p divides rows, q divides cols and the labels
+    are exactly the integers 0..k-1.
     """
-    if pattern not in HEX_PATTERNS:
-        raise BadLatticeSize(f"unknown hex pattern {pattern!r}; "
-                             f"choose from {sorted(HEX_PATTERNS)}")
-    pred, (rdiv, cdiv) = HEX_PATTERNS[pattern]
-    if rows % rdiv or cols % cdiv:
+    m = np.asarray(motif)
+    if (m.ndim != 2 or m.size == 0 or rows < 1 or cols < 1
+            or rows % m.shape[0] or cols % m.shape[1]):
         raise BadLatticeSize(
-            f"hex pattern {pattern} needs rows % {rdiv} == 0 and cols % {cdiv} == 0")
-    c0 = [i * cols + j for i in range(rows) for j in range(cols) if pred(i, j)]
-    chosen = set(c0)
-    c1 = [v for v in range(rows * cols) if v not in chosen]
-    return make_partition([c0, c1], rows * cols)
+            f"a motif of shape {m.shape} does not tile a {rows} x {cols} torus")
+    labels = np.unique(m)
+    if m.dtype.kind not in "iu" or not np.array_equal(labels, np.arange(labels.size)):
+        raise BadLatticeSize(f"motif labels must be 0..k-1, got {labels.tolist()}")
+    label = np.tile(m, (rows // m.shape[0], cols // m.shape[1])).ravel()
+    return _from_labels(label, labels.size)
 
 
 def buckyball_face_partition() -> Partition:

@@ -10,18 +10,24 @@ averaging matrix and the class indicator are rebuilt here from the graph
 and the partition, not read off the library.
 Network trajectories are checked against scipy's DOP853 on the dense
 averaging matrix in test_properties.  Canonical JSON is checked against the
-item-by-item recursive writer the bulk emitter replaced.
+item-by-item recursive writer the bulk emitter replaced.  The periodic
+lattices are checked against the cell-by-cell loops the index arithmetic
+replaced, the class-sum check against its per-class loop, and the motifs
+against a depth-first search over all 2-colourings.  Known automorphisms of
+the built-in lattices, as permutations, feed orbits_from_generators.
 """
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from patternq.cells import HillMap, fixed_point, t_eval
-from patternq.errors import BadBundle, NoConvergence
-from patternq.graphs import WeightedGraph, scaled_adjacency
+from patternq.errors import BadBundle, BadLatticeSize, NoConvergence
+from patternq.graphs import WeightedGraph, _icosahedron, build_graph, scaled_adjacency
 from patternq.partitions import (
+    EquitabilityCheck,
     Partition,
     is_equitable,
     make_partition,
@@ -273,8 +279,6 @@ def random_connected_graph(rng: np.random.Generator, n: int,
                            weight_range: tuple[float, float] = (0.5, 2.0),
                            ) -> WeightedGraph:
     """Random connected graph: a random spanning tree plus random extras."""
-    from patternq.graphs import build_graph
-
     order = rng.permutation(n)
     edges = {}
     for i in range(1, n):
@@ -336,3 +340,184 @@ def canonical_oracle(obj) -> str:
     parts: list[str] = []
     _oracle_emit(obj, parts)
     return "".join(parts)
+
+
+# ---- periodic lattices, cell by cell ----
+
+def _accumulate(n: int, pairs) -> WeightedGraph:
+    # coincident contacts on a 2-wide torus add up
+    acc: dict[tuple[int, int], float] = {}
+    for i, j in pairs:
+        a, b = (i, j) if i < j else (j, i)
+        acc[(a, b)] = acc.get((a, b), 0.0) + 1.0
+    return build_graph(n, [(a, b, w) for (a, b), w in sorted(acc.items())])
+
+
+def torus_mesh_loops(rows: int, cols: int) -> WeightedGraph:
+    """The square wraparound lattice, one right and one down contact per cell."""
+    pairs = []
+    for i in range(rows):
+        for j in range(cols):
+            u = i * cols + j
+            pairs.append((u, i * cols + (j + 1) % cols))
+            pairs.append((u, ((i + 1) % rows) * cols + j))
+    return _accumulate(rows * cols, pairs)
+
+
+def hex_torus_loops(rows: int, cols: int) -> WeightedGraph:
+    """The axial hex wraparound lattice, three forward contacts per cell."""
+    pairs = []
+    for i in range(rows):
+        for j in range(cols):
+            u = i * cols + j
+            for di, dj in ((1, 0), (0, 1), (1, -1)):
+                pairs.append((u, ((i + di) % rows) * cols + (j + dj) % cols))
+    return _accumulate(rows * cols, pairs)
+
+
+# ---- equitability, class by class ----
+
+def class_sums_checked_loop(sa, pi: Partition, tol: float) -> EquitabilityCheck:
+    """Compare each class's class-sum rows with its first vertex's row, class
+    by class; the witness is the first bad vertex of the first bad class."""
+    sums = sa.class_sums(pi.class_of(), pi.r)
+    for i, cls in enumerate(pi.classes):
+        diff = np.abs(sums[list(cls)] - sums[cls[0]])
+        bad = np.flatnonzero(diff.max(axis=1) > tol)
+        if bad.size:
+            ref, u = cls[0], cls[bad[0]]
+            j = int(np.argmax(diff[bad[0]]))
+            return EquitabilityCheck(
+                ok=False, witness=(i, j, ref, u, float(sums[ref, j]), float(sums[u, j])))
+    return EquitabilityCheck(ok=True)
+
+
+def equitable_two_colorings(g: WeightedGraph) -> list[tuple[int, ...]]:
+    """Every equitable 2-colouring of g that uses both colours, with vertex
+    0 in colour 0, by depth-first search over colours in vertex order.
+
+    A vertex is checked once it and all its neighbours have a colour: its
+    share of degree into colour 1 must equal, within 1e-12, the share of
+    the first vertex of its colour checked on the same branch.
+    """
+    nbrs: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
+    for i, j, w in g.edges:
+        nbrs[i].append((j, w))
+        nbrs[j].append((i, w))
+    due: list[list[int]] = [[] for _ in range(g.n)]
+    for v in range(g.n):
+        due[max([v] + [u for u, _ in nbrs[v]])].append(v)
+    color = [0] * g.n
+    found = []
+
+    def search(k: int, share: tuple) -> None:
+        if k == g.n:
+            if any(color):
+                found.append(tuple(color))
+            return
+        for c in (0, 1) if k else (0,):
+            color[k] = c
+            s = list(share)
+            for v in due[k]:
+                x = sum(w for u, w in nbrs[v] if color[u]) / sum(w for _, w in nbrs[v])
+                if s[color[v]] is None:
+                    s[color[v]] = x
+                elif abs(x - s[color[v]]) > 1e-12:
+                    break
+            else:
+                search(k + 1, tuple(s))
+        color[k] = 0
+
+    search(0, (None, None))
+    return found
+
+
+# ---- automorphisms of the built-in lattices, as permutations ----
+
+def torus_shift_perm(rows: int, cols: int, dr: int, dc: int) -> list[int]:
+    """Translation (i,j) -> (i+dr, j+dc) on the wraparound mesh."""
+    return [((i + dr) % rows) * cols + (j + dc) % cols
+            for i in range(rows) for j in range(cols)]
+
+
+def torus_flip_shift_perm(rows: int, cols: int) -> list[int]:
+    """Glide symmetry (i,j) -> (1-i, -j): a row reflection about row 1/2
+    combined with a column reflection."""
+    return [((1 - i) % rows) * cols + (-j) % cols
+            for i in range(rows) for j in range(cols)]
+
+
+def torus_checkerboard_generators(rows: int, cols: int) -> list[list[int]]:
+    """Translations whose orbits are the two parity classes of the mesh."""
+    return [torus_shift_perm(rows, cols, 1, 1), torus_shift_perm(rows, cols, 0, 2)]
+
+
+def torus_domino_generators(rows: int, cols: int) -> list[list[int]]:
+    """Generators whose orbits pair rows into staggered two-cell stripes.
+
+    On the 4x4 mesh the two orbits are {0,2,4,6,9,11,13,15} and its
+    complement, with quotient [[1/4,3/4],[3/4,1/4]].  Needs rows % 4 == 0.
+    """
+    if rows % 4 or cols % 2:
+        raise BadLatticeSize("domino orbits need rows % 4 == 0 and even cols")
+    return [torus_shift_perm(rows, cols, 2, 1), torus_flip_shift_perm(rows, cols)]
+
+
+def cycle_rotation_perm(n: int) -> list[int]:
+    return [(i + 1) % n for i in range(n)]
+
+
+def hex_transpose_perm(rows: int, cols: int) -> list[int]:
+    """(i,j) -> (j,i); an automorphism of the axial hex torus when square."""
+    if rows != cols:
+        raise BadLatticeSize("transpose needs a square hex torus")
+    return [j * cols + i for i in range(rows) for j in range(cols)]
+
+
+def hex_diagonal_generators(rows: int, cols: int) -> list[list[int]]:
+    """Generators whose orbits split the hex torus by (i-j) mod 3 into the
+    12/24 two-level classes (quotient [[0,1],[1/2,1/2]] on the 6x6)."""
+    if rows != cols or rows % 3:
+        raise BadLatticeSize("diagonal orbits need a square side divisible by 3")
+    return [
+        torus_shift_perm(rows, cols, 1, 1),
+        torus_shift_perm(rows, cols, 3, 0),
+        hex_transpose_perm(rows, cols),
+    ]
+
+
+def _rotation_vertex_perm(coords: np.ndarray, rot: np.ndarray) -> list[int]:
+    image = coords @ rot.T
+    perm = []
+    for row in image:
+        hits = np.where(((coords - row) ** 2).sum(1) < 1e-6)[0]
+        if hits.size != 1:
+            raise BadLatticeSize("rotation does not permute the vertex set")
+        perm.append(int(hits[0]))
+    return perm
+
+
+def buckyball_rotation_generators() -> list[list[int]]:
+    """Two rotations of the solid, as permutations of the 32 face-cells.
+
+    A coordinate 3-cycle (order 3) and a fifth-turn about a pentagon axis
+    (order 5) generate the full rotation group; the orbits are the 12
+    pentagons and the 20 hexagons.
+    """
+    coords, faces = _icosahedron()
+    r3 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    axis = coords[0] / np.linalg.norm(coords[0])
+    th = 2.0 * math.pi / 5.0
+    k = np.array([
+        [0.0, -axis[2], axis[1]],
+        [axis[2], 0.0, -axis[0]],
+        [-axis[1], axis[0], 0.0],
+    ])
+    r5 = np.eye(3) + math.sin(th) * k + (1.0 - math.cos(th)) * (k @ k)
+    face_index = {f: i for i, f in enumerate(faces)}
+    perms = []
+    for rot in (r3, r5):
+        vp = _rotation_vertex_perm(coords, rot)
+        fp = [face_index[tuple(sorted(vp[v] for v in faces[i]))] for i in range(20)]
+        perms.append(vp + [12 + x for x in fp])
+    return perms

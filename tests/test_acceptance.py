@@ -11,26 +11,24 @@ from patternq.existence import CERTIFIED, INCONCLUSIVE, certify, lift, solve_red
 from patternq.graphs import (
     build_graph,
     buckyball,
-    buckyball_rotation_generators,
     cycle_graph,
     hex_torus,
     scaled_adjacency,
-    torus_domino_generators,
     torus_mesh,
     triangle_bridge,
 )
 from patternq.partitions import (
+    MOTIFS,
     bipartition_partition,
     block_decompose,
     buckyball_face_partition,
     coarsest_equitable_refinement,
-    hex_two_level_partition,
     is_equitable,
     make_partition,
     orbits_from_generators,
     quotient,
     refines,
-    torus_domino_partition,
+    tile_partition,
     trivial_partition,
 )
 from patternq.simulate import (
@@ -48,7 +46,9 @@ from helpers import (
     dense_averaging,
     random_connected_graph,
     rounded_signature_refinement,
+    buckyball_rotation_generators,
     spectral_radius_nonneg,
+    torus_domino_generators,
     two_cycle_oracle,
 )
 
@@ -68,13 +68,13 @@ def _builtin_partitions():
     return [
         ("two-cell", build_graph(2, [(0, 1, 1.0)]), None),
         ("torus-checkerboard", g_t, bipartition_partition(g_t)),
-        ("torus-domino", g_t, torus_domino_partition(4, 4)),
+        ("torus-domino", g_t, tile_partition(4, 4, MOTIFS["domino"])),
         ("cycle6", cycle_graph(6), None),
-        ("hex-diag3", g_h, hex_two_level_partition(6, 6, "diag3")),
-        ("hex-row2", g_h, hex_two_level_partition(6, 6, "row2")),
-        ("hex-col3", g_h, hex_two_level_partition(6, 6, "col3")),
-        ("hex-row3", g_h, hex_two_level_partition(6, 6, "row3")),
-        ("hex-col2", g_h, hex_two_level_partition(6, 6, "col2")),
+        ("hex-diag3", g_h, tile_partition(6, 6, MOTIFS["diag3"])),
+        ("hex-row2", g_h, tile_partition(6, 6, MOTIFS["row2"])),
+        ("hex-col3", g_h, tile_partition(6, 6, MOTIFS["col3"])),
+        ("hex-row3", g_h, tile_partition(6, 6, MOTIFS["row3"])),
+        ("hex-col2", g_h, tile_partition(6, 6, MOTIFS["col2"])),
         ("buckyball", buckyball(), buckyball_face_partition()),
         ("triangle-bridge", triangle_bridge(),
          make_partition([[2, 5], [0, 1, 3, 4, 6, 7]], 8)),
@@ -110,7 +110,7 @@ def test_criterion_01_quotient_reproduction():
         assert np.abs(qm.matrix - np.array(expected[name])).max() < 1e-12, name
     # the domino classes also arise from automorphism orbits
     orb = orbits_from_generators(torus_mesh(4, 4), torus_domino_generators(4, 4))
-    assert orb.classes == torus_domino_partition(4, 4).classes
+    assert orb.classes == tile_partition(4, 4, MOTIFS["domino"]).classes
     _report(1, "quotient reproduction")
 
 

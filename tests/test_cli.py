@@ -64,7 +64,7 @@ def test_partition_check_mode(tmp_path, torus_graph, torus_bipartition):
 
 
 def test_partition_orbits_mode(tmp_path, torus_graph):
-    from patternq.graphs import torus_domino_generators
+    from helpers import torus_domino_generators
 
     perms = tmp_path / "perms.json"
     perms.write_text(json.dumps({"perms": torus_domino_generators(4, 4)}))
@@ -225,7 +225,7 @@ def test_reparsed_bundle_keeps_its_section_hashes(tmp_path, model_h6):
 
 
 def test_report_verifies_and_prints(tmp_path, model_h6, capsys):
-    from patternq.graphs import torus_domino_generators
+    from helpers import torus_domino_generators
 
     bundle = tmp_path / "b.json"
 
@@ -383,6 +383,18 @@ def test_analyze_builds_each_intermediate_once(tmp_path, monkeypatch, model_h6):
                       "quotient": 1, "certify": 1}
 
 
+def test_analyze_two_colors_the_contact_graph_once(tmp_path, monkeypatch, model_h6):
+    # is_connected and bipartition_partition share the graph's one coloring
+    from patternq import graphs
+
+    calls = []
+    real = graphs._two_coloring
+    monkeypatch.setattr(graphs, "_two_coloring", lambda *a: calls.append(a[0]) or real(*a))
+    assert main(["analyze", "--gen", "torus_mesh:16,16", "--auto-bipartite",
+                 "--model", model_h6, "-o", str(tmp_path / "b.json")]) == 0
+    assert calls == [256]
+
+
 @pytest.mark.parametrize("argv,builds,equitable", [
     (["--gen", "hex_torus:6,6", "--mode", "refine"], 2, True),
     (["--gen", "torus_mesh:4,4", "--mode", "check", "--seed", "{partition}"], 1, True),
@@ -393,7 +405,9 @@ def test_analyze_builds_each_intermediate_once(tmp_path, monkeypatch, model_h6):
 def test_partition_builds_operator_once_per_check(tmp_path, monkeypatch, torus_bipartition,
                                                   argv, builds, equitable):
     from patternq import partitions
-    from patternq.graphs import torus_domino_generators, torus_mesh
+    from patternq.graphs import torus_mesh
+
+    from helpers import torus_domino_generators
 
     perms = tmp_path / "perms.json"
     perms.write_text(json.dumps({"perms": torus_domino_generators(4, 4)}))

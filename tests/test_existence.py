@@ -21,13 +21,13 @@ from patternq.graphs import (
     triangle_bridge,
 )
 from patternq.partitions import (
+    MOTIFS,
     bipartition_partition,
     buckyball_face_partition,
-    hex_two_level_partition,
     make_partition,
     quotient,
     singleton_partition,
-    torus_domino_partition,
+    tile_partition,
 )
 
 from helpers import pentagon_hexagon_root_oracle, two_cycle_oracle
@@ -61,7 +61,7 @@ def test_certificate_values_two_cell():
 
 def test_hex_rank_one_quotient_inconclusive_for_all_slopes():
     g = hex_torus(6, 6)
-    qm = quotient(g, hex_two_level_partition(6, 6, "col3"))
+    qm = quotient(g, tile_partition(6, 6, MOTIFS["col3"]))
     for h in (2, 4, 6, 8, 16):
         cert = certify(qm, HillMap(exponent=h))
         assert cert.verdict == INCONCLUSIVE
@@ -76,7 +76,7 @@ def test_buckyball_threshold_two():
 
 def test_hex_stripe_threshold_three():
     g = hex_torus(6, 6)
-    qm = quotient(g, hex_two_level_partition(6, 6, "row2"))
+    qm = quotient(g, tile_partition(6, 6, MOTIFS["row2"]))
     assert certify(qm, HillMap(exponent=6)).verdict == INCONCLUSIVE  # slope 3
     assert certify(qm, HillMap(exponent=8)).verdict == CERTIFIED     # slope 4 > 3
 
@@ -144,10 +144,10 @@ def _certified_cases():
     g_h = hex_torus(6, 6)
     return [
         (g_t, bipartition_partition(g_t), 6),
-        (g_t, torus_domino_partition(4, 4), 6),
+        (g_t, tile_partition(4, 4, MOTIFS["domino"]), 6),
         (buckyball(), buckyball_face_partition(), 6),
-        (g_h, hex_two_level_partition(6, 6, "diag3"), 6),
-        (g_h, hex_two_level_partition(6, 6, "row2"), 8),
+        (g_h, tile_partition(6, 6, MOTIFS["diag3"]), 6),
+        (g_h, tile_partition(6, 6, MOTIFS["row2"]), 8),
         (triangle_bridge(), make_partition([[2, 5], [0, 1, 3, 4, 6, 7]], 8), 6),
     ]
 
@@ -225,7 +225,7 @@ def test_sign_flipped_linearization_is_cooperative():
 
 def test_lift_homogeneous_residual():
     g = hex_torus(6, 6)
-    pi = hex_two_level_partition(6, 6, "diag3")
+    pi = tile_partition(6, 6, MOTIFS["diag3"])
     qm = quotient(g, pi)
     m = HillMap(exponent=6)
     u_star = fixed_point(m).value
@@ -285,7 +285,7 @@ def _sweep_quotients():
     g_t = torus_mesh(4, 4)
     return [
         quotient(buckyball(), buckyball_face_partition()),
-        quotient(hex_torus(6, 6), hex_two_level_partition(6, 6, "diag3")),
+        quotient(hex_torus(6, 6), tile_partition(6, 6, MOTIFS["diag3"])),
         quotient(g_t, bipartition_partition(g_t)),
         quotient(triangle_bridge(), make_partition([[2, 5], [0, 1, 3, 4, 6, 7]], 8)),
     ]

@@ -24,7 +24,7 @@ from patternq.graphs import (
     triangle_bridge,
 )
 
-from helpers import connected_by_closure
+from helpers import connected_by_closure, hex_torus_loops, torus_mesh_loops
 
 
 def test_build_smallest_graph():
@@ -203,11 +203,8 @@ def test_generators_are_deterministic():
 
 
 def test_builtin_generator_validation():
-    from patternq.graphs import (
-        hex_diagonal_generators,
-        hex_transpose_perm,
-        torus_domino_generators,
-    )
+    from helpers import hex_diagonal_generators, hex_transpose_perm, torus_domino_generators
+
     with pytest.raises(BadLatticeSize):
         hex_transpose_perm(6, 4)
     with pytest.raises(BadLatticeSize):
@@ -217,11 +214,46 @@ def test_builtin_generator_validation():
 
 
 def test_hex_partition_validation():
-    from patternq.partitions import hex_two_level_partition
-    with pytest.raises(BadLatticeSize):
-        hex_two_level_partition(4, 4, "diag3")
-    with pytest.raises(BadLatticeSize):
-        hex_two_level_partition(6, 6, "spiral")
+    from patternq.partitions import MOTIFS, tile_partition
+
+    # the motif's shape must divide the torus, and its labels must be 0..k-1
+    for rows, cols, motif in [(4, 4, MOTIFS["diag3"]), (6, 6, MOTIFS["domino"]),
+                              (6, 6, [[0, 2]]), (6, 6, [[1, 2]]), (6, 6, [[0.0, 1.0]]),
+                              (6, 6, [[0, -1]]), (6, 6, [0, 1]), (6, 6, [[]]),
+                              (0, 6, [[0, 1]])]:
+        with pytest.raises(BadLatticeSize):
+            tile_partition(rows, cols, motif)
+
+
+@pytest.mark.parametrize("rows", [2, 4, 6, 8, 10, 12])
+def test_periodic_lattices_match_cell_loops(rows):
+    for cols in (2, 4, 6, 8, 10, 12):
+        assert torus_mesh(rows, cols) == torus_mesh_loops(rows, cols)
+        assert hex_torus(rows, cols) == hex_torus_loops(rows, cols)
+
+
+def test_periodic_lattices_match_cell_loops_at_30x30():
+    assert torus_mesh(30, 30) == torus_mesh_loops(30, 30)
+    assert hex_torus(30, 30) == hex_torus_loops(30, 30)
+
+
+def test_two_wide_torus_adds_up_coincident_contacts():
+    # on a 2-wide dimension the left and the right neighbour coincide
+    g = torus_mesh(2, 4)
+    assert ((0, 4, 2.0) in g.edges) and ((0, 1, 1.0) in g.edges)
+    assert np.array_equal(g.degrees(), np.full(8, 4.0))
+    assert np.array_equal(hex_torus(2, 2).degrees(), np.full(4, 6.0))
+
+
+def test_graph_is_two_colored_once(monkeypatch):
+    from patternq import graphs
+
+    calls = []
+    real = graphs._two_coloring
+    monkeypatch.setattr(graphs, "_two_coloring", lambda *a: calls.append(a) or real(*a))
+    g = torus_mesh(4, 4)
+    assert is_connected(g) and bipartition(g) is not None
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("kind,params", [

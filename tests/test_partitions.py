@@ -10,43 +10,43 @@ from patternq.errors import (
 from patternq.graphs import (
     build_graph,
     buckyball,
-    buckyball_rotation_generators,
     cycle_graph,
-    cycle_rotation_perm,
     generate,
-    hex_diagonal_generators,
     hex_torus,
     path_graph,
     scaled_adjacency,
-    torus_checkerboard_generators,
-    torus_domino_generators,
     torus_mesh,
     triangle_bridge,
 )
 from patternq.partitions import (
-    HEX_PATTERNS,
+    MOTIFS,
     bipartition_partition,
     canonical_partition,
     block_decompose,
     buckyball_face_partition,
     coarsest_equitable_refinement,
-    hex_two_level_partition,
     is_equitable,
     make_partition,
     orbits_from_generators,
     quotient,
     refines,
     singleton_partition,
-    torus_domino_partition,
+    tile_partition,
     trivial_partition,
 )
 
 from helpers import (
     brute_force_coarsest,
+    buckyball_rotation_generators,
     class_indicator,
+    cycle_rotation_perm,
     dense_averaging,
+    equitable_two_colorings,
+    hex_diagonal_generators,
     random_connected_graph,
     rounded_signature_refinement,
+    torus_checkerboard_generators,
+    torus_domino_generators,
 )
 
 
@@ -115,7 +115,7 @@ def test_quotient_bipartite_two_level():
 
 
 def test_quotient_domino_orbits():
-    qm = quotient(torus_mesh(4, 4), torus_domino_partition(4, 4))
+    qm = quotient(torus_mesh(4, 4), tile_partition(4, 4, MOTIFS["domino"]))
     assert np.array_equal(qm.matrix, [[0.25, 0.75], [0.75, 0.25]])
 
 
@@ -142,7 +142,7 @@ def test_quotient_triangle_bridge():
 ])
 def test_quotient_hex_patterns(pattern, expected):
     g = hex_torus(6, 6)
-    qm = quotient(g, hex_two_level_partition(6, 6, pattern))
+    qm = quotient(g, tile_partition(6, 6, MOTIFS[pattern]))
     assert np.abs(qm.matrix - np.array(expected)).max() < 1e-12
 
 
@@ -156,11 +156,11 @@ def _builtin_cases():
     g_h = hex_torus(6, 6)
     cases = [
         (g_t, bipartition_partition(g_t)),
-        (g_t, torus_domino_partition(4, 4)),
+        (g_t, tile_partition(4, 4, MOTIFS["domino"])),
         (buckyball(), buckyball_face_partition()),
         (triangle_bridge(), make_partition([[2, 5], [0, 1, 3, 4, 6, 7]], 8)),
     ]
-    cases += [(g_h, hex_two_level_partition(6, 6, p)) for p in sorted(HEX_PATTERNS)]
+    cases += [(g_h, tile_partition(6, 6, MOTIFS[p])) for p in ("col2", "col3", "diag3", "row2", "row3", "spots")]
     return cases
 
 
@@ -182,7 +182,7 @@ def test_quotient_spectrum_subset_of_full(g, pi):
 
 def test_reduced_graph_omits_self_loops():
     # col3 has nonzero diagonal entries yet its reduced graph is one edge
-    qm = quotient(hex_torus(6, 6), hex_two_level_partition(6, 6, "col3"))
+    qm = quotient(hex_torus(6, 6), tile_partition(6, 6, MOTIFS["col3"]))
     assert qm.matrix[0, 0] != 0 or qm.matrix[1, 1] != 0
     assert qm.reduced_edges == ((0, 1),)
     assert qm.reduced_coloring is not None
@@ -316,13 +316,34 @@ def test_refinement_runs_on_the_edge_arrays(monkeypatch):
 def test_two_class_constructors_match_modular_oracles_at_48x48():
     side = 48
     i, j = np.divmod(np.arange(side * side), side)
-    assert np.array_equal(torus_domino_partition(side, side).class_of(),
+    assert np.array_equal(tile_partition(side, side, MOTIFS["domino"]).class_of(),
                           (j + i // 2) % 2)
     others = {"diag3": (i - j) % 3 != 0, "row2": i % 2 != 0, "col3": j % 3 != 0,
-              "row3": i % 3 != 0, "col2": j % 2 != 0}
+              "row3": i % 3 != 0, "col2": j % 2 != 0, "checkerboard": (i + j) % 2 != 0,
+              "spots": (i % 2 == 1) & (j % 2 == 1)}
     for pattern, in_class_1 in others.items():
-        assert np.array_equal(hex_two_level_partition(side, side, pattern).class_of(),
+        assert np.array_equal(tile_partition(side, side, MOTIFS[pattern]).class_of(),
                               in_class_1.astype(int)), pattern
+
+
+@pytest.mark.parametrize("g,side,count,equitable,inequitable", [
+    # every motif that fits the lattice, split by equitability
+    (torus_mesh(4, 4), 4, 43, ["checkerboard", "domino", "row2", "col2"], ["spots"]),
+    (hex_torus(6, 6), 6, 163,
+     ["checkerboard", "diag3", "row2", "col3", "row3", "col2", "spots"], []),
+])
+def test_exhaustive_search_pins_the_equitable_two_colorings(g, side, count, equitable,
+                                                            inequitable):
+    found = set(equitable_two_colorings(g))
+    assert len(found) == count
+    for c in found:
+        assert is_equitable(g, make_partition(
+            [[v for v in range(g.n) if c[v] == k] for k in (0, 1)], g.n)).ok
+    assert sorted(equitable + inequitable) == sorted(
+        name for name, m in MOTIFS.items() if side % len(m) == 0 == side % len(m[0]))
+    for name in equitable + inequitable:
+        labels = tuple(tile_partition(side, side, MOTIFS[name]).class_of().tolist())
+        assert (labels in found) == (name in equitable), name
 
 
 # ---- orbit partitions ----
@@ -343,7 +364,7 @@ def test_orbits_torus_domino_generators():
     pi = orbits_from_generators(g, torus_domino_generators(4, 4))
     assert set(pi.classes[0]) == {0, 2, 4, 6, 9, 11, 13, 15}
     assert set(pi.classes[1]) == {1, 3, 5, 7, 8, 10, 12, 14}
-    assert pi.classes == torus_domino_partition(4, 4).classes
+    assert pi.classes == tile_partition(4, 4, MOTIFS["domino"]).classes
 
 
 def test_orbits_torus_checkerboard_generators():
@@ -361,7 +382,7 @@ def test_orbits_buckyball_rotations():
 def test_orbits_hex_diagonal_generators():
     g = hex_torus(6, 6)
     pi = orbits_from_generators(g, hex_diagonal_generators(6, 6))
-    assert pi.classes == hex_two_level_partition(6, 6, "diag3").classes
+    assert pi.classes == tile_partition(6, 6, MOTIFS["diag3"]).classes
 
 
 def test_orbit_partitions_are_always_equitable():

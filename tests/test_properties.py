@@ -22,11 +22,13 @@ from patternq.graphs import (
     ScaledAdjacency,
     build_graph,
     cycle_graph,
+    hex_torus,
     scaled_adjacency,
     torus_mesh,
-    torus_shift_perm,
 )
 from patternq.partitions import (
+    MOTIFS,
+    _class_sums_checked,
     bipartition_partition,
     block_decompose,
     coarsest_equitable_refinement,
@@ -35,6 +37,7 @@ from patternq.partitions import (
     orbits_from_generators,
     quotient,
     refines,
+    tile_partition,
 )
 from patternq.serialize import dumps_canonical
 from patternq.simulate import SimOptions, integrate
@@ -46,9 +49,11 @@ from helpers import (
     char_poly_coeffs,
     char_poly_eigs,
     class_indicator,
+    class_sums_checked_loop,
     dense_averaging,
     m_matrix_by_leading_minors,
     random_connected_graph,
+    torus_shift_perm,
     weight_matrix,
 )
 
@@ -432,6 +437,36 @@ def test_reduced_edges_match_class_pair_loop(seed, n, r):
                  if pbar[i, j] != 0.0 or pbar[j, i] != 0.0)
     assert qm.reduced_edges == loop
     assert all(type(k) is int for e in qm.reduced_edges for k in e)
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(2, 24), r=st.integers(1, 6), refine=st.booleans())
+def test_class_sum_check_matches_the_class_loop(seed, n, r, refine):
+    # random (mostly inequitable) partitions with shuffled class order; the
+    # witness must be the one the class-by-class loop finds first
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, weighted=bool(rng.integers(2)))
+    labels = rng.integers(0, min(r, n), size=n)
+    pi = make_partition([np.flatnonzero(labels == k).tolist() for k in range(r)], n)
+    if refine:
+        pi = coarsest_equitable_refinement(g, pi)
+    pi = make_partition([pi.classes[k] for k in rng.permutation(pi.r)], n)
+    sa = scaled_adjacency(g)
+    check = _class_sums_checked(sa, pi, 1e-12)[1]
+    assert check == class_sums_checked_loop(sa, pi, 1e-12)
+    assert check.witness is None or all(type(k) is int for k in check.witness[:4])
+
+
+@PROPERTY
+@given(name=st.sampled_from(sorted(MOTIFS)), data=st.data())
+def test_motifs_tile_equitably_on_every_multiple_of_their_period(name, data):
+    # both lattices need even sides, so a side is a multiple of lcm(period, 2)
+    motif = np.array(MOTIFS[name])
+    rows, cols = (data.draw(st.integers(1, 48 // p).map(lambda a, p=p: a * p))
+                  for p in np.lcm(motif.shape, 2))
+    pi = tile_partition(rows, cols, motif)
+    assert is_equitable(hex_torus(rows, cols), pi).ok
+    assert is_equitable(torus_mesh(rows, cols), pi).ok == (name != "spots")
 
 
 def _json_values():

@@ -6,10 +6,11 @@ from patternq.errors import BadOptions, NotConverged, StateOutOfBox
 from patternq.existence import certify, lift, solve_reduced
 from patternq.graphs import build_graph, scaled_adjacency, torus_mesh, triangle_bridge
 from patternq.partitions import (
+    MOTIFS,
     bipartition_partition,
-    hex_two_level_partition,
     make_partition,
     quotient,
+    tile_partition,
 )
 from patternq.graphs import hex_torus
 from patternq import simulate
@@ -178,7 +179,7 @@ def test_classify_requires_convergence():
 @pytest.mark.parametrize("g,pi", [
     (torus_mesh(4, 4), None),
     (triangle_bridge(), make_partition([[2, 5], [0, 1, 3, 4, 6, 7]], 8)),
-    (hex_torus(6, 6), hex_two_level_partition(6, 6, "diag3")),
+    (hex_torus(6, 6), tile_partition(6, 6, MOTIFS["diag3"])),
 ])
 def test_class_constant_states_stay_class_constant(g, pi):
     if pi is None:
@@ -240,7 +241,7 @@ def test_verify_certificate_checkerboard():
 
 def test_verify_certificate_inconclusive_is_exploratory():
     g = hex_torus(6, 6)
-    pi = hex_two_level_partition(6, 6, "col3")
+    pi = tile_partition(6, 6, MOTIFS["col3"])
     m = HillMap(exponent=6)
     qm = quotient(g, pi)
     red = solve_reduced(qm, m)  # homogeneous, warned

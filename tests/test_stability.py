@@ -16,14 +16,14 @@ from patternq.graphs import (
     triangle_bridge,
 )
 from patternq.partitions import (
+    MOTIFS,
     bipartition_partition,
     block_decompose,
     buckyball_face_partition,
-    hex_two_level_partition,
     make_partition,
     quotient,
     singleton_partition,
-    torus_domino_partition,
+    tile_partition,
 )
 from patternq.stability import (
     CERTIFIED_STABLE,
@@ -124,9 +124,9 @@ def _pattern_cases():
     g_h = hex_torus(6, 6)
     return [
         (g_t, bipartition_partition(g_t), 6),
-        (g_t, torus_domino_partition(4, 4), 6),
+        (g_t, tile_partition(4, 4, MOTIFS["domino"]), 6),
         (buckyball(), buckyball_face_partition(), 6),
-        (g_h, hex_two_level_partition(6, 6, "diag3"), 6),
+        (g_h, tile_partition(6, 6, MOTIFS["diag3"]), 6),
         (triangle_bridge(), make_partition([[2, 5], [0, 1, 3, 4, 6, 7]], 8), 6),
     ]
 
@@ -271,7 +271,7 @@ def test_small_gain_builds_no_dense_matrix(monkeypatch):
 
     monkeypatch.setattr(ScaledAdjacency, "symmetric", property(refuse))
     g = hex_torus(6, 6)
-    qm = quotient(g, hex_two_level_partition(6, 6, "diag3"))
+    qm = quotient(g, tile_partition(6, 6, MOTIFS["diag3"]))
     m = HillMap(exponent=6)
     sg = small_gain(qm, m, solve_reduced(qm, m).class_values)
     assert sg.rho_full == sg.rho_reduced > 0
