@@ -62,12 +62,27 @@ class HillMap:
         return FixedPoint(value=u, residual=abs(t_eval(self, u) - u))
 
 
+def _hill(m: HillMap, u):
+    """A / (1 + (u/K)^h) at inputs u >= 0, unchecked.
+
+    u is a float array the caller owns, which is overwritten with the
+    response and returned, or a numpy float scalar, which gives a scalar.
+    The operations and their order are those of the plain expression: the
+    power of an array and of a scalar may round differently, so each keeps
+    its own kind.
+    """
+    u /= m.threshold
+    u **= m.exponent
+    u += 1.0
+    return np.divide(m.amplitude, u, out=u if u.ndim else None)
+
+
 def t_eval(m: HillMap, u) -> float | np.ndarray:
     """Hill response at u >= 0."""
     u = np.asarray(u, dtype=float)
     if np.any(u < 0):
         raise NegativeInput("inputs must be nonnegative")
-    val = m.amplitude / (1.0 + (u / m.threshold) ** m.exponent)
+    val = _hill(m, u.copy() if u.ndim else u[()])
     return float(val) if val.ndim == 0 else val
 
 

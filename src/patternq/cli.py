@@ -213,11 +213,10 @@ def _cmd_exist(args) -> int:
 
 def _stability_payload(qm, model, z, methods) -> dict:
     rep = _run_stage("stability", stability_report, qm, model, z, methods)
-    out = {
-        "full_spectral_abscissa": rep.full_spectral_abscissa,
-        "full_verdict": rep.full_verdict,
-        "m_matrix_ok": rep.m_matrix_ok,
-    }
+    out = {"m_matrix_ok": rep.m_matrix_ok}
+    if rep.full_verdict is not None:
+        out["full_spectral_abscissa"] = rep.full_spectral_abscissa
+        out["full_verdict"] = rep.full_verdict
     if rep.block is not None:
         out["block"] = {
             "representative_spectrum": rep.block.representative_spectrum,
@@ -623,7 +622,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--pattern", required=True, help="JSON with a 'z' field")
     p.add_argument("--method", default="all",
-                   choices=["full", "block", "smallgain", "all"])
+                   choices=["full", "block", "smallgain", "all"],
+                   help="full: the n x n Jacobian spectrum alone; block: the "
+                        "representative and transverse blocks, whose largest "
+                        "eigenvalue is the full abscissa; smallgain: the "
+                        "small-gain test alone, no full_* keys; all (default): "
+                        "block and smallgain")
     p.add_argument("--out", "-o")
     p.set_defaults(func=_cmd_stability)
 

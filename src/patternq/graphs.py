@@ -69,6 +69,11 @@ class WeightedGraph:
         # (sides, connected), colored on first read and kept on the instance
         return _two_coloring(self.n, self.edges)
 
+    @cached_property
+    def _operator(self) -> ScaledAdjacency:
+        # built on first read and kept on the instance; a raise keeps nothing
+        return _build_operator(self)
+
 
 @dataclass(frozen=True)
 class ScaledAdjacency:
@@ -144,10 +149,15 @@ def build_graph(n: int, edges) -> WeightedGraph:
 def scaled_adjacency(g: WeightedGraph) -> ScaledAdjacency:
     """Divide each weight-matrix row by the node degree d_i = sum_j w_ij.
 
-    Built from the edge list in O(m) without the dense weight matrix.  Every
-    vertex must have positive degree, otherwise the scaling is undefined and
-    IsolatedVertex is raised.
+    Built from the edge list in O(m) without the dense weight matrix, once
+    per graph: every call on g returns the same operator.  Every vertex must
+    have positive degree, otherwise the scaling is undefined and
+    IsolatedVertex is raised, on every call.
     """
+    return g._operator
+
+
+def _build_operator(g: WeightedGraph) -> ScaledAdjacency:
     edges = np.array(g.edges, dtype=float).reshape(-1, 3)
     i, j, w = edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp), edges[:, 2]
     # each edge adds its weight to both ends in edge order, as degrees() does

@@ -21,6 +21,16 @@ IV.2).  Inside the cap the step is chosen by the usual error control
 (Dormand & Prince, J. Comput. Appl. Math. 6, 1980), with the last stage of
 a step reused as the first of the next (FSAL) whenever the projection of
 the accepted state left it unchanged.
+
+The seven stage derivatives live in one (7, n) array, and every stage
+state, the error scale and the error estimate are formed in a few arrays
+allocated once per run; beyond what rhs returns, a step allocates only its
+accepted state, which callers may keep.  Each combination
+y + (h a_1) k_1 + (h a_2) k_2 + ... is still formed one product at a time
+and added in stage order, so every rounding, and with it every trajectory,
+is that of the plain left-to-right expression.  A reordered sum would move
+the last bits of the states and step sizes, and at a tolerance boundary
+the step counts.
 """
 from __future__ import annotations
 
@@ -72,11 +82,20 @@ def stable_step(model: HillMap) -> float:
     return _STABILITY_FACTOR * model.tau / (1.0 + max_slope(model))
 
 
-def _combine(y: np.ndarray, h: float, coeffs, ks) -> np.ndarray:
-    out = y.copy()
+def _combine(out: np.ndarray, y: np.ndarray | None, h: float, coeffs, ks,
+             term: np.ndarray) -> np.ndarray:
+    """out = y + (h a_1) k_1 + (h a_2) k_2 + ..., zero in place of y when y
+    is None; terms with a zero weight are skipped.  Each product is formed
+    in term and added to out in stage order, so the roundings are those of
+    the plain left-to-right expression."""
+    if y is None:
+        out.fill(0.0)
+    else:
+        np.copyto(out, y)
     for a, k in zip(coeffs, ks):
         if a:
-            out += (h * a) * k
+            np.multiply(k, h * a, out=term)
+            out += term
     return out
 
 
@@ -85,32 +104,41 @@ def settle(rhs, y0: np.ndarray, model: HillMap, conv_tol: float, t_max: float,
     """Integrate y' = rhs(y) from y0 until max|y'| < conv_tol or t = t_max.
 
     Steps never exceed h_max (stable_step(model) when None) nor overrun
-    t_max.  Each accepted state passes through project(t, y), which returns
-    the state to continue from (without writing into y) and may raise.
-    on_step(k, t, y) is called at the start (k = 0) and after every
-    accepted step.  The tolerances are derived from conv_tol and tau:
-    atol = 1e-2 conv_tol tau and rtol = 1e-8, on the max-norm of the
-    embedded error estimate.
+    t_max.  rhs(y) must neither write into y nor keep it.  Each accepted
+    state is a new array and passes through project(t, y), which returns
+    the state to continue from (y itself when nothing changes, never y
+    written into) and may raise.  on_step(k, t, y) is called at the start
+    (k = 0) and after every accepted step, and may keep y.  The tolerances
+    are derived from conv_tol and tau: atol = 1e-2 conv_tol tau and
+    rtol = 1e-8, on the max-norm of the embedded error estimate.
     """
     h_max = stable_step(model) if h_max is None else h_max
     atol = _ATOL_PER_CONV * conv_tol * model.tau
     y = np.array(y0, dtype=float)
+    # the seven stage derivatives (row 0 the FSAL one), the stage state,
+    # one product term and the error estimate, reused by every step
+    ks = list(np.empty((7,) + y.shape))
+    stage, term, err_est = np.empty_like(y), np.empty_like(y), np.empty_like(y)
     t = 0.0
     steps = rejected = 0
-    deriv = rhs(y)
-    norm = float(np.abs(deriv).max())
+    ks[0][...] = rhs(y)
+    norm = float(np.abs(ks[0]).max())
     h = h_max
     if on_step is not None:
         on_step(0, t, y)
     while norm >= conv_tol and t < t_max:
         h = min(h, h_max, t_max - t)
-        ks = [deriv]
-        for a in _A:
-            ks.append(rhs(_combine(y, h, a, ks)))
-        y_new = _combine(y, h, _B, ks)
-        ks.append(rhs(y_new))
-        scale = atol + _RTOL * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.abs(_combine(np.zeros_like(y), h, _E, ks) / scale).max())
+        for s, a in enumerate(_A, start=1):
+            ks[s][...] = rhs(_combine(stage, y, h, a, ks, term))
+        y_new = _combine(np.empty_like(y), y, h, _B, ks, term)
+        ks[6][...] = rhs(y_new)
+        # scale = atol + rtol max(|y|, |y_new|), in stage
+        np.maximum(np.abs(y, out=stage), np.abs(y_new, out=term), out=stage)
+        stage *= _RTOL
+        stage += atol
+        _combine(err_est, None, h, _E, ks, term)
+        err_est /= stage
+        err = float(np.abs(err_est, out=err_est).max())
         if not err <= 1.0:
             rejected += 1
             h *= max(_SHRINK_MIN, _SAFETY * err ** -0.2) if np.isfinite(err) else _SHRINK_MIN
@@ -118,8 +146,8 @@ def settle(rhs, y0: np.ndarray, model: HillMap, conv_tol: float, t_max: float,
         t = t + h if t + h < t_max else t_max
         steps += 1
         y = project(t, y_new)
-        deriv = ks[-1] if np.array_equal(y, y_new) else rhs(y)
-        norm = float(np.abs(deriv).max())
+        ks[0][...] = ks[6] if y is y_new or np.array_equal(y, y_new) else rhs(y)
+        norm = float(np.abs(ks[0]).max())
         if on_step is not None:
             on_step(steps, t, y)
         h *= min(_GROW_MAX, _SAFETY * err ** -0.2) if err > 0 else _GROW_MAX

@@ -126,12 +126,15 @@ def _load_json(path, kind: type, what: str):
     return data
 
 
+# the exact types JSON loads give take the fast path; the ABC check still
+# accepts numpy and other registered numbers, and bool (an int) is refused
 def _is_int(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
 def _is_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    return (type(x) is float or type(x) is int
+            or (isinstance(x, numbers.Real) and not isinstance(x, bool)))
 
 
 def _list_of(ok):

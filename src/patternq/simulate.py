@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import HillMap, t_eval
+from .cells import HillMap, _hill
 from .errors import BadOptions, NotConverged, StateOutOfBox
 from .existence import CERTIFIED, ExistenceCertificate, PatternSolution, certify
 from .graphs import ScaledAdjacency
@@ -103,17 +103,24 @@ def integrate(sa: ScaledAdjacency, model: HillMap, x0,
         raise BadOptions(f"x0 must be finite and lie in [0, {amp}]")
 
     def rhs(state: np.ndarray) -> np.ndarray:
-        # intermediate stage states may poke below zero with large steps;
-        # the neighbor average of nonnegative outputs never does
-        return (-state + t_eval(model, np.maximum(sa.matvec(state), 0.0))) / model.tau
+        # (-x + T(max(P x, 0))) / tau in the new array matvec returns;
+        # intermediate stage states may poke below zero with large steps, the
+        # neighbor average of nonnegative outputs never does, and the clamp
+        # makes every input nonnegative, so t_eval's checks are skipped
+        out = sa.matvec(state)
+        out = _hill(model, np.maximum(out, 0.0, out=out))
+        out -= state
+        out /= model.tau
+        return out
 
     slop = _BOX_SLOP_REL * amp
 
     def into_box(t: float, state: np.ndarray) -> np.ndarray:
-        if state.min() < -slop or state.max() > amp + slop:
+        lo, hi = state.min(), state.max()
+        if lo < -slop or hi > amp + slop:
             raise StateOutOfBox(
                 f"state left [0, {amp}] at t={t:.3f}; reduce the step size")
-        return np.clip(state, 0.0, amp)
+        return state if 0.0 <= lo and hi <= amp else np.clip(state, 0.0, amp)
 
     times: list[float] = []
     states: list[np.ndarray] = []

@@ -12,7 +12,10 @@ computed on the quotient alone, where it is exactly equal; the same radius
 decides whether I - Gamma P is a nonsingular M-matrix.  Routes start from
 the QuotientModel of the pattern (block_decompose(qm), small_gain(qm, ...),
 stability_report(qm, ...)) or from its operator (full_jacobian_stability);
-none rebuilds either.
+none rebuilds either.  stability_report checks once that the pattern is
+steady and runs only the routes it is asked for; when the block route is
+among them, the largest eigenvalue of its two blocks is the full spectral
+abscissa and no n x n spectrum is solved.
 """
 from __future__ import annotations
 
@@ -74,6 +77,14 @@ class BlockStability:
     transverse_spectrum: np.ndarray
     consistency: float
 
+    @property
+    def abscissa(self) -> float:
+        """Largest eigenvalue of the two blocks together.  The block split
+        is an orthogonal similarity, so this is the spectral abscissa of the
+        full Jacobian."""
+        return float(max(self.representative_spectrum[0],
+                         self.transverse_spectrum.max(initial=-np.inf)))
+
 
 @dataclass(frozen=True)
 class SmallGainResult:
@@ -99,6 +110,8 @@ class SmallGainResult:
 class StabilityReport:
     """The verdicts of the routes that ran.
 
+    full_spectral_abscissa and full_verdict come from the block route when
+    it ran, from the full route otherwise, and are None when neither ran.
     m_matrix_ok is True when the small-gain route ran and rho(P Gamma) < 1,
     and None otherwise.  With Gamma P >= 0, I - Gamma P is a Z-matrix, and a
     Z-matrix I - B with B >= 0 is a nonsingular M-matrix exactly when
@@ -107,8 +120,8 @@ class StabilityReport:
     eigenvalues.
     """
 
-    full_spectral_abscissa: float
-    full_verdict: str
+    full_spectral_abscissa: float | None
+    full_verdict: str | None
     block: BlockStability | None
     small_gain: SmallGainResult | None
     m_matrix_ok: bool | None
@@ -122,19 +135,28 @@ def _verdict_from_abscissa(abscissa: float) -> str:
     return MARGINAL
 
 
-def full_jacobian_stability(sa: ScaledAdjacency, model: HillMap, u) -> FullStability:
-    """Spectral abscissa of (-I + diag(T'(u)) P) / tau at a steady pattern u."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (sa.n,):
-        raise DimensionMismatch(f"expected {sa.n} inputs, got {u.shape}")
+def _require_steady(sa: ScaledAdjacency, model: HillMap, u: np.ndarray) -> None:
+    """NotSteadyState unless u = P T(u) to within 1e-8."""
     residual = float(np.abs(u - sa.matvec(t_eval(model, u))).max())
     if residual > _STEADY_TOL:
         raise NotSteadyState(f"pattern residual {residual:.2e} exceeds {_STEADY_TOL}")
-    slopes = np.asarray(t_prime(model, u), dtype=float)
-    spec = jacobian_spectrum(sa.symmetric, slopes, tau=model.tau)
+
+
+def _full_stability(sa: ScaledAdjacency, model: HillMap, u: np.ndarray) -> FullStability:
+    spec = jacobian_spectrum(sa.symmetric, t_prime(model, u), tau=model.tau)
     abscissa = float(spec.eigenvalues[0])
     return FullStability(abscissa=abscissa, verdict=_verdict_from_abscissa(abscissa),
                          spectrum=spec)
+
+
+def full_jacobian_stability(sa: ScaledAdjacency, model: HillMap, u) -> FullStability:
+    """Spectral abscissa of (-I + diag(T'(u)) P) / tau at a steady pattern u,
+    from the n x n similarity of the operator's S."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (sa.n,):
+        raise DimensionMismatch(f"expected {sa.n} inputs, got {u.shape}")
+    _require_steady(sa, model, u)
+    return _full_stability(sa, model, u)
 
 
 def block_stability(decomp: BlockDecomposition, model: HillMap, z) -> BlockStability:
@@ -216,21 +238,31 @@ def small_gain(qm: QuotientModel, model: HillMap, z) -> SmallGainResult:
 def stability_report(qm: QuotientModel, model: HillMap, z,
                      methods: tuple[str, ...] = ("full", "block", "smallgain"),
                      ) -> StabilityReport:
-    """Run the requested certification routes on the lifted pattern of z."""
+    """Run the requested certification routes on the lifted pattern of z.
+
+    Whatever the methods, the lifted pattern must be steady (NotSteadyState
+    otherwise).  The full spectral abscissa comes from the block route when
+    "block" is requested, since its two blocks carry the whole Jacobian
+    spectrum, and from the n x n full route when only "full" is; with
+    neither, full_spectral_abscissa and full_verdict are None.
+    """
     z = np.asarray(z, dtype=float)
     u = qm.partition.expand(z)
-    full = full_jacobian_stability(qm.operator, model, u)
-    block = None
+    _require_steady(qm.operator, model, u)
+    abscissa = block = None
     if "block" in methods:
         block = block_stability(block_decompose(qm), model, z)
+        abscissa = block.abscissa
+    elif "full" in methods:
+        abscissa = _full_stability(qm.operator, model, u).abscissa
     sg = None
     m_ok = None
     if "smallgain" in methods:
         sg = small_gain(qm, model, z)
         m_ok = True if sg.rho_full < 1.0 else None
     return StabilityReport(
-        full_spectral_abscissa=full.abscissa,
-        full_verdict=full.verdict,
+        full_spectral_abscissa=abscissa,
+        full_verdict=None if abscissa is None else _verdict_from_abscissa(abscissa),
         block=block,
         small_gain=sg,
         m_matrix_ok=m_ok,

@@ -15,6 +15,9 @@ lattices are checked against the cell-by-cell loops the index arithmetic
 replaced, the class-sum check against its per-class loop, and the motifs
 against a depth-first search over all 2-colourings.  Known automorphisms of
 the built-in lattices, as permutations, feed orbits_from_generators.
+The Dormand-Prince loop is checked bit for bit against settle_reference,
+the stepper that allocated a new array per stage and re-ran the input
+checks of t_eval in every right-hand side.
 """
 from __future__ import annotations
 
@@ -24,8 +27,20 @@ import math
 import numpy as np
 
 from patternq.cells import HillMap, fixed_point, t_eval
-from patternq.errors import BadBundle, BadLatticeSize, NoConvergence
+from patternq.errors import BadBundle, BadLatticeSize, NoConvergence, StateOutOfBox
 from patternq.graphs import WeightedGraph, _icosahedron, build_graph, scaled_adjacency
+from patternq.ode import (
+    _A,
+    _ATOL_PER_CONV,
+    _B,
+    _E,
+    _GROW_MAX,
+    _RTOL,
+    _SAFETY,
+    _SHRINK_MIN,
+    Settled,
+    stable_step,
+)
 from patternq.partitions import (
     EquitabilityCheck,
     Partition,
@@ -521,3 +536,75 @@ def buckyball_rotation_generators() -> list[list[int]]:
         fp = [face_index[tuple(sorted(vp[v] for v in faces[i]))] for i in range(20)]
         perms.append(vp + [12 + x for x in fp])
     return perms
+
+
+# ---- the Dormand-Prince loop with a new array per stage ----
+
+def _combine_reference(y: np.ndarray, h: float, coeffs, ks) -> np.ndarray:
+    out = y.copy()
+    for a, k in zip(coeffs, ks):
+        if a:
+            out += (h * a) * k
+    return out
+
+
+def settle_reference(rhs, y0: np.ndarray, model: HillMap, conv_tol: float, t_max: float,
+                     project, h_max: float | None = None, on_step=None) -> Settled:
+    """ode.settle as it was before its stage buffers: the same tableau,
+    error control and FSAL rule, with every stage state, stage list and
+    error estimate newly allocated.  An oracle only."""
+    h_max = stable_step(model) if h_max is None else h_max
+    atol = _ATOL_PER_CONV * conv_tol * model.tau
+    y = np.array(y0, dtype=float)
+    t = 0.0
+    steps = rejected = 0
+    deriv = rhs(y)
+    norm = float(np.abs(deriv).max())
+    h = h_max
+    if on_step is not None:
+        on_step(0, t, y)
+    while norm >= conv_tol and t < t_max:
+        h = min(h, h_max, t_max - t)
+        ks = [deriv]
+        for a in _A:
+            ks.append(rhs(_combine_reference(y, h, a, ks)))
+        y_new = _combine_reference(y, h, _B, ks)
+        ks.append(rhs(y_new))
+        scale = atol + _RTOL * np.maximum(np.abs(y), np.abs(y_new))
+        err = float(np.abs(_combine_reference(np.zeros_like(y), h, _E, ks) / scale).max())
+        if not err <= 1.0:
+            rejected += 1
+            h *= max(_SHRINK_MIN, _SAFETY * err ** -0.2) if np.isfinite(err) else _SHRINK_MIN
+            continue
+        t = t + h if t + h < t_max else t_max
+        steps += 1
+        y = project(t, y_new)
+        deriv = ks[-1] if np.array_equal(y, y_new) else rhs(y)
+        norm = float(np.abs(deriv).max())
+        if on_step is not None:
+            on_step(steps, t, y)
+        h *= min(_GROW_MAX, _SAFETY * err ** -0.2) if err > 0 else _GROW_MAX
+    return Settled(state=y, time=t, derivative_norm=norm,
+                   converged=norm < conv_tol, steps=steps, rejected=rejected)
+
+
+def integrate_reference(sa, model: HillMap, x0, step: float, max_time: float,
+                        conv_tol: float):
+    """(times, states, Settled) of the network flow through settle_reference,
+    with the right-hand side through the checked t_eval and every accepted
+    state clipped into the box (StateOutOfBox beyond 1e-7 A); every
+    accepted state is kept."""
+    amp = model.amplitude
+
+    def rhs(x):
+        return (-x + t_eval(model, np.maximum(sa.matvec(x), 0.0))) / model.tau
+
+    def into_box(t, x):
+        if x.min() < -1e-7 * amp or x.max() > amp + 1e-7 * amp:
+            raise StateOutOfBox(f"state left the box at t={t}")
+        return np.clip(x, 0.0, amp)
+
+    times, states = [], []
+    rest = settle_reference(rhs, x0, model, conv_tol, max_time, into_box, step,
+                            lambda k, t, x: (times.append(t), states.append(x)))
+    return np.array(times), np.array(states), rest

@@ -110,6 +110,55 @@ def test_stability_command(tmp_path, torus_graph, torus_bipartition, model_h6):
     assert data["block"]["consistency"] < 1e-8
 
 
+def _record_spectrum_orders(monkeypatch) -> list[int]:
+    # the order of every jacobian_spectrum call the stability routes make
+    from patternq import stability
+
+    orders = []
+    real = stability.jacobian_spectrum
+    monkeypatch.setattr(stability, "jacobian_spectrum",
+                        lambda s, *a, **kw: orders.append(len(s)) or real(s, *a, **kw))
+    return orders
+
+
+def test_analyze_solves_no_spectrum_of_order_n(tmp_path, monkeypatch, model_h6):
+    # the block split is an orthogonal similarity, so its two blocks carry
+    # the full Jacobian spectrum and no n x n spectrum is solved
+    orders = _record_spectrum_orders(monkeypatch)
+    assert main(["analyze", "--gen", "torus_mesh:16,16", "--auto-bipartite",
+                 "--model", model_h6, "--simulate", "-o", str(tmp_path / "b.json")]) == 0
+    assert sorted(orders) == [2, 254]
+
+
+@pytest.mark.parametrize("method,orders,keys", [
+    ("full", [16], {"full_spectral_abscissa", "full_verdict"}),
+    ("block", [2, 14], {"full_spectral_abscissa", "full_verdict", "block"}),
+    ("smallgain", [], {"small_gain"}),
+    ("all", [2, 14], {"full_spectral_abscissa", "full_verdict", "block", "small_gain"}),
+])
+def test_stability_runs_only_the_requested_routes(tmp_path, monkeypatch, torus_graph,
+                                                  torus_bipartition, model_h6,
+                                                  method, orders, keys):
+    pat = tmp_path / "pat.json"
+    assert main(["exist", "--graph", torus_graph, "--partition", torus_bipartition,
+                 "--model", model_h6, "-o", str(pat)]) == 0
+    seen = _record_spectrum_orders(monkeypatch)
+    out = tmp_path / "stab.json"
+    assert main(["stability", "--graph", torus_graph, "--partition", torus_bipartition,
+                 "--model", model_h6, "--pattern", str(pat), "--method", method,
+                 "-o", str(out)]) == 0
+    assert sorted(seen) == orders
+    data = json.loads(out.read_text())
+    assert set(data) == keys | {"m_matrix_ok"}
+    if "full_verdict" in data:
+        # -1 + sqrt(t1 t2) on the bipartite checkerboard, by either route
+        z = json.loads(pat.read_text())["z"]
+        slopes = [12.0 * v ** 5 / (1.0 + v ** 6) ** 2 for v in z]
+        expected = -1.0 + np.sqrt(slopes[0] * slopes[1])
+        assert abs(data["full_spectral_abscissa"] - expected) < 1e-12
+        assert data["full_verdict"] == "STABLE"
+
+
 def test_simulate_and_render(tmp_path, torus_graph, torus_bipartition, model_h6, capsys):
     trace = tmp_path / "tr.csv"
     out = tmp_path / "sim.json"
@@ -383,6 +432,18 @@ def test_analyze_builds_each_intermediate_once(tmp_path, monkeypatch, model_h6):
                       "quotient": 1, "certify": 1}
 
 
+def test_analyze_auto_refine_builds_the_operator_once(tmp_path, monkeypatch, model_h6):
+    # the refinement and the quotient share the graph's one operator
+    from patternq import graphs
+
+    calls = []
+    real = graphs._build_operator
+    monkeypatch.setattr(graphs, "_build_operator", lambda g: calls.append(g.n) or real(g))
+    assert main(["analyze", "--gen", "hex_torus:6,6", "--auto-refine",
+                 "--model", model_h6, "-o", str(tmp_path / "b.json")]) == 2
+    assert calls == [36]
+
+
 def test_analyze_two_colors_the_contact_graph_once(tmp_path, monkeypatch, model_h6):
     # is_connected and bipartition_partition share the graph's one coloring
     from patternq import graphs
@@ -396,7 +457,7 @@ def test_analyze_two_colors_the_contact_graph_once(tmp_path, monkeypatch, model_
 
 
 @pytest.mark.parametrize("argv,builds,equitable", [
-    (["--gen", "hex_torus:6,6", "--mode", "refine"], 2, True),
+    (["--gen", "hex_torus:6,6", "--mode", "refine"], 1, True),
     (["--gen", "torus_mesh:4,4", "--mode", "check", "--seed", "{partition}"], 1, True),
     (["--gen", "torus_mesh:4,4", "--mode", "orbits", "--perms", "{perms}"], 1, True),
     # NotEquitable carries the witness, so no second check rebuilds it
@@ -404,7 +465,7 @@ def test_analyze_two_colors_the_contact_graph_once(tmp_path, monkeypatch, model_
 ])
 def test_partition_builds_operator_once_per_check(tmp_path, monkeypatch, torus_bipartition,
                                                   argv, builds, equitable):
-    from patternq import partitions
+    from patternq import graphs, partitions
     from patternq.graphs import torus_mesh
 
     from helpers import torus_domino_generators
@@ -413,7 +474,7 @@ def test_partition_builds_operator_once_per_check(tmp_path, monkeypatch, torus_b
     perms.write_text(json.dumps({"perms": torus_domino_generators(4, 4)}))
     rows = tmp_path / "rows.json"
     rows.write_text(json.dumps({"classes": [list(range(4)), list(range(4, 16))]}))
-    counts = dict.fromkeys(["scaled_adjacency", "is_equitable"], 0)
+    counts = dict.fromkeys(["_build_operator", "is_equitable"], 0)
 
     def count(module, name):
         fn = getattr(module, name)
@@ -423,13 +484,14 @@ def test_partition_builds_operator_once_per_check(tmp_path, monkeypatch, torus_b
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    # partitions binds every scaled_adjacency call the partition command makes
-    count(partitions, "scaled_adjacency")
+    # every scaled_adjacency call on a graph returns the operator that
+    # graphs._build_operator built for it on the first call
+    count(graphs, "_build_operator")
     count(partitions, "is_equitable")
     out = tmp_path / "out.json"
     files = {"partition": torus_bipartition, "perms": str(perms), "rows": str(rows)}
     assert main(["partition"] + [a.format(**files) for a in argv] + ["-o", str(out)]) == 0
-    assert counts == {"scaled_adjacency": builds, "is_equitable": 0}
+    assert counts == {"_build_operator": builds, "is_equitable": 0}
     data = json.loads(out.read_text())
     assert data["equitable"] is equitable
     assert (data["witness"] is None) is equitable

@@ -91,6 +91,20 @@ def test_scaled_adjacency_rejects_isolated_vertex():
         scaled_adjacency(build_graph(3, [(0, 1, 1)]))
 
 
+def test_scaled_adjacency_is_built_once_per_graph():
+    g = torus_mesh(4, 4)
+    assert scaled_adjacency(g) is scaled_adjacency(g)
+    # an equal graph built separately gets its own, equal operator
+    other = scaled_adjacency(torus_mesh(4, 4))
+    assert other is not scaled_adjacency(g)
+    assert np.array_equal(other.weights, scaled_adjacency(g).weights)
+    # a failed build is not kept: every call raises again
+    bad = build_graph(3, [(0, 1, 1)])
+    for _ in range(2):
+        with pytest.raises(IsolatedVertex):
+            scaled_adjacency(bad)
+
+
 @pytest.mark.parametrize("g", [
     path_graph(3),
     cycle_graph(5),

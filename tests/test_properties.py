@@ -4,20 +4,24 @@ routines and the canonical JSON writer against independent oracles: the
 dense averaging matrix, scipy's ODE integrators (DOP853 on the dense
 network, LSODA on the reduced flow) and root finder,
 characteristic-polynomial roots and coefficients, dense unsymmetric
-eigvals, leading principal minors, a loop over class pairs and the
-item-by-item JSON writer."""
+eigvals, leading principal minors, a loop over class pairs, the
+item-by-item JSON writer and, bit for bit, the Dormand-Prince loop as it
+was before its stage buffers (helpers.settle_reference)."""
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_ivp
 from scipy.linalg import null_space
 from scipy.optimize import fsolve
 
+from patternq import existence
 from patternq.cells import HillMap, fixed_point, t_prime
-from patternq.errors import BadBundle
-from patternq.existence import CERTIFIED, lift, solve_reduced
+from patternq.errors import BadBundle, StateOutOfBox
+from patternq.existence import CERTIFIED, _ode_root, lift, solve_reduced
 from patternq.graphs import (
     ScaledAdjacency,
     build_graph,
@@ -51,8 +55,10 @@ from helpers import (
     class_indicator,
     class_sums_checked_loop,
     dense_averaging,
+    integrate_reference,
     m_matrix_by_leading_minors,
     random_connected_graph,
+    settle_reference,
     torus_shift_perm,
     weight_matrix,
 )
@@ -340,6 +346,106 @@ def test_small_gain_radius_matches_dense_eigvals(case, data):
     sg = small_gain(quotient(g, pi), m, z)
     dense = np.abs(np.linalg.eigvals(dense_averaging(g) * sg.gains.cell_gains[None, :])).max()
     assert abs(sg.rho_full - dense) < 1e-10
+
+
+@st.composite
+def tiled_motifs(draw):
+    """(graph, partition): a built-in motif tiled over a torus_mesh or
+    hex_torus of at most 12 x 12 cells (spots on hex_torus only)."""
+    name = draw(st.sampled_from(sorted(MOTIFS)))
+    lattice = hex_torus if name == "spots" else draw(st.sampled_from([torus_mesh, hex_torus]))
+    motif = np.array(MOTIFS[name])
+    rows, cols = (draw(st.integers(1, 12 // p).map(lambda a, p=p: a * p))
+                  for p in np.lcm(motif.shape, 2))
+    return lattice(rows, cols), tile_partition(rows, cols, motif)
+
+
+@PROPERTY
+@given(case=st.one_of(rotation_partitioned_circulants(), weighted_multipartite_splits(),
+                      tiled_motifs()),
+       h=st.floats(1.0, 40.0), data=st.data())
+def test_block_union_abscissa_matches_dense_eigvalsh(case, h, data):
+    # stability_report takes the full abscissa from the block union; the
+    # oracle is eigvalsh of the Jacobian's symmetric similarity
+    # (-I - G S G) / tau, G = diag(|T'|^1/2), built from the dense W
+    g, pi = case
+    m = HillMap(exponent=h, tau=data.draw(st.floats(0.5, 2.0)))
+    z = np.array(data.draw(st.lists(st.floats(0.0, m.amplitude), min_size=pi.r,
+                                    max_size=pi.r)))
+    got = block_stability(block_decompose(quotient(g, pi)), m, z).abscissa
+    w = weight_matrix(g)
+    root = np.sqrt(w.sum(axis=1))
+    gain = np.sqrt(-t_prime(m, pi.expand(z)))
+    jac = (-np.eye(g.n) - gain[:, None] * (w / np.outer(root, root)) * gain[None, :]) / m.tau
+    dense = np.linalg.eigvalsh(jac)
+    assert abs(got - dense[-1]) <= 1e-12 * np.abs(dense).max()
+
+
+# (largest step, max_time): None is the stability cap; the small ones make
+# runs end at the max_time cut, and steps far past the cap make error
+# control reject steps and, at high h, land accepted states a rounding
+# outside the box, where the clip runs
+_STEP_LIMITS = [(None, 0.5), (None, 4.0), (None, 30.0), (0.02, 0.5), (0.3, 4.0),
+                (0.3, 30.0), (40.0, 400.0)]
+
+
+@st.composite
+def stepper_runs(draw):
+    """(operator, model, x0, opts): a weighted circulant or a tiled motif,
+    h in [1, 40] with h = 40 drawn often, and a start that is constant on
+    each class up to optional noise, its class values drawn from the box
+    faces 0 and A, values small enough that (u/K)^h underflows, and the
+    interior, with step limits from _STEP_LIMITS."""
+    g, pi = draw(st.one_of(rotation_partitioned_circulants(), tiled_motifs()))
+    m = HillMap(exponent=draw(st.one_of(st.just(40.0), st.floats(1.0, 40.0))))
+    levels = st.one_of(st.sampled_from([0.0, m.amplitude]), st.floats(1e-14, 1e-9),
+                       st.floats(0.0, m.amplitude))
+    x0 = pi.expand(draw(st.lists(levels, min_size=pi.r, max_size=pi.r)))
+    noise = draw(st.sampled_from([0.0, 1e-3, 1.0]))
+    rng = np.random.default_rng(draw(seeds))
+    x0 = np.clip(x0 + noise * rng.uniform(-1.0, 1.0, g.n), 0.0, m.amplitude)
+    step, max_time = draw(st.sampled_from(_STEP_LIMITS))
+    opts = SimOptions(step=step, max_time=max_time,
+                      conv_tol=draw(st.sampled_from([1e-9, 1e-6])))
+    return scaled_adjacency(g), m, x0, opts
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(run=stepper_runs())
+# one accepted state of this run lands a rounding above A and is clipped
+@example(run=(scaled_adjacency(hex_torus(6, 6)), HillMap(exponent=40.0),
+              np.random.default_rng(0).uniform(0.0, 2.0, 36),
+              SimOptions(step=40.0, max_time=400.0)))
+def test_integrate_matches_the_reference_stepper_bit_for_bit(run):
+    sa, m, x0, opts = run
+    try:
+        trace = integrate(sa, m, x0, opts)
+    except StateOutOfBox:
+        with pytest.raises(StateOutOfBox):
+            integrate_reference(sa, m, x0, *opts.resolved(m))
+        return
+    times, states, rest = integrate_reference(sa, m, x0, *opts.resolved(m))
+    assert np.array_equal(trace.times, times)
+    assert np.array_equal(trace.states, states)
+    assert (trace.steps, trace.rejected, trace.converged) == (
+        rest.steps, rest.rejected, rest.converged)
+    assert trace.final_derivative_norm == rest.derivative_norm
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=st.one_of(rotation_partitioned_circulants(), tiled_motifs()),
+       h=st.one_of(st.just(40.0), st.floats(1.0, 40.0)), data=st.data())
+def test_reduced_flow_matches_the_reference_stepper_bit_for_bit(case, h, data):
+    g, pi = case
+    m = HillMap(exponent=h)
+    pbar = quotient(g, pi).matrix
+    z0 = np.array(data.draw(st.lists(st.sampled_from([0.0, 1e-12, 0.7, m.amplitude]),
+                                     min_size=pi.r, max_size=pi.r)))
+    got = _ode_root(pbar, m, z0, tol=1e-6)
+    with mock.patch.object(existence, "settle", settle_reference):
+        ref = _ode_root(pbar, m, z0, tol=1e-6)
+    assert (got is None) == (ref is None)
+    assert got is None or np.array_equal(got, ref)
 
 
 @st.composite

@@ -1,4 +1,7 @@
+import enum
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ from patternq.graphs import torus_mesh
 from patternq.partitions import make_partition
 from patternq.serialize import (
     Canonical,
+    _is_int,
+    _is_real,
     dumps_canonical,
     graph_from_dict,
     graph_to_dict,
@@ -83,3 +88,31 @@ def test_partition_file_round_trip(tmp_path):
     save_partition(pi, path)
     assert load_partition(path, 8).classes == pi.classes
     assert partition_from_dict(partition_to_dict(pi), 8).classes == pi.classes
+
+
+class _Level(enum.IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize("x,is_int,is_real", [
+    (3, True, True),
+    (-0.5, False, True),
+    (float("nan"), False, True),
+    (True, False, False),
+    (False, False, False),
+    (np.bool_(True), False, False),
+    (np.int64(3), True, True),
+    (np.int8(-1), True, True),
+    (np.float64(0.5), False, True),
+    (np.float32(0.5), False, True),
+    (Fraction(1, 3), False, True),
+    (Decimal("0.5"), False, False),
+    (_Level.ONE, True, True),
+    (1 + 0j, False, False),
+    ("1", False, False),
+    (None, False, False),
+    ([1], False, False),
+])
+def test_number_checks_keep_their_answers(x, is_int, is_real):
+    # the exact-type fast path answers as the numbers ABCs do, bool refused
+    assert (_is_int(x), _is_real(x)) == (is_int, is_real)

@@ -73,7 +73,7 @@ def test_blowup_raises_state_out_of_box(monkeypatch):
     # a response far above A drives the state out of the box within a step
     g = torus_mesh(4, 4)
     m = HillMap(exponent=6)
-    monkeypatch.setattr(simulate, "t_eval", lambda model, u: np.full(len(u), 10.0))
+    monkeypatch.setattr(simulate, "_hill", lambda model, u: np.full(len(u), 10.0))
     x0 = np.random.default_rng(3).uniform(0.2, 1.8, size=g.n)
     with pytest.raises(StateOutOfBox):
         integrate(scaled_adjacency(g), m, x0)

@@ -321,6 +321,15 @@ def test_stability_report_peak_memory_on_the_32x32_torus():
     assert peak < 5.5 * 8 * g.n ** 2
 
 
+@pytest.mark.parametrize("methods", [("full",), ("block",), ("smallgain",),
+                                     ("full", "block", "smallgain")])
+def test_stability_report_checks_steadiness_whatever_the_methods(methods):
+    g = torus_mesh(4, 4)
+    qm = quotient(g, bipartition_partition(g))
+    with pytest.raises(NotSteadyState):
+        stability_report(qm, HillMap(exponent=6), [0.5, 1.5], methods=methods)
+
+
 def test_stability_report_selected_methods():
     g = triangle_bridge()
     pi = make_partition([[2, 5], [0, 1, 3, 4, 6, 7]], 8)
