@@ -11,60 +11,19 @@ __version__ = "0.1.0"
 
 from .cells import FixedPoint, HillMap, cell_rhs, dc_gain, fixed_point, t_eval, t_prime
 from .errors import PatternQError
-from .existence import (
-    ASSUMPTION_FAILED,
-    CERTIFIED,
-    INCONCLUSIVE,
-    ExistenceCertificate,
-    PatternSolution,
-    ReducedSolution,
-    certify,
-    lift,
-    solve_reduced,
-)
-from .graphs import (
-    ScaledAdjacency,
-    WeightedGraph,
-    bipartition,
-    build_graph,
-    generate,
-    is_connected,
-    scaled_adjacency,
-)
-from .partitions import (
-    BlockDecomposition,
-    Partition,
-    QuotientModel,
-    block_decompose,
-    coarsest_equitable_refinement,
-    is_equitable,
-    make_partition,
-    orbits_from_generators,
-    quotient,
-)
-from .simulate import (
-    CertificateCheck,
-    EmpiricalPattern,
-    SimOptions,
-    SimulationTrace,
-    classify,
-    integrate,
-    perturbed_start,
-    verify_certificate,
-)
+from .existence import (ASSUMPTION_FAILED, CERTIFIED, INCONCLUSIVE, ExistenceCertificate,
+                        PatternSolution, ReducedSolution, certify, lift, solve_reduced)
+from .graphs import (ScaledAdjacency, WeightedGraph, bipartition, build_graph, generate,
+                     is_connected, scaled_adjacency)
+from .partitions import (BlockDecomposition, Partition, QuotientModel, block_decompose,
+                         coarsest_equitable_refinement, is_equitable, make_partition,
+                         orbits_from_generators, quotient)
+from .simulate import (CertificateCheck, EmpiricalPattern, SimOptions, SimulationTrace,
+                       classify, integrate, perturbed_start, verify_certificate)
 from .spectral import Spectrum, eigen_reversible, jacobian_spectrum, sym_eigen
-from .stability import (
-    CERTIFIED_STABLE,
-    MARGINAL,
-    NOT_CERTIFIED,
-    STABLE,
-    UNSTABLE,
-    StabilityReport,
-    block_stability,
-    full_jacobian_stability,
-    small_gain,
-    stability_report,
-)
+from .stability import (CERTIFIED_STABLE, MARGINAL, NOT_CERTIFIED, STABLE, UNSTABLE,
+                        StabilityReport, block_stability, full_jacobian_stability, small_gain,
+                        stability_report)
 
 __all__ = [
     "__version__",

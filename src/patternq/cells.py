@@ -8,9 +8,7 @@ sits at zero frequency: the L2-gain equals the dc-gain |T'(z)| exactly.
 """
 from __future__ import annotations
 
-import json
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,8 +17,7 @@ import numpy as np
 from .errors import BadOptions, NegativeInput, NonpositiveOperatingPoint
 
 __all__ = ["HillMap", "FixedPoint", "t_eval", "t_prime", "max_slope",
-           "fixed_point", "cell_rhs", "dc_gain", "model_from_dict",
-           "model_to_dict", "load_model"]
+           "fixed_point", "cell_rhs", "dc_gain"]
 
 
 @dataclass(frozen=True)
@@ -140,32 +137,3 @@ def dc_gain(m: HillMap, z: float) -> float:
         raise NonpositiveOperatingPoint(f"operating input must be positive, got {z}")
     return float(-t_prime(m, z))
 
-
-# ---- model file format: {"A": ..., "K": ..., "h": ..., "tau": ...} ----
-
-def _number_field(data: dict, key: str, default: float) -> float:
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise BadOptions(f"model field {key!r} must be a number")
-    return float(value)
-
-
-def model_from_dict(data: dict) -> HillMap:
-    return HillMap(
-        amplitude=_number_field(data, "A", 2.0),
-        threshold=_number_field(data, "K", 1.0),
-        exponent=_number_field(data, "h", 6.0),
-        tau=_number_field(data, "tau", 1.0),
-    )
-
-
-def model_to_dict(m: HillMap) -> dict:
-    return {"A": m.amplitude, "K": m.threshold, "h": m.exponent, "tau": m.tau}
-
-
-def load_model(path) -> HillMap:
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise BadOptions(f"{path} must hold a JSON object of model parameters")
-    return model_from_dict(data)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
-import json
 import logging
 import os
 import sys
@@ -21,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cells import HillMap, fixed_point, load_model, model_from_dict, model_to_dict
+from .cells import HillMap, fixed_point
 from .errors import BadBundle, BadOptions, NotEquitable, PatternQError
 from .existence import (
     CERTIFIED,
@@ -48,8 +47,11 @@ from .serialize import (
     dumps_canonical,
     graph_to_dict,
     load_graph,
+    load_model,
     load_partition,
     load_perms,
+    model_from_dict,
+    model_to_dict,
     partition_to_dict,
     sha256_of,
 )
@@ -81,7 +83,8 @@ class _StageFailure(Exception):
 def _run_stage(stage: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except (PatternQError, OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    # OverflowError: an id too large for a float (>= 2**1024) in an input file
+    except (PatternQError, OSError, KeyError, ValueError, OverflowError) as exc:
         raise _StageFailure(stage, exc) from exc
 
 
@@ -114,13 +117,12 @@ def _quotient_report(qm: QuotientModel) -> dict:
     return {
         "matrix": qm.matrix,
         "class_degrees": qm.class_degrees,
-        "class_sizes": [len(cls) for cls in qm.partition.classes],
+        "class_sizes": np.bincount(qm.partition.labels),
         "eigenvalues": spec.eigenvalues,
-        "reduced_edges": [list(e) for e in qm.reduced_edges],
+        "reduced_edges": qm.reduced_edges,
         "reduced_bipartite": qm.reduced_coloring is not None,
-        "reduced_coloring": (
-            [list(side) for side in qm.reduced_coloring]
-            if qm.reduced_coloring is not None else None),
+        "reduced_coloring": (None if qm.reduced_coloring is None else
+                             [np.flatnonzero(qm.reduced_coloring == side) for side in (0, 1)]),
     }
 
 
@@ -171,7 +173,7 @@ def _cmd_quotient(args) -> int:
     pi = _run_stage("load", load_partition, args.partition, g.n)
     qm = _run_stage("quotient", quotient, g, pi)
     out = _run_stage("quotient", _quotient_report, qm)
-    out["classes"] = [list(cls) for cls in pi.classes]
+    out.update(partition_to_dict(pi))
     _write_json(out, args.out)
     return 0
 
@@ -311,8 +313,7 @@ def _cmd_simulate(args) -> int:
     }
     if trace.converged:
         emp = classify(trace, cluster_tol=grouping_tol(model))
-        summary["groups"] = [list(grp) for grp in emp.groups]
-        summary["values"] = list(emp.values)
+        summary.update(groups=emp.groups, values=emp.values)
     _write_json(summary, args.out)
     return 0
 
@@ -372,21 +373,20 @@ def _cmd_render(args) -> int:
     final = _run_stage("load", _read_final_row, args.trace)
     group_of = cluster_values(final, args.cluster_tol).tolist()
     if args.layout in ("torus", "hex"):
-        if not args.rows or not args.cols:
-            raise _StageFailure("render", BadOptions("torus/hex layouts need --rows and --cols"))
+        if (args.rows or 0) <= 0 or (args.cols or 0) <= 0:
+            raise _StageFailure("render", BadOptions(
+                "torus/hex layouts need positive --rows and --cols"))
         if args.rows * args.cols != len(final):
             raise _StageFailure("render", BadOptions(
                 f"trace has {len(final)} cells, grid wants {args.rows * args.cols}"))
         text = _ascii_grid(group_of, args.rows, args.cols, args.layout == "hex")
         svg = _svg_grid(group_of, args.rows, args.cols, args.layout == "hex")
-    elif args.layout == "bucky":
+    else:  # bucky, the one other choice the parser allows
         if len(final) != 32:
             raise _StageFailure("render", BadOptions("bucky layout needs 32 cells"))
         text = ("pentagons: " + " ".join(_GLYPHS[g % len(_GLYPHS)] for g in group_of[:12])
                 + "\nhexagons:  " + " ".join(_GLYPHS[g % len(_GLYPHS)] for g in group_of[12:]))
         svg = _svg_rings(group_of)
-    else:
-        raise _StageFailure("render", BadOptions(f"unknown layout {args.layout!r}"))
     print(text)
     if args.svg:
         _run_stage("write", _write_text, args.svg, svg)
@@ -454,8 +454,8 @@ def _cmd_analyze(args) -> int:
             "exploratory": chk.exploratory,
             "converged": chk.converged,
             "max_deviation": chk.max_deviation,
-            "groups": [list(grp) for grp in chk.empirical.groups] if chk.empirical else None,
-            "group_values": list(chk.empirical.values) if chk.empirical else None,
+            "groups": chk.empirical.groups if chk.empirical else None,
+            "group_values": chk.empirical.values if chk.empirical else None,
             "note": chk.note,
         }, "upstream": {"pattern": pattern_sec["sha256"],
                         "stability": stab_sec["sha256"]}})

@@ -235,9 +235,7 @@ def solve_reduced(qm: QuotientModel, model: HillMap, *, progress=None) -> Reduce
                 and _reduced_residual(pbar, model, root) < _RESIDUAL_ACCEPT)
 
     # the extremes of the cooperative order; see the module docstring
-    corners = [np.zeros(qm.r), np.zeros(qm.r)]
-    for corner, side in zip(corners, qm.reduced_coloring):
-        corner[list(side)] = model.amplitude
+    corners = [np.where(qm.reduced_coloring == side, model.amplitude, 0.0) for side in (0, 1)]
     found = [_newton_root(pbar, model, z0, progress=progress) for z0 in corners]
     if not (all(map(accepted, found)) and np.abs(found[0] - found[1]).max() > _DISTINCT):
         # Newton strayed from a corner; the flow from each corner runs to

@@ -1,7 +1,10 @@
 """Weighted contact graphs, built-in lattices and the row-stochastic averaging operator.
 
 Vertices are 0-based integers.  Edges are undirected with finite positive
-weights; an absent edge means weight zero.  The two periodic lattices,
+weights; an absent edge means weight zero.  A graph is stored as three
+read-only edge arrays, i and j with i < j, sorted by (i, j), and the
+weights w: build_graph validates a whole edge list at once, the lattices
+hand it arrays, and every later stage reads the arrays.  The two periodic lattices,
 torus_mesh and hex_torus, come from one builder over their neighbour
 offsets, numbered row-major (v = i*cols + j) like the motifs that
 partitions.tile_partition repeats over them.  The averaging (scaled adjacency)
@@ -50,24 +53,45 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+def _frozen(values, dtype) -> np.ndarray:
+    """A read-only copy of values as an array of dtype."""
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
-    """Undirected weighted graph with canonical edge storage (i < j, sorted)."""
+    """Undirected weighted graph on the vertices 0..n-1, as edge arrays.
+
+    i and j (int64) and w (float64) are read-only copies of what they are
+    given and list every edge once, with i < j, sorted by (i, j);
+    build_graph is the constructor that checks this.  Two graphs are equal
+    when n and all three arrays are.
+    """
 
     n: int
-    edges: tuple[tuple[int, int, float], ...]
+    i: np.ndarray
+    j: np.ndarray
+    w: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("i", np.int64), ("j", np.int64), ("w", np.float64)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, WeightedGraph) and self.n == other.n
+                and all(np.array_equal(getattr(self, k), getattr(other, k)) for k in "ijw"))
 
     def degrees(self) -> np.ndarray:
-        d = np.zeros(self.n)
-        for i, j, wt in self.edges:
-            d[i] += wt
-            d[j] += wt
-        return d
+        # each edge adds its weight to both ends, in edge order
+        return np.bincount(np.column_stack([self.i, self.j]).ravel(),
+                           weights=np.repeat(self.w, 2), minlength=self.n)
 
     @cached_property
     def _coloring(self):
-        # (sides, connected), colored on first read and kept on the instance
-        return _two_coloring(self.n, self.edges)
+        # (side labels or None, connected), colored on first read and kept
+        return _two_coloring(self.n, self.i, self.j)
 
     @cached_property
     def _operator(self) -> ScaledAdjacency:
@@ -118,32 +142,39 @@ class ScaledAdjacency:
 
 
 def build_graph(n: int, edges) -> WeightedGraph:
-    """Validate and canonicalize an edge list into a WeightedGraph.
+    """Validate and canonicalize (i, j, w) rows into a WeightedGraph.
 
-    Raises BadIndex, SelfLoop, NonpositiveWeight (for a weight that is not
-    finite and positive) or DuplicateEdge on invalid input.  Edges are
-    stored with i < j and sorted lexicographically.
+    edges is an (m, 3) array or an iterable of (i, j, w) triples; vertex ids
+    are truncated to integers as int() does.  The checks run on all rows at
+    once, and the first bad row in input order raises BadIndex, SelfLoop,
+    NonpositiveWeight (for a weight that is not finite and positive) or
+    DuplicateEdge, in that order of precedence.  Edges are stored with
+    i < j and sorted by (i, j).
     """
     if n <= 0:
         raise BadIndex(f"vertex count must be positive, got {n}")
-    seen: set[tuple[int, int]] = set()
-    canon = []
-    for e in edges:
-        i, j, w = int(e[0]), int(e[1]), float(e[2])
+    rows = edges if isinstance(edges, np.ndarray) else list(edges)
+    e = np.asarray(rows, dtype=float).reshape(-1, 3)
+    lo, hi = np.trunc(np.minimum(e[:, 0], e[:, 1])), np.trunc(np.maximum(e[:, 0], e[:, 1]))
+    w, inside = e[:, 2], (lo >= 0) & (hi < n)
+    # rows outside [0, n) become (0, 0), which no valid edge shares
+    a, b = np.where(inside, lo, 0).astype(np.int64), np.where(inside, hi, 0).astype(np.int64)
+    key = a * n + b
+    order = np.argsort(key, kind="stable")
+    bad = ~(inside & (a != b) & (w > 0) & (w < math.inf))
+    bad[order[1:][key[order[1:]] == key[order[:-1]]]] = True  # an earlier row has the key
+    if bad.any():
+        row = rows[int(np.argmax(bad))]
+        i, j, wt = int(row[0]), int(row[1]), float(row[2])
         if not (0 <= i < n and 0 <= j < n):
             raise BadIndex(f"edge ({i},{j}) outside [0,{n})")
         if i == j:
             raise SelfLoop(f"self-loop at vertex {i}")
-        if not 0 < w < math.inf:
+        if not 0 < wt < math.inf:
             raise NonpositiveWeight(
-                f"edge ({i},{j}) has weight {w}; weights must be finite and positive")
-        a, b = (i, j) if i < j else (j, i)
-        if (a, b) in seen:
-            raise DuplicateEdge(f"duplicate edge ({a},{b})")
-        seen.add((a, b))
-        canon.append((a, b, w))
-    canon.sort()
-    return WeightedGraph(n=n, edges=tuple(canon))
+                f"edge ({i},{j}) has weight {wt}; weights must be finite and positive")
+        raise DuplicateEdge(f"duplicate edge ({min(i, j)},{max(i, j)})")
+    return WeightedGraph(n=n, i=a[order], j=b[order], w=w[order])
 
 
 def scaled_adjacency(g: WeightedGraph) -> ScaledAdjacency:
@@ -158,30 +189,27 @@ def scaled_adjacency(g: WeightedGraph) -> ScaledAdjacency:
 
 
 def _build_operator(g: WeightedGraph) -> ScaledAdjacency:
-    edges = np.array(g.edges, dtype=float).reshape(-1, 3)
-    i, j, w = edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp), edges[:, 2]
-    # each edge adds its weight to both ends in edge order, as degrees() does
-    d = np.bincount(np.column_stack([i, j]).ravel(), weights=np.repeat(w, 2),
-                    minlength=g.n)
+    d = g.degrees()
     isolated = np.where(d == 0)[0]
     if isolated.size:
         raise IsolatedVertex(f"vertices with zero degree: {isolated.tolist()}")
-    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+    rows, cols = np.concatenate([g.i, g.j]), np.concatenate([g.j, g.i])
     order = np.lexsort((cols, rows))
-    rows, cols, w = rows[order], cols[order], np.concatenate([w, w])[order]
+    rows, cols, w = rows[order], cols[order], np.concatenate([g.w, g.w])[order]
     return ScaledAdjacency(rows=rows, cols=cols, edge_weights=w, weights=w / d[rows],
                            degrees=d)
 
 
-def _two_coloring(n: int, edges):
-    """2-color the graph on n vertices with (i, j, ...) edges and tell
+def _two_coloring(n: int, i: np.ndarray, j: np.ndarray):
+    """2-color the graph on n vertices with edges (i[k], j[k]) and tell
     whether it is connected.
 
-    The coloring is None if an odd cycle exists.  The lowest vertex of each
-    component lands on side 0, so a single vertex is trivially 2-colorable.
+    The coloring is a read-only 0/1 side label per vertex, None if an odd
+    cycle exists.  The lowest vertex of each component lands on side 0, so a
+    single vertex is trivially 2-colorable.
     """
     nbrs: list[list[int]] = [[] for _ in range(n)]
-    for a, b, *_ in edges:
+    for a, b in zip(i.tolist(), j.tolist()):
         nbrs[a].append(b)
         nbrs[b].append(a)
     color = [-1] * n
@@ -200,8 +228,7 @@ def _two_coloring(n: int, edges):
                     stack.append(v)
                 elif color[v] == color[u]:
                     bipartite = False
-    sides = tuple(tuple(k for k in range(n) if color[k] == side) for side in (0, 1))
-    return (sides if bipartite else None), components == 1
+    return (_frozen(color, np.int64) if bipartite else None), components == 1
 
 
 def is_connected(g: WeightedGraph) -> bool:
@@ -212,21 +239,21 @@ def is_connected(g: WeightedGraph) -> bool:
     return g._coloring[1]
 
 
-def bipartition(g: WeightedGraph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Two-color a connected graph; None when an odd cycle exists.
+def bipartition(g: WeightedGraph) -> np.ndarray | None:
+    """Two-color a connected graph: the side, 0 or 1, of every vertex as a
+    read-only array, vertex 0 on side 0; None when an odd cycle exists.
 
-    The first returned class contains vertex 0.  Raises NotConnected on
-    disconnected input.
+    Raises NotConnected on disconnected input.
     """
-    sides, connected = g._coloring
+    color, connected = g._coloring
     if not connected:
         raise NotConnected("bipartition requires a connected graph")
-    return sides
+    return color
 
 
 # ---------------------------------------------------------------------------
 # Built-in lattices.  All generators are deterministic: calling twice with the
-# same arguments yields byte-identical edge lists.
+# same arguments yields byte-identical edge arrays.
 # ---------------------------------------------------------------------------
 
 GENERATOR_KINDS = ("path", "cycle", "torus_mesh", "hex_torus", "buckyball", "triangle_bridge")
@@ -257,7 +284,7 @@ def _periodic(rows: int, cols: int, offsets) -> WeightedGraph:
     v = np.concatenate([((i + di) % rows) * cols + (j + dj) % cols for di, dj in offsets])
     pairs, counts = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_counts=True)
     a, b = np.divmod(pairs, n)
-    return build_graph(n, zip(a.tolist(), b.tolist(), counts.astype(float).tolist()))
+    return build_graph(n, np.column_stack([a, b, counts]))
 
 
 def torus_mesh(rows: int, cols: int) -> WeightedGraph:
@@ -279,25 +306,13 @@ _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 def _icosahedron() -> tuple[np.ndarray, list[tuple[int, int, int]]]:
     """Vertex coordinates (sorted, deterministic) and triangular faces."""
-    verts = []
-    for a, b in itertools.product((1.0, -1.0), repeat=2):
-        verts.append((0.0, a, b * _GOLDEN))
-        verts.append((a, b * _GOLDEN, 0.0))
-        verts.append((a * _GOLDEN, 0.0, b))
-    coords = np.array(sorted(verts))
+    coords = np.array(sorted(
+        v for a, b in itertools.product((1.0, -1.0), repeat=2)
+        for v in ((0.0, a, b * _GOLDEN), (a, b * _GOLDEN, 0.0), (a * _GOLDEN, 0.0, b))))
     d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(-1)
-    adj = [set() for _ in range(12)]
-    for i in range(12):
-        for j in range(i + 1, 12):
-            if abs(d2[i, j] - 4.0) < 1e-9:
-                adj[i].add(j)
-                adj[j].add(i)
-    faces = sorted(
-        (i, j, k)
-        for i in range(12)
-        for j in adj[i] if j > i
-        for k in (adj[i] & adj[j]) if k > j
-    )
+    adj = np.abs(d2 - 4.0) < 1e-9
+    faces = [(i, j, k) for i, j, k in itertools.combinations(range(12), 3)
+             if adj[i, j] and adj[j, k] and adj[i, k]]
     return coords, faces
 
 
@@ -310,14 +325,9 @@ def buckyball() -> WeightedGraph:
     3 hexagons.
     """
     _, faces = _icosahedron()
-    edges = []
-    for fi, f in enumerate(faces):
-        for v in f:
-            edges.append((v, 12 + fi, 1.0))
-    for fi in range(20):
-        for fj in range(fi + 1, 20):
-            if len(set(faces[fi]) & set(faces[fj])) == 2:
-                edges.append((12 + fi, 12 + fj, 1.0))
+    edges = [(v, 12 + fi, 1.0) for fi, f in enumerate(faces) for v in f]
+    edges += [(12 + a, 12 + b, 1.0) for a, b in itertools.combinations(range(20), 2)
+              if len(set(faces[a]) & set(faces[b])) == 2]
     return build_graph(32, edges)
 
 

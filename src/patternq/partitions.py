@@ -1,6 +1,9 @@
 """Equitable-partition algebra on weighted graphs.
 
-A partition of the vertex set is equitable when the summed scaled weights
+A partition is stored as one class label per vertex, a read-only int64
+array, and every operation here works on those labels and the graph's edge
+arrays; the classes as tuples of vertices are only a view derived on first
+read.  A partition of the vertex set is equitable when the summed scaled weights
 from any vertex of class i into class j depend only on the pair (i, j);
 those sums form the row-stochastic quotient matrix.  This module verifies
 equitability, refines partitions to the coarsest equitable one, tiles
@@ -15,7 +18,9 @@ included, takes.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +32,8 @@ from .errors import (
     PartitionMismatch,
     SingularTransform,
 )
-from .graphs import ScaledAdjacency, WeightedGraph, _two_coloring, bipartition, scaled_adjacency
+from .graphs import (ScaledAdjacency, WeightedGraph, _frozen, _two_coloring, bipartition,
+                     scaled_adjacency)
 
 __all__ = [
     "Partition",
@@ -53,31 +59,43 @@ __all__ = [
 _EQ_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Disjoint vertex classes covering [0, n).
+    """Disjoint vertex classes covering [0, n), as a class label per vertex.
 
-    Elements ascend within a class.  Class order is preserved from the
-    caller (it fixes the row order of quotient matrices); partitions the
-    library derives itself order classes by their minimum element (orbits,
-    2-colorings) or keep each split at its parent's position, siblings by
-    minimum element (refinement), so repeated runs agree byte for byte.
+    labels is a read-only int64 copy of what it is given: vertex v lies in
+    class labels[v] of the r nonempty classes.  Class order is preserved
+    from the caller (it fixes the row order of quotient matrices);
+    partitions the library derives itself order classes by their minimum
+    element (orbits, 2-colorings) or keep each split at its parent's
+    position, siblings by minimum element (refinement), so repeated runs
+    agree byte for byte.  classes (each ascending) and firsts (each class's
+    smallest vertex) are derived on first read.  Equal labels make equal
+    partitions.
     """
 
-    classes: tuple[tuple[int, ...], ...]
-    n: int
+    labels: np.ndarray
+    r: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "labels", _frozen(self.labels, np.int64))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Partition) and np.array_equal(self.labels, other.labels)
 
     @property
-    def r(self) -> int:
-        return len(self.classes)
+    def n(self) -> int:
+        return self.labels.size
 
-    def class_of(self) -> np.ndarray:
-        """Length-n vector mapping each vertex to its class index."""
-        out = np.empty(self.n, dtype=int)
-        for k, cls in enumerate(self.classes):
-            for v in cls:
-                out[v] = k
-        return out
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        members = np.argsort(self.labels, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(self.labels, minlength=self.r)).tolist()
+        return tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends))
+
+    @cached_property
+    def firsts(self) -> np.ndarray:
+        return np.unique(self.labels, return_index=True)[1]
 
     def expand(self, class_values) -> np.ndarray:
         """Lift per-class values to a per-vertex vector."""
@@ -85,30 +103,45 @@ class Partition:
         if vals.shape != (self.r,):
             raise PartitionMismatch(
                 f"expected {self.r} class values, got shape {vals.shape}")
-        return vals[self.class_of()]
+        return vals[self.labels]
 
 
 def make_partition(classes, n: int) -> Partition:
-    """Validate a collection of vertex classes, keeping their given order."""
-    cleaned = [tuple(sorted(int(v) for v in cls)) for cls in classes if len(cls)]
-    seen: set[int] = set()
-    for cls in cleaned:
-        for v in cls:
-            if not 0 <= v < n:
-                raise PartitionMismatch(f"vertex {v} outside [0,{n})")
-            if v in seen:
-                raise PartitionMismatch(f"vertex {v} appears in two classes")
-            seen.add(v)
-    if len(seen) != n:
-        missing = sorted(set(range(n)) - seen)
+    """Validate a collection of vertex classes, keeping their given order.
+
+    Empty classes are dropped and vertex ids truncated as int() does.  All
+    vertices are checked at once; PartitionMismatch names what a walk
+    through the classes, each in ascending order, meets first: a vertex
+    outside [0, n) or seen before; else the vertices no class covers.
+    """
+    classes = [cls for cls in classes if len(cls)]
+    sizes = [len(cls) for cls in classes]
+    verts = np.trunc(np.fromiter(itertools.chain.from_iterable(classes), float, sum(sizes)))
+    label = np.repeat(np.arange(len(classes)), sizes)
+    walk = np.lexsort((verts, label))          # class by class, ascending in each
+    v = verts[walk]
+    bad = ~((v >= 0) & (v < n))
+    v = np.where(bad, -1, v).astype(np.int64)
+    seen = np.argsort(v, kind="stable")
+    bad[seen[1:][v[seen[1:]] == v[seen[:-1]]]] = True  # met earlier in the walk
+    if bad.any():
+        x = int(list(itertools.chain.from_iterable(classes))[walk[np.argmax(bad)]])
+        raise PartitionMismatch(f"vertex {x} outside [0,{n})" if not 0 <= x < n
+                                else f"vertex {x} appears in two classes")
+    if v.size != n:
+        missing = np.flatnonzero(np.bincount(v, minlength=n) == 0).tolist()
         raise PartitionMismatch(f"vertices not covered: {missing}")
-    return Partition(classes=tuple(cleaned), n=n)
+    labels = np.empty(n, dtype=np.int64)
+    labels[v] = label[walk]
+    return Partition(labels=labels, r=len(classes))
 
 
 def canonical_partition(classes, n: int) -> Partition:
     """make_partition with classes reordered by their minimum element."""
     pi = make_partition(classes, n)
-    return Partition(classes=tuple(sorted(pi.classes, key=lambda c: c[0])), n=n)
+    # rank the classes by the smallest vertex each holds
+    _, labels = np.unique(pi.firsts[pi.labels], return_inverse=True)
+    return Partition(labels=labels, r=pi.r)
 
 
 def trivial_partition(n: int) -> Partition:
@@ -116,15 +149,15 @@ def trivial_partition(n: int) -> Partition:
 
 
 def singleton_partition(n: int) -> Partition:
-    return make_partition([[v] for v in range(n)], n)
+    return Partition(labels=np.arange(n), r=n)
 
 
 def refines(finer: Partition, coarser: Partition) -> bool:
     """True when every class of `finer` lies inside one class of `coarser`."""
     if finer.n != coarser.n:
         raise PartitionMismatch("partitions on different vertex sets")
-    owner = coarser.class_of()
-    return all(len({owner[v] for v in cls}) == 1 for cls in finer.classes)
+    # every vertex must share the coarser class of its finer class's first vertex
+    return np.array_equal(coarser.labels[finer.firsts][finer.labels], coarser.labels)
 
 
 @dataclass(frozen=True)
@@ -148,9 +181,8 @@ def _class_sums_checked(sa: ScaledAdjacency, pi: Partition,
     """The n x r class sums of sa and whether each class shares one row."""
     if pi.n != sa.n:
         raise PartitionMismatch(f"partition covers {pi.n} vertices, graph has {sa.n}")
-    class_of = pi.class_of()
+    class_of, reps = pi.labels, pi.firsts
     sums = sa.class_sums(class_of, pi.r)
-    reps = np.array([cls[0] for cls in pi.classes])
     diff = np.abs(sums - sums[reps[class_of]])
     bad = np.flatnonzero(diff.max(axis=1) > tol)
     if bad.size:
@@ -174,13 +206,13 @@ class QuotientModel:
     satisfies detailed balance against the class-aggregated degrees;
     reduced_edges lists unordered class pairs with a nonzero quotient entry
     in either direction (self-loops omitted); reduced_coloring is the
-    2-coloring of that reduced graph when bipartite.
+    2-coloring of that reduced graph when bipartite, a 0/1 side per class.
     """
 
     matrix: np.ndarray
     class_degrees: np.ndarray
     reduced_edges: tuple[tuple[int, int], ...]
-    reduced_coloring: tuple[tuple[int, ...], tuple[int, ...]] | None
+    reduced_coloring: np.ndarray | None
     reduced_connected: bool
     partition: Partition
     operator: ScaledAdjacency
@@ -201,16 +233,15 @@ def quotient(g: WeightedGraph, pi: Partition) -> QuotientModel:
     if not check.ok:
         raise NotEquitable(f"partition is not equitable: witness {check.witness}",
                            check.witness)
-    reps = [cls[0] for cls in pi.classes]
-    pbar = sums[reps, :]
-    dbar = np.array([sa.degrees[list(cls)].sum() for cls in pi.classes])
+    pbar = sums[pi.firsts, :]
+    dbar = np.bincount(pi.labels, weights=sa.degrees, minlength=pi.r)
     # class pairs i < j with a nonzero entry either way, in row-major order
-    redges = tuple(map(tuple, np.argwhere(np.triu((pbar != 0) | (pbar.T != 0), 1)).tolist()))
-    coloring, connected = _two_coloring(pi.r, redges)
+    a, b = np.nonzero(np.triu((pbar != 0) | (pbar.T != 0), 1))
+    coloring, connected = _two_coloring(pi.r, a, b)
     return QuotientModel(
         matrix=pbar,
         class_degrees=dbar,
-        reduced_edges=redges,
+        reduced_edges=tuple(zip(a.tolist(), b.tolist())),
         reduced_coloring=coloring,
         reduced_connected=connected,
         partition=pi,
@@ -255,7 +286,7 @@ def coarsest_equitable_refinement(g: WeightedGraph,
     if seed is not None and seed.n != n:
         raise PartitionMismatch(f"seed covers {seed.n} vertices, graph has {n}")
     sa = scaled_adjacency(g)
-    label = np.zeros(n, dtype=np.int64) if seed is None else seed.class_of()
+    label = np.zeros(n, dtype=np.int64) if seed is None else seed.labels
     r = 1 if seed is None else seed.r
     weights = _integer_weights(sa)
     while True:
@@ -289,22 +320,7 @@ def coarsest_equitable_refinement(g: WeightedGraph,
         rank = np.empty(lead.size, dtype=np.int64)
         rank[np.lexsort((lead, label[lead]))] = np.arange(lead.size)
         label, r = rank[inv], lead.size
-    return _from_labels(label, r)
-
-
-def _from_labels(label: np.ndarray, r: int) -> Partition:
-    """The partition whose class k holds the vertices labelled k, ascending."""
-    members = np.argsort(label, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(label, minlength=r)).tolist()
-    return Partition(classes=tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends)),
-                     n=label.size)
-
-
-def _check_permutation(perm, n: int) -> list[int]:
-    p = [int(x) for x in perm]
-    if len(p) != n or sorted(p) != list(range(n)):
-        raise NotPermutation(f"not a permutation of [0,{n}): {perm}")
-    return p
+    return Partition(labels=label, r=r)
 
 
 def orbits_from_generators(g: WeightedGraph, perms) -> Partition:
@@ -315,21 +331,25 @@ def orbits_from_generators(g: WeightedGraph, perms) -> Partition:
     by union-find closure under the generators, never materializing the
     group itself.
     """
-    weight = {(i, j): w for i, j, w in g.edges}
+    n, key = g.n, g.i * g.n + g.j      # ascending, as the edges are sorted
     checked = []
     for perm in perms:
-        p = _check_permutation(perm, g.n)
-        for i, j, w in g.edges:
-            a, b = p[i], p[j]
-            if a > b:
-                a, b = b, a
-            w2 = weight.get((a, b))
-            if w2 is None or abs(w2 - w) > 1e-12 * max(1.0, abs(w)):
-                raise NotAutomorphism(
-                    f"edge ({i},{j},{w}) maps to ({a},{b},{w2}) under {p}")
-        checked.append(p)
+        p = np.trunc(np.asarray(perm, dtype=float))
+        if p.shape != (n,) or not np.array_equal(np.sort(p), np.arange(n)):
+            raise NotPermutation(f"not a permutation of [0,{n}): {perm}")
+        p = p.astype(np.int64)
+        a, b = np.minimum(p[g.i], p[g.j]), np.maximum(p[g.i], p[g.j])
+        at = np.minimum(np.searchsorted(key, a * n + b), key.size - 1)
+        found = key[at] == a * n + b
+        bad = ~found | (np.abs(g.w[at] - g.w) > 1e-12 * np.maximum(1.0, np.abs(g.w)))
+        if bad.any():
+            k = int(np.argmax(bad))
+            w2 = float(g.w[at[k]]) if found[k] else None
+            raise NotAutomorphism(f"edge ({g.i[k]},{g.j[k]},{float(g.w[k])}) maps to "
+                                  f"({a[k]},{b[k]},{w2}) under {p.tolist()}")
+        checked.append(p.tolist())
 
-    parent = list(range(g.n))
+    parent = list(range(n))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -338,14 +358,14 @@ def orbits_from_generators(g: WeightedGraph, perms) -> Partition:
         return x
 
     for p in checked:
-        for i in range(g.n):
+        for i in range(n):
             ri, rj = find(i), find(p[i])
             if ri != rj:
-                parent[ri] = rj
-    orbits: dict[int, list[int]] = {}
-    for v in range(g.n):
-        orbits.setdefault(find(v), []).append(v)
-    return canonical_partition(orbits.values(), g.n)
+                parent[max(ri, rj)] = min(ri, rj)
+    # every root is its orbit's smallest vertex, so ranking the roots orders
+    # the orbits by minimum vertex
+    _, labels = np.unique([find(v) for v in range(n)], return_inverse=True)
+    return Partition(labels=labels, r=int(labels.max()) + 1)
 
 
 @dataclass(frozen=True)
@@ -382,8 +402,7 @@ def block_decompose(qm: QuotientModel) -> BlockDecomposition:
     """
     sa, pi = qm.operator, qm.partition
     n, r = sa.n, pi.r
-    class_of = pi.class_of()
-    firsts = np.array([cls[0] for cls in pi.classes])
+    class_of, firsts = pi.labels, pi.firsts
     rest = np.delete(np.arange(n), firsts)
     v = np.zeros((n, r))
     v[np.arange(n), class_of] = np.sqrt(sa.degrees / qm.class_degrees[class_of])
@@ -416,10 +435,10 @@ def block_decompose(qm: QuotientModel) -> BlockDecomposition:
 
 def bipartition_partition(g: WeightedGraph) -> Partition:
     """The 2-coloring of a connected bipartite graph as a Partition."""
-    sides = bipartition(g)
-    if sides is None:
+    color = bipartition(g)
+    if color is None:
         raise BadLatticeSize("graph is not bipartite")
-    return make_partition(sides, g.n)
+    return Partition(labels=color, r=int(color.max()) + 1)
 
 
 # Two-class motifs of the periodic lattices, as class labels over one
@@ -459,7 +478,7 @@ def tile_partition(rows: int, cols: int, motif) -> Partition:
     if m.dtype.kind not in "iu" or not np.array_equal(labels, np.arange(labels.size)):
         raise BadLatticeSize(f"motif labels must be 0..k-1, got {labels.tolist()}")
     label = np.tile(m, (rows // m.shape[0], cols // m.shape[1])).ravel()
-    return _from_labels(label, labels.size)
+    return Partition(labels=label, r=labels.size)
 
 
 def buckyball_face_partition() -> Partition:

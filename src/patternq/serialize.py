@@ -14,12 +14,14 @@ text.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import numbers
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from .cells import HillMap
 from .errors import BadBundle, BadOptions
 from .graphs import WeightedGraph, build_graph
 from .partitions import Partition, make_partition
@@ -37,6 +39,9 @@ __all__ = [
     "load_partition",
     "save_partition",
     "load_perms",
+    "model_from_dict",
+    "model_to_dict",
+    "load_model",
 ]
 
 
@@ -47,6 +52,7 @@ class Canonical(str):
 
 
 _NUMBER_TYPES = frozenset((int, float))
+_ROW_TYPES = frozenset((list, tuple))
 
 
 def _finite(text: str) -> str:
@@ -58,11 +64,18 @@ def _finite(text: str) -> str:
     return text
 
 
+def _numbers(row) -> str:
+    """The canonical JSON of a list whose items are all exactly int or float."""
+    return "[" + _finite(",".join(
+        [str(x) if type(x) is int else format(x, ".17g") for x in row])) + "]"
+
+
 def _emit(obj, parts: list[str]) -> None:
     """Append the canonical JSON of obj; numpy arrays and scalars become
     their plain Python values and dict keys are written as str(key).  A
-    list or tuple whose items are all exactly int or float is written in
-    one join, and Canonical text is copied as it stands.
+    list or tuple whose items are all exactly int or float, or all such
+    lists (a graph's [i, j, w] rows), is written in one join, and Canonical
+    text is copied as it stands.
     """
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
@@ -92,9 +105,12 @@ def _emit(obj, parts: list[str]) -> None:
             _emit(obj[key], parts)
         parts.append("}")
     elif isinstance(obj, (list, tuple)):
-        if set(map(type, obj)) <= _NUMBER_TYPES:
-            parts.append("[" + _finite(",".join(
-                [str(x) if type(x) is int else format(x, ".17g") for x in obj])) + "]")
+        kinds = set(map(type, obj))
+        if kinds <= _NUMBER_TYPES:
+            parts.append(_numbers(obj))
+        elif (kinds <= _ROW_TYPES
+              and set(map(type, itertools.chain.from_iterable(obj))) <= _NUMBER_TYPES):
+            parts.append("[" + ",".join(map(_numbers, obj)) + "]")
         else:
             parts.append("[")
             for i, item in enumerate(obj):
@@ -159,7 +175,7 @@ def _field(data: dict, key: str, ok, what: str):
 # ---- graphs ----
 
 def graph_to_dict(g: WeightedGraph) -> dict:
-    return {"n": g.n, "edges": [[i, j, w] for i, j, w in g.edges]}
+    return {"n": g.n, "edges": list(map(list, zip(g.i.tolist(), g.j.tolist(), g.w.tolist())))}
 
 
 def graph_from_dict(data: dict) -> WeightedGraph:
@@ -202,3 +218,24 @@ def load_perms(path) -> list[list[int]]:
     data = _load_json(path, dict, "a JSON object with 'perms'")
     perms = _field(data, "perms", _list_of(_list_of(_is_int)), "a list of vertex lists")
     return [[int(x) for x in perm] for perm in perms]
+
+
+# ---- models ----
+
+def model_from_dict(data: dict) -> HillMap:
+    def number(key: str, default: float) -> float:
+        value = data.get(key, default)
+        if not _is_real(value):
+            raise BadOptions(f"model field {key!r} must be a number")
+        return float(value)
+
+    return HillMap(amplitude=number("A", 2.0), threshold=number("K", 1.0),
+                   exponent=number("h", 6.0), tau=number("tau", 1.0))
+
+
+def model_to_dict(m: HillMap) -> dict:
+    return {"A": m.amplitude, "K": m.threshold, "h": m.exponent, "tau": m.tau}
+
+
+def load_model(path) -> HillMap:
+    return model_from_dict(_load_json(path, dict, "a JSON object of model parameters"))

@@ -201,12 +201,11 @@ def classify(trace: SimulationTrace, cluster_tol: float) -> EmpiricalPattern:
         raise NotConverged("simulation did not converge; nothing to classify")
     final = trace.final_state
     group_of = cluster_values(final, cluster_tol)
-    groups: list[list[int]] = [[] for _ in range(group_of.max() + 1)]
-    for idx in np.argsort(-final):
-        groups[group_of[idx]].append(int(idx))
-    values = tuple(float(np.mean(final[grp])) for grp in groups)
-    return EmpiricalPattern(groups=tuple(tuple(sorted(grp)) for grp in groups),
-                            values=values)
+    # group ids ascend as values descend, so each group is one run of the
+    # descending order; its mean is taken over the run in that order
+    runs = np.split(final[np.argsort(-final)], np.cumsum(np.bincount(group_of))[:-1])
+    return EmpiricalPattern(groups=Partition(labels=group_of, r=len(runs)).classes,
+                            values=tuple(float(np.mean(run)) for run in runs))
 
 
 def max_within_class_spread(states: np.ndarray, pi: Partition) -> float:
@@ -264,8 +263,11 @@ def verify_certificate(qm: QuotientModel, model: HillMap,
             max_deviation=float("nan"), empirical=None,
             note="simulation hit max_time before converging")
     empirical = classify(trace, cluster_tol=grouping_tol(model))
-    same_grouping = (frozenset(map(frozenset, empirical.groups))
-                     == frozenset(map(frozenset, qm.partition.classes)))
+    # the groups are the classes iff each (group, class) pair that occurs
+    # is the only one of its group and of its class
+    group_of, pi = cluster_values(trace.final_state, grouping_tol(model)), qm.partition
+    pairs = np.count_nonzero(np.bincount(group_of * pi.r + pi.labels))
+    same_grouping = pairs == pi.r == len(empirical.groups)
     deviation = float(np.abs(trace.final_state - pattern.cell_states).max())
     if exploratory:
         note = "no certificate; simulation exploratory only"

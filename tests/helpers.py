@@ -27,7 +27,17 @@ import math
 import numpy as np
 
 from patternq.cells import HillMap, fixed_point, t_eval
-from patternq.errors import BadBundle, BadLatticeSize, NoConvergence, StateOutOfBox
+from patternq.errors import (
+    BadBundle,
+    BadIndex,
+    BadLatticeSize,
+    DuplicateEdge,
+    NoConvergence,
+    NonpositiveWeight,
+    PartitionMismatch,
+    SelfLoop,
+    StateOutOfBox,
+)
 from patternq.graphs import WeightedGraph, _icosahedron, build_graph, scaled_adjacency
 from patternq.ode import (
     _A,
@@ -74,10 +84,15 @@ def char_poly_eigs(a: np.ndarray) -> np.ndarray:
     return np.sort(roots.real)[::-1]
 
 
+def edge_tuples(g: WeightedGraph) -> tuple[tuple[int, int, float], ...]:
+    """The graph's edges as (i, j, w) tuples, in stored order."""
+    return tuple(zip(g.i.tolist(), g.j.tolist(), g.w.tolist()))
+
+
 def weight_matrix(g: WeightedGraph) -> np.ndarray:
     """The dense symmetric weight matrix W, one edge at a time."""
     w = np.zeros((g.n, g.n))
-    for i, j, wt in g.edges:
+    for i, j, wt in edge_tuples(g):
         w[i, j] = w[j, i] = wt
     return w
 
@@ -204,7 +219,7 @@ def rounded_signature_refinement(g: WeightedGraph, seed: Partition | None = None
     pi = trivial_partition(g.n) if seed is None else seed
     sa = scaled_adjacency(g)
     while True:
-        sums = sa.class_sums(pi.class_of(), pi.r)
+        sums = sa.class_sums(pi.labels, pi.r)
         keys = list(map(tuple, np.round(sums, 12).tolist()))
         new_classes: list[list[int]] = []
         for cls in pi.classes:
@@ -395,7 +410,7 @@ def hex_torus_loops(rows: int, cols: int) -> WeightedGraph:
 def class_sums_checked_loop(sa, pi: Partition, tol: float) -> EquitabilityCheck:
     """Compare each class's class-sum rows with its first vertex's row, class
     by class; the witness is the first bad vertex of the first bad class."""
-    sums = sa.class_sums(pi.class_of(), pi.r)
+    sums = sa.class_sums(pi.labels, pi.r)
     for i, cls in enumerate(pi.classes):
         diff = np.abs(sums[list(cls)] - sums[cls[0]])
         bad = np.flatnonzero(diff.max(axis=1) > tol)
@@ -416,7 +431,7 @@ def equitable_two_colorings(g: WeightedGraph) -> list[tuple[int, ...]]:
     the first vertex of its colour checked on the same branch.
     """
     nbrs: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
-    for i, j, w in g.edges:
+    for i, j, w in edge_tuples(g):
         nbrs[i].append((j, w))
         nbrs[j].append((i, w))
     due: list[list[int]] = [[] for _ in range(g.n)]
@@ -608,3 +623,47 @@ def integrate_reference(sa, model: HillMap, x0, step: float, max_time: float,
     rest = settle_reference(rhs, x0, model, conv_tol, max_time, into_box, step,
                             lambda k, t, x: (times.append(t), states.append(x)))
     return np.array(times), np.array(states), rest
+
+
+# ---- validation, one item at a time ----
+
+def edge_loop(n: int, edges) -> tuple[tuple[int, int, float], ...]:
+    """build_graph's checks and canonical order, edge by edge: the oracle
+    of the bulk checks, which must raise the same error for the first bad
+    edge in input order."""
+    if n <= 0:
+        raise BadIndex(f"vertex count must be positive, got {n}")
+    seen: set[tuple[int, int]] = set()
+    canon = []
+    for e in edges:
+        i, j, w = int(e[0]), int(e[1]), float(e[2])
+        if not (0 <= i < n and 0 <= j < n):
+            raise BadIndex(f"edge ({i},{j}) outside [0,{n})")
+        if i == j:
+            raise SelfLoop(f"self-loop at vertex {i}")
+        if not 0 < w < math.inf:
+            raise NonpositiveWeight(
+                f"edge ({i},{j}) has weight {w}; weights must be finite and positive")
+        a, b = (i, j) if i < j else (j, i)
+        if (a, b) in seen:
+            raise DuplicateEdge(f"duplicate edge ({a},{b})")
+        seen.add((a, b))
+        canon.append((a, b, w))
+    return tuple(sorted(canon))
+
+
+def class_loop(classes, n: int) -> tuple[tuple[int, ...], ...]:
+    """make_partition's checks and classes, vertex by vertex: the oracle of
+    the bulk checks."""
+    cleaned = [tuple(sorted(int(v) for v in cls)) for cls in classes if len(cls)]
+    seen: set[int] = set()
+    for cls in cleaned:
+        for v in cls:
+            if not 0 <= v < n:
+                raise PartitionMismatch(f"vertex {v} outside [0,{n})")
+            if v in seen:
+                raise PartitionMismatch(f"vertex {v} appears in two classes")
+            seen.add(v)
+    if len(seen) != n:
+        raise PartitionMismatch(f"vertices not covered: {sorted(set(range(n)) - seen)}")
+    return tuple(cleaned)

@@ -8,12 +8,11 @@ from patternq.cells import (
     cell_rhs,
     dc_gain,
     fixed_point,
-    model_from_dict,
-    model_to_dict,
     t_eval,
     t_prime,
 )
 from patternq.errors import BadOptions, NegativeInput, NonpositiveOperatingPoint
+from patternq.serialize import model_from_dict, model_to_dict
 
 
 def test_response_at_threshold():

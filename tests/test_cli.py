@@ -242,18 +242,42 @@ def test_bundle_determinism_modulo_timestamp(tmp_path, model_h6):
     assert dumps_canonical(d1) == dumps_canonical(d2)
 
 
-def test_bundle_input_sections_keep_their_hashes(tmp_path, model_h6):
+_MODEL_SHA = "bac1254704efc57d805fa7d96bef4257e9596cdafab2bd213ec2f1ca6a564546"
+
+
+@pytest.mark.parametrize("argv,hashes", [
+    pytest.param(["analyze", "--gen", "torus_mesh:4,4", "--auto-bipartite"], {
+        "graph": "c18f3c3bca5600f890be05b2be4151bae1d0af4a393bb6cba4062cb2c363ac49",
+        "model": _MODEL_SHA,
+        "partition": "e824394c97b7a8a13157c72cd3fac5b93573634123c7de0508b5a8c597aa46cb",
+    }, id="torus_mesh-4x4"),
+    # two rows: the doubled vertical contacts have weight 2.0
+    pytest.param(["analyze", "--gen", "torus_mesh:2,4", "--auto-bipartite"], {
+        "graph": "9e2220f00bf8ef2c9b5b070b4bb6825e93348fffa81bd615b5da413a38abe113",
+        "model": _MODEL_SHA,
+        "partition": "6a79088f7c8d4bda0fd9bb0467fd13053c19564ba37c9b4da29faed05a764f8d",
+    }, id="torus_mesh-2x4"),
+    pytest.param(["analyze", "--gen", "buckyball", "--auto-refine"], {
+        "graph": "943d029a33cfc352b82c930453df9276563bb243b893e75dc29ece770ea3ffa7",
+        "model": _MODEL_SHA,
+        "partition": "94cbdecb231c417ec772c265f3b60978bff2846db2154325692007e281ecf73a",
+    }, id="buckyball"),
+    # the whole file that gen writes
+    pytest.param(["gen", "--kind", "hex_torus", "--rows", "30", "--cols", "30"], {
+        "file": "52429644731e3007487193cf8f98154545bf4e0863354f1f4d11f23b7ee5bf8e",
+    }, id="gen-hex_torus-30x30"),
+])
+def test_bundle_input_sections_keep_their_hashes(tmp_path, model_h6, argv, hashes):
     # the graph, model and partition sections hold no computed floats, so
     # their hashes pin the canonical encoder byte for byte
-    bundle = tmp_path / "b.json"
-    assert main(["analyze", "--gen", "torus_mesh:4,4", "--auto-bipartite",
-                 "--model", model_h6, "-o", str(bundle)]) == 0
-    data = json.loads(bundle.read_text())
-    assert {k: data[k]["sha256"] for k in ("graph", "model", "partition")} == {
-        "graph": "c18f3c3bca5600f890be05b2be4151bae1d0af4a393bb6cba4062cb2c363ac49",
-        "model": "bac1254704efc57d805fa7d96bef4257e9596cdafab2bd213ec2f1ca6a564546",
-        "partition": "e824394c97b7a8a13157c72cd3fac5b93573634123c7de0508b5a8c597aa46cb",
-    }
+    out = tmp_path / "out.json"
+    model = ["--model", model_h6] if argv[0] == "analyze" else []
+    assert main(argv + model + ["-o", str(out)]) in (0, 2)
+    if argv[0] == "gen":
+        assert {"file": hashlib.sha256(out.read_bytes()).hexdigest()} == hashes
+    else:
+        data = json.loads(out.read_text())
+        assert {k: data[k]["sha256"] for k in ("graph", "model", "partition")} == hashes
 
 
 def test_reparsed_bundle_keeps_its_section_hashes(tmp_path, model_h6):
@@ -359,6 +383,13 @@ def test_gen_missing_params_is_tagged_error(capsys):
     ["quotient", "--graph", "{bad_edges}", "--partition", "{partition}"],
     ["quotient", "--graph", "{bad_n}", "--partition", "{partition}"],
     ["simulate", "--gen", "torus_mesh:4,4", "--model", "{model}", "--x0", "{bad_x0}"],
+    # grids whose negative sides multiply to the trace's 4 cells
+    ["render", "--trace", "{trace4}", "--layout", "torus", "--rows", "-2", "--cols", "-2"],
+    ["render", "--trace", "{trace4}", "--layout", "hex", "--rows", "-1", "--cols", "-4"],
+    # vertex ids beyond the float range, which the bulk checks convert to
+    ["quotient", "--graph", "{huge_edge}", "--partition", "{partition}"],
+    ["quotient", "--gen", "torus_mesh:4,4", "--partition", "{huge_class}"],
+    ["partition", "--gen", "torus_mesh:4,4", "--mode", "orbits", "--perms", "{huge_perm}"],
 ])
 def test_malformed_input_is_tagged_error(tmp_path, model_h6, torus_bipartition, capsys,
                                          argv):
@@ -370,19 +401,43 @@ def test_malformed_input_is_tagged_error(tmp_path, model_h6, torus_bipartition, 
     string.write_text('"abc"\n')
     z_object = tmp_path / "z_object.json"
     z_object.write_text('{"z": [1]}\n')
+    trace4 = tmp_path / "trace4.csv"
+    trace4.write_text("t,x_0,x_1,x_2,x_3\n0,1,0,1,0\n")
     files = {"model": model_h6, "partition": torus_bipartition,
              "empty": str(empty), "z_list": str(z_list), "string": str(string),
-             "z_object": str(z_object)}
+             "z_object": str(z_object), "trace4": str(trace4)}
     # right top-level type, wrong field type
     for name, text in [("bad_model", '{"A": [1]}'), ("bad_classes", '{"classes": 5}'),
                        ("bad_z", '{"z": {"a": 1}}'), ("bad_perms", '{"perms": 5}'),
                        ("bad_edges", '{"n": 4, "edges": 3}'),
-                       ("bad_n", '{"n": [4], "edges": []}'), ("bad_x0", '[{"a": 1}]')]:
+                       ("bad_n", '{"n": [4], "edges": []}'), ("bad_x0", '[{"a": 1}]'),
+                       ("huge_edge", '{"n": 4, "edges": [[%d, 1, 1.0]]}' % 10**400),
+                       ("huge_class", '{"classes": [[%d], [0]]}' % 10**400),
+                       ("huge_perm", '{"perms": [[%d, 0, 1, 2]]}' % 10**400)]:
         path = tmp_path / f"{name}.json"
         path.write_text(text + "\n")
         files[name] = str(path)
     assert main([arg.format(**files) for arg in argv]) == 1
     assert "error [" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("vertex", [2**70, -1])
+def test_out_of_range_ids_keep_their_messages(tmp_path, capsys, vertex):
+    # the bulk checks must neither overflow int64 nor change the message
+    graph, part, perms = (tmp_path / f"{name}.json" for name in ("g", "p", "perms"))
+    graph.write_text(json.dumps({"n": 3, "edges": [[vertex, 1, 1.0]]}))
+    assert main(["quotient", "--graph", str(graph), "--partition", str(part)]) == 1
+    assert f"error [load]: edge ({vertex},1) outside [0,3)" in capsys.readouterr().err
+    graph.write_text(json.dumps({"n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]]}))
+    part.write_text(json.dumps({"classes": [[0, vertex], [1, 2]]}))
+    assert main(["quotient", "--graph", str(graph), "--partition", str(part)]) == 1
+    assert f"error [load]: vertex {vertex} outside [0,3)" in capsys.readouterr().err
+    perm = [1, 0, vertex, 3]
+    perms.write_text(json.dumps({"perms": [perm]}))
+    assert main(["partition", "--gen", "torus_mesh:2,2", "--mode", "orbits",
+                 "--perms", str(perms)]) == 1
+    assert (f"error [partition]: not a permutation of [0,4): {perm}"
+            in capsys.readouterr().err)
 
 
 def test_write_errors_are_tagged_write(tmp_path, model_h6, capsys):

@@ -187,7 +187,7 @@ def test_flow_starts_at_the_coloring_corners(g, pi, h, monkeypatch):
     monkeypatch.setattr(existence, "_ode_root", record)
     with pytest.raises(OnlyHomogeneousFound):
         solve_reduced(qm, m)
-    side0 = np.isin(np.arange(qm.r), qm.reduced_coloring[0])
+    side0 = qm.reduced_coloring == 0
     want = [np.where(side0, m.amplitude, 0.0), np.where(side0, 0.0, m.amplitude)]
     assert len(starts) == 2
     assert all(np.array_equal(a, b) for a, b in zip(starts, want))
@@ -201,7 +201,7 @@ def test_solution_signs_split_by_reduced_coloring(g, pi, h):
     assert cert.verdict == CERTIFIED
     red = solve_reduced(qm, m)
     dev = red.class_values - cert.fixed_point_value
-    side0, side1 = qm.reduced_coloring
+    side0, side1 = (np.flatnonzero(qm.reduced_coloring == side) for side in (0, 1))
     signs0 = {np.sign(dev[k]) for k in side0}
     signs1 = {np.sign(dev[k]) for k in side1}
     assert signs0 == {1.0} and signs1 == {-1.0} or signs0 == {-1.0} and signs1 == {1.0}
@@ -212,9 +212,7 @@ def test_sign_flipped_linearization_is_cooperative():
         qm = quotient(g, pi)
         m = HillMap(exponent=h)
         cert = certify(qm, m)
-        signs = np.ones(qm.r)
-        for k in qm.reduced_coloring[1]:
-            signs[k] = -1.0
+        signs = np.where(qm.reduced_coloring == 1, -1.0, 1.0)
         jac = -np.eye(qm.r) + cert.slope_at_fixed_point * qm.matrix
         flipped = signs[:, None] * jac * signs[None, :]
         off = flipped - np.diag(np.diag(flipped))

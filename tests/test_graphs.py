@@ -24,23 +24,33 @@ from patternq.graphs import (
     triangle_bridge,
 )
 
-from helpers import connected_by_closure, hex_torus_loops, torus_mesh_loops
+from helpers import connected_by_closure, edge_tuples, hex_torus_loops, torus_mesh_loops
 
 
 def test_build_smallest_graph():
     g = build_graph(2, [(0, 1, 1.0)])
     assert g.n == 2
-    assert g.edges == ((0, 1, 1.0),)
+    assert edge_tuples(g) == ((0, 1, 1.0),)
 
 
 def test_build_path_of_three():
     g = build_graph(3, [(1, 2, 1), (0, 1, 1)])
-    assert g.edges == ((0, 1, 1.0), (1, 2, 1.0))
+    assert edge_tuples(g) == ((0, 1, 1.0), (1, 2, 1.0))
 
 
 def test_build_canonicalizes_orientation():
     g = build_graph(3, [(2, 0, 1.5)])
-    assert g.edges == ((0, 2, 1.5),)
+    assert edge_tuples(g) == ((0, 2, 1.5),)
+
+
+def test_graph_stores_read_only_edge_arrays():
+    edges = np.array([[2.0, 0.0, 1.5], [1.0, 2.0, 1.0]])
+    g = build_graph(3, edges)
+    assert [x.dtype for x in (g.i, g.j, g.w)] == [np.int64, np.int64, np.float64]
+    assert not any(x.flags.writeable for x in (g.i, g.j, g.w))
+    edges[0] = [0.0, 1.0, 9.0]     # the graph keeps its own copy
+    assert edge_tuples(g) == ((0, 2, 1.5), (1, 2, 1.0))
+    assert g == build_graph(3, [(1, 2, 1.0), (0, 2, 1.5)]) != build_graph(3, [(0, 2, 1.5)])
 
 
 @pytest.mark.parametrize("edges,exc", [
@@ -135,18 +145,17 @@ def test_buckyball_connected_against_closure_oracle():
 
 
 def test_bipartition_torus_matches_parity_classes():
-    sides = bipartition(torus_mesh(4, 4))
-    assert sides is not None
-    assert set(sides[0]) == {0, 2, 5, 7, 8, 10, 13, 15}
-    assert set(sides[1]) == {1, 3, 4, 6, 9, 11, 12, 14}
+    color = bipartition(torus_mesh(4, 4))
+    assert color is not None
+    assert np.flatnonzero(color == 0).tolist() == [0, 2, 5, 7, 8, 10, 13, 15]
+    assert np.flatnonzero(color == 1).tolist() == [1, 3, 4, 6, 9, 11, 12, 14]
 
 
 def test_bipartition_proper_two_coloring():
     g = torus_mesh(4, 6)
-    sides = bipartition(g)
-    side0 = set(sides[0])
-    for i, j, _ in g.edges:
-        assert (i in side0) != (j in side0)
+    color = bipartition(g)
+    for i, j, _ in edge_tuples(g):
+        assert color[i] != color[j]
 
 
 def test_bipartition_odd_cycle_is_none():
@@ -173,7 +182,7 @@ def test_torus_mesh_two_rows_keeps_weighted_degree():
     # wraparound on a 2-row mesh doubles the vertical contact weight
     g = torus_mesh(2, 4)
     assert np.all(g.degrees() == 4)
-    weights = {w for _, _, w in g.edges}
+    weights = {w for _, _, w in edge_tuples(g)}
     assert weights == {1.0, 2.0}
 
 
@@ -189,19 +198,19 @@ def test_buckyball_structure():
     deg = g.degrees()
     assert np.all(deg[:12] == 5)
     assert np.all(deg[12:] == 6)
-    assert len(g.edges) == 90
+    assert g.i.size == 90
     # pentagons never touch pentagons
-    assert not any(i < 12 and j < 12 for i, j, _ in g.edges)
+    assert not any(i < 12 and j < 12 for i, j, _ in edge_tuples(g))
     # hexagons touch exactly 3 pentagons and 3 hexagons
     for v in range(12, 32):
-        nbrs = [j if i == v else i for i, j, _ in g.edges if v in (i, j)]
+        nbrs = [j if i == v else i for i, j, _ in edge_tuples(g) if v in (i, j)]
         assert sum(1 for u in nbrs if u < 12) == 3
 
 
 def test_triangle_bridge_edge_set():
     g = triangle_bridge()
     expected = {(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7), (6, 7)}
-    assert {(i, j) for i, j, _ in g.edges} == expected
+    assert {(i, j) for i, j, _ in edge_tuples(g)} == expected
 
 
 def test_generators_are_deterministic():
@@ -213,7 +222,7 @@ def test_generators_are_deterministic():
         ("path", {"n": 5}),
         ("cycle", {"n": 6}),
     ]:
-        assert generate(kind, **params).edges == generate(kind, **params).edges
+        assert edge_tuples(generate(kind, **params)) == edge_tuples(generate(kind, **params))
 
 
 def test_builtin_generator_validation():
@@ -254,7 +263,7 @@ def test_periodic_lattices_match_cell_loops_at_30x30():
 def test_two_wide_torus_adds_up_coincident_contacts():
     # on a 2-wide dimension the left and the right neighbour coincide
     g = torus_mesh(2, 4)
-    assert ((0, 4, 2.0) in g.edges) and ((0, 1, 1.0) in g.edges)
+    assert ((0, 4, 2.0) in edge_tuples(g)) and ((0, 1, 1.0) in edge_tuples(g))
     assert np.array_equal(g.degrees(), np.full(8, 4.0))
     assert np.array_equal(hex_torus(2, 2).degrees(), np.full(4, 6.0))
 

@@ -55,7 +55,10 @@ from helpers import (
 def test_make_partition_sorts_elements_keeps_class_order():
     pi = make_partition([[3, 1], [2, 0]], 4)
     assert pi.classes == ((1, 3), (0, 2))
+    assert pi.labels.tolist() == [1, 0, 1, 0] and not pi.labels.flags.writeable
+    assert pi.firsts.tolist() == [1, 0]
     assert pi.r == 2
+    assert pi == make_partition([[1, 3], [0, 2]], 4) != make_partition([[0, 2], [1, 3]], 4)
     assert canonical_partition([[3, 1], [2, 0]], 4).classes == ((0, 2), (1, 3))
 
 
@@ -193,9 +196,7 @@ def test_sign_flip_makes_offdiagonals_nonpositive():
         qm = quotient(g, pi)
         if qm.reduced_coloring is None:
             continue
-        signs = np.ones(qm.r)
-        for k in qm.reduced_coloring[1]:
-            signs[k] = -1.0
+        signs = np.where(qm.reduced_coloring == 1, -1.0, 1.0)
         flipped = signs[:, None] * qm.matrix * signs[None, :]
         off = flipped - np.diag(np.diag(flipped))
         assert off.max() <= 1e-12
@@ -316,13 +317,13 @@ def test_refinement_runs_on_the_edge_arrays(monkeypatch):
 def test_two_class_constructors_match_modular_oracles_at_48x48():
     side = 48
     i, j = np.divmod(np.arange(side * side), side)
-    assert np.array_equal(tile_partition(side, side, MOTIFS["domino"]).class_of(),
+    assert np.array_equal(tile_partition(side, side, MOTIFS["domino"]).labels,
                           (j + i // 2) % 2)
     others = {"diag3": (i - j) % 3 != 0, "row2": i % 2 != 0, "col3": j % 3 != 0,
               "row3": i % 3 != 0, "col2": j % 2 != 0, "checkerboard": (i + j) % 2 != 0,
               "spots": (i % 2 == 1) & (j % 2 == 1)}
     for pattern, in_class_1 in others.items():
-        assert np.array_equal(tile_partition(side, side, MOTIFS[pattern]).class_of(),
+        assert np.array_equal(tile_partition(side, side, MOTIFS[pattern]).labels,
                               in_class_1.astype(int)), pattern
 
 
@@ -342,7 +343,7 @@ def test_exhaustive_search_pins_the_equitable_two_colorings(g, side, count, equi
     assert sorted(equitable + inequitable) == sorted(
         name for name, m in MOTIFS.items() if side % len(m) == 0 == side % len(m[0]))
     for name in equitable + inequitable:
-        labels = tuple(tile_partition(side, side, MOTIFS[name]).class_of().tolist())
+        labels = tuple(tile_partition(side, side, MOTIFS[name]).labels.tolist())
         assert (labels in found) == (name in equitable), name
 
 

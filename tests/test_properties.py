@@ -5,8 +5,10 @@ dense averaging matrix, scipy's ODE integrators (DOP853 on the dense
 network, LSODA on the reduced flow) and root finder,
 characteristic-polynomial roots and coefficients, dense unsymmetric
 eigvals, leading principal minors, a loop over class pairs, the
-item-by-item JSON writer and, bit for bit, the Dormand-Prince loop as it
-was before its stage buffers (helpers.settle_reference)."""
+item-by-item JSON writer, the edge-by-edge and vertex-by-vertex input
+checks and, bit for bit, the Dormand-Prince loop as it was before its
+stage buffers (helpers.settle_reference)."""
+import math
 from unittest import mock
 
 import numpy as np
@@ -20,7 +22,7 @@ from scipy.optimize import fsolve
 
 from patternq import existence
 from patternq.cells import HillMap, fixed_point, t_prime
-from patternq.errors import BadBundle, StateOutOfBox
+from patternq.errors import BadBundle, PatternQError, StateOutOfBox
 from patternq.existence import CERTIFIED, _ode_root, lift, solve_reduced
 from patternq.graphs import (
     ScaledAdjacency,
@@ -53,8 +55,11 @@ from helpers import (
     char_poly_coeffs,
     char_poly_eigs,
     class_indicator,
+    class_loop,
     class_sums_checked_loop,
     dense_averaging,
+    edge_loop,
+    edge_tuples,
     integrate_reference,
     m_matrix_by_leading_minors,
     random_connected_graph,
@@ -329,7 +334,7 @@ def test_block_split_matches_an_independent_complement(case):
     assert np.array_equal(dec.transverse_block, dec.transverse_block.T)
     firsts = [cls[0] for cls in pi.classes]
     rest = [v for v in range(g.n) if v not in firsts]
-    assert np.array_equal(dec.transverse_class, pi.class_of()[rest])
+    assert np.array_equal(dec.transverse_class, pi.labels[rest])
     assert dec.coupling < 1e-12
 
 
@@ -482,8 +487,7 @@ def test_sign_flipped_reduced_jacobian_is_cooperative_on_the_box(case, h, data):
     m = HillMap(exponent=h)
     z = np.array(data.draw(st.lists(st.floats(0.0, m.amplitude),
                                     min_size=qm.r, max_size=qm.r)))
-    signs = np.ones(qm.r)
-    signs[list(qm.reduced_coloring[1])] = -1.0
+    signs = np.where(qm.reduced_coloring == 1, -1.0, 1.0)
     jac = -np.eye(qm.r) + qm.matrix * t_prime(m, z)[None, :]
     flipped = signs[:, None] * jac * signs[None, :]
     assert (flipped - np.diag(np.diag(flipped))).min() >= 0.0
@@ -588,7 +592,8 @@ def _json_values():
         hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4),
                    elements=floats),
         hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)))
-    # homogeneous rows take the bulk path; mixed rows the recursive one
+    # number rows take the bulk path, and lists of them (2-D arrays too) the row
+    # join; mixed rows the recursive one
     rows = st.one_of(st.lists(ints), st.lists(floats), st.lists(st.one_of(ints, floats)),
                      st.lists(st.one_of(ints, floats, st.booleans(), numpy_scalars)).map(tuple))
     scalars = st.one_of(st.none(), st.booleans(), ints, floats, st.text(), numpy_scalars)
@@ -612,3 +617,41 @@ def test_canonical_json_matches_item_by_item_writer(obj):
             dumps_canonical(obj)
     else:
         assert dumps_canonical(obj) == expected
+
+
+# vertex ids around [0, n) and one far beyond int64
+ids = st.one_of(st.integers(-2, 7), st.just(2**70))
+
+
+def _outcome(build):
+    try:
+        return "ok", build()
+    except PatternQError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 6), edges=st.lists(st.tuples(ids, ids, st.sampled_from(
+    [1.0, 2.5, 0.0, -1.0, math.nan, math.inf])), max_size=8))
+def test_bulk_edge_checks_match_the_edge_loop(n, edges):
+    assert (_outcome(lambda: edge_tuples(build_graph(n, edges)))
+            == _outcome(lambda: edge_loop(n, edges)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(0, 6), classes=st.lists(st.lists(ids, max_size=5), max_size=4))
+def test_bulk_class_checks_match_the_vertex_loop(n, classes):
+    assert (_outcome(lambda: make_partition(classes, n).classes)
+            == _outcome(lambda: class_loop(classes, n)))
+
+
+@PROPERTY
+@given(rows=st.sampled_from([2, 4, 8, 16]), scale=st.floats(0.01, 10.0))
+def test_class_degrees_match_class_by_class_sums(rows, scale):
+    # bincount adds in vertex order where a per-class sum is pairwise, so
+    # the two agree to rounding, not bit for bit
+    base = torus_mesh(rows, 2 * rows)
+    g = build_graph(base.n, np.column_stack([base.i, base.j, scale * base.w]))
+    qm = quotient(g, bipartition_partition(g))
+    loop = [g.degrees()[list(cls)].sum() for cls in qm.partition.classes]
+    assert np.allclose(qm.class_degrees, loop, rtol=4 * g.n * np.finfo(float).eps, atol=0)
