@@ -45,18 +45,20 @@ class HillMap:
 
     @cached_property
     def _fixed_point(self) -> FixedPoint:
-        # bisected on first read and kept on the instance (see fixed_point)
+        # bisected on first read and kept on the instance (see fixed_point);
+        # the midpoints are nonnegative, so the scalar response skips
+        # t_eval's input checks and copy, and rounds as t_eval does
         lo, hi = 0.0, self.amplitude
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
-            if t_eval(self, mid) - mid > 0:
+            if _hill(self, np.float64(mid)) - mid > 0:
                 lo = mid
             else:
                 hi = mid
         u = 0.5 * (lo + hi)
-        return FixedPoint(value=u, residual=abs(t_eval(self, u) - u))
+        return FixedPoint(value=u, residual=float(abs(_hill(self, np.float64(u)) - u)))
 
 
 def _hill(m: HillMap, u):

@@ -106,7 +106,9 @@ class ScaledAdjacency:
     rows, cols, edge_weights and weights list both directions of every
     edge, sorted by (row, col), with edge_weights[k] = w_ij and weights[k] =
     w_ij / d_i for i = rows[k], j = cols[k]; degrees holds d.  matvec and
-    class_sums cost O(m).  symmetric is the dense n x n similarity
+    class_sums cost O(m).  indptr holds the CSR row offsets, built on first
+    read: the edges of row i are indptr[i]:indptr[i + 1], and row_edges
+    gathers those of a vertex set.  symmetric is the dense n x n similarity
     S = D^1/2 P D^-1/2, with entries w_ij / sqrt(d_i d_j), built on first
     read; callers must not write to it.
     """
@@ -131,6 +133,17 @@ class ScaledAdjacency:
         flat = np.bincount(self.rows * r + class_of[self.cols], weights=self.weights,
                            minlength=self.n * r)
         return flat.reshape(self.n, r)
+
+    @cached_property
+    def indptr(self) -> np.ndarray:
+        return np.concatenate(([0], np.cumsum(np.bincount(self.rows, minlength=self.n))))
+
+    def row_edges(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of the edges of the given rows, row by row, and their counts."""
+        start = self.indptr[vertices]
+        count = self.indptr[vertices + 1] - start
+        # shift each row's run of one arange to that row's first edge
+        return np.arange(count.sum()) + (start - count.cumsum() + count).repeat(count), count
 
     @cached_property
     def symmetric(self) -> np.ndarray:

@@ -19,6 +19,7 @@ included, takes.
 from __future__ import annotations
 
 import itertools
+import logging
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,6 +58,8 @@ __all__ = [
 ]
 
 _EQ_TOL = 1e-12
+
+LOG = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,60 +269,127 @@ def _integer_weights(sa: ScaledAdjacency) -> np.ndarray:
     return odd.astype(object) << shift.astype(object)
 
 
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries, or equal rows, of a sorted array starts."""
+    step = np.empty(len(a), dtype=bool)
+    step[:1] = True
+    differs = a[1:] != a[:-1]
+    step[1:] = differs if differs.ndim == 1 else differs.any(axis=1)
+    return step.nonzero()[0]
+
+
+def _run_lengths(starts: np.ndarray, total: int) -> np.ndarray:
+    """The length of each run, from the run starts and the total length."""
+    out = np.empty_like(starts)
+    out[:-1] = starts[1:] - starts[:-1]
+    out[-1:] = total - starts[-1:]
+    return out
+
+
+def _key_groups(sa: ScaledAdjacency, weights: np.ndarray, label: np.ndarray, r: int,
+                verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the ascending vertices verts by their exact keys.
+
+    Returns the order that sorts verts by key, which sorts the groups by
+    class and keeps each group's vertices ascending, and the start of each
+    group in that order.
+    """
+    at, count = sa.row_edges(verts)
+    # one run of edges per (vertex, neighbour class), in that order; every
+    # vertex has an edge, so run_vertex counts 0..verts.size-1 up
+    key = np.arange(verts.size).repeat(count) * r + label[sa.cols[at]]
+    order = key.argsort()
+    key = key[order]
+    run = _run_starts(key)
+    sums = np.add.reduceat(weights[at[order]], run)
+    run_vertex, run_class = np.divmod(key[run], r)
+    first = _run_starts(run_vertex)
+    counts = _run_lengths(first, run.size)
+    sums //= np.gcd.reduceat(sums, first).repeat(counts)
+    # a row per vertex: its class, then its (class, reduced sum) pairs,
+    # padded with -1; Python-int sums make it an object array
+    sig = np.full((verts.size, 2 * counts.max() + 1), -1, dtype=sums.dtype)
+    sig[:, 0] = label[verts]
+    col = 2 * (np.arange(run.size) - first[run_vertex]) + 1
+    sig[run_vertex, col] = run_class
+    sig[run_vertex, col + 1] = sums
+    order = np.lexsort(sig.T[::-1])
+    return order, _run_starts(sig[order])
+
+
 def coarsest_equitable_refinement(g: WeightedGraph,
                                   seed: Partition | None = None) -> Partition:
-    """Iteratively split seed classes by exact class-sum signatures.
+    """Split seed classes by exact class-sum keys until no class splits.
 
-    Each round sums the integer-scaled edge weights from every vertex into
-    every current class over the edge arrays; a vertex's key is its class
-    plus its (class, sum) pairs divided by their gcd, so two vertices share
+    A vertex's key is its class plus its (class, sum) pairs of
+    integer-scaled edge weights divided by their gcd, so two vertices share
     a key exactly when their rows of the averaging matrix have equal class
-    sums, with no float rounding.  Splits stay at their parent's position,
-    siblings ordered by minimum vertex, and rounds repeat until the class
-    count stops changing.  The fixed point is the coarsest equitable
-    partition refining the seed; an already equitable seed comes back
-    unchanged.  Note the single all-vertex class is equitable for every
-    graph (each row of the averaging matrix sums to one), so the default
-    seed returns unchanged.
+    sums, with no float rounding.  Each round splits every class by the
+    keys, and the rounds stop when none splits.  A round re-keys only the
+    neighbours of the smaller halves: of each class that split in the last
+    round, every child but the largest (the seed classes count as the
+    children of one class).  Any other vertex has its old row of class
+    sums with each split class renamed to its largest child, so the
+    vertices of a class that are not re-keyed share one key, and a
+    re-keyed vertex, having an edge into a smaller child, has another.
+    A vertex is in a smaller child at most log2(n) times, so the rounds
+    re-key O(m log n) vertices in all, each from its own edges with one
+    sort; the bookkeeping adds O(n + r log r) vector work per round.
+    Splits stay at their parent's position, siblings ordered by minimum
+    vertex: the classes and their order are those that re-keying every
+    vertex in every round gives.  The fixed point is the coarsest
+    equitable partition refining the seed; an already equitable seed comes
+    back unchanged.  Note the single all-vertex class is equitable for
+    every graph (each row of the averaging matrix sums to one), so the
+    default seed returns unchanged.  One INFO line on this module's logger
+    gives the rounds that split a class, the class count and the number of
+    re-keyed vertices.
     """
     n = g.n
     if seed is not None and seed.n != n:
         raise PartitionMismatch(f"seed covers {seed.n} vertices, graph has {n}")
     sa = scaled_adjacency(g)
+    weights = _integer_weights(sa)
     label = np.zeros(n, dtype=np.int64) if seed is None else seed.labels
     r = 1 if seed is None else seed.r
-    weights = _integer_weights(sa)
-    while True:
-        # one run of edges per (vertex, neighbour class), in that order;
-        # every vertex has an edge, so run_vertex counts 0..n-1 up
-        key = sa.rows * r + label[sa.cols]
-        order = np.argsort(key)
-        key = key[order]
-        run = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        sums = np.add.reduceat(weights[order], run)
-        run_vertex, run_class = np.divmod(key[run], r)
-        first = np.flatnonzero(np.concatenate(([True], run_vertex[1:] != run_vertex[:-1])))
-        counts = np.diff(np.append(first, run.size))
-        sums = sums // np.repeat(np.gcd.reduceat(sums, first), counts)
-        # number the distinct (class, reduced sum) pairs, then fold them
-        # into each vertex's key one position at a time
-        sum_id = np.unique(sums, return_inverse=True)[1]
-        pair = np.unique(run_class * (sum_id.max() + 1) + sum_id, return_inverse=True)[1]
-        npair = int(pair.max()) + 1
-        group, fresh = label.copy(), r
-        for p in range(int(counts.max())):
-            act = np.flatnonzero(counts > p)
-            ids, inv = np.unique(group[act] * npair + pair[first[act] + p],
-                                 return_inverse=True)
-            group[act] = fresh + inv
-            fresh += ids.size
-        _, lead, inv = np.unique(group, return_index=True, return_inverse=True)
-        if lead.size == r:
+    vertex = np.arange(n)
+    # the seed classes are the children of the one class of all vertices
+    moved = (label != np.bincount(label, minlength=r).argmax()).nonzero()[0]
+    rounds = rekeyed = 0
+    while moved.size:
+        mark = np.zeros(n, dtype=bool)
+        mark[sa.cols[sa.row_edges(moved)[0]]] = True
+        verts = mark.nonzero()[0]
+        rekeyed += verts.size
+        order, lead = _key_groups(sa, weights, label, r, verts)
+        # group k of the re-keyed vertices becomes class r + k; the other
+        # vertices of a class share one key and keep its label
+        child = label.copy()
+        child[verts[order]] = np.arange(r, r + lead.size).repeat(_run_lengths(lead, verts.size))
+        lowest = np.full(r + lead.size, n)
+        np.minimum.at(lowest, child, vertex)
+        live = (lowest < n).nonzero()[0]
+        if live.size == r:              # one child per class: none split
             break
+        rounds += 1
+        parent = np.concatenate((np.arange(r), label[verts[order[lead]]]))
         # a split keeps its parent's position; siblings order by minimum vertex
-        rank = np.empty(lead.size, dtype=np.int64)
-        rank[np.lexsort((lead, label[lead]))] = np.arange(lead.size)
-        label, r = rank[inv], lead.size
+        by = live[(parent[live] * n + lowest[live]).argsort()]
+        parent = parent[by]
+        rank = np.empty(r + lead.size, dtype=np.int64)
+        rank[by] = np.arange(live.size)
+        # the next round re-keys the neighbours of every child but the
+        # largest of each class (of equals, the one listed first)
+        size = np.bincount(child, minlength=rank.size)[by]
+        sib = _run_starts(parent)
+        biggest = np.maximum.reduceat(size, sib).repeat(_run_lengths(sib, by.size))
+        top = (size == biggest).nonzero()[0]
+        moves = np.ones(rank.size, dtype=bool)
+        moves[by[top[_run_starts(parent[top])]]] = False
+        moved = moves[child].nonzero()[0]
+        label, r = rank[child], live.size
+    LOG.info("coarsest equitable refinement: %d splitting rounds, %d classes, "
+             "%d re-keyed vertices", rounds, r, rekeyed)
     return Partition(labels=label, r=r)
 
 
@@ -474,7 +544,8 @@ def tile_partition(rows: int, cols: int, motif) -> Partition:
             or rows % m.shape[0] or cols % m.shape[1]):
         raise BadLatticeSize(
             f"a motif of shape {m.shape} does not tile a {rows} x {cols} torus")
-    labels = np.unique(m)
+    labels = np.sort(m, axis=None)
+    labels = labels[np.concatenate(([True], labels[1:] != labels[:-1]))]  # distinct
     if m.dtype.kind not in "iu" or not np.array_equal(labels, np.arange(labels.size)):
         raise BadLatticeSize(f"motif labels must be 0..k-1, got {labels.tolist()}")
     label = np.tile(m, (rows // m.shape[0], cols // m.shape[1])).ravel()

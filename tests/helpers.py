@@ -4,8 +4,10 @@ Everything here deliberately avoids the library's own solution paths:
 eigenvalues come from characteristic-polynomial companion roots, Perron
 roots from power iteration, the M-matrix property from leading principal
 minors, reduced roots from 1-D
-bisection on composed maps, and coarsest refinements from full partition
-enumeration and from rounded float class-sum signatures.  The dense
+bisection on composed maps, the Hill fixed point from the bisection through
+t_eval, and coarsest refinements from full partition enumeration, from
+rounded float class-sum signatures and from the exact keys with every
+vertex re-keyed in every round.  The dense
 averaging matrix and the class indicator are rebuilt here from the graph
 and the partition, not read off the library.
 Network trajectories are checked against scipy's DOP853 on the dense
@@ -26,7 +28,7 @@ import math
 
 import numpy as np
 
-from patternq.cells import HillMap, fixed_point, t_eval
+from patternq.cells import FixedPoint, HillMap, fixed_point, t_eval
 from patternq.errors import (
     BadBundle,
     BadIndex,
@@ -54,6 +56,7 @@ from patternq.ode import (
 from patternq.partitions import (
     EquitabilityCheck,
     Partition,
+    _integer_weights,
     is_equitable,
     make_partition,
     refines,
@@ -230,6 +233,78 @@ def rounded_signature_refinement(g: WeightedGraph, seed: Partition | None = None
         if len(new_classes) == pi.r:
             return pi
         pi = make_partition(new_classes, g.n)
+
+
+# weights of the circulant C13 on the offsets 1, 2 and 3
+C13_WEIGHTS = [0.9524665424747193, 2.734681399537526, 0.22126567293362276]
+
+
+def round_refinement(g: WeightedGraph, seed: Partition | None = None) -> Partition:
+    """Coarsest equitable refinement that re-keys every vertex in every round.
+
+    Each round sums the integer-scaled edge weights from every vertex into
+    every current class over the edge arrays; a vertex's key is its class
+    plus its (class, sum) pairs divided by their gcd, folded into a group
+    one pair position at a time.  Splits stay at their parent's position,
+    siblings ordered by minimum vertex, and rounds repeat until the class
+    count stops changing.  These exact keys are the library's; only the
+    choice of the vertices to re-key differs.
+    """
+    n = g.n
+    if seed is not None and seed.n != n:
+        raise PartitionMismatch(f"seed covers {seed.n} vertices, graph has {n}")
+    sa = scaled_adjacency(g)
+    label = np.zeros(n, dtype=np.int64) if seed is None else seed.labels
+    r = 1 if seed is None else seed.r
+    weights = _integer_weights(sa)
+    while True:
+        # one run of edges per (vertex, neighbour class), in that order;
+        # every vertex has an edge, so run_vertex counts 0..n-1 up
+        key = sa.rows * r + label[sa.cols]
+        order = np.argsort(key)
+        key = key[order]
+        run = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        sums = np.add.reduceat(weights[order], run)
+        run_vertex, run_class = np.divmod(key[run], r)
+        first = np.flatnonzero(np.concatenate(([True], run_vertex[1:] != run_vertex[:-1])))
+        counts = np.diff(np.append(first, run.size))
+        sums = sums // np.repeat(np.gcd.reduceat(sums, first), counts)
+        # number the distinct (class, reduced sum) pairs, then fold them
+        # into each vertex's key one position at a time
+        sum_id = np.unique(sums, return_inverse=True)[1]
+        pair = np.unique(run_class * (sum_id.max() + 1) + sum_id, return_inverse=True)[1]
+        npair = int(pair.max()) + 1
+        group, fresh = label.copy(), r
+        for p in range(int(counts.max())):
+            act = np.flatnonzero(counts > p)
+            ids, inv = np.unique(group[act] * npair + pair[first[act] + p],
+                                 return_inverse=True)
+            group[act] = fresh + inv
+            fresh += ids.size
+        _, lead, inv = np.unique(group, return_index=True, return_inverse=True)
+        if lead.size == r:
+            break
+        # a split keeps its parent's position; siblings order by minimum vertex
+        rank = np.empty(lead.size, dtype=np.int64)
+        rank[np.lexsort((lead, label[lead]))] = np.arange(lead.size)
+        label, r = rank[inv], lead.size
+    return Partition(labels=label, r=r)
+
+
+def fixed_point_by_t_eval(m: HillMap) -> FixedPoint:
+    """The root of T(u) = u bisected through t_eval, with its input checks
+    and copy in every step."""
+    lo, hi = 0.0, m.amplitude
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if t_eval(m, mid) - mid > 0:
+            lo = mid
+        else:
+            hi = mid
+    u = 0.5 * (lo + hi)
+    return FixedPoint(value=u, residual=abs(t_eval(m, u) - u))
 
 
 def connected_by_closure(g: WeightedGraph) -> bool:

@@ -1,7 +1,16 @@
+import logging
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import patternq
 from patternq.errors import (
+    BadLatticeSize,
     NotAutomorphism,
     NotEquitable,
     NotPermutation,
@@ -36,6 +45,7 @@ from patternq.partitions import (
 )
 
 from helpers import (
+    C13_WEIGHTS,
     brute_force_coarsest,
     buckyball_rotation_generators,
     class_indicator,
@@ -44,6 +54,7 @@ from helpers import (
     equitable_two_colorings,
     hex_diagonal_generators,
     random_connected_graph,
+    round_refinement,
     rounded_signature_refinement,
     torus_checkerboard_generators,
     torus_domino_generators,
@@ -269,9 +280,6 @@ def test_refinement_matches_rounded_signatures(kind, sizes, v):
     assert coarsest_equitable_refinement(g, seed) == rounded_signature_refinement(g, seed)
 
 
-C13_WEIGHTS = [0.9524665424747193, 2.734681399537526, 0.22126567293362276]
-
-
 @pytest.mark.parametrize("weights,exact_type", [
     (C13_WEIGHTS, np.int64),
     # 100 * 2**59 overflows int64, so the keys are Python ints
@@ -310,6 +318,56 @@ def test_refinement_runs_on_the_edge_arrays(monkeypatch):
     monkeypatch.setattr(ScaledAdjacency, "class_sums", forbidden)
     monkeypatch.setattr(partitions, "make_partition", forbidden)
     assert coarsest_equitable_refinement(g, seed) == want
+
+
+@pytest.mark.parametrize("kind,side", [("torus_mesh", 64), ("hex_torus", 48)])
+def test_point_refinement_matches_the_every_vertex_rounds(kind, side):
+    g = generate(kind, side, side)
+    seed = _point_seed(g.n, 0)
+    got, want = coarsest_equitable_refinement(g, seed), round_refinement(g, seed)
+    assert got == want and got.r == want.r
+    if kind == "torus_mesh":
+        # the classes are the orbits of the point's stabilizer, the 8
+        # symmetries of the square; Burnside averages their fixed cells:
+        # s^2 (identity), 2 + 2 (quarter turns), 4 (half turn), s + s
+        # (diagonal mirrors) and 2s + 2s (axis mirrors)
+        assert got.r == (side**2 + 6 * side + 8) // 8 == 561
+
+
+def test_refinement_logs_its_rounds_classes_and_rekeys(caplog):
+    g = hex_torus(30, 30)
+    with caplog.at_level(logging.INFO, logger="patternq.partitions"):
+        got = coarsest_equitable_refinement(g, _point_seed(g.n, 17))
+    records = [rec for rec in caplog.records if rec.name == "patternq.partitions"]
+    assert [rec.levelno for rec in records] == [logging.INFO]
+    rounds, classes, rekeyed = records[0].args
+    assert (rounds, classes, got.r) == (19, 91, 91)
+    # every round re-keys only the neighbours of the smaller split halves
+    assert rekeyed < rounds * g.n / 4
+
+
+def test_tiling_and_refinement_leave_numpy_ma_unimported():
+    # a bare np.unique imports numpy.ma, about 10 ms in a fresh process
+    code = "\n".join([
+        "import sys",
+        "from patternq.graphs import hex_torus",
+        "from patternq.partitions import (MOTIFS, coarsest_equitable_refinement,",
+        "                                 make_partition, tile_partition)",
+        "tile_partition(4, 4, MOTIFS['checkerboard'])",
+        "assert 'numpy.ma' not in sys.modules, 'tile_partition'",
+        "coarsest_equitable_refinement(hex_torus(6, 6), make_partition([[0], range(1, 36)], 36))",
+        "assert 'numpy.ma' not in sys.modules, 'coarsest_equitable_refinement'",
+    ])
+    src = str(Path(patternq.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_tile_partition_names_bad_motif_labels():
+    for motif, labels in [(((0, 2),), [0, 2]), (((1, 1),), [1]), (((0.0, 1.0),), [0.0, 1.0])]:
+        with pytest.raises(BadLatticeSize, match=re.escape(f"got {labels}")):
+            tile_partition(2, 2, motif)
 
 
 # ---- two-class constructors ----

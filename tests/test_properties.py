@@ -6,8 +6,10 @@ network, LSODA on the reduced flow) and root finder,
 characteristic-polynomial roots and coefficients, dense unsymmetric
 eigvals, leading principal minors, a loop over class pairs, the
 item-by-item JSON writer, the edge-by-edge and vertex-by-vertex input
-checks and, bit for bit, the Dormand-Prince loop as it was before its
-stage buffers (helpers.settle_reference)."""
+checks, the refinement that re-keys every vertex in every round
+(helpers.round_refinement) and, bit for bit, the Dormand-Prince loop as it
+was before its stage buffers (helpers.settle_reference) and the Hill fixed
+point bisected through t_eval."""
 import math
 from unittest import mock
 
@@ -28,6 +30,7 @@ from patternq.graphs import (
     ScaledAdjacency,
     build_graph,
     cycle_graph,
+    generate,
     hex_torus,
     scaled_adjacency,
     torus_mesh,
@@ -51,6 +54,7 @@ from patternq.spectral import jacobian_spectrum, sym_eigen
 from patternq.stability import block_stability, small_gain
 
 from helpers import (
+    C13_WEIGHTS,
     canonical_oracle,
     char_poly_coeffs,
     char_poly_eigs,
@@ -60,9 +64,11 @@ from helpers import (
     dense_averaging,
     edge_loop,
     edge_tuples,
+    fixed_point_by_t_eval,
     integrate_reference,
     m_matrix_by_leading_minors,
     random_connected_graph,
+    round_refinement,
     settle_reference,
     torus_shift_perm,
     weight_matrix,
@@ -291,6 +297,53 @@ def test_refinement_is_never_finer_than_the_mirror_orbits(case):
     assert refines(got, seed)
     assert refines(mirror, got)
     assert is_equitable(g, got).ok
+
+
+@st.composite
+def refinement_seeds(draw):
+    """(graph, seed): a random connected graph, unit-weighted or weighted
+    over a narrow or a wide range, or a weighted C13, with a random seed of
+    1 to 4 classes; or a point seed on a hex or square torus."""
+    kind = draw(st.sampled_from(["random", "c13", "hex_torus", "torus_mesh"]))
+    if kind in ("hex_torus", "torus_mesh"):
+        rows, cols = draw(st.sampled_from(range(2, 17, 2))), draw(st.sampled_from(range(2, 17, 2)))
+        g = generate(kind, rows, cols)
+        v = draw(st.integers(0, g.n - 1))
+        return g, make_partition([[v], [u for u in range(g.n) if u != v]], g.n)
+    if kind == "c13":
+        # the second set's sums overflow int64 and run on Python ints
+        weights = draw(st.sampled_from([C13_WEIGHTS, [0.01, 100.0, 0.3]]))
+        g = build_graph(13, [(k, (k + s) % 13, w)
+                             for k in range(13) for s, w in zip((1, 2, 3), weights)])
+    else:
+        g = random_connected_graph(np.random.default_rng(draw(seeds)), draw(st.integers(2, 30)),
+                                   weighted=draw(st.booleans()),
+                                   weight_range=draw(st.sampled_from([(0.5, 2.0), (0.01, 100.0)])))
+    r = draw(st.integers(1, min(4, g.n)))
+    labels = draw(st.lists(st.integers(0, r - 1), min_size=g.n, max_size=g.n))
+    return g, make_partition([[v for v, lab in enumerate(labels) if lab == k]
+                              for k in range(r)], g.n)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=refinement_seeds())
+def test_refinement_matches_the_every_vertex_rounds(case):
+    # re-keying only the neighbours of the smaller split halves gives the
+    # same classes in the same order as re-keying every vertex
+    g, seed = case
+    got, want = coarsest_equitable_refinement(g, seed), round_refinement(g, seed)
+    assert got.r == want.r
+    assert np.array_equal(got.labels, want.labels)
+
+
+@PROPERTY
+@given(amplitude=st.floats(0.05, 20.0), threshold=st.floats(0.05, 20.0),
+       exponent=st.floats(1.0, 16.0))
+def test_fixed_point_matches_the_bisection_through_t_eval(amplitude, threshold, exponent):
+    m = HillMap(amplitude=amplitude, threshold=threshold, exponent=exponent)
+    got, want = fixed_point(m), fixed_point_by_t_eval(m)
+    assert (got.value, got.residual) == (want.value, want.residual)
+    assert type(got.residual) is float
 
 
 @st.composite
