@@ -262,16 +262,16 @@ def _load_x0(path: str) -> np.ndarray:
 def _perturb_direction(spec: str, n: int) -> np.ndarray:
     """The direction of --perturb cell:<k> or random:<seed> on n cells."""
     kind, _, arg = spec.partition(":")
+    if kind not in ("cell", "random") or not arg.removeprefix("-").isdecimal():
+        raise BadOptions(f"bad --perturb spec {spec!r}: want cell:<k> or random:<seed>")
+    k = int(arg)
     if kind == "cell":
-        k = int(arg)
         if not 0 <= k < n:
             raise BadOptions(f"--perturb cell:{k} outside [0,{n})")
         direction = np.zeros(n)
         direction[k] = 1.0
         return direction
-    if kind == "random":
-        return np.random.default_rng(int(arg)).standard_normal(n)
-    raise BadOptions(f"bad --perturb spec {spec!r}")
+    return np.random.default_rng(k).standard_normal(n)
 
 
 def _write_trace(path: str, trace, n: int) -> None:
@@ -293,15 +293,16 @@ def _cmd_simulate(args) -> int:
         qm = _run_stage("quotient", quotient, g, pi)
         cert = _run_stage("certify", certify, qm, model)
         sa = qm.operator
-        x0 = perturbed_start(model, cert.fixed_point_value,
-                             pi.expand(cert.min_eigenvector), args.eps)
+        x0 = _run_stage("simulate", perturbed_start, model, cert.fixed_point_value,
+                        pi.expand(cert.min_eigenvector), args.eps)
     else:
         sa = _run_stage("simulate", scaled_adjacency, g)
         if args.x0:
             x0 = _run_stage("load", _load_x0, args.x0)
         else:
             direction = _run_stage("simulate", _perturb_direction, args.perturb, g.n)
-            x0 = perturbed_start(model, fixed_point(model).value, direction, args.eps)
+            x0 = _run_stage("simulate", perturbed_start, model, fixed_point(model).value,
+                            direction, args.eps)
     trace = _run_stage("simulate", integrate, sa, model, x0, opts)
     if args.trace:
         _run_stage("write", _write_trace, args.trace, trace, g.n)

@@ -13,7 +13,8 @@ row sums to one and the network input u = P y is a weighted average of
 neighbor outputs.  P is stored as edge arrays: its products with a vector and
 with a class indicator cost O(m).  The only dense n x n form is the
 symmetric S = D^1/2 P D^-1/2, built on first read and only for the spectral
-routes that read it.
+routes that read it.  Connectivity, 2-colorings and symmetry orbits all come
+from one array components pass (_components) over edge arrays.
 """
 from __future__ import annotations
 
@@ -213,35 +214,36 @@ def _build_operator(g: WeightedGraph) -> ScaledAdjacency:
                            degrees=d)
 
 
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The smallest vertex of each vertex's component, for edges (a[k], b[k]).
+
+    Min-label hooking with pointer jumping (Shiloach & Vishkin 1982): each
+    round hooks every edge end's root onto the other end's root if smaller,
+    then jumps every label to its root.  Labels never exceed their vertex,
+    and each round merges roots until both ends of every edge share one."""
+    label = np.arange(n)
+    while not np.array_equal(ra := label[a], rb := label[b]):
+        np.minimum.at(label, ra, rb)
+        np.minimum.at(label, rb, ra)
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+    return label
+
+
 def _two_coloring(n: int, i: np.ndarray, j: np.ndarray):
     """2-color the graph on n vertices with edges (i[k], j[k]) and tell
     whether it is connected.
 
     The coloring is a read-only 0/1 side label per vertex, None if an odd
-    cycle exists.  The lowest vertex of each component lands on side 0, so a
-    single vertex is trivially 2-colorable.
-    """
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for a, b in zip(i.tolist(), j.tolist()):
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    color = [-1] * n
-    bipartite, components = True, 0
-    for start in range(n):
-        if color[start] != -1:
-            continue
-        components += 1
-        color[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in nbrs[u]:
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    stack.append(v)
-                elif color[v] == color[u]:
-                    bipartite = False
-    return (_frozen(color, np.int64) if bipartite else None), components == 1
+    cycle exists.  Both come from the double cover, where v has copies v and
+    v + n and each edge joins opposite copies.  The copies share a component
+    iff an odd cycle reaches v; else v is on side 1 iff v + n shares one with
+    the lowest vertex of v's component, so that vertex lands on side 0.  The
+    graph is connected iff a copy of every v shares a component with 0."""
+    label = _components(2 * n, np.concatenate([i, i + n]), np.concatenate([j + n, j]))
+    lo, hi = label[:n], label[n:]
+    connected = bool((np.minimum(lo, hi) == 0).all())
+    return (_frozen(lo > hi, np.int64) if (lo != hi).all() else None), connected
 
 
 def is_connected(g: WeightedGraph) -> bool:
@@ -360,8 +362,8 @@ def generate(kind: str, *sizes, **params) -> WeightedGraph:
 
     kind in GENERATOR_KINDS; path/cycle take n, torus_mesh/hex_torus take
     rows and cols, given by name or in that order, and buckyball and
-    triangle_bridge take nothing.  Missing or extra parameters raise
-    BadLatticeSize.
+    triangle_bridge take nothing.  Missing, extra or non-integer parameters
+    raise BadLatticeSize.
     """
     build = {"path": path_graph, "cycle": cycle_graph, "torus_mesh": torus_mesh,
              "hex_torus": hex_torus, "buckyball": buckyball,
@@ -371,7 +373,10 @@ def generate(kind: str, *sizes, **params) -> WeightedGraph:
     signature = inspect.signature(build)
     try:
         bound = signature.bind(*sizes, **params)
+        values = [int(v) for v in bound.args]
     except TypeError as exc:
         names = ", ".join(signature.parameters) or "no parameters"
         raise BadLatticeSize(f"{kind} takes {names}: {exc}") from None
-    return build(*(int(v) for v in bound.args))
+    except ValueError:
+        raise BadLatticeSize(f"{kind} sizes must be integers, got {bound.args}") from None
+    return build(*values)

@@ -33,8 +33,8 @@ from .errors import (
     PartitionMismatch,
     SingularTransform,
 )
-from .graphs import (ScaledAdjacency, WeightedGraph, _frozen, _two_coloring, bipartition,
-                     scaled_adjacency)
+from .graphs import (ScaledAdjacency, WeightedGraph, _components, _frozen, _two_coloring,
+                     bipartition, scaled_adjacency)
 
 __all__ = [
     "Partition",
@@ -397,9 +397,9 @@ def orbits_from_generators(g: WeightedGraph, perms) -> Partition:
     """Orbit partition of the group generated by weight-preserving permutations.
 
     Each permutation must map every edge onto an edge of equal weight
-    (NotAutomorphism with the offending edge otherwise).  Orbits are computed
-    by union-find closure under the generators, never materializing the
-    group itself.
+    (NotAutomorphism with the offending edge otherwise).  The orbits are the
+    components of the graph that joins each v to p[v] for every generator p,
+    so the group itself is never materialized.
     """
     n, key = g.n, g.i * g.n + g.j      # ascending, as the edges are sorted
     checked = []
@@ -417,24 +417,13 @@ def orbits_from_generators(g: WeightedGraph, perms) -> Partition:
             w2 = float(g.w[at[k]]) if found[k] else None
             raise NotAutomorphism(f"edge ({g.i[k]},{g.j[k]},{float(g.w[k])}) maps to "
                                   f"({a[k]},{b[k]},{w2}) under {p.tolist()}")
-        checked.append(p.tolist())
+        checked.append(p)
 
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in checked:
-        for i in range(n):
-            ri, rj = find(i), find(p[i])
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
+    roots = _components(n, np.tile(np.arange(n), len(checked)),
+                        np.array(checked, dtype=np.int64).ravel())
     # every root is its orbit's smallest vertex, so ranking the roots orders
     # the orbits by minimum vertex
-    _, labels = np.unique([find(v) for v in range(n)], return_inverse=True)
+    _, labels = np.unique(roots, return_inverse=True)
     return Partition(labels=labels, r=int(labels.max()) + 1)
 
 

@@ -164,12 +164,13 @@ def _is_edge(e) -> bool:
 
 
 def _field(data: dict, key: str, ok, what: str):
-    """data[key]; BadOptions unless ok accepts it, so a wrong field type is
-    a tagged input error rather than a TypeError deep in a constructor."""
-    value = data[key]
-    if not ok(value):
+    """data[key]; BadOptions unless it is there and ok accepts it, so a missing or
+    mistyped field is a tagged input error, not a KeyError or a TypeError."""
+    if key not in data:
+        raise BadOptions(f"missing field {key!r}, which must be {what}")
+    if not ok(data[key]):
         raise BadOptions(f"field {key!r} must be {what}")
-    return value
+    return data[key]
 
 
 # ---- graphs ----

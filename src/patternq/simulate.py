@@ -158,8 +158,10 @@ def integrate(sa: ScaledAdjacency, model: HillMap, x0,
 
 
 def perturbed_start(model: HillMap, u_hom: float, direction, eps: float) -> np.ndarray:
-    """Homogeneous state nudged by eps along direction (max-norm normalized),
-    clipped into [0, A]."""
+    """Homogeneous state nudged by eps, finite and positive, along direction
+    (max-norm normalized), clipped into [0, A]."""
+    if not 0 < eps < math.inf:
+        raise BadOptions(f"eps must be finite and positive, got {eps}")
     d = np.asarray(direction, dtype=float)
     scale = np.abs(d).max()
     if scale == 0:

@@ -15,8 +15,11 @@ averaging matrix in test_properties.  Canonical JSON is checked against the
 item-by-item recursive writer the bulk emitter replaced.  The periodic
 lattices are checked against the cell-by-cell loops the index arithmetic
 replaced, the class-sum check against its per-class loop, and the motifs
-against a depth-first search over all 2-colourings.  Known automorphisms of
-the built-in lattices, as permutations, feed orbits_from_generators.
+against a depth-first search over all 2-colourings.  Components, the
+2-coloring and connectivity are checked against the union-find and the
+stack-based search that the array components pass replaced.  Known
+automorphisms of the built-in lattices, as permutations, feed
+orbits_from_generators.
 The Dormand-Prince loop is checked bit for bit against settle_reference,
 the stepper that allocated a new array per stage and re-ran the input
 checks of t_eval in every right-hand side.
@@ -314,6 +317,52 @@ def connected_by_closure(g: WeightedGraph) -> bool:
     for _ in range(g.n):
         reach = reach | (reach.astype(int) @ w.astype(int) > 0)
     return bool(reach[0].all())
+
+
+def two_coloring_by_search(n: int, i, j) -> tuple[list[int] | None, bool]:
+    """(0/1 side per vertex or None for an odd cycle, connected) by a
+    stack-based search from each uncolored vertex in increasing order, so
+    the lowest vertex of each component lands on side 0."""
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for a, b in zip(np.asarray(i).tolist(), np.asarray(j).tolist()):
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    color = [-1] * n
+    bipartite, components = True, 0
+    for start in range(n):
+        if color[start] != -1:
+            continue
+        components += 1
+        color[start] = 0
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in nbrs[u]:
+                if color[v] == -1:
+                    color[v] = 1 - color[u]
+                    stack.append(v)
+                elif color[v] == color[u]:
+                    bipartite = False
+    return (color if bipartite else None), components == 1
+
+
+def components_union_find(n: int, a, b) -> list[int]:
+    """The smallest vertex of each vertex's component, by union-find over
+    the edges (a[k], b[k]) with path halving, the larger root joining the
+    smaller."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in zip(np.asarray(a).tolist(), np.asarray(b).tolist()):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+    return [find(v) for v in range(n)]
 
 
 def two_cycle_oracle(model: HillMap) -> tuple[float, float]:

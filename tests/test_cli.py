@@ -182,6 +182,36 @@ def test_simulate_and_render(tmp_path, torus_graph, torus_bipartition, model_h6,
     assert svg.read_text().startswith("<svg")
 
 
+def _write_final_row(path, values) -> str:
+    path.write_text("t," + ",".join(f"x_{i}" for i in range(len(values))) + "\n"
+                    + "5," + ",".join(map(str, values)) + "\n")
+    return str(path)
+
+
+def test_render_hex_layout(tmp_path, capsys):
+    # the cells with (i - j) mod 3 == 0 high; odd rows shift half a cell
+    trace = _write_final_row(tmp_path / "tr.csv", [1.9 if (i - j) % 3 == 0 else 0.1
+                                                   for i in range(4) for j in range(4)])
+    svg = tmp_path / "hex.svg"
+    assert main(["render", "--trace", trace, "--layout", "hex", "--rows", "4", "--cols", "4",
+                 "--svg", str(svg)]) == 0
+    assert capsys.readouterr().out == "# . . #\n . # . .\n. . # .\n # . . #\n"
+    text = svg.read_text()
+    assert text.count("<rect") == 16 and "<circle" not in text
+    assert text.count('fill="#404040"') == 6   # the six high cells
+
+
+def test_render_bucky_layout(tmp_path, capsys):
+    values = [1.9] * 12 + [0.5, 0.1] * 10       # pentagons, then hexagons
+    trace = _write_final_row(tmp_path / "tr.csv", values)
+    svg = tmp_path / "bucky.svg"
+    assert main(["render", "--trace", trace, "--layout", "bucky", "--svg", str(svg)]) == 0
+    assert capsys.readouterr().out == ("pentagons: " + " ".join("#" * 12) + "\n"
+                                       + "hexagons:  " + " ".join(".o" * 10) + "\n")
+    text = svg.read_text()
+    assert text.count("<circle") == 32 and "<rect" not in text
+
+
 def test_simulate_single_cell_perturbation(tmp_path, torus_graph, model_h6):
     out = tmp_path / "sim.json"
     assert main(["simulate", "--graph", torus_graph, "--model", model_h6,
@@ -419,6 +449,48 @@ def test_malformed_input_is_tagged_error(tmp_path, model_h6, torus_bipartition, 
         files[name] = str(path)
     assert main([arg.format(**files) for arg in argv]) == 1
     assert "error [" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+@pytest.mark.parametrize("eps", ["0", "-5", "inf", "nan"])
+def test_eps_must_be_finite_and_positive(tmp_path, model_h6, capsys, command, eps):
+    # zero starts on u*, a negative eps heads for the class-swapped twin and
+    # inf for the corners of the box
+    extra = ["--auto-bipartite", "--simulate"] if command == "analyze" else []
+    assert main([command, "--gen", "torus_mesh:4,4", "--model", model_h6, *extra,
+                 f"--eps={eps}", "-o", str(tmp_path / "out.json")]) == 1
+    assert (f"error [simulate]: eps must be finite and positive, got {float(eps)}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["quotient", "--graph", "{nameless}", "--partition", "{partition}"], "edges"),
+    (["quotient", "--gen", "torus_mesh:4,4", "--partition", "{nameless}"], "classes"),
+    (["partition", "--gen", "torus_mesh:4,4", "--mode", "orbits", "--perms", "{nameless}"],
+     "perms"),
+    (["stability", "--gen", "torus_mesh:4,4", "--partition", "{partition}",
+      "--model", "{model}", "--pattern", "{nameless}"], "z"),
+])
+def test_missing_field_is_named(tmp_path, model_h6, torus_bipartition, capsys, argv, field):
+    nameless = tmp_path / "nameless.json"
+    nameless.write_text('{"n": 16}\n')
+    files = {"nameless": str(nameless), "partition": torus_bipartition, "model": model_h6}
+    assert main([arg.format(**files) for arg in argv]) == 1
+    assert f"error [load]: missing field {field!r}, which must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--gen", "torus_mesh:4,x"],
+     "error [gen]: torus_mesh sizes must be integers, got ('4', 'x')"),
+    (["--gen", "torus_mesh:4,4", "--perturb", "cell:x"],
+     "error [simulate]: bad --perturb spec 'cell:x': want cell:<k> or random:<seed>"),
+    (["--gen", "torus_mesh:4,4", "--perturb", "random:1.5"],
+     "error [simulate]: bad --perturb spec 'random:1.5': want cell:<k> or random:<seed>"),
+])
+def test_malformed_specs_are_named(model_h6, capsys, args, message):
+    assert main(["simulate", *args, "--model", model_h6]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "invalid literal" not in err
 
 
 @pytest.mark.parametrize("vertex", [2**70, -1])

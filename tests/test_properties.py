@@ -7,7 +7,8 @@ characteristic-polynomial roots and coefficients, dense unsymmetric
 eigvals, leading principal minors, a loop over class pairs, the
 item-by-item JSON writer, the edge-by-edge and vertex-by-vertex input
 checks, the refinement that re-keys every vertex in every round
-(helpers.round_refinement) and, bit for bit, the Dormand-Prince loop as it
+(helpers.round_refinement), the union-find and the stack-based search the
+components pass replaced, and, bit for bit, the Dormand-Prince loop as it
 was before its stage buffers (helpers.settle_reference) and the Hill fixed
 point bisected through t_eval."""
 import math
@@ -28,6 +29,8 @@ from patternq.errors import BadBundle, PatternQError, StateOutOfBox
 from patternq.existence import CERTIFIED, _ode_root, lift, solve_reduced
 from patternq.graphs import (
     ScaledAdjacency,
+    _components,
+    _two_coloring,
     build_graph,
     cycle_graph,
     generate,
@@ -61,6 +64,7 @@ from helpers import (
     class_indicator,
     class_loop,
     class_sums_checked_loop,
+    components_union_find,
     dense_averaging,
     edge_loop,
     edge_tuples,
@@ -71,6 +75,7 @@ from helpers import (
     round_refinement,
     settle_reference,
     torus_shift_perm,
+    two_coloring_by_search,
     weight_matrix,
 )
 
@@ -708,3 +713,71 @@ def test_class_degrees_match_class_by_class_sums(rows, scale):
     qm = quotient(g, bipartition_partition(g))
     loop = [g.degrees()[list(cls)].sum() for cls in qm.partition.classes]
     assert np.allclose(qm.class_degrees, loop, rtol=4 * g.n * np.finfo(float).eps, atol=0)
+
+
+@st.composite
+def edge_sets(draw):
+    """n <= 40 vertices and up to 60 edges; half the draws keep only the
+    edges across a random 2-coloring, so bipartite, disconnected and
+    edgeless graphs and isolated vertices all come up often."""
+    n = draw(st.integers(1, 40))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=60))
+    pairs = [(a, b) for a, b in pairs if a != b]
+    if draw(st.booleans()):
+        side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        pairs = [(a, b) for a, b in pairs if side[a] != side[b]]
+    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return n, a, b
+
+
+def _ranked(roots: list[int]) -> list[int]:
+    """Each vertex's root replaced by the root's rank among the roots."""
+    rank = {root: k for k, root in enumerate(sorted(set(roots)))}
+    return [rank[root] for root in roots]
+
+
+def _assert_components_match_the_oracles(n, a, b):
+    assert _components(n, a, b).tolist() == components_union_find(n, a, b)
+    color, connected = _two_coloring(n, a, b)
+    want_color, want_connected = two_coloring_by_search(n, a, b)
+    assert connected == want_connected
+    assert (None if color is None else color.tolist()) == want_color
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=edge_sets())
+@example(case=(1, np.array([], np.int64), np.array([], np.int64)))
+@example(case=(5, np.array([], np.int64), np.array([], np.int64)))
+@example(case=(5, np.array([0, 1, 2]), np.array([1, 2, 0])))                # odd cycle
+@example(case=(6, np.array([0, 1, 2, 3]), np.array([1, 2, 0, 4])))          # odd + isolated
+@example(case=(6, np.array([5, 4, 3, 2, 1]), np.array([4, 3, 2, 1, 0])))    # path, high first
+def test_components_and_coloring_match_union_find_and_search(case):
+    _assert_components_match_the_oracles(*case)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 40), data=st.data())
+def test_orbits_match_union_find_over_the_generators(n, data):
+    # on the edgeless graph every permutation is an automorphism
+    perms = data.draw(st.lists(st.permutations(range(n)), max_size=3))
+    if data.draw(st.booleans()):
+        perms.append(list(range(n)))
+    pi = orbits_from_generators(build_graph(n, []), perms)
+    roots = components_union_find(n, np.tile(np.arange(n), len(perms)),
+                                  np.array(perms, dtype=np.int64).ravel())
+    assert pi.labels.tolist() == _ranked(roots)
+
+
+def test_components_match_the_oracles_on_large_graphs():
+    # the 256x256 torus, and a path through 65536 vertices in random order,
+    # which takes the most rounds of any shape tried
+    g = torus_mesh(256, 256)
+    _assert_components_match_the_oracles(g.n, g.i, g.j)
+    order = np.random.default_rng(7).permutation(65536)
+    _assert_components_match_the_oracles(65536, order[:-1], order[1:])
+    shifts = [torus_shift_perm(256, 256, 2, 0), torus_shift_perm(256, 256, 0, 2)]
+    roots = components_union_find(g.n, np.tile(np.arange(g.n), 2), np.concatenate(shifts))
+    pi = orbits_from_generators(g, shifts)
+    assert pi.r == 4
+    assert pi.labels.tolist() == _ranked(roots)
