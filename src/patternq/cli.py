@@ -2,9 +2,11 @@
 
 Subcommands: gen, partition, quotient, exist, stability, simulate, render,
 analyze, report.  `analyze` chains the whole pipeline and writes a sealed
-bundle whose stages record content hashes of their upstream inputs; `report`
-verifies the chain and prints a human summary.  Exit codes: 0 certified and
-stable, 2 not certified, 3 certified but not stable, 1 on any error.
+bundle, one section per step, laid out by the table _SECTIONS: each section
+records the content hashes of exactly the sections its row names.  `report`
+checks every hash and link against the same table and prints a human
+summary.  Exit codes: 0 certified and stable, 2 not certified, 3 certified
+but not stable, 1 on any error.
 
 Set PATTERNQ_LOG={error|info|debug} to control logging.
 """
@@ -26,6 +28,7 @@ from .existence import (
     CERTIFIED,
     ExistenceCertificate,
     PatternSolution,
+    ReducedSolution,
     certify,
     lift,
     solve_reduced,
@@ -178,12 +181,8 @@ def _cmd_quotient(args) -> int:
     return 0
 
 
-def _exist_payload(qm: QuotientModel, model: HillMap
-                   ) -> tuple[dict, ExistenceCertificate, PatternSolution]:
-    red = _run_stage("solve", solve_reduced, qm, model)
-    cert = red.certificate
-    pattern = _run_stage("lift", lift, qm, red.class_values, model)
-    payload = {
+def _certificate_data(cert: ExistenceCertificate) -> dict:
+    return {
         "verdict": cert.verdict,
         "lambda_r": cert.min_eigenvalue,
         "lambda_r_multiplicity": cert.min_multiplicity,
@@ -191,6 +190,11 @@ def _exist_payload(qm: QuotientModel, model: HillMap
         "slope_at_u_star": cert.slope_at_fixed_point,
         "condition_value": cert.condition_value,
         "reduced_bipartite": cert.reduced_bipartite,
+    }
+
+
+def _pattern_data(red: ReducedSolution, pattern: PatternSolution) -> dict:
+    return {
         "z": pattern.class_values,
         "u": pattern.cell_inputs,
         "x": pattern.cell_states,
@@ -200,7 +204,6 @@ def _exist_payload(qm: QuotientModel, model: HillMap
         "warning": red.warning,
         "alternate_z": red.alternate_class_values,
     }
-    return payload, cert, pattern
 
 
 def _cmd_exist(args) -> int:
@@ -208,8 +211,10 @@ def _cmd_exist(args) -> int:
     pi = _run_stage("load", load_partition, args.partition, g.n)
     model = _run_stage("load", load_model, args.model)
     qm = _run_stage("quotient", quotient, g, pi)
-    payload, _, _ = _exist_payload(qm, model)
-    _write_json(payload, args.out)
+    red = _run_stage("solve", solve_reduced, qm, model)
+    pattern = _run_stage("lift", lift, qm, red.class_values, model)
+    _write_json({**_certificate_data(red.certificate), **_pattern_data(red, pattern)},
+                args.out)
     return 0
 
 
@@ -265,13 +270,15 @@ def _perturb_direction(spec: str, n: int) -> np.ndarray:
     if kind not in ("cell", "random") or not arg.removeprefix("-").isdecimal():
         raise BadOptions(f"bad --perturb spec {spec!r}: want cell:<k> or random:<seed>")
     k = int(arg)
-    if kind == "cell":
-        if not 0 <= k < n:
-            raise BadOptions(f"--perturb cell:{k} outside [0,{n})")
-        direction = np.zeros(n)
-        direction[k] = 1.0
-        return direction
-    return np.random.default_rng(k).standard_normal(n)
+    if kind == "random":
+        if k < 0:
+            raise BadOptions(f"bad --perturb spec {spec!r}: the seed must be >= 0")
+        return np.random.default_rng(k).standard_normal(n)
+    if not 0 <= k < n:
+        raise BadOptions(f"--perturb cell:{k} outside [0,{n})")
+    direction = np.zeros(n)
+    direction[k] = 1.0
+    return direction
 
 
 def _write_trace(path: str, trace, n: int) -> None:
@@ -394,6 +401,22 @@ def _cmd_render(args) -> int:
     return 0
 
 
+# The sealed bundle, one row per section in build order: the sections whose
+# hashes its `upstream` links hold.  analyze seals from this table and report
+# verifies against it.  Only the simulation section may be null.
+_SECTIONS = {
+    "graph": (),
+    "model": (),
+    "partition": ("graph",),
+    "quotient": ("graph", "partition"),
+    "certificate": ("quotient", "model"),
+    "pattern": ("certificate",),
+    "stability": ("pattern",),
+    "simulation": ("pattern", "stability"),
+}
+_OPTIONAL_SECTIONS = frozenset({"simulation"})
+
+
 def _seal(section: dict) -> dict:
     """section with each value emitted once as Canonical text, and the
     sha256 of that text; the bundle is later written from the same text."""
@@ -407,6 +430,8 @@ def _cmd_analyze(args) -> int:
     if not is_connected(g):
         raise _StageFailure("graph", BadOptions("contact graph must be connected"))
     model = _run_stage("load", load_model, args.model)
+    if args.simulate:  # refuse a bad --eps before the pipeline runs
+        _run_stage("simulate", perturbed_start, model, 0.0, (1.0,), args.eps)
 
     if args.partition:
         pi = _run_stage("load", load_partition, args.partition, g.n)
@@ -422,35 +447,25 @@ def _cmd_analyze(args) -> int:
         pi = _run_stage("partition", coarsest_equitable_refinement, g)
         mode = "auto-refine"
 
-    graph_sec = _seal({"source": source, "data": graph_to_dict(g)})
-    model_sec = _seal({"data": model_to_dict(model)})
-    part_sec = _seal({"mode": mode, "data": partition_to_dict(pi),
-                      "upstream": {"graph": graph_sec["sha256"]}})
-
     qm = _run_stage("quotient", quotient, g, pi)
     quot = _run_stage("quotient", _quotient_report, qm)
-    quot_sec = _seal({"data": quot, "upstream": {
-        "graph": graph_sec["sha256"], "partition": part_sec["sha256"]}})
-
-    payload, cert, pattern = _exist_payload(qm, model)
-    cert_keys = ("verdict", "lambda_r", "lambda_r_multiplicity", "u_star",
-                 "slope_at_u_star", "condition_value", "reduced_bipartite")
-    cert_sec = _seal({"data": {k: payload[k] for k in cert_keys},
-                      "upstream": {"quotient": quot_sec["sha256"],
-                                   "model": model_sec["sha256"]}})
-    pattern_keys = ("z", "u", "x", "residuals", "homogeneous", "warning", "alternate_z")
-    pattern_sec = _seal({"data": {k: payload[k] for k in pattern_keys},
-                         "upstream": {"certificate": cert_sec["sha256"]}})
-
+    red = _run_stage("solve", solve_reduced, qm, model)
+    pattern = _run_stage("lift", lift, qm, red.class_values, model)
     stab = _stability_payload(qm, model, pattern.class_values,
                               ("full", "block", "smallgain"))
-    stab_sec = _seal({"data": stab, "upstream": {"pattern": pattern_sec["sha256"]}})
-
-    sim_sec = None
+    bodies = {
+        "graph": {"source": source, "data": graph_to_dict(g)},
+        "model": {"data": model_to_dict(model)},
+        "partition": {"mode": mode, "data": partition_to_dict(pi)},
+        "quotient": {"data": quot},
+        "certificate": {"data": _certificate_data(red.certificate)},
+        "pattern": {"data": _pattern_data(red, pattern)},
+        "stability": {"data": stab},
+    }
     if args.simulate:
         chk = _run_stage("simulate", verify_certificate, qm, model, pattern,
-                         cert, args.eps)
-        sim_sec = _seal({"data": {
+                         red.certificate, args.eps)
+        bodies["simulation"] = {"data": {
             "match": chk.match,
             "exploratory": chk.exploratory,
             "converged": chk.converged,
@@ -458,47 +473,37 @@ def _cmd_analyze(args) -> int:
             "groups": chk.empirical.groups if chk.empirical else None,
             "group_values": chk.empirical.values if chk.empirical else None,
             "note": chk.note,
-        }, "upstream": {"pattern": pattern_sec["sha256"],
-                        "stability": stab_sec["sha256"]}})
+        }}
 
-    bundle = {
-        "schema": 1,
-        "tool": {"name": "patternq", "version": __version__},
-        "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "graph": graph_sec,
-        "model": model_sec,
-        "partition": part_sec,
-        "quotient": quot_sec,
-        "certificate": cert_sec,
-        "pattern": pattern_sec,
-        "stability": stab_sec,
-        "simulation": sim_sec,
-    }
+    bundle = {"schema": 1, "tool": {"name": "patternq", "version": __version__},
+              "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+              **dict.fromkeys(_SECTIONS)}
+    for name, links in _SECTIONS.items():
+        if name in bodies:
+            if links:
+                bodies[name]["upstream"] = {up: bundle[up]["sha256"] for up in links}
+            bundle[name] = _seal(bodies[name])
     _write_json(bundle, args.out)
 
-    if payload["verdict"] != CERTIFIED:
+    if red.certificate.verdict != CERTIFIED:
         return 2
     return 0 if stab["full_verdict"] == STABLE else 3
 
 
 def _verify_bundle(bundle: dict) -> None:
-    sections = ["graph", "model", "partition", "quotient", "certificate",
-                "pattern", "stability"]
-    if bundle.get("simulation"):
-        sections.append("simulation")
-    hashes = {}
-    for name in sections:
+    """Check each section's hash, and that its links are exactly its row's."""
+    for name, links in _SECTIONS.items():
         sec = bundle.get(name)
+        if not sec and name in _OPTIONAL_SECTIONS:
+            continue
         if not isinstance(sec, dict) or "sha256" not in sec:
             raise BadBundle(f"section {name!r} missing or unsealed")
         body = {k: v for k, v in sec.items() if k != "sha256"}
         if sha256_of(body) != sec["sha256"]:
             raise BadBundle(f"section {name!r} content does not match its hash")
-        for up_name, up_hash in (sec.get("upstream") or {}).items():
-            if hashes.get(up_name) != up_hash:
-                raise BadBundle(
-                    f"section {name!r} references stale upstream {up_name!r}")
-        hashes[name] = sec["sha256"]
+        if (sec.get("upstream") or {}) != {up: bundle[up]["sha256"] for up in links}:
+            raise BadBundle(f"section {name!r} upstream must link exactly "
+                            f"{list(links)} at their current hashes")
 
 
 def _fmt_matrix(rows) -> str:
@@ -506,10 +511,8 @@ def _fmt_matrix(rows) -> str:
                      for row in rows)
 
 
-def _cmd_report(args) -> int:
-    bundle = _run_stage("load", _load_json, args.bundle, dict, "a JSON object")
-    _run_stage("report", _verify_bundle, bundle)
-
+def _report_text(bundle: dict) -> str:
+    """The human summary of a verified bundle."""
     gdata = bundle["graph"]["data"]
     quot = bundle["quotient"]["data"]
     cert = bundle["certificate"]["data"]
@@ -551,21 +554,30 @@ def _cmd_report(args) -> int:
         sim = bundle["simulation"]["data"]
         lines.append(f"simulation: match={sim['match']} "
                      f"max deviation {sim['max_deviation']:.3e} ({sim['note']})")
-    print("\n".join(lines))
+    return "\n".join(lines)
 
+
+def _report_svg(bundle: dict) -> str:
+    """The pattern's cells grouped by the model's gap, drawn in the layout
+    of the bundle's graph source."""
+    source = bundle["graph"].get("source", "")
+    u = np.asarray(bundle["pattern"]["data"]["u"], dtype=float)
+    model = model_from_dict(bundle["model"]["data"])
+    group_of = cluster_values(u, grouping_tol(model)).tolist()
+    if source.startswith("torus_mesh:") or source.startswith("hex_torus:"):
+        rows, cols = (int(x) for x in source.split(":")[1].split(","))
+        return _svg_grid(group_of, rows, cols, source.startswith("hex"))
+    if source == "buckyball":
+        return _svg_rings(group_of)
+    return _svg_grid(group_of, 1, len(u), False)
+
+
+def _cmd_report(args) -> int:
+    bundle = _run_stage("load", _load_json, args.bundle, dict, "a JSON object")
+    _run_stage("report", _verify_bundle, bundle)
+    print(_run_stage("report", _report_text, bundle))
     if args.svg:
-        source = bundle["graph"].get("source", "")
-        u = np.asarray(pattern["u"], dtype=float)
-        model = _run_stage("report", model_from_dict, bundle["model"]["data"])
-        group_of = cluster_values(u, grouping_tol(model)).tolist()
-        if source.startswith("torus_mesh:") or source.startswith("hex_torus:"):
-            rows, cols = (int(x) for x in source.split(":")[1].split(","))
-            svg = _svg_grid(group_of, rows, cols, source.startswith("hex"))
-        elif source == "buckyball":
-            svg = _svg_rings(group_of)
-        else:
-            svg = _svg_grid(group_of, 1, len(u), False)
-        _run_stage("write", _write_text, args.svg, svg)
+        _run_stage("write", _write_text, args.svg, _run_stage("report", _report_svg, bundle))
     return 0
 
 

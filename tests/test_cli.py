@@ -378,6 +378,59 @@ def test_report_rejects_tampered_bundle(tmp_path, model_h6, capsys):
     assert "does not match its hash" in capsys.readouterr().err
 
 
+def _reseal(data, *names):
+    """Re-hash the named sections in order, moving every link to each of
+    them onto its new hash, as a forger who knows the format would."""
+    for name in names:
+        section = data[name]
+        section.pop("sha256")
+        section["sha256"] = hashlib.sha256(dumps_canonical(section).encode()).hexdigest()
+        for other in data.values():
+            if isinstance(other, dict) and name in other.get("upstream", {}):
+                other["upstream"][name] = section["sha256"]
+
+
+def _analyze_to_json(tmp_path, model, *extra) -> tuple:
+    bundle = tmp_path / "b.json"
+    assert main(["analyze", "--gen", "torus_mesh:4,4", "--auto-bipartite",
+                 "--model", model, *extra, "-o", str(bundle)]) == 0
+    return bundle, json.loads(bundle.read_text())
+
+
+@pytest.mark.parametrize("relink", [
+    pytest.param(lambda up, data: up.clear(), id="missing"),
+    pytest.param(lambda up, data: up.update(graph=data["graph"]["sha256"]), id="extra"),
+])
+def test_report_refuses_links_that_differ_from_the_layout(tmp_path, model_h6, capsys,
+                                                          relink):
+    # every hash verifies after the reseal, so only the layout catches it
+    bundle, data = _analyze_to_json(tmp_path, model_h6, "--simulate")
+    relink(data["stability"]["upstream"], data)
+    _reseal(data, "stability", "simulation")
+    bundle.write_text(dumps_canonical(data))
+    capsys.readouterr()
+    assert main(["report", "--bundle", str(bundle)]) == 1
+    assert ("error [report]: section 'stability' upstream must link exactly ['pattern']"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("forge,missing", [
+    pytest.param(lambda data: data.pop("tool"), "'tool'", id="no-tool"),
+    pytest.param(lambda data: data.pop("schema"), "'schema'", id="no-schema"),
+    pytest.param(lambda data: (data["certificate"]["data"].pop("lambda_r"),
+                               _reseal(data, "certificate", "pattern", "stability")),
+                 "'lambda_r'", id="resealed-without-lambda_r"),
+])
+def test_report_of_a_verified_bundle_missing_a_field_is_tagged(tmp_path, model_h6, capsys,
+                                                               forge, missing):
+    bundle, data = _analyze_to_json(tmp_path, model_h6)
+    forge(data)
+    bundle.write_text(dumps_canonical(data))
+    capsys.readouterr()
+    assert main(["report", "--bundle", str(bundle)]) == 1
+    assert capsys.readouterr().err == f"error [report]: {missing}\n"
+
+
 def test_gen_missing_params_is_tagged_error(capsys):
     assert main(["gen", "--kind", "torus_mesh"]) == 1
     err = capsys.readouterr().err
@@ -453,9 +506,16 @@ def test_malformed_input_is_tagged_error(tmp_path, model_h6, torus_bipartition, 
 
 @pytest.mark.parametrize("command", ["analyze", "simulate"])
 @pytest.mark.parametrize("eps", ["0", "-5", "inf", "nan"])
-def test_eps_must_be_finite_and_positive(tmp_path, model_h6, capsys, command, eps):
+def test_eps_must_be_finite_and_positive(tmp_path, monkeypatch, model_h6, capsys, command,
+                                        eps):
     # zero starts on u*, a negative eps heads for the class-swapped twin and
-    # inf for the corners of the box
+    # inf for the corners of the box; analyze refuses it before the pipeline
+    import patternq.cli as cli
+
+    def refuse(*args):
+        raise AssertionError("quotient built before --eps was checked")
+
+    monkeypatch.setattr(cli, "quotient", refuse)
     extra = ["--auto-bipartite", "--simulate"] if command == "analyze" else []
     assert main([command, "--gen", "torus_mesh:4,4", "--model", model_h6, *extra,
                  f"--eps={eps}", "-o", str(tmp_path / "out.json")]) == 1
@@ -486,6 +546,8 @@ def test_missing_field_is_named(tmp_path, model_h6, torus_bipartition, capsys, a
      "error [simulate]: bad --perturb spec 'cell:x': want cell:<k> or random:<seed>"),
     (["--gen", "torus_mesh:4,4", "--perturb", "random:1.5"],
      "error [simulate]: bad --perturb spec 'random:1.5': want cell:<k> or random:<seed>"),
+    (["--gen", "torus_mesh:4,4", "--perturb", "random:-1"],
+     "error [simulate]: bad --perturb spec 'random:-1': the seed must be >= 0"),
 ])
 def test_malformed_specs_are_named(model_h6, capsys, args, message):
     assert main(["simulate", *args, "--model", model_h6]) == 1

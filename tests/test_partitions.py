@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import os
 import re
@@ -15,6 +16,7 @@ from patternq.errors import (
     NotEquitable,
     NotPermutation,
     PartitionMismatch,
+    SingularTransform,
 )
 from patternq.graphs import (
     build_graph,
@@ -523,3 +525,13 @@ def test_block_decompose_class_with_unequal_degrees():
 def test_block_decompose_rejects_inequitable():
     with pytest.raises(NotEquitable):
         quotient(path_graph(3), make_partition([[0, 1], [2]], 3))
+
+
+def test_block_decompose_refuses_a_model_that_bypassed_quotient():
+    # quotient() would refuse {0,1} | {2,3} on the path; a model assembled
+    # around it must still fail the coupling guard (about 0.236 here)
+    g, pi = path_graph(4), make_partition([[0, 1], [2, 3]], 4)
+    qm = dataclasses.replace(quotient(g, bipartition_partition(g)), partition=pi,
+                             class_degrees=np.bincount(pi.labels, weights=g.degrees()))
+    with pytest.raises(SingularTransform, match="not block-diagonal"):
+        block_decompose(qm)
