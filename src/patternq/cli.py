@@ -572,12 +572,21 @@ def _report_svg(bundle: dict) -> str:
     return _svg_grid(group_of, 1, len(u), False)
 
 
+def _read_bundle(read, bundle: dict) -> str:
+    """read(bundle), with the TypeError of a mistyped field as a BadBundle."""
+    try:
+        return read(bundle)
+    except TypeError as exc:
+        raise BadBundle(f"a field has the wrong type: {exc}") from exc
+
+
 def _cmd_report(args) -> int:
     bundle = _run_stage("load", _load_json, args.bundle, dict, "a JSON object")
     _run_stage("report", _verify_bundle, bundle)
-    print(_run_stage("report", _report_text, bundle))
+    print(_run_stage("report", _read_bundle, _report_text, bundle))
     if args.svg:
-        _run_stage("write", _write_text, args.svg, _run_stage("report", _report_svg, bundle))
+        _run_stage("write", _write_text, args.svg,
+                   _run_stage("report", _read_bundle, _report_svg, bundle))
     return 0
 
 

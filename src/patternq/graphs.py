@@ -106,12 +106,14 @@ class ScaledAdjacency:
 
     rows, cols, edge_weights and weights list both directions of every
     edge, sorted by (row, col), with edge_weights[k] = w_ij and weights[k] =
-    w_ij / d_i for i = rows[k], j = cols[k]; degrees holds d.  matvec and
-    class_sums cost O(m).  indptr holds the CSR row offsets, built on first
-    read: the edges of row i are indptr[i]:indptr[i + 1], and row_edges
-    gathers those of a vertex set.  symmetric is the dense n x n similarity
-    S = D^1/2 P D^-1/2, with entries w_ij / sqrt(d_i d_j), built on first
-    read; callers must not write to it.
+    w_ij / d_i for i = rows[k], j = cols[k]; degrees holds d.  matvec
+    costs O(m), and class_pairs, which gives the class sums as (row, class,
+    sum) triples and builds no n x r table, O(m log m).  indptr holds the
+    CSR row offsets, built on first read: the edges of row i are
+    indptr[i]:indptr[i + 1], and row_edges gathers those of a vertex set.
+    symmetric is the dense n x n similarity S = D^1/2 P D^-1/2, with
+    entries w_ij / sqrt(d_i d_j), built on first read; callers must not
+    write to it.
     """
 
     rows: np.ndarray
@@ -129,11 +131,17 @@ class ScaledAdjacency:
         return np.bincount(self.rows, weights=self.weights * x[self.cols],
                            minlength=self.n)
 
-    def class_sums(self, class_of: np.ndarray, r: int) -> np.ndarray:
-        """n x r matrix whose entry (i, k) sums P_ij over the vertices j of class k."""
-        flat = np.bincount(self.rows * r + class_of[self.cols], weights=self.weights,
-                           minlength=self.n * r)
-        return flat.reshape(self.n, r)
+    def class_pairs(self, class_of: np.ndarray,
+                    r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sums of P_ij over the vertices j of class k, one per (i, k) with an edge.
+
+        Returns i, k and the sum, sorted by (i, k): O(m) pairs in place of
+        the n x r table.  Each group's weights are added in edge order, so
+        every sum has the bits the table's entry would have.
+        """
+        keys, group = np.unique(self.rows * r + class_of[self.cols], return_inverse=True)
+        row, cls = np.divmod(keys, r)
+        return row, cls, np.bincount(group, weights=self.weights)
 
     @cached_property
     def indptr(self) -> np.ndarray:

@@ -179,25 +179,51 @@ def is_equitable(g: WeightedGraph, pi: Partition,
     return _class_sums_checked(scaled_adjacency(g), pi, tol)[1]
 
 
-def _class_sums_checked(sa: ScaledAdjacency, pi: Partition,
-                        tol: float) -> tuple[np.ndarray, EquitabilityCheck]:
-    """The n x r class sums of sa and whether each class shares one row."""
+def _class_sums_checked(sa: ScaledAdjacency, pi: Partition, tol: float
+                        ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], EquitabilityCheck]:
+    """The class sums of each class's first vertex, and whether each class
+    shares them.
+
+    The sums are (class, class, sum) triples from sa.class_pairs.  A vertex
+    fails when one of its sums differs from its first vertex's by more
+    than tol, a sum that one side lacks counting as 0 there: the check of
+    the n x r table of class sums, made on its O(m) nonzero entries.
+    """
     if pi.n != sa.n:
         raise PartitionMismatch(f"partition covers {pi.n} vertices, graph has {sa.n}")
-    class_of, reps = pi.labels, pi.firsts
-    sums = sa.class_sums(class_of, pi.r)
-    diff = np.abs(sums - sums[reps[class_of]])
-    bad = np.flatnonzero(diff.max(axis=1) > tol)
+    class_of, reps, r = pi.labels, pi.firsts, pi.r
+    vertex, cls, sums = sa.class_pairs(class_of, r)
+    key, ref = vertex * r + cls, reps[class_of[vertex]]
+    # each pair's sum at its class's first vertex, 0 where that has none
+    ref_key = ref * r + cls
+    at = np.minimum(np.searchsorted(key, ref_key), key.size - 1)
+    found = key[at] == ref_key
+    ref_sums = np.where(found, sums[at], 0.0)
+    # a vertex fails where one of its sums differs by more than tol, and
+    # where it lacks one of its first vertex's sums above tol
+    bad = np.zeros(sa.n, dtype=bool)
+    bad[vertex[np.abs(sums - ref_sums) > tol]] = True
+    first = ref == vertex
+    need = np.bincount(class_of[vertex[first & (sums > tol)]], minlength=r)
+    has = np.bincount(vertex[found & (ref_sums > tol)], minlength=sa.n)
+    bad |= has < need[class_of]
+    firsts_sums = class_of[vertex[first]], cls[first], sums[first]
+    bad = np.flatnonzero(bad)
     if bad.size:
-        # the witness is the first bad vertex by (class index, vertex)
+        # the witness is the first bad vertex by (class index, vertex), and
+        # the class where its row of sums differs most, the lowest on ties
         u = int(bad[np.lexsort((bad, class_of[bad]))[0]])
         i = int(class_of[u])
-        ref, j = int(reps[i]), int(np.argmax(diff[u]))
-        return sums, EquitabilityCheck(
+        ref = int(reps[i])
+        rows = np.zeros((2, r))
+        for k, v in enumerate((ref, u)):
+            rows[k, cls[vertex == v]] = sums[vertex == v]
+        j = int(np.argmax(np.abs(rows[1] - rows[0])))
+        return firsts_sums, EquitabilityCheck(
             ok=False,
-            witness=(i, j, ref, u, float(sums[ref, j]), float(sums[u, j])),
+            witness=(i, j, ref, u, float(rows[0, j]), float(rows[1, j])),
         )
-    return sums, EquitabilityCheck(ok=True)
+    return firsts_sums, EquitabilityCheck(ok=True)
 
 
 @dataclass(frozen=True)
@@ -226,17 +252,20 @@ class QuotientModel:
 
 
 def quotient(g: WeightedGraph, pi: Partition) -> QuotientModel:
-    """Build the quotient matrix from representative rows of each class.
+    """Build the quotient matrix from the class sums of each class's first vertex.
 
-    The class sums that fill the matrix are the ones the equitability check
-    reads; NotEquitable carries the check's witness.
+    The sums that fill the matrix are the ones the equitability check
+    reads, grouped from the edge arrays in O(m log m) with no n x r table,
+    so only the r x r matrix grows with the class count; NotEquitable
+    carries the check's witness.
     """
     sa = scaled_adjacency(g)
-    sums, check = _class_sums_checked(sa, pi, _EQ_TOL)
+    (i, j, sums), check = _class_sums_checked(sa, pi, _EQ_TOL)
     if not check.ok:
         raise NotEquitable(f"partition is not equitable: witness {check.witness}",
                            check.witness)
-    pbar = sums[pi.firsts, :]
+    pbar = np.zeros((pi.r, pi.r))
+    pbar[i, j] = sums
     dbar = np.bincount(pi.labels, weights=sa.degrees, minlength=pi.r)
     # class pairs i < j with a nonzero entry either way, in row-major order
     a, b = np.nonzero(np.triu((pbar != 0) | (pbar.T != 0), 1))

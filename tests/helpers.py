@@ -14,7 +14,8 @@ Network trajectories are checked against scipy's DOP853 on the dense
 averaging matrix in test_properties.  Canonical JSON is checked against the
 item-by-item recursive writer the bulk emitter replaced.  The periodic
 lattices are checked against the cell-by-cell loops the index arithmetic
-replaced, the class-sum check against its per-class loop, and the motifs
+replaced, the class-sum check against its per-class loop and against the
+dense n x r table of class sums it replaced, and the motifs
 against a depth-first search over all 2-colourings.  Components, the
 2-coloring and connectivity are checked against the union-find and the
 stack-based search that the array components pass replaced.  Known
@@ -225,7 +226,7 @@ def rounded_signature_refinement(g: WeightedGraph, seed: Partition | None = None
     pi = trivial_partition(g.n) if seed is None else seed
     sa = scaled_adjacency(g)
     while True:
-        sums = sa.class_sums(pi.labels, pi.r)
+        sums = class_sums(sa, pi.labels, pi.r)
         keys = list(map(tuple, np.round(sums, 12).tolist()))
         new_classes: list[list[int]] = []
         for cls in pi.classes:
@@ -531,10 +532,36 @@ def hex_torus_loops(rows: int, cols: int) -> WeightedGraph:
 
 # ---- equitability, class by class ----
 
+def class_sums(sa, class_of: np.ndarray, r: int) -> np.ndarray:
+    """The dense n x r table whose entry (i, k) sums P_ij over the vertices j
+    of class k, added by one bincount over all n * r keys in edge order."""
+    flat = np.bincount(sa.rows * r + class_of[sa.cols], weights=sa.weights,
+                       minlength=sa.n * r)
+    return flat.reshape(sa.n, r)
+
+
+def class_sums_checked_dense(sa, pi: Partition,
+                             tol: float) -> tuple[np.ndarray, EquitabilityCheck]:
+    """The quotient matrix (the first vertices' rows of the dense table) and
+    the equitability check on the whole table; the witness is the first bad
+    vertex by (class, vertex) and the column where its row differs most."""
+    class_of, reps = pi.labels, pi.firsts
+    sums = class_sums(sa, class_of, pi.r)
+    diff = np.abs(sums - sums[reps[class_of]])
+    bad = np.flatnonzero(diff.max(axis=1) > tol)
+    if bad.size:
+        u = int(bad[np.lexsort((bad, class_of[bad]))[0]])
+        i = int(class_of[u])
+        ref, j = int(reps[i]), int(np.argmax(diff[u]))
+        return sums[reps], EquitabilityCheck(
+            ok=False, witness=(i, j, ref, u, float(sums[ref, j]), float(sums[u, j])))
+    return sums[reps], EquitabilityCheck(ok=True)
+
+
 def class_sums_checked_loop(sa, pi: Partition, tol: float) -> EquitabilityCheck:
     """Compare each class's class-sum rows with its first vertex's row, class
     by class; the witness is the first bad vertex of the first bad class."""
-    sums = sa.class_sums(pi.labels, pi.r)
+    sums = class_sums(sa, pi.labels, pi.r)
     for i, cls in enumerate(pi.classes):
         diff = np.abs(sums[list(cls)] - sums[cls[0]])
         bad = np.flatnonzero(diff.max(axis=1) > tol)

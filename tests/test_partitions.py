@@ -315,11 +315,29 @@ def test_refinement_runs_on_the_edge_arrays(monkeypatch):
     want = rounded_signature_refinement(g, seed)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("refinement reached the n x r class sums or make_partition")
+        raise AssertionError("refinement reached the float class sums or make_partition")
 
-    monkeypatch.setattr(ScaledAdjacency, "class_sums", forbidden)
+    monkeypatch.setattr(ScaledAdjacency, "class_pairs", forbidden)
     monkeypatch.setattr(partitions, "make_partition", forbidden)
     assert coarsest_equitable_refinement(g, seed) == want
+
+
+def test_quotient_builds_no_n_by_r_table():
+    # r = 561 classes on 4096 cells: one dense n x r table of class sums is
+    # 18.4 MB, while the r x r quotient matrix is 2.5 MB
+    import tracemalloc
+
+    g = torus_mesh(64, 64)
+    pi = coarsest_equitable_refinement(g, _point_seed(g.n, 0))
+    assert pi.r == 561
+    tracemalloc.start()
+    try:
+        qm = quotient(g, pi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert qm.r == 561
+    assert peak < g.n * pi.r * 8, peak
 
 
 @pytest.mark.parametrize("kind,side", [("torus_mesh", 64), ("hex_torus", 48)])

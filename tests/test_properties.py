@@ -4,13 +4,14 @@ routines and the canonical JSON writer against independent oracles: the
 dense averaging matrix, scipy's ODE integrators (DOP853 on the dense
 network, LSODA on the reduced flow) and root finder,
 characteristic-polynomial roots and coefficients, dense unsymmetric
-eigvals, leading principal minors, a loop over class pairs, the
-item-by-item JSON writer, the edge-by-edge and vertex-by-vertex input
-checks, the refinement that re-keys every vertex in every round
-(helpers.round_refinement), the union-find and the stack-based search the
-components pass replaced, and, bit for bit, the Dormand-Prince loop as it
-was before its stage buffers (helpers.settle_reference) and the Hill fixed
-point bisected through t_eval."""
+eigvals, leading principal minors, a loop over class pairs, the dense
+n x r table of class sums, the item-by-item JSON writer, the edge-by-edge
+and vertex-by-vertex input checks, the refinement that re-keys every
+vertex in every round (helpers.round_refinement), the union-find and the
+stack-based search the components pass replaced, and, bit for bit, the
+Dormand-Prince loop as it was before its stage buffers
+(helpers.settle_reference) and the Hill fixed point bisected through
+t_eval."""
 import math
 from unittest import mock
 
@@ -63,6 +64,8 @@ from helpers import (
     char_poly_eigs,
     class_indicator,
     class_loop,
+    class_sums,
+    class_sums_checked_dense,
     class_sums_checked_loop,
     components_union_find,
     dense_averaging,
@@ -102,9 +105,13 @@ def test_scaled_adjacency_edge_arrays_match_dense(seed, n, r):
     r = min(r, n)
     class_of = rng.integers(0, r, n)
     indicator = (class_of[:, None] == np.arange(r)[None, :]).astype(float)
-    sums = sa.class_sums(class_of, r)
+    sums = class_sums(sa, class_of, r)
     assert sums.shape == (n, r)
     assert np.abs(sums - p @ indicator).max() < 1e-14
+    # the grouped pairs are the table's nonzero entries, bit for bit
+    row, cls, grouped = sa.class_pairs(class_of, r)
+    assert np.array_equal(np.stack([row, cls]), np.stack(np.nonzero(sums)))
+    assert np.array_equal(grouped.view(np.uint64), sums[row, cls].view(np.uint64))
 
 
 # 300 seeded draws of this setup gave a worst gap of 1.0e-8
@@ -625,6 +632,67 @@ def test_class_sum_check_matches_the_class_loop(seed, n, r, refine):
     assert check.witness is None or all(type(k) is int for k in check.witness[:4])
 
 
+# weights that make class sums far below, near and far above the default
+# tolerance, non-dyadic ones among them
+_CHECK_WEIGHTS = [1.0, 0.1, 1 / 3, 2.7, 1e-13, 7e-13, 3e-12]
+
+
+@st.composite
+def hub_graphs(draw):
+    """Twins 0 and 1, joined by equal weights to the same vertices above 2,
+    and one of them also to vertex 2 by a weight of 3e-12 or less; a path
+    through the n other vertices, random edges among them and up to two
+    hubs joined to up to 20 of them, so that a vertex often has more than
+    8 neighbours in one class.  Other weights come from _CHECK_WEIGHTS."""
+    n = draw(st.integers(3, 30))
+    others = st.integers(2, n + 1)
+    edges = {(v, v + 1) for v in range(2, n + 1)}
+    for hub in range(2, 2 + draw(st.integers(0, 2))):
+        edges |= {(min(hub, v), max(hub, v))
+                  for v in draw(st.sets(others, max_size=20)) if v != hub}
+    edges |= {(min(a, b), max(a, b))
+              for a, b in draw(st.lists(st.tuples(others, others), max_size=40)) if a != b}
+    weights = st.sampled_from(_CHECK_WEIGHTS)
+    rows = [(a, b, draw(weights)) for a, b in sorted(edges)]
+    for v in sorted(draw(st.sets(st.integers(3, n + 1), min_size=1, max_size=12))):
+        w = draw(weights)
+        rows += [(0, v, w), (1, v, w)]
+    rows.append((draw(st.sampled_from([0, 1])), 2, draw(st.sampled_from([1e-13, 7e-13, 3e-12]))))
+    return build_graph(n + 2, rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(g=hub_graphs(), data=st.data())
+def test_grouped_class_sums_match_the_dense_table(g, data):
+    # the grouped check against the n x r table it replaced: the same
+    # verdict and witness at a tolerance placed on, just below and just
+    # above the table's differences, and the same quotient bits
+    r = data.draw(st.integers(1, min(g.n, 6)))
+    labels = np.array(data.draw(st.lists(st.integers(0, r - 1), min_size=g.n,
+                                         max_size=g.n)))
+    labels[:2] = 0                  # the twins share the first class, 0 its first vertex
+    if data.draw(st.booleans()):
+        labels[2] = r               # only one twin has a sum into this class
+    pi = make_partition([np.flatnonzero(labels == k).tolist() for k in range(r + 1)], g.n)
+    if data.draw(st.booleans()):
+        pi = coarsest_equitable_refinement(g, pi)
+    sa = scaled_adjacency(g)
+    table = class_sums(sa, pi.labels, pi.r)
+    # the differences of one vertex's row, often the second twin's
+    diffs = np.unique(np.abs(table - table[pi.firsts[pi.labels]])[
+        data.draw(st.one_of(st.just(1), st.integers(0, g.n - 1)))])
+    tol = data.draw(st.one_of(
+        st.sampled_from([1e-12, -1.0, diffs[-1], np.nextafter(diffs[-1], 0.0)]),
+        st.tuples(st.sampled_from(diffs.tolist()),
+                  st.sampled_from([-1e-12, -1e-13, 0.0, 1e-13, 1e-12])).map(sum)))
+    (i, j, sums), check = _class_sums_checked(sa, pi, tol)
+    want_matrix, want = class_sums_checked_dense(sa, pi, tol)
+    assert check == want
+    matrix = np.zeros((pi.r, pi.r))
+    matrix[i, j] = sums
+    assert np.array_equal(matrix.view(np.uint64), want_matrix.view(np.uint64))
+
+
 @PROPERTY
 @given(name=st.sampled_from(sorted(MOTIFS)), data=st.data())
 def test_motifs_tile_equitably_on_every_multiple_of_their_period(name, data):
@@ -675,6 +743,33 @@ def test_canonical_json_matches_item_by_item_writer(obj):
             dumps_canonical(obj)
     else:
         assert dumps_canonical(obj) == expected
+
+
+# a few values, so that they repeat: the smallest subnormal, other
+# subnormals, the largest magnitudes and non-dyadic values, drawn with both
+# signed zeros
+_EMIT_POOL = [5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, 1e308,
+              -1e308, 0.1, 1 / 3, -2 / 3, 1.7976931348623157e308]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), shape=st.one_of(
+    st.tuples(st.integers(0, 300)),
+    st.tuples(st.integers(0, 20), st.integers(0, 20))))
+def test_float_arrays_emit_as_item_by_item(data, shape):
+    # sizes on both sides of serialize._BULK_ITEMS; one nan or inf
+    # anywhere must raise as the item-by-item writer does
+    pool = [0.0, -0.0] + data.draw(st.lists(st.sampled_from(_EMIT_POOL), max_size=5))
+    size = math.prod(shape)
+    a = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)),
+                 dtype=np.float64).reshape(shape)
+    assert dumps_canonical(a) == canonical_oracle(a)
+    assert dumps_canonical({"m": a.T}) == canonical_oracle({"m": a.T})
+    if size:
+        a.flat[data.draw(st.integers(0, size - 1))] = data.draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+        with pytest.raises(BadBundle, match="^cannot serialize non-finite numbers$"):
+            dumps_canonical(a)
 
 
 # vertex ids around [0, n) and one far beyond int64
