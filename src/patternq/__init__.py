@@ -20,7 +20,7 @@ from .partitions import (BlockDecomposition, Partition, QuotientModel, block_dec
                          orbits_from_generators, quotient)
 from .simulate import (CertificateCheck, EmpiricalPattern, SimOptions, SimulationTrace,
                        classify, integrate, perturbed_start, verify_certificate)
-from .spectral import Spectrum, eigen_reversible, jacobian_spectrum, sym_eigen
+from .spectral import Spectrum, jacobian_spectrum, sym_eigen
 from .stability import (CERTIFIED_STABLE, MARGINAL, NOT_CERTIFIED, STABLE, UNSTABLE,
                         StabilityReport, block_stability, full_jacobian_stability, small_gain,
                         stability_report)
@@ -36,7 +36,7 @@ __all__ = [
     "is_equitable", "quotient", "coarsest_equitable_refinement",
     "orbits_from_generators", "block_decompose",
     # spectral
-    "Spectrum", "sym_eigen", "eigen_reversible", "jacobian_spectrum",
+    "Spectrum", "sym_eigen", "jacobian_spectrum",
     # cells
     "HillMap", "FixedPoint", "t_eval", "t_prime", "fixed_point", "cell_rhs",
     "dc_gain",

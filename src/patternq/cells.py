@@ -129,13 +129,16 @@ def cell_rhs(m: HillMap, x, u):
     return (-np.asarray(x, dtype=float) + t_eval(m, u)) / m.tau
 
 
-def dc_gain(m: HillMap, z: float) -> float:
-    """Static gain |T'(z)| of the linearized cell at operating input z > 0.
+def dc_gain(m: HillMap, z) -> float | np.ndarray:
+    """Static gain |T'(z)| of the linearized cell at operating inputs z > 0.
 
     For this first-order cell the L2-gain of the linearization equals the
-    dc-gain, so this is the per-class gain used by the small-gain test.
+    dc-gain, so this is the per-class gain used by the small-gain test.  An
+    array of inputs gives the array -t_prime(m, z), bit for bit.
     """
-    if z <= 0:
-        raise NonpositiveOperatingPoint(f"operating input must be positive, got {z}")
-    return float(-t_prime(m, z))
+    z = np.asarray(z, dtype=float)
+    if np.any(z <= 0):
+        raise NonpositiveOperatingPoint(
+            f"operating input must be positive, got {float(z[z <= 0][0])}")
+    return -t_prime(m, z)
 

@@ -67,7 +67,6 @@ from .simulate import (
     perturbed_start,
     verify_certificate,
 )
-from .spectral import eigen_reversible
 from .stability import STABLE, stability_report
 
 LOG = logging.getLogger("patternq")
@@ -116,7 +115,7 @@ def _load_graph_arg(args) -> tuple[WeightedGraph, str]:
 
 
 def _quotient_report(qm: QuotientModel) -> dict:
-    spec = eigen_reversible(qm.matrix, qm.class_degrees, vectors=False)
+    spec = qm.spectrum(vectors=False)
     return {
         "matrix": qm.matrix,
         "class_degrees": qm.class_degrees,
@@ -378,6 +377,9 @@ def _svg_rings(group_of: list[int]) -> str:
 
 
 def _cmd_render(args) -> int:
+    if not (np.isfinite(args.cluster_tol) and args.cluster_tol >= 0):
+        raise _StageFailure("render", BadOptions(
+            f"cluster-tol must be finite and nonnegative, got {args.cluster_tol}"))
     final = _run_stage("load", _read_final_row, args.trace)
     group_of = cluster_values(final, args.cluster_tol).tolist()
     if args.layout in ("torus", "hex"):

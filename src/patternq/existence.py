@@ -35,7 +35,6 @@ from .cells import HillMap, fixed_point, t_eval, t_prime
 from .errors import DimensionMismatch, NotConnected, OnlyHomogeneousFound
 from .ode import settle
 from .partitions import QuotientModel
-from .spectral import eigen_reversible
 
 __all__ = [
     "CERTIFIED",
@@ -85,12 +84,13 @@ class ExistenceCertificate:
 
 
 def certify(qm: QuotientModel, model: HillMap) -> ExistenceCertificate:
-    """Evaluate the bipartite-reduced-graph eigenvalue test."""
+    """Evaluate the bipartite-reduced-graph eigenvalue test on
+    qm.spectrum(), the spectrum of the model's one symmetric form."""
     if not qm.reduced_connected:
         raise NotConnected("reduced graph is disconnected; use a connected contact graph")
     fp = fixed_point(model)
     slope = t_prime(model, fp.value)
-    spec = eigen_reversible(qm.matrix, qm.class_degrees)
+    spec = qm.spectrum()
     lam = spec.min_eigenvalue
     vec = spec.min_eigenvector()
     mult = int(np.sum(np.abs(spec.eigenvalues - lam) < 1e-9))

@@ -14,7 +14,7 @@ exactly into a symmetric quotient block and a symmetric transverse block.
 quotient() is the only constructor of a QuotientModel and refuses
 inequitable partitions; the model carries the partition and the graph's
 averaging operator, and is what every later stage, block_decompose(qm)
-included, takes.
+included, takes; its one symmetric form is what every r x r route reads.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (
     BadLatticeSize,
+    DetailedBalanceViolated,
     NotAutomorphism,
     NotEquitable,
     NotPermutation,
@@ -35,6 +36,7 @@ from .errors import (
 )
 from .graphs import (ScaledAdjacency, WeightedGraph, _components, _frozen, _two_coloring,
                      bipartition, scaled_adjacency)
+from .spectral import Spectrum, _fix_signs, sym_eigen
 
 __all__ = [
     "Partition",
@@ -236,6 +238,8 @@ class QuotientModel:
     reduced_edges lists unordered class pairs with a nonzero quotient entry
     in either direction (self-loops omitted); reduced_coloring is the
     2-coloring of that reduced graph when bipartite, a 0/1 side per class.
+    symmetric, formed on first read, is the one r x r matrix that spectrum,
+    certify, small_gain and block_decompose read.
     """
 
     matrix: np.ndarray
@@ -249,6 +253,34 @@ class QuotientModel:
     @property
     def r(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def symmetric(self) -> np.ndarray:
+        """sym(Dbar^1/2 Pbar Dbar^-1/2), read-only, Dbar the class degrees;
+        DetailedBalanceViolated unless dbar_i pbar_ij = dbar_j pbar_ji to
+        1e-10 of the largest flux, with every class degree positive."""
+        p, d = self.matrix, self.class_degrees
+        if np.any(d <= 0):
+            raise DetailedBalanceViolated("weight vector must be strictly positive")
+        flux = d[:, None] * p
+        err = np.abs(flux - flux.T).max()
+        if err > 1e-10 * max(1.0, np.abs(flux).max()):
+            raise DetailedBalanceViolated(
+                f"detailed balance violated (max flux asymmetry {err:.2e})")
+        root = np.sqrt(d)
+        sym = (root[:, None] * p) / root[None, :]
+        sym = (sym + sym.T) / 2.0
+        sym.flags.writeable = False
+        return sym
+
+    def spectrum(self, vectors: bool = True) -> Spectrum:
+        """The spectrum of symmetric; eigenvectors are mapped back through
+        Dbar^-1/2 and renormalized, so they are the quotient matrix's own."""
+        spec = sym_eigen(self.symmetric, vectors=vectors)
+        if not vectors:
+            return spec
+        back = spec.eigenvectors / np.sqrt(self.class_degrees)[:, None]
+        return Spectrum(spec.eigenvalues, _fix_signs(back / np.linalg.norm(back, axis=0)))
 
 
 def quotient(g: WeightedGraph, pi: Partition) -> QuotientModel:
@@ -465,11 +497,11 @@ class BlockDecomposition:
     under it.  One Householder reflector per class maps a_k onto -e_f, f the
     class's first vertex; the reflectors have disjoint supports, so their
     product H is one symmetric orthogonal matrix and HSH is block-diagonal.
-    quotient_block is HSH on the first vertices of the r classes (a_k^T S a_l,
-    similar to the quotient matrix) and transverse_block is HSH on the other n - r
-    vertices in vertex order; both are symmetric.  transverse_class gives
-    the class of each of those vertices and coupling is the largest entry
-    between the two vertex sets (rounding only).
+    On the first vertices of the classes HSH is a_k^T S a_l, the quotient's
+    symmetric form, so quotient_block is qm.symmetric; transverse_block is
+    HSH on the other n - r vertices in vertex order, symmetrized.
+    transverse_class gives the class of each of those vertices and coupling
+    is the largest entry between the two vertex sets (rounding only).
     """
 
     partition: Partition
@@ -488,7 +520,7 @@ def block_decompose(qm: QuotientModel) -> BlockDecomposition:
     SingularTransform if the coupling exceeds 1e-10, which the equitability
     that qm carries rules out.
     """
-    sa, pi = qm.operator, qm.partition
+    sa, pi, quotient_block = qm.operator, qm.partition, qm.symmetric
     n, r = sa.n, pi.r
     class_of, firsts = pi.labels, pi.firsts
     rest = np.delete(np.arange(n), firsts)
@@ -506,11 +538,11 @@ def block_decompose(qm: QuotientModel) -> BlockDecomposition:
     if coupling > 1e-10:
         raise SingularTransform(
             f"conjugated matrix not block-diagonal (max {coupling:.2e})")
-    quo, trans = m[np.ix_(firsts, firsts)], m[np.ix_(rest, rest)]
-    del m  # free the n x n product before the symmetric parts are formed
+    trans = m[np.ix_(rest, rest)]
+    del m  # free the n x n product before the symmetric part is formed
     return BlockDecomposition(
         partition=pi,
-        quotient_block=(quo + quo.T) / 2.0,
+        quotient_block=quotient_block,
         transverse_block=(trans + trans.T) / 2.0,
         transverse_class=class_of[rest],
         coupling=coupling,

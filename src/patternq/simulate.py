@@ -265,11 +265,9 @@ def verify_certificate(qm: QuotientModel, model: HillMap,
             max_deviation=float("nan"), empirical=None,
             note="simulation hit max_time before converging")
     empirical = classify(trace, cluster_tol=grouping_tol(model))
-    # the groups are the classes iff each (group, class) pair that occurs
-    # is the only one of its group and of its class
-    group_of, pi = cluster_values(trace.final_state, grouping_tol(model)), qm.partition
-    pairs = np.count_nonzero(np.bincount(group_of * pi.r + pi.labels))
-    same_grouping = pairs == pi.r == len(empirical.groups)
+    # the grouping is the partition when both list the same vertex sets;
+    # each lists a group as an ascending tuple
+    same_grouping = set(empirical.groups) == set(qm.partition.classes)
     deviation = float(np.abs(trace.final_state - pattern.cell_states).max())
     if exploratory:
         note = "no certificate; simulation exploratory only"

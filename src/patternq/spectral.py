@@ -1,10 +1,10 @@
 """Eigenvalue machinery built entirely on symmetric solvers.
 
 Every matrix this package needs a spectrum for is similar to a symmetric
-one: the averaging matrix and its quotients through detailed balance, the
-gain-weighted products through a degree/gain diagonal similarity, and the
-one-state network Jacobian through a slope similarity of the symmetric
-S = D^1/2 P D^-1/2 that the graph's operator builds.  The only
+one: the averaging matrix and its quotients through detailed balance (the
+operator's S = D^1/2 P D^-1/2 and QuotientModel.symmetric), the
+gain-weighted products and the one-state network Jacobian through gain
+and slope similarities of those.  The only
 solver here is LAPACK's symmetric eigensolver (through np.linalg.eigh and
 eigvalsh); no unsymmetric QR and no iteration of its own is ever used.
 """
@@ -19,7 +19,6 @@ from .errors import DetailedBalanceViolated, NoConvergence, NotSymmetric
 __all__ = [
     "Spectrum",
     "sym_eigen",
-    "eigen_reversible",
     "jacobian_spectrum",
 ]
 
@@ -50,20 +49,6 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
         if col[lead] < 0:
             out[:, k] = -col
     return out
-
-
-def _symmetrize(p: np.ndarray, d: np.ndarray, gains=None) -> np.ndarray:
-    """G sym(D^1/2 P D^-1/2) G with G = diag(gains) (the identity when None).
-
-    For P in detailed balance with d, D^1/2 P D^-1/2 is symmetric up to
-    rounding; its symmetric part removes that rounding.
-    """
-    root = np.sqrt(np.asarray(d, dtype=float))
-    sym = (root[:, None] * p) / root[None, :]
-    sym = (sym + sym.T) / 2.0
-    if gains is None:
-        return sym
-    return gains[:, None] * sym * gains[None, :]
 
 
 def sym_eigen(a: np.ndarray, vectors: bool = True) -> Spectrum:
@@ -103,32 +88,6 @@ def sym_eigen(a: np.ndarray, vectors: bool = True) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
     return Spectrum(vals[::-1], _fix_signs(vecs[:, ::-1]))
-
-
-def eigen_reversible(p: np.ndarray, d: np.ndarray, vectors: bool = True) -> Spectrum:
-    """Spectrum of a row-stochastic matrix satisfying detailed balance.
-
-    With d_i p_ij = d_j p_ji the similarity D^{1/2} P D^{-1/2} is symmetric,
-    so the whole spectrum is real; eigenvectors are mapped back through
-    D^{-1/2} and renormalized.  The largest eigenvalue comes out as 1 with a
-    positive eigenvector.
-    """
-    p = np.asarray(p, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
-        raise DetailedBalanceViolated("weight vector must be strictly positive")
-    flux = d[:, None] * p
-    err = np.abs(flux - flux.T).max()
-    if err > 1e-10 * max(1.0, np.abs(flux).max()):
-        raise DetailedBalanceViolated(
-            f"detailed balance violated (max flux asymmetry {err:.2e})")
-    spec = sym_eigen(_symmetrize(p, d), vectors=vectors)
-    if not vectors:
-        return spec
-    back = spec.eigenvectors / np.sqrt(d)[:, None]
-    norms = np.linalg.norm(back, axis=0)
-    back = _fix_signs(back / norms)
-    return Spectrum(spec.eigenvalues, back)
 
 
 def jacobian_spectrum(s: np.ndarray, slopes: np.ndarray, tau: float = 1.0) -> Spectrum:

@@ -3,19 +3,19 @@
 Direct route: spectral abscissa of the full network Jacobian, through the
 operator's symmetric S = D^1/2 P D^-1/2.  Block route: one Householder
 reflector per class (block_decompose) splits the Jacobian exactly into a
-representative block driven by the symmetrized quotient matrix and a
-transverse block on the complement; each is symmetric and solved on its
-own, and together they carry the full spectrum.  Small-gain route:
-rho(P Gamma) < 1 with per-class dc-gains.  Equitability gives
-P Gamma Q = Q Pbar Gammabar for the class indicator Q, so the radius is
-computed on the quotient alone, where it is exactly equal; the same radius
-decides whether I - Gamma P is a nonsingular M-matrix.  Routes start from
-the QuotientModel of the pattern (block_decompose(qm), small_gain(qm, ...),
-stability_report(qm, ...)) or from its operator (full_jacobian_stability);
-none rebuilds either.  stability_report checks once that the pattern is
-steady and runs only the routes it is asked for; when the block route is
-among them, the largest eigenvalue of its two blocks is the full spectral
-abscissa and no n x n spectrum is solved.
+representative block driven by qm.symmetric and a transverse block on the
+complement; each is symmetric and solved on its own, and together they
+carry the full spectrum.  Small-gain route: rho(P Gamma) < 1 with
+per-class dc-gains, the block route's -T'(z) bit for bit.  Equitability
+gives P Gamma Q = Q Pbar Gammabar for the class indicator Q, so the radius
+is computed on qm.symmetric alone, where it is exactly equal; the same
+radius decides whether I - Gamma P is a nonsingular M-matrix.  Routes
+start from the QuotientModel of the pattern (block_decompose(qm),
+small_gain(qm, ...), stability_report(qm, ...)) or from its operator
+(full_jacobian_stability); none rebuilds either.  stability_report checks
+once that the pattern is steady and runs only the routes it is asked for;
+when the block route is among them, the largest eigenvalue of its two
+blocks is the full spectral abscissa and no n x n spectrum is solved.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from .cells import HillMap, dc_gain, t_eval, t_prime
 from .errors import DimensionMismatch, NotSteadyState
 from .graphs import ScaledAdjacency
 from .partitions import BlockDecomposition, QuotientModel, block_decompose
-from .spectral import Spectrum, _symmetrize, jacobian_spectrum, sym_eigen
+from .spectral import Spectrum, jacobian_spectrum, sym_eigen
 
 __all__ = [
     "STABLE",
@@ -185,45 +185,46 @@ def block_stability(decomp: BlockDecomposition, model: HillMap, z) -> BlockStabi
     )
 
 
-def _gain_radius(p: np.ndarray, d: np.ndarray,
-                 gains: np.ndarray) -> tuple[float, np.ndarray]:
-    """Spectral radius of P Gamma and its eigenvector in max-norm.
+def _gain_radius(qm: QuotientModel, gains: np.ndarray) -> tuple[float, np.ndarray]:
+    """Spectral radius of Pbar Gamma and its eigenvector in max-norm.
 
-    P Gamma = D^-1/2 S D^1/2 Gamma with S = D^1/2 P D^-1/2 symmetric, and AB
-    and BA share eigenvalues, so eig(P Gamma) = eig(Gamma^1/2 S Gamma^1/2),
-    also for zero gains and reducible supports.  For a nonnegative matrix
-    the largest eigenvalue is the spectral radius.  With y its eigenvector
-    of the symmetric matrix, P Gamma^1/2 D^-1/2 y is one of P Gamma.  When
-    the radius is 0, P Gamma is nilpotent and the vector is all zeros.
+    Pbar Gamma = D^-1/2 S D^1/2 Gamma with S = qm.symmetric and D the class
+    degrees, and AB and BA share eigenvalues, so eig(Pbar Gamma) =
+    eig(Gamma^1/2 S Gamma^1/2), also for zero gains and reducible supports.
+    For a nonnegative matrix the largest eigenvalue is the spectral radius.
+    With y its eigenvector of the symmetric matrix, Pbar Gamma^1/2 D^-1/2 y
+    is one of Pbar Gamma.  When the radius is 0, Pbar Gamma is nilpotent
+    and the vector is all zeros.
     """
     root = np.sqrt(gains)
-    spec = sym_eigen(_symmetrize(p, d, root))
+    spec = sym_eigen(root[:, None] * qm.symmetric * root[None, :])
     rho = max(float(spec.eigenvalues[0]), 0.0)
     if rho == 0.0:
         return rho, np.zeros(len(gains))
-    v = p @ (root / np.sqrt(d) * spec.eigenvectors[:, 0])
+    v = qm.matrix @ (root / np.sqrt(qm.class_degrees) * spec.eigenvectors[:, 0])
     return rho, v / np.abs(v).max()
 
 
 def small_gain(qm: QuotientModel, model: HillMap, z) -> SmallGainResult:
     """Evaluate rho(Pbar Gammabar), which equals rho(P Gamma).
 
-    Gains are the per-class dc-gains |T'(z_i)|, expanded so cells in a class
-    share one gain.  The radius is the largest eigenvalue of a symmetric
-    similarity of the quotient product (class degrees), exact for zero
-    gains; rho_full is the same number (see SmallGainResult), so no n x n
-    matrix is formed.  perron_reduced is the quotient's eigenvector for the
-    radius in max-norm, nonnegative when the radius is simple, and all zeros
-    when it is 0; perron_full is its lift, which equitability makes an
-    eigenvector of P Gamma for the same radius.  The certificate fires
-    exactly when the radius sits below 1 by more than the marginal band.
+    Gains are the per-class dc-gains |T'(z_i)|, from one dc_gain call on z
+    (NonpositiveOperatingPoint for any z_i <= 0), expanded so cells in a
+    class share one gain.  The radius is the largest eigenvalue of the gain
+    similarity of qm.symmetric, exact for zero gains; rho_full is the same
+    number (see SmallGainResult), so no n x n matrix is formed.
+    perron_reduced is the quotient's eigenvector for the radius in
+    max-norm, nonnegative when the radius is simple, and all zeros when it
+    is 0; perron_full is its lift, which equitability makes an eigenvector
+    of P Gamma for the same radius.  The certificate fires exactly when the
+    radius sits below 1 by more than the marginal band.
     """
     z = np.asarray(z, dtype=float)
     pi = qm.partition
     if z.shape != (pi.r,):
         raise DimensionMismatch(f"expected {pi.r} class values, got {z.shape}")
-    class_gains = np.array([dc_gain(model, float(val)) for val in z])
-    rho, v_red = _gain_radius(qm.matrix, qm.class_degrees, class_gains)
+    class_gains = dc_gain(model, z)
+    rho, v_red = _gain_radius(qm, class_gains)
     verdict = CERTIFIED_STABLE if rho < 1.0 - _MARGIN else NOT_CERTIFIED
     return SmallGainResult(
         rho_full=rho,

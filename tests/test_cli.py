@@ -212,6 +212,18 @@ def test_render_bucky_layout(tmp_path, capsys):
     assert text.count("<circle") == 32 and "<rect" not in text
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+def test_render_cluster_tol_must_be_finite_and_nonnegative(tmp_path, capsys, tol):
+    # nan and inf would draw one group, a negative gap every cell on its own
+    trace = _write_final_row(tmp_path / "tr.csv", [1.9, 0.1] * 8)
+    assert main(["render", "--trace", trace, "--layout", "torus", "--rows", "4",
+                 "--cols", "4", f"--cluster-tol={tol}"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert (f"error [render]: cluster-tol must be finite and nonnegative, got {float(tol)}"
+            in out.err)
+
+
 def test_simulate_single_cell_perturbation(tmp_path, torus_graph, model_h6):
     out = tmp_path / "sim.json"
     assert main(["simulate", "--graph", torus_graph, "--model", model_h6,
@@ -602,11 +614,12 @@ def test_analyze_builds_each_intermediate_once(tmp_path, monkeypatch, model_h6):
     # count calls at every module that binds the function, so calls from
     # one library module into another are seen too
     import sys
+    from functools import cached_property
 
     from patternq import existence, graphs, partitions
 
     counts = dict.fromkeys(["scaled_adjacency", "is_equitable", "_class_sums_checked",
-                            "quotient", "certify"], 0)
+                            "quotient", "certify", "symmetric"], 0)
 
     def counted(fn):
         def wrapper(*args, **kwargs):
@@ -622,12 +635,17 @@ def test_analyze_builds_each_intermediate_once(tmp_path, monkeypatch, model_h6):
             for attr, value in list(vars(module).items()):
                 if any(value is fn for fn in originals):
                     monkeypatch.setattr(module, attr, wrappers[value.__name__])
+    # the quotient's symmetric form, read by the quotient report, certify,
+    # the block split and the small-gain radius
+    symmetric = cached_property(counted(partitions.QuotientModel.symmetric.func))
+    symmetric.__set_name__(partitions.QuotientModel, "symmetric")
+    monkeypatch.setattr(partitions.QuotientModel, "symmetric", symmetric)
     assert main(["analyze", "--gen", "torus_mesh:4,4", "--auto-bipartite",
                  "--model", model_h6, "--simulate", "-o", str(tmp_path / "b.json")]) == 0
     # quotient checks equitability on the class sums it builds the matrix
     # from, so the public is_equitable has no caller here
     assert counts == {"scaled_adjacency": 1, "is_equitable": 0, "_class_sums_checked": 1,
-                      "quotient": 1, "certify": 1}
+                      "quotient": 1, "certify": 1, "symmetric": 1}
 
 
 def test_analyze_auto_refine_builds_the_operator_once(tmp_path, monkeypatch, model_h6):

@@ -388,10 +388,15 @@ def test_block_split_matches_an_independent_complement(case):
     qm = quotient(g, pi)
     dec = block_decompose(qm)
     d = g.degrees()
-    sym_quotient = np.sqrt(np.outer(qm.class_degrees, 1.0 / qm.class_degrees)) * qm.matrix
-    assert np.abs(dec.quotient_block - (sym_quotient + sym_quotient.T) / 2.0).max() < 1e-12
     root = np.sqrt(d)
     s = root[:, None] * dense_averaging(g) / root[None, :]
+    # the quotient block is the model's symmetric form, a_k^T S a_l for the
+    # unit class vectors a_k = sqrt(d) on class k, read-only and symmetric
+    assert dec.quotient_block is qm.symmetric
+    assert not qm.symmetric.flags.writeable
+    assert np.array_equal(qm.symmetric, qm.symmetric.T)
+    a = class_indicator(pi) * root[:, None] / np.sqrt(qm.class_degrees)[None, :]
+    assert np.abs(qm.symmetric - a.T @ s @ a).max() < 1e-12
     n_perp = null_space((class_indicator(pi) * root[:, None]).T)
     assert n_perp.shape == (g.n, g.n - pi.r)
     oracle = np.linalg.eigvalsh(n_perp.T @ s @ n_perp)

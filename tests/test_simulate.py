@@ -247,7 +247,7 @@ def test_verify_certificate_inconclusive_is_exploratory():
     red = solve_reduced(qm, m)  # homogeneous, warned
     pat = lift(qm, red.class_values, m)
     chk = verify_certificate(qm, m, pat)
-    assert chk.exploratory
+    assert chk.exploratory and not chk.match
     assert "exploratory" in chk.note
 
 
@@ -260,5 +260,5 @@ def test_verify_certificate_stable_homogeneous_single_group():
     pat = lift(qm, red.class_values, m)
     chk = verify_certificate(qm, m, pat)
     assert chk.exploratory and chk.converged
-    assert len(chk.empirical.groups) == 1
+    assert len(chk.empirical.groups) == 1 and not chk.match
     assert abs(chk.empirical.values[0] - fixed_point(m).value) < 1e-6

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,15 @@ from patternq.graphs import (
     scaled_adjacency,
     torus_mesh,
 )
-from patternq.partitions import bipartition_partition
-from patternq.spectral import (
-    eigen_reversible,
-    jacobian_spectrum,
-    sym_eigen,
+from patternq.partitions import (
+    MOTIFS,
+    bipartition_partition,
+    buckyball_face_partition,
+    quotient,
+    singleton_partition,
+    tile_partition,
 )
+from patternq.spectral import jacobian_spectrum, sym_eigen
 
 from helpers import char_poly_eigs, dense_averaging, spectral_radius_nonneg
 
@@ -67,41 +72,54 @@ def test_sym_eigen_rejects_non_finite():
         sym_eigen(np.array([[np.nan, 0.0], [0.0, 1.0]]), vectors=False)
 
 
-# ---- reversible spectra ----
+# ---- quotient spectra (QuotientModel.spectrum) ----
 
-def test_eigen_reversible_two_cells():
-    spec = eigen_reversible(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 1.0]))
+def test_quotient_spectrum_two_cells():
+    qm = quotient(path_graph(2), singleton_partition(2))
+    assert np.array_equal(qm.matrix, [[0.0, 1.0], [1.0, 0.0]])
+    spec = qm.spectrum()
     assert np.abs(spec.eigenvalues - np.array([1.0, -1.0])).max() < 1e-12
 
 
-def test_eigen_reversible_domino_quotient():
-    pbar = np.array([[0.25, 0.75], [0.75, 0.25]])
-    spec = eigen_reversible(pbar, np.array([32.0, 32.0]))
+def test_quotient_spectrum_domino():
+    qm = quotient(torus_mesh(8, 8), tile_partition(8, 8, MOTIFS["domino"]))
+    assert np.array_equal(qm.matrix, [[0.25, 0.75], [0.75, 0.25]])
+    assert np.array_equal(qm.class_degrees, [128.0, 128.0])
+    spec = qm.spectrum()
     assert np.abs(spec.eigenvalues - np.array([1.0, -0.5])).max() < 1e-12
 
 
-def test_eigen_reversible_buckyball_quotient():
-    pbar = np.array([[0.0, 1.0], [0.5, 0.5]])
-    spec = eigen_reversible(pbar, np.array([60.0, 120.0]))
+def test_quotient_spectrum_buckyball():
+    qm = quotient(buckyball(), buckyball_face_partition())
+    assert np.array_equal(qm.matrix, [[0.0, 1.0], [0.5, 0.5]])
+    assert np.array_equal(qm.class_degrees, [60.0, 120.0])
+    spec = qm.spectrum()
     assert np.abs(spec.eigenvalues - np.array([1.0, -0.5])).max() < 1e-12
     # the top eigenvector is strictly positive
     assert spec.eigenvectors[:, 0].min() > 0
 
 
-def test_eigen_reversible_rejects_imbalance():
-    with pytest.raises(DetailedBalanceViolated):
-        eigen_reversible(np.array([[0.0, 1.0], [0.5, 0.5]]), np.array([1.0, 1.0]))
+def test_quotient_spectrum_rejects_imbalance():
+    # the buckyball quotient against equal class degrees breaks detailed balance
+    qm = quotient(buckyball(), buckyball_face_partition())
+    with pytest.raises(DetailedBalanceViolated, match="max flux asymmetry 5.00e-01"):
+        dataclasses.replace(qm, class_degrees=np.array([1.0, 1.0])).spectrum()
 
 
 @pytest.mark.parametrize("g", [path_graph(5), cycle_graph(6), torus_mesh(4, 4),
                                hex_torus(6, 6), buckyball()])
 def test_averaging_spectrum_in_unit_interval(g):
+    # the singleton partition's quotient is P itself, against the degrees
     p = dense_averaging(g)
-    spec = eigen_reversible(p, g.degrees())
+    qm = quotient(g, singleton_partition(g.n))
+    assert np.array_equal(qm.matrix, p)
+    assert np.array_equal(qm.class_degrees, g.degrees())
+    spec = qm.spectrum()
     assert spec.eigenvalues.max() <= 1.0 + 1e-10
     assert spec.eigenvalues.min() >= -1.0 - 1e-10
     assert abs(spec.eigenvalues[0] - 1.0) < 1e-10
-    # eigenvector residuals against the original (unsymmetrized) matrix
+    # unit eigenvectors of the original (unsymmetrized) matrix
+    assert np.abs(np.linalg.norm(spec.eigenvectors, axis=0) - 1.0).max() < 1e-12
     for k, lam in enumerate(spec.eigenvalues):
         v = spec.eigenvectors[:, k]
         assert np.abs(p @ v - lam * v).max() < 1e-9
@@ -156,7 +174,7 @@ def test_jacobian_constant_slope_closed_form():
     sa = scaled_adjacency(g)
     t = -1.7
     spec = jacobian_spectrum(sa.symmetric, np.full(g.n, t))
-    mus = eigen_reversible(dense_averaging(g), sa.degrees, vectors=False).eigenvalues
+    mus = quotient(g, singleton_partition(g.n)).spectrum(vectors=False).eigenvalues
     expected = np.sort(-1.0 + t * mus)[::-1]
     assert np.abs(spec.eigenvalues - expected).max() < 1e-9
 

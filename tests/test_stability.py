@@ -1,11 +1,13 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from patternq.cells import HillMap, dc_gain, fixed_point, t_prime
-from patternq.errors import NotSteadyState
-from patternq.existence import solve_reduced
+from patternq.cli import _quotient_report
+from patternq.errors import DetailedBalanceViolated, NotSteadyState
+from patternq.existence import certify, solve_reduced
 from patternq.graphs import (
     ScaledAdjacency,
     build_graph,
@@ -275,6 +277,31 @@ def test_small_gain_builds_no_dense_matrix(monkeypatch):
     m = HillMap(exponent=6)
     sg = small_gain(qm, m, solve_reduced(qm, m).class_values)
     assert sg.rho_full == sg.rho_reduced > 0
+
+
+def test_small_gain_class_gains_are_the_block_routes_slopes():
+    # one array evaluation of the slopes on both routes: a scalar loop gave
+    # 5.629315068914327e-10 here, the array -T'(z) 5.629315068914326e-10
+    qm = quotient(hex_torus(6, 6), tile_partition(6, 6, MOTIFS["diag3"]))
+    m = HillMap(exponent=40)
+    z = solve_reduced(qm, m).class_values
+    assert np.array_equal(small_gain(qm, m, z).gains.class_gains, -t_prime(m, z))
+
+
+@pytest.mark.parametrize("route", [
+    pytest.param(lambda qm, m: certify(qm, m), id="certify"),
+    pytest.param(lambda qm, m: small_gain(qm, m, np.ones(2)), id="small_gain"),
+    pytest.param(lambda qm, m: block_stability(block_decompose(qm), m, np.ones(2)),
+                 id="block"),
+    pytest.param(lambda qm, m: _quotient_report(qm), id="quotient_report"),
+])
+def test_every_quotient_route_checks_detailed_balance(route):
+    # each route reads the one symmetric form, which checks detailed balance
+    qm = quotient(buckyball(), buckyball_face_partition())
+    tampered = dataclasses.replace(qm, matrix=np.array([[0.0, 1.0], [0.75, 0.25]]))
+    with pytest.raises(DetailedBalanceViolated,
+                       match=r"detailed balance violated \(max flux asymmetry 3.00e\+01\)"):
+        route(tampered, HillMap(exponent=6))
 
 
 @pytest.mark.parametrize("g,pi,h", _pattern_cases())
