@@ -3,8 +3,8 @@
 Pipeline: build a weighted contact graph, find or verify an equitable vertex
 partition, form the row-stochastic quotient, test the existence condition on
 its minimum eigenvalue, solve the reduced fixed-point equation, lift the
-class values to the full network, certify stability (direct spectrum, block
-decomposition, small gain), and confirm by direct simulation.
+class values to the full network, certify stability (block decomposition,
+small gain), and confirm by direct simulation.
 """
 
 __version__ = "0.1.0"
@@ -22,8 +22,7 @@ from .simulate import (CertificateCheck, EmpiricalPattern, SimOptions, Simulatio
                        classify, integrate, perturbed_start, verify_certificate)
 from .spectral import Spectrum, jacobian_spectrum, sym_eigen
 from .stability import (CERTIFIED_STABLE, MARGINAL, NOT_CERTIFIED, STABLE, UNSTABLE,
-                        StabilityReport, block_stability, full_jacobian_stability, small_gain,
-                        stability_report)
+                        StabilityReport, block_stability, small_gain, stability_report)
 
 __all__ = [
     "__version__",
@@ -45,8 +44,7 @@ __all__ = [
     "ReducedSolution", "PatternSolution", "certify", "solve_reduced", "lift",
     # stability
     "STABLE", "UNSTABLE", "MARGINAL", "CERTIFIED_STABLE", "NOT_CERTIFIED",
-    "StabilityReport", "full_jacobian_stability", "block_stability",
-    "small_gain", "stability_report",
+    "StabilityReport", "block_stability", "small_gain", "stability_report",
     # simulation
     "SimOptions", "SimulationTrace", "EmpiricalPattern", "CertificateCheck",
     "integrate", "perturbed_start", "classify", "verify_certificate",

@@ -232,16 +232,21 @@ def _stability_payload(qm, model, z, methods) -> dict:
     if rep.small_gain is not None:
         out["small_gain"] = {
             "rho_full": rep.small_gain.rho_full,
-            "rho_reduced": rep.small_gain.rho_reduced,
+            # schema 1 keeps the quotient's radius as its own key; it is
+            # rho_full bit for bit
+            "rho_reduced": rep.small_gain.rho_full,
             "verdict": rep.small_gain.verdict,
-            "class_gains": rep.small_gain.gains.class_gains,
+            "class_gains": rep.small_gain.class_gains,
         }
     return out
 
 
 def _load_pattern_values(path: str) -> np.ndarray:
     data = _load_json(path, dict, "a JSON object with a 'z' field")
-    return np.asarray(_field(data, "z", _list_of(_is_real), "a list of numbers"), dtype=float)
+    z = np.asarray(_field(data, "z", _list_of(_is_real), "a list of numbers"), dtype=float)
+    if not np.isfinite(z).all():
+        raise BadOptions("field 'z' must be a list of finite numbers")
+    return z
 
 
 def _cmd_stability(args) -> int:
@@ -250,8 +255,7 @@ def _cmd_stability(args) -> int:
     model = _run_stage("load", load_model, args.model)
     z = _run_stage("load", _load_pattern_values, args.pattern)
     qm = _run_stage("quotient", quotient, g, pi)
-    methods = (("full", "block", "smallgain") if args.method == "all"
-               else (args.method,))
+    methods = ("block", "smallgain") if args.method == "all" else (args.method,)
     _write_json(_stability_payload(qm, model, z, methods), args.out)
     return 0
 
@@ -453,8 +457,7 @@ def _cmd_analyze(args) -> int:
     quot = _run_stage("quotient", _quotient_report, qm)
     red = _run_stage("solve", solve_reduced, qm, model)
     pattern = _run_stage("lift", lift, qm, red.class_values, model)
-    stab = _stability_payload(qm, model, pattern.class_values,
-                              ("full", "block", "smallgain"))
+    stab = _stability_payload(qm, model, pattern.class_values, ("block", "smallgain"))
     bodies = {
         "graph": {"source": source, "data": graph_to_dict(g)},
         "model": {"data": model_to_dict(model)},
@@ -646,12 +649,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--pattern", required=True, help="JSON with a 'z' field")
     p.add_argument("--method", default="all",
-                   choices=["full", "block", "smallgain", "all"],
-                   help="full: the n x n Jacobian spectrum alone; block: the "
-                        "representative and transverse blocks, whose largest "
-                        "eigenvalue is the full abscissa; smallgain: the "
-                        "small-gain test alone, no full_* keys; all (default): "
-                        "block and smallgain")
+                   choices=["block", "smallgain", "all"],
+                   help="block: the representative and transverse blocks, "
+                        "whose largest eigenvalue is the full abscissa; "
+                        "smallgain: the small-gain test alone, no full_* keys; "
+                        "all (default): block and smallgain")
     p.add_argument("--out", "-o")
     p.set_defaults(func=_cmd_stability)
 

@@ -239,7 +239,7 @@ class QuotientModel:
     in either direction (self-loops omitted); reduced_coloring is the
     2-coloring of that reduced graph when bipartite, a 0/1 side per class.
     symmetric, formed on first read, is the one r x r matrix that spectrum,
-    certify, small_gain and block_decompose read.
+    certify, small_gain and block_stability read.
     """
 
     matrix: np.ndarray
@@ -498,14 +498,13 @@ class BlockDecomposition:
     class's first vertex; the reflectors have disjoint supports, so their
     product H is one symmetric orthogonal matrix and HSH is block-diagonal.
     On the first vertices of the classes HSH is a_k^T S a_l, the quotient's
-    symmetric form, so quotient_block is qm.symmetric; transverse_block is
-    HSH on the other n - r vertices in vertex order, symmetrized.
-    transverse_class gives the class of each of those vertices and coupling
-    is the largest entry between the two vertex sets (rounding only).
+    symmetric form qm.symmetric, which is the quotient block and is not
+    copied here; transverse_block is HSH on the other n - r vertices in
+    vertex order, symmetrized.  transverse_class gives the class of each of
+    those vertices and coupling is the largest entry between the two vertex
+    sets (rounding only).
     """
 
-    partition: Partition
-    quotient_block: np.ndarray
     transverse_block: np.ndarray
     transverse_class: np.ndarray
     coupling: float
@@ -520,7 +519,7 @@ def block_decompose(qm: QuotientModel) -> BlockDecomposition:
     SingularTransform if the coupling exceeds 1e-10, which the equitability
     that qm carries rules out.
     """
-    sa, pi, quotient_block = qm.operator, qm.partition, qm.symmetric
+    sa, pi = qm.operator, qm.partition
     n, r = sa.n, pi.r
     class_of, firsts = pi.labels, pi.firsts
     rest = np.delete(np.arange(n), firsts)
@@ -541,8 +540,6 @@ def block_decompose(qm: QuotientModel) -> BlockDecomposition:
     trans = m[np.ix_(rest, rest)]
     del m  # free the n x n product before the symmetric part is formed
     return BlockDecomposition(
-        partition=pi,
-        quotient_block=quotient_block,
         transverse_block=(trans + trans.T) / 2.0,
         transverse_class=class_of[rest],
         coupling=coupling,

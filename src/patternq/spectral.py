@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DetailedBalanceViolated, NoConvergence, NotSymmetric
+from .errors import DetailedBalanceViolated, DimensionMismatch, NoConvergence, NotSymmetric
 
 __all__ = [
     "Spectrum",
@@ -98,15 +98,15 @@ def jacobian_spectrum(s: np.ndarray, slopes: np.ndarray, tau: float = 1.0) -> Sp
     whose spectrum equals that of the symmetric -diag(g) S diag(g) (AB and
     BA share eigenvalues, also for a singular diag(g)).  So the spectrum is
     real and computed exactly for every nonpositive slope; a zero slope
-    gives exactly -1/tau.  Raises DetailedBalanceViolated on a positive
-    slope, where that similarity fails, and NotSymmetric when S is not
-    symmetric.
+    gives exactly -1/tau.  Raises DimensionMismatch unless there is one
+    slope per row of S, DetailedBalanceViolated on a positive slope, where
+    that similarity fails, and NotSymmetric when S is not symmetric.
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(slopes, dtype=float)
     n = s.shape[0]
     if t.shape != (n,):
-        raise DetailedBalanceViolated(f"expected {n} slopes, got {t.shape}")
+        raise DimensionMismatch(f"expected {n} slopes, got {t.shape}")
     if np.any(t > 0):
         raise DetailedBalanceViolated(
             f"slopes must be nonpositive (max {t.max():.2e})")

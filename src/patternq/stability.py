@@ -1,21 +1,20 @@
-"""Stability certification of lifted patterns by three routes.
+"""Stability certification of lifted patterns by two routes.
 
-Direct route: spectral abscissa of the full network Jacobian, through the
-operator's symmetric S = D^1/2 P D^-1/2.  Block route: one Householder
-reflector per class (block_decompose) splits the Jacobian exactly into a
-representative block driven by qm.symmetric and a transverse block on the
-complement; each is symmetric and solved on its own, and together they
-carry the full spectrum.  Small-gain route: rho(P Gamma) < 1 with
-per-class dc-gains, the block route's -T'(z) bit for bit.  Equitability
-gives P Gamma Q = Q Pbar Gammabar for the class indicator Q, so the radius
-is computed on qm.symmetric alone, where it is exactly equal; the same
-radius decides whether I - Gamma P is a nonsingular M-matrix.  Routes
-start from the QuotientModel of the pattern (block_decompose(qm),
-small_gain(qm, ...), stability_report(qm, ...)) or from its operator
-(full_jacobian_stability); none rebuilds either.  stability_report checks
-once that the pattern is steady and runs only the routes it is asked for;
-when the block route is among them, the largest eigenvalue of its two
-blocks is the full spectral abscissa and no n x n spectrum is solved.
+Every route starts from the QuotientModel of the pattern and its class
+values z; none rebuilds the operator or the quotient.  Block route: one
+Householder reflector per class (block_decompose) splits the Jacobian
+exactly into a representative block driven by qm.symmetric and a
+transverse block on the complement; each is symmetric and solved on its
+own, and together they carry the full spectrum, so their largest
+eigenvalue is the full spectral abscissa and no n x n spectrum is solved.
+Under the singleton partition (r = n) the representative block is the
+whole Jacobian and the transverse block is empty.  Small-gain route:
+rho(P Gamma) < 1 with per-class dc-gains, the block route's -T'(z) bit for
+bit.  Equitability gives P Gamma Q = Q Pbar Gammabar for the class
+indicator Q, so the radius is computed on qm.symmetric alone, where it is
+exactly equal; the same radius decides whether I - Gamma P is a
+nonsingular M-matrix.  stability_report checks once that the pattern is
+steady and runs only the routes it is asked for.
 """
 from __future__ import annotations
 
@@ -24,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import HillMap, dc_gain, t_eval, t_prime
-from .errors import DimensionMismatch, NotSteadyState
-from .graphs import ScaledAdjacency
-from .partitions import BlockDecomposition, QuotientModel, block_decompose
-from .spectral import Spectrum, jacobian_spectrum, sym_eigen
+from .errors import BadOptions, DimensionMismatch, NotSteadyState
+from .partitions import QuotientModel, block_decompose
+from .spectral import jacobian_spectrum, sym_eigen
 
 __all__ = [
     "STABLE",
@@ -35,12 +33,9 @@ __all__ = [
     "MARGINAL",
     "CERTIFIED_STABLE",
     "NOT_CERTIFIED",
-    "GainProfile",
-    "FullStability",
     "BlockStability",
     "SmallGainResult",
     "StabilityReport",
-    "full_jacobian_stability",
     "block_stability",
     "small_gain",
     "stability_report",
@@ -54,21 +49,7 @@ NOT_CERTIFIED = "NOT_CERTIFIED"
 
 _MARGIN = 1e-9
 _STEADY_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class GainProfile:
-    """Per-class gains and their expansion to every cell."""
-
-    class_gains: np.ndarray
-    cell_gains: np.ndarray
-
-
-@dataclass(frozen=True)
-class FullStability:
-    abscissa: float
-    verdict: str
-    spectrum: Spectrum
+_METHODS = ("block", "smallgain")
 
 
 @dataclass(frozen=True)
@@ -90,19 +71,20 @@ class BlockStability:
 class SmallGainResult:
     """The small-gain radius and its certificate.
 
-    rho_full is rho(P Gamma) and equals rho_reduced = rho(Pbar Gammabar)
-    bit for bit.  Both matrices are nonnegative and, with Q the n x r class
-    indicator, equitability gives P Gamma Q = Q Pbar Gammabar and
+    rho_full is rho(P Gamma), computed as rho(Pbar Gammabar) and equal to
+    it bit for bit.  Both matrices are nonnegative and, with Q the n x r
+    class indicator, equitability gives P Gamma Q = Q Pbar Gammabar and
     Q 1_r = 1_n; so the row sums of (P Gamma)^k are those of
     (Pbar Gammabar)^k lifted, their infinity norms agree for every k, and
     Gelfand's formula makes the radii equal, zero gains included.
+    class_gains are the per-class dc-gains |T'(z)|; every cell of a class
+    has its class's gain.  perron_reduced is the quotient's eigenvector for
+    the radius; its lift is one of P Gamma.
     """
 
     rho_full: float
-    rho_reduced: float
     verdict: str
-    gains: GainProfile
-    perron_full: np.ndarray
+    class_gains: np.ndarray
     perron_reduced: np.ndarray
 
 
@@ -110,14 +92,13 @@ class SmallGainResult:
 class StabilityReport:
     """The verdicts of the routes that ran.
 
-    full_spectral_abscissa and full_verdict come from the block route when
-    it ran, from the full route otherwise, and are None when neither ran.
-    m_matrix_ok is True when the small-gain route ran and rho(P Gamma) < 1,
-    and None otherwise.  With Gamma P >= 0, I - Gamma P is a Z-matrix, and a
-    Z-matrix I - B with B >= 0 is a nonsingular M-matrix exactly when
-    rho(B) < 1 (Berman & Plemmons, Nonnegative Matrices in the Mathematical
-    Sciences, ch. 6); rho(Gamma P) = rho(P Gamma) because AB and BA share
-    eigenvalues.
+    full_spectral_abscissa and full_verdict come from the block route and
+    are None when it did not run.  m_matrix_ok is True when the small-gain
+    route ran and rho(P Gamma) < 1, and None otherwise.  With Gamma P >= 0,
+    I - Gamma P is a Z-matrix, and a Z-matrix I - B with B >= 0 is a
+    nonsingular M-matrix exactly when rho(B) < 1 (Berman & Plemmons,
+    Nonnegative Matrices in the Mathematical Sciences, ch. 6);
+    rho(Gamma P) = rho(P Gamma) because AB and BA share eigenvalues.
     """
 
     full_spectral_abscissa: float | None
@@ -135,47 +116,38 @@ def _verdict_from_abscissa(abscissa: float) -> str:
     return MARGINAL
 
 
-def _require_steady(sa: ScaledAdjacency, model: HillMap, u: np.ndarray) -> None:
-    """NotSteadyState unless u = P T(u) to within 1e-8."""
-    residual = float(np.abs(u - sa.matvec(t_eval(model, u))).max())
-    if residual > _STEADY_TOL:
+def _class_values(qm: QuotientModel, z) -> np.ndarray:
+    z = np.asarray(z, dtype=float)
+    if z.shape != (qm.r,):
+        raise DimensionMismatch(f"expected {qm.r} class values, got {z.shape}")
+    return z
+
+
+def _require_steady(qm: QuotientModel, model: HillMap, z: np.ndarray) -> None:
+    """NotSteadyState unless the lift u of z satisfies u = P T(u) to within
+    1e-8; a NaN residual fails too."""
+    u = qm.partition.expand(z)
+    residual = float(np.abs(u - qm.operator.matvec(t_eval(model, u))).max())
+    if not residual <= _STEADY_TOL:
         raise NotSteadyState(f"pattern residual {residual:.2e} exceeds {_STEADY_TOL}")
 
 
-def _full_stability(sa: ScaledAdjacency, model: HillMap, u: np.ndarray) -> FullStability:
-    spec = jacobian_spectrum(sa.symmetric, t_prime(model, u), tau=model.tau)
-    abscissa = float(spec.eigenvalues[0])
-    return FullStability(abscissa=abscissa, verdict=_verdict_from_abscissa(abscissa),
-                         spectrum=spec)
-
-
-def full_jacobian_stability(sa: ScaledAdjacency, model: HillMap, u) -> FullStability:
-    """Spectral abscissa of (-I + diag(T'(u)) P) / tau at a steady pattern u,
-    from the n x n similarity of the operator's S."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (sa.n,):
-        raise DimensionMismatch(f"expected {sa.n} inputs, got {u.shape}")
-    _require_steady(sa, model, u)
-    return _full_stability(sa, model, u)
-
-
-def block_stability(decomp: BlockDecomposition, model: HillMap, z) -> BlockStability:
+def block_stability(qm: QuotientModel, model: HillMap, z) -> BlockStability:
     """Spectra of the representative and transverse stability blocks.
 
-    Slopes are constant on each class and each class reflector of decomp
-    acts inside one class, so it commutes with diag(slopes) and the
-    conjugated Jacobian splits into (-I + diag(class slopes) quotient_block)
-    / tau on the class vectors and (-I + diag(slopes of transverse_class)
-    transverse_block) / tau on their complement.  Both blocks are
-    symmetric, so jacobian_spectrum solves each directly, at orders r and
-    n - r.  `consistency` is the decomposition's off-block coupling.
+    Slopes are constant on each class and each class reflector of
+    block_decompose(qm) acts inside one class, so it commutes with
+    diag(slopes) and the conjugated Jacobian splits into (-I + diag(class
+    slopes) qm.symmetric) / tau on the class vectors and (-I + diag(slopes
+    of transverse_class) transverse_block) / tau on their complement.  Both
+    blocks are symmetric, so jacobian_spectrum solves each directly, at
+    orders r and n - r.  `consistency` is the decomposition's off-block
+    coupling.
     """
-    pi = decomp.partition
-    z = np.asarray(z, dtype=float)
-    if z.shape != (pi.r,):
-        raise DimensionMismatch(f"expected {pi.r} class values, got {z.shape}")
+    z = _class_values(qm, z)
     slopes = np.asarray(t_prime(model, z), dtype=float)
-    rep = jacobian_spectrum(decomp.quotient_block, slopes, tau=model.tau)
+    rep = jacobian_spectrum(qm.symmetric, slopes, tau=model.tau)
+    decomp = block_decompose(qm)
     trans = jacobian_spectrum(decomp.transverse_block, slopes[decomp.transverse_class],
                               tau=model.tau)
     return BlockStability(
@@ -209,53 +181,44 @@ def small_gain(qm: QuotientModel, model: HillMap, z) -> SmallGainResult:
     """Evaluate rho(Pbar Gammabar), which equals rho(P Gamma).
 
     Gains are the per-class dc-gains |T'(z_i)|, from one dc_gain call on z
-    (NonpositiveOperatingPoint for any z_i <= 0), expanded so cells in a
-    class share one gain.  The radius is the largest eigenvalue of the gain
-    similarity of qm.symmetric, exact for zero gains; rho_full is the same
-    number (see SmallGainResult), so no n x n matrix is formed.
-    perron_reduced is the quotient's eigenvector for the radius in
-    max-norm, nonnegative when the radius is simple, and all zeros when it
-    is 0; perron_full is its lift, which equitability makes an eigenvector
-    of P Gamma for the same radius.  The certificate fires exactly when the
-    radius sits below 1 by more than the marginal band.
+    (NonpositiveOperatingPoint for any z_i <= 0).  The radius is the
+    largest eigenvalue of the gain similarity of qm.symmetric, exact for
+    zero gains, and is rho(P Gamma) itself (see SmallGainResult), so no
+    n x n matrix is formed.  perron_reduced is the quotient's eigenvector
+    for the radius in max-norm, nonnegative when the radius is simple, and
+    all zeros when it is 0.  The certificate fires exactly when the radius
+    sits below 1 by more than the marginal band.
     """
-    z = np.asarray(z, dtype=float)
-    pi = qm.partition
-    if z.shape != (pi.r,):
-        raise DimensionMismatch(f"expected {pi.r} class values, got {z.shape}")
+    z = _class_values(qm, z)
     class_gains = dc_gain(model, z)
     rho, v_red = _gain_radius(qm, class_gains)
     verdict = CERTIFIED_STABLE if rho < 1.0 - _MARGIN else NOT_CERTIFIED
-    return SmallGainResult(
-        rho_full=rho,
-        rho_reduced=rho,
-        verdict=verdict,
-        gains=GainProfile(class_gains=class_gains, cell_gains=pi.expand(class_gains)),
-        perron_full=pi.expand(v_red),
-        perron_reduced=v_red,
-    )
+    return SmallGainResult(rho_full=rho, verdict=verdict, class_gains=class_gains,
+                           perron_reduced=v_red)
 
 
 def stability_report(qm: QuotientModel, model: HillMap, z,
-                     methods: tuple[str, ...] = ("full", "block", "smallgain"),
-                     ) -> StabilityReport:
+                     methods: tuple[str, ...] = _METHODS) -> StabilityReport:
     """Run the requested certification routes on the lifted pattern of z.
 
-    Whatever the methods, the lifted pattern must be steady (NotSteadyState
-    otherwise).  The full spectral abscissa comes from the block route when
-    "block" is requested, since its two blocks carry the whole Jacobian
-    spectrum, and from the n x n full route when only "full" is; with
-    neither, full_spectral_abscissa and full_verdict are None.
+    methods holds names from ("block", "smallgain"); BadOptions names any
+    other entry, or a bare string.  Whatever the methods, the lifted
+    pattern must be steady (NotSteadyState otherwise).  The full spectral
+    abscissa comes from the block route, since its two blocks carry the
+    whole Jacobian spectrum; without "block", full_spectral_abscissa and
+    full_verdict are None.
     """
+    if isinstance(methods, str):
+        raise BadOptions(f"methods must be a sequence of route names, got the string {methods!r}")
+    unknown = [m for m in methods if m not in _METHODS]
+    if unknown:
+        raise BadOptions(f"unknown stability method {unknown[0]!r}; choose from {_METHODS}")
     z = np.asarray(z, dtype=float)
-    u = qm.partition.expand(z)
-    _require_steady(qm.operator, model, u)
+    _require_steady(qm, model, z)
     abscissa = block = None
     if "block" in methods:
-        block = block_stability(block_decompose(qm), model, z)
+        block = block_stability(qm, model, z)
         abscissa = block.abscissa
-    elif "full" in methods:
-        abscissa = _full_stability(qm.operator, model, u).abscissa
     sg = None
     m_ok = None
     if "smallgain" in methods:

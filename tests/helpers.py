@@ -1,7 +1,8 @@
 """Independent oracles shared across the test modules.
 
 Everything here deliberately avoids the library's own solution paths:
-eigenvalues come from characteristic-polynomial companion roots, Perron
+eigenvalues come from characteristic-polynomial companion roots or from
+numpy's unsymmetric eigvals on the dense Jacobian, Perron
 roots from power iteration, the M-matrix property from leading principal
 minors, reduced roots from 1-D
 bisection on composed maps, the Hill fixed point from the bisection through
@@ -32,7 +33,7 @@ import math
 
 import numpy as np
 
-from patternq.cells import FixedPoint, HillMap, fixed_point, t_eval
+from patternq.cells import FixedPoint, HillMap, fixed_point, t_eval, t_prime
 from patternq.errors import (
     BadBundle,
     BadIndex,
@@ -107,6 +108,19 @@ def weight_matrix(g: WeightedGraph) -> np.ndarray:
 def dense_averaging(g: WeightedGraph) -> np.ndarray:
     """The averaging matrix P = D^-1 W, rebuilt from the graph's weight matrix."""
     return weight_matrix(g) / g.degrees()[:, None]
+
+
+def dense_jacobian_spectrum(g: WeightedGraph, model: HillMap, u) -> np.ndarray:
+    """Eigenvalues of the unsymmetric Jacobian (-I + diag(T'(u)) P) / tau,
+    sorted descending, from np.linalg.eigvals on the dense P rebuilt from
+    the graph: no S, no similarity and no library solver.  The spectrum is
+    real (nonpositive slopes make the matrix similar to a symmetric one),
+    so the imaginary parts must be rounding only."""
+    slopes = t_prime(model, np.asarray(u, dtype=float))
+    jac = (-np.eye(g.n) + slopes[:, None] * dense_averaging(g)) / model.tau
+    eigs = np.linalg.eigvals(jac)
+    assert np.abs(eigs.imag).max() < 1e-10, np.abs(eigs.imag).max()
+    return np.sort(eigs.real)[::-1]
 
 
 def class_indicator(pi: Partition) -> np.ndarray:

@@ -131,7 +131,6 @@ def test_analyze_solves_no_spectrum_of_order_n(tmp_path, monkeypatch, model_h6):
 
 
 @pytest.mark.parametrize("method,orders,keys", [
-    ("full", [16], {"full_spectral_abscissa", "full_verdict"}),
     ("block", [2, 14], {"full_spectral_abscissa", "full_verdict", "block"}),
     ("smallgain", [], {"small_gain"}),
     ("all", [2, 14], {"full_spectral_abscissa", "full_verdict", "block", "small_gain"}),
@@ -151,12 +150,36 @@ def test_stability_runs_only_the_requested_routes(tmp_path, monkeypatch, torus_g
     data = json.loads(out.read_text())
     assert set(data) == keys | {"m_matrix_ok"}
     if "full_verdict" in data:
-        # -1 + sqrt(t1 t2) on the bipartite checkerboard, by either route
+        # -1 + sqrt(t1 t2) on the bipartite checkerboard
         z = json.loads(pat.read_text())["z"]
         slopes = [12.0 * v ** 5 / (1.0 + v ** 6) ** 2 for v in z]
         expected = -1.0 + np.sqrt(slopes[0] * slopes[1])
         assert abs(data["full_spectral_abscissa"] - expected) < 1e-12
         assert data["full_verdict"] == "STABLE"
+
+
+def test_stability_has_no_full_method(tmp_path, torus_graph, torus_bipartition, model_h6,
+                                      capsys):
+    pat = tmp_path / "pat.json"
+    pat.write_text('{"z": [0.5, 1.5]}')
+    with pytest.raises(SystemExit) as exc:
+        main(["stability", "--graph", torus_graph, "--partition", torus_bipartition,
+              "--model", model_h6, "--pattern", str(pat), "--method", "full"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'full'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("z", ["[NaN, 1.0]", "[1.0, Infinity]", "[-Infinity, 1.0]"])
+def test_non_finite_pattern_fails_at_load(tmp_path, torus_graph, torus_bipartition, model_h6,
+                                          capsys, z):
+    pat = tmp_path / "pat.json"
+    pat.write_text('{"z": %s}' % z)
+    out = tmp_path / "stab.json"
+    assert main(["stability", "--graph", torus_graph, "--partition", torus_bipartition,
+                 "--model", model_h6, "--pattern", str(pat), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error [load]" in err and "finite" in err
+    assert not out.exists()
 
 
 def test_simulate_and_render(tmp_path, torus_graph, torus_bipartition, model_h6, capsys):

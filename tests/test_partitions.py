@@ -499,8 +499,9 @@ def test_orbits_checks_weights():
 
 def test_block_decompose_two_vertices_has_no_transverse_space():
     g = build_graph(2, [(0, 1, 1.0)])
-    dec = block_decompose(quotient(g, bipartition_partition(g)))
-    assert np.array_equal(dec.quotient_block, [[0, 1], [1, 0]])
+    qm = quotient(g, bipartition_partition(g))
+    dec = block_decompose(qm)
+    assert np.array_equal(qm.symmetric, [[0, 1], [1, 0]])
     assert dec.transverse_block.shape == (0, 0)
 
 
@@ -514,7 +515,7 @@ def test_block_decompose_identities(g, pi):
     # spectrum splits into quotient plus transverse parts
     full = np.sort(np.linalg.eigvals(p).real)
     parts = np.sort(np.concatenate([
-        np.linalg.eigvals(dec.quotient_block).real,
+        np.linalg.eigvals(qm.symmetric).real,
         np.linalg.eigvals(dec.transverse_block).real
         if dec.transverse_block.size else np.empty(0),
     ]))
@@ -531,10 +532,11 @@ def test_block_decompose_class_with_unequal_degrees():
     # a weighted star is equitable for {center} | leaves although the leaves'
     # degrees differ, so each class vector must follow sqrt(d), not ones
     g = build_graph(5, [(0, 1, 1.0), (0, 2, 2.0), (0, 3, 3.0), (0, 4, 4.0)])
-    dec = block_decompose(quotient(g, make_partition([[0], [1, 2, 3, 4]], 5)))
+    qm = quotient(g, make_partition([[0], [1, 2, 3, 4]], 5))
+    dec = block_decompose(qm)
     assert dec.coupling < 1e-12
     assert list(dec.transverse_class) == [1, 1, 1]
-    parts = np.concatenate([np.linalg.eigvalsh(dec.quotient_block),
+    parts = np.concatenate([np.linalg.eigvalsh(qm.symmetric),
                             np.linalg.eigvalsh(dec.transverse_block)])
     full = np.linalg.eigvals(dense_averaging(g)).real
     assert np.abs(np.sort(parts) - np.sort(full)).max() < 1e-12

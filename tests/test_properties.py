@@ -69,6 +69,7 @@ from helpers import (
     class_sums_checked_loop,
     components_union_find,
     dense_averaging,
+    dense_jacobian_spectrum,
     edge_loop,
     edge_tuples,
     fixed_point_by_t_eval,
@@ -265,15 +266,11 @@ def test_block_spectra_join_to_dense_jacobian(case, data):
     slopes = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(-3.0, -0.1)),
                                 min_size=pi.r, max_size=pi.r))
     z = np.interp(-np.array(slopes), -t_prime(m, grid), grid)
-    dec = block_decompose(quotient(g, pi))
-    assert dec.coupling < 1e-12
-    blk = block_stability(dec, m, z)
+    blk = block_stability(quotient(g, pi), m, z)
+    assert blk.consistency < 1e-12
     union = np.sort(np.concatenate([blk.representative_spectrum,
-                                    blk.transverse_spectrum]))
-    cell_slopes = t_prime(m, pi.expand(z))
-    dense = np.linalg.eigvals(-np.eye(g.n) + cell_slopes[:, None] * dense_averaging(g))
-    assert np.abs(dense.imag).max() < 1e-10
-    assert np.abs(union - np.sort(dense.real)).max() < 1e-10
+                                    blk.transverse_spectrum]))[::-1]
+    assert np.abs(union - dense_jacobian_spectrum(g, m, pi.expand(z))).max() < 1e-10
 
 
 @st.composite
@@ -392,7 +389,6 @@ def test_block_split_matches_an_independent_complement(case):
     s = root[:, None] * dense_averaging(g) / root[None, :]
     # the quotient block is the model's symmetric form, a_k^T S a_l for the
     # unit class vectors a_k = sqrt(d) on class k, read-only and symmetric
-    assert dec.quotient_block is qm.symmetric
     assert not qm.symmetric.flags.writeable
     assert np.array_equal(qm.symmetric, qm.symmetric.T)
     a = class_indicator(pi) * root[:, None] / np.sqrt(qm.class_degrees)[None, :]
@@ -419,7 +415,8 @@ def test_small_gain_radius_matches_dense_eigvals(case, data):
                                               st.floats(1e-14, 1e-12)),
                                     min_size=pi.r, max_size=pi.r)))
     sg = small_gain(quotient(g, pi), m, z)
-    dense = np.abs(np.linalg.eigvals(dense_averaging(g) * sg.gains.cell_gains[None, :])).max()
+    cell_gains = pi.expand(sg.class_gains)
+    dense = np.abs(np.linalg.eigvals(dense_averaging(g) * cell_gains[None, :])).max()
     assert abs(sg.rho_full - dense) < 1e-10
 
 
@@ -447,7 +444,7 @@ def test_block_union_abscissa_matches_dense_eigvalsh(case, h, data):
     m = HillMap(exponent=h, tau=data.draw(st.floats(0.5, 2.0)))
     z = np.array(data.draw(st.lists(st.floats(0.0, m.amplitude), min_size=pi.r,
                                     max_size=pi.r)))
-    got = block_stability(block_decompose(quotient(g, pi)), m, z).abscissa
+    got = block_stability(quotient(g, pi), m, z).abscissa
     w = weight_matrix(g)
     root = np.sqrt(w.sum(axis=1))
     gain = np.sqrt(-t_prime(m, pi.expand(z)))

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from patternq.errors import DetailedBalanceViolated, NoConvergence, NotSymmetric
+from patternq.errors import DetailedBalanceViolated, DimensionMismatch, NoConvergence, NotSymmetric
 from patternq.graphs import (
     buckyball,
     cycle_graph,
@@ -220,3 +220,10 @@ def test_jacobian_rejects_positive_slope():
     sa = scaled_adjacency(path_graph(3))
     with pytest.raises(DetailedBalanceViolated):
         jacobian_spectrum(sa.symmetric, np.array([-1.0, 0.5, -1.0]))
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_jacobian_rejects_a_wrong_number_of_slopes(count):
+    sa = scaled_adjacency(path_graph(3))
+    with pytest.raises(DimensionMismatch, match=r"expected 3 slopes, got \(%d,\)" % count):
+        jacobian_spectrum(sa.symmetric, np.full(count, -1.0))
