@@ -1,12 +1,15 @@
 """Command-line front end: generate graphs, partition, certify, simulate, render.
 
 Subcommands: gen, partition, quotient, exist, stability, simulate, render,
-analyze, report.  `analyze` chains the whole pipeline and writes a sealed
-bundle, one section per step, laid out by the table _SECTIONS: each section
-records the content hashes of exactly the sections its row names.  `report`
-checks every hash and link against the same table and prints a human
-summary.  Exit codes: 0 certified and stable, 2 not certified, 3 certified
-but not stable, 1 on any error.
+analyze, report.  Every command but `report` names a built-in lattice by
+one spec, --gen KIND:sizes (torus_mesh:4,4, path:5, buckyball), and all but
+`gen` take --graph FILE instead; `render` and `report --svg` share the
+layout function _draw.  `analyze` chains the whole pipeline and writes a
+sealed bundle, one section per step, laid out by the table _SECTIONS: each
+section records the content hashes of exactly the sections its row names.
+`report` checks every hash and link against the same table and prints a
+human summary.  Exit codes: 0 certified and stable, 2 not certified, 3
+certified but not stable, 1 on any error.
 
 Set PATTERNQ_LOG={error|info|debug} to control logging.
 """
@@ -107,20 +110,26 @@ def _write_json(obj, path: str | None) -> None:
 # shared loading helpers
 # ---------------------------------------------------------------------------
 
+def _split_spec(spec: str) -> tuple[str, list[str]]:
+    """A lattice spec KIND:sizes as its kind and its comma-separated sizes."""
+    kind, _, sizes = spec.partition(":")
+    return kind, [size for size in sizes.split(",") if size]
+
+
 def _load_graph_arg(args) -> tuple[WeightedGraph, str]:
+    """The graph of --gen SPEC or --graph FILE, and that spec or path."""
     if getattr(args, "gen", None):
-        kind, _, sizes = args.gen.partition(":")
-        return _run_stage("gen", generate, kind, *filter(None, sizes.split(","))), args.gen
+        kind, sizes = _split_spec(args.gen)
+        return _run_stage("gen", generate, kind, *sizes), args.gen
     return _run_stage("load", load_graph, args.graph), args.graph
 
 
 def _quotient_report(qm: QuotientModel) -> dict:
-    spec = qm.spectrum(vectors=False)
     return {
         "matrix": qm.matrix,
         "class_degrees": qm.class_degrees,
         "class_sizes": np.bincount(qm.partition.labels),
-        "eigenvalues": spec.eigenvalues,
+        "eigenvalues": qm.eigenvalues,
         "reduced_edges": qm.reduced_edges,
         "reduced_bipartite": qm.reduced_coloring is not None,
         "reduced_coloring": (None if qm.reduced_coloring is None else
@@ -133,9 +142,7 @@ def _quotient_report(qm: QuotientModel) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
-    g = _run_stage("gen", generate, args.kind, **{
-        k: v for k, v in (("n", args.n), ("rows", args.rows), ("cols", args.cols))
-        if v is not None})
+    g, _ = _load_graph_arg(args)
     _write_json(graph_to_dict(g), args.out)
     return 0
 
@@ -337,43 +344,53 @@ def _read_final_row(trace_path: str) -> np.ndarray:
     return np.array([float(x) for x in rows[-1].split(",")[1:]])
 
 
-def _ascii_grid(group_of: list[int], rows: int, cols: int, hex_offset: bool) -> str:
-    lines = []
-    for i in range(rows):
-        pad = " " * (i % 2) if hex_offset else ""
-        lines.append(pad + " ".join(
-            _GLYPHS[group_of[i * cols + j] % len(_GLYPHS)] for j in range(cols)))
-    return "\n".join(lines)
+def _draw(source: str, group_of: list[int]) -> tuple[str, str]:
+    """The ASCII text and the SVG of the cell groups in the layout of a
+    graph source: a grid for torus_mesh and hex_torus specs (odd hex rows
+    shifted half a cell), the pentagon and hexagon rings for the buckyball,
+    and one row for any other spec or graph file."""
+    kind, sizes = _split_spec(source)
+    glyphs = [_GLYPHS[g % len(_GLYPHS)] for g in group_of]
+    colors = [_SVG_COLORS[g % len(_SVG_COLORS)] for g in group_of]
+    if kind == "buckyball":
+        return ("pentagons: " + " ".join(glyphs[:12]) + "\nhexagons:  " + " ".join(glyphs[12:]),
+                _svg_rings(colors))
+    rows, cols = ((int(size) for size in sizes) if kind in ("torus_mesh", "hex_torus")
+                  else (1, len(group_of)))
+    if rows * cols != len(group_of):
+        raise BadOptions(f"{source} lays out {rows * cols} cells, got {len(group_of)}")
+    offset = kind == "hex_torus"
+    lines = (" ".join(glyphs[i * cols:(i + 1) * cols]) for i in range(rows))
+    text = "\n".join((" " if offset and i % 2 else "") + line for i, line in enumerate(lines))
+    return text, _svg_grid(colors, rows, cols, offset)
 
 
-def _svg_grid(group_of: list[int], rows: int, cols: int, hex_offset: bool) -> str:
+def _svg_grid(colors: list[str], rows: int, cols: int, offset: bool) -> str:
     cell = 24
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
              f'width="{cols * cell + cell}" height="{rows * cell + cell}">']
     for i in range(rows):
         for j in range(cols):
-            x = j * cell + (cell // 2 if hex_offset and i % 2 else 0) + 2
+            x = j * cell + (cell // 2 if offset and i % 2 else 0) + 2
             y = i * cell + 2
-            color = _SVG_COLORS[group_of[i * cols + j] % len(_SVG_COLORS)]
             parts.append(f'<rect x="{x}" y="{y}" width="{cell - 2}" '
-                         f'height="{cell - 2}" fill="{color}" stroke="#000"/>')
+                         f'height="{cell - 2}" fill="{colors[i * cols + j]}" stroke="#000"/>')
     parts.append("</svg>")
     return "\n".join(parts)
 
 
-def _svg_rings(group_of: list[int]) -> str:
+def _svg_rings(colors: list[str]) -> str:
     import math
 
     parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="300" height="300">']
-    for idx in range(len(group_of)):
+    for idx, color in enumerate(colors):
         if idx < 12:
             radius, count, pos = 60.0, 12, idx
         else:
-            radius, count, pos = 115.0, len(group_of) - 12, idx - 12
+            radius, count, pos = 115.0, len(colors) - 12, idx - 12
         ang = 2 * math.pi * pos / count
         cx = 150 + radius * math.cos(ang)
         cy = 150 + radius * math.sin(ang)
-        color = _SVG_COLORS[group_of[idx] % len(_SVG_COLORS)]
         parts.append(f'<circle cx="{cx:.1f}" cy="{cy:.1f}" r="9" '
                      f'fill="{color}" stroke="#000"/>')
     parts.append("</svg>")
@@ -384,23 +401,12 @@ def _cmd_render(args) -> int:
     if not (np.isfinite(args.cluster_tol) and args.cluster_tol >= 0):
         raise _StageFailure("render", BadOptions(
             f"cluster-tol must be finite and nonnegative, got {args.cluster_tol}"))
+    g, source = _load_graph_arg(args)
     final = _run_stage("load", _read_final_row, args.trace)
-    group_of = cluster_values(final, args.cluster_tol).tolist()
-    if args.layout in ("torus", "hex"):
-        if (args.rows or 0) <= 0 or (args.cols or 0) <= 0:
-            raise _StageFailure("render", BadOptions(
-                "torus/hex layouts need positive --rows and --cols"))
-        if args.rows * args.cols != len(final):
-            raise _StageFailure("render", BadOptions(
-                f"trace has {len(final)} cells, grid wants {args.rows * args.cols}"))
-        text = _ascii_grid(group_of, args.rows, args.cols, args.layout == "hex")
-        svg = _svg_grid(group_of, args.rows, args.cols, args.layout == "hex")
-    else:  # bucky, the one other choice the parser allows
-        if len(final) != 32:
-            raise _StageFailure("render", BadOptions("bucky layout needs 32 cells"))
-        text = ("pentagons: " + " ".join(_GLYPHS[g % len(_GLYPHS)] for g in group_of[:12])
-                + "\nhexagons:  " + " ".join(_GLYPHS[g % len(_GLYPHS)] for g in group_of[12:]))
-        svg = _svg_rings(group_of)
+    if len(final) != g.n:
+        raise _StageFailure("render", BadOptions(
+            f"trace has {len(final)} cells, the graph {g.n}"))
+    text, svg = _draw(source, cluster_values(final, args.cluster_tol).tolist())
     print(text)
     if args.svg:
         _run_stage("write", _write_text, args.svg, svg)
@@ -449,7 +455,7 @@ def _cmd_analyze(args) -> int:
         perms = _run_stage("load", load_perms, args.orbit_perms)
         pi = _run_stage("partition", orbits_from_generators, g, perms)
         mode = f"orbits:{args.orbit_perms}"
-    else:
+    else:  # the coarsest equitable partition, refined from one class
         pi = _run_stage("partition", coarsest_equitable_refinement, g)
         mode = "auto-refine"
 
@@ -565,16 +571,10 @@ def _report_text(bundle: dict) -> str:
 def _report_svg(bundle: dict) -> str:
     """The pattern's cells grouped by the model's gap, drawn in the layout
     of the bundle's graph source."""
-    source = bundle["graph"].get("source", "")
     u = np.asarray(bundle["pattern"]["data"]["u"], dtype=float)
     model = model_from_dict(bundle["model"]["data"])
-    group_of = cluster_values(u, grouping_tol(model)).tolist()
-    if source.startswith("torus_mesh:") or source.startswith("hex_torus:"):
-        rows, cols = (int(x) for x in source.split(":")[1].split(","))
-        return _svg_grid(group_of, rows, cols, source.startswith("hex"))
-    if source == "buckyball":
-        return _svg_rings(group_of)
-    return _svg_grid(group_of, 1, len(u), False)
+    return _draw(bundle["graph"].get("source", ""),
+                 cluster_values(u, grouping_tol(model)).tolist())[1]
 
 
 def _read_bundle(read, bundle: dict) -> str:
@@ -599,10 +599,13 @@ def _cmd_report(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_graph_source(p: argparse.ArgumentParser, required: bool = True) -> None:
-    grp = p.add_mutually_exclusive_group(required=required)
+_GEN_HELP = f"built-in lattice KIND:sizes, e.g. torus_mesh:4,4; KIND in {GENERATOR_KINDS}"
+
+
+def _add_graph_source(p: argparse.ArgumentParser) -> None:
+    grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--graph", help="graph JSON file")
-    grp.add_argument("--gen", help="built-in lattice spec, e.g. torus_mesh:4,4")
+    grp.add_argument("--gen", help=_GEN_HELP)
 
 
 @functools.cache
@@ -615,10 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit a built-in lattice as graph JSON")
-    p.add_argument("--kind", required=True, choices=GENERATOR_KINDS)
-    p.add_argument("--n", type=int)
-    p.add_argument("--rows", type=int)
-    p.add_argument("--cols", type=int)
+    p.add_argument("--gen", required=True, help=_GEN_HELP)
     p.add_argument("--out", "-o")
     p.set_defaults(func=_cmd_gen)
 
@@ -674,11 +674,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", "-o")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("render", help="ASCII/SVG view of a trace's final pattern")
+    p = sub.add_parser("render", help="ASCII/SVG view of a trace's final pattern, laid "
+                                      "out as its lattice (one row for a graph file)")
+    _add_graph_source(p)
     p.add_argument("--trace", required=True)
-    p.add_argument("--layout", required=True, choices=["torus", "hex", "bucky"])
-    p.add_argument("--rows", type=int)
-    p.add_argument("--cols", type=int)
     p.add_argument("--cluster-tol", type=float, default=1e-4, dest="cluster_tol",
                    help="absolute gap between value groups; a trace CSV carries "
                         "no model, so simulate's 1e-4 A gap cannot apply")
@@ -690,7 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
     part = p.add_mutually_exclusive_group()
     part.add_argument("--partition")
     part.add_argument("--auto-bipartite", action="store_true", dest="auto_bipartite")
-    part.add_argument("--auto-refine", action="store_true", dest="auto_refine")
     part.add_argument("--orbit-perms", dest="orbit_perms")
     p.add_argument("--model", required=True)
     p.add_argument("--simulate", action="store_true")

@@ -85,15 +85,15 @@ class ExistenceCertificate:
 
 def certify(qm: QuotientModel, model: HillMap) -> ExistenceCertificate:
     """Evaluate the bipartite-reduced-graph eigenvalue test on
-    qm.spectrum(), the spectrum of the model's one symmetric form."""
+    qm.eigenvalues, the values-only spectrum of the model's one symmetric
+    form; only the eigenvector comes from qm.spectrum()."""
     if not qm.reduced_connected:
         raise NotConnected("reduced graph is disconnected; use a connected contact graph")
     fp = fixed_point(model)
     slope = t_prime(model, fp.value)
-    spec = qm.spectrum()
-    lam = spec.min_eigenvalue
-    vec = spec.min_eigenvector()
-    mult = int(np.sum(np.abs(spec.eigenvalues - lam) < 1e-9))
+    lam = float(qm.eigenvalues[-1])
+    vec = qm.spectrum().min_eigenvector()
+    mult = int(np.sum(np.abs(qm.eigenvalues - lam) < 1e-9))
     bip = qm.reduced_coloring is not None
     condition = abs(slope) * lam
     if not bip:

@@ -238,8 +238,8 @@ class QuotientModel:
     reduced_edges lists unordered class pairs with a nonzero quotient entry
     in either direction (self-loops omitted); reduced_coloring is the
     2-coloring of that reduced graph when bipartite, a 0/1 side per class.
-    symmetric, formed on first read, is the one r x r matrix that spectrum,
-    certify, small_gain and block_stability read.
+    symmetric, formed on first read, is the one r x r matrix that
+    eigenvalues, spectrum, small_gain and block_stability read.
     """
 
     matrix: np.ndarray
@@ -273,14 +273,22 @@ class QuotientModel:
         sym.flags.writeable = False
         return sym
 
-    def spectrum(self, vectors: bool = True) -> Spectrum:
-        """The spectrum of symmetric; eigenvectors are mapped back through
-        Dbar^-1/2 and renormalized, so they are the quotient matrix's own."""
-        spec = sym_eigen(self.symmetric, vectors=vectors)
-        if not vectors:
-            return spec
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """The eigenvalues of symmetric, descending and read-only, from one
+        values-only solve; the quotient report prints them and certify
+        decides on them, so a bundle holds each eigenvalue once."""
+        values = sym_eigen(self.symmetric, vectors=False).eigenvalues
+        values.flags.writeable = False
+        return values
+
+    def spectrum(self) -> Spectrum:
+        """eigenvalues with the eigenvectors of symmetric, mapped back
+        through Dbar^-1/2 and renormalized, so they are the quotient
+        matrix's own."""
+        spec = sym_eigen(self.symmetric)
         back = spec.eigenvectors / np.sqrt(self.class_degrees)[:, None]
-        return Spectrum(spec.eigenvalues, _fix_signs(back / np.linalg.norm(back, axis=0)))
+        return Spectrum(self.eigenvalues, _fix_signs(back / np.linalg.norm(back, axis=0)))
 
 
 def quotient(g: WeightedGraph, pi: Partition) -> QuotientModel:

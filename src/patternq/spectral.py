@@ -30,10 +30,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None = None
 
-    @property
-    def min_eigenvalue(self) -> float:
-        return float(self.eigenvalues[-1])
-
     def min_eigenvector(self) -> np.ndarray:
         if self.eigenvectors is None:
             raise ValueError("spectrum carries no eigenvectors")

@@ -202,8 +202,9 @@ def stability_report(qm: QuotientModel, model: HillMap, z,
     """Run the requested certification routes on the lifted pattern of z.
 
     methods holds names from ("block", "smallgain"); BadOptions names any
-    other entry, or a bare string.  Whatever the methods, the lifted
-    pattern must be steady (NotSteadyState otherwise).  The full spectral
+    other entry, or a bare string.  Whatever the methods, z must hold one
+    value per class (DimensionMismatch otherwise) and the lifted pattern
+    must be steady (NotSteadyState otherwise).  The full spectral
     abscissa comes from the block route, since its two blocks carry the
     whole Jacobian spectrum; without "block", full_spectral_abscissa and
     full_verdict are None.
@@ -213,7 +214,7 @@ def stability_report(qm: QuotientModel, model: HillMap, z,
     unknown = [m for m in methods if m not in _METHODS]
     if unknown:
         raise BadOptions(f"unknown stability method {unknown[0]!r}; choose from {_METHODS}")
-    z = np.asarray(z, dtype=float)
+    z = _class_values(qm, z)
     _require_steady(qm, model, z)
     abscissa = block = None
     if "block" in methods:

@@ -8,7 +8,10 @@ h = 3, 6 and 40, with and without --simulate), `report` and `report --svg`
 on each bundle, and the `partition`, `quotient`, `exist` and `stability`
 commands on the same set-ups.  The set-ups are the 4x4 and 16x16
 torus_mesh checkerboards (--auto-bipartite), the buckyball's pentagons |
-hexagons, hex_torus:6,6 diag3 and triangle_bridge {2,5} | rest.
+hexagons, hex_torus:6,6 diag3 and triangle_bridge {2,5} | rest.  Every
+set-up has two classes, so two more cases bring a quotient of many: the
+refinement of {17} | rest on hex_torus:30,30, 91 classes, and `analyze`
+at h = 6 on that refinement.
 
 `run` imports patternq from SRC (default: the src/ next to this file), so
 one checkout can run the corpus of another; DIR must not hold an earlier
@@ -42,6 +45,8 @@ SETUPS = {
     "bridge": ("triangle_bridge", [[2, 5], [0, 1, 3, 4, 6, 7]]),
 }
 EXPONENTS = (3, 6, 40)
+# the many-class set-up: {17} | rest refines to 91 classes on this lattice
+MANY = ("hex_torus:30,30", [[17], [v for v in range(900) if v != 17]])
 VERDICT_KEYS = frozenset({"verdict", "full_verdict", "match", "equitable"})
 
 
@@ -83,6 +88,11 @@ def cases() -> list[tuple[str, list[str]]]:
                 out.append((f"report-{bundle}",
                             ["report", "--bundle", f"out/{bundle}.json",
                              "--svg", f"out/report-{bundle}.svg"]))
+    seed, part = "inputs/hex30.json", "out/partition-refine-hex30.json"
+    out.append(("partition-refine-hex30",
+                ["partition", "--gen", MANY[0], "--mode", "refine", "--seed", seed]))
+    out.append(("analyze-hex30-h6",
+                ["analyze", "--gen", MANY[0], "--partition", part, "--model", "inputs/h6.json"]))
     return [(name, argv if argv[0] == "report" else [*argv, "-o", f"out/{name}.json"])
             for name, argv in out]
 
@@ -103,6 +113,7 @@ def run(directory) -> dict:
     for name, (gen, motif) in SETUPS.items():
         (root / "inputs" / f"{name}.json").write_text(
             json.dumps({"classes": _classes(gen, motif)}) + "\n")
+    (root / "inputs" / "hex30.json").write_text(json.dumps({"classes": MANY[1]}) + "\n")
     for h in EXPONENTS:
         (root / "inputs" / f"h{h}.json").write_text(
             json.dumps({"A": 2.0, "K": 1.0, "h": float(h), "tau": 1.0}) + "\n")

@@ -27,8 +27,7 @@ def model_h4(tmp_path):
 @pytest.fixture
 def torus_graph(tmp_path):
     path = tmp_path / "g.json"
-    assert main(["gen", "--kind", "torus_mesh", "--rows", "4", "--cols", "4",
-                 "-o", str(path)]) == 0
+    assert main(["gen", "--gen", "torus_mesh:4,4", "-o", str(path)]) == 0
     return str(path)
 
 
@@ -49,7 +48,7 @@ def test_gen_writes_valid_graph(torus_graph):
 def test_gen_is_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):
-        assert main(["gen", "--kind", "buckyball", "-o", str(out)]) == 0
+        assert main(["gen", "--gen", "buckyball", "-o", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -195,8 +194,8 @@ def test_simulate_and_render(tmp_path, torus_graph, torus_bipartition, model_h6,
     assert header == "t," + ",".join(f"x_{i}" for i in range(16))
     capsys.readouterr()
     svg = tmp_path / "grid.svg"
-    assert main(["render", "--trace", str(trace), "--layout", "torus",
-                 "--rows", "4", "--cols", "4", "--svg", str(svg)]) == 0
+    assert main(["render", "--trace", str(trace), "--gen", "torus_mesh:4,4",
+                 "--svg", str(svg)]) == 0
     ascii_art = capsys.readouterr().out.strip().splitlines()
     assert len(ascii_art) == 4
     # checkerboard alternates glyphs along each row
@@ -216,8 +215,7 @@ def test_render_hex_layout(tmp_path, capsys):
     trace = _write_final_row(tmp_path / "tr.csv", [1.9 if (i - j) % 3 == 0 else 0.1
                                                    for i in range(4) for j in range(4)])
     svg = tmp_path / "hex.svg"
-    assert main(["render", "--trace", trace, "--layout", "hex", "--rows", "4", "--cols", "4",
-                 "--svg", str(svg)]) == 0
+    assert main(["render", "--trace", trace, "--gen", "hex_torus:4,4", "--svg", str(svg)]) == 0
     assert capsys.readouterr().out == "# . . #\n . # . .\n. . # .\n # . . #\n"
     text = svg.read_text()
     assert text.count("<rect") == 16 and "<circle" not in text
@@ -228,19 +226,61 @@ def test_render_bucky_layout(tmp_path, capsys):
     values = [1.9] * 12 + [0.5, 0.1] * 10       # pentagons, then hexagons
     trace = _write_final_row(tmp_path / "tr.csv", values)
     svg = tmp_path / "bucky.svg"
-    assert main(["render", "--trace", trace, "--layout", "bucky", "--svg", str(svg)]) == 0
+    assert main(["render", "--trace", trace, "--gen", "buckyball", "--svg", str(svg)]) == 0
     assert capsys.readouterr().out == ("pentagons: " + " ".join("#" * 12) + "\n"
                                        + "hexagons:  " + " ".join(".o" * 10) + "\n")
     text = svg.read_text()
     assert text.count("<circle") == 32 and "<rect" not in text
 
 
+def test_render_draws_the_svg_of_report(tmp_path, model_h6):
+    # render and report --svg lay the same cells out through one function
+    bundle, drawn, reported = tmp_path / "b.json", tmp_path / "r.svg", tmp_path / "b.svg"
+    assert main(["analyze", "--gen", "torus_mesh:4,4", "--auto-bipartite",
+                 "--model", model_h6, "-o", str(bundle)]) == 0
+    u = json.loads(bundle.read_text())["pattern"]["data"]["u"]
+    trace = tmp_path / "tr.csv"
+    trace.write_text("t," + ",".join(f"x_{i}" for i in range(16)) + "\n"
+                     + "5," + ",".join(repr(v) for v in u) + "\n")
+    # grouping_tol of the h6 model: 1e-4 A with A = 2
+    assert main(["render", "--trace", str(trace), "--gen", "torus_mesh:4,4",
+                 "--cluster-tol", "2e-4", "--svg", str(drawn)]) == 0
+    assert main(["report", "--bundle", str(bundle), "--svg", str(reported)]) == 0
+    assert drawn.read_bytes() == reported.read_bytes()
+
+
+def test_render_draws_a_graph_file_as_one_row(tmp_path, torus_graph, capsys):
+    trace = _write_final_row(tmp_path / "tr.csv", [1.9, 0.1] * 8)
+    assert main(["render", "--trace", trace, "--graph", torus_graph]) == 0
+    assert capsys.readouterr().out == " ".join("#." * 8) + "\n"
+    short = _write_final_row(tmp_path / "short.csv", [1.9, 0.1] * 2)
+    assert main(["render", "--trace", short, "--graph", torus_graph]) == 1
+    assert "error [render]: trace has 4 cells, the graph 16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--gen", "path:4", "--kind", "path"],
+    ["gen", "--gen", "path:4", "--n", "4"],
+    ["gen", "--gen", "torus_mesh:4,4", "--rows", "4"],
+    ["gen", "--gen", "torus_mesh:4,4", "--cols", "4"],
+    ["render", "--trace", "tr.csv", "--gen", "torus_mesh:4,4", "--layout", "torus"],
+    ["render", "--trace", "tr.csv", "--gen", "torus_mesh:4,4", "--rows", "4"],
+    ["render", "--trace", "tr.csv", "--gen", "torus_mesh:4,4", "--cols", "4"],
+    ["analyze", "--gen", "torus_mesh:4,4", "--auto-refine", "--model", "h6.json"],
+])
+def test_lattice_options_other_than_the_spec_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
 def test_render_cluster_tol_must_be_finite_and_nonnegative(tmp_path, capsys, tol):
     # nan and inf would draw one group, a negative gap every cell on its own
     trace = _write_final_row(tmp_path / "tr.csv", [1.9, 0.1] * 8)
-    assert main(["render", "--trace", trace, "--layout", "torus", "--rows", "4",
-                 "--cols", "4", f"--cluster-tol={tol}"]) == 1
+    assert main(["render", "--trace", trace, "--gen", "torus_mesh:4,4",
+                 f"--cluster-tol={tol}"]) == 1
     out = capsys.readouterr()
     assert out.out == ""
     assert (f"error [render]: cluster-tol must be finite and nonnegative, got {float(tol)}"
@@ -289,11 +329,27 @@ def test_analyze_exit_codes(tmp_path, model_h6, model_h4):
 
 def test_analyze_auto_refine_returns_single_class(tmp_path, model_h6):
     bundle = tmp_path / "b.json"
-    code = main(["analyze", "--gen", "torus_mesh:4,4", "--auto-refine",
-                 "--model", model_h6, "-o", str(bundle)])
+    code = main(["analyze", "--gen", "torus_mesh:4,4", "--model", model_h6, "-o", str(bundle)])
     data = json.loads(bundle.read_text())
     assert len(data["partition"]["data"]["classes"]) == 1
     assert code == 2  # single class: minimum eigenvalue is 1, inconclusive
+
+
+def test_bundle_holds_one_minimum_quotient_eigenvalue(tmp_path, model_h6):
+    # the 91-class refinement of {17} | rest on the 30x30 hex torus, where
+    # eigh and eigvalsh differ in the last bits of the minimum eigenvalue
+    seed, part, bundle = (tmp_path / f"{name}.json" for name in ("seed", "part", "b"))
+    seed.write_text(json.dumps({"classes": [[17], [v for v in range(900) if v != 17]]}))
+    assert main(["partition", "--gen", "hex_torus:30,30", "--mode", "refine",
+                 "--seed", str(seed), "-o", str(part)]) == 0
+    assert main(["analyze", "--gen", "hex_torus:30,30", "--partition", str(part),
+                 "--model", model_h6, "-o", str(bundle)]) == 2
+    data = json.loads(bundle.read_text())
+    assert len(data["partition"]["data"]["classes"]) == 91
+    eigenvalues = data["quotient"]["data"]["eigenvalues"]
+    cert = data["certificate"]["data"]
+    assert eigenvalues[-1] == cert["lambda_r"]
+    assert cert["condition_value"] == abs(cert["slope_at_u_star"]) * cert["lambda_r"]
 
 
 def test_bundle_determinism_modulo_timestamp(tmp_path, model_h6):
@@ -322,13 +378,13 @@ _MODEL_SHA = "bac1254704efc57d805fa7d96bef4257e9596cdafab2bd213ec2f1ca6a564546"
         "model": _MODEL_SHA,
         "partition": "6a79088f7c8d4bda0fd9bb0467fd13053c19564ba37c9b4da29faed05a764f8d",
     }, id="torus_mesh-2x4"),
-    pytest.param(["analyze", "--gen", "buckyball", "--auto-refine"], {
+    pytest.param(["analyze", "--gen", "buckyball"], {
         "graph": "943d029a33cfc352b82c930453df9276563bb243b893e75dc29ece770ea3ffa7",
         "model": _MODEL_SHA,
         "partition": "94cbdecb231c417ec772c265f3b60978bff2846db2154325692007e281ecf73a",
     }, id="buckyball"),
     # the whole file that gen writes
-    pytest.param(["gen", "--kind", "hex_torus", "--rows", "30", "--cols", "30"], {
+    pytest.param(["gen", "--gen", "hex_torus:30,30"], {
         "file": "52429644731e3007487193cf8f98154545bf4e0863354f1f4d11f23b7ee5bf8e",
     }, id="gen-hex_torus-30x30"),
 ])
@@ -476,11 +532,11 @@ def test_report_of_a_verified_bundle_missing_a_field_is_tagged(tmp_path, model_h
 
 
 def test_gen_missing_params_is_tagged_error(capsys):
-    assert main(["gen", "--kind", "torus_mesh"]) == 1
+    assert main(["gen", "--gen", "torus_mesh"]) == 1
     err = capsys.readouterr().err
     assert "error [gen]" in err
     assert "torus_mesh takes rows, cols: missing a required argument: 'rows'" in err
-    assert main(["gen", "--kind", "path"]) == 1
+    assert main(["gen", "--gen", "path"]) == 1
     assert "path takes n: missing a required argument: 'n'" in capsys.readouterr().err
     assert main(["partition", "--gen", "buckyball:3", "--mode", "refine"]) == 1
     assert ("error [gen]: buckyball takes no parameters: too many positional arguments"
@@ -492,7 +548,7 @@ def test_gen_missing_params_is_tagged_error(capsys):
     ["simulate", "--gen", "torus_mesh:4,4", "--model", "{model}", "--perturb", "cell:-1"],
     ["simulate", "--gen", "torus_mesh:4,4", "--model", "{model}", "--perturb", "random:abc"],
     ["simulate", "--gen", "torus_mesh:4,4", "--model", "{model}", "--perturb", "cell:"],
-    ["render", "--trace", "{empty}", "--layout", "torus", "--rows", "4", "--cols", "4"],
+    ["render", "--trace", "{empty}", "--gen", "torus_mesh:4,4"],
     ["stability", "--gen", "torus_mesh:4,4", "--partition", "{partition}",
      "--model", "{model}", "--pattern", "{z_list}"],
     ["simulate", "--gen", "torus_mesh:4,4", "--model", "{z_list}"],
@@ -510,9 +566,9 @@ def test_gen_missing_params_is_tagged_error(capsys):
     ["quotient", "--graph", "{bad_edges}", "--partition", "{partition}"],
     ["quotient", "--graph", "{bad_n}", "--partition", "{partition}"],
     ["simulate", "--gen", "torus_mesh:4,4", "--model", "{model}", "--x0", "{bad_x0}"],
-    # grids whose negative sides multiply to the trace's 4 cells
-    ["render", "--trace", "{trace4}", "--layout", "torus", "--rows", "-2", "--cols", "-2"],
-    ["render", "--trace", "{trace4}", "--layout", "hex", "--rows", "-1", "--cols", "-4"],
+    # lattices whose negative sides multiply to the trace's 4 cells
+    ["render", "--trace", "{trace4}", "--gen", "torus_mesh:-2,-2"],
+    ["render", "--trace", "{trace4}", "--gen", "hex_torus:-1,-4"],
     # vertex ids beyond the float range, which the bulk checks convert to
     ["quotient", "--graph", "{huge_edge}", "--partition", "{partition}"],
     ["quotient", "--gen", "torus_mesh:4,4", "--partition", "{huge_class}"],
@@ -620,7 +676,7 @@ def test_out_of_range_ids_keep_their_messages(tmp_path, capsys, vertex):
 
 def test_write_errors_are_tagged_write(tmp_path, model_h6, capsys):
     missing = tmp_path / "missing" / "out"
-    assert main(["gen", "--kind", "path", "--n", "4", "-o", str(missing)]) == 1
+    assert main(["gen", "--gen", "path:4", "-o", str(missing)]) == 1
     assert "error [write]" in capsys.readouterr().err
     trace = tmp_path / "trace.csv"
     assert main(["simulate", "--gen", "path:4", "--model", model_h6,
@@ -628,8 +684,8 @@ def test_write_errors_are_tagged_write(tmp_path, model_h6, capsys):
     assert "error [write]" in capsys.readouterr().err
     assert main(["simulate", "--gen", "path:4", "--model", model_h6,
                  "--trace", str(trace)]) == 0
-    assert main(["render", "--trace", str(trace), "--layout", "torus", "--rows", "1",
-                 "--cols", "4", "--svg", str(missing)]) == 1
+    assert main(["render", "--trace", str(trace), "--gen", "path:4",
+                 "--svg", str(missing)]) == 1
     assert "error [write]" in capsys.readouterr().err
 
 
@@ -678,7 +734,7 @@ def test_analyze_auto_refine_builds_the_operator_once(tmp_path, monkeypatch, mod
     calls = []
     real = graphs._build_operator
     monkeypatch.setattr(graphs, "_build_operator", lambda g: calls.append(g.n) or real(g))
-    assert main(["analyze", "--gen", "hex_torus:6,6", "--auto-refine",
+    assert main(["analyze", "--gen", "hex_torus:6,6",
                  "--model", model_h6, "-o", str(tmp_path / "b.json")]) == 2
     assert calls == [36]
 
@@ -741,7 +797,7 @@ def test_partition_builds_operator_once_per_check(tmp_path, monkeypatch, torus_b
 
 def test_analyze_auto_bipartite_on_odd_cycles(tmp_path, model_h6, capsys):
     g = tmp_path / "tri.json"
-    assert main(["gen", "--kind", "triangle_bridge", "-o", str(g)]) == 0
+    assert main(["gen", "--gen", "triangle_bridge", "-o", str(g)]) == 0
     assert main(["analyze", "--graph", str(g), "--auto-bipartite",
                  "--model", model_h6]) == 1
     assert "error [partition]" in capsys.readouterr().err
@@ -750,7 +806,7 @@ def test_analyze_auto_bipartite_on_odd_cycles(tmp_path, model_h6, capsys):
 def test_log_env_var_smoke(tmp_path, monkeypatch, model_h6):
     monkeypatch.setenv("PATTERNQ_LOG", "debug")
     out = tmp_path / "g.json"
-    assert main(["gen", "--kind", "path", "--n", "4", "-o", str(out)]) == 0
+    assert main(["gen", "--gen", "path:4", "-o", str(out)]) == 0
 
 
 def test_missing_pattern_stage_tag(tmp_path, torus_graph, model_h6, capsys):
@@ -791,7 +847,7 @@ def test_non_finite_simulation_input_is_tagged_error(tmp_path, model_h6, capsys,
 @pytest.mark.parametrize("argv", [
     ["partition", "--graph", "{graph}", "--mode", "refine"],
     ["simulate", "--graph", "{graph}", "--model", "{good_model}"],
-    ["analyze", "--graph", "{graph}", "--auto-refine", "--model", "{good_model}"],
+    ["analyze", "--graph", "{graph}", "--model", "{good_model}"],
     ["simulate", "--gen", "torus_mesh:4,4", "--model", "{model}"],
     ["analyze", "--gen", "torus_mesh:4,4", "--auto-bipartite", "--model", "{model}"],
 ])
@@ -873,7 +929,7 @@ def test_back_to_back_main_calls_share_no_state(tmp_path, model_h6, monkeypatch)
                      "-o", str(out)]) in (0, 2)
         bundles.append(json.loads(out.read_text()))
         # another subcommand in between leaves none of its options behind
-        assert main(["gen", "--kind", "path", "--n", "3", "-o", str(tmp_path / "g.json")]) == 0
+        assert main(["gen", "--gen", "path:3", "-o", str(tmp_path / "g.json")]) == 0
     assert cli.build_parser() is cli.build_parser()
     # --eps falls back to its default once the flag is dropped
     assert eps_seen == [0.05, 0.01]
@@ -905,3 +961,15 @@ def test_report_svg_draws_rings_only_for_the_buckyball(tmp_path, model_h6):
     text = svg.read_text()
     assert text.count("<circle") == 32 and "<rect" not in text
     assert hashlib.sha256(text.encode()).hexdigest() == BUCKYBALL_RINGS_SHA256
+
+
+def test_report_svg_refuses_a_source_that_lays_out_other_cells(tmp_path, model_h6, capsys):
+    # a resealed source whose grid holds more cells than the pattern
+    bundle, data = _analyze_to_json(tmp_path, model_h6)
+    data["graph"]["source"] = "torus_mesh:8,8"
+    _reseal(data, "graph", "partition", "quotient", "certificate", "pattern", "stability")
+    bundle.write_text(dumps_canonical(data))
+    capsys.readouterr()
+    assert main(["report", "--bundle", str(bundle), "--svg", str(tmp_path / "b.svg")]) == 1
+    assert ("error [report]: torus_mesh:8,8 lays out 64 cells, got 16"
+            in capsys.readouterr().err)

@@ -263,11 +263,15 @@ def test_lift_triangle_bridge_constant_on_classes():
 
 
 def test_lift_dimension_checks():
+    # the lift and every stability route refuse a wrong-length z alike
+    from patternq.stability import block_stability, small_gain, stability_report
+
     g = torus_mesh(4, 4)
     qm = quotient(g, bipartition_partition(g))
     m = HillMap()
-    with pytest.raises(DimensionMismatch):
-        lift(qm, np.ones(3), m)
+    for route in (lift, stability_report, block_stability, small_gain):
+        with pytest.raises(DimensionMismatch, match=r"expected 2 class values, got \(3,\)"):
+            route(qm, [1, 2, 3], m) if route is lift else route(qm, m, [1, 2, 3])
 
 
 def test_solver_progress_callback():
