@@ -4,12 +4,15 @@ Subcommands: gen, partition, quotient, exist, stability, simulate, render,
 analyze, report.  Every command but `report` names a built-in lattice by
 one spec, --gen KIND:sizes (torus_mesh:4,4, path:5, buckyball), and all but
 `gen` take --graph FILE instead; `render` and `report --svg` share the
-layout function _draw.  `analyze` chains the whole pipeline and writes a
-sealed bundle, one section per step, laid out by the table _SECTIONS: each
-section records the content hashes of exactly the sections its row names.
-`report` checks every hash and link against the same table and prints a
-human summary.  Exit codes: 0 certified and stable, 2 not certified, 3
-certified but not stable, 1 on any error.
+layout function _draw.  Every command that works on a partition reads
+one staged run, _Run, which computes each stage once, under the tag that a
+failure prints as `error [stage]`; `partition` and `analyze` pick the
+partition with one chooser.  The table _SECTIONS drives both building and
+checking the sealed bundle: `analyze` seals each section's data from the
+run with the hashes of exactly the sections its row names, and `report`
+checks every hash and link against it and prints a human summary.  Exit
+codes: 0 certified and stable, 2 not certified, 3 certified but not
+stable, 1 on any error.
 
 Set PATTERNQ_LOG={error|info|debug} to control logging.
 """
@@ -88,8 +91,9 @@ class _StageFailure(Exception):
 def _run_stage(stage: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    # OverflowError: an id too large for a float (>= 2**1024) in an input file
-    except (PatternQError, OSError, KeyError, ValueError, OverflowError) as exc:
+    # OverflowError: an id too large for a float (>= 2**1024) in an input file;
+    # MemoryError: an array too large to allocate, such as an n x n operator
+    except (PatternQError, OSError, KeyError, ValueError, OverflowError, MemoryError) as exc:
         raise _StageFailure(stage, exc) from exc
 
 
@@ -124,17 +128,122 @@ def _load_graph_arg(args) -> tuple[WeightedGraph, str]:
     return _run_stage("load", load_graph, args.graph), args.graph
 
 
-def _quotient_report(qm: QuotientModel) -> dict:
-    return {
-        "matrix": qm.matrix,
-        "class_degrees": qm.class_degrees,
-        "class_sizes": np.bincount(qm.partition.labels),
-        "eigenvalues": qm.eigenvalues,
-        "reduced_edges": qm.reduced_edges,
-        "reduced_bipartite": qm.reduced_coloring is not None,
-        "reduced_coloring": (None if qm.reduced_coloring is None else
-                             [np.flatnonzero(qm.reduced_coloring == side) for side in (0, 1)]),
-    }
+def _choose_partition(g: WeightedGraph, how: str, path: str | None) -> tuple:
+    """The partition that `how` names, and its bundle mode: the one in the
+    file at path ("check"), the orbits of the permutations in it ("orbits"),
+    the two sides of g's 2-coloring ("bipartite"), or the coarsest equitable
+    refinement of the one in it, or of one class ("refine")."""
+    if how == "orbits":
+        perms = _run_stage("load", load_perms, path)
+        return _run_stage("partition", orbits_from_generators, g, perms), f"orbits:{path}"
+    if how == "bipartite":
+        return _run_stage("partition", bipartition_partition, g), "auto-bipartite"
+    seed = _run_stage("load", load_partition, path, g.n) if path else None
+    if how == "check":
+        return seed, f"file:{path}"
+    return _run_stage("partition", coarsest_equitable_refinement, g, seed), "auto-refine"
+
+
+# ---------------------------------------------------------------------------
+# the staged run
+# ---------------------------------------------------------------------------
+
+class _Run:
+    """The paper's chain on one graph, partition and model.  Every stage runs
+    under its stage tag and calls its library function through this module's
+    binding; the cached ones run once, on first read.  `data` builds each
+    bundle section's data from the stages it reads."""
+
+    def __init__(self, g: WeightedGraph, pi, model: HillMap | None = None):
+        self.g, self.pi, self.model = g, pi, model
+
+    @functools.cached_property
+    def qm(self) -> QuotientModel:
+        return _run_stage("quotient", quotient, self.g, self.pi)
+
+    @functools.cached_property
+    def certificate(self) -> ExistenceCertificate:
+        """The certificate alone, for a run that solves nothing."""
+        return _run_stage("certify", certify, self.qm, self.model)
+
+    @functools.cached_property
+    def solution(self) -> ReducedSolution:
+        return _run_stage("solve", solve_reduced, self.qm, self.model)
+
+    @functools.cached_property
+    def pattern(self) -> PatternSolution:
+        return _run_stage("lift", lift, self.qm, self.solution.class_values, self.model)
+
+    def stability(self, z, methods=("block", "smallgain")) -> dict:
+        rep = _run_stage("stability", stability_report, self.qm, self.model, z, methods)
+        out = {"m_matrix_ok": rep.m_matrix_ok}
+        if rep.full_verdict is not None:
+            out.update(full_spectral_abscissa=rep.full_spectral_abscissa,
+                       full_verdict=rep.full_verdict)
+        if rep.block is not None:
+            out["block"] = {"representative_spectrum": rep.block.representative_spectrum,
+                            "transverse_spectrum": rep.block.transverse_spectrum,
+                            "consistency": rep.block.consistency}
+        if (sg := rep.small_gain) is not None:
+            # schema 1 keeps the quotient's radius, rho_full bit for bit, as its own key
+            out["small_gain"] = {"rho_full": sg.rho_full, "rho_reduced": sg.rho_full,
+                                 "verdict": sg.verdict, "class_gains": sg.class_gains}
+        return out
+
+    def simulation(self, eps: float) -> dict:
+        chk = _run_stage("simulate", verify_certificate, self.qm, self.model, self.pattern,
+                         self.solution.certificate, eps)
+        emp = chk.empirical
+        return {"match": chk.match, "exploratory": chk.exploratory, "converged": chk.converged,
+                "max_deviation": chk.max_deviation, "groups": emp.groups if emp else None,
+                "group_values": emp.values if emp else None, "note": chk.note}
+
+    @staticmethod
+    def quotient_data(qm: QuotientModel) -> dict:
+        return {"matrix": qm.matrix, "class_degrees": qm.class_degrees,
+                "class_sizes": np.bincount(qm.partition.labels), "eigenvalues": qm.eigenvalues,
+                "reduced_edges": qm.reduced_edges,
+                "reduced_bipartite": qm.reduced_coloring is not None,
+                "reduced_coloring": (None if qm.reduced_coloring is None else
+                                     [np.flatnonzero(qm.reduced_coloring == side)
+                                      for side in (0, 1)])}
+
+    def data(self, name: str, eps: float | None = None):
+        """The data of bundle section `name`, None for a simulation without eps."""
+        if name == "graph":
+            return graph_to_dict(self.g)
+        if name == "model":
+            return model_to_dict(self.model)
+        if name == "partition":
+            return partition_to_dict(self.pi)
+        if name == "quotient":
+            return _run_stage("quotient", self.quotient_data, self.qm)
+        if name == "certificate":
+            cert = self.solution.certificate
+            return {"verdict": cert.verdict, "lambda_r": cert.min_eigenvalue,
+                    "lambda_r_multiplicity": cert.min_multiplicity,
+                    "u_star": cert.fixed_point_value,
+                    "slope_at_u_star": cert.slope_at_fixed_point,
+                    "condition_value": cert.condition_value,
+                    "reduced_bipartite": cert.reduced_bipartite}
+        if name == "pattern":
+            red, pattern = self.solution, self.pattern
+            return {"z": pattern.class_values, "u": pattern.cell_inputs, "x": pattern.cell_states,
+                    "residuals": {"reduced": pattern.residual_reduced,
+                                  "full": pattern.residual_full},
+                    "homogeneous": pattern.homogeneous, "warning": red.warning,
+                    "alternate_z": red.alternate_class_values}
+        if name == "stability":
+            return self.stability(self.pattern.class_values)
+        return None if eps is None else self.simulation(eps)
+
+
+def _load_run(args) -> _Run:
+    """The run on the graph, the --partition and, if the command takes it, --model."""
+    g, _ = _load_graph_arg(args)
+    pi, _ = _choose_partition(g, "check", args.partition)
+    model = _run_stage("load", load_model, args.model) if "model" in args else None
+    return _Run(g, pi, model)
 
 
 # ---------------------------------------------------------------------------
@@ -149,103 +258,31 @@ def _cmd_gen(args) -> int:
 
 def _cmd_partition(args) -> int:
     g, _ = _load_graph_arg(args)
-    if args.mode == "orbits":
-        if not args.perms:
-            raise _StageFailure("partition", BadOptions("--mode orbits needs --perms"))
-        perms = _run_stage("load", load_perms, args.perms)
-        pi = _run_stage("partition", orbits_from_generators, g, perms)
-    else:
-        seed = (_run_stage("load", load_partition, args.seed, g.n)
-                if args.seed else None)
-        if args.mode == "check":
-            if seed is None:
-                raise _StageFailure("partition", BadOptions("--mode check needs --seed"))
-            pi = seed
-        else:
-            pi = _run_stage("partition", coarsest_equitable_refinement, g, seed)
-    out = dict(partition_to_dict(pi))
+    flag = "perms" if args.mode == "orbits" else "seed"
+    if args.mode != "refine" and not getattr(args, flag):
+        raise _StageFailure("partition", BadOptions(f"--mode {args.mode} needs --{flag}"))
+    run = _Run(g, _choose_partition(g, args.mode, getattr(args, flag))[0])
+    out = run.data("partition")
     try:
-        qm = _run_stage("quotient", quotient, g, pi)
+        out.update(run.data("quotient"), equitable=True, witness=None)
     except _StageFailure as exc:
         if not isinstance(exc.cause, NotEquitable):
             raise
         out.update(equitable=False, witness=list(exc.cause.witness))
-    else:
-        out.update(equitable=True, witness=None)
-        out.update(_run_stage("quotient", _quotient_report, qm))
     _write_json(out, args.out)
     return 0
 
 
 def _cmd_quotient(args) -> int:
-    g, _ = _load_graph_arg(args)
-    pi = _run_stage("load", load_partition, args.partition, g.n)
-    qm = _run_stage("quotient", quotient, g, pi)
-    out = _run_stage("quotient", _quotient_report, qm)
-    out.update(partition_to_dict(pi))
-    _write_json(out, args.out)
+    run = _load_run(args)
+    _write_json({**run.data("quotient"), **run.data("partition")}, args.out)
     return 0
-
-
-def _certificate_data(cert: ExistenceCertificate) -> dict:
-    return {
-        "verdict": cert.verdict,
-        "lambda_r": cert.min_eigenvalue,
-        "lambda_r_multiplicity": cert.min_multiplicity,
-        "u_star": cert.fixed_point_value,
-        "slope_at_u_star": cert.slope_at_fixed_point,
-        "condition_value": cert.condition_value,
-        "reduced_bipartite": cert.reduced_bipartite,
-    }
-
-
-def _pattern_data(red: ReducedSolution, pattern: PatternSolution) -> dict:
-    return {
-        "z": pattern.class_values,
-        "u": pattern.cell_inputs,
-        "x": pattern.cell_states,
-        "residuals": {"reduced": pattern.residual_reduced,
-                      "full": pattern.residual_full},
-        "homogeneous": pattern.homogeneous,
-        "warning": red.warning,
-        "alternate_z": red.alternate_class_values,
-    }
 
 
 def _cmd_exist(args) -> int:
-    g, _ = _load_graph_arg(args)
-    pi = _run_stage("load", load_partition, args.partition, g.n)
-    model = _run_stage("load", load_model, args.model)
-    qm = _run_stage("quotient", quotient, g, pi)
-    red = _run_stage("solve", solve_reduced, qm, model)
-    pattern = _run_stage("lift", lift, qm, red.class_values, model)
-    _write_json({**_certificate_data(red.certificate), **_pattern_data(red, pattern)},
-                args.out)
+    run = _load_run(args)
+    _write_json({**run.data("certificate"), **run.data("pattern")}, args.out)
     return 0
-
-
-def _stability_payload(qm, model, z, methods) -> dict:
-    rep = _run_stage("stability", stability_report, qm, model, z, methods)
-    out = {"m_matrix_ok": rep.m_matrix_ok}
-    if rep.full_verdict is not None:
-        out["full_spectral_abscissa"] = rep.full_spectral_abscissa
-        out["full_verdict"] = rep.full_verdict
-    if rep.block is not None:
-        out["block"] = {
-            "representative_spectrum": rep.block.representative_spectrum,
-            "transverse_spectrum": rep.block.transverse_spectrum,
-            "consistency": rep.block.consistency,
-        }
-    if rep.small_gain is not None:
-        out["small_gain"] = {
-            "rho_full": rep.small_gain.rho_full,
-            # schema 1 keeps the quotient's radius as its own key; it is
-            # rho_full bit for bit
-            "rho_reduced": rep.small_gain.rho_full,
-            "verdict": rep.small_gain.verdict,
-            "class_gains": rep.small_gain.class_gains,
-        }
-    return out
 
 
 def _load_pattern_values(path: str) -> np.ndarray:
@@ -257,13 +294,10 @@ def _load_pattern_values(path: str) -> np.ndarray:
 
 
 def _cmd_stability(args) -> int:
-    g, _ = _load_graph_arg(args)
-    pi = _run_stage("load", load_partition, args.partition, g.n)
-    model = _run_stage("load", load_model, args.model)
+    run = _load_run(args)
     z = _run_stage("load", _load_pattern_values, args.pattern)
-    qm = _run_stage("quotient", quotient, g, pi)
     methods = ("block", "smallgain") if args.method == "all" else (args.method,)
-    _write_json(_stability_payload(qm, model, z, methods), args.out)
+    _write_json(run.stability(z, methods), args.out)
     return 0
 
 
@@ -306,12 +340,10 @@ def _cmd_simulate(args) -> int:
     if args.perturb == "vr" and not args.x0:
         if not args.partition:
             raise _StageFailure("simulate", BadOptions("--perturb vr needs --partition"))
-        pi = _run_stage("load", load_partition, args.partition, g.n)
-        qm = _run_stage("quotient", quotient, g, pi)
-        cert = _run_stage("certify", certify, qm, model)
-        sa = qm.operator
+        run = _Run(g, _choose_partition(g, "check", args.partition)[0], model)
+        cert, sa = run.certificate, run.qm.operator
         x0 = _run_stage("simulate", perturbed_start, model, cert.fixed_point_value,
-                        pi.expand(cert.min_eigenvector), args.eps)
+                        run.pi.expand(cert.min_eigenvector), args.eps)
     else:
         sa = _run_stage("simulate", scaled_adjacency, g)
         if args.x0:
@@ -414,8 +446,8 @@ def _cmd_render(args) -> int:
 
 
 # The sealed bundle, one row per section in build order: the sections whose
-# hashes its `upstream` links hold.  analyze seals from this table and report
-# verifies against it.  Only the simulation section may be null.
+# hashes its `upstream` links hold.  analyze builds and seals from this table
+# and report verifies against it.  Only the simulation section may be null.
 _SECTIONS = {
     "graph": (),
     "model": (),
@@ -442,63 +474,30 @@ def _cmd_analyze(args) -> int:
     if not is_connected(g):
         raise _StageFailure("graph", BadOptions("contact graph must be connected"))
     model = _run_stage("load", load_model, args.model)
-    if args.simulate:  # refuse a bad --eps before the pipeline runs
-        _run_stage("simulate", perturbed_start, model, 0.0, (1.0,), args.eps)
-
-    if args.partition:
-        pi = _run_stage("load", load_partition, args.partition, g.n)
-        mode = f"file:{args.partition}"
-    elif args.auto_bipartite:
-        pi = _run_stage("partition", bipartition_partition, g)
-        mode = "auto-bipartite"
-    elif args.orbit_perms:
-        perms = _run_stage("load", load_perms, args.orbit_perms)
-        pi = _run_stage("partition", orbits_from_generators, g, perms)
-        mode = f"orbits:{args.orbit_perms}"
-    else:  # the coarsest equitable partition, refined from one class
-        pi = _run_stage("partition", coarsest_equitable_refinement, g)
-        mode = "auto-refine"
-
-    qm = _run_stage("quotient", quotient, g, pi)
-    quot = _run_stage("quotient", _quotient_report, qm)
-    red = _run_stage("solve", solve_reduced, qm, model)
-    pattern = _run_stage("lift", lift, qm, red.class_values, model)
-    stab = _stability_payload(qm, model, pattern.class_values, ("block", "smallgain"))
-    bodies = {
-        "graph": {"source": source, "data": graph_to_dict(g)},
-        "model": {"data": model_to_dict(model)},
-        "partition": {"mode": mode, "data": partition_to_dict(pi)},
-        "quotient": {"data": quot},
-        "certificate": {"data": _certificate_data(red.certificate)},
-        "pattern": {"data": _pattern_data(red, pattern)},
-        "stability": {"data": stab},
-    }
-    if args.simulate:
-        chk = _run_stage("simulate", verify_certificate, qm, model, pattern,
-                         red.certificate, args.eps)
-        bodies["simulation"] = {"data": {
-            "match": chk.match,
-            "exploratory": chk.exploratory,
-            "converged": chk.converged,
-            "max_deviation": chk.max_deviation,
-            "groups": chk.empirical.groups if chk.empirical else None,
-            "group_values": chk.empirical.values if chk.empirical else None,
-            "note": chk.note,
-        }}
-
-    bundle = {"schema": 1, "tool": {"name": "patternq", "version": __version__},
-              "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-              **dict.fromkeys(_SECTIONS)}
+    eps = args.eps if args.simulate else None
+    if eps is not None:  # refuse a bad --eps before the pipeline runs
+        _run_stage("simulate", perturbed_start, model, 0.0, (1.0,), eps)
+    # no partition option: the coarsest equitable partition, from one class
+    how, path = (("check", args.partition) if args.partition else
+                 ("bipartite", None) if args.auto_bipartite else
+                 ("orbits", args.orbit_perms) if args.orbit_perms else ("refine", None))
+    pi, mode = _choose_partition(g, how, path)
+    run = _Run(g, pi, model)
+    data = {name: run.data(name, eps) for name in _SECTIONS}
+    heads = {"graph": {"source": source}, "partition": {"mode": mode}}
+    sealed = {}
     for name, links in _SECTIONS.items():
-        if name in bodies:
+        if data[name] is not None:
+            body = {**heads.get(name, {}), "data": data[name]}
             if links:
-                bodies[name]["upstream"] = {up: bundle[up]["sha256"] for up in links}
-            bundle[name] = _seal(bodies[name])
-    _write_json(bundle, args.out)
-
-    if red.certificate.verdict != CERTIFIED:
+                body["upstream"] = {up: sealed[up]["sha256"] for up in links}
+            sealed[name] = _seal(body)
+    _write_json({"schema": 1, "tool": {"name": "patternq", "version": __version__},
+                 "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+                 **dict.fromkeys(_SECTIONS), **sealed}, args.out)
+    if data["certificate"]["verdict"] != CERTIFIED:
         return 2
-    return 0 if stab["full_verdict"] == STABLE else 3
+    return 0 if data["stability"]["full_verdict"] == STABLE else 3
 
 
 def _verify_bundle(bundle: dict) -> None:

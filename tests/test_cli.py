@@ -727,6 +727,45 @@ def test_analyze_builds_each_intermediate_once(tmp_path, monkeypatch, model_h6):
                       "quotient": 1, "certify": 1, "symmetric": 1}
 
 
+@pytest.mark.parametrize("argv,certifies", [
+    (["quotient", "--partition", "{partition}"], 0),
+    (["exist", "--partition", "{partition}", "--model", "{model}"], 1),
+    (["stability", "--partition", "{partition}", "--model", "{model}",
+      "--pattern", "{pattern}"], 0),
+    (["partition", "--mode", "check", "--seed", "{partition}"], 0),
+    (["simulate", "--perturb", "vr", "--partition", "{partition}", "--model", "{model}"], 1),
+])
+def test_every_command_builds_one_quotient(tmp_path, monkeypatch, model_h6, torus_bipartition,
+                                           argv, certifies):
+    # the same counting at every module binding as for analyze above
+    import sys
+
+    from patternq import existence, partitions
+
+    pattern = tmp_path / "pat.json"
+    assert main(["exist", "--gen", "torus_mesh:4,4", "--partition", torus_bipartition,
+                 "--model", model_h6, "-o", str(pattern)]) == 0
+    counts = dict.fromkeys(["quotient", "certify"], 0)
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            counts[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    originals = [partitions.quotient, existence.certify]
+    wrappers = {fn.__name__: counted(fn) for fn in originals}
+    for name, module in list(sys.modules.items()):
+        if name.startswith("patternq"):
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in originals):
+                    monkeypatch.setattr(module, attr, wrappers[value.__name__])
+    files = {"partition": torus_bipartition, "model": model_h6, "pattern": str(pattern)}
+    assert main([argv[0], "--gen", "torus_mesh:4,4", *(a.format(**files) for a in argv[1:]),
+                 "-o", str(tmp_path / "out.json")]) == 0
+    assert counts == {"quotient": 1, "certify": certifies}
+
+
 def test_analyze_auto_refine_builds_the_operator_once(tmp_path, monkeypatch, model_h6):
     # the refinement and the quotient share the graph's one operator
     from patternq import graphs
@@ -816,6 +855,63 @@ def test_missing_pattern_stage_tag(tmp_path, torus_graph, model_h6, capsys):
     assert main(["exist", "--graph", torus_graph, "--partition", str(bad),
                  "--model", model_h6]) == 1
     assert "error [quotient]" in capsys.readouterr().err
+
+
+_ON_TORUS = ["--gen", "torus_mesh:4,4"]
+_ON_TWO_EDGES = ["--graph", "{two_edges}", "--partition", "{ends}", "--model", "{model}"]
+
+
+@pytest.mark.parametrize("argv,tag", [
+    # {0} | rest is not equitable on the torus
+    (["quotient", *_ON_TORUS, "--partition", "{corner}"], "quotient"),
+    (["exist", *_ON_TORUS, "--partition", "{corner}", "--model", "{model}"], "quotient"),
+    (["stability", *_ON_TORUS, "--partition", "{corner}", "--model", "{model}",
+      "--pattern", "{z}"], "quotient"),
+    (["analyze", *_ON_TORUS, "--partition", "{corner}", "--model", "{model}"], "quotient"),
+    (["simulate", *_ON_TORUS, "--partition", "{corner}", "--model", "{model}",
+      "--perturb", "vr"], "quotient"),
+    # check mode reports an inequitable partition with its witness
+    (["partition", *_ON_TORUS, "--mode", "check", "--seed", "{corner}"], None),
+    (["stability", *_ON_TORUS, "--partition", "{checkerboard}", "--model", "{model}",
+      "--pattern", "{z}"], "stability"),
+    # two disjoint edges, one class per edge: equitable, but the reduced
+    # graph is disconnected
+    (["exist", *_ON_TWO_EDGES], "solve"),
+    (["simulate", *_ON_TWO_EDGES, "--perturb", "vr"], "certify"),
+    (["analyze", *_ON_TWO_EDGES], "graph"),
+])
+def test_each_failing_stage_names_its_tag(tmp_path, model_h6, torus_bipartition, capsys,
+                                         argv, tag):
+    files = {"model": model_h6, "checkerboard": torus_bipartition}
+    for name, data in [("corner", {"classes": [[0], list(range(1, 16))]}),
+                       ("z", {"z": [1.0, 0.5]}),
+                       ("two_edges", {"n": 4, "edges": [[0, 1, 1.0], [2, 3, 1.0]]}),
+                       ("ends", {"classes": [[0, 1], [2, 3]]})]:
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    out = tmp_path / "out.json"
+    code = main([arg.format(**files) for arg in argv] + ["-o", str(out)])
+    err = capsys.readouterr().err
+    if tag is None:
+        assert (code, err) == (0, "")
+        data = json.loads(out.read_text())
+        assert data["equitable"] is False and data["witness"] == [1, 0, 1, 2, 0.25, 0.0]
+    else:
+        assert code == 1 and err.startswith(f"error [{tag}]: "), err
+
+
+def test_a_failed_allocation_is_a_tagged_stage_failure(tmp_path, monkeypatch, model_h6,
+                                                       capsys):
+    # at 256x256 numpy cannot allocate the 32 GiB operator of the block split
+    from patternq import stability
+
+    def refuse(qm):
+        raise MemoryError("Unable to allocate 32.0 GiB")
+
+    monkeypatch.setattr(stability, "block_decompose", refuse)
+    assert main(["analyze", *_ON_TORUS, "--auto-bipartite", "--model", model_h6,
+                 "-o", str(tmp_path / "b.json")]) == 1
+    assert capsys.readouterr().err.startswith("error [stability]: Unable to allocate 32.0 GiB")
 
 
 def test_analyze_zero_class_gain_certifies(tmp_path):

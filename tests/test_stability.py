@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from patternq.cells import HillMap, dc_gain, fixed_point, t_prime
-from patternq.cli import _quotient_report
+from patternq.cli import _Run
 from patternq.errors import BadOptions, DetailedBalanceViolated, NotSteadyState
 from patternq.existence import certify, solve_reduced
 from patternq.graphs import (
@@ -289,7 +289,7 @@ def test_small_gain_class_gains_are_the_block_routes_slopes():
     pytest.param(lambda qm, m: certify(qm, m), id="certify"),
     pytest.param(lambda qm, m: small_gain(qm, m, np.ones(2)), id="small_gain"),
     pytest.param(lambda qm, m: block_stability(qm, m, np.ones(2)), id="block"),
-    pytest.param(lambda qm, m: _quotient_report(qm), id="quotient_report"),
+    pytest.param(lambda qm, m: _Run.quotient_data(qm), id="quotient_report"),
 ])
 def test_every_quotient_route_checks_detailed_balance(route):
     # each route reads the one symmetric form, which checks detailed balance
