@@ -15,11 +15,12 @@ from .existence import (ASSUMPTION_FAILED, CERTIFIED, INCONCLUSIVE, ExistenceCer
                         PatternSolution, ReducedSolution, certify, lift, solve_reduced)
 from .graphs import (ScaledAdjacency, WeightedGraph, bipartition, build_graph, generate,
                      is_connected, scaled_adjacency)
+from .ode import Settled
 from .partitions import (BlockDecomposition, Partition, QuotientModel, block_decompose,
                          coarsest_equitable_refinement, is_equitable, make_partition,
                          orbits_from_generators, quotient)
-from .simulate import (CertificateCheck, EmpiricalPattern, SimOptions, SimulationTrace,
-                       classify, integrate, perturbed_start, verify_certificate)
+from .simulate import (CertificateCheck, EmpiricalPattern, SimOptions, classify, integrate,
+                       perturbed_start, verify_certificate)
 from .spectral import Spectrum, jacobian_spectrum, sym_eigen
 from .stability import (CERTIFIED_STABLE, MARGINAL, NOT_CERTIFIED, STABLE, UNSTABLE,
                         StabilityReport, block_stability, small_gain, stability_report)
@@ -46,6 +47,6 @@ __all__ = [
     "STABLE", "UNSTABLE", "MARGINAL", "CERTIFIED_STABLE", "NOT_CERTIFIED",
     "StabilityReport", "block_stability", "small_gain", "stability_report",
     # simulation
-    "SimOptions", "SimulationTrace", "EmpiricalPattern", "CertificateCheck",
+    "SimOptions", "Settled", "EmpiricalPattern", "CertificateCheck",
     "integrate", "perturbed_start", "classify", "verify_certificate",
 ]

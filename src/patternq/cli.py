@@ -5,14 +5,16 @@ analyze, report.  Every command but `report` names a built-in lattice by
 one spec, --gen KIND:sizes (torus_mesh:4,4, path:5, buckyball), and all but
 `gen` take --graph FILE instead; `render` and `report --svg` share the
 layout function _draw.  Every command that works on a partition reads
-one staged run, _Run, which computes each stage once, under the tag that a
-failure prints as `error [stage]`; `partition` and `analyze` pick the
-partition with one chooser.  The table _SECTIONS drives both building and
-checking the sealed bundle: `analyze` seals each section's data from the
-run with the hashes of exactly the sections its row names, and `report`
-checks every hash and link against it and prints a human summary.  Exit
-codes: 0 certified and stable, 2 not certified, 3 certified but not
-stable, 1 on any error.
+one staged run, _Run, which refuses a disconnected contact graph and
+computes each stage once, under the tag that a failure prints as
+`error [stage]`; `partition` and `analyze` pick the partition with one
+chooser.  `simulate --trace` samples the run through integrate's on_step
+hook; no other command keeps a trajectory.  The table _SECTIONS drives
+both building and checking the sealed bundle: `analyze` seals each
+section's data from the run with the hashes of exactly the sections its
+row names, and `report` checks every hash and link against it and prints
+a human summary.  Exit codes: 0 certified and stable, 2 not certified,
+3 certified but not stable, 1 on any error.
 
 Set PATTERNQ_LOG={error|info|debug} to control logging.
 """
@@ -79,6 +81,7 @@ LOG = logging.getLogger("patternq")
 
 _GLYPHS = "#.o*+x=%@&"
 _SVG_COLORS = ("#404040", "#e8e8e8", "#909090", "#c8c8c8", "#686868", "#f4f4f4")
+_TRACE_ROWS = 10_000
 
 
 class _StageFailure(Exception):
@@ -149,12 +152,15 @@ def _choose_partition(g: WeightedGraph, how: str, path: str | None) -> tuple:
 # ---------------------------------------------------------------------------
 
 class _Run:
-    """The paper's chain on one graph, partition and model.  Every stage runs
-    under its stage tag and calls its library function through this module's
-    binding; the cached ones run once, on first read.  `data` builds each
-    bundle section's data from the stages it reads."""
+    """The paper's chain on one graph, partition and model.  A disconnected
+    contact graph is refused under the tag `graph` before any stage.  Every
+    stage runs under its stage tag and calls its library function through
+    this module's binding; the cached ones run once, on first read.  `data`
+    builds each bundle section's data from the stages it reads."""
 
     def __init__(self, g: WeightedGraph, pi, model: HillMap | None = None):
+        if not is_connected(g):
+            raise _StageFailure("graph", BadOptions("contact graph must be connected"))
         self.g, self.pi, self.model = g, pi, model
 
     @functools.cached_property
@@ -325,10 +331,34 @@ def _perturb_direction(spec: str, n: int) -> np.ndarray:
     return direction
 
 
-def _write_trace(path: str, trace, n: int) -> None:
+def _trace_sampler() -> tuple:
+    """The (t, state) rows of a --trace CSV and the on_step hook of integrate
+    that fills them: every stride-th accepted state, the stride doubling
+    and every other row dropped whenever 10^4 - 1 rows are kept, so a row
+    stays free for the final state."""
+    rows, stride = [], 1
+
+    def sample(k: int, t: float, state: np.ndarray) -> None:
+        nonlocal stride
+        if k % stride:
+            return
+        if len(rows) == _TRACE_ROWS - 1:
+            del rows[1::2]
+            stride *= 2
+            if k % stride:
+                return
+        rows.append((t, state))
+
+    return rows, sample
+
+
+def _write_trace(path: str, rows: list, rest, n: int) -> None:
+    """The sampled rows, then the final state unless it is the last row."""
+    if rows[-1][0] != rest.final_time:
+        rows.append((rest.final_time, rest.final_state))
     with open(path, "w") as fh:
         fh.write("t," + ",".join(f"x_{i}" for i in range(n)) + "\n")
-        for t, row in zip(trace.times, trace.states):
+        for t, row in rows:
             fh.write(format(t, ".17g") + ","
                      + ",".join(format(v, ".17g") for v in row) + "\n")
 
@@ -352,17 +382,18 @@ def _cmd_simulate(args) -> int:
             direction = _run_stage("simulate", _perturb_direction, args.perturb, g.n)
             x0 = _run_stage("simulate", perturbed_start, model, fixed_point(model).value,
                             direction, args.eps)
-    trace = _run_stage("simulate", integrate, sa, model, x0, opts)
+    rows, on_step = _trace_sampler() if args.trace else (None, None)
+    rest = _run_stage("simulate", integrate, sa, model, x0, opts, on_step)
     if args.trace:
-        _run_stage("write", _write_trace, args.trace, trace, g.n)
+        _run_stage("write", _write_trace, args.trace, rows, rest, g.n)
     summary = {
-        "converged": trace.converged,
-        "final_time": trace.final_time,
-        "final_derivative_norm": trace.final_derivative_norm,
-        "final_state": trace.final_state,
+        "converged": rest.converged,
+        "final_time": rest.final_time,
+        "final_derivative_norm": rest.final_derivative_norm,
+        "final_state": rest.final_state,
     }
-    if trace.converged:
-        emp = classify(trace, cluster_tol=grouping_tol(model))
+    if rest.converged:
+        emp = classify(rest, cluster_tol=grouping_tol(model))
         summary.update(groups=emp.groups, values=emp.values)
     _write_json(summary, args.out)
     return 0
@@ -471,8 +502,6 @@ def _seal(section: dict) -> dict:
 
 def _cmd_analyze(args) -> int:
     g, source = _load_graph_arg(args)
-    if not is_connected(g):
-        raise _StageFailure("graph", BadOptions("contact graph must be connected"))
     model = _run_stage("load", load_model, args.model)
     eps = args.eps if args.simulate else None
     if eps is not None:  # refuse a bad --eps before the pipeline runs

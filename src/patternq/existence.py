@@ -190,7 +190,7 @@ def _ode_root(pbar: np.ndarray, model: HillMap, z0: np.ndarray, tol: float,
     rest = settle(f, np.maximum(z0, 0.0), model, tol, _FLOW_HORIZON * model.tau,
                   lambda t, z: np.maximum(z, 0.0),
                   on_step=None if progress is None else tick)
-    return rest.state if rest.converged else None
+    return rest.final_state if rest.converged else None
 
 
 def solve_reduced(qm: QuotientModel, model: HillMap, *, progress=None) -> ReducedSolution:

@@ -67,11 +67,12 @@ _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 4
 @dataclass(frozen=True)
 class Settled:
     """Where a flow came to rest: the last accepted state and its derivative
-    norm, the model time reached, and the accepted and rejected step counts."""
+    norm, the model time reached, whether the norm fell below the
+    tolerance, and the accepted and rejected step counts."""
 
-    state: np.ndarray
-    time: float
-    derivative_norm: float
+    final_state: np.ndarray
+    final_time: float
+    final_derivative_norm: float
     converged: bool
     steps: int
     rejected: int
@@ -151,5 +152,5 @@ def settle(rhs, y0: np.ndarray, model: HillMap, conv_tol: float, t_max: float,
         if on_step is not None:
             on_step(steps, t, y)
         h *= min(_GROW_MAX, _SAFETY * err ** -0.2) if err > 0 else _GROW_MAX
-    return Settled(state=y, time=t, derivative_norm=norm,
+    return Settled(final_state=y, final_time=t, final_derivative_norm=norm,
                    converged=norm < conv_tol, steps=steps, rejected=rejected)

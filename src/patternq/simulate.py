@@ -8,10 +8,13 @@ puts on the Jacobian's spectrum, so runs settle onto the equilibrium
 instead of hovering at the edge of stability; trajectories stay inside the
 box [0, A]^N.  integrate takes the averaging operator (a ScaledAdjacency,
 such as QuotientModel.operator) and computes P x as its O(m) edge-array
-product; no n x n matrix is built.  verify_certificate takes the
-QuotientModel the certificate was made on.  Each run logs its accepted and
-rejected step counts, model time, final derivative norm and convergence at
-INFO level on the "patternq.simulate" logger.
+product; no n x n matrix is built.  It returns the ode.Settled record of
+where the flow came to rest and keeps no trajectory: a caller that wants
+the accepted states passes on_step (the `simulate --trace` CSV thins them
+to at most 10^4 rows).  verify_certificate takes the QuotientModel the
+certificate was made on.  Each run logs its accepted and rejected step
+counts, model time, final derivative norm and convergence at INFO level on
+the "patternq.simulate" logger.
 """
 from __future__ import annotations
 
@@ -25,12 +28,11 @@ from .cells import HillMap, _hill
 from .errors import BadOptions, NotConverged, StateOutOfBox
 from .existence import CERTIFIED, ExistenceCertificate, PatternSolution, certify
 from .graphs import ScaledAdjacency
-from .ode import settle, stable_step
+from .ode import Settled, settle, stable_step
 from .partitions import Partition, QuotientModel
 
 __all__ = [
     "SimOptions",
-    "SimulationTrace",
     "EmpiricalPattern",
     "CertificateCheck",
     "integrate",
@@ -44,7 +46,6 @@ __all__ = [
 
 LOG = logging.getLogger(__name__)
 
-_MAX_SAMPLES = 10_000
 _BOX_SLOP_REL = 1e-7
 
 
@@ -68,30 +69,16 @@ class SimOptions:
         return step, max_time, self.conv_tol
 
 
-@dataclass(frozen=True)
-class SimulationTrace:
-    """Sampled trajectory; steps and rejected count the accepted and the
-    rejected Dormand-Prince steps."""
-
-    times: np.ndarray
-    states: np.ndarray
-    final_state: np.ndarray
-    final_time: float
-    converged: bool
-    final_derivative_norm: float
-    steps: int
-    rejected: int
-
-
 def integrate(sa: ScaledAdjacency, model: HillMap, x0,
-              opts: SimOptions | None = None) -> SimulationTrace:
-    """Integrate from x0 until the derivative norm drops below conv_tol.
+              opts: SimOptions | None = None, on_step=None) -> Settled:
+    """Integrate from x0 until the derivative norm drops below conv_tol or
+    max_time passes, and return where the flow came to rest.
 
-    Samples are thinned to at most 10^4 rows: whenever the buffer fills,
-    every other row is dropped and the sampling stride doubles.  States
-    leaving [0, A] by more than float dust abort with StateOutOfBox (the
-    exact flow never leaves the box, so an escape means the step is too
-    large); dust-level excursions are clipped back.
+    on_step(k, t, x) sees the start (k = 0) and every accepted state, each
+    a new array it may keep (ode.settle).  States leaving [0, A] by more
+    than float dust abort with StateOutOfBox (the exact flow never leaves
+    the box, so an escape means the step is too large); dust-level
+    excursions are clipped back.
     """
     opts = opts or SimOptions()
     step, max_time, conv_tol = opts.resolved(model)
@@ -122,39 +109,11 @@ def integrate(sa: ScaledAdjacency, model: HillMap, x0,
                 f"state left [0, {amp}] at t={t:.3f}; reduce the step size")
         return state if 0.0 <= lo and hi <= amp else np.clip(state, 0.0, amp)
 
-    times: list[float] = []
-    states: list[np.ndarray] = []
-    stride = 1
-
-    def sample(k: int, t: float, state: np.ndarray) -> None:
-        nonlocal times, states, stride
-        if k % stride:
-            return
-        if len(times) == _MAX_SAMPLES - 1:
-            # keep room for the final state
-            times, states, stride = times[::2], states[::2], 2 * stride
-            if k % stride:
-                return
-        times.append(t)
-        states.append(state)
-
-    rest = settle(rhs, x, model, conv_tol, max_time, into_box, step, sample)
-    if times[-1] != rest.time:
-        times.append(rest.time)
-        states.append(rest.state)
+    rest = settle(rhs, x, model, conv_tol, max_time, into_box, step, on_step)
     LOG.info("%d steps, %d rejected, model time %.6g, final derivative norm "
-             "%.3e, converged %s", rest.steps, rest.rejected, rest.time,
-             rest.derivative_norm, rest.converged)
-    return SimulationTrace(
-        times=np.array(times),
-        states=np.array(states),
-        final_state=rest.state.copy(),
-        final_time=rest.time,
-        converged=rest.converged,
-        final_derivative_norm=rest.derivative_norm,
-        steps=rest.steps,
-        rejected=rest.rejected,
-    )
+             "%.3e, converged %s", rest.steps, rest.rejected, rest.final_time,
+             rest.final_derivative_norm, rest.converged)
+    return rest
 
 
 def perturbed_start(model: HillMap, u_hom: float, direction, eps: float) -> np.ndarray:
@@ -197,11 +156,11 @@ def cluster_values(values: np.ndarray, cluster_tol: float) -> np.ndarray:
     return group_of
 
 
-def classify(trace: SimulationTrace, cluster_tol: float) -> EmpiricalPattern:
+def classify(rest: Settled, cluster_tol: float) -> EmpiricalPattern:
     """Single-linkage clustering of final values with a gap threshold."""
-    if not trace.converged:
+    if not rest.converged:
         raise NotConverged("simulation did not converge; nothing to classify")
-    final = trace.final_state
+    final = rest.final_state
     group_of = cluster_values(final, cluster_tol)
     # group ids ascend as values descend, so each group is one run of the
     # descending order; its mean is taken over the run in that order
@@ -237,7 +196,9 @@ def verify_certificate(qm: QuotientModel, model: HillMap,
                        eps: float = 0.01,
                        opts: SimOptions | None = None) -> CertificateCheck:
     """Simulate from a perturbation along the lifted minimum eigenvector and
-    compare the settled pattern with the predicted one.
+    compare the settled pattern with the predicted one.  Only the state
+    where the run came to rest is read, and integrate keeps no other, so the
+    check holds a few arrays of n floats at a time.
 
     A failure to match is reported, never raised: nothing guarantees the
     chosen start lies in the predicted pattern's basin.
@@ -258,17 +219,17 @@ def verify_certificate(qm: QuotientModel, model: HillMap,
         if toward < 0:
             direction = -direction
     x0 = perturbed_start(model, cert.fixed_point_value, direction, eps)
-    trace = integrate(qm.operator, model, x0, opts)
-    if not trace.converged:
+    rest = integrate(qm.operator, model, x0, opts)
+    if not rest.converged:
         return CertificateCheck(
             match=False, exploratory=exploratory, converged=False,
             max_deviation=float("nan"), empirical=None,
             note="simulation hit max_time before converging")
-    empirical = classify(trace, cluster_tol=grouping_tol(model))
+    empirical = classify(rest, cluster_tol=grouping_tol(model))
     # the grouping is the partition when both list the same vertex sets;
     # each lists a group as an ascending tuple
     same_grouping = set(empirical.groups) == set(qm.partition.classes)
-    deviation = float(np.abs(trace.final_state - pattern.cell_states).max())
+    deviation = float(np.abs(rest.final_state - pattern.cell_states).max())
     if exploratory:
         note = "no certificate; simulation exploratory only"
     elif same_grouping:

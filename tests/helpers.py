@@ -764,7 +764,7 @@ def settle_reference(rhs, y0: np.ndarray, model: HillMap, conv_tol: float, t_max
         if on_step is not None:
             on_step(steps, t, y)
         h *= min(_GROW_MAX, _SAFETY * err ** -0.2) if err > 0 else _GROW_MAX
-    return Settled(state=y, time=t, derivative_norm=norm,
+    return Settled(final_state=y, final_time=t, final_derivative_norm=norm,
                    converged=norm < conv_tol, steps=steps, rejected=rejected)
 
 

@@ -181,6 +181,38 @@ def test_non_finite_pattern_fails_at_load(tmp_path, torus_graph, torus_bipartiti
     assert not out.exists()
 
 
+# The --trace CSV of a short run, every accepted state a row, and of a run
+# of 30000 accepted steps, thinned to every 4th; the sha256 pins every byte.
+_TRACE_RUNS = {
+    "short": (["--gen", "torus_mesh:4,4", "--model", "{h6}", "--perturb", "cell:0"], 122,
+              "93a7a9415f40879e5297a1eff54250268b5779c09c52eb509b83b3465fd76895"),
+    "thinned": (["--graph", "{two_cells}", "--model", "{h15}", "--x0", "{x0}", "--step", "0.001",
+                 "--max-time", "30", "--conv-tol", "1e-13"], 7501,
+                "a2a3c3b96a61a915ed4a18af0aeef293535489be402aa6f520b5d9bbd4510dbf"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_TRACE_RUNS))
+def test_simulate_trace_rows_and_bytes(tmp_path, model_h6, run):
+    argv, rows, sha = _TRACE_RUNS[run]
+    files = {"h6": model_h6}
+    for name, text in [("two_cells", '{"n": 2, "edges": [[0, 1, 1.0]]}'),
+                       ("h15", '{"A": 2.0, "K": 1.0, "h": 1.5, "tau": 1.0}'),
+                       ("x0", "[0.2, 1.4]")]:
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(text)
+    trace, out = tmp_path / "tr.csv", tmp_path / "sim.json"
+    assert main(["simulate", *(arg.format(**files) for arg in argv),
+                 "--trace", str(trace), "-o", str(out)]) == 0
+    times = [float(line.split(",")[0]) for line in trace.read_text().splitlines()[1:]]
+    assert len(times) == rows <= 10_000
+    assert times[0] == 0.0 and times[-1] == json.loads(out.read_text())["final_time"]
+    if run == "thinned":
+        # fixed steps of 1e-3: the stride doubled twice, at 10^4 - 1 rows
+        assert np.allclose(times, 0.004 * np.arange(rows), rtol=0, atol=1e-9)
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == sha
+
+
 def test_simulate_and_render(tmp_path, torus_graph, torus_bipartition, model_h6, capsys):
     trace = tmp_path / "tr.csv"
     out = tmp_path / "sim.json"
@@ -859,6 +891,7 @@ def test_missing_pattern_stage_tag(tmp_path, torus_graph, model_h6, capsys):
 
 _ON_TORUS = ["--gen", "torus_mesh:4,4"]
 _ON_TWO_EDGES = ["--graph", "{two_edges}", "--partition", "{ends}", "--model", "{model}"]
+_ACROSS_TWO_EDGES = ["--graph", "{two_edges}", "--partition", "{sides}", "--model", "{model}"]
 
 
 @pytest.mark.parametrize("argv,tag", [
@@ -874,11 +907,18 @@ _ON_TWO_EDGES = ["--graph", "{two_edges}", "--partition", "{ends}", "--model", "
     (["partition", *_ON_TORUS, "--mode", "check", "--seed", "{corner}"], None),
     (["stability", *_ON_TORUS, "--partition", "{checkerboard}", "--model", "{model}",
       "--pattern", "{z}"], "stability"),
-    # two disjoint edges, one class per edge: equitable, but the reduced
-    # graph is disconnected
-    (["exist", *_ON_TWO_EDGES], "solve"),
-    (["simulate", *_ON_TWO_EDGES, "--perturb", "vr"], "certify"),
+    # two disjoint edges are refused before any stage, whether the reduced
+    # graph is disconnected (one class per edge) or connected (one class
+    # per side of both edges)
+    (["exist", *_ON_TWO_EDGES], "graph"),
+    (["simulate", *_ON_TWO_EDGES, "--perturb", "vr"], "graph"),
     (["analyze", *_ON_TWO_EDGES], "graph"),
+    (["quotient", "--graph", "{two_edges}", "--partition", "{sides}"], "graph"),
+    (["exist", *_ACROSS_TWO_EDGES], "graph"),
+    (["stability", *_ACROSS_TWO_EDGES, "--pattern", "{z}"], "graph"),
+    (["simulate", *_ACROSS_TWO_EDGES, "--perturb", "vr"], "graph"),
+    (["analyze", *_ACROSS_TWO_EDGES], "graph"),
+    (["partition", "--graph", "{two_edges}", "--mode", "check", "--seed", "{sides}"], "graph"),
 ])
 def test_each_failing_stage_names_its_tag(tmp_path, model_h6, torus_bipartition, capsys,
                                          argv, tag):
@@ -886,7 +926,8 @@ def test_each_failing_stage_names_its_tag(tmp_path, model_h6, torus_bipartition,
     for name, data in [("corner", {"classes": [[0], list(range(1, 16))]}),
                        ("z", {"z": [1.0, 0.5]}),
                        ("two_edges", {"n": 4, "edges": [[0, 1, 1.0], [2, 3, 1.0]]}),
-                       ("ends", {"classes": [[0, 1], [2, 3]]})]:
+                       ("ends", {"classes": [[0, 1], [2, 3]]}),
+                       ("sides", {"classes": [[0, 2], [1, 3]]})]:
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     out = tmp_path / "out.json"

@@ -490,18 +490,27 @@ def stepper_runs(draw):
               SimOptions(step=40.0, max_time=400.0)))
 def test_integrate_matches_the_reference_stepper_bit_for_bit(run):
     sa, m, x0, opts = run
+    got_times, got_states = [], []
+
+    def keep(k, t, x):
+        got_times.append(t)
+        got_states.append(x)
+
     try:
-        trace = integrate(sa, m, x0, opts)
+        got = integrate(sa, m, x0, opts, keep)
     except StateOutOfBox:
         with pytest.raises(StateOutOfBox):
             integrate_reference(sa, m, x0, *opts.resolved(m))
         return
     times, states, rest = integrate_reference(sa, m, x0, *opts.resolved(m))
-    assert np.array_equal(trace.times, times)
-    assert np.array_equal(trace.states, states)
-    assert (trace.steps, trace.rejected, trace.converged) == (
+    # every accepted state, not a thinned sample, and the rest record whole
+    assert np.array_equal(got_times, times)
+    assert np.array_equal(got_states, states)
+    assert got.final_time == rest.final_time
+    assert np.array_equal(got.final_state, rest.final_state)
+    assert (got.steps, got.rejected, got.converged) == (
         rest.steps, rest.rejected, rest.converged)
-    assert trace.final_derivative_norm == rest.derivative_norm
+    assert got.final_derivative_norm == rest.final_derivative_norm
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,10 +33,10 @@ def test_equilibrium_start_stays_put():
     g = torus_mesh(4, 4)
     m = HillMap(exponent=6)
     u_star = fixed_point(m).value
-    trace = integrate(scaled_adjacency(g), m, np.full(g.n, u_star))
-    assert trace.converged
-    assert trace.final_time == 0.0
-    assert np.abs(trace.final_state - u_star).max() < 1e-12
+    rest = integrate(scaled_adjacency(g), m, np.full(g.n, u_star))
+    assert rest.converged
+    assert rest.final_time == 0.0
+    assert np.abs(rest.final_state - u_star).max() < 1e-12
 
 
 def test_lifted_pattern_is_an_equilibrium():
@@ -44,29 +46,31 @@ def test_lifted_pattern_is_an_equilibrium():
     qm = quotient(g, pi)
     red = solve_reduced(qm, m)
     pat = lift(qm, red.class_values, m)
-    trace = integrate(scaled_adjacency(g), m, pat.cell_states, SimOptions(max_time=50.0))
-    assert np.abs(trace.final_state - pat.cell_states).max() < 1e-8
+    rest = integrate(scaled_adjacency(g), m, pat.cell_states, SimOptions(max_time=50.0))
+    assert np.abs(rest.final_state - pat.cell_states).max() < 1e-8
 
 
 def test_two_cells_settle_on_the_two_cycle():
     g = build_graph(2, [(0, 1, 1.0)])
     m = HillMap(exponent=6)
     u_star = fixed_point(m).value
-    trace = integrate(scaled_adjacency(g), m, np.array([u_star + 0.01, u_star - 0.01]))
-    assert trace.converged
+    rest = integrate(scaled_adjacency(g), m, np.array([u_star + 0.01, u_star - 0.01]))
+    assert rest.converged
     z_hi, z_lo = two_cycle_oracle(m)
     # cell 0 started high and wins the inhibition race
-    assert abs(trace.final_state[0] - z_hi) < 1e-6
-    assert abs(trace.final_state[1] - z_lo) < 1e-6
+    assert abs(rest.final_state[0] - z_hi) < 1e-6
+    assert abs(rest.final_state[1] - z_lo) < 1e-6
 
 
 def test_trajectories_stay_in_the_box():
     g = torus_mesh(4, 4)
     m = HillMap(exponent=6)
     rng = np.random.default_rng(2)
-    trace = integrate(scaled_adjacency(g), m, rng.uniform(0.0, m.amplitude, size=g.n))
-    assert trace.states.min() >= 0.0
-    assert trace.states.max() <= m.amplitude
+    states = []
+    integrate(scaled_adjacency(g), m, rng.uniform(0.0, m.amplitude, size=g.n),
+              on_step=lambda k, t, x: states.append(x))
+    assert np.min(states) >= 0.0
+    assert np.max(states) <= m.amplitude
 
 
 def test_blowup_raises_state_out_of_box(monkeypatch):
@@ -83,9 +87,11 @@ def test_large_step_cap_still_converges_in_the_box():
     g = torus_mesh(4, 4)
     m = HillMap(exponent=6)
     x0 = np.random.default_rng(3).uniform(0.2, 1.8, size=g.n)
-    trace = integrate(scaled_adjacency(g), m, x0, SimOptions(step=40.0, max_time=400.0))
-    assert trace.converged
-    assert trace.states.min() >= 0.0 and trace.states.max() <= m.amplitude
+    states = []
+    rest = integrate(scaled_adjacency(g), m, x0, SimOptions(step=40.0, max_time=400.0),
+                     lambda k, t, x: states.append(x))
+    assert rest.converged
+    assert np.min(states) >= 0.0 and np.max(states) <= m.amplitude
 
 
 def test_integrate_validates_inputs():
@@ -114,16 +120,6 @@ def test_integrate_rejects_non_finite_inputs(x0, opts):
         integrate(scaled_adjacency(g), HillMap(), np.array(x0), opts)
 
 
-def test_sample_thinning_caps_rows():
-    g = build_graph(2, [(0, 1, 1.0)])
-    m = HillMap(exponent=1.5)
-    trace = integrate(scaled_adjacency(g), m, np.array([0.2, 1.4]),
-                      SimOptions(step=0.001, max_time=30.0, conv_tol=1e-13))
-    assert len(trace.times) <= 10_000
-    assert trace.times[0] == 0.0
-    assert trace.times[-1] == trace.final_time
-
-
 def test_perturbed_start_shapes_and_clipping():
     m = HillMap(exponent=6)
     d = np.array([2.0, -1.0, 0.5])
@@ -139,10 +135,10 @@ def test_classify_single_group_for_homogeneous_final():
     g = torus_mesh(4, 4)
     m = HillMap(exponent=1.5)
     rng = np.random.default_rng(4)
-    trace = integrate(scaled_adjacency(g), m, perturbed_start(m, fixed_point(m).value,
-                                            rng.standard_normal(g.n), 0.01))
-    assert trace.converged
-    emp = classify(trace, cluster_tol=1e-4 * m.amplitude)
+    x0 = perturbed_start(m, fixed_point(m).value, rng.standard_normal(g.n), 0.01)
+    rest = integrate(scaled_adjacency(g), m, x0)
+    assert rest.converged
+    emp = classify(rest, cluster_tol=1e-4 * m.amplitude)
     assert len(emp.groups) == 1
     assert abs(emp.values[0] - fixed_point(m).value) < 1e-6
 
@@ -153,8 +149,8 @@ def test_classify_checkerboard_groups_match_bipartition():
     m = HillMap(exponent=6)
     cert = certify(quotient(g, pi), m)
     x0 = perturbed_start(m, cert.fixed_point_value, pi.expand(cert.min_eigenvector), 0.01)
-    trace = integrate(scaled_adjacency(g), m, x0)
-    emp = classify(trace, cluster_tol=1e-4 * m.amplitude)
+    rest = integrate(scaled_adjacency(g), m, x0)
+    emp = classify(rest, cluster_tol=1e-4 * m.amplitude)
     assert {frozenset(grp) for grp in emp.groups} == {frozenset(c) for c in pi.classes}
     assert emp.values[0] > emp.values[1]
 
@@ -170,10 +166,10 @@ def test_cluster_values_single_linkage_in_descending_order():
 def test_classify_requires_convergence():
     g = torus_mesh(4, 4)
     m = HillMap(exponent=6)
-    trace = integrate(scaled_adjacency(g), m, np.full(g.n, 0.5), SimOptions(max_time=0.05))
-    assert not trace.converged
+    rest = integrate(scaled_adjacency(g), m, np.full(g.n, 0.5), SimOptions(max_time=0.05))
+    assert not rest.converged
     with pytest.raises(NotConverged):
-        classify(trace, 1e-4)
+        classify(rest, 1e-4)
 
 
 @pytest.mark.parametrize("g,pi", [
@@ -187,8 +183,10 @@ def test_class_constant_states_stay_class_constant(g, pi):
     m = HillMap(exponent=6)
     rng = np.random.default_rng(8)
     x0 = pi.expand(rng.uniform(0.2, 1.8, size=pi.r))
-    trace = integrate(scaled_adjacency(g), m, x0, SimOptions(max_time=200.0))
-    assert max_within_class_spread(trace.states, pi) < 1e-9
+    states = []
+    integrate(scaled_adjacency(g), m, x0, SimOptions(max_time=200.0),
+              lambda k, t, x: states.append(x))
+    assert max_within_class_spread(np.array(states), pi) < 1e-9
 
 
 def test_step_halving_changes_little():
@@ -212,8 +210,8 @@ def test_stable_pattern_recovers_from_small_kick():
     rng = np.random.default_rng(5)
     kick = 1e-3 * rng.standard_normal(g.n)
     x0 = np.clip(pat.cell_states + kick, 0.0, m.amplitude)
-    trace = integrate(scaled_adjacency(g), m, x0)
-    assert np.abs(trace.final_state - pat.cell_states).max() < 1e-6
+    rest = integrate(scaled_adjacency(g), m, x0)
+    assert np.abs(rest.final_state - pat.cell_states).max() < 1e-6
 
 
 def test_unstable_homogeneous_state_departs():
@@ -222,9 +220,9 @@ def test_unstable_homogeneous_state_departs():
     u_star = fixed_point(m).value
     rng = np.random.default_rng(6)
     x0 = perturbed_start(m, u_star, rng.standard_normal(g.n), 1e-3)
-    trace = integrate(scaled_adjacency(g), m, x0)
-    assert trace.converged
-    assert np.abs(trace.final_state - u_star).max() > 1e-1
+    rest = integrate(scaled_adjacency(g), m, x0)
+    assert rest.converged
+    assert np.abs(rest.final_state - u_star).max() > 1e-1
 
 
 def test_verify_certificate_checkerboard():
@@ -262,3 +260,21 @@ def test_verify_certificate_stable_homogeneous_single_group():
     assert chk.exploratory and chk.converged
     assert len(chk.empirical.groups) == 1 and not chk.match
     assert abs(chk.empirical.values[0] - fixed_point(m).value) < 1e-6
+
+
+def test_verify_certificate_keeps_no_trajectory():
+    # the 128x128 checkerboard settles in about 100 steps of 16384 cells:
+    # kept states would cost 128 kB each, the check itself a few arrays
+    g = torus_mesh(128, 128)
+    m = HillMap(exponent=6)
+    qm = quotient(g, bipartition_partition(g))
+    red = solve_reduced(qm, m)
+    pat = lift(qm, red.class_values, m)
+    tracemalloc.start()
+    try:
+        chk = verify_certificate(qm, m, pat, red.certificate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chk.match and chk.converged
+    assert peak < 10e6, peak
