@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .cells import FixedPoint, HillMap, cell_rhs, dc_gain, fixed_point, t_eval, t_prime
 from .errors import PatternQError
 from .existence import (ASSUMPTION_FAILED, CERTIFIED, INCONCLUSIVE, ExistenceCertificate,
-                        PatternSolution, ReducedSolution, certify, lift, solve_reduced)
+                        PatternSolution, certify, lift, solve_reduced)
 from .graphs import (ScaledAdjacency, WeightedGraph, bipartition, build_graph, generate,
                      is_connected, scaled_adjacency)
 from .ode import Settled
@@ -42,7 +42,7 @@ __all__ = [
     "dc_gain",
     # existence
     "CERTIFIED", "INCONCLUSIVE", "ASSUMPTION_FAILED", "ExistenceCertificate",
-    "ReducedSolution", "PatternSolution", "certify", "solve_reduced", "lift",
+    "PatternSolution", "certify", "solve_reduced", "lift",
     # stability
     "STABLE", "UNSTABLE", "MARGINAL", "CERTIFIED_STABLE", "NOT_CERTIFIED",
     "StabilityReport", "block_stability", "small_gain", "stability_report",

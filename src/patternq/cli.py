@@ -1,20 +1,22 @@
 """Command-line front end: generate graphs, partition, certify, simulate, render.
 
-Subcommands: gen, partition, quotient, exist, stability, simulate, render,
-analyze, report.  Every command but `report` names a built-in lattice by
-one spec, --gen KIND:sizes (torus_mesh:4,4, path:5, buckyball), and all but
-`gen` take --graph FILE instead; `render` and `report --svg` share the
-layout function _draw.  Every command that works on a partition reads
-one staged run, _Run, which refuses a disconnected contact graph and
-computes each stage once, under the tag that a failure prints as
-`error [stage]`; `partition` and `analyze` pick the partition with one
-chooser.  `simulate --trace` samples the run through integrate's on_step
-hook; no other command keeps a trajectory.  The table _SECTIONS drives
-both building and checking the sealed bundle: `analyze` seals each
-section's data from the run with the hashes of exactly the sections its
-row names, and `report` checks every hash and link against it and prints
-a human summary.  Exit codes: 0 certified and stable, 2 not certified,
-3 certified but not stable, 1 on any error.
+Subcommands: gen, partition, exist, stability, simulate, render, analyze,
+report.  Every command but `report` names a built-in lattice by one spec,
+--gen KIND:sizes (torus_mesh:4,4, path:5, buckyball), and all but `gen`
+take --graph FILE instead; `render` and `report --svg` share the layout
+function _draw and both colour cell states.  Every command that works on a
+partition reads one staged run, _Run, which refuses a disconnected contact
+graph and computes each stage once, under the tag that a failure prints
+as `error [stage]`: the quotient, then one pattern record from the reduced
+solve (its lift and certificate included, which `simulate --perturb vr`
+reads too), stability and simulation.  `partition` and `analyze` pick the
+partition with one chooser.  `simulate --trace` samples the run through
+integrate's on_step hook; no other command keeps a trajectory.  The table
+_SECTIONS drives both building and checking the sealed bundle: `analyze`
+seals each section's data from the run with the hashes of exactly the
+sections its row names, and `report` checks every hash and link against
+it and prints a human summary.  Exit codes: 0 certified and stable, 2 not
+certified, 3 certified but not stable, 1 on any error.
 
 Set PATTERNQ_LOG={error|info|debug} to control logging.
 """
@@ -32,15 +34,7 @@ import numpy as np
 from . import __version__
 from .cells import HillMap, fixed_point
 from .errors import BadBundle, BadOptions, NotEquitable, PatternQError
-from .existence import (
-    CERTIFIED,
-    ExistenceCertificate,
-    PatternSolution,
-    ReducedSolution,
-    certify,
-    lift,
-    solve_reduced,
-)
+from .existence import CERTIFIED, PatternSolution, solve_reduced
 from .graphs import GENERATOR_KINDS, WeightedGraph, generate, is_connected, scaled_adjacency
 from .partitions import (
     QuotientModel,
@@ -168,17 +162,9 @@ class _Run:
         return _run_stage("quotient", quotient, self.g, self.pi)
 
     @functools.cached_property
-    def certificate(self) -> ExistenceCertificate:
-        """The certificate alone, for a run that solves nothing."""
-        return _run_stage("certify", certify, self.qm, self.model)
-
-    @functools.cached_property
-    def solution(self) -> ReducedSolution:
-        return _run_stage("solve", solve_reduced, self.qm, self.model)
-
-    @functools.cached_property
     def pattern(self) -> PatternSolution:
-        return _run_stage("lift", lift, self.qm, self.solution.class_values, self.model)
+        """The lifted root of the reduced solve, with its certificate."""
+        return _run_stage("solve", solve_reduced, self.qm, self.model)
 
     def stability(self, z, methods=("block", "smallgain")) -> dict:
         rep = _run_stage("stability", stability_report, self.qm, self.model, z, methods)
@@ -197,8 +183,7 @@ class _Run:
         return out
 
     def simulation(self, eps: float) -> dict:
-        chk = _run_stage("simulate", verify_certificate, self.qm, self.model, self.pattern,
-                         self.solution.certificate, eps)
+        chk = _run_stage("simulate", verify_certificate, self.qm, self.model, self.pattern, eps)
         emp = chk.empirical
         return {"match": chk.match, "exploratory": chk.exploratory, "converged": chk.converged,
                 "max_deviation": chk.max_deviation, "groups": emp.groups if emp else None,
@@ -225,7 +210,7 @@ class _Run:
         if name == "quotient":
             return _run_stage("quotient", self.quotient_data, self.qm)
         if name == "certificate":
-            cert = self.solution.certificate
+            cert = self.pattern.certificate
             return {"verdict": cert.verdict, "lambda_r": cert.min_eigenvalue,
                     "lambda_r_multiplicity": cert.min_multiplicity,
                     "u_star": cert.fixed_point_value,
@@ -233,23 +218,22 @@ class _Run:
                     "condition_value": cert.condition_value,
                     "reduced_bipartite": cert.reduced_bipartite}
         if name == "pattern":
-            red, pattern = self.solution, self.pattern
+            pattern = self.pattern
             return {"z": pattern.class_values, "u": pattern.cell_inputs, "x": pattern.cell_states,
                     "residuals": {"reduced": pattern.residual_reduced,
                                   "full": pattern.residual_full},
-                    "homogeneous": pattern.homogeneous, "warning": red.warning,
-                    "alternate_z": red.alternate_class_values}
+                    "homogeneous": pattern.homogeneous, "warning": pattern.warning,
+                    "alternate_z": pattern.alternate_class_values}
         if name == "stability":
             return self.stability(self.pattern.class_values)
         return None if eps is None else self.simulation(eps)
 
 
 def _load_run(args) -> _Run:
-    """The run on the graph, the --partition and, if the command takes it, --model."""
+    """The run on the graph, the --partition and the --model."""
     g, _ = _load_graph_arg(args)
     pi, _ = _choose_partition(g, "check", args.partition)
-    model = _run_stage("load", load_model, args.model) if "model" in args else None
-    return _Run(g, pi, model)
+    return _Run(g, pi, _run_stage("load", load_model, args.model))
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +260,6 @@ def _cmd_partition(args) -> int:
             raise
         out.update(equitable=False, witness=list(exc.cause.witness))
     _write_json(out, args.out)
-    return 0
-
-
-def _cmd_quotient(args) -> int:
-    run = _load_run(args)
-    _write_json({**run.data("quotient"), **run.data("partition")}, args.out)
     return 0
 
 
@@ -371,7 +349,7 @@ def _cmd_simulate(args) -> int:
         if not args.partition:
             raise _StageFailure("simulate", BadOptions("--perturb vr needs --partition"))
         run = _Run(g, _choose_partition(g, "check", args.partition)[0], model)
-        cert, sa = run.certificate, run.qm.operator
+        cert, sa = run.pattern.certificate, run.qm.operator
         x0 = _run_stage("simulate", perturbed_start, model, cert.fixed_point_value,
                         run.pi.expand(cert.min_eigenvector), args.eps)
     else:
@@ -597,12 +575,13 @@ def _report_text(bundle: dict) -> str:
 
 
 def _report_svg(bundle: dict) -> str:
-    """The pattern's cells grouped by the model's gap, drawn in the layout
-    of the bundle's graph source."""
-    u = np.asarray(bundle["pattern"]["data"]["u"], dtype=float)
+    """The pattern's cell states grouped by the model's gap, drawn in the
+    layout of the bundle's graph source, as render draws a trace's final
+    state."""
+    x = np.asarray(bundle["pattern"]["data"]["x"], dtype=float)
     model = model_from_dict(bundle["model"]["data"])
     return _draw(bundle["graph"].get("source", ""),
-                 cluster_values(u, grouping_tol(model)).tolist())[1]
+                 cluster_values(x, grouping_tol(model)).tolist())[1]
 
 
 def _read_bundle(read, bundle: dict) -> str:
@@ -657,12 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perms", help="permutations JSON for orbits mode")
     p.add_argument("--out", "-o")
     p.set_defaults(func=_cmd_partition)
-
-    p = sub.add_parser("quotient", help="quotient matrix and spectrum of a partition")
-    _add_graph_source(p)
-    p.add_argument("--partition", required=True)
-    p.add_argument("--out", "-o")
-    p.set_defaults(func=_cmd_quotient)
 
     p = sub.add_parser("exist", help="existence certificate and solved pattern")
     _add_graph_source(p)

@@ -4,7 +4,8 @@ A two-sided test: the quotient's minimum eigenvalue must be negative enough
 that |T'(u*)| * lambda_min < -1 while the reduced graph is bipartite.  When
 certified, nonhomogeneous roots of z = Pbar T(z) are located from the two
 corners of [0, A]^r that the reduced 2-coloring picks out (A on one side, 0
-on the other), and the class values are lifted to the full network.
+on the other), and the pick is lifted to the full network: solve_reduced
+returns one PatternSolution that carries the certificate it was decided on.
 
 Why the corners: flip the sign of one side of the coloring.  quotient()
 2-colors every class pair with a nonzero Pbar entry and T' <= 0 on
@@ -27,12 +28,12 @@ OnlyHomogeneousFound is the loud failure for when the numerics disagree.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cells import HillMap, fixed_point, t_eval, t_prime
-from .errors import DimensionMismatch, NotConnected, OnlyHomogeneousFound
+from .errors import NotConnected, OnlyHomogeneousFound
 from .ode import settle
 from .partitions import QuotientModel
 
@@ -41,7 +42,6 @@ __all__ = [
     "INCONCLUSIVE",
     "ASSUMPTION_FAILED",
     "ExistenceCertificate",
-    "ReducedSolution",
     "PatternSolution",
     "certify",
     "solve_reduced",
@@ -115,20 +115,13 @@ def certify(qm: QuotientModel, model: HillMap) -> ExistenceCertificate:
 
 
 @dataclass(frozen=True)
-class ReducedSolution:
-    """A root of the reduced equation z = Pbar T(z), the certificate it was decided on."""
-
-    class_values: np.ndarray
-    residual: float
-    homogeneous: bool
-    certificate: ExistenceCertificate
-    warning: str | None = None
-    alternate_class_values: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class PatternSolution:
-    """Class values plus their lift to per-cell inputs and states."""
+    """Class values plus their lift to per-cell inputs and states.
+
+    solve_reduced fills in the certificate it decided on, the warning of a
+    homogeneous fallback and a second distinct root; lift of given class
+    values leaves those three None.
+    """
 
     class_values: np.ndarray
     cell_inputs: np.ndarray
@@ -136,6 +129,9 @@ class PatternSolution:
     residual_reduced: float
     residual_full: float
     homogeneous: bool
+    certificate: ExistenceCertificate | None = None
+    warning: str | None = None
+    alternate_class_values: np.ndarray | None = None
 
 
 def _reduced_residual(pbar: np.ndarray, model: HillMap, z: np.ndarray) -> float:
@@ -193,8 +189,8 @@ def _ode_root(pbar: np.ndarray, model: HillMap, z0: np.ndarray, tol: float,
     return rest.final_state if rest.converged else None
 
 
-def solve_reduced(qm: QuotientModel, model: HillMap, *, progress=None) -> ReducedSolution:
-    """Find a nonhomogeneous root of the reduced equation.
+def solve_reduced(qm: QuotientModel, model: HillMap, *, progress=None) -> PatternSolution:
+    """Find a nonhomogeneous root of the reduced equation and lift it.
 
     Both solves start from the two coloring corners (model.amplitude on one
     side of qm.reduced_coloring, 0 on the other), the extremes of the
@@ -210,7 +206,8 @@ def solve_reduced(qm: QuotientModel, model: HillMap, *, progress=None) -> Reduce
     values; a second candidate more than 1e-8 away is returned as
     alternate_class_values.
     Without certification the homogeneous solution is returned with a
-    warning instead of an error.  `progress`, when given, is called as
+    warning instead of an error.  Either way the pick comes lifted, with
+    the certificate it was decided on.  `progress`, when given, is called as
     progress(phase, iteration) with phase "newton" per Newton iteration and
     "flow" every 5000 flow steps.
     """
@@ -219,13 +216,8 @@ def solve_reduced(qm: QuotientModel, model: HillMap, *, progress=None) -> Reduce
     u_star = cert.fixed_point_value
     hom = np.full(qm.r, u_star)
     if cert.verdict != CERTIFIED:
-        return ReducedSolution(
-            class_values=hom,
-            residual=_reduced_residual(pbar, model, hom),
-            homogeneous=True,
-            certificate=cert,
-            warning=f"verdict {cert.verdict}: returning the homogeneous state",
-        )
+        return replace(lift(qm, hom, model), certificate=cert,
+                       warning=f"verdict {cert.verdict}: returning the homogeneous state")
 
     def is_nonhomogeneous(z: np.ndarray) -> bool:
         return float(z.max() - z.min()) > _NONHOM_REL * u_star
@@ -260,13 +252,7 @@ def solve_reduced(qm: QuotientModel, model: HillMap, *, progress=None) -> Reduce
         if np.abs(z - best).max() > _DISTINCT:
             alternate = z
             break
-    return ReducedSolution(
-        class_values=best,
-        residual=_reduced_residual(pbar, model, best),
-        homogeneous=False,
-        certificate=cert,
-        alternate_class_values=alternate,
-    )
+    return replace(lift(qm, best, model), certificate=cert, alternate_class_values=alternate)
 
 
 def lift(qm: QuotientModel, z, model: HillMap) -> PatternSolution:
@@ -277,10 +263,7 @@ def lift(qm: QuotientModel, z, model: HillMap) -> PatternSolution:
     against the full averaging operator qm.operator.
     """
     z = np.asarray(z, dtype=float)
-    pi = qm.partition
-    if z.shape != (pi.r,):
-        raise DimensionMismatch(f"expected {pi.r} class values, got {z.shape}")
-    u = pi.expand(z)
+    u = qm.partition.expand(z)
     x = t_eval(model, u)
     residual_full = float(np.abs(u - qm.operator.matvec(x)).max())
     u_star = fixed_point(model).value

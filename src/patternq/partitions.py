@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (
     BadLatticeSize,
     DetailedBalanceViolated,
+    DimensionMismatch,
     NotAutomorphism,
     NotEquitable,
     NotPermutation,
@@ -106,8 +107,7 @@ class Partition:
         """Lift per-class values to a per-vertex vector."""
         vals = np.asarray(class_values, dtype=float)
         if vals.shape != (self.r,):
-            raise PartitionMismatch(
-                f"expected {self.r} class values, got shape {vals.shape}")
+            raise DimensionMismatch(f"expected {self.r} class values, got {vals.shape}")
         return vals[self.labels]
 
 

@@ -12,9 +12,9 @@ product; no n x n matrix is built.  It returns the ode.Settled record of
 where the flow came to rest and keeps no trajectory: a caller that wants
 the accepted states passes on_step (the `simulate --trace` CSV thins them
 to at most 10^4 rows).  verify_certificate takes the QuotientModel the
-certificate was made on.  Each run logs its accepted and rejected step
-counts, model time, final derivative norm and convergence at INFO level on
-the "patternq.simulate" logger.
+pattern was solved on and reads the pattern's certificate.  Each run logs
+its accepted and rejected step counts, model time, final derivative norm
+and convergence at INFO level on the "patternq.simulate" logger.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .cells import HillMap, _hill
 from .errors import BadOptions, NotConverged, StateOutOfBox
-from .existence import CERTIFIED, ExistenceCertificate, PatternSolution, certify
+from .existence import CERTIFIED, PatternSolution, certify
 from .graphs import ScaledAdjacency
 from .ode import Settled, settle, stable_step
 from .partitions import Partition, QuotientModel
@@ -191,9 +191,7 @@ class CertificateCheck:
 
 
 def verify_certificate(qm: QuotientModel, model: HillMap,
-                       pattern: PatternSolution,
-                       certificate: ExistenceCertificate | None = None,
-                       eps: float = 0.01,
+                       pattern: PatternSolution, eps: float = 0.01,
                        opts: SimOptions | None = None) -> CertificateCheck:
     """Simulate from a perturbation along the lifted minimum eigenvector and
     compare the settled pattern with the predicted one.  Only the state
@@ -207,9 +205,11 @@ def verify_certificate(qm: QuotientModel, model: HillMap,
     that class-constant subspace, so the check cannot see a transverse
     instability: on the buckyball faces at h = 6 it reports a match for a
     pattern whose full Jacobian is unstable.  Stability is decided by the
-    stability routes, not here.
+    stability routes, not here.  The check reads the certificate that
+    solve_reduced put on the pattern, and certifies only a pattern that
+    lift made from given class values.
     """
-    cert = certificate or certify(qm, model)
+    cert = pattern.certificate or certify(qm, model)
     exploratory = cert.verdict != CERTIFIED
     direction = qm.partition.expand(cert.min_eigenvector)
     # orient the unstable direction toward the predicted pattern, otherwise

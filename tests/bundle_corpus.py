@@ -5,13 +5,15 @@
 
 The corpus is 30 `analyze` cases (five graph/partition set-ups, each at
 h = 3, 6 and 40, with and without --simulate), `report` and `report --svg`
-on each bundle, and the `partition`, `quotient`, `exist` and `stability`
-commands on the same set-ups.  The set-ups are the 4x4 and 16x16
-torus_mesh checkerboards (--auto-bipartite), the buckyball's pentagons |
-hexagons, hex_torus:6,6 diag3 and triangle_bridge {2,5} | rest.  Every
-set-up has two classes, so two more cases bring a quotient of many: the
-refinement of {17} | rest on hex_torus:30,30, 91 classes, and `analyze`
-at h = 6 on that refinement.
+on each bundle, and the `partition`, `exist` and `stability` commands on
+the same set-ups.  Each set-up also runs `gen`, then `simulate --perturb
+vr` at h = 6 on that graph file with a --trace CSV, then `render` of the
+trace, and the 4x4 torus runs `simulate --perturb cell:0` and `random:0`.
+The set-ups are the 4x4 and 16x16 torus_mesh checkerboards
+(--auto-bipartite), the buckyball's pentagons | hexagons, hex_torus:6,6
+diag3 and triangle_bridge {2,5} | rest.  Every set-up has two classes, so
+two more cases bring a quotient of many: the refinement of {17} | rest on
+hex_torus:30,30, 91 classes, and `analyze` at h = 6 on that refinement.
 
 `run` imports patternq from SRC (default: the src/ next to this file), so
 one checkout can run the corpus of another; DIR must not hold an earlier
@@ -20,7 +22,8 @@ command in process from inside DIR with relative paths, writes each
 output file with the bundle's `created` stripped, and records every exit
 code, stdout and stderr in DIR/results.json.
 
-`diff` lists every differing number by file, section and field, with both
+`diff` compares each case's outputs, out/<name>.json, .svg and .csv; it
+lists every differing number of a JSON file by section and field, with both
 values and their distance, then every other differing item, and a summary
 of the largest distance per field.  It exits 1 only when an exit code or a
 verdict differs (VERDICT_KEYS), and 0 otherwise.
@@ -65,7 +68,9 @@ def _classes(gen: str, motif) -> list[list[int]]:
 
 def cases() -> list[tuple[str, list[str]]]:
     """(name, argv) of every command, in run order; the outputs are
-    out/<name>.json, and the report cases read an analyze case's bundle."""
+    out/<name>.json (none for report and render) and any out/<name>.svg or
+    .csv; the report, simulate and render cases read an earlier case's
+    output."""
     out = []
     for name, (gen, motif) in SETUPS.items():
         part = f"inputs/{name}.json"
@@ -73,7 +78,13 @@ def cases() -> list[tuple[str, list[str]]]:
                     ["partition", "--gen", gen, "--mode", "check", "--seed", part]))
         out.append((f"partition-refine-{name}",
                     ["partition", "--gen", gen, "--mode", "refine", "--seed", part]))
-        out.append((f"quotient-{name}", ["quotient", "--gen", gen, "--partition", part]))
+        out.append((f"gen-{name}", ["gen", "--gen", gen]))
+        trace = f"out/simulate-vr-{name}.csv"
+        out.append((f"simulate-vr-{name}",
+                    ["simulate", "--graph", f"out/gen-{name}.json", "--perturb", "vr",
+                     "--partition", part, "--model", "inputs/h6.json", "--trace", trace]))
+        out.append((f"render-{name}",
+                    ["render", "--trace", trace, "--gen", gen, "--svg", f"out/render-{name}.svg"]))
         how = ["--auto-bipartite"] if motif == "checkerboard" else ["--partition", part]
         for h in EXPONENTS:
             model = f"inputs/h{h}.json"
@@ -88,13 +99,17 @@ def cases() -> list[tuple[str, list[str]]]:
                 out.append((f"report-{bundle}",
                             ["report", "--bundle", f"out/{bundle}.json",
                              "--svg", f"out/report-{bundle}.svg"]))
+    for spec in ("cell:0", "random:0"):
+        out.append((f"simulate-{spec.replace(':', '')}-torus4",
+                    ["simulate", "--gen", SETUPS["torus4"][0], "--perturb", spec,
+                     "--model", "inputs/h6.json"]))
     seed, part = "inputs/hex30.json", "out/partition-refine-hex30.json"
     out.append(("partition-refine-hex30",
                 ["partition", "--gen", MANY[0], "--mode", "refine", "--seed", seed]))
     out.append(("analyze-hex30-h6",
                 ["analyze", "--gen", MANY[0], "--partition", part, "--model", "inputs/h6.json"]))
-    return [(name, argv if argv[0] == "report" else [*argv, "-o", f"out/{name}.json"])
-            for name, argv in out]
+    return [(name, argv if argv[0] in ("report", "render") else
+             [*argv, "-o", f"out/{name}.json"]) for name, argv in out]
 
 
 def _strip_created(path: Path) -> None:
@@ -177,8 +192,7 @@ def diff(a_dir, b_dir, write=print) -> int:
         for stream in ("stdout", "stderr"):
             if ra[stream] != rb[stream]:
                 write(f"{name}: {stream} differs")
-        files = [f"{name}.json"] + ([f"{name}.svg"] if ra["argv"][0] == "report" else [])
-        for fname in files:
+        for fname in (f"{name}.json", f"{name}.svg", f"{name}.csv"):
             fa, fb = a_dir / "out" / fname, b_dir / "out" / fname
             if not (fa.exists() and fb.exists()):
                 if fa.exists() != fb.exists():
@@ -188,8 +202,8 @@ def diff(a_dir, b_dir, write=print) -> int:
             if ta == tb:
                 same += 1
                 continue
-            if fname.endswith(".svg"):
-                write(f"{fname}: svg differs")
+            if not fname.endswith(".json"):
+                write(f"{fname}: {fname.rsplit('.', 1)[1]} differs")
                 continue
             numbers, others, verdicts = [], [], []
             _walk(json.loads(ta), json.loads(tb), "", numbers, others, verdicts)

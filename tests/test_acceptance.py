@@ -209,7 +209,7 @@ def test_criterion_05_soccer_ball_pattern():
     cert = certify(qm, m)
     assert cert.verdict == CERTIFIED
     red = solve_reduced(qm, m)
-    assert red.residual < 1e-10
+    assert red.residual_reduced < 1e-10
     pat = lift(qm, red.class_values, m)
     chk = verify_certificate(qm, m, pat)
     assert chk.converged

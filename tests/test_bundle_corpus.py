@@ -41,7 +41,12 @@ def test_corpus_exit_codes_and_reports(corpus):
         assert '"created"' not in (a / "out" / f"{name}.json").read_text()
     others = {name: r["exit"] for name, r in results.items()
               if not name.startswith(("analyze-", "report-"))}
-    assert len(others) == 46 and set(others.values()) == {0}
+    # partition, exist, stability, gen, simulate and render; every
+    # simulate --perturb vr run writes its trace, and render draws it
+    assert len(others) == 58 and set(others.values()) == {0}
+    for name in bundle_corpus.SETUPS:
+        assert (a / "out" / f"simulate-vr-{name}.csv").read_text().startswith("t,x_0,")
+        assert (a / "out" / f"render-{name}.svg").read_text().startswith("<svg")
     assert not any(r["stderr"] for r in results.values())
 
 
@@ -49,7 +54,7 @@ def test_diff_lists_numbers_and_fails_only_on_verdicts(corpus, tmp_path):
     a, _ = corpus
     lines = []
     assert bundle_corpus.diff(a, a, lines.append) == 0
-    assert lines[0] == "# 107 output files identical"
+    assert lines[0] == "# 124 output files identical"
 
     b = tmp_path / "b"
     shutil.copytree(a, b)
@@ -66,10 +71,13 @@ def test_diff_lists_numbers_and_fails_only_on_verdicts(corpus, tmp_path):
     data["small_gain"]["verdict"] = "CERTIFIED_STABLE"
     path.write_text(json.dumps(data))
     results = json.loads((b / "results.json").read_text())
-    results["quotient-hex6"]["exit"] = 1
+    results["partition-check-hex6"]["exit"] = 1
     (b / "results.json").write_text(json.dumps(results))
+    with open(b / "out" / "simulate-vr-torus4.csv", "a") as fh:
+        fh.write("\n")
     lines.clear()
     assert bundle_corpus.diff(a, b, lines.append) == 1
-    assert "quotient-hex6: EXIT 0 -> 1" in lines
+    assert "partition-check-hex6: EXIT 0 -> 1" in lines
+    assert "simulate-vr-torus4.csv: csv differs" in lines
     assert ("stability-bucky-h6.json: VERDICT small_gain.verdict: "
             "'NOT_CERTIFIED' -> 'CERTIFIED_STABLE'") in lines

@@ -75,10 +75,11 @@ def test_partition_orbits_mode(tmp_path, torus_graph):
     assert data["matrix"] == [[0.25, 0.75], [0.75, 0.25]]
 
 
-def test_quotient_command(tmp_path, torus_graph, torus_bipartition):
+def test_partition_check_reports_the_quotient_spectrum(tmp_path, torus_graph,
+                                                        torus_bipartition):
     out = tmp_path / "q.json"
-    assert main(["quotient", "--graph", torus_graph, "--partition",
-                 torus_bipartition, "-o", str(out)]) == 0
+    assert main(["partition", "--graph", torus_graph, "--mode", "check",
+                 "--seed", torus_bipartition, "-o", str(out)]) == 0
     data = json.loads(out.read_text())
     assert np.abs(np.array(data["eigenvalues"]) - [1.0, -1.0]).max() < 1e-9
 
@@ -267,18 +268,21 @@ def test_render_bucky_layout(tmp_path, capsys):
 
 def test_render_draws_the_svg_of_report(tmp_path, model_h6):
     # render and report --svg lay the same cells out through one function
+    # and colour the same states: a simulation started on the bundle's
+    # pattern x rests there, and render draws that trace as report draws x
     bundle, drawn, reported = tmp_path / "b.json", tmp_path / "r.svg", tmp_path / "b.svg"
     assert main(["analyze", "--gen", "torus_mesh:4,4", "--auto-bipartite",
                  "--model", model_h6, "-o", str(bundle)]) == 0
-    u = json.loads(bundle.read_text())["pattern"]["data"]["u"]
-    trace = tmp_path / "tr.csv"
-    trace.write_text("t," + ",".join(f"x_{i}" for i in range(16)) + "\n"
-                     + "5," + ",".join(repr(v) for v in u) + "\n")
-    # grouping_tol of the h6 model: 1e-4 A with A = 2
+    x0, trace = tmp_path / "x0.json", tmp_path / "tr.csv"
+    x0.write_text(json.dumps(json.loads(bundle.read_text())["pattern"]["data"]["x"]))
+    assert main(["simulate", "--gen", "torus_mesh:4,4", "--model", model_h6,
+                 "--x0", str(x0), "--trace", str(trace), "-o", str(tmp_path / "s.json")]) == 0
     assert main(["render", "--trace", str(trace), "--gen", "torus_mesh:4,4",
-                 "--cluster-tol", "2e-4", "--svg", str(drawn)]) == 0
+                 "--svg", str(drawn)]) == 0
     assert main(["report", "--bundle", str(bundle), "--svg", str(reported)]) == 0
     assert drawn.read_bytes() == reported.read_bytes()
+    # cell 0 has the high input, so the low state: the second group's colour
+    assert re.findall(r'fill="(#[0-9a-f]+)"', reported.read_text())[0] == "#e8e8e8"
 
 
 def test_render_draws_a_graph_file_as_one_row(tmp_path, torus_graph, capsys):
@@ -584,26 +588,26 @@ def test_gen_missing_params_is_tagged_error(capsys):
     ["stability", "--gen", "torus_mesh:4,4", "--partition", "{partition}",
      "--model", "{model}", "--pattern", "{z_list}"],
     ["simulate", "--gen", "torus_mesh:4,4", "--model", "{z_list}"],
-    ["quotient", "--gen", "torus_mesh:4,4", "--partition", "{z_list}"],
-    ["quotient", "--graph", "{z_list}", "--partition", "{partition}"],
+    ["partition", "--gen", "torus_mesh:4,4", "--mode", "check", "--seed", "{z_list}"],
+    ["partition", "--graph", "{z_list}", "--mode", "check", "--seed", "{partition}"],
     ["partition", "--gen", "torus_mesh:4,4", "--mode", "check", "--seed", "{string}"],
     ["partition", "--gen", "torus_mesh:4,4", "--mode", "orbits", "--perms", "{string}"],
     ["simulate", "--gen", "torus_mesh:4,4", "--model", "{model}", "--x0", "{z_object}"],
     ["report", "--bundle", "{z_list}"],
     ["simulate", "--gen", "torus_mesh:4,4", "--model", "{bad_model}"],
-    ["quotient", "--gen", "torus_mesh:4,4", "--partition", "{bad_classes}"],
+    ["exist", "--gen", "torus_mesh:4,4", "--partition", "{bad_classes}", "--model", "{model}"],
     ["stability", "--gen", "torus_mesh:4,4", "--partition", "{partition}",
      "--model", "{model}", "--pattern", "{bad_z}"],
     ["partition", "--gen", "torus_mesh:4,4", "--mode", "orbits", "--perms", "{bad_perms}"],
-    ["quotient", "--graph", "{bad_edges}", "--partition", "{partition}"],
-    ["quotient", "--graph", "{bad_n}", "--partition", "{partition}"],
+    ["partition", "--graph", "{bad_edges}", "--mode", "check", "--seed", "{partition}"],
+    ["exist", "--graph", "{bad_n}", "--partition", "{partition}", "--model", "{model}"],
     ["simulate", "--gen", "torus_mesh:4,4", "--model", "{model}", "--x0", "{bad_x0}"],
     # lattices whose negative sides multiply to the trace's 4 cells
     ["render", "--trace", "{trace4}", "--gen", "torus_mesh:-2,-2"],
     ["render", "--trace", "{trace4}", "--gen", "hex_torus:-1,-4"],
     # vertex ids beyond the float range, which the bulk checks convert to
-    ["quotient", "--graph", "{huge_edge}", "--partition", "{partition}"],
-    ["quotient", "--gen", "torus_mesh:4,4", "--partition", "{huge_class}"],
+    ["partition", "--graph", "{huge_edge}", "--mode", "check", "--seed", "{partition}"],
+    ["exist", "--gen", "torus_mesh:4,4", "--partition", "{huge_class}", "--model", "{model}"],
     ["partition", "--gen", "torus_mesh:4,4", "--mode", "orbits", "--perms", "{huge_perm}"],
 ])
 def test_malformed_input_is_tagged_error(tmp_path, model_h6, torus_bipartition, capsys,
@@ -656,8 +660,10 @@ def test_eps_must_be_finite_and_positive(tmp_path, monkeypatch, model_h6, capsys
 
 
 @pytest.mark.parametrize("argv,field", [
-    (["quotient", "--graph", "{nameless}", "--partition", "{partition}"], "edges"),
-    (["quotient", "--gen", "torus_mesh:4,4", "--partition", "{nameless}"], "classes"),
+    (["partition", "--graph", "{nameless}", "--mode", "check", "--seed", "{partition}"],
+     "edges"),
+    (["exist", "--gen", "torus_mesh:4,4", "--partition", "{nameless}", "--model", "{model}"],
+     "classes"),
     (["partition", "--gen", "torus_mesh:4,4", "--mode", "orbits", "--perms", "{nameless}"],
      "perms"),
     (["stability", "--gen", "torus_mesh:4,4", "--partition", "{partition}",
@@ -692,11 +698,13 @@ def test_out_of_range_ids_keep_their_messages(tmp_path, capsys, vertex):
     # the bulk checks must neither overflow int64 nor change the message
     graph, part, perms = (tmp_path / f"{name}.json" for name in ("g", "p", "perms"))
     graph.write_text(json.dumps({"n": 3, "edges": [[vertex, 1, 1.0]]}))
-    assert main(["quotient", "--graph", str(graph), "--partition", str(part)]) == 1
+    assert main(["partition", "--graph", str(graph), "--mode", "check",
+                 "--seed", str(part)]) == 1
     assert f"error [load]: edge ({vertex},1) outside [0,3)" in capsys.readouterr().err
     graph.write_text(json.dumps({"n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]]}))
     part.write_text(json.dumps({"classes": [[0, vertex], [1, 2]]}))
-    assert main(["quotient", "--graph", str(graph), "--partition", str(part)]) == 1
+    assert main(["partition", "--graph", str(graph), "--mode", "check",
+                 "--seed", str(part)]) == 1
     assert f"error [load]: vertex {vertex} outside [0,3)" in capsys.readouterr().err
     perm = [1, 0, vertex, 3]
     perms.write_text(json.dumps({"perms": [perm]}))
@@ -760,7 +768,7 @@ def test_analyze_builds_each_intermediate_once(tmp_path, monkeypatch, model_h6):
 
 
 @pytest.mark.parametrize("argv,certifies", [
-    (["quotient", "--partition", "{partition}"], 0),
+    (["partition", "--mode", "refine", "--seed", "{partition}"], 0),
     (["exist", "--partition", "{partition}", "--model", "{model}"], 1),
     (["stability", "--partition", "{partition}", "--model", "{model}",
       "--pattern", "{pattern}"], 0),
@@ -896,7 +904,7 @@ _ACROSS_TWO_EDGES = ["--graph", "{two_edges}", "--partition", "{sides}", "--mode
 
 @pytest.mark.parametrize("argv,tag", [
     # {0} | rest is not equitable on the torus
-    (["quotient", *_ON_TORUS, "--partition", "{corner}"], "quotient"),
+    (["exist", "--gen", "path:4", "--partition", "{ends}", "--model", "{model}"], "quotient"),
     (["exist", *_ON_TORUS, "--partition", "{corner}", "--model", "{model}"], "quotient"),
     (["stability", *_ON_TORUS, "--partition", "{corner}", "--model", "{model}",
       "--pattern", "{z}"], "quotient"),
@@ -913,7 +921,7 @@ _ACROSS_TWO_EDGES = ["--graph", "{two_edges}", "--partition", "{sides}", "--mode
     (["exist", *_ON_TWO_EDGES], "graph"),
     (["simulate", *_ON_TWO_EDGES, "--perturb", "vr"], "graph"),
     (["analyze", *_ON_TWO_EDGES], "graph"),
-    (["quotient", "--graph", "{two_edges}", "--partition", "{sides}"], "graph"),
+    (["partition", "--graph", "{two_edges}", "--mode", "check", "--seed", "{ends}"], "graph"),
     (["exist", *_ACROSS_TWO_EDGES], "graph"),
     (["stability", *_ACROSS_TWO_EDGES, "--pattern", "{z}"], "graph"),
     (["simulate", *_ACROSS_TWO_EDGES, "--perturb", "vr"], "graph"),
@@ -1048,9 +1056,9 @@ def test_back_to_back_main_calls_share_no_state(tmp_path, model_h6, monkeypatch)
     eps_seen = []
     verify = cli.verify_certificate
 
-    def spy(qm, model, pattern, cert, eps):
+    def spy(qm, model, pattern, eps):
         eps_seen.append(eps)
-        return verify(qm, model, pattern, cert, eps)
+        return verify(qm, model, pattern, eps)
 
     monkeypatch.setattr(cli, "verify_certificate", spy)
     one_class = tmp_path / "p.json"
@@ -1075,8 +1083,9 @@ def test_back_to_back_main_calls_share_no_state(tmp_path, model_h6, monkeypatch)
         "auto-bipartite", "auto-bipartite", "auto-bipartite", f"file:{one_class}"]
 
 
-# the pentagon | hexagon rings of the certified-but-unstable buckyball split
-BUCKYBALL_RINGS_SHA256 = "7b3669020610ecfb684b8f8ea7bd1efedea1d0e3b816fbde3a25adf6f0c93611"
+# the pentagon | hexagon rings of the certified-but-unstable buckyball split,
+# coloured by cell state as render colours a trace
+BUCKYBALL_RINGS_SHA256 = "9d192e75571458c487d183e4cfce189a7779615b6d013a9018daf1494a4bf644"
 
 
 def test_report_svg_draws_rings_only_for_the_buckyball(tmp_path, model_h6):

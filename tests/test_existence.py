@@ -105,7 +105,7 @@ def test_two_cell_solution_matches_bisection_oracle():
     z_hi, z_lo = two_cycle_oracle(m)
     assert abs(red.class_values[0] - z_hi) < 1e-9
     assert abs(red.class_values[1] - z_lo) < 1e-9
-    assert red.residual < 1e-10
+    assert red.residual_reduced < 1e-10
     assert not red.homogeneous
     assert red.warning is None
 
@@ -136,7 +136,7 @@ def test_buckyball_solution_matches_scan_oracle():
     z_p, z_h = pentagon_hexagon_root_oracle(m)
     assert abs(red.class_values[0] - z_p) < 1e-9
     assert abs(red.class_values[1] - z_h) < 1e-9
-    assert red.residual < 1e-10
+    assert red.residual_reduced < 1e-10
 
 
 def _certified_cases():
@@ -260,6 +260,29 @@ def test_lift_triangle_bridge_constant_on_classes():
     assert pat.residual_full < 1e-10
     assert len({pat.cell_inputs[v] for v in (2, 5)}) == 1
     assert len({pat.cell_inputs[v] for v in (0, 1, 3, 4, 6, 7)}) == 1
+
+
+@pytest.mark.parametrize("exponent", [6.0, 1.5])  # certified, inconclusive
+def test_solve_reduced_returns_the_lift_of_its_pick(monkeypatch, exponent):
+    from patternq import simulate
+
+    g = torus_mesh(4, 4)
+    qm = quotient(g, bipartition_partition(g))
+    m = HillMap(exponent=exponent)
+    pat = solve_reduced(qm, m)
+    lifted = lift(qm, pat.class_values, m)
+    for field in ("class_values", "cell_inputs", "cell_states"):
+        assert np.array_equal(getattr(pat, field), getattr(lifted, field))
+    assert ((pat.residual_reduced, pat.residual_full, pat.homogeneous)
+            == (lifted.residual_reduced, lifted.residual_full, lifted.homogeneous))
+    assert pat.certificate.condition_value == certify(qm, m).condition_value
+    assert lifted.certificate is lifted.warning is lifted.alternate_class_values is None
+    # the verifier certifies only the pattern that carries no certificate
+    calls = []
+    monkeypatch.setattr(simulate, "certify", lambda *a: calls.append(1) or certify(*a))
+    for p in (pat, lifted):
+        assert simulate.verify_certificate(qm, m, p).converged
+    assert calls == [1]
 
 
 def test_lift_dimension_checks():

@@ -12,6 +12,7 @@ import pytest
 import patternq
 from patternq.errors import (
     BadLatticeSize,
+    DimensionMismatch,
     NotAutomorphism,
     NotEquitable,
     NotPermutation,
@@ -88,6 +89,13 @@ def test_make_partition_rejects(classes):
 def test_expand_maps_class_values_to_cells():
     pi = make_partition([[0, 2], [1]], 3)
     assert np.array_equal(pi.expand([5.0, 7.0]), [5.0, 7.0, 5.0])
+
+
+def test_expand_refuses_a_wrong_length_as_lift_does():
+    # the one class-value length check: lift reaches it through expand
+    pi = make_partition([[0, 2], [1]], 3)
+    with pytest.raises(DimensionMismatch, match=r"^expected 2 class values, got \(3,\)$"):
+        pi.expand([1.0, 2.0, 3.0])
 
 
 # ---- equitability ----

@@ -268,11 +268,10 @@ def test_verify_certificate_keeps_no_trajectory():
     g = torus_mesh(128, 128)
     m = HillMap(exponent=6)
     qm = quotient(g, bipartition_partition(g))
-    red = solve_reduced(qm, m)
-    pat = lift(qm, red.class_values, m)
+    pat = solve_reduced(qm, m)
     tracemalloc.start()
     try:
-        chk = verify_certificate(qm, m, pat, red.certificate)
+        chk = verify_certificate(qm, m, pat)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
