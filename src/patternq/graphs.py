@@ -11,9 +11,12 @@ partitions.tile_partition repeats over them.  The averaging (scaled adjacency)
 operator P divides each row of the weight matrix by the node degree, so every
 row sums to one and the network input u = P y is a weighted average of
 neighbor outputs.  P is stored as edge arrays: its products with a vector and
-with a class indicator cost O(m).  The only dense n x n form is the
-symmetric S = D^1/2 P D^-1/2, built on first read and only for the spectral
-routes that read it.  Connectivity, 2-colorings and symmetry orbits all come
+with a class indicator cost O(m).  Its layout, found on first read from
+the edge arrays alone, is the row-major grid, if any, under which every
+torus translation maps the graph onto itself; S is then one kernel of
+vertex 0's neighbours.  The only dense n x n form is the symmetric
+S = D^1/2 P D^-1/2, built on first read and only for the spectral route
+that has no layout to read.  Connectivity, 2-colorings and symmetry orbits all come
 from one array components pass (_components) over edge arrays.
 """
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .errors import (
 __all__ = [
     "WeightedGraph",
     "ScaledAdjacency",
+    "Layout",
     "build_graph",
     "scaled_adjacency",
     "is_connected",
@@ -101,6 +105,28 @@ class WeightedGraph:
 
 
 @dataclass(frozen=True)
+class Layout:
+    """A row-major rows x cols numbering, v = i*cols + j, that every
+    translation of the torus maps onto the graph: each vertex has vertex
+    0's neighbours at the same (row, column) offsets mod (rows, cols), with
+    the same weights.  di and dj are the offsets of vertex 0's neighbours
+    and s their entries of S = D^1/2 P D^-1/2, which is then the same
+    kernel s(offset) in every row."""
+
+    rows: int
+    cols: int
+    di: np.ndarray
+    dj: np.ndarray
+    s: np.ndarray
+
+
+def _divisors(n: int) -> list[int]:
+    """The divisors of n, ascending, in O(sqrt n)."""
+    low = [c for c in range(1, math.isqrt(n) + 1) if n % c == 0]
+    return sorted(set(low + [n // c for c in low]))
+
+
+@dataclass(frozen=True)
 class ScaledAdjacency:
     """Row-stochastic neighbor-averaging operator P = D^-1 W as edge arrays.
 
@@ -111,9 +137,10 @@ class ScaledAdjacency:
     sum) triples and builds no n x r table, O(m log m).  indptr holds the
     CSR row offsets, built on first read: the edges of row i are
     indptr[i]:indptr[i + 1], and row_edges gathers those of a vertex set.
-    symmetric is the dense n x n similarity S = D^1/2 P D^-1/2, with
-    entries w_ij / sqrt(d_i d_j), built on first read; callers must not
-    write to it.
+    layout is the graph's translation layout or None, and symmetric the
+    dense n x n similarity S = D^1/2 P D^-1/2, with entries
+    w_ij / sqrt(d_i d_j); both are built on first read, and callers must
+    not write to them.
     """
 
     rows: np.ndarray
@@ -153,6 +180,41 @@ class ScaledAdjacency:
         count = self.indptr[vertices + 1] - start
         # shift each row's run of one arange to that row's first edge
         return np.arange(count.sum()) + (start - count.cumsum() + count).repeat(count), count
+
+    @cached_property
+    def layout(self) -> Layout | None:
+        """The first translation layout, by ascending cols > 1, or None.
+
+        A layout needs every vertex to have vertex 0's edge count and
+        degree, and every edge's offset and weight to be one of vertex 0's;
+        the offsets of a row are distinct, so its offsets are then exactly
+        vertex 0's.  All candidates are tried at once on the edges of
+        vertices 1 and n - 1, and those that fit them, in turn, on all m
+        edges; weights must agree exactly.
+        """
+        n, d = self.n, self.degrees
+        k = int(self.indptr[1])
+        if (np.diff(self.indptr) != k).any() or (d != d[0]).any():
+            return None
+        head, w0 = self.cols[:k], self.edge_weights[:k]   # vertex 0's offsets are its neighbours
+
+        def fits(cols, at):
+            # for each candidate number of columns, whether the edges at do;
+            # the offset of u -> w is w - u mod n, plus cols where the column
+            # wraps around
+            cols = np.array(cols)[:, None]
+            u, w = self.rows[at], self.cols[at]
+            key = (w - u + cols * (w % cols < u % cols)) % n
+            pos = np.minimum(np.searchsorted(head, key), k - 1)
+            return ((head[pos] == key) & (w0[pos] == self.edge_weights[at])).all(axis=1)
+
+        cols = _divisors(n)[1:]
+        probe = self.row_edges(np.array([1, n - 1]))[0]
+        for c in np.compress(fits(cols, probe), cols).tolist():
+            if fits([c], slice(None))[0]:
+                di, dj = np.divmod(head, c)
+                return Layout(n // c, c, di, dj, w0 / np.sqrt(d[0] * d[head]))
+        return None
 
     @cached_property
     def symmetric(self) -> np.ndarray:

@@ -8,10 +8,13 @@ from any vertex of class i into class j depend only on the pair (i, j);
 those sums form the row-stochastic quotient matrix.  This module verifies
 equitability, refines partitions to the coarsest equitable one, tiles
 periodic motifs of class labels (MOTIFS) over the lattices, builds orbit
-partitions from automorphism generators, and conjugates the symmetrized
-averaging matrix by one Householder reflector per class, which splits it
-exactly into a symmetric quotient block and a symmetric transverse block.
-quotient() is the only constructor of a QuotientModel and refuses
+partitions from automorphism generators, and splits the symmetrized
+averaging matrix S exactly into a symmetric quotient block and transverse
+blocks: by one Householder reflector per class on the dense S
+(block_decompose), or, where the graph has a translation layout, by the
+characters of the translations that keep every class (Bloch's theorem,
+QuotientModel.bloch), into blocks of the period's order with no n x n
+array.  quotient() is the only constructor of a QuotientModel and refuses
 inequitable partitions; the model carries the partition and the graph's
 averaging operator, and is what every later stage, block_decompose(qm)
 included, takes; its one symmetric form is what every r x r route reads.
@@ -35,8 +38,8 @@ from .errors import (
     PartitionMismatch,
     SingularTransform,
 )
-from .graphs import (ScaledAdjacency, WeightedGraph, _components, _frozen, _two_coloring,
-                     bipartition, scaled_adjacency)
+from .graphs import (ScaledAdjacency, WeightedGraph, _components, _divisors, _frozen,
+                     _two_coloring, bipartition, scaled_adjacency)
 from .spectral import Spectrum, _fix_signs, sym_eigen
 
 __all__ = [
@@ -44,6 +47,7 @@ __all__ = [
     "EquitabilityCheck",
     "QuotientModel",
     "BlockDecomposition",
+    "BlochBlocks",
     "make_partition",
     "trivial_partition",
     "singleton_partition",
@@ -239,7 +243,9 @@ class QuotientModel:
     in either direction (self-loops omitted); reduced_coloring is the
     2-coloring of that reduced graph when bipartite, a 0/1 side per class.
     symmetric, formed on first read, is the one r x r matrix that
-    eigenvalues, spectrum, small_gain and block_stability read.
+    eigenvalues, spectrum, small_gain and block_stability read; bloch,
+    also formed on first read, holds the Bloch blocks of S that
+    block_stability reads on a lattice pattern.
     """
 
     matrix: np.ndarray
@@ -281,6 +287,13 @@ class QuotientModel:
         values = sym_eigen(self.symmetric, vectors=False).eigenvalues
         values.flags.writeable = False
         return values
+
+    @cached_property
+    def bloch(self) -> BlochBlocks | None:
+        """S split into Bloch blocks, built on first read, or None when the
+        operator has no translation layout or only the identity maps
+        every cell into its class (p = n)."""
+        return _bloch_blocks(self)
 
     def spectrum(self) -> Spectrum:
         """eigenvalues with the eigenvectors of symmetric, mapped back
@@ -518,40 +531,137 @@ class BlockDecomposition:
     coupling: float
 
 
-def block_decompose(qm: QuotientModel) -> BlockDecomposition:
-    """Conjugate the symmetrized averaging matrix by the class reflectors.
+def _reflect(s: np.ndarray, class_of: np.ndarray, firsts: np.ndarray,
+             unit: np.ndarray) -> BlockDecomposition:
+    """Split the symmetric s by the reflectors of the unit class vectors,
+    firsts[k] being the first vertex of class k and unit[v] vertex v's
+    entry of its class's vector.
 
-    With V the n x r matrix of unit reflector vectors (a_k + e_f) / norm,
+    With V the N x r matrix of unit reflector vectors (a_k + e_f) / norm,
     H = I - 2 V V^T and HSH = S - 2 V (SV)^T - 2 (SV - 2 V V^T S V) V^T, a
-    rank-2r update of S that costs O(r n^2) and forms no basis.  Raises
-    SingularTransform if the coupling exceeds 1e-10, which the equitability
-    that qm carries rules out.
+    rank-2r update of S that costs O(r N^2) and forms no basis.  Raises
+    SingularTransform if the coupling exceeds 1e-10.
     """
-    sa, pi = qm.operator, qm.partition
-    n, r = sa.n, pi.r
-    class_of, firsts = pi.labels, pi.firsts
-    rest = np.delete(np.arange(n), firsts)
+    n, r = s.shape[0], firsts.size
+    keep = np.ones(n, dtype=bool)
+    keep[firsts] = False
+    rest = keep.nonzero()[0]
     v = np.zeros((n, r))
-    v[np.arange(n), class_of] = np.sqrt(sa.degrees / qm.class_degrees[class_of])
+    v[np.arange(n), class_of] = unit
     v[firsts, np.arange(r)] += 1.0
     v /= np.linalg.norm(v, axis=0)
-    s = sa.symmetric
     sv = s @ v
     # HSH = S - 2 [V, W] [SV, V]^T with W = SV - 2 V (V^T S V)
-    m = np.hstack([v, sv - 2.0 * v @ (v.T @ sv)]) @ np.hstack([sv, v]).T
+    m = (np.concatenate((v, sv - 2.0 * v @ (v.T @ sv)), axis=1)
+         @ np.concatenate((sv, v), axis=1).T)
     m *= -2.0
     m += s
-    coupling = float(np.abs(m[np.ix_(firsts, rest)]).max(initial=0.0))
+    coupling = float(np.abs(m[firsts[:, None], rest]).max(initial=0.0))
     if coupling > 1e-10:
         raise SingularTransform(
             f"conjugated matrix not block-diagonal (max {coupling:.2e})")
-    trans = m[np.ix_(rest, rest)]
-    del m  # free the n x n product before the symmetric part is formed
+    trans = m[rest[:, None], rest]
+    del m  # free the N x N product before the symmetric part is formed
     return BlockDecomposition(
         transverse_block=(trans + trans.T) / 2.0,
         transverse_class=class_of[rest],
         coupling=coupling,
     )
+
+
+def block_decompose(qm: QuotientModel) -> BlockDecomposition:
+    """Conjugate the dense symmetrized averaging matrix by the class
+    reflectors, a_k = sqrt(d / class degree) on class k; SingularTransform,
+    which the equitability that qm carries rules out, if the split leaves
+    a coupling above 1e-10."""
+    sa, class_of = qm.operator, qm.partition.labels
+    return _reflect(sa.symmetric, class_of, qm.partition.firsts,
+                    np.sqrt(sa.degrees / qm.class_degrees[class_of]))
+
+
+@dataclass(frozen=True)
+class BlochBlocks:
+    """S split by the characters of the translations that fix every class.
+
+    On a graph with a translation layout (ScaledAdjacency.layout), S is
+    the same kernel in every row, and the translations T that map every
+    cell to a cell of its class form a subgroup of Z_rows x Z_cols with p
+    cosets.  The cells (x, y), x < a and y < c, lie one in each coset
+    (see _translation_group); cell (x, y) is row x*c + y of every block,
+    and cell_class holds the class of each.  Each character chi of T
+    spans, from each coset, one unit vector that T multiplies by chi, and S
+    maps these p vectors into themselves: Bloch's theorem splits S exactly
+    into |T| = n / p Hermitian blocks of order p, and so does G S G for any
+    slope factor G that is constant on each class.  blocks stacks the
+    |T| - 1 blocks of the nontrivial characters.  The trivial character's
+    block holds the class vectors; rest is that block split by the class
+    reflectors (block_decompose's split, on the p cosets), so its
+    transverse block, of order p - r, completes the transverse spectrum
+    and its coupling is the split's only off-block entry.
+    """
+
+    blocks: np.ndarray
+    cell_class: np.ndarray
+    rest: BlockDecomposition
+
+
+def _translation_group(labels: np.ndarray, rows: int, cols: int) -> tuple[int, int, int]:
+    """(a, b, c): T is generated by the shifts (a, 0) and (b, c), 0 <= b < a.
+
+    T holds the shifts t with labels[v + t] = labels[v] for every cell v.
+    Its shifts that keep the column are the multiples of (a, 0), and the
+    column parts of its shifts are the multiples of c; a divides rows and
+    c divides cols, so a is the least divisor of rows with (a, 0) in T and
+    c the least divisor of cols for which some (b, c) with b < a is in T.
+    Every cell is then (x, y) + t for exactly one x < a, y < c and t in T.
+    A candidate must first keep cell 0's label, then is checked on all n
+    labels, exactly.
+    """
+    i, j = np.divmod(np.arange(labels.size), cols)
+
+    def fixes(di: int, dj: int) -> bool:
+        return (labels[di % rows * cols + dj % cols] == labels[0]
+                and np.array_equal(labels[(i + di) % rows * cols + (j + dj) % cols], labels))
+
+    a = next(a for a in _divisors(rows) if fixes(a, 0))
+    c, b = next((c, b) for c in _divisors(cols) for b in range(a) if fixes(b, c))
+    return a, b, c
+
+
+def _bloch_blocks(qm: QuotientModel) -> BlochBlocks | None:
+    lay = qm.operator.layout
+    if lay is None:
+        return None
+    rows, cols, labels = lay.rows, lay.cols, qm.partition.labels
+    n = labels.size
+    a, b, c = _translation_group(labels, rows, cols)
+    p = a * c
+    if p == n:
+        return None
+    # every neighbour (wi, wj) of a coset cell is the coset cell (x, y)
+    # shifted by (wi - x, wj - y) in T: reduce the column by (b, c), then
+    # the row by (a, 0)
+    fx, fy = np.divmod(np.arange(p), c)
+    wi, wj = (fx[:, None] + lay.di) % rows, (fy[:, None] + lay.dj) % cols
+    shift, y = np.divmod(wj, c)
+    x = (wi - shift * b) % a
+    # the characters of T: (ti, tj) -> exp(2 pi i (k1 ti / rows + k2 tj / cols))
+    # for k1 < rows / a and k2 < cols / c, the trivial one, k = (0, 0), first
+    k1, k2 = np.divmod(np.arange(n // p)[:, None, None], cols // c)
+    turns = (k1 * (wi - x) * cols + k2 * (wj - y) * rows) % n
+    blocks = np.zeros((n // p, p, p), dtype=complex)
+    np.add.at(blocks, (slice(None), np.arange(p)[:, None], x * c + y),
+              lay.s * np.exp(2j * np.pi / n * turns))
+    cell_class = labels[fx * cols + fy]
+    if p == qm.partition.r:
+        # one cell per class: the class vectors span the block, as
+        # _reflect would find at a cost that dominates small lattices
+        rest = BlockDecomposition(np.empty((0, 0)), cell_class[:0], 0.0)
+    else:
+        member = cell_class == np.arange(qm.partition.r)[:, None]
+        rest = _reflect(blocks[0].real, cell_class, member.argmax(axis=1),
+                        member.sum(axis=1)[cell_class] ** -0.5)
+    return BlochBlocks(blocks=blocks[1:], cell_class=cell_class, rest=rest)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ Every matrix this package needs a spectrum for is similar to a symmetric
 one: the averaging matrix and its quotients through detailed balance (the
 operator's S = D^1/2 P D^-1/2 and QuotientModel.symmetric), the
 gain-weighted products and the one-state network Jacobian through gain
-and slope similarities of those.  The only
-solver here is LAPACK's symmetric eigensolver (through np.linalg.eigh and
-eigvalsh); no unsymmetric QR and no iteration of its own is ever used.
+and slope similarities of those, and on a lattice to a stack of Hermitian
+Bloch blocks.  The only solver here is LAPACK's symmetric (Hermitian)
+eigensolver (through np.linalg.eigh and eigvalsh); no unsymmetric QR and
+no iteration of its own is ever used.
 """
 from __future__ import annotations
 
@@ -53,33 +54,42 @@ def sym_eigen(a: np.ndarray, vectors: bool = True) -> Spectrum:
     Calls np.linalg.eigh (eigvalsh when vectors=False), LAPACK's
     divide-and-conquer driver for symmetric matrices, on the symmetric part
     of the input.  Eigenvalues come back sorted descending and each
-    eigenvector has its largest-magnitude entry positive.  Raises
+    eigenvector has its largest-magnitude entry positive.  With
+    vectors=False the input may also be a stack (k, n, n) of Hermitian
+    matrices, real or complex: one batched call solves them all, and the
+    spectrum is the eigenvalues of every matrix together.  Raises
     NotSymmetric when the input is not square or deviates from its
-    transpose by more than 1e-10.  Raises NoConvergence when a matrix of
-    order two or more has a non-finite entry, or when LAPACK reports that
-    its eigenvalue iteration failed to converge.
+    (conjugate) transpose by more than 1e-10.  Raises NoConvergence when a
+    matrix of order two or more has a non-finite entry, or when LAPACK
+    reports that its eigenvalue iteration failed to converge.
     """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
-    if n == 0:
+    a = np.asarray(a)
+    if vectors or a.dtype.kind != "c":
+        a = np.asarray(a, dtype=float)
+    if a.ndim not in ((2,) if vectors else (2, 3)) or a.shape[-2] != a.shape[-1]:
+        raise NotSymmetric(f"expected a square matrix, or a stack of them for values only, "
+                           f"got shape {a.shape}")
+    if a.shape[-1] == 0:
         return Spectrum(np.empty(0), np.empty((0, 0)) if vectors else None)
-    # one n x n scratch array holds |A - A^T| and then the symmetric part
-    m = np.subtract(a, a.T)
-    deviation = np.abs(m, out=m).max()
+    at = a.swapaxes(-1, -2)
+    if at.dtype.kind == "c":
+        at = at.conj()
+    # one scratch array holds |A - A^H| and then the Hermitian part
+    m = np.subtract(a, at)
+    deviation = np.abs(m, out=m).real.max(initial=0.0)
     if deviation > 1e-10:
         raise NotSymmetric(f"matrix is not symmetric (max deviation {deviation:.2e})")
-    if n == 1:
+    if a.shape == (1, 1):
         return Spectrum(a[0].copy(), np.ones((1, 1)) if vectors else None)
     if not np.isfinite(a).all():
         # LAPACK may return finite garbage for NaN input instead of failing
         raise NoConvergence("matrix has non-finite entries")
-    m = np.add(a, a.T, out=m)
+    m = np.add(a, at, out=m)
     m *= 0.5
     try:
         if not vectors:
-            return Spectrum(np.linalg.eigvalsh(m)[::-1])
+            vals = np.linalg.eigvalsh(m)
+            return Spectrum((vals if a.ndim == 2 else np.sort(vals, axis=None))[::-1])
         vals, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
@@ -94,13 +104,17 @@ def jacobian_spectrum(s: np.ndarray, slopes: np.ndarray, tau: float = 1.0) -> Sp
     whose spectrum equals that of the symmetric -diag(g) S diag(g) (AB and
     BA share eigenvalues, also for a singular diag(g)).  So the spectrum is
     real and computed exactly for every nonpositive slope; a zero slope
-    gives exactly -1/tau.  Raises DimensionMismatch unless there is one
-    slope per row of S, DetailedBalanceViolated on a positive slope, where
-    that similarity fails, and NotSymmetric when S is not symmetric.
+    gives exactly -1/tau.  s may also be a stack (k, n, n) of Hermitian
+    blocks that share the n slopes; their eigenvalues come from one
+    batched solve, all together.  Raises DimensionMismatch unless there is
+    one slope per row of S, DetailedBalanceViolated on a positive slope,
+    where that similarity fails, and NotSymmetric when S is not symmetric.
     """
-    s = np.asarray(s, dtype=float)
+    s = np.asarray(s)
+    if s.dtype.kind != "c":
+        s = np.asarray(s, dtype=float)
     t = np.asarray(slopes, dtype=float)
-    n = s.shape[0]
+    n = s.shape[-1]
     if t.shape != (n,):
         raise DimensionMismatch(f"expected {n} slopes, got {t.shape}")
     if np.any(t > 0):

@@ -1,14 +1,19 @@
 """Stability certification of lifted patterns by two routes.
 
 Every route starts from the QuotientModel of the pattern and its class
-values z; none rebuilds the operator or the quotient.  Block route: one
-Householder reflector per class (block_decompose) splits the Jacobian
-exactly into a representative block driven by qm.symmetric and a
-transverse block on the complement; each is symmetric and solved on its
-own, and together they carry the full spectrum, so their largest
-eigenvalue is the full spectral abscissa and no n x n spectrum is solved.
-Under the singleton partition (r = n) the representative block is the
-whole Jacobian and the transverse block is empty.  Small-gain route:
+values z; none rebuilds the operator or the quotient.  Block route: the
+Jacobian splits exactly into a representative block driven by
+qm.symmetric and transverse blocks on the complement of the class
+vectors; each is Hermitian and solved on its own, and together they carry
+the full spectrum, so their largest eigenvalue is the full spectral
+abscissa and no n x n spectrum is solved.  On a lattice pattern, where
+the graph has a translation layout and some translation other than the
+identity keeps every class (qm.bloch), the transverse blocks are the
+Bloch blocks of order p, n / p of them, and no n x n array is formed.
+Otherwise one Householder reflector per class (block_decompose) splits
+the dense S, and the transverse block has order n - r.  Under the
+singleton partition (r = n) the representative block is the whole
+Jacobian and the transverse block is empty.  Small-gain route:
 rho(P Gamma) < 1 with per-class dc-gains, the block route's -T'(z) bit for
 bit.  Equitability gives P Gamma Q = Q Pbar Gammabar for the class
 indicator Q, so the radius is computed on qm.symmetric alone, where it is
@@ -135,24 +140,31 @@ def _require_steady(qm: QuotientModel, model: HillMap, z: np.ndarray) -> None:
 def block_stability(qm: QuotientModel, model: HillMap, z) -> BlockStability:
     """Spectra of the representative and transverse stability blocks.
 
-    Slopes are constant on each class and each class reflector of
-    block_decompose(qm) acts inside one class, so it commutes with
-    diag(slopes) and the conjugated Jacobian splits into (-I + diag(class
-    slopes) qm.symmetric) / tau on the class vectors and (-I + diag(slopes
-    of transverse_class) transverse_block) / tau on their complement.  Both
-    blocks are symmetric, so jacobian_spectrum solves each directly, at
-    orders r and n - r.  `consistency` is the decomposition's off-block
-    coupling.
+    Slopes are constant on each class, so every split of S that keeps the
+    class vectors together and acts inside classes, or commutes with
+    class-constant diagonals, splits the Jacobian too.  The representative
+    block is (-I + diag(class slopes) qm.symmetric) / tau.  On a lattice
+    pattern (qm.bloch) the transverse spectrum is that of the Bloch blocks
+    of the nontrivial characters, in one batched solve, and of the
+    trivial character's block on the complement of the class vectors: no
+    n x n array is formed.  Any other pattern takes block_decompose(qm),
+    whose transverse block has order n - r.  Every block is Hermitian, so
+    jacobian_spectrum solves each directly.  `consistency` is the split's
+    off-block coupling.
     """
     z = _class_values(qm, z)
     slopes = np.asarray(t_prime(model, z), dtype=float)
     rep = jacobian_spectrum(qm.symmetric, slopes, tau=model.tau)
-    decomp = block_decompose(qm)
+    bloch = qm.bloch
+    decomp = block_decompose(qm) if bloch is None else bloch.rest
     trans = jacobian_spectrum(decomp.transverse_block, slopes[decomp.transverse_class],
-                              tau=model.tau)
+                              tau=model.tau).eigenvalues
+    if bloch is not None:
+        waves = jacobian_spectrum(bloch.blocks, slopes[bloch.cell_class], tau=model.tau)
+        trans = np.sort(np.concatenate((trans, waves.eigenvalues)))[::-1]
     return BlockStability(
         representative_spectrum=rep.eigenvalues,
-        transverse_spectrum=trans.eigenvalues,
+        transverse_spectrum=trans,
         consistency=decomp.coupling,
     )
 

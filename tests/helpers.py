@@ -17,7 +17,8 @@ item-by-item recursive writer the bulk emitter replaced.  The periodic
 lattices are checked against the cell-by-cell loops the index arithmetic
 replaced, the class-sum check against its per-class loop and against the
 dense n x r table of class sums it replaced, and the motifs
-against a depth-first search over all 2-colourings.  Components, the
+against a depth-first search over all 2-colourings.  A seeded relabelling
+of the vertices takes a lattice pattern off the Bloch route.  Components, the
 2-coloring and connectivity are checked against the union-find and the
 stack-based search that the array components pass replaced.  Known
 automorphisms of the built-in lattices, as permutations, feed
@@ -633,6 +634,17 @@ def torus_shift_perm(rows: int, cols: int, dr: int, dc: int) -> list[int]:
     """Translation (i,j) -> (i+dr, j+dc) on the wraparound mesh."""
     return [((i + dr) % rows) * cols + (j + dc) % cols
             for i in range(rows) for j in range(cols)]
+
+
+def relabelled(g: WeightedGraph, pi: Partition, seed: int = 5) -> tuple[WeightedGraph, Partition]:
+    """g and pi with the vertices renamed by a seeded permutation, the
+    classes kept in their order: the same pattern without the row-major
+    numbering that the Bloch route reads."""
+    perm = np.random.default_rng(seed).permutation(g.n)
+    labels = np.empty_like(pi.labels)
+    labels[perm] = pi.labels
+    return (build_graph(g.n, np.column_stack([perm[g.i], perm[g.j], g.w])),
+            make_partition([np.flatnonzero(labels == k) for k in range(pi.r)], g.n))
 
 
 def torus_flip_shift_perm(rows: int, cols: int) -> list[int]:

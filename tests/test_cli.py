@@ -1,11 +1,16 @@
 import hashlib
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import patternq
 from patternq.cli import main
 from patternq.serialize import dumps_canonical
 
@@ -111,33 +116,47 @@ def test_stability_command(tmp_path, torus_graph, torus_bipartition, model_h6):
 
 
 def _record_spectrum_orders(monkeypatch) -> list[int]:
-    # the order of every jacobian_spectrum call the stability routes make
+    # the block order of every jacobian_spectrum call the stability routes
+    # make; a stack of Bloch blocks counts once, at the order of its blocks
     from patternq import stability
 
     orders = []
     real = stability.jacobian_spectrum
     monkeypatch.setattr(stability, "jacobian_spectrum",
-                        lambda s, *a, **kw: orders.append(len(s)) or real(s, *a, **kw))
+                        lambda s, *a, **kw: orders.append(np.shape(s)[-1]) or real(s, *a, **kw))
     return orders
 
 
 def test_analyze_solves_no_spectrum_of_order_n(tmp_path, monkeypatch, model_h6):
-    # the block split is an orthogonal similarity, so its two blocks carry
-    # the full Jacobian spectrum and no n x n spectrum is solved
+    # the checkerboard's translations split S into Bloch blocks of order 2:
+    # the dense n x n S is never formed, and no solve is larger than 2
+    from patternq.graphs import ScaledAdjacency
+
+    def refuse(self):
+        raise AssertionError("the dense n x n S was formed")
+
+    monkeypatch.setattr(ScaledAdjacency, "symmetric", property(refuse))
     orders = _record_spectrum_orders(monkeypatch)
     assert main(["analyze", "--gen", "torus_mesh:16,16", "--auto-bipartite",
                  "--model", model_h6, "--simulate", "-o", str(tmp_path / "b.json")]) == 0
-    assert sorted(orders) == [2, 254]
+    # representative block, the empty rest of the trivial character's
+    # block, and the stack of the other 127 characters' blocks
+    assert sorted(orders) == [0, 2, 2]
+    bundle = json.loads((tmp_path / "b.json").read_text())
+    assert len(bundle["stability"]["data"]["block"]["transverse_spectrum"]) == 254
 
 
 @pytest.mark.parametrize("method,orders,keys", [
-    ("block", [2, 14], {"full_spectral_abscissa", "full_verdict", "block"}),
+    ("block", [0, 2, 2], {"full_spectral_abscissa", "full_verdict", "block"}),
     ("smallgain", [], {"small_gain"}),
-    ("all", [2, 14], {"full_spectral_abscissa", "full_verdict", "block", "small_gain"}),
+    ("all", [0, 2, 2], {"full_spectral_abscissa", "full_verdict", "block", "small_gain"}),
 ])
 def test_stability_runs_only_the_requested_routes(tmp_path, monkeypatch, torus_graph,
                                                   torus_bipartition, model_h6,
                                                   method, orders, keys):
+    # the graph file keeps gen's row-major numbering, so the block route
+    # takes the Bloch blocks: the representative block, the empty rest of
+    # the trivial character's block and one stack of order-2 blocks
     pat = tmp_path / "pat.json"
     assert main(["exist", "--graph", torus_graph, "--partition", torus_bipartition,
                  "--model", model_h6, "-o", str(pat)]) == 0
@@ -156,6 +175,7 @@ def test_stability_runs_only_the_requested_routes(tmp_path, monkeypatch, torus_g
         expected = -1.0 + np.sqrt(slopes[0] * slopes[1])
         assert abs(data["full_spectral_abscissa"] - expected) < 1e-12
         assert data["full_verdict"] == "STABLE"
+        assert len(data["block"]["transverse_spectrum"]) == 14
 
 
 def test_stability_has_no_full_method(tmp_path, torus_graph, torus_bipartition, model_h6,
@@ -397,6 +417,40 @@ def test_bundle_determinism_modulo_timestamp(tmp_path, model_h6):
     d1.pop("created")
     d2.pop("created")
     assert dumps_canonical(d1) == dumps_canonical(d2)
+
+
+def test_lattice_stability_hash_does_not_depend_on_the_blas_threads(tmp_path, model_h6):
+    # the Bloch blocks of the 64x64 checkerboard have order 2, so LAPACK
+    # never splits a solve between threads; the dense transverse block of
+    # order 4094 gave a different stability hash with 1 and 2 threads
+    src = str(Path(patternq.__file__).parents[1])
+    hashes = set()
+    for threads in ("1", "2"):
+        out = tmp_path / f"b{threads}.json"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "patternq.cli", "analyze", "--gen",
+                               "torus_mesh:64,64", "--auto-bipartite", "--model", model_h6,
+                               "-o", str(out)], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        hashes.add(json.loads(out.read_text())["stability"]["sha256"])
+    assert len(hashes) == 1
+
+
+def test_a_row_major_graph_file_takes_the_bloch_blocks(tmp_path, monkeypatch, model_h6):
+    # gen writes the lattice in its row-major numbering, so the file graph
+    # has the translation layout: diag3 splits into blocks of order 3 and
+    # the trivial character's block leaves a transverse rest of order 1
+    graph, part = tmp_path / "hex.json", tmp_path / "diag3.json"
+    assert main(["gen", "--gen", "hex_torus:12,12", "-o", str(graph)]) == 0
+    on_diagonal = [(v // 12 - v % 12) % 3 == 0 for v in range(144)]
+    part.write_text(json.dumps({"classes": [[v for v in range(144) if on_diagonal[v] == side]
+                                            for side in (True, False)]}))
+    orders = _record_spectrum_orders(monkeypatch)
+    # certified, and unstable at h = 6
+    assert main(["analyze", "--graph", str(graph), "--partition", str(part),
+                 "--model", model_h6, "-o", str(tmp_path / "b.json")]) == 3
+    assert sorted(orders) == [1, 2, 3]
 
 
 _MODEL_SHA = "bac1254704efc57d805fa7d96bef4257e9596cdafab2bd213ec2f1ca6a564546"
@@ -951,15 +1005,18 @@ def test_each_failing_stage_names_its_tag(tmp_path, model_h6, torus_bipartition,
 
 def test_a_failed_allocation_is_a_tagged_stage_failure(tmp_path, monkeypatch, model_h6,
                                                        capsys):
-    # at 256x256 numpy cannot allocate the 32 GiB operator of the block split
+    # where no translation layout exists, as on the buckyball, the block
+    # route conjugates the dense n x n S, which numpy may fail to allocate
     from patternq import stability
 
     def refuse(qm):
         raise MemoryError("Unable to allocate 32.0 GiB")
 
     monkeypatch.setattr(stability, "block_decompose", refuse)
-    assert main(["analyze", *_ON_TORUS, "--auto-bipartite", "--model", model_h6,
-                 "-o", str(tmp_path / "b.json")]) == 1
+    faces = tmp_path / "faces.json"
+    faces.write_text(json.dumps({"classes": [list(range(12)), list(range(12, 32))]}))
+    assert main(["analyze", "--gen", "buckyball", "--partition", str(faces),
+                 "--model", model_h6, "-o", str(tmp_path / "b.json")]) == 1
     assert capsys.readouterr().err.startswith("error [stability]: Unable to allocate 32.0 GiB")
 
 

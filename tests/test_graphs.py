@@ -290,3 +290,49 @@ def test_graph_is_two_colored_once(monkeypatch):
 def test_generate_rejects_bad_sizes(kind, params):
     with pytest.raises(BadLatticeSize):
         generate(kind, **params)
+
+
+@pytest.mark.parametrize("lattice", [torus_mesh, hex_torus])
+@pytest.mark.parametrize("rows,cols", [(4, 4), (6, 12), (12, 6), (2, 8), (16, 2)])
+def test_layout_of_the_periodic_lattices_is_their_row_major_grid(lattice, rows, cols):
+    sa = scaled_adjacency(lattice(rows, cols))
+    lay = sa.layout
+    assert (lay.rows, lay.cols) == (rows, cols)
+    # the kernel of every row: vertex 0's neighbours, each at S = w / d
+    assert np.array_equal(lay.di * cols + lay.dj, sa.cols[:lay.s.size])
+    assert np.array_equal(lay.s, sa.edge_weights[:lay.s.size] / sa.degrees[0])
+
+
+def test_layout_of_a_cycle_is_one_row():
+    lay = scaled_adjacency(cycle_graph(9)).layout
+    assert (lay.rows, lay.cols) == (1, 9)
+    assert sorted(lay.dj.tolist()) == [1, 8] and np.array_equal(lay.s, [0.5, 0.5])
+
+
+def _striped_torus(swap: bool):
+    """torus_mesh 4x4 with weight 2 on row contacts and 1 on column
+    contacts; swap trades the two weights around the square of cells 0, 1,
+    5, 4, which keeps every degree at 6."""
+    g = torus_mesh(4, 4)
+    w = np.where(np.isin(g.j - g.i, [1, 3]), 2.0, 1.0)   # cells (i, j) and (i, j + 1)
+    if swap:
+        for edge, weight in (((0, 1), 1.0), ((1, 5), 2.0), ((4, 5), 1.0), ((0, 4), 2.0)):
+            w[(g.i == edge[0]) & (g.j == edge[1])] = weight
+    return build_graph(g.n, np.column_stack([g.i, g.j, w]))
+
+
+def test_a_weighted_layout_needs_equal_weights_at_equal_offsets():
+    lay = scaled_adjacency(_striped_torus(swap=False)).layout
+    assert (lay.rows, lay.cols) == (4, 4)
+    assert sorted(lay.s.tolist()) == [1 / 6, 1 / 6, 1 / 3, 1 / 3]
+    swapped = _striped_torus(swap=True)
+    assert np.array_equal(swapped.degrees(), np.full(16, 6.0))
+    assert scaled_adjacency(swapped).layout is None
+
+
+def test_no_layout_where_some_translation_breaks_the_graph():
+    g = torus_mesh(6, 6)
+    perm = np.random.default_rng(3).permutation(g.n)
+    relabelled = build_graph(g.n, np.column_stack([perm[g.i], perm[g.j], g.w]))
+    for h in (relabelled, buckyball(), triangle_bridge(), path_graph(6)):
+        assert scaled_adjacency(h).layout is None

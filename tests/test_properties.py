@@ -76,6 +76,7 @@ from helpers import (
     integrate_reference,
     m_matrix_by_leading_minors,
     random_connected_graph,
+    relabelled,
     round_refinement,
     settle_reference,
     torus_shift_perm,
@@ -451,6 +452,50 @@ def test_block_union_abscissa_matches_dense_eigvalsh(case, h, data):
     jac = (-np.eye(g.n) - gain[:, None] * (w / np.outer(root, root)) * gain[None, :]) / m.tau
     dense = np.linalg.eigvalsh(jac)
     assert abs(got - dense[-1]) <= 1e-12 * np.abs(dense).max()
+
+
+@st.composite
+def equitable_motif_tilings(draw):
+    """(graph, partition): a built-in motif tiled over a torus_mesh or
+    hex_torus of at most 1024 cells, where the tiling is equitable."""
+    name = draw(st.sampled_from(sorted(MOTIFS)))
+    lattice = draw(st.sampled_from([torus_mesh, hex_torus]))
+    motif = np.array(MOTIFS[name])
+    p, q = np.lcm(motif.shape, 2).tolist()
+    rows = p * draw(st.integers(1, 32 // p))
+    cols = q * draw(st.integers(1, 1024 // (rows * q)))
+    g, pi = lattice(rows, cols), tile_partition(rows, cols, motif)
+    assume(is_equitable(g, pi))
+    return g, pi
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=equitable_motif_tilings(), tau=st.floats(0.1, 10.0), relabel=st.booleans(),
+       data=st.data())
+def test_bloch_union_matches_the_householder_route(case, tau, relabel, data):
+    # the transverse spectrum from the Bloch blocks against the reflector
+    # split of the dense S, at drawn slopes in {0} | [-3, -0.1]: of the
+    # same quotient, or of the pattern relabelled, where no layout exists
+    g, pi = case
+    qm = quotient(g, pi)
+    assert qm.bloch is not None or g.n <= 16
+    m = HillMap(exponent=6, tau=tau)
+    grid = np.linspace(0.0, 0.94, 4001)
+    slopes = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(-3.0, -0.1)),
+                                min_size=pi.r, max_size=pi.r))
+    z = np.interp(-np.array(slopes), -t_prime(m, grid), grid)
+    blk = block_stability(qm, m, z)
+    if relabel:
+        other = quotient(*relabelled(g, pi))
+        assert other.bloch is None or g.n <= 16
+        householder = block_stability(other, m, z).transverse_spectrum
+    else:
+        dec = block_decompose(qm)
+        householder = jacobian_spectrum(dec.transverse_block,
+                                        t_prime(m, z)[dec.transverse_class], tau=tau).eigenvalues
+    assert blk.transverse_spectrum.shape == (g.n - pi.r,)
+    assert np.abs(blk.transverse_spectrum - householder).max(initial=0.0) < 1e-10
+    assert blk.consistency < 1e-12
 
 
 # (largest step, max_time): None is the stability cap; the small ones make

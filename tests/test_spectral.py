@@ -227,3 +227,23 @@ def test_jacobian_rejects_a_wrong_number_of_slopes(count):
     sa = scaled_adjacency(path_graph(3))
     with pytest.raises(DimensionMismatch, match=r"expected 3 slopes, got \(%d,\)" % count):
         jacobian_spectrum(sa.symmetric, np.full(count, -1.0))
+
+
+def test_jacobian_of_a_stack_is_the_union_of_its_blocks():
+    # a stack of Hermitian blocks that share the slopes is solved in one
+    # batched call; its spectrum is every block's eigenvalues together
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    stack = (a + a.conj().swapaxes(1, 2)) / 2.0
+    slopes = np.array([-0.5, 0.0, -2.0])
+    got = jacobian_spectrum(stack, slopes, tau=0.5).eigenvalues
+    gain = np.sqrt(-slopes)
+    each = [(-1.0 - np.linalg.eigvalsh(gain[:, None] * b * gain[None, :])) / 0.5
+            for b in stack]
+    assert np.abs(got - np.sort(np.concatenate(each))[::-1]).max() < 1e-12
+    assert np.all(np.diff(got) <= 0)
+    stack[2, 0, 2] += 1e-6j
+    with pytest.raises(NotSymmetric):
+        jacobian_spectrum(stack, slopes)
+    with pytest.raises(NotSymmetric):
+        sym_eigen(stack[:, :, :2], vectors=False)

@@ -19,12 +19,15 @@ from patternq.graphs import (
 from patternq.partitions import (
     MOTIFS,
     bipartition_partition,
+    block_decompose,
     buckyball_face_partition,
+    coarsest_equitable_refinement,
     make_partition,
     quotient,
     singleton_partition,
     tile_partition,
 )
+from patternq.spectral import jacobian_spectrum
 from patternq.stability import (
     CERTIFIED_STABLE,
     MARGINAL,
@@ -36,7 +39,8 @@ from patternq.stability import (
     stability_report,
 )
 
-from helpers import dense_averaging, dense_jacobian_spectrum, m_matrix_by_leading_minors
+from helpers import (dense_averaging, dense_jacobian_spectrum, m_matrix_by_leading_minors,
+                     relabelled)
 
 
 def _hom(g, m):
@@ -165,6 +169,73 @@ def test_block_exact_when_slopes_underflow():
     assert np.array_equal(blk.transverse_spectrum, np.full(14, -1.0))
     rep = stability_report(qm, m, z, methods=("block",))
     assert rep.full_spectral_abscissa == -1.0 and rep.full_verdict == STABLE
+
+
+def _householder_transverse(qm, m, z):
+    """The transverse spectrum of the reflector split of the dense S."""
+    dec = block_decompose(qm)
+    slopes = t_prime(m, z)
+    return jacobian_spectrum(dec.transverse_block, slopes[dec.transverse_class],
+                             tau=m.tau).eigenvalues
+
+
+@pytest.mark.parametrize("lattice,motif,p", [
+    (torus_mesh, "checkerboard", 2), (torus_mesh, "domino", 4), (torus_mesh, "row3", 3),
+    (hex_torus, "diag3", 3), (hex_torus, "spots", 4),
+])
+def test_lattice_patterns_take_the_bloch_blocks(monkeypatch, lattice, motif, p):
+    # the translations that keep every class split S into 144 / p Bloch
+    # blocks of order p, and the dense S is never formed
+    def refuse(self):
+        raise AssertionError("the dense n x n S was formed")
+
+    monkeypatch.setattr(ScaledAdjacency, "symmetric", property(refuse))
+    qm = quotient(lattice(12, 12), tile_partition(12, 12, MOTIFS[motif]))
+    m = HillMap(exponent=6, tau=0.7)
+    z = np.array([0.4, 1.3])
+    blk = block_stability(qm, m, z)
+    assert qm.bloch.blocks.shape == (144 // p - 1, p, p)
+    assert qm.bloch.rest.transverse_block.shape == (p - 2, p - 2)
+    assert blk.consistency < 1e-15
+    monkeypatch.undo()
+    assert np.abs(blk.transverse_spectrum - _householder_transverse(qm, m, z)).max() < 1e-13
+
+
+def _fallback_cases():
+    g = torus_mesh(8, 8)
+    return [
+        pytest.param(*relabelled(g, bipartition_partition(g)), id="relabelled-torus"),
+        pytest.param(g, coarsest_equitable_refinement(
+            g, make_partition([[9], [v for v in range(64) if v != 9]], 64)),
+            id="trivial-translations"),
+        pytest.param(buckyball(), buckyball_face_partition(), id="buckyball"),
+        pytest.param(triangle_bridge(), make_partition([[2, 5], [0, 1, 3, 4, 6, 7]], 8),
+                     id="irregular"),
+    ]
+
+
+@pytest.mark.parametrize("g,pi", _fallback_cases())
+def test_other_patterns_keep_the_householder_route(g, pi):
+    # no translation layout, or no translation but the identity keeps every
+    # class (p = n): the reflector split of the dense S, bit for bit
+    qm = quotient(g, pi)
+    assert qm.bloch is None
+    m = HillMap(exponent=6, tau=1.5)
+    z = np.linspace(0.3, 1.6, pi.r)
+    blk = block_stability(qm, m, z)
+    assert np.array_equal(blk.transverse_spectrum, _householder_transverse(qm, m, z))
+    assert blk.consistency == block_decompose(qm).coupling
+
+
+def test_relabelled_torus_agrees_with_its_bloch_blocks():
+    g = torus_mesh(8, 8)
+    pi = tile_partition(8, 8, MOTIFS["domino"])
+    m = HillMap(exponent=6)
+    z = np.array([0.4, 1.3])
+    bloch = block_stability(quotient(g, pi), m, z)
+    dense = block_stability(quotient(*relabelled(g, pi)), m, z)
+    assert np.array_equal(bloch.representative_spectrum, dense.representative_spectrum)
+    assert np.abs(bloch.transverse_spectrum - dense.transverse_spectrum).max() < 1e-13
 
 
 # ---- small-gain route ----
@@ -327,12 +398,9 @@ def test_stability_report_full_pipeline():
     assert rep.m_matrix_ok is True
 
 
-def test_stability_report_peak_memory_on_the_32x32_torus():
-    # the block route holds the operator's S and at most a few n x n
-    # working arrays at once: no n x n basis and no dense P
-    g = torus_mesh(32, 32)
+def _peak_of_stability_report(g, pi):
     m = HillMap(exponent=6)
-    qm = quotient(g, bipartition_partition(g))
+    qm = quotient(g, pi)
     z = solve_reduced(qm, m).class_values
     tracemalloc.start()
     try:
@@ -341,6 +409,24 @@ def test_stability_report_peak_memory_on_the_32x32_torus():
     finally:
         tracemalloc.stop()
     assert rep.full_verdict == STABLE and rep.block.transverse_spectrum.size == g.n - 2
+    return qm, peak
+
+
+def test_stability_report_peak_memory_on_the_32x32_torus():
+    # the Bloch blocks and their working arrays grow with n: about 30
+    # floats per cell, where the reflector split held 5.5 n x n arrays
+    g = torus_mesh(32, 32)
+    qm, peak = _peak_of_stability_report(g, bipartition_partition(g))
+    assert qm.bloch is not None
+    assert peak < 64 * 8 * g.n
+
+
+def test_stability_report_peak_memory_on_the_relabelled_32x32_torus():
+    # without a layout the reflector split holds the operator's S and at
+    # most a few n x n working arrays at once: no n x n basis and no dense P
+    g = torus_mesh(32, 32)
+    qm, peak = _peak_of_stability_report(*relabelled(g, bipartition_partition(g)))
+    assert qm.bloch is None
     assert peak < 5.5 * 8 * g.n ** 2
 
 
