@@ -193,10 +193,13 @@ class ScaledAdjacency:
         edges; weights must agree exactly.
         """
         n, d = self.n, self.degrees
-        k = int(self.indptr[1])
-        if (np.diff(self.indptr) != k).any() or (d != d[0]).any():
+        count = np.bincount(self.rows, minlength=n)
+        k = int(count[0])
+        if (count != k).any() or (d != d[0]).any():
             return None
         head, w0 = self.cols[:k], self.edge_weights[:k]   # vertex 0's offsets are its neighbours
+        weight_at = np.zeros(n)  # vertex 0's weight at each offset, 0 where it has no edge
+        weight_at[head] = w0
 
         def fits(cols, at):
             # for each candidate number of columns, whether the edges at do;
@@ -205,11 +208,10 @@ class ScaledAdjacency:
             cols = np.array(cols)[:, None]
             u, w = self.rows[at], self.cols[at]
             key = (w - u + cols * (w % cols < u % cols)) % n
-            pos = np.minimum(np.searchsorted(head, key), k - 1)
-            return ((head[pos] == key) & (w0[pos] == self.edge_weights[at])).all(axis=1)
+            return (weight_at[key] == self.edge_weights[at]).all(axis=1)
 
         cols = _divisors(n)[1:]
-        probe = self.row_edges(np.array([1, n - 1]))[0]
+        probe = (np.array([[k], [(n - 1) * k]]) + np.arange(k)).ravel()  # rows 1 and n - 1
         for c in np.compress(fits(cols, probe), cols).tolist():
             if fits([c], slice(None))[0]:
                 di, dj = np.divmod(head, c)

@@ -617,11 +617,11 @@ def _translation_group(labels: np.ndarray, rows: int, cols: int) -> tuple[int, i
     A candidate must first keep cell 0's label, then is checked on all n
     labels, exactly.
     """
-    i, j = np.divmod(np.arange(labels.size), cols)
+    grid = labels.reshape(rows, cols)
+    wrap = np.tile(grid, (2, 2))  # wrap[i + di, j + dj] is cell (i, j) shifted by (di, dj)
 
     def fixes(di: int, dj: int) -> bool:
-        return (labels[di % rows * cols + dj % cols] == labels[0]
-                and np.array_equal(labels[(i + di) % rows * cols + (j + dj) % cols], labels))
+        return wrap[di, dj] == grid[0, 0] and (wrap[di:di + rows, dj:dj + cols] == grid).all()
 
     a = next(a for a in _divisors(rows) if fixes(a, 0))
     c, b = next((c, b) for c in _divisors(cols) for b in range(a) if fixes(b, c))
@@ -653,14 +653,9 @@ def _bloch_blocks(qm: QuotientModel) -> BlochBlocks | None:
     np.add.at(blocks, (slice(None), np.arange(p)[:, None], x * c + y),
               lay.s * np.exp(2j * np.pi / n * turns))
     cell_class = labels[fx * cols + fy]
-    if p == qm.partition.r:
-        # one cell per class: the class vectors span the block, as
-        # _reflect would find at a cost that dominates small lattices
-        rest = BlockDecomposition(np.empty((0, 0)), cell_class[:0], 0.0)
-    else:
-        member = cell_class == np.arange(qm.partition.r)[:, None]
-        rest = _reflect(blocks[0].real, cell_class, member.argmax(axis=1),
-                        member.sum(axis=1)[cell_class] ** -0.5)
+    member = cell_class == np.arange(qm.partition.r)[:, None]
+    rest = _reflect(blocks[0].real, cell_class, member.argmax(axis=1),
+                    member.sum(axis=1)[cell_class] ** -0.5)
     return BlochBlocks(blocks=blocks[1:], cell_class=cell_class, rest=rest)
 
 

@@ -6,14 +6,15 @@ Jacobian splits exactly into a representative block driven by
 qm.symmetric and transverse blocks on the complement of the class
 vectors; each is Hermitian and solved on its own, and together they carry
 the full spectrum, so their largest eigenvalue is the full spectral
-abscissa and no n x n spectrum is solved.  On a lattice pattern, where
-the graph has a translation layout and some translation other than the
-identity keeps every class (qm.bloch), the transverse blocks are the
-Bloch blocks of order p, n / p of them, and no n x n array is formed.
-Otherwise one Householder reflector per class (block_decompose) splits
-the dense S, and the transverse block has order n - r.  Under the
-singleton partition (r = n) the representative block is the whole
-Jacobian and the transverse block is empty.  Small-gain route:
+abscissa and no n x n spectrum is solved.  On a lattice pattern of at
+least _BLOCH_MIN_CELLS cells, where the graph has a translation layout
+and some translation other than the identity keeps every class
+(qm.bloch), the transverse blocks are the Bloch blocks of order p, n / p
+of them, and no n x n array is formed.  Otherwise one Householder
+reflector per class (block_decompose) splits the dense S, and the
+transverse block has order n - r.  Under the singleton partition (r = n)
+the representative block is the whole Jacobian and the transverse block
+is empty.  Small-gain route:
 rho(P Gamma) < 1 with per-class dc-gains, the block route's -T'(z) bit for
 bit.  Equitability gives P Gamma Q = Q Pbar Gammabar for the class
 indicator Q, so the radius is computed on qm.symmetric alone, where it is
@@ -53,6 +54,12 @@ CERTIFIED_STABLE = "CERTIFIED_STABLE"
 NOT_CERTIFIED = "NOT_CERTIFIED"
 
 _MARGIN = 1e-9
+# Below this many cells block_stability takes the Householder route even
+# on a lattice pattern: the dense split then costs less than finding the
+# layout and building the Bloch blocks.  Per call on checkerboards (2-core
+# VM, one BLAS thread) the dense split was 12% cheaper at 64 cells (8x8)
+# and the Bloch blocks 8% cheaper at 80 (8x10), 25% at 96.
+_BLOCH_MIN_CELLS = 80
 _STEADY_TOL = 1e-8
 _METHODS = ("block", "smallgain")
 
@@ -144,18 +151,18 @@ def block_stability(qm: QuotientModel, model: HillMap, z) -> BlockStability:
     class vectors together and acts inside classes, or commutes with
     class-constant diagonals, splits the Jacobian too.  The representative
     block is (-I + diag(class slopes) qm.symmetric) / tau.  On a lattice
-    pattern (qm.bloch) the transverse spectrum is that of the Bloch blocks
-    of the nontrivial characters, in one batched solve, and of the
-    trivial character's block on the complement of the class vectors: no
-    n x n array is formed.  Any other pattern takes block_decompose(qm),
-    whose transverse block has order n - r.  Every block is Hermitian, so
-    jacobian_spectrum solves each directly.  `consistency` is the split's
-    off-block coupling.
+    pattern (qm.bloch) of at least _BLOCH_MIN_CELLS cells the transverse
+    spectrum is that of the Bloch blocks of the nontrivial characters, in
+    one batched solve, and of the trivial character's block on the
+    complement of the class vectors: no n x n array is formed.  Any other
+    pattern takes block_decompose(qm), whose transverse block has order
+    n - r.  Every block is Hermitian, so jacobian_spectrum solves each
+    directly.  `consistency` is the split's off-block coupling.
     """
     z = _class_values(qm, z)
     slopes = np.asarray(t_prime(model, z), dtype=float)
     rep = jacobian_spectrum(qm.symmetric, slopes, tau=model.tau)
-    bloch = qm.bloch
+    bloch = qm.bloch if qm.partition.n >= _BLOCH_MIN_CELLS else None
     decomp = block_decompose(qm) if bloch is None else bloch.rest
     trans = jacobian_spectrum(decomp.transverse_block, slopes[decomp.transverse_class],
                               tau=model.tau).eigenvalues

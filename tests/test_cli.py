@@ -147,16 +147,15 @@ def test_analyze_solves_no_spectrum_of_order_n(tmp_path, monkeypatch, model_h6):
 
 
 @pytest.mark.parametrize("method,orders,keys", [
-    ("block", [0, 2, 2], {"full_spectral_abscissa", "full_verdict", "block"}),
+    ("block", [2, 14], {"full_spectral_abscissa", "full_verdict", "block"}),
     ("smallgain", [], {"small_gain"}),
-    ("all", [0, 2, 2], {"full_spectral_abscissa", "full_verdict", "block", "small_gain"}),
+    ("all", [2, 14], {"full_spectral_abscissa", "full_verdict", "block", "small_gain"}),
 ])
 def test_stability_runs_only_the_requested_routes(tmp_path, monkeypatch, torus_graph,
                                                   torus_bipartition, model_h6,
                                                   method, orders, keys):
-    # the graph file keeps gen's row-major numbering, so the block route
-    # takes the Bloch blocks: the representative block, the empty rest of
-    # the trivial character's block and one stack of order-2 blocks
+    # below 80 cells block_stability prefers the dense split to the Bloch
+    # blocks: the representative block and the transverse block of order 14
     pat = tmp_path / "pat.json"
     assert main(["exist", "--graph", torus_graph, "--partition", torus_bipartition,
                  "--model", model_h6, "-o", str(pat)]) == 0

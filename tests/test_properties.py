@@ -24,7 +24,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import null_space
 from scipy.optimize import fsolve
 
-from patternq import existence
+from patternq import existence, stability
 from patternq.cells import HillMap, fixed_point, t_prime
 from patternq.errors import BadBundle, PatternQError, StateOutOfBox
 from patternq.existence import CERTIFIED, _ode_root, lift, solve_reduced
@@ -475,7 +475,9 @@ def equitable_motif_tilings(draw):
 def test_bloch_union_matches_the_householder_route(case, tau, relabel, data):
     # the transverse spectrum from the Bloch blocks against the reflector
     # split of the dense S, at drawn slopes in {0} | [-3, -0.1]: of the
-    # same quotient, or of the pattern relabelled, where no layout exists
+    # same quotient, or of the pattern relabelled, where no layout exists.
+    # The Bloch blocks are taken at every size, also below the one from
+    # which block_stability prefers them
     g, pi = case
     qm = quotient(g, pi)
     assert qm.bloch is not None or g.n <= 16
@@ -484,7 +486,8 @@ def test_bloch_union_matches_the_householder_route(case, tau, relabel, data):
     slopes = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(-3.0, -0.1)),
                                 min_size=pi.r, max_size=pi.r))
     z = np.interp(-np.array(slopes), -t_prime(m, grid), grid)
-    blk = block_stability(qm, m, z)
+    with mock.patch.object(stability, "_BLOCH_MIN_CELLS", 0):
+        blk = block_stability(qm, m, z)
     if relabel:
         other = quotient(*relabelled(g, pi))
         assert other.bloch is None or g.n <= 16

@@ -227,9 +227,26 @@ def test_other_patterns_keep_the_householder_route(g, pi):
     assert blk.consistency == block_decompose(qm).coupling
 
 
+def test_lattices_below_80_cells_keep_the_householder_route():
+    # the 8x8 checkerboard has Bloch blocks, but below 80 cells the dense
+    # split costs less: block_stability neither looks for the layout nor
+    # builds the blocks, and gives the reflector split bit for bit; the
+    # 8x10 checkerboard takes the blocks
+    m = HillMap(exponent=6, tau=1.5)
+    z = np.array([0.4, 1.3])
+    small = quotient(torus_mesh(8, 8), tile_partition(8, 8, MOTIFS["checkerboard"]))
+    blk = block_stability(small, m, z)
+    assert "layout" not in vars(small.operator) and "bloch" not in vars(small)
+    assert np.array_equal(blk.transverse_spectrum, _householder_transverse(small, m, z))
+    assert small.bloch is not None
+    large = quotient(torus_mesh(8, 10), tile_partition(8, 10, MOTIFS["checkerboard"]))
+    block_stability(large, m, z)
+    assert "bloch" in vars(large)
+
+
 def test_relabelled_torus_agrees_with_its_bloch_blocks():
-    g = torus_mesh(8, 8)
-    pi = tile_partition(8, 8, MOTIFS["domino"])
+    g = torus_mesh(12, 12)
+    pi = tile_partition(12, 12, MOTIFS["domino"])
     m = HillMap(exponent=6)
     z = np.array([0.4, 1.3])
     bloch = block_stability(quotient(g, pi), m, z)
