@@ -23,9 +23,9 @@ of the vertices takes a lattice pattern off the Bloch route.  Components, the
 stack-based search that the array components pass replaced.  Known
 automorphisms of the built-in lattices, as permutations, feed
 orbits_from_generators.
-The Dormand-Prince loop is checked bit for bit against settle_reference,
-the stepper that allocated a new array per stage and re-ran the input
-checks of t_eval in every right-hand side.
+The DOP853 loop is checked bit for bit against settle_reference, a
+stepper that allocates a new array per stage and re-runs the input checks
+of t_eval in every right-hand side.
 """
 from __future__ import annotations
 
@@ -51,12 +51,14 @@ from patternq.ode import (
     _A,
     _ATOL_PER_CONV,
     _B,
-    _E,
+    _E3,
+    _E5,
     _GROW_MAX,
     _RTOL,
     _SAFETY,
     _SHRINK_MIN,
     Settled,
+    _error_norm,
     stable_step,
 )
 from patternq.partitions import (
@@ -730,7 +732,17 @@ def buckyball_rotation_generators() -> list[list[int]]:
     return perms
 
 
-# ---- the Dormand-Prince loop with a new array per stage ----
+def max_within_class_spread(states: np.ndarray, pi: Partition) -> float:
+    """Worst max-min spread of any class at any sampled instant; states
+    holds one sampled state per row."""
+    worst = 0.0
+    for cls in pi.classes:
+        block = states[:, list(cls)]
+        worst = max(worst, float((block.max(axis=1) - block.min(axis=1)).max()))
+    return worst
+
+
+# ---- the DOP853 loop with a new array per stage ----
 
 def _combine_reference(y: np.ndarray, h: float, coeffs, ks) -> np.ndarray:
     out = y.copy()
@@ -742,9 +754,9 @@ def _combine_reference(y: np.ndarray, h: float, coeffs, ks) -> np.ndarray:
 
 def settle_reference(rhs, y0: np.ndarray, model: HillMap, conv_tol: float, t_max: float,
                      project, h_max: float | None = None, on_step=None) -> Settled:
-    """ode.settle as it was before its stage buffers: the same tableau,
-    error control and FSAL rule, with every stage state, stage list and
-    error estimate newly allocated.  An oracle only."""
+    """ode.settle without its stage buffers: the same tableau, error control
+    and FSAL rule, with every stage state, stage list, error estimate and
+    scale newly allocated.  An oracle only."""
     h_max = stable_step(model) if h_max is None else h_max
     atol = _ATOL_PER_CONV * conv_tol * model.tau
     y = np.array(y0, dtype=float)
@@ -761,21 +773,22 @@ def settle_reference(rhs, y0: np.ndarray, model: HillMap, conv_tol: float, t_max
         for a in _A:
             ks.append(rhs(_combine_reference(y, h, a, ks)))
         y_new = _combine_reference(y, h, _B, ks)
-        ks.append(rhs(y_new))
         scale = atol + _RTOL * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.abs(_combine_reference(np.zeros_like(y), h, _E, ks) / scale).max())
+        e5, e3 = (float(np.abs(_combine_reference(np.zeros_like(y), h, e, ks) / scale).max())
+                  for e in (_E5, _E3))
+        err = _error_norm(e5, e3)
         if not err <= 1.0:
             rejected += 1
-            h *= max(_SHRINK_MIN, _SAFETY * err ** -0.2) if np.isfinite(err) else _SHRINK_MIN
+            h *= max(_SHRINK_MIN, _SAFETY * err ** -0.125) if np.isfinite(err) else _SHRINK_MIN
             continue
         t = t + h if t + h < t_max else t_max
         steps += 1
         y = project(t, y_new)
-        deriv = ks[-1] if np.array_equal(y, y_new) else rhs(y)
+        deriv = rhs(y)
         norm = float(np.abs(deriv).max())
         if on_step is not None:
             on_step(steps, t, y)
-        h *= min(_GROW_MAX, _SAFETY * err ** -0.2) if err > 0 else _GROW_MAX
+        h *= min(_GROW_MAX, _SAFETY * err ** -0.125) if err > 0 else _GROW_MAX
     return Settled(final_state=y, final_time=t, final_derivative_norm=norm,
                    converged=norm < conv_tol, steps=steps, rejected=rejected)
 
@@ -797,8 +810,9 @@ def integrate_reference(sa, model: HillMap, x0, step: float, max_time: float,
         return np.clip(x, 0.0, amp)
 
     times, states = [], []
-    rest = settle_reference(rhs, x0, model, conv_tol, max_time, into_box, step,
-                            lambda k, t, x: (times.append(t), states.append(x)))
+    with np.errstate(over="ignore"):
+        rest = settle_reference(rhs, x0, model, conv_tol, max_time, into_box, step,
+                                lambda k, t, x: (times.append(t), states.append(x)))
     return np.array(times), np.array(states), rest
 
 

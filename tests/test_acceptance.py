@@ -31,12 +31,7 @@ from patternq.partitions import (
     tile_partition,
     trivial_partition,
 )
-from patternq.simulate import (
-    SimOptions,
-    integrate,
-    max_within_class_spread,
-    verify_certificate,
-)
+from patternq.simulate import SimOptions, integrate, verify_certificate
 from patternq.spectral import jacobian_spectrum
 from patternq.stability import CERTIFIED_STABLE, block_stability, small_gain
 
@@ -45,6 +40,7 @@ from helpers import (
     class_indicator,
     dense_averaging,
     dense_jacobian_spectrum,
+    max_within_class_spread,
     random_connected_graph,
     rounded_signature_refinement,
     buckyball_rotation_generators,

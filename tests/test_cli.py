@@ -204,11 +204,11 @@ def test_non_finite_pattern_fails_at_load(tmp_path, torus_graph, torus_bipartiti
 # The --trace CSV of a short run, every accepted state a row, and of a run
 # of 30000 accepted steps, thinned to every 4th; the sha256 pins every byte.
 _TRACE_RUNS = {
-    "short": (["--gen", "torus_mesh:4,4", "--model", "{h6}", "--perturb", "cell:0"], 122,
-              "93a7a9415f40879e5297a1eff54250268b5779c09c52eb509b83b3465fd76895"),
+    "short": (["--gen", "torus_mesh:4,4", "--model", "{h6}", "--perturb", "cell:0"], 36,
+              "a019fb8398e90bf7808fb7972f77111990ccc894f17d1b6d9c940f14357d92e8"),
     "thinned": (["--graph", "{two_cells}", "--model", "{h15}", "--x0", "{x0}", "--step", "0.001",
                  "--max-time", "30", "--conv-tol", "1e-13"], 7501,
-                "a2a3c3b96a61a915ed4a18af0aeef293535489be402aa6f520b5d9bbd4510dbf"),
+                "4a48743475f5e5be1065089d36bc9bd32a587c324768085de201c58bf3de9ce9"),
 }
 
 

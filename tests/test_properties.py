@@ -9,7 +9,7 @@ n x r table of class sums, the item-by-item JSON writer, the edge-by-edge
 and vertex-by-vertex input checks, the refinement that re-keys every
 vertex in every round (helpers.round_refinement), the union-find and the
 stack-based search the components pass replaced, and, bit for bit, the
-Dormand-Prince loop as it was before its stage buffers
+DOP853 loop without its stage buffers
 (helpers.settle_reference) and the Hill fixed point bisected through
 t_eval."""
 import math

@@ -21,12 +21,11 @@ from patternq.simulate import (
     classify,
     cluster_values,
     integrate,
-    max_within_class_spread,
     perturbed_start,
     verify_certificate,
 )
 
-from helpers import two_cycle_oracle
+from helpers import max_within_class_spread, two_cycle_oracle
 
 
 def test_equilibrium_start_stays_put():
@@ -237,6 +236,25 @@ def test_verify_certificate_checkerboard():
     assert chk.max_deviation < 1e-6
 
 
+def test_verify_certificate_settles_in_few_steps(monkeypatch):
+    # the eighth-order pair at rtol 1e-8 took 31 accepted and 8 rejected
+    # steps here; the fifth-order pair it replaced took 109 and 1
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append(integrate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(simulate, "integrate", recorded)
+    g = torus_mesh(16, 16)
+    m = HillMap(exponent=6)
+    qm = quotient(g, bipartition_partition(g))
+    chk = verify_certificate(qm, m, solve_reduced(qm, m), eps=0.01)
+    assert chk.match and chk.converged
+    (rest,) = runs
+    assert rest.steps + rest.rejected <= 45, (rest.steps, rest.rejected)
+
+
 def test_verify_certificate_inconclusive_is_exploratory():
     g = hex_torus(6, 6)
     pi = tile_partition(6, 6, MOTIFS["col3"])
@@ -263,7 +281,7 @@ def test_verify_certificate_stable_homogeneous_single_group():
 
 
 def test_verify_certificate_keeps_no_trajectory():
-    # the 128x128 checkerboard settles in about 100 steps of 16384 cells:
+    # the 128x128 checkerboard settles in 39 attempted steps of 16384 cells:
     # kept states would cost 128 kB each, the check itself a few arrays
     g = torus_mesh(128, 128)
     m = HillMap(exponent=6)
