@@ -7,24 +7,30 @@ corners of [0, A]^r that the reduced 2-coloring picks out (A on one side, 0
 on the other), and the pick is lifted to the full network: solve_reduced
 returns one PatternSolution that carries the certificate it was decided on.
 
-Why the corners: flip the sign of one side of the coloring.  quotient()
-2-colors every class pair with a nonzero Pbar entry and T' <= 0 on
-[0, inf), so every off-diagonal entry of the flipped Jacobian
-S (-I + Pbar diag T'(z)) S is >= 0 at every z in the box: the reduced flow
-z' = (-z + Pbar T(z)) / tau is cooperative.  Every equilibrium lies in
-[0, A]^r (Pbar is row-stochastic and 0 < T <= A), and the two corners are
-the least and the greatest points of that box in the flipped order, so the
-flow from them converges to the least and the greatest equilibrium
-(H. L. Smith, Monotone Dynamical Systems, 1995).
+Why the corners: flip the sign of one side of the coloring, and write
+<=_K for the order of the flipped coordinates.  quotient() 2-colors every
+class pair with a nonzero Pbar entry and T' <= 0 on [0, inf), so every
+off-diagonal entry of the flipped Jacobian of the damped map
+F(z) = (1 - alpha) z + alpha Pbar T(z) is >= 0 at every z in the box, and
+with alpha = 1 / (1 + max_i pbar_ii L), L = max |T'| (cells.max_slope),
+every diagonal entry is >= 1 - alpha - alpha pbar_ii L >= 0: F preserves
+<=_K.  F maps the box [0, A]^r into itself (Pbar is row-stochastic and
+0 < T <= A), so every root lies in it, and the two corners are the least
+and the greatest points of the box in <=_K.  The iterates of F from each
+corner are therefore monotone and bounded in <=_K, and converge to the
+least and the greatest root (D. H. Sattinger, Indiana Univ. Math. J. 21,
+1972; H. L. Smith, Monotone Dynamical Systems, 1995).  solve_reduced
+iterates F, at most 100,000 times, only when Newton strays from a corner.
 
 Why those limits are patterns: under CERTIFIED the reduced graph is
 connected (certify raises NotConnected otherwise) and T'(u*) < 0, so the
-flipped Jacobian at u* 1 is an irreducible Metzler matrix.  Its Perron
-eigenvalue -1 + |T'(u*)| |lambda_min| is positive and has a positive
-eigenvector, so the homogeneous state is unstable along a direction that
-points into each corner's side of u* 1, and the flow from each corner ends
-strictly on its own side: the two limits are nonhomogeneous and distinct.
-OnlyHomogeneousFound is the loud failure for when the numerics disagree.
+flipped Jacobian of z -> Pbar T(z) - z at u* 1 is an irreducible Metzler
+matrix.  Its Perron eigenvalue -1 + |T'(u*)| |lambda_min| is positive and
+has a positive eigenvector, so the homogeneous state is unstable along a
+direction that points into each corner's side of u* 1, and the iterates
+from each corner end strictly on their own side: the two limits are
+nonhomogeneous and distinct.  OnlyHomogeneousFound is the loud failure
+for when the numerics disagree.
 """
 from __future__ import annotations
 
@@ -32,9 +38,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cells import HillMap, fixed_point, t_eval, t_prime
+from .cells import HillMap, fixed_point, max_slope, t_eval, t_prime
 from .errors import NotConnected, OnlyHomogeneousFound
-from .ode import settle
 from .partitions import QuotientModel
 
 __all__ = [
@@ -59,8 +64,8 @@ _DISTINCT = 1e-8
 # strict thresholds get a small guard band so boundary cases (condition
 # exactly -1 up to float noise) never certify
 _CONDITION_MARGIN = 1e-9
-# model time, in units of tau, after which the reduced flow counts as stuck
-_FLOW_HORIZON = 1e5
+# iterations after which the monotone iteration from a corner counts as stuck
+_MONOTONE_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -170,23 +175,18 @@ def _newton_root(pbar: np.ndarray, model: HillMap, z0: np.ndarray,
     return z if res < tol * 100 else None
 
 
-def _ode_root(pbar: np.ndarray, model: HillMap, z0: np.ndarray, tol: float,
-              progress=None) -> np.ndarray | None:
-    """Integrate the reduced flow z' = (-z + Pbar T(z)) / tau until the
-    derivative norm drops below tol; the limit is an equilibrium.  None when
-    1e5 tau of model time pass first."""
-
-    def f(state: np.ndarray) -> np.ndarray:
-        return (-state + pbar @ t_eval(model, np.maximum(state, 0.0))) / model.tau
-
-    def tick(k: int, t: float, z: np.ndarray) -> None:
-        if k % 5000 == 0:
-            progress("flow", k)
-
-    rest = settle(f, np.maximum(z0, 0.0), model, tol, _FLOW_HORIZON * model.tau,
-                  lambda t, z: np.maximum(z, 0.0),
-                  on_step=None if progress is None else tick)
-    return rest.final_state if rest.converged else None
+def _monotone_root(pbar: np.ndarray, model: HillMap, z0: np.ndarray) -> np.ndarray | None:
+    """Iterate the damped map F of the module docstring from z0 until
+    max |Pbar T(z) - z| < 1e-6; None when _MONOTONE_CAP iterations pass
+    first."""
+    alpha = 1.0 / (1.0 + float(np.diag(pbar).max()) * max_slope(model))
+    z = z0
+    for _ in range(_MONOTONE_CAP):
+        target = pbar @ t_eval(model, z)
+        if np.abs(target - z).max() < 1e-6:
+            return z
+        z = (1.0 - alpha) * z + alpha * target
+    return None
 
 
 def solve_reduced(qm: QuotientModel, model: HillMap, *, progress=None) -> PatternSolution:
@@ -194,22 +194,22 @@ def solve_reduced(qm: QuotientModel, model: HillMap, *, progress=None) -> Patter
 
     Both solves start from the two coloring corners (model.amplitude on one
     side of qm.reduced_coloring, 0 on the other), the extremes of the
-    cooperative order from which the reduced flow runs to the extremal
+    order from which the damped monotone iteration runs to the extremal
     roots (see the module docstring).  Newton from the corners is accepted
     when both roots are nonhomogeneous, pass the residual test and differ
-    by more than 1e-8.  Otherwise the reduced flow is integrated from each
-    corner and its limit polished by Newton; the polished roots that pass
-    the same tests are the candidates.  Under a CERTIFIED verdict at least
-    one must survive; if none does, the contradiction is raised as
-    OnlyHomogeneousFound rather than returned.  The pick is the candidate
-    that comes first in descending lexicographic order of its class
-    values; a second candidate more than 1e-8 away is returned as
-    alternate_class_values.
+    by more than 1e-8.  Otherwise z <- (1 - alpha) z + alpha Pbar T(z),
+    alpha = 1 / (1 + max_i pbar_ii L), is iterated from each corner until
+    max |Pbar T(z) - z| < 1e-6, at most 100,000 times, and its limit
+    polished by Newton; the polished roots that pass the same tests are
+    the candidates.  Under a CERTIFIED verdict at least one must survive;
+    if none does, the contradiction is raised as OnlyHomogeneousFound
+    rather than returned.  The pick is the candidate that comes first in
+    descending lexicographic order of its class values; a second candidate
+    more than 1e-8 away is returned as alternate_class_values.
     Without certification the homogeneous solution is returned with a
     warning instead of an error.  Either way the pick comes lifted, with
-    the certificate it was decided on.  `progress`, when given, is called as
-    progress(phase, iteration) with phase "newton" per Newton iteration and
-    "flow" every 5000 flow steps.
+    the certificate it was decided on.  `progress`, when given, is called
+    as progress("newton", iteration) per Newton iteration.
     """
     cert = certify(qm, model)
     pbar = qm.matrix
@@ -230,19 +230,20 @@ def solve_reduced(qm: QuotientModel, model: HillMap, *, progress=None) -> Patter
     corners = [np.where(qm.reduced_coloring == side, model.amplitude, 0.0) for side in (0, 1)]
     found = [_newton_root(pbar, model, z0, progress=progress) for z0 in corners]
     if not (all(map(accepted, found)) and np.abs(found[0] - found[1]).max() > _DISTINCT):
-        # Newton strayed from a corner; the flow from each corner runs to
-        # its extremal root, so polish the flow's limit instead
+        # Newton strayed from a corner; the monotone iteration from each
+        # corner runs to its extremal root, so polish its limit instead
         found = []
         for z0 in corners:
-            staged = _ode_root(pbar, model, z0, tol=1e-6, progress=progress)
+            staged = _monotone_root(pbar, model, z0)
             root = None if staged is None else _newton_root(pbar, model, staged,
                                                             progress=progress)
             if accepted(root):
                 found.append(root)
     if not found:
         raise OnlyHomogeneousFound(
-            "the flow from both coloring corners reached no accepted "
-            "nonhomogeneous root despite a CERTIFIED eigenvalue condition")
+            "neither Newton nor the damped monotone iteration (at most "
+            f"{_MONOTONE_CAP} steps) from the two coloring corners reached an "
+            "accepted nonhomogeneous root despite a CERTIFIED eigenvalue condition")
 
     # deterministic pick: largest first entry under the partition's class order
     found.sort(key=lambda z: tuple(-z))

@@ -1,14 +1,13 @@
 """Embedded DOP853 integration of a relaxation flow to rest.
 
-Both flows patternq integrates, the network x' = (-x + T(P x)) / tau and
-the reduced z' = (-z + Pbar T(z)) / tau, have a Jacobian of the form
-(-I + D P) / tau or (-I + P D) / tau, with D a diagonal of slopes T' <= 0
-and P row-stochastic and similar to a symmetric matrix through the
-degrees (the averaging operator P, or the quotient Pbar).  D P and P D are
-then similar to symmetric matrices too, so their eigenvalues are real,
-and they are at most ||D|| rho(P) = L in magnitude, with L the largest
-|T'(u)| over u >= 0 (cells.max_slope).  At every state, every eigenvalue
-of the Jacobian lies in [-(1 + L), L - 1] / tau.
+The network flow x' = (-x + T(P x)) / tau that patternq integrates has
+the Jacobian (-I + D P) / tau, with D a diagonal of slopes T' <= 0 and
+the averaging operator P row-stochastic and similar to a symmetric matrix
+through the degrees.  D P is then similar to a symmetric matrix too, so
+its eigenvalues are real, and they are at most ||D|| rho(P) = L in
+magnitude, with L the largest |T'(u)| over u >= 0 (cells.max_slope).  At
+every state, every eigenvalue of the Jacobian lies in
+[-(1 + L), L - 1] / tau.
 
 The stepper is DOP853, the eighth-order explicit Runge-Kutta pair of
 Dormand and Prince with the error estimate of Hairer, Norsett & Wanner
@@ -152,20 +151,19 @@ def _error_norm(e5: float, e3: float) -> float:
 
 
 def settle(rhs, y0: np.ndarray, model: HillMap, conv_tol: float, t_max: float,
-           project, h_max: float | None = None, on_step=None) -> Settled:
+           project, h_max: float, on_step=None) -> Settled:
     """Integrate y' = rhs(y) from y0 until max|y'| < conv_tol or t = t_max.
 
-    Steps never exceed h_max (stable_step(model) when None) nor overrun
-    t_max.  rhs(y) returns a new array each call, and must neither write
-    into y nor keep it.  Each accepted state is a new array and passes
-    through project(t, y), which returns the state to continue from (y
-    itself when nothing changes, never y written into) and may raise.
-    on_step(k, t, y) is called at the start (k = 0) and after every
-    accepted step, and may keep y.  The tolerances are derived from
+    Steps never exceed h_max (simulate passes stable_step(model) unless
+    given a step) nor overrun t_max.  rhs(y) returns a new array each call,
+    and must neither write into y nor keep it.  Each accepted state is a
+    new array and passes through project(t, y), which returns the state to
+    continue from (y itself when nothing changes, never y written into) and
+    may raise.  on_step(k, t, y) is called at the start (k = 0) and after
+    every accepted step, and may keep y.  The tolerances are derived from
     conv_tol and tau: atol = 1e-2 conv_tol tau and rtol = 1e-8, on the
     max-norm of each scaled error estimate.
     """
-    h_max = stable_step(model) if h_max is None else h_max
     atol = _ATOL_PER_CONV * conv_tol * model.tau
     y = np.array(y0, dtype=float)
     # the stage state, one product term and the error estimate, reused by

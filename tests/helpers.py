@@ -59,7 +59,6 @@ from patternq.ode import (
     _SHRINK_MIN,
     Settled,
     _error_norm,
-    stable_step,
 )
 from patternq.partitions import (
     EquitabilityCheck,
@@ -753,11 +752,10 @@ def _combine_reference(y: np.ndarray, h: float, coeffs, ks) -> np.ndarray:
 
 
 def settle_reference(rhs, y0: np.ndarray, model: HillMap, conv_tol: float, t_max: float,
-                     project, h_max: float | None = None, on_step=None) -> Settled:
+                     project, h_max: float, on_step=None) -> Settled:
     """ode.settle without its stage buffers: the same tableau, error control
     and FSAL rule, with every stage state, stage list, error estimate and
     scale newly allocated.  An oracle only."""
-    h_max = stable_step(model) if h_max is None else h_max
     atol = _ATOL_PER_CONV * conv_tol * model.tau
     y = np.array(y0, dtype=float)
     t = 0.0

@@ -152,13 +152,19 @@ def _certified_cases():
     ]
 
 
-@pytest.mark.parametrize("g,pi,h", _certified_cases())
-def test_newton_and_flow_strategies_agree(g, pi, h, monkeypatch):
-    # Newton from the corners, and the flow from the corners that runs when
-    # both corner Newton calls fail, reach the same pick and alternate
-    qm = quotient(g, pi)
-    m = HillMap(exponent=h)
-    fast = solve_reduced(qm, m)
+def _monotone_starts(monkeypatch):
+    """Record the starts of the monotone iteration."""
+    monotone = existence._monotone_root
+    starts = []
+    monkeypatch.setattr(existence, "_monotone_root",
+                        lambda pbar, model, z0: starts.append(z0.copy())
+                        or monotone(pbar, model, z0))
+    return starts
+
+
+def _fail_corner_newton(monkeypatch):
+    """Make the two corner Newton calls of the next solve fail, and record
+    the starts of the monotone iteration that then runs."""
     newton = existence._newton_root
     calls = []
 
@@ -167,9 +173,33 @@ def test_newton_and_flow_strategies_agree(g, pi, h, monkeypatch):
         return None if len(calls) <= 2 else newton(*args, **kwargs)
 
     monkeypatch.setattr(existence, "_newton_root", corners_fail)
-    phases = []
-    slow = solve_reduced(qm, m, progress=lambda phase, k: phases.append(phase))
-    assert "flow" in phases
+    return _monotone_starts(monkeypatch)
+
+
+def _near_threshold_cases():
+    """Set-ups at h = 1.001 h*, where the monotone iteration takes
+    thousands of steps."""
+    g_t, g_h = torus_mesh(4, 4), hex_torus(12, 12)
+    cases = [("torus4-checkerboard", g_t, bipartition_partition(g_t)),
+             ("hex12-spots", g_h, tile_partition(12, 12, MOTIFS["spots"]))]
+    # u* = 1 and |T'(u*)| = h/2, so h* = 2 / |lambda_min|
+    h_stars = [2.0 / abs(certify(quotient(g, pi), HillMap()).min_eigenvalue)
+               for _, g, pi in cases]
+    return [pytest.param(g, pi, 1.001 * h_star, id=f"{name}-1.001h*")
+            for (name, g, pi), h_star in zip(cases, h_stars)]
+
+
+@pytest.mark.parametrize("g,pi,h", _certified_cases() + _near_threshold_cases())
+def test_newton_and_flow_strategies_agree(g, pi, h, monkeypatch):
+    # Newton from the corners, and the damped monotone iteration (the flow's
+    # explicit Euler step) from the corners that runs when both corner
+    # Newton calls fail, reach the same pick and alternate
+    qm = quotient(g, pi)
+    m = HillMap(exponent=h)
+    fast = solve_reduced(qm, m)
+    starts = _fail_corner_newton(monkeypatch)
+    slow = solve_reduced(qm, m)
+    assert len(starts) == 2
     assert np.abs(slow.class_values - fast.class_values).max() < 1e-9
     assert np.abs(slow.alternate_class_values - fast.alternate_class_values).max() < 1e-9
 
@@ -179,12 +209,9 @@ def test_flow_starts_at_the_coloring_corners(g, pi, h, monkeypatch):
     qm = quotient(g, pi)
     m = HillMap(exponent=h)
     starts = []
-
-    def record(pbar, model, z0, tol, progress=None):
-        starts.append(z0.copy())
-
     monkeypatch.setattr(existence, "_newton_root", lambda *args, **kwargs: None)
-    monkeypatch.setattr(existence, "_ode_root", record)
+    monkeypatch.setattr(existence, "_monotone_root",
+                        lambda pbar, model, z0: starts.append(z0.copy()))
     with pytest.raises(OnlyHomogeneousFound):
         solve_reduced(qm, m)
     side0 = qm.reduced_coloring == 0
@@ -318,39 +345,45 @@ def _sweep_quotients():
 
 @pytest.mark.parametrize("factor", [1.05, 2.0])
 @pytest.mark.parametrize("case", range(4))
-def test_coloring_corners_need_no_flow(case, factor):
+def test_coloring_corners_need_no_flow(case, factor, monkeypatch):
     qm = _sweep_quotients()[case]
     h_star = 2.0 / abs(certify(qm, HillMap()).min_eigenvalue)   # u* = 1, |T'(u*)| = h/2
     phases = []
+    starts = _monotone_starts(monkeypatch)
     red = solve_reduced(qm, HillMap(exponent=factor * h_star),
                         progress=lambda phase, k: phases.append(phase))
     assert red.certificate.verdict == CERTIFIED
     assert red.alternate_class_values is not None
-    assert "newton" in phases and "flow" not in phases
+    assert set(phases) == {"newton"} and not starts
 
 
 def test_flow_fallback_when_corner_newton_fails(monkeypatch):
     qm = _sweep_quotients()[0]
     m = HillMap(exponent=6)
     fast = solve_reduced(qm, m)
-    newton = existence._newton_root
-    calls = []
-
-    def corners_fail(*args, **kwargs):
-        calls.append(None)
-        return None if len(calls) <= 2 else newton(*args, **kwargs)
-
-    monkeypatch.setattr(existence, "_newton_root", corners_fail)
+    starts = _fail_corner_newton(monkeypatch)
     phases = []
     slow = solve_reduced(qm, m, progress=lambda phase, k: phases.append(phase))
-    assert "flow" in phases
+    assert len(starts) == 2 and set(phases) == {"newton"}
     assert np.abs(slow.class_values - fast.class_values).max() < 1e-9
     assert np.abs(slow.alternate_class_values - fast.alternate_class_values).max() < 1e-9
 
     monkeypatch.setattr(existence, "_newton_root", lambda *args, **kwargs: None)
-    monkeypatch.setattr(existence, "_ode_root", lambda *args, **kwargs: None)
+    monkeypatch.setattr(existence, "_monotone_root", lambda *args, **kwargs: None)
     with pytest.raises(OnlyHomogeneousFound):
         solve_reduced(qm, m)
+
+
+def test_monotone_cap_raises_only_homogeneous_found(monkeypatch):
+    # one step from each corner leaves the iteration short of its stop
+    # rule; the solve fails loudly at once instead of stalling
+    qm = _sweep_quotients()[0]
+    monkeypatch.setattr(existence, "_newton_root", lambda *args, **kwargs: None)
+    monkeypatch.setattr(existence, "_MONOTONE_CAP", 1)
+    starts = _monotone_starts(monkeypatch)
+    with pytest.raises(OnlyHomogeneousFound, match="at most 1 steps"):
+        solve_reduced(qm, HillMap(exponent=6))
+    assert len(starts) == 2
 
 
 def test_dc_gain_consistent_with_solved_pattern():

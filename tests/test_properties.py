@@ -12,6 +12,7 @@ stack-based search the components pass replaced, and, bit for bit, the
 DOP853 loop without its stage buffers
 (helpers.settle_reference) and the Hill fixed point bisected through
 t_eval."""
+import contextlib
 import math
 from unittest import mock
 
@@ -27,7 +28,7 @@ from scipy.optimize import fsolve
 from patternq import existence, stability
 from patternq.cells import HillMap, fixed_point, t_prime
 from patternq.errors import BadBundle, PatternQError, StateOutOfBox
-from patternq.existence import CERTIFIED, _ode_root, lift, solve_reduced
+from patternq.existence import CERTIFIED, certify, lift, solve_reduced
 from patternq.graphs import (
     ScaledAdjacency,
     _components,
@@ -78,7 +79,6 @@ from helpers import (
     random_connected_graph,
     relabelled,
     round_refinement,
-    settle_reference,
     torus_shift_perm,
     two_coloring_by_search,
     weight_matrix,
@@ -561,22 +561,6 @@ def test_integrate_matches_the_reference_stepper_bit_for_bit(run):
     assert got.final_derivative_norm == rest.final_derivative_norm
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(case=st.one_of(rotation_partitioned_circulants(), tiled_motifs()),
-       h=st.one_of(st.just(40.0), st.floats(1.0, 40.0)), data=st.data())
-def test_reduced_flow_matches_the_reference_stepper_bit_for_bit(case, h, data):
-    g, pi = case
-    m = HillMap(exponent=h)
-    pbar = quotient(g, pi).matrix
-    z0 = np.array(data.draw(st.lists(st.sampled_from([0.0, 1e-12, 0.7, m.amplitude]),
-                                     min_size=pi.r, max_size=pi.r)))
-    got = _ode_root(pbar, m, z0, tol=1e-6)
-    with mock.patch.object(existence, "settle", settle_reference):
-        ref = _ode_root(pbar, m, z0, tol=1e-6)
-    assert (got is None) == (ref is None)
-    assert got is None or np.array_equal(got, ref)
-
-
 @st.composite
 def bipartite_rotation_quotients(draw):
     """(graph, partition) with a bipartite reduced graph: an even cycle split
@@ -637,9 +621,35 @@ def _flow_roots_oracle(pbar: np.ndarray, m: HillMap) -> list[np.ndarray]:
     return roots
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(case=bipartite_rotation_quotients(), factor=st.floats(1.1, 3.0))
-def test_reduced_roots_match_flow_oracle(case, factor):
+@contextlib.contextmanager
+def corner_newton_failing():
+    """Make the two corner Newton calls of the one solve_reduced inside
+    fail, so the damped monotone iteration runs from both corners; yields
+    the list of runs, one (start, iterates, limit) per corner, where
+    iterates are the states whose Pbar T(z) the iteration evaluated, in
+    order."""
+    newton, monotone = existence._newton_root, existence._monotone_root
+    runs, calls = [], []
+
+    def corners_fail(pbar, model, z0, **kwargs):
+        calls.append(None)
+        return None if len(calls) <= 2 else newton(pbar, model, z0, **kwargs)
+
+    def traced(pbar, model, z0):
+        iterates = []
+        t_eval = existence.t_eval
+        with mock.patch.object(existence, "t_eval",
+                               lambda m, z: iterates.append(np.array(z)) or t_eval(m, z)):
+            limit = monotone(pbar, model, z0)
+        runs.append((z0.copy(), iterates, limit))
+        return limit
+
+    with mock.patch.object(existence, "_newton_root", corners_fail), \
+            mock.patch.object(existence, "_monotone_root", traced):
+        yield runs
+
+
+def _flow_oracle_check(case, factor):
     # the coloring corners and the flow off the saddle reach the same pair
     # of extremal roots
     g, pi = case
@@ -656,6 +666,65 @@ def test_reduced_roots_match_flow_oracle(case, factor):
         assert min(np.abs(a - b).max() for b in oracle) < 1e-8
     for b in oracle:
         assert min(np.abs(a - b).max() for a in ours) < 1e-8
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=bipartite_rotation_quotients(), factor=st.floats(1.1, 3.0))
+def test_reduced_roots_match_flow_oracle(case, factor):
+    _flow_oracle_check(case, factor)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=bipartite_rotation_quotients(), factor=st.floats(1.1, 3.0))
+def test_monotone_fallback_roots_match_flow_oracle(case, factor):
+    # the same check with corner Newton failing, so the roots come from the
+    # damped monotone iteration polished by Newton
+    with corner_newton_failing() as runs:
+        _flow_oracle_check(case, factor)
+    assert len(runs) == 2
+
+
+@st.composite
+def certified_bipartite_quotients(draw):
+    """(quotient, model): a bipartite_rotation_quotients() case, or a
+    tiled_motifs() case with a bipartite reduced graph (most have a nonzero
+    Pbar diagonal), at h = factor h* for a factor in (1, 6], with 1.001 and
+    1.01 drawn often."""
+    g, pi = draw(st.one_of(bipartite_rotation_quotients(), tiled_motifs()))
+    qm = quotient(g, pi)
+    assume(qm.reduced_coloring is not None and qm.eigenvalues[-1] < -1e-9)
+    factor = draw(st.one_of(st.sampled_from([1.001, 1.01]), st.floats(1.001, 6.0)))
+    m = HillMap(exponent=factor * 2.0 / abs(qm.eigenvalues[-1]))   # |T'(u*)| = h/2
+    assume(certify(qm, m).verdict == CERTIFIED)
+    return qm, m
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=certified_bipartite_quotients())
+def test_monotone_iterates_from_the_corners_run_to_the_extremal_roots(case):
+    # with corner Newton failing, the damped map runs from each coloring
+    # corner monotonically in the flipped order (toward the other corner),
+    # and its polished limits are the default solve's pick and alternate
+    qm, m = case
+    fast = solve_reduced(qm, m)
+    with corner_newton_failing() as runs:
+        solve_reduced(qm, m)
+    signs = np.where(qm.reduced_coloring == 1, -1.0, 1.0)
+    corners = [np.where(qm.reduced_coloring == side, m.amplitude, 0.0) for side in (0, 1)]
+    assert [start.tolist() for start, _, _ in runs] == [c.tolist() for c in corners]
+    polished = []
+    for (start, iterates, limit), direction in zip(runs, (-1.0, 1.0)):
+        assert limit is not None
+        assert np.array_equal(iterates[0], start) and np.array_equal(iterates[-1], limit)
+        steps = np.diff(np.array(iterates) * signs, axis=0) * direction
+        assert steps.min(initial=0.0) >= -1e-13
+        polished.append(existence._newton_root(qm.matrix, m, limit))
+    want = [fast.class_values, fast.alternate_class_values]
+    assert want[1] is not None
+    for a in polished:
+        assert min(np.abs(a - b).max() for b in want) < 1e-9
+    for b in want:
+        assert min(np.abs(a - b).max() for a in polished) < 1e-9
 
 
 @PROPERTY
