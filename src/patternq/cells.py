@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadOptions, NegativeInput, NonpositiveOperatingPoint
+from .errors import BadOptions, NegativeInput
 
 __all__ = ["HillMap", "FixedPoint", "t_eval", "t_prime", "max_slope",
            "fixed_point", "cell_rhs", "dc_gain"]
@@ -130,15 +130,11 @@ def cell_rhs(m: HillMap, x, u):
 
 
 def dc_gain(m: HillMap, z) -> float | np.ndarray:
-    """Static gain |T'(z)| of the linearized cell at operating inputs z > 0.
+    """Static gain |T'(z)| of the linearized cell at operating inputs z >= 0.
 
     For this first-order cell the L2-gain of the linearization equals the
-    dc-gain, so this is the per-class gain used by the small-gain test.  An
-    array of inputs gives the array -t_prime(m, z), bit for bit.
+    dc-gain, so this is the per-class gain used by the small-gain test.  It
+    is -t_prime(m, z) bit for bit, finite at z = 0 (0 for h > 1, A/K at
+    h = 1), and NegativeInput for any z < 0.
     """
-    z = np.asarray(z, dtype=float)
-    if np.any(z <= 0):
-        raise NonpositiveOperatingPoint(
-            f"operating input must be positive, got {float(z[z <= 0][0])}")
     return -t_prime(m, z)
-

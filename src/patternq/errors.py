@@ -86,10 +86,6 @@ class NegativeInput(PatternQError):
     pass
 
 
-class NonpositiveOperatingPoint(PatternQError):
-    pass
-
-
 # ---- existence / patterns ----
 
 class OnlyHomogeneousFound(PatternQError):

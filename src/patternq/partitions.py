@@ -10,11 +10,11 @@ equitability, refines partitions to the coarsest equitable one, tiles
 periodic motifs of class labels (MOTIFS) over the lattices, builds orbit
 partitions from automorphism generators, and splits the symmetrized
 averaging matrix S exactly into a symmetric quotient block and transverse
-blocks: by one Householder reflector per class on the dense S
-(block_decompose), or, where the graph has a translation layout, by the
-characters of the translations that keep every class (Bloch's theorem,
-QuotientModel.bloch), into blocks of the period's order with no n x n
-array.  quotient() is the only constructor of a QuotientModel and refuses
+blocks (block_decompose): by the characters of the translations that keep
+every class (Bloch's theorem), into blocks of the period's order, and the
+trivial character's block by one Householder reflector per class.  Where
+no translation but the identity applies, that block is the dense S.
+quotient() is the only constructor of a QuotientModel and refuses
 inequitable partitions; the model carries the partition and the graph's
 averaging operator, and is what every later stage, block_decompose(qm)
 included, takes; its one symmetric form is what every r x r route reads.
@@ -47,7 +47,6 @@ __all__ = [
     "EquitabilityCheck",
     "QuotientModel",
     "BlockDecomposition",
-    "BlochBlocks",
     "make_partition",
     "trivial_partition",
     "singleton_partition",
@@ -179,10 +178,10 @@ class EquitabilityCheck:
         return self.ok
 
 
-def is_equitable(g: WeightedGraph, pi: Partition,
-                 tol: float = _EQ_TOL) -> EquitabilityCheck:
-    """Check that within each class, all vertices share the same class-sum row."""
-    return _class_sums_checked(scaled_adjacency(g), pi, tol)[1]
+def is_equitable(g: WeightedGraph, pi: Partition) -> EquitabilityCheck:
+    """Check that within each class, all vertices share the same class-sum
+    row, to 1e-12."""
+    return _class_sums_checked(scaled_adjacency(g), pi, _EQ_TOL)[1]
 
 
 def _class_sums_checked(sa: ScaledAdjacency, pi: Partition, tol: float
@@ -243,9 +242,7 @@ class QuotientModel:
     in either direction (self-loops omitted); reduced_coloring is the
     2-coloring of that reduced graph when bipartite, a 0/1 side per class.
     symmetric, formed on first read, is the one r x r matrix that
-    eigenvalues, spectrum, small_gain and block_stability read; bloch,
-    also formed on first read, holds the Bloch blocks of S that
-    block_stability reads on a lattice pattern.
+    eigenvalues, spectrum, small_gain and block_stability read.
     """
 
     matrix: np.ndarray
@@ -287,13 +284,6 @@ class QuotientModel:
         values = sym_eigen(self.symmetric, vectors=False).eigenvalues
         values.flags.writeable = False
         return values
-
-    @cached_property
-    def bloch(self) -> BlochBlocks | None:
-        """S split into Bloch blocks, built on first read, or None when the
-        operator has no translation layout or only the identity maps
-        every cell into its class (p = n)."""
-        return _bloch_blocks(self)
 
     def spectrum(self) -> Spectrum:
         """eigenvalues with the eigenvectors of symmetric, mapped back
@@ -509,33 +499,60 @@ def orbits_from_generators(g: WeightedGraph, perms) -> Partition:
     return Partition(labels=labels, r=int(labels.max()) + 1)
 
 
+# Below this many cells block_decompose takes the trivial group even on a
+# lattice pattern: the dense split then costs less than finding the layout
+# and building the character blocks.  Per call on checkerboards (2-core
+# VM, one BLAS thread) the dense split was 12% cheaper at 64 cells (8x8)
+# and the character blocks 8% cheaper at 80 (8x10), 25% at 96.
+_BLOCH_MIN_CELLS = 80
+
+
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """The symmetrized averaging matrix split into a quotient and a transverse block.
+    """The symmetrized averaging matrix S = D^1/2 P D^-1/2 split by the
+    characters of a group T of translations that keep every class, and the
+    trivial character's block split by the class reflectors.
 
-    S = D^1/2 P D^-1/2 is symmetric, and equitability makes the span of the
-    class vectors a_k = sqrt(d) restricted to class k (unit norm) invariant
-    under it.  One Householder reflector per class maps a_k onto -e_f, f the
-    class's first vertex; the reflectors have disjoint supports, so their
-    product H is one symmetric orthogonal matrix and HSH is block-diagonal.
-    On the first vertices of the classes HSH is a_k^T S a_l, the quotient's
-    symmetric form qm.symmetric, which is the quotient block and is not
-    copied here; transverse_block is HSH on the other n - r vertices in
-    vertex order, symmetrized.  transverse_class gives the class of each of
-    those vertices and coupling is the largest entry between the two vertex
-    sets (rounding only).
+    On a graph with a translation layout (ScaledAdjacency.layout), S is
+    the same kernel in every row, and the translations that map every cell
+    to a cell of its class form a subgroup T of Z_rows x Z_cols with p
+    cosets.  The cells (x, y), x < a and y < c, lie one in each coset (see
+    _translation_group); cell (x, y) is row x*c + y of every block, and
+    character_class holds the class of each.  Each character chi of T
+    spans, from each coset, one unit vector that T multiplies by chi, and
+    S maps these p vectors into themselves: Bloch's theorem splits S
+    exactly into |T| = n / p Hermitian blocks of order p, and so does
+    G S G for any slope factor G that is constant on each class.
+    character_blocks stacks the |T| - 1 blocks of the nontrivial
+    characters.  When T is trivial (p = n) the stack is empty, the trivial
+    character's block is S itself and character_class is the labels.
+
+    That block B holds the class vectors a_k (unit norm, on class k), an
+    invariant span by equitability.  One Householder reflector per class
+    maps a_k onto -e_f, f the class's first row; the reflectors have
+    disjoint supports, so their product H is one symmetric orthogonal
+    matrix and HBH is block-diagonal.  On the first rows of the classes
+    HBH is a_k^T S a_l, the quotient's symmetric form qm.symmetric, which
+    is the quotient block and is not copied here; transverse_block is HBH
+    on the other p - r rows in row order, symmetrized.  transverse_class
+    gives the class of each of those rows and coupling is the largest
+    entry between the two row sets (rounding only), the split's only
+    off-block entry.
     """
 
+    character_blocks: np.ndarray
+    character_class: np.ndarray
     transverse_block: np.ndarray
     transverse_class: np.ndarray
     coupling: float
 
 
 def _reflect(s: np.ndarray, class_of: np.ndarray, firsts: np.ndarray,
-             unit: np.ndarray) -> BlockDecomposition:
+             unit: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Split the symmetric s by the reflectors of the unit class vectors,
-    firsts[k] being the first vertex of class k and unit[v] vertex v's
-    entry of its class's vector.
+    firsts[k] being the first row of class k and unit[v] row v's entry of
+    its class's vector; returns the transverse block, its row classes and
+    the coupling.
 
     With V the N x r matrix of unit reflector vectors (a_k + e_f) / norm,
     H = I - 2 V V^T and HSH = S - 2 V (SV)^T - 2 (SV - 2 V V^T S V) V^T, a
@@ -562,47 +579,7 @@ def _reflect(s: np.ndarray, class_of: np.ndarray, firsts: np.ndarray,
             f"conjugated matrix not block-diagonal (max {coupling:.2e})")
     trans = m[rest[:, None], rest]
     del m  # free the N x N product before the symmetric part is formed
-    return BlockDecomposition(
-        transverse_block=(trans + trans.T) / 2.0,
-        transverse_class=class_of[rest],
-        coupling=coupling,
-    )
-
-
-def block_decompose(qm: QuotientModel) -> BlockDecomposition:
-    """Conjugate the dense symmetrized averaging matrix by the class
-    reflectors, a_k = sqrt(d / class degree) on class k; SingularTransform,
-    which the equitability that qm carries rules out, if the split leaves
-    a coupling above 1e-10."""
-    sa, class_of = qm.operator, qm.partition.labels
-    return _reflect(sa.symmetric, class_of, qm.partition.firsts,
-                    np.sqrt(sa.degrees / qm.class_degrees[class_of]))
-
-
-@dataclass(frozen=True)
-class BlochBlocks:
-    """S split by the characters of the translations that fix every class.
-
-    On a graph with a translation layout (ScaledAdjacency.layout), S is
-    the same kernel in every row, and the translations T that map every
-    cell to a cell of its class form a subgroup of Z_rows x Z_cols with p
-    cosets.  The cells (x, y), x < a and y < c, lie one in each coset
-    (see _translation_group); cell (x, y) is row x*c + y of every block,
-    and cell_class holds the class of each.  Each character chi of T
-    spans, from each coset, one unit vector that T multiplies by chi, and S
-    maps these p vectors into themselves: Bloch's theorem splits S exactly
-    into |T| = n / p Hermitian blocks of order p, and so does G S G for any
-    slope factor G that is constant on each class.  blocks stacks the
-    |T| - 1 blocks of the nontrivial characters.  The trivial character's
-    block holds the class vectors; rest is that block split by the class
-    reflectors (block_decompose's split, on the p cosets), so its
-    transverse block, of order p - r, completes the transverse spectrum
-    and its coupling is the split's only off-block entry.
-    """
-
-    blocks: np.ndarray
-    cell_class: np.ndarray
-    rest: BlockDecomposition
+    return (trans + trans.T) / 2.0, class_of[rest], coupling
 
 
 def _translation_group(labels: np.ndarray, rows: int, cols: int) -> tuple[int, int, int]:
@@ -628,35 +605,47 @@ def _translation_group(labels: np.ndarray, rows: int, cols: int) -> tuple[int, i
     return a, b, c
 
 
-def _bloch_blocks(qm: QuotientModel) -> BlochBlocks | None:
-    lay = qm.operator.layout
-    if lay is None:
-        return None
-    rows, cols, labels = lay.rows, lay.cols, qm.partition.labels
-    n = labels.size
-    a, b, c = _translation_group(labels, rows, cols)
-    p = a * c
+def block_decompose(qm: QuotientModel) -> BlockDecomposition:
+    """Split S by the translations that keep every class, then the trivial
+    character's block by the class reflectors (see BlockDecomposition).
+
+    The group step: a pattern of at least _BLOCH_MIN_CELLS cells on a
+    graph with a translation layout takes the translations that keep every
+    class, and builds the character blocks from the layout's kernel with
+    no n x n array.  Otherwise, or when only the identity keeps every
+    class (p = n), the group is trivial and the reflectors split the dense
+    S, a_k = sqrt(d / class degree) on class k.  SingularTransform, which
+    the equitability that qm carries rules out, if the split leaves a
+    coupling above 1e-10.
+    """
+    sa, labels = qm.operator, qm.partition.labels
+    n = p = labels.size
+    if n >= _BLOCH_MIN_CELLS and (lay := sa.layout) is not None:
+        rows, cols = lay.rows, lay.cols
+        a, b, c = _translation_group(labels, rows, cols)
+        p = a * c
     if p == n:
-        return None
-    # every neighbour (wi, wj) of a coset cell is the coset cell (x, y)
-    # shifted by (wi - x, wj - y) in T: reduce the column by (b, c), then
-    # the row by (a, 0)
-    fx, fy = np.divmod(np.arange(p), c)
-    wi, wj = (fx[:, None] + lay.di) % rows, (fy[:, None] + lay.dj) % cols
-    shift, y = np.divmod(wj, c)
-    x = (wi - shift * b) % a
-    # the characters of T: (ti, tj) -> exp(2 pi i (k1 ti / rows + k2 tj / cols))
-    # for k1 < rows / a and k2 < cols / c, the trivial one, k = (0, 0), first
-    k1, k2 = np.divmod(np.arange(n // p)[:, None, None], cols // c)
-    turns = (k1 * (wi - x) * cols + k2 * (wj - y) * rows) % n
-    blocks = np.zeros((n // p, p, p), dtype=complex)
-    np.add.at(blocks, (slice(None), np.arange(p)[:, None], x * c + y),
-              lay.s * np.exp(2j * np.pi / n * turns))
-    cell_class = labels[fx * cols + fy]
-    member = cell_class == np.arange(qm.partition.r)[:, None]
-    rest = _reflect(blocks[0].real, cell_class, member.argmax(axis=1),
-                    member.sum(axis=1)[cell_class] ** -0.5)
-    return BlochBlocks(blocks=blocks[1:], cell_class=cell_class, rest=rest)
+        s, cell_class, stack = sa.symmetric, labels, np.empty((0, n, n), dtype=complex)
+        firsts, unit = qm.partition.firsts, np.sqrt(sa.degrees / qm.class_degrees[labels])
+    else:
+        # every neighbour (wi, wj) of a coset cell is the coset cell (x, y)
+        # shifted by (wi - x, wj - y) in T: reduce the column by (b, c), then
+        # the row by (a, 0)
+        fx, fy = np.divmod(np.arange(p), c)
+        wi, wj = (fx[:, None] + lay.di) % rows, (fy[:, None] + lay.dj) % cols
+        shift, y = np.divmod(wj, c)
+        x = (wi - shift * b) % a
+        # the characters of T: (ti, tj) -> exp(2 pi i (k1 ti / rows + k2 tj / cols))
+        # for k1 < rows / a and k2 < cols / c, the trivial one, k = (0, 0), first
+        k1, k2 = np.divmod(np.arange(n // p)[:, None, None], cols // c)
+        turns = (k1 * (wi - x) * cols + k2 * (wj - y) * rows) % n
+        blocks = np.zeros((n // p, p, p), dtype=complex)
+        np.add.at(blocks, (slice(None), np.arange(p)[:, None], x * c + y),
+                  lay.s * np.exp(2j * np.pi / n * turns))
+        s, cell_class, stack = blocks[0].real, labels[fx * cols + fy], blocks[1:]
+        member = cell_class == np.arange(qm.partition.r)[:, None]
+        firsts, unit = member.argmax(axis=1), member.sum(axis=1)[cell_class] ** -0.5
+    return BlockDecomposition(stack, cell_class, *_reflect(s, cell_class, firsts, unit))
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,13 @@ def load_perms(path) -> list[list[int]]:
 # ---- models ----
 
 def model_from_dict(data: dict) -> HillMap:
+    """The HillMap of the fields A, K, h and tau, each defaulting to 2, 1,
+    6 and 1; BadOptions names any other field, so a misspelled one is not
+    silently replaced by its default."""
+    unknown = [key for key in data if key not in ("A", "K", "h", "tau")]
+    if unknown:
+        raise BadOptions(f"unknown model fields {unknown}; expected A, K, h, tau")
+
     def number(key: str, default: float) -> float:
         value = data.get(key, default)
         if not _is_real(value):

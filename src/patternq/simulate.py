@@ -189,8 +189,7 @@ class CertificateCheck:
 
 
 def verify_certificate(qm: QuotientModel, model: HillMap,
-                       pattern: PatternSolution, eps: float = 0.01,
-                       opts: SimOptions | None = None) -> CertificateCheck:
+                       pattern: PatternSolution, eps: float = 0.01) -> CertificateCheck:
     """Simulate from a perturbation along the lifted minimum eigenvector and
     compare the settled pattern with the predicted one.  Only the state
     where the run came to rest is read, and integrate keeps no other, so the
@@ -217,7 +216,7 @@ def verify_certificate(qm: QuotientModel, model: HillMap,
         if toward < 0:
             direction = -direction
     x0 = perturbed_start(model, cert.fixed_point_value, direction, eps)
-    rest = integrate(qm.operator, model, x0, opts)
+    rest = integrate(qm.operator, model, x0)
     if not rest.converged:
         return CertificateCheck(
             match=False, exploratory=exploratory, converged=False,

@@ -6,15 +6,14 @@ Jacobian splits exactly into a representative block driven by
 qm.symmetric and transverse blocks on the complement of the class
 vectors; each is Hermitian and solved on its own, and together they carry
 the full spectrum, so their largest eigenvalue is the full spectral
-abscissa and no n x n spectrum is solved.  On a lattice pattern of at
-least _BLOCH_MIN_CELLS cells, where the graph has a translation layout
-and some translation other than the identity keeps every class
-(qm.bloch), the transverse blocks are the Bloch blocks of order p, n / p
-of them, and no n x n array is formed.  Otherwise one Householder
-reflector per class (block_decompose) splits the dense S, and the
-transverse block has order n - r.  Under the singleton partition (r = n)
-the representative block is the whole Jacobian and the transverse block
-is empty.  Small-gain route:
+abscissa and no n x n spectrum is solved.  The transverse blocks are
+those of block_decompose(qm): the character blocks of the translations
+that keep every class, of order p, and the trivial character's block
+split by the class reflectors, of order p - r.  Where the group is
+trivial (p = n) there is no character block and the transverse block,
+of order n - r, comes from the dense S.  Under the singleton partition
+(r = n) the representative block is the whole Jacobian and the
+transverse block is empty.  Small-gain route:
 rho(P Gamma) < 1 with per-class dc-gains, the block route's -T'(z) bit for
 bit.  Equitability gives P Gamma Q = Q Pbar Gammabar for the class
 indicator Q, so the radius is computed on qm.symmetric alone, where it is
@@ -54,12 +53,6 @@ CERTIFIED_STABLE = "CERTIFIED_STABLE"
 NOT_CERTIFIED = "NOT_CERTIFIED"
 
 _MARGIN = 1e-9
-# Below this many cells block_stability takes the Householder route even
-# on a lattice pattern: the dense split then costs less than finding the
-# layout and building the Bloch blocks.  Per call on checkerboards (2-core
-# VM, one BLAS thread) the dense split was 12% cheaper at 64 cells (8x8)
-# and the Bloch blocks 8% cheaper at 80 (8x10), 25% at 96.
-_BLOCH_MIN_CELLS = 80
 _STEADY_TOL = 1e-8
 _METHODS = ("block", "smallgain")
 
@@ -150,24 +143,21 @@ def block_stability(qm: QuotientModel, model: HillMap, z) -> BlockStability:
     Slopes are constant on each class, so every split of S that keeps the
     class vectors together and acts inside classes, or commutes with
     class-constant diagonals, splits the Jacobian too.  The representative
-    block is (-I + diag(class slopes) qm.symmetric) / tau.  On a lattice
-    pattern (qm.bloch) of at least _BLOCH_MIN_CELLS cells the transverse
-    spectrum is that of the Bloch blocks of the nontrivial characters, in
-    one batched solve, and of the trivial character's block on the
-    complement of the class vectors: no n x n array is formed.  Any other
-    pattern takes block_decompose(qm), whose transverse block has order
-    n - r.  Every block is Hermitian, so jacobian_spectrum solves each
-    directly.  `consistency` is the split's off-block coupling.
+    block is (-I + diag(class slopes) qm.symmetric) / tau.  The transverse
+    spectrum is that of block_decompose(qm)'s transverse block and, when
+    its stack of character blocks is not empty, of those blocks too, in
+    one batched solve.  Every block is Hermitian, so jacobian_spectrum
+    solves each directly.  `consistency` is the split's off-block coupling.
     """
     z = _class_values(qm, z)
     slopes = np.asarray(t_prime(model, z), dtype=float)
     rep = jacobian_spectrum(qm.symmetric, slopes, tau=model.tau)
-    bloch = qm.bloch if qm.partition.n >= _BLOCH_MIN_CELLS else None
-    decomp = block_decompose(qm) if bloch is None else bloch.rest
+    decomp = block_decompose(qm)
     trans = jacobian_spectrum(decomp.transverse_block, slopes[decomp.transverse_class],
                               tau=model.tau).eigenvalues
-    if bloch is not None:
-        waves = jacobian_spectrum(bloch.blocks, slopes[bloch.cell_class], tau=model.tau)
+    if len(decomp.character_blocks):
+        waves = jacobian_spectrum(decomp.character_blocks, slopes[decomp.character_class],
+                                  tau=model.tau)
         trans = np.sort(np.concatenate((trans, waves.eigenvalues)))[::-1]
     return BlockStability(
         representative_spectrum=rep.eigenvalues,
@@ -199,11 +189,10 @@ def _gain_radius(qm: QuotientModel, gains: np.ndarray) -> tuple[float, np.ndarra
 def small_gain(qm: QuotientModel, model: HillMap, z) -> SmallGainResult:
     """Evaluate rho(Pbar Gammabar), which equals rho(P Gamma).
 
-    Gains are the per-class dc-gains |T'(z_i)|, from one dc_gain call on z
-    (NonpositiveOperatingPoint for any z_i <= 0).  The radius is the
-    largest eigenvalue of the gain similarity of qm.symmetric, exact for
-    zero gains, and is rho(P Gamma) itself (see SmallGainResult), so no
-    n x n matrix is formed.  perron_reduced is the quotient's eigenvector
+    Gains are the per-class dc-gains |T'(z_i)|, from one dc_gain call on
+    z.  The radius is the largest eigenvalue of the gain similarity of
+    qm.symmetric, exact for zero gains, and is rho(P Gamma) itself (see
+    SmallGainResult), so no n x n matrix is formed.  perron_reduced is the quotient's eigenvector
     for the radius in max-norm, nonnegative when the radius is simple, and
     all zeros when it is 0.  The certificate fires exactly when the radius
     sits below 1 by more than the marginal band.

@@ -11,7 +11,7 @@ from patternq.cells import (
     t_eval,
     t_prime,
 )
-from patternq.errors import BadOptions, NegativeInput, NonpositiveOperatingPoint
+from patternq.errors import BadOptions, NegativeInput
 from patternq.serialize import model_from_dict, model_to_dict
 
 
@@ -122,8 +122,12 @@ def test_dc_gain_values():
     m = HillMap(2, 1, 6)
     assert dc_gain(m, 1.0) == 3.0
     assert dc_gain(m, 1e6) < 1e-20  # saturation kills the gain
-    with pytest.raises(NonpositiveOperatingPoint):
-        dc_gain(m, 0.0)
+    # |T'(0)| is finite: 0 for h > 1 and A/K at h = 1; only z < 0 is refused
+    assert dc_gain(m, 0.0) == 0.0
+    assert dc_gain(HillMap(2, 0.5, 1), 0.0) == 4.0
+    assert np.array_equal(dc_gain(m, np.array([0.0, 1.0])), [0.0, 3.0])
+    with pytest.raises(NegativeInput):
+        dc_gain(m, -1e-300)
 
 
 def test_model_parameter_validation():

@@ -154,7 +154,7 @@ def test_analyze_solves_no_spectrum_of_order_n(tmp_path, monkeypatch, model_h6):
 def test_stability_runs_only_the_requested_routes(tmp_path, monkeypatch, torus_graph,
                                                   torus_bipartition, model_h6,
                                                   method, orders, keys):
-    # below 80 cells block_stability prefers the dense split to the Bloch
+    # below 80 cells block_decompose prefers the dense split to the Bloch
     # blocks: the representative block and the transverse block of order 14
     pat = tmp_path / "pat.json"
     assert main(["exist", "--graph", torus_graph, "--partition", torus_bipartition,
@@ -1019,15 +1019,31 @@ def test_a_failed_allocation_is_a_tagged_stage_failure(tmp_path, monkeypatch, mo
     assert capsys.readouterr().err.startswith("error [stability]: Unable to allocate 32.0 GiB")
 
 
-def test_analyze_zero_class_gain_certifies(tmp_path):
-    # h = 40: the checkerboard's low class has dc-gain exactly 0
-    model = tmp_path / "h40.json"
-    model.write_text('{"A": 2.0, "K": 1.0, "h": 40.0, "tau": 1.0}\n')
+@pytest.mark.parametrize("h", [40, 41, 60])
+def test_analyze_zero_class_gain_certifies(tmp_path, h):
+    # the checkerboard's low class has dc-gain exactly 0; from h = 41 on
+    # corner Newton accepts the corner (2, 0) itself, whose reduced
+    # residual 2 / (1 + 2^h) is below 1e-12, and |T'(0)| = 0 is a gain too
+    model = tmp_path / "m.json"
+    model.write_text('{"A": 2.0, "K": 1.0, "h": %d, "tau": 1.0}\n' % h)
     bundle = tmp_path / "b.json"
     assert main(["analyze", "--gen", "torus_mesh:4,4", "--auto-bipartite",
                  "--model", str(model), "-o", str(bundle)]) == 0
-    sg = json.loads(bundle.read_text())["stability"]["data"]["small_gain"]
+    stab = json.loads(bundle.read_text())["stability"]["data"]
+    assert stab["full_verdict"] == "STABLE"
+    sg = stab["small_gain"]
     assert sg["rho_reduced"] == 0 and sg["verdict"] == "CERTIFIED_STABLE"
+
+
+def test_misspelled_model_field_fails_at_load(tmp_path, capsys):
+    model = tmp_path / "m.json"
+    model.write_text('{"A": 2, "K": 1, "hill": 9, "tua": 5}')
+    out = tmp_path / "b.json"
+    assert main(["analyze", "--gen", "torus_mesh:4,4", "--auto-bipartite",
+                 "--model", str(model), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [load]: unknown model fields ['hill', 'tua']")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra", [

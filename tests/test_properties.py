@@ -25,7 +25,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import null_space
 from scipy.optimize import fsolve
 
-from patternq import existence, stability
+from patternq import existence, partitions
 from patternq.cells import HillMap, fixed_point, t_prime
 from patternq.errors import BadBundle, PatternQError, StateOutOfBox
 from patternq.existence import CERTIFIED, certify, lift, solve_reduced
@@ -475,25 +475,28 @@ def equitable_motif_tilings(draw):
 def test_bloch_union_matches_the_householder_route(case, tau, relabel, data):
     # the transverse spectrum from the Bloch blocks against the reflector
     # split of the dense S, at drawn slopes in {0} | [-3, -0.1]: of the
-    # same quotient, or of the pattern relabelled, where no layout exists.
-    # The Bloch blocks are taken at every size, also below the one from
-    # which block_stability prefers them
+    # same quotient with the size floor above n, so that block_decompose
+    # takes the trivial group, or of the pattern relabelled, where no
+    # layout exists.  With the floor at 0 the Bloch blocks are taken at
+    # every size, also below the one from which block_decompose prefers them
     g, pi = case
     qm = quotient(g, pi)
-    assert qm.bloch is not None or g.n <= 16
     m = HillMap(exponent=6, tau=tau)
     grid = np.linspace(0.0, 0.94, 4001)
     slopes = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(-3.0, -0.1)),
                                 min_size=pi.r, max_size=pi.r))
     z = np.interp(-np.array(slopes), -t_prime(m, grid), grid)
-    with mock.patch.object(stability, "_BLOCH_MIN_CELLS", 0):
+    with mock.patch.object(partitions, "_BLOCH_MIN_CELLS", 0):
+        assert len(block_decompose(qm).character_blocks) or g.n <= 16
         blk = block_stability(qm, m, z)
     if relabel:
         other = quotient(*relabelled(g, pi))
-        assert other.bloch is None or g.n <= 16
+        assert other.operator.layout is None or g.n <= 16
         householder = block_stability(other, m, z).transverse_spectrum
     else:
-        dec = block_decompose(qm)
+        with mock.patch.object(partitions, "_BLOCH_MIN_CELLS", g.n + 1):
+            dec = block_decompose(qm)
+        assert len(dec.character_blocks) == 0
         householder = jacobian_spectrum(dec.transverse_block,
                                         t_prime(m, z)[dec.transverse_class], tau=tau).eigenvalues
     assert blk.transverse_spectrum.shape == (g.n - pi.r,)

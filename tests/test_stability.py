@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from patternq import partitions
 from patternq.cells import HillMap, dc_gain, fixed_point, t_prime
 from patternq.cli import _Run
 from patternq.errors import BadOptions, DetailedBalanceViolated, NotSteadyState
@@ -172,8 +173,12 @@ def test_block_exact_when_slopes_underflow():
 
 
 def _householder_transverse(qm, m, z):
-    """The transverse spectrum of the reflector split of the dense S."""
-    dec = block_decompose(qm)
+    """The transverse spectrum of the reflector split of the dense S: with
+    the size floor above n, block_decompose takes the trivial group."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(partitions, "_BLOCH_MIN_CELLS", qm.partition.n + 1)
+        dec = block_decompose(qm)
+    assert dec.character_blocks.shape[0] == 0
     slopes = t_prime(m, z)
     return jacobian_spectrum(dec.transverse_block, slopes[dec.transverse_class],
                              tau=m.tau).eigenvalues
@@ -185,7 +190,8 @@ def _householder_transverse(qm, m, z):
 ])
 def test_lattice_patterns_take_the_bloch_blocks(monkeypatch, lattice, motif, p):
     # the translations that keep every class split S into 144 / p Bloch
-    # blocks of order p, and the dense S is never formed
+    # blocks of order p, and the dense S is never formed; the trivial
+    # character's block leaves a transverse block of order p - 2
     def refuse(self):
         raise AssertionError("the dense n x n S was formed")
 
@@ -194,9 +200,10 @@ def test_lattice_patterns_take_the_bloch_blocks(monkeypatch, lattice, motif, p):
     m = HillMap(exponent=6, tau=0.7)
     z = np.array([0.4, 1.3])
     blk = block_stability(qm, m, z)
-    assert qm.bloch.blocks.shape == (144 // p - 1, p, p)
-    assert qm.bloch.rest.transverse_block.shape == (p - 2, p - 2)
-    assert blk.consistency < 1e-15
+    dec = block_decompose(qm)
+    assert dec.character_blocks.shape == (144 // p - 1, p, p)
+    assert dec.transverse_block.shape == (p - 2, p - 2)
+    assert blk.consistency == dec.coupling < 1e-15
     monkeypatch.undo()
     assert np.abs(blk.transverse_spectrum - _householder_transverse(qm, m, z)).max() < 1e-13
 
@@ -215,11 +222,15 @@ def _fallback_cases():
 
 
 @pytest.mark.parametrize("g,pi", _fallback_cases())
-def test_other_patterns_keep_the_householder_route(g, pi):
+def test_other_patterns_keep_the_householder_route(monkeypatch, g, pi):
     # no translation layout, or no translation but the identity keeps every
-    # class (p = n): the reflector split of the dense S, bit for bit
+    # class (p = n): the group is trivial at any size, and the split is the
+    # reflector split of the dense S, bit for bit
+    monkeypatch.setattr(partitions, "_BLOCH_MIN_CELLS", 0)
     qm = quotient(g, pi)
-    assert qm.bloch is None
+    dec = block_decompose(qm)
+    assert dec.character_blocks.shape == (0, g.n, g.n)
+    assert np.array_equal(dec.character_class, pi.labels)
     m = HillMap(exponent=6, tau=1.5)
     z = np.linspace(0.3, 1.6, pi.r)
     blk = block_stability(qm, m, z)
@@ -229,19 +240,21 @@ def test_other_patterns_keep_the_householder_route(g, pi):
 
 def test_lattices_below_80_cells_keep_the_householder_route():
     # the 8x8 checkerboard has Bloch blocks, but below 80 cells the dense
-    # split costs less: block_stability neither looks for the layout nor
-    # builds the blocks, and gives the reflector split bit for bit; the
-    # 8x10 checkerboard takes the blocks
+    # split costs less: block_decompose neither looks for the layout nor
+    # builds the blocks, and block_stability gives the reflector split bit
+    # for bit; the 8x10 checkerboard takes the blocks
     m = HillMap(exponent=6, tau=1.5)
     z = np.array([0.4, 1.3])
     small = quotient(torus_mesh(8, 8), tile_partition(8, 8, MOTIFS["checkerboard"]))
     blk = block_stability(small, m, z)
-    assert "layout" not in vars(small.operator) and "bloch" not in vars(small)
+    assert block_decompose(small).character_blocks.shape == (0, 64, 64)
+    assert "layout" not in vars(small.operator)
     assert np.array_equal(blk.transverse_spectrum, _householder_transverse(small, m, z))
-    assert small.bloch is not None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(partitions, "_BLOCH_MIN_CELLS", 64)
+        assert block_decompose(small).character_blocks.shape == (31, 2, 2)
     large = quotient(torus_mesh(8, 10), tile_partition(8, 10, MOTIFS["checkerboard"]))
-    block_stability(large, m, z)
-    assert "bloch" in vars(large)
+    assert block_decompose(large).character_blocks.shape == (39, 2, 2)
 
 
 def test_relabelled_torus_agrees_with_its_bloch_blocks():
@@ -434,7 +447,7 @@ def test_stability_report_peak_memory_on_the_32x32_torus():
     # floats per cell, where the reflector split held 5.5 n x n arrays
     g = torus_mesh(32, 32)
     qm, peak = _peak_of_stability_report(g, bipartition_partition(g))
-    assert qm.bloch is not None
+    assert block_decompose(qm).character_blocks.shape == (511, 2, 2)
     assert peak < 64 * 8 * g.n
 
 
@@ -443,7 +456,7 @@ def test_stability_report_peak_memory_on_the_relabelled_32x32_torus():
     # most a few n x n working arrays at once: no n x n basis and no dense P
     g = torus_mesh(32, 32)
     qm, peak = _peak_of_stability_report(*relabelled(g, bipartition_partition(g)))
-    assert qm.bloch is None
+    assert qm.operator.layout is None
     assert peak < 5.5 * 8 * g.n ** 2
 
 
