@@ -34,6 +34,7 @@ for when the numerics disagree.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,6 +53,8 @@ __all__ = [
     "solve_reduced",
     "lift",
 ]
+
+LOG = logging.getLogger(__name__)
 
 CERTIFIED = "CERTIFIED"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -175,18 +178,23 @@ def _newton_root(pbar: np.ndarray, model: HillMap, z0: np.ndarray,
     return z if res < tol * 100 else None
 
 
-def _monotone_root(pbar: np.ndarray, model: HillMap, z0: np.ndarray) -> np.ndarray | None:
+def _monotone_root(pbar: np.ndarray, model: HillMap,
+                   z0: np.ndarray) -> tuple[np.ndarray | None, int]:
     """Iterate the damped map F of the module docstring from z0 until
-    max |Pbar T(z) - z| < 1e-6; None when _MONOTONE_CAP iterations pass
-    first."""
+    max |Pbar T(z) - z| < 1e-6; returns the limit, None when
+    _MONOTONE_CAP iterations pass first, and the number of steps taken."""
     alpha = 1.0 / (1.0 + float(np.diag(pbar).max()) * max_slope(model))
     z = z0
-    for _ in range(_MONOTONE_CAP):
+    for step in range(_MONOTONE_CAP):
         target = pbar @ t_eval(model, z)
         if np.abs(target - z).max() < 1e-6:
-            return z
+            return z, step
         z = (1.0 - alpha) * z + alpha * target
-    return None
+    return None, _MONOTONE_CAP
+
+
+def _both(counts) -> str:
+    return " and ".join(map(str, counts))
 
 
 def solve_reduced(qm: QuotientModel, model: HillMap, *, progress=None) -> PatternSolution:
@@ -209,15 +217,33 @@ def solve_reduced(qm: QuotientModel, model: HillMap, *, progress=None) -> Patter
     Without certification the homogeneous solution is returned with a
     warning instead of an error.  Either way the pick comes lifted, with
     the certificate it was decided on.  `progress`, when given, is called
-    as progress("newton", iteration) per Newton iteration.
+    as progress("newton", iteration) per Newton iteration.  Each call logs
+    one line at INFO level on the "patternq.existence" logger: the Newton
+    iterations from each corner, and whether the monotone iteration ran,
+    with its steps from each corner and the Newton iterations that
+    polished its limits.
     """
     cert = certify(qm, model)
     pbar = qm.matrix
     u_star = cert.fixed_point_value
     hom = np.full(qm.r, u_star)
     if cert.verdict != CERTIFIED:
+        LOG.info("verdict %s: no reduced solve, the homogeneous state is returned",
+                 cert.verdict)
         return replace(lift(qm, hom, model), certificate=cert,
                        warning=f"verdict {cert.verdict}: returning the homogeneous state")
+
+    def newton(z0: np.ndarray) -> tuple[np.ndarray | None, int]:
+        # _newton_root and its iteration count, read off its progress calls
+        seen = []
+
+        def counted(phase, iteration):
+            seen.append(iteration)
+            if progress is not None:
+                progress(phase, iteration)
+
+        root = _newton_root(pbar, model, z0, progress=counted)
+        return root, len(seen)
 
     def is_nonhomogeneous(z: np.ndarray) -> bool:
         return float(z.max() - z.min()) > _NONHOM_REL * u_star
@@ -228,17 +254,26 @@ def solve_reduced(qm: QuotientModel, model: HillMap, *, progress=None) -> Patter
 
     # the extremes of the cooperative order; see the module docstring
     corners = [np.where(qm.reduced_coloring == side, model.amplitude, 0.0) for side in (0, 1)]
-    found = [_newton_root(pbar, model, z0, progress=progress) for z0 in corners]
+    runs = [newton(z0) for z0 in corners]
+    found = [root for root, _ in runs]
+    monotone = "not run"
     if not (all(map(accepted, found)) and np.abs(found[0] - found[1]).max() > _DISTINCT):
         # Newton strayed from a corner; the monotone iteration from each
         # corner runs to its extremal root, so polish its limit instead
-        found = []
+        found, steps, polish = [], [], []
         for z0 in corners:
-            staged = _monotone_root(pbar, model, z0)
-            root = None if staged is None else _newton_root(pbar, model, staged,
-                                                            progress=progress)
-            if accepted(root):
-                found.append(root)
+            staged, taken = _monotone_root(pbar, model, z0)
+            steps.append(taken)
+            if staged is not None:
+                root, count = newton(staged)
+                polish.append(count)
+                if accepted(root):
+                    found.append(root)
+        monotone = f"{_both(steps)} steps, " + (
+            f"then Newton {_both(polish)} iterations from its limits" if polish
+            else "no limit to polish")
+    LOG.info("Newton %s iterations from the corners, monotone iteration %s",
+             _both(count for _, count in runs), monotone)
     if not found:
         raise OnlyHomogeneousFound(
             "neither Newton nor the damped monotone iteration (at most "

@@ -11,13 +11,19 @@ partitions.tile_partition repeats over them.  The averaging (scaled adjacency)
 operator P divides each row of the weight matrix by the node degree, so every
 row sums to one and the network input u = P y is a weighted average of
 neighbor outputs.  P is stored as edge arrays: its products with a vector and
-with a class indicator cost O(m).  Its layout, found on first read from
-the edge arrays alone, is the row-major grid, if any, under which every
-torus translation maps the graph onto itself; S is then one kernel of
-vertex 0's neighbours.  The only dense n x n form is the symmetric
-S = D^1/2 P D^-1/2, built on first read and only for the spectral route
-that has no layout to read.  Connectivity, 2-colorings and symmetry orbits all come
-from one array components pass (_components) over edge arrays.
+with a class indicator cost O(m).  The rule for P x is a property of the
+graph: when every row has the same edge count k (every torus, hex torus and
+cycle), it sums the k rows of a (k, n) neighbour table, built once at 16
+bytes per directed edge; otherwise (the buckyball, triangle_bridge, a path)
+it sums the edge products with np.bincount.  Both add each row's products
+to 0.0 in edge order, so both give the same bits.  Its layout, found on
+first read from the edge arrays alone, is the row-major grid, if any,
+under which every torus translation maps the graph onto itself; S is then
+one kernel of vertex 0's neighbours.  The only dense n x n form is the
+symmetric S = D^1/2 P D^-1/2, built on first read and only for the
+spectral route that has no layout to read.  Connectivity, 2-colorings
+and symmetry orbits all come from one array components pass (_components)
+over edge arrays.
 """
 from __future__ import annotations
 
@@ -133,9 +139,13 @@ class ScaledAdjacency:
     rows, cols, edge_weights and weights list both directions of every
     edge, sorted by (row, col), with edge_weights[k] = w_ij and weights[k] =
     w_ij / d_i for i = rows[k], j = cols[k]; degrees holds d.  matvec
-    costs O(m), and class_pairs, which gives the class sums as (row, class,
-    sum) triples and builds no n x r table, O(m log m).  indptr holds the
-    CSR row offsets, built on first read: the edges of row i are
+    costs O(m): on a graph whose rows all have k edges it reads (k, n)
+    tables of cols and weights, built on first use (16 bytes per directed
+    edge: 64 KB on the 32x32 torus, 64 MB on the 1024x1024 one), and on
+    any other graph np.bincount over rows; both give the same bits.
+    class_pairs, which gives the class sums as (row, class, sum) triples
+    and builds no n x r table, costs O(m log m).  indptr holds the CSR row
+    offsets, built on first read: the edges of row i are
     indptr[i]:indptr[i + 1], and row_edges gathers those of a vertex set.
     layout is the graph's translation layout or None, and symmetric the
     dense n x n similarity S = D^1/2 P D^-1/2, with entries
@@ -154,9 +164,22 @@ class ScaledAdjacency:
         return self.degrees.shape[0]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """P x."""
-        return np.bincount(self.rows, weights=self.weights * x[self.cols],
-                           minlength=self.n)
+        """P x: each row's products w_ij x_j added to 0.0 in edge order.
+
+        With a neighbour table, the k gathered rows are multiplied in place
+        and reduced over axis 0, which adds them one table row at a time
+        (over axis 1 of an (n, k) table, numpy's pairwise loop would
+        reorder the terms); otherwise np.bincount adds the products of each
+        row in turn.  Both start from +0.0 and add the same terms in the
+        same order, so they give the same bits, the sign of zero included.
+        """
+        if self._table is None:
+            return np.bincount(self.rows, weights=self.weights * x[self.cols],
+                               minlength=self.n)
+        cols, weights = self._table
+        p = x.take(cols)
+        p *= weights
+        return np.add.reduce(p, axis=0, initial=0.0)
 
     def class_pairs(self, class_of: np.ndarray,
                     r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -171,8 +194,24 @@ class ScaledAdjacency:
         return row, cls, np.bincount(group, weights=self.weights)
 
     @cached_property
+    def _counts(self) -> np.ndarray:
+        # the edge count of every row, counted once for indptr and the table
+        return np.bincount(self.rows, minlength=self.n)
+
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray] | None:
+        # (cols, weights) as C-contiguous (k, n) tables when every row has k
+        # edges: column i holds row i's edges in edge order
+        counts = self._counts
+        k = int(counts[0])
+        if (counts != k).any():
+            return None
+        return (self.cols.reshape(self.n, k).T.copy(),
+                self.weights.reshape(self.n, k).T.copy())
+
+    @cached_property
     def indptr(self) -> np.ndarray:
-        return np.concatenate(([0], np.cumsum(np.bincount(self.rows, minlength=self.n))))
+        return np.concatenate(([0], np.cumsum(self._counts)))
 
     def row_edges(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positions of the edges of the given rows, row by row, and their counts."""
@@ -185,18 +224,17 @@ class ScaledAdjacency:
     def layout(self) -> Layout | None:
         """The first translation layout, by ascending cols > 1, or None.
 
-        A layout needs every vertex to have vertex 0's edge count and
-        degree, and every edge's offset and weight to be one of vertex 0's;
+        A layout needs every vertex to have vertex 0's edge count (so the
+        neighbour table exists) and degree, and every edge's offset and weight to be one of vertex 0's;
         the offsets of a row are distinct, so its offsets are then exactly
         vertex 0's.  All candidates are tried at once on the edges of
         vertices 1 and n - 1, and those that fit them, in turn, on all m
         edges; weights must agree exactly.
         """
         n, d = self.n, self.degrees
-        count = np.bincount(self.rows, minlength=n)
-        k = int(count[0])
-        if (count != k).any() or (d != d[0]).any():
+        if self._table is None or (d != d[0]).any():
             return None
+        k = self._table[0].shape[0]
         head, w0 = self.cols[:k], self.edge_weights[:k]   # vertex 0's offsets are its neighbours
         weight_at = np.zeros(n)  # vertex 0's weight at each offset, 0 where it has no edge
         weight_at[head] = w0

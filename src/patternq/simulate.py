@@ -9,8 +9,10 @@ stability limit of 6.39, so runs settle onto the equilibrium instead of
 hovering at the edge of stability; trajectories stay inside the box
 [0, A]^N.  integrate takes the averaging operator (a ScaledAdjacency, such
 as QuotientModel.operator) and computes P x as its O(m) edge-array
-product; no n x n matrix is built.  It returns the ode.Settled record of
-where the flow came to rest and keeps no trajectory: a caller that wants
+product: a sum of k gathered rows of its neighbour table when every cell
+has k neighbours (16 bytes per directed edge), np.bincount otherwise,
+with the same bits either way; no n x n matrix is built.  It returns the
+ode.Settled record of where the flow came to rest and keeps no trajectory: a caller that wants
 the accepted states passes on_step (the `simulate --trace` CSV thins them
 to at most 10^4 rows).  verify_certificate takes the QuotientModel the
 pattern was solved on and reads the pattern's certificate.  Each run logs

@@ -23,9 +23,10 @@ of the vertices takes a lattice pattern off the Bloch route.  Components, the
 stack-based search that the array components pass replaced.  Known
 automorphisms of the built-in lattices, as permutations, feed
 orbits_from_generators.
-The DOP853 loop is checked bit for bit against settle_reference, a
-stepper that allocates a new array per stage and re-runs the input checks
-of t_eval in every right-hand side.
+The product P x is checked bit for bit against the np.bincount form
+(matvec_bincount).  The DOP853 loop is checked bit for bit against
+settle_reference, a stepper that allocates a new array per stage and
+re-runs the input checks of t_eval in every right-hand side.
 """
 from __future__ import annotations
 
@@ -110,6 +111,19 @@ def weight_matrix(g: WeightedGraph) -> np.ndarray:
 def dense_averaging(g: WeightedGraph) -> np.ndarray:
     """The averaging matrix P = D^-1 W, rebuilt from the graph's weight matrix."""
     return weight_matrix(g) / g.degrees()[:, None]
+
+
+def matvec_bincount(sa, x: np.ndarray) -> np.ndarray:
+    """P x as np.bincount over the operator's edge arrays: each row's
+    products added to 0.0 in edge order, the form the neighbour table of
+    ScaledAdjacency.matvec replaced on graphs whose rows have one edge
+    count."""
+    return np.bincount(sa.rows, weights=sa.weights * x[sa.cols], minlength=sa.n)
+
+
+def star_graph(n: int) -> WeightedGraph:
+    """Vertex 0 joined to each of 1..n-1 by weight 1."""
+    return build_graph(n, [(0, v, 1.0) for v in range(1, n)])
 
 
 def dense_jacobian_spectrum(g: WeightedGraph, model: HillMap, u) -> np.ndarray:

@@ -1109,9 +1109,11 @@ def test_simulation_logs_one_info_line(tmp_path, model_h6, caplog, command):
     out = tmp_path / "out.json"
     with caplog.at_level(logging.INFO, logger="patternq"):
         assert main(command + ["--model", model_h6, "-o", str(out)]) == 0
+    # analyze also solves the reduced equation, which logs its own line
     records = [r for r in caplog.records if r.levelno == logging.INFO]
-    assert len(records) == 1 and records[0].name == "patternq.simulate"
-    line = records[0].getMessage()
+    solves = ["patternq.existence"] if command[0] == "analyze" else []
+    assert [r.name for r in records] == solves + ["patternq.simulate"]
+    line = records[-1].getMessage()
     fields = re.fullmatch(r"(\d+) steps, (\d+) rejected, model time (\S+), "
                           r"final derivative norm (\S+), converged True", line)
     assert fields is not None, line

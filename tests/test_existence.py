@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -211,7 +214,7 @@ def test_flow_starts_at_the_coloring_corners(g, pi, h, monkeypatch):
     starts = []
     monkeypatch.setattr(existence, "_newton_root", lambda *args, **kwargs: None)
     monkeypatch.setattr(existence, "_monotone_root",
-                        lambda pbar, model, z0: starts.append(z0.copy()))
+                        lambda pbar, model, z0: starts.append(z0.copy()) or (None, 0))
     with pytest.raises(OnlyHomogeneousFound):
         solve_reduced(qm, m)
     side0 = qm.reduced_coloring == 0
@@ -369,9 +372,62 @@ def test_flow_fallback_when_corner_newton_fails(monkeypatch):
     assert np.abs(slow.alternate_class_values - fast.alternate_class_values).max() < 1e-9
 
     monkeypatch.setattr(existence, "_newton_root", lambda *args, **kwargs: None)
-    monkeypatch.setattr(existence, "_monotone_root", lambda *args, **kwargs: None)
+    monkeypatch.setattr(existence, "_monotone_root", lambda *args, **kwargs: (None, 0))
     with pytest.raises(OnlyHomogeneousFound):
         solve_reduced(qm, m)
+
+
+def _logged_solve(caplog, qm, m, **kwargs):
+    """solve_reduced's result and the one INFO line it logs."""
+    with caplog.at_level(logging.INFO, logger="patternq.existence"):
+        red = solve_reduced(qm, m, **kwargs)
+    records = [r for r in caplog.records if r.name == "patternq.existence"]
+    assert [r.levelno for r in records] == [logging.INFO]
+    return red, records[0].getMessage()
+
+
+def test_solve_logs_newton_iterations_per_corner(caplog):
+    qm = _sweep_quotients()[0]
+    calls = []
+    _, line = _logged_solve(caplog, qm, HillMap(exponent=6),
+                            progress=lambda phase, k: calls.append(k))
+    fields = re.fullmatch(r"Newton (\d+) and (\d+) iterations from the corners, "
+                          r"monotone iteration not run", line)
+    assert fields is not None, line
+    # the second corner's run starts again at iteration 0
+    first, second = int(fields[1]), int(fields[2])
+    assert first > 0 and second > 0 and first + second == len(calls)
+    assert calls[first] == 0
+
+
+def test_solve_logs_the_monotone_fallback(caplog, monkeypatch):
+    qm = _sweep_quotients()[0]
+    m = HillMap(exponent=6)
+    corners = [np.where(qm.reduced_coloring == side, m.amplitude, 0.0) for side in (0, 1)]
+    steps = [existence._monotone_root(qm.matrix, m, z0)[1] for z0 in corners]
+    starts = _fail_corner_newton(monkeypatch)
+    _, line = _logged_solve(caplog, qm, m)
+    assert len(starts) == 2 and min(steps) > 0
+    fields = re.fullmatch(r"Newton 0 and 0 iterations from the corners, monotone iteration "
+                          rf"{steps[0]} and {steps[1]} steps, then Newton (\d+) and (\d+) "
+                          r"iterations from its limits", line)
+    assert fields is not None, line
+    assert int(fields[1]) > 0 and int(fields[2]) > 0
+
+
+def test_solve_logs_a_capped_monotone_iteration_and_a_skipped_solve(caplog, monkeypatch):
+    qm = _sweep_quotients()[0]
+    _, line = _logged_solve(caplog, qm, HillMap(exponent=1))
+    assert line == "verdict INCONCLUSIVE: no reduced solve, the homogeneous state is returned"
+    caplog.clear()
+    monkeypatch.setattr(existence, "_newton_root", lambda *args, **kwargs: None)
+    monkeypatch.setattr(existence, "_MONOTONE_CAP", 1)
+    with pytest.raises(OnlyHomogeneousFound):
+        _logged_solve(caplog, qm, HillMap(exponent=6))
+    records = [r for r in caplog.records if r.name == "patternq.existence"]
+    assert [r.getMessage() for r in records] == [
+        "Newton 0 and 0 iterations from the corners, monotone iteration 1 and 1 steps, "
+        "no limit to polish"]
 
 
 def test_monotone_cap_raises_only_homogeneous_found(monkeypatch):

@@ -9,9 +9,9 @@ n x r table of class sums, the item-by-item JSON writer, the edge-by-edge
 and vertex-by-vertex input checks, the refinement that re-keys every
 vertex in every round (helpers.round_refinement), the union-find and the
 stack-based search the components pass replaced, and, bit for bit, the
-DOP853 loop without its stage buffers
-(helpers.settle_reference) and the Hill fixed point bisected through
-t_eval."""
+np.bincount form of P x (helpers.matvec_bincount), the DOP853 loop without
+its stage buffers (helpers.settle_reference) and the Hill fixed point
+bisected through t_eval."""
 import contextlib
 import math
 from unittest import mock
@@ -34,11 +34,14 @@ from patternq.graphs import (
     _components,
     _two_coloring,
     build_graph,
+    buckyball,
     cycle_graph,
     generate,
     hex_torus,
+    path_graph,
     scaled_adjacency,
     torus_mesh,
+    triangle_bridge,
 )
 from patternq.partitions import (
     MOTIFS,
@@ -76,9 +79,11 @@ from helpers import (
     fixed_point_by_t_eval,
     integrate_reference,
     m_matrix_by_leading_minors,
+    matvec_bincount,
     random_connected_graph,
     relabelled,
     round_refinement,
+    star_graph,
     torus_shift_perm,
     two_coloring_by_search,
     weight_matrix,
@@ -114,6 +119,70 @@ def test_scaled_adjacency_edge_arrays_match_dense(seed, n, r):
     row, cls, grouped = sa.class_pairs(class_of, r)
     assert np.array_equal(np.stack([row, cls]), np.stack(np.nonzero(sums)))
     assert np.array_equal(grouped.view(np.uint64), sums[row, cls].view(np.uint64))
+
+
+@st.composite
+def uniform_count_graphs(draw):
+    """A graph whose rows all have one edge count, with random positive
+    weights: a random circulant on 3 to 40 vertices, or a torus_mesh or
+    hex_torus (2-wide sides included) with its edges reweighted."""
+    rng = np.random.default_rng(draw(seeds))
+    kind = draw(st.sampled_from(["circulant", "torus_mesh", "hex_torus"]))
+    if kind == "circulant":
+        n = draw(st.integers(3, 40))
+        offsets = draw(st.sets(st.integers(1, n // 2), min_size=1))
+        i, j = np.array(sorted({tuple(sorted((v, (v + o) % n)))
+                                for v in range(n) for o in offsets})).T
+    else:
+        g = generate(kind, draw(st.sampled_from([2, 4, 6])), draw(st.sampled_from([2, 4, 8])))
+        n, i, j = g.n, g.i, g.j
+    return build_graph(n, np.column_stack([i, j, rng.uniform(0.1, 3.0, i.size)]))
+
+
+# signed zeros and subnormals, as stage states that dip below zero can hold
+_AWKWARD = (0.0, -0.0, 5e-324, -5e-324, 2.0**-1070, -(2.0**-1030))
+
+
+def _awkward_states(seed: int, n: int, share: float, specials) -> np.ndarray:
+    # uniform in [-2, 3], with each entry one of the specials at the given share
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2.0, 3.0, n)
+    at = rng.random(n) < share
+    x[at] = rng.choice(specials, at.sum())
+    return x
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@PROPERTY
+@given(g=uniform_count_graphs(), seed=seeds, share=st.sampled_from([0.0, 0.3, 1.0]),
+       specials=st.sampled_from([_AWKWARD, (-0.0,)]))
+def test_table_matvec_matches_bincount_bit_for_bit(g, seed, share, specials):
+    # one edge count per row: P x sums the neighbour table, with the bits of
+    # the bincount form, the sign of zero included (x = -0.0 everywhere at
+    # share 1 with the lone special)
+    sa = scaled_adjacency(g)
+    cols, weights = sa._table
+    k = sa.rows.size // g.n
+    assert cols.shape == weights.shape == (k, g.n)
+    assert cols.flags.c_contiguous and weights.flags.c_contiguous
+    x = _awkward_states(seed, g.n, share, specials)
+    assert _same_bits(sa.matvec(x), matvec_bincount(sa, x))
+
+
+@PROPERTY
+@given(g=st.one_of(st.sampled_from([buckyball(), triangle_bridge()]),
+                   st.builds(star_graph, st.integers(3, 30)),
+                   st.builds(path_graph, st.integers(3, 30))),
+       seed=seeds, share=st.sampled_from([0.0, 0.3, 1.0]),
+       specials=st.sampled_from([_AWKWARD, (-0.0,)]))
+def test_irregular_graphs_have_no_table_and_keep_bincount(g, seed, share, specials):
+    sa = scaled_adjacency(g)
+    assert sa._table is None
+    x = _awkward_states(seed, g.n, share, specials)
+    assert _same_bits(sa.matvec(x), matvec_bincount(sa, x))
 
 
 # 300 seeded draws of this setup gave a worst gap of 1.0e-8
@@ -643,9 +712,9 @@ def corner_newton_failing():
         t_eval = existence.t_eval
         with mock.patch.object(existence, "t_eval",
                                lambda m, z: iterates.append(np.array(z)) or t_eval(m, z)):
-            limit = monotone(pbar, model, z0)
+            limit, steps = monotone(pbar, model, z0)
         runs.append((z0.copy(), iterates, limit))
-        return limit
+        return limit, steps
 
     with mock.patch.object(existence, "_newton_root", corners_fail), \
             mock.patch.object(existence, "_monotone_root", traced):
