@@ -4,18 +4,13 @@ Subcommands: gen, partition, exist, stability, simulate, render, analyze,
 report.  Every command but `report` names a built-in lattice by one spec,
 --gen KIND:sizes (torus_mesh:4,4, path:5, buckyball), and all but `gen`
 take --graph FILE instead; `render` and `report --svg` share the layout
-function _draw and both colour cell states.  Every command that works on a
-partition reads one staged run, _Run, which refuses a disconnected contact
-graph and computes each stage once, under the tag that a failure prints
-as `error [stage]`: the quotient, then one pattern record from the reduced
-solve (its lift and certificate included, which `simulate --perturb vr`
-reads too), stability and simulation.  `partition` and `analyze` pick the
+function _draw and both colour cell states.  `partition`, `exist`,
+`stability`, `simulate --perturb vr` and `analyze` read one staged run of
+patternq.pipeline; `analyze` writes its sealed bundle and `report` verifies
+one and prints a human summary.  `partition` and `analyze` pick the
 partition with one chooser.  `simulate --trace` samples the run through
-integrate's on_step hook; no other command keeps a trajectory.  The table
-_SECTIONS drives both building and checking the sealed bundle: `analyze`
-seals each section's data from the run with the hashes of exactly the
-sections its row names, and `report` checks every hash and link against
-it and prints a human summary.  Exit codes: 0 certified and stable, 2 not
+integrate's on_step hook; no other command keeps a trajectory.  A failing
+stage prints `error [stage]`.  Exit codes: 0 certified and stable, 2 not
 certified, 3 certified but not stable, 1 on any error.
 
 Set PATTERNQ_LOG={error|info|debug} to control logging.
@@ -23,7 +18,6 @@ Set PATTERNQ_LOG={error|info|debug} to control logging.
 from __future__ import annotations
 
 import argparse
-import datetime
 import functools
 import logging
 import os
@@ -32,66 +26,25 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cells import HillMap, fixed_point
+from .cells import fixed_point
 from .errors import BadBundle, BadOptions, NotEquitable, PatternQError
-from .existence import CERTIFIED, PatternSolution, solve_reduced
-from .graphs import GENERATOR_KINDS, WeightedGraph, generate, is_connected, scaled_adjacency
-from .partitions import (
-    QuotientModel,
-    bipartition_partition,
-    coarsest_equitable_refinement,
-    orbits_from_generators,
-    quotient,
-)
-from .serialize import (
-    Canonical,
-    _field,
-    _is_real,
-    _list_of,
-    _load_json,
-    dumps_canonical,
-    graph_to_dict,
-    load_graph,
-    load_model,
-    load_partition,
-    load_perms,
-    model_from_dict,
-    model_to_dict,
-    partition_to_dict,
-    sha256_of,
-)
-from .simulate import (
-    SimOptions,
-    classify,
-    cluster_values,
-    grouping_tol,
-    integrate,
-    perturbed_start,
-    verify_certificate,
-)
-from .stability import STABLE, stability_report
+from .existence import CERTIFIED
+from .graphs import GENERATOR_KINDS, WeightedGraph, generate, scaled_adjacency
+from .partitions import (bipartition_partition, coarsest_equitable_refinement,
+                         orbits_from_generators)
+from .pipeline import Run, StageFailure, run_stage, seal_bundle, verify_bundle
+from .serialize import (dumps_canonical, graph_to_dict, load_bundle, load_graph,
+                        load_initial_state, load_model, load_partition, load_pattern_values,
+                        load_perms, model_from_dict)
+from .simulate import (SimOptions, classify, cluster_values, grouping_tol, integrate,
+                       perturbed_start)
+from .stability import STABLE
 
 LOG = logging.getLogger("patternq")
 
 _GLYPHS = "#.o*+x=%@&"
 _SVG_COLORS = ("#404040", "#e8e8e8", "#909090", "#c8c8c8", "#686868", "#f4f4f4")
 _TRACE_ROWS = 10_000
-
-
-class _StageFailure(Exception):
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"[{stage}] {cause}")
-        self.stage = stage
-        self.cause = cause
-
-
-def _run_stage(stage: str, fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    # OverflowError: an id too large for a float (>= 2**1024) in an input file;
-    # MemoryError: an array too large to allocate, such as an n x n operator
-    except (PatternQError, OSError, KeyError, ValueError, OverflowError, MemoryError) as exc:
-        raise _StageFailure(stage, exc) from exc
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -104,7 +57,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _write_json(obj, path: str | None) -> None:
-    _run_stage("write", _write_text, path, dumps_canonical(obj))
+    run_stage("write", _write_text, path, dumps_canonical(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +74,8 @@ def _load_graph_arg(args) -> tuple[WeightedGraph, str]:
     """The graph of --gen SPEC or --graph FILE, and that spec or path."""
     if getattr(args, "gen", None):
         kind, sizes = _split_spec(args.gen)
-        return _run_stage("gen", generate, kind, *sizes), args.gen
-    return _run_stage("load", load_graph, args.graph), args.graph
+        return run_stage("gen", generate, kind, *sizes), args.gen
+    return run_stage("load", load_graph, args.graph), args.graph
 
 
 def _choose_partition(g: WeightedGraph, how: str, path: str | None) -> tuple:
@@ -131,109 +84,21 @@ def _choose_partition(g: WeightedGraph, how: str, path: str | None) -> tuple:
     the two sides of g's 2-coloring ("bipartite"), or the coarsest equitable
     refinement of the one in it, or of one class ("refine")."""
     if how == "orbits":
-        perms = _run_stage("load", load_perms, path)
-        return _run_stage("partition", orbits_from_generators, g, perms), f"orbits:{path}"
+        perms = run_stage("load", load_perms, path)
+        return run_stage("partition", orbits_from_generators, g, perms), f"orbits:{path}"
     if how == "bipartite":
-        return _run_stage("partition", bipartition_partition, g), "auto-bipartite"
-    seed = _run_stage("load", load_partition, path, g.n) if path else None
+        return run_stage("partition", bipartition_partition, g), "auto-bipartite"
+    seed = run_stage("load", load_partition, path, g.n) if path else None
     if how == "check":
         return seed, f"file:{path}"
-    return _run_stage("partition", coarsest_equitable_refinement, g, seed), "auto-refine"
+    return run_stage("partition", coarsest_equitable_refinement, g, seed), "auto-refine"
 
 
-# ---------------------------------------------------------------------------
-# the staged run
-# ---------------------------------------------------------------------------
-
-class _Run:
-    """The paper's chain on one graph, partition and model.  A disconnected
-    contact graph is refused under the tag `graph` before any stage.  Every
-    stage runs under its stage tag and calls its library function through
-    this module's binding; the cached ones run once, on first read.  `data`
-    builds each bundle section's data from the stages it reads."""
-
-    def __init__(self, g: WeightedGraph, pi, model: HillMap | None = None):
-        if not is_connected(g):
-            raise _StageFailure("graph", BadOptions("contact graph must be connected"))
-        self.g, self.pi, self.model = g, pi, model
-
-    @functools.cached_property
-    def qm(self) -> QuotientModel:
-        return _run_stage("quotient", quotient, self.g, self.pi)
-
-    @functools.cached_property
-    def pattern(self) -> PatternSolution:
-        """The lifted root of the reduced solve, with its certificate."""
-        return _run_stage("solve", solve_reduced, self.qm, self.model)
-
-    def stability(self, z, methods=("block", "smallgain")) -> dict:
-        rep = _run_stage("stability", stability_report, self.qm, self.model, z, methods)
-        out = {"m_matrix_ok": rep.m_matrix_ok}
-        if rep.full_verdict is not None:
-            out.update(full_spectral_abscissa=rep.full_spectral_abscissa,
-                       full_verdict=rep.full_verdict)
-        if rep.block is not None:
-            out["block"] = {"representative_spectrum": rep.block.representative_spectrum,
-                            "transverse_spectrum": rep.block.transverse_spectrum,
-                            "consistency": rep.block.consistency}
-        if (sg := rep.small_gain) is not None:
-            # schema 1 keeps the quotient's radius, rho_full bit for bit, as its own key
-            out["small_gain"] = {"rho_full": sg.rho_full, "rho_reduced": sg.rho_full,
-                                 "verdict": sg.verdict, "class_gains": sg.class_gains}
-        return out
-
-    def simulation(self, eps: float) -> dict:
-        chk = _run_stage("simulate", verify_certificate, self.qm, self.model, self.pattern, eps)
-        emp = chk.empirical
-        return {"match": chk.match, "exploratory": chk.exploratory, "converged": chk.converged,
-                "max_deviation": chk.max_deviation, "groups": emp.groups if emp else None,
-                "group_values": emp.values if emp else None, "note": chk.note}
-
-    @staticmethod
-    def quotient_data(qm: QuotientModel) -> dict:
-        return {"matrix": qm.matrix, "class_degrees": qm.class_degrees,
-                "class_sizes": np.bincount(qm.partition.labels), "eigenvalues": qm.eigenvalues,
-                "reduced_edges": qm.reduced_edges,
-                "reduced_bipartite": qm.reduced_coloring is not None,
-                "reduced_coloring": (None if qm.reduced_coloring is None else
-                                     [np.flatnonzero(qm.reduced_coloring == side)
-                                      for side in (0, 1)])}
-
-    def data(self, name: str, eps: float | None = None):
-        """The data of bundle section `name`, None for a simulation without eps."""
-        if name == "graph":
-            return graph_to_dict(self.g)
-        if name == "model":
-            return model_to_dict(self.model)
-        if name == "partition":
-            return partition_to_dict(self.pi)
-        if name == "quotient":
-            return _run_stage("quotient", self.quotient_data, self.qm)
-        if name == "certificate":
-            cert = self.pattern.certificate
-            return {"verdict": cert.verdict, "lambda_r": cert.min_eigenvalue,
-                    "lambda_r_multiplicity": cert.min_multiplicity,
-                    "u_star": cert.fixed_point_value,
-                    "slope_at_u_star": cert.slope_at_fixed_point,
-                    "condition_value": cert.condition_value,
-                    "reduced_bipartite": cert.reduced_bipartite}
-        if name == "pattern":
-            pattern = self.pattern
-            return {"z": pattern.class_values, "u": pattern.cell_inputs, "x": pattern.cell_states,
-                    "residuals": {"reduced": pattern.residual_reduced,
-                                  "full": pattern.residual_full},
-                    "homogeneous": pattern.homogeneous, "warning": pattern.warning,
-                    "alternate_z": pattern.alternate_class_values}
-        if name == "stability":
-            return self.stability(self.pattern.class_values)
-        return None if eps is None else self.simulation(eps)
-
-
-def _load_run(args) -> _Run:
+def _load_run(args) -> Run:
     """The run on the graph, the --partition and the --model."""
     g, _ = _load_graph_arg(args)
     pi, _ = _choose_partition(g, "check", args.partition)
-    return _Run(g, pi, _run_stage("load", load_model, args.model))
+    return Run(g, pi, run_stage("load", load_model, args.model))
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +115,12 @@ def _cmd_partition(args) -> int:
     g, _ = _load_graph_arg(args)
     flag = "perms" if args.mode == "orbits" else "seed"
     if args.mode != "refine" and not getattr(args, flag):
-        raise _StageFailure("partition", BadOptions(f"--mode {args.mode} needs --{flag}"))
-    run = _Run(g, _choose_partition(g, args.mode, getattr(args, flag))[0])
+        raise StageFailure("partition", BadOptions(f"--mode {args.mode} needs --{flag}"))
+    run = Run(g, _choose_partition(g, args.mode, getattr(args, flag))[0])
     out = run.data("partition")
     try:
         out.update(run.data("quotient"), equitable=True, witness=None)
-    except _StageFailure as exc:
+    except StageFailure as exc:
         if not isinstance(exc.cause, NotEquitable):
             raise
         out.update(equitable=False, witness=list(exc.cause.witness))
@@ -269,27 +134,12 @@ def _cmd_exist(args) -> int:
     return 0
 
 
-def _load_pattern_values(path: str) -> np.ndarray:
-    data = _load_json(path, dict, "a JSON object with a 'z' field")
-    z = np.asarray(_field(data, "z", _list_of(_is_real), "a list of numbers"), dtype=float)
-    if not np.isfinite(z).all():
-        raise BadOptions("field 'z' must be a list of finite numbers")
-    return z
-
-
 def _cmd_stability(args) -> int:
     run = _load_run(args)
-    z = _run_stage("load", _load_pattern_values, args.pattern)
+    z = run_stage("load", load_pattern_values, args.pattern)
     methods = ("block", "smallgain") if args.method == "all" else (args.method,)
     _write_json(run.stability(z, methods), args.out)
     return 0
-
-
-def _load_x0(path: str) -> np.ndarray:
-    x0 = _load_json(path, list, "a JSON list with the initial state")
-    if not _list_of(_is_real)(x0):
-        raise BadOptions(f"{path} must hold a JSON list of numbers")
-    return np.asarray(x0, dtype=float)
 
 
 def _perturb_direction(spec: str, n: int) -> np.ndarray:
@@ -343,27 +193,27 @@ def _write_trace(path: str, rows: list, rest, n: int) -> None:
 
 def _cmd_simulate(args) -> int:
     g, _ = _load_graph_arg(args)
-    model = _run_stage("load", load_model, args.model)
+    model = run_stage("load", load_model, args.model)
     opts = SimOptions(step=args.step, max_time=args.max_time, conv_tol=args.conv_tol)
     if args.perturb == "vr" and not args.x0:
         if not args.partition:
-            raise _StageFailure("simulate", BadOptions("--perturb vr needs --partition"))
-        run = _Run(g, _choose_partition(g, "check", args.partition)[0], model)
+            raise StageFailure("simulate", BadOptions("--perturb vr needs --partition"))
+        run = Run(g, _choose_partition(g, "check", args.partition)[0], model)
         cert, sa = run.pattern.certificate, run.qm.operator
-        x0 = _run_stage("simulate", perturbed_start, model, cert.fixed_point_value,
-                        run.pi.expand(cert.min_eigenvector), args.eps)
+        x0 = run_stage("simulate", perturbed_start, model, cert.fixed_point_value,
+                       run.pi.expand(cert.min_eigenvector), args.eps)
     else:
-        sa = _run_stage("simulate", scaled_adjacency, g)
+        sa = run_stage("simulate", scaled_adjacency, g)
         if args.x0:
-            x0 = _run_stage("load", _load_x0, args.x0)
+            x0 = run_stage("load", load_initial_state, args.x0)
         else:
-            direction = _run_stage("simulate", _perturb_direction, args.perturb, g.n)
-            x0 = _run_stage("simulate", perturbed_start, model, fixed_point(model).value,
-                            direction, args.eps)
+            direction = run_stage("simulate", _perturb_direction, args.perturb, g.n)
+            x0 = run_stage("simulate", perturbed_start, model, fixed_point(model).value,
+                           direction, args.eps)
     rows, on_step = _trace_sampler() if args.trace else (None, None)
-    rest = _run_stage("simulate", integrate, sa, model, x0, opts, on_step)
+    rest = run_stage("simulate", integrate, sa, model, x0, opts, on_step)
     if args.trace:
-        _run_stage("write", _write_trace, args.trace, rows, rest, g.n)
+        run_stage("write", _write_trace, args.trace, rows, rest, g.n)
     summary = {
         "converged": rest.converged,
         "final_time": rest.final_time,
@@ -440,87 +290,37 @@ def _svg_rings(colors: list[str]) -> str:
 
 def _cmd_render(args) -> int:
     if not (np.isfinite(args.cluster_tol) and args.cluster_tol >= 0):
-        raise _StageFailure("render", BadOptions(
+        raise StageFailure("render", BadOptions(
             f"cluster-tol must be finite and nonnegative, got {args.cluster_tol}"))
     g, source = _load_graph_arg(args)
-    final = _run_stage("load", _read_final_row, args.trace)
+    final = run_stage("load", _read_final_row, args.trace)
     if len(final) != g.n:
-        raise _StageFailure("render", BadOptions(
+        raise StageFailure("render", BadOptions(
             f"trace has {len(final)} cells, the graph {g.n}"))
     text, svg = _draw(source, cluster_values(final, args.cluster_tol).tolist())
     print(text)
     if args.svg:
-        _run_stage("write", _write_text, args.svg, svg)
+        run_stage("write", _write_text, args.svg, svg)
     return 0
-
-
-# The sealed bundle, one row per section in build order: the sections whose
-# hashes its `upstream` links hold.  analyze builds and seals from this table
-# and report verifies against it.  Only the simulation section may be null.
-_SECTIONS = {
-    "graph": (),
-    "model": (),
-    "partition": ("graph",),
-    "quotient": ("graph", "partition"),
-    "certificate": ("quotient", "model"),
-    "pattern": ("certificate",),
-    "stability": ("pattern",),
-    "simulation": ("pattern", "stability"),
-}
-_OPTIONAL_SECTIONS = frozenset({"simulation"})
-
-
-def _seal(section: dict) -> dict:
-    """section with each value emitted once as Canonical text, and the
-    sha256 of that text; the bundle is later written from the same text."""
-    section = {k: Canonical(dumps_canonical(v)) for k, v in section.items()}
-    section["sha256"] = sha256_of(section)
-    return section
 
 
 def _cmd_analyze(args) -> int:
     g, source = _load_graph_arg(args)
-    model = _run_stage("load", load_model, args.model)
+    model = run_stage("load", load_model, args.model)
     eps = args.eps if args.simulate else None
     if eps is not None:  # refuse a bad --eps before the pipeline runs
-        _run_stage("simulate", perturbed_start, model, 0.0, (1.0,), eps)
+        run_stage("simulate", perturbed_start, model, 0.0, (1.0,), eps)
     # no partition option: the coarsest equitable partition, from one class
     how, path = (("check", args.partition) if args.partition else
                  ("bipartite", None) if args.auto_bipartite else
                  ("orbits", args.orbit_perms) if args.orbit_perms else ("refine", None))
     pi, mode = _choose_partition(g, how, path)
-    run = _Run(g, pi, model)
-    data = {name: run.data(name, eps) for name in _SECTIONS}
+    run = Run(g, pi, model)
     heads = {"graph": {"source": source}, "partition": {"mode": mode}}
-    sealed = {}
-    for name, links in _SECTIONS.items():
-        if data[name] is not None:
-            body = {**heads.get(name, {}), "data": data[name]}
-            if links:
-                body["upstream"] = {up: sealed[up]["sha256"] for up in links}
-            sealed[name] = _seal(body)
-    _write_json({"schema": 1, "tool": {"name": "patternq", "version": __version__},
-                 "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-                 **dict.fromkeys(_SECTIONS), **sealed}, args.out)
-    if data["certificate"]["verdict"] != CERTIFIED:
+    _write_json(seal_bundle(run, eps, heads), args.out)
+    if run.pattern.certificate.verdict != CERTIFIED:
         return 2
-    return 0 if data["stability"]["full_verdict"] == STABLE else 3
-
-
-def _verify_bundle(bundle: dict) -> None:
-    """Check each section's hash, and that its links are exactly its row's."""
-    for name, links in _SECTIONS.items():
-        sec = bundle.get(name)
-        if not sec and name in _OPTIONAL_SECTIONS:
-            continue
-        if not isinstance(sec, dict) or "sha256" not in sec:
-            raise BadBundle(f"section {name!r} missing or unsealed")
-        body = {k: v for k, v in sec.items() if k != "sha256"}
-        if sha256_of(body) != sec["sha256"]:
-            raise BadBundle(f"section {name!r} content does not match its hash")
-        if (sec.get("upstream") or {}) != {up: bundle[up]["sha256"] for up in links}:
-            raise BadBundle(f"section {name!r} upstream must link exactly "
-                            f"{list(links)} at their current hashes")
+    return 0 if run.pattern_stability["full_verdict"] == STABLE else 3
 
 
 def _fmt_matrix(rows) -> str:
@@ -593,12 +393,12 @@ def _read_bundle(read, bundle: dict) -> str:
 
 
 def _cmd_report(args) -> int:
-    bundle = _run_stage("load", _load_json, args.bundle, dict, "a JSON object")
-    _run_stage("report", _verify_bundle, bundle)
-    print(_run_stage("report", _read_bundle, _report_text, bundle))
+    bundle = run_stage("load", load_bundle, args.bundle)
+    run_stage("report", verify_bundle, bundle)
+    print(run_stage("report", _read_bundle, _report_text, bundle))
     if args.svg:
-        _run_stage("write", _write_text, args.svg,
-                   _run_stage("report", _read_bundle, _report_svg, bundle))
+        run_stage("write", _write_text, args.svg,
+                  run_stage("report", _read_bundle, _report_svg, bundle))
     return 0
 
 
@@ -715,7 +515,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _StageFailure as exc:
+    except StageFailure as exc:
         LOG.debug("stage failure", exc_info=True)
         print(f"error [{exc.stage}]: {exc.cause}", file=sys.stderr)
         return 1

@@ -148,8 +148,9 @@ def _reduced_residual(pbar: np.ndarray, model: HillMap, z: np.ndarray) -> float:
 
 def _newton_root(pbar: np.ndarray, model: HillMap, z0: np.ndarray,
                  tol: float = 1e-12, max_iter: int = 100,
-                 progress=None) -> np.ndarray | None:
-    """Damped Newton on G(z) = z - Pbar T(z); None when the search stalls."""
+                 progress=None) -> tuple[np.ndarray | None, int]:
+    """Damped Newton on G(z) = z - Pbar T(z); returns the root, None when
+    the search stalls, and the number of iterations taken."""
     r = len(z0)
     z = z0.copy()
     res = _reduced_residual(pbar, model, z)
@@ -157,12 +158,12 @@ def _newton_root(pbar: np.ndarray, model: HillMap, z0: np.ndarray,
         if progress is not None:
             progress("newton", iteration)
         if res < tol:
-            return z
+            return z, iteration + 1
         jac = np.eye(r) - pbar * t_prime(model, z)[None, :]
         try:
             step = np.linalg.solve(jac, -(z - pbar @ t_eval(model, z)))
         except np.linalg.LinAlgError:
-            return None
+            return None, iteration + 1
         alpha = 1.0
         for _ in range(40):
             z_new = z + alpha * step
@@ -174,8 +175,8 @@ def _newton_root(pbar: np.ndarray, model: HillMap, z0: np.ndarray,
                     break
             alpha *= 0.5
         else:
-            return None
-    return z if res < tol * 100 else None
+            return None, iteration + 1
+    return (z if res < tol * 100 else None), max_iter
 
 
 def _monotone_root(pbar: np.ndarray, model: HillMap,
@@ -233,18 +234,6 @@ def solve_reduced(qm: QuotientModel, model: HillMap, *, progress=None) -> Patter
         return replace(lift(qm, hom, model), certificate=cert,
                        warning=f"verdict {cert.verdict}: returning the homogeneous state")
 
-    def newton(z0: np.ndarray) -> tuple[np.ndarray | None, int]:
-        # _newton_root and its iteration count, read off its progress calls
-        seen = []
-
-        def counted(phase, iteration):
-            seen.append(iteration)
-            if progress is not None:
-                progress(phase, iteration)
-
-        root = _newton_root(pbar, model, z0, progress=counted)
-        return root, len(seen)
-
     def is_nonhomogeneous(z: np.ndarray) -> bool:
         return float(z.max() - z.min()) > _NONHOM_REL * u_star
 
@@ -254,7 +243,7 @@ def solve_reduced(qm: QuotientModel, model: HillMap, *, progress=None) -> Patter
 
     # the extremes of the cooperative order; see the module docstring
     corners = [np.where(qm.reduced_coloring == side, model.amplitude, 0.0) for side in (0, 1)]
-    runs = [newton(z0) for z0 in corners]
+    runs = [_newton_root(pbar, model, z0, progress=progress) for z0 in corners]
     found = [root for root, _ in runs]
     monotone = "not run"
     if not (all(map(accepted, found)) and np.abs(found[0] - found[1]).max() > _DISTINCT):
@@ -265,7 +254,7 @@ def solve_reduced(qm: QuotientModel, model: HillMap, *, progress=None) -> Patter
             staged, taken = _monotone_root(pbar, model, z0)
             steps.append(taken)
             if staged is not None:
-                root, count = newton(staged)
+                root, count = _newton_root(pbar, model, staged, progress=progress)
                 polish.append(count)
                 if accepted(root):
                     found.append(root)

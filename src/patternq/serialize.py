@@ -4,6 +4,8 @@ Graph files:     {"n": <int>, "edges": [[i, j, w], ...]}   (0-based, i < j)
 Partition files: {"classes": [[v, ...], ...]}
 Permutations:    {"perms": [[image of 0, image of 1, ...], ...]}
 Model files:     {"A": 2.0, "K": 1.0, "h": 6.0, "tau": 1.0}
+Pattern files:   {"z": [class value, ...], ...}
+Initial states:  [x_0, x_1, ...]
 
 Canonical dumps sort object keys and print floats with 17 significant
 digits, so identical inputs always produce byte-identical reports.  Text
@@ -37,15 +39,16 @@ __all__ = [
     "graph_to_dict",
     "graph_from_dict",
     "load_graph",
-    "save_graph",
     "partition_to_dict",
     "partition_from_dict",
     "load_partition",
-    "save_partition",
     "load_perms",
     "model_from_dict",
     "model_to_dict",
     "load_model",
+    "load_pattern_values",
+    "load_initial_state",
+    "load_bundle",
 ]
 
 
@@ -215,12 +218,6 @@ def load_graph(path) -> WeightedGraph:
     return graph_from_dict(_load_json(path, dict, "a JSON object with 'n' and 'edges'"))
 
 
-def save_graph(g: WeightedGraph, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_canonical(graph_to_dict(g)))
-        fh.write("\n")
-
-
 # ---- partitions / permutations ----
 
 def partition_to_dict(pi: Partition) -> dict:
@@ -234,12 +231,6 @@ def partition_from_dict(data: dict, n: int) -> Partition:
 
 def load_partition(path, n: int) -> Partition:
     return partition_from_dict(_load_json(path, dict, "a JSON object with 'classes'"), n)
-
-
-def save_partition(pi: Partition, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_canonical(partition_to_dict(pi)))
-        fh.write("\n")
 
 
 def load_perms(path) -> list[list[int]]:
@@ -274,3 +265,25 @@ def model_to_dict(m: HillMap) -> dict:
 
 def load_model(path) -> HillMap:
     return model_from_dict(_load_json(path, dict, "a JSON object of model parameters"))
+
+
+# ---- patterns, initial states and bundles ----
+
+def load_pattern_values(path) -> np.ndarray:
+    """The finite class values in the field 'z' of the JSON object in path."""
+    data = _load_json(path, dict, "a JSON object with a 'z' field")
+    z = np.asarray(_field(data, "z", _list_of(_is_real), "a list of numbers"), dtype=float)
+    if not np.isfinite(z).all():
+        raise BadOptions("field 'z' must be a list of finite numbers")
+    return z
+
+
+def load_initial_state(path) -> np.ndarray:
+    x0 = _load_json(path, list, "a JSON list with the initial state")
+    if not _list_of(_is_real)(x0):
+        raise BadOptions(f"{path} must hold a JSON list of numbers")
+    return np.asarray(x0, dtype=float)
+
+
+def load_bundle(path) -> dict:
+    return _load_json(path, dict, "a JSON object")

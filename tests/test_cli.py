@@ -699,12 +699,12 @@ def test_eps_must_be_finite_and_positive(tmp_path, monkeypatch, model_h6, capsys
                                         eps):
     # zero starts on u*, a negative eps heads for the class-swapped twin and
     # inf for the corners of the box; analyze refuses it before the pipeline
-    import patternq.cli as cli
+    from patternq import pipeline
 
     def refuse(*args):
         raise AssertionError("quotient built before --eps was checked")
 
-    monkeypatch.setattr(cli, "quotient", refuse)
+    monkeypatch.setattr(pipeline, "quotient", refuse)
     extra = ["--auto-bipartite", "--simulate"] if command == "analyze" else []
     assert main([command, "--gen", "torus_mesh:4,4", "--model", model_h6, *extra,
                  f"--eps={eps}", "-o", str(tmp_path / "out.json")]) == 1
@@ -1126,15 +1126,16 @@ def test_simulation_logs_one_info_line(tmp_path, model_h6, caplog, command):
 
 def test_back_to_back_main_calls_share_no_state(tmp_path, model_h6, monkeypatch):
     import patternq.cli as cli
+    from patternq import pipeline
 
     eps_seen = []
-    verify = cli.verify_certificate
+    verify = pipeline.verify_certificate
 
     def spy(qm, model, pattern, eps):
         eps_seen.append(eps)
         return verify(qm, model, pattern, eps)
 
-    monkeypatch.setattr(cli, "verify_certificate", spy)
+    monkeypatch.setattr(pipeline, "verify_certificate", spy)
     one_class = tmp_path / "p.json"
     one_class.write_text(json.dumps({"classes": [list(range(16))]}))
     runs = [["--auto-bipartite", "--simulate", "--eps", "0.05"],

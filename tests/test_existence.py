@@ -173,7 +173,7 @@ def _fail_corner_newton(monkeypatch):
 
     def corners_fail(*args, **kwargs):
         calls.append(None)
-        return None if len(calls) <= 2 else newton(*args, **kwargs)
+        return (None, 0) if len(calls) <= 2 else newton(*args, **kwargs)
 
     monkeypatch.setattr(existence, "_newton_root", corners_fail)
     return _monotone_starts(monkeypatch)
@@ -212,7 +212,7 @@ def test_flow_starts_at_the_coloring_corners(g, pi, h, monkeypatch):
     qm = quotient(g, pi)
     m = HillMap(exponent=h)
     starts = []
-    monkeypatch.setattr(existence, "_newton_root", lambda *args, **kwargs: None)
+    monkeypatch.setattr(existence, "_newton_root", lambda *args, **kwargs: (None, 0))
     monkeypatch.setattr(existence, "_monotone_root",
                         lambda pbar, model, z0: starts.append(z0.copy()) or (None, 0))
     with pytest.raises(OnlyHomogeneousFound):
@@ -371,7 +371,7 @@ def test_flow_fallback_when_corner_newton_fails(monkeypatch):
     assert np.abs(slow.class_values - fast.class_values).max() < 1e-9
     assert np.abs(slow.alternate_class_values - fast.alternate_class_values).max() < 1e-9
 
-    monkeypatch.setattr(existence, "_newton_root", lambda *args, **kwargs: None)
+    monkeypatch.setattr(existence, "_newton_root", lambda *args, **kwargs: (None, 0))
     monkeypatch.setattr(existence, "_monotone_root", lambda *args, **kwargs: (None, 0))
     with pytest.raises(OnlyHomogeneousFound):
         solve_reduced(qm, m)
@@ -420,7 +420,7 @@ def test_solve_logs_a_capped_monotone_iteration_and_a_skipped_solve(caplog, monk
     _, line = _logged_solve(caplog, qm, HillMap(exponent=1))
     assert line == "verdict INCONCLUSIVE: no reduced solve, the homogeneous state is returned"
     caplog.clear()
-    monkeypatch.setattr(existence, "_newton_root", lambda *args, **kwargs: None)
+    monkeypatch.setattr(existence, "_newton_root", lambda *args, **kwargs: (None, 0))
     monkeypatch.setattr(existence, "_MONOTONE_CAP", 1)
     with pytest.raises(OnlyHomogeneousFound):
         _logged_solve(caplog, qm, HillMap(exponent=6))
@@ -434,7 +434,7 @@ def test_monotone_cap_raises_only_homogeneous_found(monkeypatch):
     # one step from each corner leaves the iteration short of its stop
     # rule; the solve fails loudly at once instead of stalling
     qm = _sweep_quotients()[0]
-    monkeypatch.setattr(existence, "_newton_root", lambda *args, **kwargs: None)
+    monkeypatch.setattr(existence, "_newton_root", lambda *args, **kwargs: (None, 0))
     monkeypatch.setattr(existence, "_MONOTONE_CAP", 1)
     starts = _monotone_starts(monkeypatch)
     with pytest.raises(OnlyHomogeneousFound, match="at most 1 steps"):

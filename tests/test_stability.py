@@ -6,7 +6,6 @@ import pytest
 
 from patternq import partitions
 from patternq.cells import HillMap, dc_gain, fixed_point, t_prime
-from patternq.cli import _Run
 from patternq.errors import BadOptions, DetailedBalanceViolated, NotSteadyState
 from patternq.existence import certify, solve_reduced
 from patternq.graphs import (
@@ -28,6 +27,7 @@ from patternq.partitions import (
     singleton_partition,
     tile_partition,
 )
+from patternq.pipeline import Run
 from patternq.spectral import jacobian_spectrum
 from patternq.stability import (
     CERTIFIED_STABLE,
@@ -390,7 +390,7 @@ def test_small_gain_class_gains_are_the_block_routes_slopes():
     pytest.param(lambda qm, m: certify(qm, m), id="certify"),
     pytest.param(lambda qm, m: small_gain(qm, m, np.ones(2)), id="small_gain"),
     pytest.param(lambda qm, m: block_stability(qm, m, np.ones(2)), id="block"),
-    pytest.param(lambda qm, m: _Run.quotient_data(qm), id="quotient_report"),
+    pytest.param(lambda qm, m: Run.quotient_data(qm), id="quotient_report"),
 ])
 def test_every_quotient_route_checks_detailed_balance(route):
     # each route reads the one symmetric form, which checks detailed balance
