@@ -86,14 +86,21 @@ def t_eval(m: HillMap, u) -> float | np.ndarray:
 
 
 def t_prime(m: HillMap, u) -> float | np.ndarray:
-    """Derivative of the Hill response; strictly negative for u > 0."""
+    """Derivative of the Hill response; strictly negative for u > 0 until
+    it underflows to -0.0 far above K."""
     u = np.asarray(u, dtype=float)
     if np.any(u < 0):
         raise NegativeInput("inputs must be nonnegative")
-    s = (u / m.threshold) ** m.exponent
+    q = u / m.threshold
+    s = q ** m.exponent
     # (u/K)^(h-1) with 0^0 = 1 so the h = 1 slope at zero stays finite
-    lead = (u / m.threshold) ** (m.exponent - 1.0)
-    val = -(m.amplitude * m.exponent / m.threshold) * lead / (1.0 + s) ** 2
+    top = -(m.amplitude * m.exponent / m.threshold) * q ** (m.exponent - 1.0)
+    bottom = (1.0 + s) ** 2
+    if np.isinf(bottom).any():
+        # far above K at a large h the numerator may overflow too; the slope
+        # there is below (A h / K) 1e-154 in magnitude, not inf / inf = NaN
+        top = np.where(np.isinf(top) & np.isinf(bottom), -0.0, top)
+    val = top / bottom
     return float(val) if val.ndim == 0 else val
 
 

@@ -36,8 +36,7 @@ from .pipeline import Run, StageFailure, run_stage, seal_bundle, verify_bundle
 from .serialize import (dumps_canonical, graph_to_dict, load_bundle, load_graph,
                         load_initial_state, load_model, load_partition, load_pattern_values,
                         load_perms, model_from_dict)
-from .simulate import (SimOptions, classify, cluster_values, grouping_tol, integrate,
-                       perturbed_start)
+from .simulate import classify, cluster_values, grouping_tol, integrate, perturbed_start
 from .stability import STABLE
 
 LOG = logging.getLogger("patternq")
@@ -194,7 +193,6 @@ def _write_trace(path: str, rows: list, rest, n: int) -> None:
 def _cmd_simulate(args) -> int:
     g, _ = _load_graph_arg(args)
     model = run_stage("load", load_model, args.model)
-    opts = SimOptions(step=args.step, max_time=args.max_time, conv_tol=args.conv_tol)
     if args.perturb == "vr" and not args.x0:
         if not args.partition:
             raise StageFailure("simulate", BadOptions("--perturb vr needs --partition"))
@@ -211,7 +209,8 @@ def _cmd_simulate(args) -> int:
             x0 = run_stage("simulate", perturbed_start, model, fixed_point(model).value,
                            direction, args.eps)
     rows, on_step = _trace_sampler() if args.trace else (None, None)
-    rest = run_stage("simulate", integrate, sa, model, x0, opts, on_step)
+    rest = run_stage("simulate", integrate, sa, model, x0, step=args.step,
+                     max_time=args.max_time, conv_tol=args.conv_tol, on_step=on_step)
     if args.trace:
         run_stage("write", _write_trace, args.trace, rows, rest, g.n)
     summary = {
@@ -385,9 +384,12 @@ def _report_svg(bundle: dict) -> str:
 
 
 def _read_bundle(read, bundle: dict) -> str:
-    """read(bundle), with the TypeError of a mistyped field as a BadBundle."""
+    """read(bundle), with a missing field's KeyError or a mistyped one's
+    TypeError as a BadBundle."""
     try:
         return read(bundle)
+    except KeyError as exc:
+        raise BadBundle(str(exc)) from exc
     except TypeError as exc:
         raise BadBundle(f"a field has the wrong type: {exc}") from exc
 
@@ -514,7 +516,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # far above K at a large exponent (u/K)^h overflows to inf, where the
+        # response and its slope take their limits 0 and -0.0: no warning
+        with np.errstate(over="ignore"):
+            return args.func(args)
     except StageFailure as exc:
         LOG.debug("stage failure", exc_info=True)
         print(f"error [{exc.stage}]: {exc.cause}", file=sys.stderr)

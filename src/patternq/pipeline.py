@@ -149,9 +149,9 @@ SECTIONS = {
 
 
 def _seal(section: dict) -> dict:
-    """section with each value emitted once as Canonical text, and the
-    sha256 of that text; the bundle is later written from the same text."""
-    section = {k: Canonical(dumps_canonical(v)) for k, v in section.items()}
+    """section with its data emitted once as Canonical text, and the sha256
+    of the section; the bundle is later written from the same text."""
+    section["data"] = Canonical(dumps_canonical(section["data"]))
     section["sha256"] = sha256_of(section)
     return section
 
@@ -174,7 +174,12 @@ def seal_bundle(run: Run, eps: float | None, heads: dict) -> dict:
 
 
 def verify_bundle(bundle: dict) -> None:
-    """Check each section's hash, and that its links are exactly its row's."""
+    """Check the schema, each section's hash, and that its links are exactly
+    its row's; a missing field is named as report names it."""
+    if "schema" not in bundle:
+        raise BadBundle("'schema'")
+    if type(bundle["schema"]) is not int or bundle["schema"] != 1:
+        raise BadBundle(f"unsupported bundle schema {bundle['schema']!r}; patternq reads schema 1")
     for name, section in SECTIONS.items():
         sec = bundle.get(name)
         if not sec and section.optional:

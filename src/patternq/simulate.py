@@ -35,7 +35,6 @@ from .ode import Settled, settle, stable_step
 from .partitions import Partition, QuotientModel
 
 __all__ = [
-    "SimOptions",
     "EmpiricalPattern",
     "CertificateCheck",
     "integrate",
@@ -51,42 +50,27 @@ LOG = logging.getLogger(__name__)
 _BOX_SLOP_REL = 1e-7
 
 
-@dataclass(frozen=True)
-class SimOptions:
-    """step is the largest step the integrator may take (the stability cap
-    ode.stable_step(model) = 5 tau / (1 + L) when None); each step costs
-    12 right-hand-side evaluations, so a step far below the
-    error-controlled one takes twice the evaluations per unit time of a
-    fifth-order pair.  max_time defaults to 1e4 tau."""
-
-    step: float | None = None
-    max_time: float | None = None
-    conv_tol: float = 1e-9
-
-    def resolved(self, model: HillMap) -> tuple[float, float, float]:
-        """(largest step, max_time, conv_tol), each finite and positive."""
-        step = stable_step(model) if self.step is None else self.step
-        max_time = 1e4 * model.tau if self.max_time is None else self.max_time
-        if not all(math.isfinite(v) and v > 0 for v in (step, max_time, self.conv_tol)):
-            raise BadOptions("step, max_time and conv_tol must be finite and positive")
-        if self.step is not None and step > max_time:
-            raise BadOptions("step exceeds max_time")
-        return step, max_time, self.conv_tol
-
-
-def integrate(sa: ScaledAdjacency, model: HillMap, x0,
-              opts: SimOptions | None = None, on_step=None) -> Settled:
+def integrate(sa: ScaledAdjacency, model: HillMap, x0, *, step: float | None = None,
+              max_time: float | None = None, conv_tol: float = 1e-9,
+              on_step=None) -> Settled:
     """Integrate from x0 until the derivative norm drops below conv_tol or
     max_time passes, and return where the flow came to rest.
 
-    on_step(k, t, x) sees the start (k = 0) and every accepted state, each
-    a new array it may keep (ode.settle).  States leaving [0, A] by more
-    than float dust abort with StateOutOfBox (the exact flow never leaves
-    the box, so an escape means the step is too large); dust-level
-    excursions are clipped back.
+    step is the largest step, the stability cap ode.stable_step(model) =
+    5 tau / (1 + L) when None, and max_time defaults to 1e4 tau; all three
+    settings must be finite and positive, and a given step at most
+    max_time (BadOptions).  on_step(k, t, x) sees the start (k = 0) and
+    every accepted state, each a new array it may keep (ode.settle).
+    States leaving [0, A] by more than float dust abort with StateOutOfBox
+    (the exact flow never leaves the box, so an escape means the step is
+    too large); dust-level excursions are clipped back.
     """
-    opts = opts or SimOptions()
-    step, max_time, conv_tol = opts.resolved(model)
+    largest = stable_step(model) if step is None else step
+    max_time = 1e4 * model.tau if max_time is None else max_time
+    if not all(math.isfinite(v) and v > 0 for v in (largest, max_time, conv_tol)):
+        raise BadOptions("step, max_time and conv_tol must be finite and positive")
+    if step is not None and step > max_time:
+        raise BadOptions("step exceeds max_time")
     amp = model.amplitude
     x = np.array(x0, dtype=float)
     if x.shape != (sa.n,):
@@ -114,11 +98,11 @@ def integrate(sa: ScaledAdjacency, model: HillMap, x0,
                 f"state left [0, {amp}] at t={t:.3f}; reduce the step size")
         return state if 0.0 <= lo and hi <= amp else np.clip(state, 0.0, amp)
 
-    # a step far above the error-controlled one (a large opts.step) forms
+    # a step far above the error-controlled one (a large given step) forms
     # stage states far outside the box, where (u/K)^h may overflow to inf
     # and T to its exact limit 0; the error estimate rejects such a step
     with np.errstate(over="ignore"):
-        rest = settle(rhs, x, model, conv_tol, max_time, into_box, step, on_step)
+        rest = settle(rhs, x, model, conv_tol, max_time, into_box, largest, on_step)
     LOG.info("%d steps, %d rejected, model time %.6g, final derivative norm "
              "%.3e, converged %s", rest.steps, rest.rejected, rest.final_time,
              rest.final_derivative_norm, rest.converged)

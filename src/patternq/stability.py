@@ -18,7 +18,7 @@ rho(P Gamma) < 1 with per-class dc-gains, the block route's -T'(z) bit for
 bit.  Equitability gives P Gamma Q = Q Pbar Gammabar for the class
 indicator Q, so the radius is computed on qm.symmetric alone, where it is
 exactly equal; the same radius decides whether I - Gamma P is a
-nonsingular M-matrix.  stability_report checks once that the pattern is
+nonsingular M-matrix.  stability_report refuses a z whose lift is not
 steady and runs only the routes it is asked for.
 """
 from __future__ import annotations
@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import HillMap, dc_gain, t_eval, t_prime
+from .cells import HillMap, dc_gain, t_prime
 from .errors import BadOptions, DimensionMismatch, NotSteadyState
+from .existence import lift
 from .partitions import QuotientModel, block_decompose
 from .spectral import jacobian_spectrum, sym_eigen
 
@@ -98,8 +99,9 @@ class StabilityReport:
     """The verdicts of the routes that ran.
 
     full_spectral_abscissa and full_verdict come from the block route and
-    are None when it did not run.  m_matrix_ok is True when the small-gain
-    route ran and rho(P Gamma) < 1, and None otherwise.  With Gamma P >= 0,
+    are None when it did not run.  m_matrix_ok is True exactly when the
+    small-gain verdict is CERTIFIED_STABLE, rho(P Gamma) < 1 - 1e-9, and
+    None otherwise.  With Gamma P >= 0,
     I - Gamma P is a Z-matrix, and a Z-matrix I - B with B >= 0 is a
     nonsingular M-matrix exactly when rho(B) < 1 (Berman & Plemmons,
     Nonnegative Matrices in the Mathematical Sciences, ch. 6);
@@ -126,15 +128,6 @@ def _class_values(qm: QuotientModel, z) -> np.ndarray:
     if z.shape != (qm.r,):
         raise DimensionMismatch(f"expected {qm.r} class values, got {z.shape}")
     return z
-
-
-def _require_steady(qm: QuotientModel, model: HillMap, z: np.ndarray) -> None:
-    """NotSteadyState unless the lift u of z satisfies u = P T(u) to within
-    1e-8; a NaN residual fails too."""
-    u = qm.partition.expand(z)
-    residual = float(np.abs(u - qm.operator.matvec(t_eval(model, u))).max())
-    if not residual <= _STEADY_TOL:
-        raise NotSteadyState(f"pattern residual {residual:.2e} exceeds {_STEADY_TOL}")
 
 
 def block_stability(qm: QuotientModel, model: HillMap, z) -> BlockStability:
@@ -210,9 +203,9 @@ def stability_report(qm: QuotientModel, model: HillMap, z,
     """Run the requested certification routes on the lifted pattern of z.
 
     methods holds names from ("block", "smallgain"); BadOptions names any
-    other entry, or a bare string.  Whatever the methods, z must hold one
-    value per class (DimensionMismatch otherwise) and the lifted pattern
-    must be steady (NotSteadyState otherwise).  The full spectral
+    other entry, or a bare string.  Whatever the methods, existence.lift
+    must take z (DimensionMismatch unless it holds one value per class) to
+    a steady lift, residual_full <= 1e-8 (NotSteadyState).  The full spectral
     abscissa comes from the block route, since its two blocks carry the
     whole Jacobian spectrum; without "block", full_spectral_abscissa and
     full_verdict are None.
@@ -222,17 +215,18 @@ def stability_report(qm: QuotientModel, model: HillMap, z,
     unknown = [m for m in methods if m not in _METHODS]
     if unknown:
         raise BadOptions(f"unknown stability method {unknown[0]!r}; choose from {_METHODS}")
-    z = _class_values(qm, z)
-    _require_steady(qm, model, z)
+    pattern = lift(qm, z, model)
+    if not pattern.residual_full <= _STEADY_TOL:  # a NaN residual fails too
+        raise NotSteadyState(f"pattern residual {pattern.residual_full:.2e} exceeds {_STEADY_TOL}")
+    z = pattern.class_values
     abscissa = block = None
     if "block" in methods:
         block = block_stability(qm, model, z)
         abscissa = block.abscissa
-    sg = None
-    m_ok = None
+    sg = m_ok = None
     if "smallgain" in methods:
         sg = small_gain(qm, model, z)
-        m_ok = True if sg.rho_full < 1.0 else None
+        m_ok = True if sg.verdict == CERTIFIED_STABLE else None
     return StabilityReport(
         full_spectral_abscissa=abscissa,
         full_verdict=None if abscissa is None else _verdict_from_abscissa(abscissa),

@@ -14,6 +14,11 @@ The set-ups are the 4x4 and 16x16 torus_mesh checkerboards
 diag3 and triangle_bridge {2,5} | rest.  Every set-up has two classes, so
 two more cases bring a quotient of many: the refinement of {17} | rest on
 hex_torus:30,30, 91 classes, and `analyze` at h = 6 on that refinement.
+Every model so far has A = 2 and K = 1, where Newton from the coloring
+corners always succeeds, so one more `analyze --simulate` case with its
+`report` runs the hex_torus:6,6 diag3 set-up at {"A": 1, "K": 1, "h": 25,
+"tau": 1}, where Newton strays and the reduced solve takes the monotone
+iteration (62 and 263 steps) before polishing.
 
 `run` imports patternq from SRC (default: the src/ next to this file), so
 one checkout can run the corpus of another; DIR must not hold an earlier
@@ -50,6 +55,8 @@ SETUPS = {
 EXPONENTS = (3, 6, 40)
 # the many-class set-up: {17} | rest refines to 91 classes on this lattice
 MANY = ("hex_torus:30,30", [[17], [v for v in range(900) if v != 17]])
+# the model under which the hex6 set-up takes the reduced solve's monotone fallback
+FALLBACK = {"A": 1.0, "K": 1.0, "h": 25.0, "tau": 1.0}
 VERDICT_KEYS = frozenset({"verdict", "full_verdict", "match", "equitable"})
 
 
@@ -103,6 +110,11 @@ def cases() -> list[tuple[str, list[str]]]:
         out.append((f"simulate-{spec.replace(':', '')}-torus4",
                     ["simulate", "--gen", SETUPS["torus4"][0], "--perturb", spec,
                      "--model", "inputs/h6.json"]))
+    fallback = "analyze-hex6-a1h25-sim"
+    out.append((fallback, ["analyze", "--gen", SETUPS["hex6"][0], "--partition",
+                           "inputs/hex6.json", "--model", "inputs/a1h25.json", "--simulate"]))
+    out.append((f"report-{fallback}", ["report", "--bundle", f"out/{fallback}.json",
+                                       "--svg", f"out/report-{fallback}.svg"]))
     seed, part = "inputs/hex30.json", "out/partition-refine-hex30.json"
     out.append(("partition-refine-hex30",
                 ["partition", "--gen", MANY[0], "--mode", "refine", "--seed", seed]))
@@ -132,6 +144,7 @@ def run(directory) -> dict:
     for h in EXPONENTS:
         (root / "inputs" / f"h{h}.json").write_text(
             json.dumps({"A": 2.0, "K": 1.0, "h": float(h), "tau": 1.0}) + "\n")
+    (root / "inputs" / "a1h25.json").write_text(json.dumps(FALLBACK) + "\n")
     results = {}
     cwd = os.getcwd()
     os.chdir(root)

@@ -31,7 +31,7 @@ from patternq.partitions import (
     tile_partition,
     trivial_partition,
 )
-from patternq.simulate import SimOptions, integrate, verify_certificate
+from patternq.simulate import integrate, verify_certificate
 from patternq.spectral import jacobian_spectrum
 from patternq.stability import CERTIFIED_STABLE, block_stability, small_gain
 
@@ -441,8 +441,8 @@ def test_criterion_10_invariant_subspace():
         m = _hill(1.5 if name in weak else 6)
         x0 = pi.expand(rng.uniform(0.2, 1.8, size=pi.r))
         states = []
-        rest = integrate(scaled_adjacency(g), m, x0, SimOptions(max_time=200.0),
-                         lambda k, t, x: states.append(x))
+        rest = integrate(scaled_adjacency(g), m, x0, max_time=200.0,
+                         on_step=lambda k, t, x: states.append(x))
         assert rest.converged, name
         assert max_within_class_spread(np.array(states), pi) < 1e-9, name
     _report(10, "invariant subspace")

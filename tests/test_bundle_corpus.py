@@ -29,9 +29,11 @@ def test_corpus_exit_codes_and_reports(corpus):
     analyze = {name: r["exit"] for name, r in results.items() if name.startswith("analyze-")}
     # the 91-class refinement of the hex torus: its reduced graph is not bipartite
     assert analyze.pop("analyze-hex30-h6") == 2
+    # the monotone-fallback case: certified and stable
     assert analyze == {f"analyze-{setup}-h{h}{sim}": code
                        for setup, codes in ANALYZE_EXITS.items()
-                       for h, code in codes.items() for sim in ("", "-sim")}
+                       for h, code in codes.items() for sim in ("", "-sim")
+                       } | {"analyze-hex6-a1h25-sim": 0}
     # report verifies every bundle's hash chain, with `created` stripped
     for name, code in analyze.items():
         report = results[f"report-{name}"]
@@ -54,7 +56,7 @@ def test_diff_lists_numbers_and_fails_only_on_verdicts(corpus, tmp_path):
     a, _ = corpus
     lines = []
     assert bundle_corpus.diff(a, a, lines.append) == 0
-    assert lines[0] == "# 124 output files identical"
+    assert lines[0] == "# 126 output files identical"
 
     b = tmp_path / "b"
     shutil.copytree(a, b)

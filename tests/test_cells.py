@@ -118,6 +118,20 @@ def test_cell_relaxes_exponentially_to_static_value():
         assert abs(val - exact) < 1e-10
 
 
+@pytest.mark.parametrize("amplitude,threshold,exponent", [(2, 1, 1015), (10, 0.1, 154),
+                                                          (2, 1, 5000)])
+def test_slope_is_negative_zero_where_both_parts_overflow(amplitude, threshold, exponent):
+    # at u = A, (A h / K)(u/K)^(h-1) and (1 + (u/K)^h)^2 both overflow to inf
+    m = HillMap(amplitude=amplitude, threshold=threshold, exponent=exponent)
+    with np.errstate(over="ignore"):
+        slope = t_prime(m, amplitude)
+        slopes = t_prime(m, [np.nan, amplitude, threshold, math.inf])
+    assert slope == 0.0 and math.copysign(1.0, slope) == -1.0
+    assert np.isnan(slopes[0]) and np.all(np.signbit(slopes[1:]))
+    assert slopes[1] == slopes[3] == 0.0
+    assert slopes[2] == -amplitude * exponent / (4 * threshold)
+
+
 def test_dc_gain_values():
     m = HillMap(2, 1, 6)
     assert dc_gain(m, 1.0) == 3.0

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import patternq
-from patternq.cli import main
+from patternq.cli import build_parser, main
+from patternq.errors import BadBundle
+from patternq.pipeline import StageFailure
 from patternq.serialize import dumps_canonical
 
 
@@ -382,6 +384,20 @@ def test_analyze_exit_codes(tmp_path, model_h6, model_h4):
                  "--auto-bipartite", "--model", model_h6]) == 1
 
 
+def test_analyze_where_the_slopes_overflow(tmp_path, capsys):
+    # at h = 1015 both parts of T'(A) overflow; RuntimeWarnings fail the test
+    model = tmp_path / "h1015.json"
+    model.write_text('{"A": 2, "K": 1, "h": 1015, "tau": 1}\n')
+    bundle = tmp_path / "b.json"
+    assert main(["analyze", "--gen", "torus_mesh:4,4", "--auto-bipartite",
+                 "--model", str(model), "--simulate", "-o", str(bundle)]) == 0
+    assert capsys.readouterr().err == ""
+    data = json.loads(bundle.read_text())
+    assert data["certificate"]["data"]["verdict"] == "CERTIFIED"
+    assert data["stability"]["data"]["full_verdict"] == "STABLE"
+    assert data["simulation"]["data"]["match"] is True
+
+
 def test_analyze_auto_refine_returns_single_class(tmp_path, model_h6):
     bundle = tmp_path / "b.json"
     code = main(["analyze", "--gen", "torus_mesh:4,4", "--model", model_h6, "-o", str(bundle)])
@@ -618,6 +634,30 @@ def test_report_of_a_verified_bundle_missing_a_field_is_tagged(tmp_path, model_h
     capsys.readouterr()
     assert main(["report", "--bundle", str(bundle)]) == 1
     assert re.fullmatch(rf"error \[report\]: {missing}\n", capsys.readouterr().err)
+
+
+def test_report_refuses_a_bundle_of_another_schema(tmp_path, model_h6, capsys):
+    # the schema is outside the hash chain, so only the schema check sees it
+    bundle, data = _analyze_to_json(tmp_path, model_h6)
+    data["schema"] = 2
+    bundle.write_text(dumps_canonical(data))
+    capsys.readouterr()
+    assert main(["report", "--bundle", str(bundle)]) == 1
+    assert capsys.readouterr() == (
+        "", "error [report]: unsupported bundle schema 2; patternq reads schema 1\n")
+
+
+@pytest.mark.parametrize("head", ["schema", "tool"])
+def test_report_of_a_bundle_without_a_head_field_fails_with_bad_bundle(tmp_path, model_h6,
+                                                                       head):
+    bundle, data = _analyze_to_json(tmp_path, model_h6)
+    del data[head]
+    bundle.write_text(dumps_canonical(data))
+    args = build_parser().parse_args(["report", "--bundle", str(bundle)])
+    with pytest.raises(StageFailure) as info:
+        args.func(args)
+    assert info.value.stage == "report"
+    assert type(info.value.cause) is BadBundle and str(info.value.cause) == repr(head)
 
 
 def test_gen_missing_params_is_tagged_error(capsys):

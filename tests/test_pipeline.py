@@ -8,6 +8,7 @@ import pytest
 
 import patternq.cli
 from patternq.cells import HillMap
+from patternq.errors import BadBundle
 from patternq.existence import CERTIFIED
 from patternq.graphs import generate
 from patternq.partitions import bipartition_partition, block_decompose, make_partition
@@ -31,7 +32,7 @@ def test_sealed_sections_match_what_analyze_writes(tmp_path, spec, classes, bloc
     partition_file = tmp_path / "p.json"
     mode = "auto-bipartite" if classes is None else f"file:{partition_file}"
     sealed = seal_bundle(run, 0.01, {"graph": {"source": spec}, "partition": {"mode": mode}})
-    verify_bundle(json.loads(dumps_canonical(sealed)))
+    verify_bundle(sealed)
     assert bool(len(block_decompose(run.qm).character_blocks)) is bloch
     assert run.pattern.certificate.verdict == CERTIFIED
     assert run.pattern_stability["full_verdict"] == full_verdict
@@ -47,6 +48,41 @@ def test_sealed_sections_match_what_analyze_writes(tmp_path, spec, classes, bloc
     written = json.loads(out.read_text())
     for name in SECTIONS:
         assert dumps_canonical(sealed[name]) == dumps_canonical(written[name]), name
+
+
+def _checkerboard_bundle() -> dict:
+    g = generate("torus_mesh", 4, 4)
+    return seal_bundle(Run(g, bipartition_partition(g), HillMap(exponent=6.0)), 0.01,
+                       {"graph": {"source": "torus_mesh:4,4"}})
+
+
+def test_a_sealed_bundle_verifies_in_memory_and_refuses_a_tampered_section():
+    sealed = _checkerboard_bundle()
+    verify_bundle(sealed)
+    verify_bundle(json.loads(dumps_canonical(sealed)))
+    tampered = {**sealed, "pattern": {**sealed["pattern"], "data": {"z": [1.0, 1.0]}}}
+    with pytest.raises(BadBundle, match="^section 'pattern' content does not match its hash$"):
+        verify_bundle(tampered)
+    relabelled = {**sealed, "graph": {**sealed["graph"], "source": "torus_mesh:2,8"}}
+    with pytest.raises(BadBundle, match="^section 'graph' content does not match its hash$"):
+        verify_bundle(relabelled)
+
+
+@pytest.mark.parametrize("schema,message", [
+    pytest.param(2, "unsupported bundle schema 2; patternq reads schema 1", id="two"),
+    pytest.param(True, "unsupported bundle schema True; patternq reads schema 1", id="true"),
+    pytest.param("1", "unsupported bundle schema '1'; patternq reads schema 1", id="text"),
+    pytest.param(None, "'schema'", id="missing"),
+])
+def test_verify_refuses_any_schema_but_1(schema, message):
+    sealed = _checkerboard_bundle()
+    if schema is None:
+        del sealed["schema"]
+    else:
+        sealed["schema"] = schema
+    with pytest.raises(BadBundle) as info:
+        verify_bundle(sealed)
+    assert str(info.value) == message
 
 
 # the stages that only the pipeline calls

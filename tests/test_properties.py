@@ -57,7 +57,8 @@ from patternq.partitions import (
     tile_partition,
 )
 from patternq.serialize import dumps_canonical
-from patternq.simulate import SimOptions, integrate
+from patternq.ode import stable_step
+from patternq.simulate import integrate
 from patternq.spectral import jacobian_spectrum, sym_eigen
 from patternq.stability import block_stability, small_gain
 
@@ -198,8 +199,7 @@ def test_integrate_matches_scipy_dop853(seed, n, h, step):
     g = random_connected_graph(rng, n, weight_range=(0.1, 3.0))
     m = HillMap(exponent=h)
     x0 = rng.uniform(0.0, m.amplitude, n)
-    trace = integrate(scaled_adjacency(g), m, x0,
-                      SimOptions(step=step, max_time=60.0, conv_tol=1e-6))
+    trace = integrate(scaled_adjacency(g), m, x0, step=step, max_time=60.0, conv_tol=1e-6)
     w = weight_matrix(g)
     p = w / w.sum(axis=1)[:, None]
 
@@ -583,7 +583,7 @@ _STEP_LIMITS = [(None, 0.5), (None, 4.0), (None, 30.0), (0.02, 0.5), (0.3, 4.0),
 
 @st.composite
 def stepper_runs(draw):
-    """(operator, model, x0, opts): a weighted circulant or a tiled motif,
+    """(operator, model, x0, settings): a weighted circulant or a tiled motif,
     h in [1, 40] with h = 40 drawn often, and a start that is constant on
     each class up to optional noise, its class values drawn from the box
     faces 0 and A, values small enough that (u/K)^h underflows, and the
@@ -597,9 +597,8 @@ def stepper_runs(draw):
     rng = np.random.default_rng(draw(seeds))
     x0 = np.clip(x0 + noise * rng.uniform(-1.0, 1.0, g.n), 0.0, m.amplitude)
     step, max_time = draw(st.sampled_from(_STEP_LIMITS))
-    opts = SimOptions(step=step, max_time=max_time,
-                      conv_tol=draw(st.sampled_from([1e-9, 1e-6])))
-    return scaled_adjacency(g), m, x0, opts
+    conv_tol = draw(st.sampled_from([1e-9, 1e-6]))
+    return scaled_adjacency(g), m, x0, {"step": step, "max_time": max_time, "conv_tol": conv_tol}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -607,9 +606,11 @@ def stepper_runs(draw):
 # one accepted state of this run lands a rounding above A and is clipped
 @example(run=(scaled_adjacency(hex_torus(6, 6)), HillMap(exponent=40.0),
               np.random.default_rng(0).uniform(0.0, 2.0, 36),
-              SimOptions(step=40.0, max_time=400.0)))
+              {"step": 40.0, "max_time": 400.0, "conv_tol": 1e-9}))
 def test_integrate_matches_the_reference_stepper_bit_for_bit(run):
     sa, m, x0, opts = run
+    step = stable_step(m) if opts["step"] is None else opts["step"]
+    limits = (step, opts["max_time"], opts["conv_tol"])
     got_times, got_states = [], []
 
     def keep(k, t, x):
@@ -617,12 +618,12 @@ def test_integrate_matches_the_reference_stepper_bit_for_bit(run):
         got_states.append(x)
 
     try:
-        got = integrate(sa, m, x0, opts, keep)
+        got = integrate(sa, m, x0, **opts, on_step=keep)
     except StateOutOfBox:
         with pytest.raises(StateOutOfBox):
-            integrate_reference(sa, m, x0, *opts.resolved(m))
+            integrate_reference(sa, m, x0, *limits)
         return
-    times, states, rest = integrate_reference(sa, m, x0, *opts.resolved(m))
+    times, states, rest = integrate_reference(sa, m, x0, *limits)
     # every accepted state, not a thinned sample, and the rest record whole
     assert np.array_equal(got_times, times)
     assert np.array_equal(got_states, states)

@@ -17,7 +17,6 @@ from patternq.partitions import (
 from patternq.graphs import hex_torus
 from patternq import simulate
 from patternq.simulate import (
-    SimOptions,
     classify,
     cluster_values,
     integrate,
@@ -45,7 +44,7 @@ def test_lifted_pattern_is_an_equilibrium():
     qm = quotient(g, pi)
     red = solve_reduced(qm, m)
     pat = lift(qm, red.class_values, m)
-    rest = integrate(scaled_adjacency(g), m, pat.cell_states, SimOptions(max_time=50.0))
+    rest = integrate(scaled_adjacency(g), m, pat.cell_states, max_time=50.0)
     assert np.abs(rest.final_state - pat.cell_states).max() < 1e-8
 
 
@@ -87,8 +86,8 @@ def test_large_step_cap_still_converges_in_the_box():
     m = HillMap(exponent=6)
     x0 = np.random.default_rng(3).uniform(0.2, 1.8, size=g.n)
     states = []
-    rest = integrate(scaled_adjacency(g), m, x0, SimOptions(step=40.0, max_time=400.0),
-                     lambda k, t, x: states.append(x))
+    rest = integrate(scaled_adjacency(g), m, x0, step=40.0, max_time=400.0,
+                     on_step=lambda k, t, x: states.append(x))
     assert rest.converged
     assert np.min(states) >= 0.0 and np.max(states) <= m.amplitude
 
@@ -101,22 +100,22 @@ def test_integrate_validates_inputs():
     with pytest.raises(BadOptions):
         integrate(scaled_adjacency(g), m, np.full(g.n, -0.1))
     with pytest.raises(BadOptions):
-        integrate(scaled_adjacency(g), m, np.ones(g.n), SimOptions(step=-1.0))
+        integrate(scaled_adjacency(g), m, np.ones(g.n), step=-1.0)
     with pytest.raises(BadOptions):
-        integrate(scaled_adjacency(g), m, np.ones(g.n), SimOptions(step=2.0, max_time=1.0))
+        integrate(scaled_adjacency(g), m, np.ones(g.n), step=2.0, max_time=1.0)
 
 
 @pytest.mark.parametrize("x0,opts", [
-    ([np.nan] + [1.0] * 15, SimOptions()),
-    ([1.0] * 16, SimOptions(conv_tol=float("nan"))),
-    ([1.0] * 16, SimOptions(step=float("nan"))),
-    ([1.0] * 16, SimOptions(max_time=float("nan"))),
-    ([1.0] * 16, SimOptions(max_time=float("inf"))),
+    ([np.nan] + [1.0] * 15, {}),
+    ([1.0] * 16, {"conv_tol": float("nan")}),
+    ([1.0] * 16, {"step": float("nan")}),
+    ([1.0] * 16, {"max_time": float("nan")}),
+    ([1.0] * 16, {"max_time": float("inf")}),
 ])
 def test_integrate_rejects_non_finite_inputs(x0, opts):
     g = torus_mesh(4, 4)
     with pytest.raises(BadOptions, match="finite"):
-        integrate(scaled_adjacency(g), HillMap(), np.array(x0), opts)
+        integrate(scaled_adjacency(g), HillMap(), np.array(x0), **opts)
 
 
 def test_perturbed_start_shapes_and_clipping():
@@ -165,7 +164,7 @@ def test_cluster_values_single_linkage_in_descending_order():
 def test_classify_requires_convergence():
     g = torus_mesh(4, 4)
     m = HillMap(exponent=6)
-    rest = integrate(scaled_adjacency(g), m, np.full(g.n, 0.5), SimOptions(max_time=0.05))
+    rest = integrate(scaled_adjacency(g), m, np.full(g.n, 0.5), max_time=0.05)
     assert not rest.converged
     with pytest.raises(NotConverged):
         classify(rest, 1e-4)
@@ -183,8 +182,8 @@ def test_class_constant_states_stay_class_constant(g, pi):
     rng = np.random.default_rng(8)
     x0 = pi.expand(rng.uniform(0.2, 1.8, size=pi.r))
     states = []
-    integrate(scaled_adjacency(g), m, x0, SimOptions(max_time=200.0),
-              lambda k, t, x: states.append(x))
+    integrate(scaled_adjacency(g), m, x0, max_time=200.0,
+              on_step=lambda k, t, x: states.append(x))
     assert max_within_class_spread(np.array(states), pi) < 1e-9
 
 
@@ -194,8 +193,8 @@ def test_step_halving_changes_little():
     m = HillMap(exponent=6)
     cert = certify(quotient(g, pi), m)
     x0 = perturbed_start(m, cert.fixed_point_value, pi.expand(cert.min_eigenvector), 0.01)
-    t1 = integrate(scaled_adjacency(g), m, x0, SimOptions(step=0.01))
-    t2 = integrate(scaled_adjacency(g), m, x0, SimOptions(step=0.005))
+    t1 = integrate(scaled_adjacency(g), m, x0, step=0.01)
+    t2 = integrate(scaled_adjacency(g), m, x0, step=0.005)
     assert np.abs(t1.final_state - t2.final_state).max() < 1e-8
 
 

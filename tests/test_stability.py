@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from patternq import partitions
+from patternq import partitions, stability
 from patternq.cells import HillMap, dc_gain, fixed_point, t_prime
 from patternq.errors import BadOptions, DetailedBalanceViolated, NotSteadyState
 from patternq.existence import certify, solve_reduced
@@ -291,6 +291,22 @@ def test_small_gain_homogeneous_unit_slope_is_marginal():
     sg = small_gain(quotient(g, pi), m, z)
     assert abs(sg.rho_full - 1.0) < 1e-10
     assert sg.verdict == NOT_CERTIFIED
+
+
+@pytest.mark.parametrize("rho,verdict,m_ok", [
+    pytest.param(1.0 - 5e-10, NOT_CERTIFIED, None, id="inside-the-band"),
+    pytest.param(1.0 - 2e-9, CERTIFIED_STABLE, True, id="below-the-band"),
+])
+def test_m_matrix_ok_follows_the_small_gain_verdict(monkeypatch, rho, verdict, m_ok):
+    # a radius inside the marginal band below 1 certifies nothing
+    g = torus_mesh(4, 4)
+    m = HillMap(exponent=6)
+    qm = quotient(g, bipartition_partition(g))
+    z = solve_reduced(qm, m).class_values
+    monkeypatch.setattr(stability, "_gain_radius", lambda qm, gains: (rho, np.ones(qm.r)))
+    rep = stability_report(qm, m, z, methods=("smallgain",))
+    assert rep.small_gain.verdict == verdict
+    assert rep.m_matrix_ok is m_ok
 
 
 def test_small_gain_buckyball_pattern_is_not_certified():
